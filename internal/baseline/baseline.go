@@ -39,6 +39,7 @@ type NaivePlane struct {
 	ix  *vortree.Index
 	k   int
 	m   metrics.Counters
+	sc  vortree.SearchScratch
 	knn []int
 }
 
@@ -66,9 +67,9 @@ func (q *NaivePlane) Update(p geom.Point) ([]int, error) {
 		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewObjects, q.ix.Len(), q.k)
 	}
 	q.m.Recomputations++
-	visitsBefore := q.ix.Tree().NodeVisits()
-	q.knn = q.ix.KNN(p, q.k)
-	q.m.NodeVisits += q.ix.Tree().NodeVisits() - visitsBefore
+	var visits int
+	q.knn, visits = q.ix.AppendKNN(p, q.k, nil, &q.sc)
+	q.m.NodeVisits += visits
 	q.m.ObjectsShipped += len(q.knn)
 	return q.knn, nil
 }
@@ -80,6 +81,7 @@ type OrderKCellPlane struct {
 	ix               *vortree.Index
 	k                int
 	m                metrics.Counters
+	sc               vortree.SearchScratch
 	useINSCandidates bool
 
 	init bool
@@ -133,9 +135,9 @@ func (q *OrderKCellPlane) Update(p geom.Point) ([]int, error) {
 		q.m.Invalidations++
 	}
 	q.m.Recomputations++
-	visitsBefore := q.ix.Tree().NodeVisits()
-	q.knn = q.ix.KNN(p, q.k)
-	q.m.NodeVisits += q.ix.Tree().NodeVisits() - visitsBefore
+	var visits int
+	q.knn, visits = q.ix.AppendKNN(p, q.k, nil, &q.sc)
+	q.m.NodeVisits += visits
 	var cell geom.Polygon
 	var err error
 	d := q.ix.Diagram()
@@ -170,6 +172,7 @@ type VStarPlane struct {
 	k  int
 	x  int
 	m  metrics.Counters
+	sc vortree.SearchScratch
 
 	init bool
 	q0   geom.Point
@@ -218,9 +221,9 @@ func (q *VStarPlane) Update(p geom.Point) ([]int, error) {
 	if n := q.ix.Len(); m > n {
 		m = n
 	}
-	visitsBefore := q.ix.Tree().NodeVisits()
-	q.w = q.ix.KNN(p, m)
-	q.m.NodeVisits += q.ix.Tree().NodeVisits() - visitsBefore
+	var visits int
+	q.w, visits = q.ix.AppendKNN(p, m, nil, &q.sc)
+	q.m.NodeVisits += visits
 	q.q0 = p
 	if len(q.w) == q.ix.Len() {
 		q.d = -1 // the whole dataset is known: the region never expires

@@ -16,12 +16,19 @@
 // Query processing follows Section III of the paper: on (re)computation the
 // processor fetches the ⌊ρk⌋ nearest objects R (ρ ≥ 1 is the prefetch
 // ratio) plus I(R) and ships them to the client. Each timestamp is then
-// validated with one O(|R|+|I(R)|) scan: find the farthest current kNN
-// member (r.delete) and the nearest influential-set member (r.candidate);
-// the kNN set is stale only if r.candidate is closer than r.delete. A stale
-// kNN set is first repaired locally by re-ranking R (covering the paper's
-// update cases (i) and (ii)); only when R itself is invalidated does the
-// processor recompute — a communication event, which the experiments count.
+// validated with one O(|R|+|I(R)|) scan that evaluates every distance once:
+// find the farthest current kNN member (r.delete) and the nearest
+// influential-set member (r.candidate); the kNN set is stale only if
+// r.candidate is closer than r.delete. A stale kNN set is first repaired
+// locally by re-ranking R with the distances that scan cached (covering the
+// paper's update cases (i) and (ii)); only when R itself is invalidated
+// does the processor recompute — a communication event, which the
+// experiments count.
+//
+// PlaneQuery keeps the kNN set as a prefix of R: the kNN set is R[:k] at
+// all times, and a re-rank sorts R in place. R is therefore in ascending
+// distance as of the last recomputation or re-rank, whichever came last —
+// not necessarily in the order it was fetched.
 //
 // In road networks (Section IV), validation requires shortest-path
 // distances. Theorem 1 transfers the INS superset guarantee to network

@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/roadnet"
+	"repro/internal/rtree"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
 	"repro/internal/workload"
@@ -241,5 +244,47 @@ func TestPinnedReadOnly(t *testing.T) {
 	}
 	if _, err := NewNetworkQueryPinned(st, 2, 1.6); err == nil {
 		t.Error("network query on plane-only store succeeded")
+	}
+}
+
+// TestSharedScratchDoesNotPinSupersededSnapshot: a shard's scratch outlives
+// every snapshot its sessions search. After a search, a Store.Apply and the
+// session's re-pin, nothing the idle scratch or the session holds may keep
+// the superseded index version reachable (the frontier-level half of this
+// is rtree's TestIteratorReleaseUnpinsSupersededNodes).
+func TestSharedScratchDoesNotPinSupersededSnapshot(t *testing.T) {
+	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(2000, pinnedBounds, 13)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc vortree.SearchScratch
+	q, err := NewPlaneQueryPinned(st, 4, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	q.UseScratch(&sc)
+	if _, err := q.Update(geom.Pt(100, 100)); err != nil { // first placement: R-tree descent
+		t.Fatal(err)
+	}
+	collected := make(chan struct{}, 1)
+	runtime.SetFinalizer(q.ix.Tree(), func(*rtree.Tree) { collected <- struct{}{} })
+	if _, err := st.Insert(geom.Pt(900, 900)); err != nil {
+		t.Fatal(err)
+	}
+	q.Sync() // re-pins; a far insert leaves the client state valid, so no new search runs
+	if q.Metrics().Recomputations != 1 {
+		t.Fatalf("setup: the re-pin recomputed (%d recomputations)", q.Metrics().Recomputations)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("superseded snapshot's R-tree still reachable after re-pin and GC")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

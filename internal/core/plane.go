@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -31,14 +33,14 @@ var ErrReadOnly = errors.New("core: snapshot-pinned query cannot mutate the inde
 // then lazily re-pins to the newest snapshot, invalidating the client
 // state only when a skipped mutation could affect it.
 type PlaneQuery struct {
-	ix  index.PlaneBackend
+	ix  *vortree.Index
 	k   int
 	rho float64
 	m   metrics.Counters
 
-	// Exactly one of raw / store is set. snap is the pinned snapshot
-	// (store mode), released on Close or when re-pinning.
-	raw   *vortree.Index
+	// store and snap are set on a snapshot-pinned query only: snap is the
+	// pinned snapshot, released on Close or when re-pinning, and ix is its
+	// plane index. A raw query (store == nil) owns ix and may mutate it.
 	store *index.Store
 	snap  *index.Snapshot
 
@@ -46,39 +48,49 @@ type PlaneQuery struct {
 	located       bool // Update has been called at least once; lastPos is meaningful
 	lastPos       geom.Point
 	disableRerank bool
-	r             []int // prefetched ⌊ρk⌋ nearest objects, ascending distance at fetch time
-	ins           []int // I(R): influential neighbor set of R
-	knn           []int // current kNN set, ascending distance as of the last re-rank
 
-	// Reusable per-query working memory: the serving hot path processes
-	// millions of Updates, so validation, re-rank and recomputation all run
-	// against these buffers instead of allocating. r/ins/knn above alias
-	// into them; the slices returned by Update are rewritten by the next
-	// Update/Sync/Refresh, which is the package's slice-ownership contract.
-	search vortree.SearchScratch
-	inKNN  map[int]bool // knnValid membership scratch
-	rank   rankBuf      // rerank scratch (ids sorted by cached distance)
-	rBuf   []int        // backing for r (and the knn prefix)
-	insBuf []int        // backing for ins
+	// The client state is one id list: ids = R followed by I(R), as one
+	// recomputation ships them. r and ins are its two halves, and the kNN
+	// set is always r[:k] — a re-rank permutes r itself, so r is in
+	// ascending distance as of the last recomputation or re-rank. dist
+	// parallels ids: the squared distances the last validated Update
+	// measured, from which it derived all of its verdicts. The buffers
+	// survive Invalidate; slices returned by Update alias ids and are
+	// rewritten by the next Update/Sync/Refresh, which is the package's
+	// slice-ownership contract.
+	ids    []int
+	r, ins []int
+	dist   []float64
+	rank   byDist // re-rank view over (r, dist); a field so sorting allocates nothing
+
+	// hint is an object near the query — the nearest guard object the last
+	// Update saw, else the last result's nearest object — from which the
+	// next recomputation walks to the new nearest object instead of
+	// descending the R-tree. It survives Invalidate: the guard sets may be
+	// stale after a data update, the neighbourhood is not.
+	hint int
+
+	// sc is the search working memory: the engine's per-shard scratch (see
+	// UseScratch), or one the query allocates at its first recomputation.
+	sc *vortree.SearchScratch
 }
 
-// rankBuf sorts object ids by a cached distance key. It implements
-// sort.Interface on a field of PlaneQuery so re-ranking allocates nothing.
-type rankBuf struct {
+// byDist sorts object ids by a parallel distance key, ties by id.
+type byDist struct {
 	ids []int
 	d   []float64
 }
 
-func (r *rankBuf) Len() int { return len(r.ids) }
-func (r *rankBuf) Less(i, j int) bool {
-	if r.d[i] != r.d[j] {
-		return r.d[i] < r.d[j]
+func (b *byDist) Len() int { return len(b.ids) }
+func (b *byDist) Less(i, j int) bool {
+	if b.d[i] != b.d[j] {
+		return b.d[i] < b.d[j]
 	}
-	return r.ids[i] < r.ids[j]
+	return b.ids[i] < b.ids[j]
 }
-func (r *rankBuf) Swap(i, j int) {
-	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
-	r.d[i], r.d[j] = r.d[j], r.d[i]
+func (b *byDist) Swap(i, j int) {
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
+	b.d[i], b.d[j] = b.d[j], b.d[i]
 }
 
 // NewPlaneQuery creates an INS MkNN query over the given VoR-tree index.
@@ -88,7 +100,7 @@ func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
 	if err := validateParams(k, rho); err != nil {
 		return nil, err
 	}
-	return &PlaneQuery{ix: ix, raw: ix, k: k, rho: rho}, nil
+	return &PlaneQuery{ix: ix, k: k, rho: rho, hint: vortree.NoHint}, nil
 }
 
 // NewPlaneQueryPinned creates an INS MkNN query served from the immutable
@@ -106,7 +118,19 @@ func NewPlaneQueryPinned(st *index.Store, k int, rho float64) (*PlaneQuery, erro
 	if snap == nil {
 		return nil, fmt.Errorf("core: %w", index.ErrClosed)
 	}
-	return &PlaneQuery{ix: snap.Plane(), store: st, snap: snap, k: k, rho: rho}, nil
+	return &PlaneQuery{ix: snap.Plane(), store: st, snap: snap, k: k, rho: rho, hint: vortree.NoHint}, nil
+}
+
+// UseScratch makes the query run its index searches through the given
+// shared scratch instead of allocating its own. The serving engine passes
+// one scratch per shard: a shard's sessions run serially on its worker
+// goroutine, so sharing is race-free, and the scratch's visited array
+// (sized by the object id space) is paid for once per shard rather than
+// once per session.
+func (q *PlaneQuery) UseScratch(sc *vortree.SearchScratch) {
+	if sc != nil {
+		q.sc = sc
+	}
 }
 
 func validateParams(k int, rho float64) error {
@@ -137,17 +161,27 @@ func (q *PlaneQuery) Metrics() *metrics.Counters { return &q.m }
 // that measures what the incremental update path is worth.
 func (q *PlaneQuery) SetDisableLocalRerank(v bool) { q.disableRerank = v }
 
+// knn returns the current kNN set: the first k members of R (nil while the
+// client state is invalidated).
+func (q *PlaneQuery) knn() []int {
+	if len(q.r) == 0 {
+		return nil
+	}
+	return q.r[:q.k]
+}
+
 // Current returns the current kNN set (ascending distance as of the last
 // re-rank) as a fresh copy; see the package slice-ownership contract.
-func (q *PlaneQuery) Current() []int { return append([]int(nil), q.knn...) }
+func (q *PlaneQuery) Current() []int { return append([]int(nil), q.knn()...) }
 
 // AppendCurrent appends the current kNN set onto dst and returns it — the
 // zero-copy accessor for callers that own a reusable buffer (the engine
 // shards and the stream broker). The copying accessors remain the public
 // facade's contract.
-func (q *PlaneQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn...) }
+func (q *PlaneQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn()...) }
 
-// AppendPrefetched appends the prefetched set R onto dst.
+// AppendPrefetched appends the prefetched set R onto dst; its first k
+// members are the current kNN set.
 func (q *PlaneQuery) AppendPrefetched(dst []int) []int { return append(dst, q.r...) }
 
 // AppendINS appends I(R) onto dst.
@@ -226,13 +260,13 @@ func (q *PlaneQuery) Sync() {
 func (q *PlaneQuery) Refresh() (knn []int, recomputed bool, err error) {
 	q.Sync()
 	if q.init || !q.located {
-		return q.knn, false, nil
+		return q.knn(), false, nil
 	}
 	if err := q.recompute(q.lastPos); err != nil {
 		return nil, false, err
 	}
 	q.init = true
-	return q.knn, true, nil
+	return q.knn(), true, nil
 }
 
 // Epoch returns the pinned snapshot's epoch (0 for raw-index queries).
@@ -256,21 +290,11 @@ func (q *PlaneQuery) Close() {
 // IS = (R ∪ I(R)) \ kNN, the objects whose approach invalidates the kNN
 // set. The result is freshly allocated.
 func (q *PlaneQuery) InfluenceSet() []int {
-	inKNN := make(map[int]bool, len(q.knn))
-	for _, id := range q.knn {
-		inKNN[id] = true
-	}
-	out := make([]int, 0, len(q.r)+len(q.ins))
-	for _, id := range q.r {
-		if !inKNN[id] {
-			out = append(out, id)
-		}
-	}
-	out = append(out, q.ins...)
-	return out
+	return append([]int(nil), q.ids[len(q.knn()):]...)
 }
 
-// Prefetched returns the prefetched set R as a fresh copy.
+// Prefetched returns the prefetched set R as a fresh copy; its first k
+// members are the current kNN set.
 func (q *PlaneQuery) Prefetched() []int { return append([]int(nil), q.r...) }
 
 // INS returns I(R), the influential neighbor set of the prefetched set, as
@@ -302,99 +326,65 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 			return nil, err
 		}
 		q.init = true
-		return q.knn, nil
+		return q.knn(), nil
 	}
 
 	q.m.Validations++
-	if q.knnValid(p) {
-		return q.knn, nil
+	knnValid, rValid := q.measure(p)
+	if knnValid {
+		return q.knn(), nil
 	}
 	q.m.Invalidations++
 
 	// Update cases (i) and (ii) of Section III-B: the prefetched set R may
 	// still be valid even though the kNN set is stale, in which case the
 	// new kNN set is composed locally by re-ranking R — no communication.
-	if !q.disableRerank && q.rValid(p) {
-		q.rerank(p)
-		return q.knn, nil
+	// The distances are the ones measure just cached.
+	if rValid && !q.disableRerank {
+		q.rank = byDist{ids: q.r, d: q.dist[:len(q.r)]}
+		sort.Sort(&q.rank)
+		return q.knn(), nil
 	}
 	if err := q.recompute(p); err != nil {
 		return nil, err
 	}
-	return q.knn, nil
+	return q.knn(), nil
 }
 
-// knnValid performs the Section III-A validation: scan the kNN set for the
-// farthest member (r.delete) and the influential set for the nearest
-// member (r.candidate); the kNN set is valid while r.delete is no farther
-// than r.candidate.
-func (q *PlaneQuery) knnValid(p geom.Point) bool {
-	if q.inKNN == nil {
-		q.inKNN = make(map[int]bool, len(q.knn))
-	} else {
-		clear(q.inKNN)
+// measure is the one distance pass of an Update: it evaluates d(p, o) once
+// for every o in R ∪ I(R) into q.dist and derives both validity verdicts
+// from it. The kNN set is valid (Section III-A) while its farthest member
+// (r.delete) is no farther than the nearest member of its influential set
+// (R \ kNN) ∪ I(R) (r.candidate); R is valid as the ⌊ρk⌋-NN set while its
+// farthest member is no farther than the nearest member of I(R). The
+// nearest object seen becomes the hint of a recomputation that may follow.
+func (q *PlaneQuery) measure(p geom.Point) (knnValid, rValid bool) {
+	if cap(q.dist) < len(q.ids) {
+		q.dist = make([]float64, len(q.ids), 2*len(q.ids))
 	}
-	inKNN := q.inKNN
-	var maxKNN float64
-	for _, id := range q.knn {
-		inKNN[id] = true
-		if d := p.Dist2(q.ix.Point(id)); d > maxKNN {
-			maxKNN = d
+	dist := q.dist[:len(q.ids)]
+	q.dist = dist
+	nearest := 0
+	for i, id := range q.ids {
+		d := p.Dist2(q.ix.Point(id))
+		dist[i] = d
+		if d < dist[nearest] {
+			nearest = i
 		}
 	}
-	q.m.DistanceCalcs += len(q.knn)
-	minIS := -1.0
-	check := func(id int) {
-		if inKNN[id] {
-			return
-		}
-		q.m.DistanceCalcs++
-		if d := p.Dist2(q.ix.Point(id)); minIS < 0 || d < minIS {
-			minIS = d
-		}
-	}
-	for _, id := range q.r {
-		check(id)
-	}
-	for _, id := range q.ins {
-		check(id)
-	}
-	return minIS < 0 || maxKNN <= minIS
-}
+	q.m.DistanceCalcs += len(dist)
+	q.hint = q.ids[nearest]
 
-// rValid checks whether the prefetched set R is still the valid
-// ⌊ρk⌋-NN set, using I(R) as its influential set.
-func (q *PlaneQuery) rValid(p geom.Point) bool {
-	var maxR float64
-	for _, id := range q.r {
-		q.m.DistanceCalcs++
-		if d := p.Dist2(q.ix.Point(id)); d > maxR {
-			maxR = d
-		}
+	inf := math.Inf(1)
+	maxKNN := slices.Max(dist[:q.k])
+	minRest, maxRest, minINS := inf, 0.0, inf
+	if rest := dist[q.k:len(q.r)]; len(rest) > 0 {
+		minRest, maxRest = slices.Min(rest), slices.Max(rest)
 	}
-	minINS := -1.0
-	for _, id := range q.ins {
-		q.m.DistanceCalcs++
-		if d := p.Dist2(q.ix.Point(id)); minINS < 0 || d < minINS {
-			minINS = d
-		}
+	if len(q.ins) > 0 {
+		minINS = slices.Min(dist[len(q.r):])
 	}
-	return minINS < 0 || maxR <= minINS
-}
-
-// rerank recomposes the kNN set from R by current distance (update cases
-// (i) and (ii): the new kNN set is still inside R). Distances are computed
-// once into the rank scratch, so the sort is allocation-free.
-func (q *PlaneQuery) rerank(p geom.Point) {
-	rb := &q.rank
-	rb.ids = append(rb.ids[:0], q.r...)
-	rb.d = rb.d[:0]
-	for _, id := range rb.ids {
-		rb.d = append(rb.d, p.Dist2(q.ix.Point(id)))
-	}
-	sort.Sort(rb)
-	q.m.DistanceCalcs += len(rb.ids)
-	q.knn = rb.ids[:q.k]
+	return maxKNN <= min(minRest, minINS), max(maxKNN, maxRest) <= minINS
 }
 
 // recompute performs the server-side computation: fetch the ⌊ρk⌋ nearest
@@ -406,18 +396,16 @@ func (q *PlaneQuery) recompute(p geom.Point) error {
 	if q.ix.Len() < q.k {
 		return fmt.Errorf("core: k = %d exceeds object count %d", q.k, q.ix.Len())
 	}
-	q.m.Recomputations++
-	m := q.prefetchSize()
-	r, visits := q.ix.AppendKNN(p, m, q.rBuf[:0], &q.search)
-	q.rBuf, q.r = r, r
-	q.m.NodeVisits += visits
-	ins, err := q.ix.AppendINS(q.r, q.insBuf[:0], &q.search)
-	if err != nil {
-		return fmt.Errorf("core: recompute INS: %w", err)
+	if q.sc == nil {
+		q.sc = new(vortree.SearchScratch)
 	}
-	q.insBuf, q.ins = ins, ins
-	q.knn = q.r[:q.k]
-	q.m.ObjectsShipped += len(q.r) + len(q.ins)
+	q.m.Recomputations++
+	ids, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, q.ids[:0], q.sc)
+	q.ids, q.r, q.ins = ids, ids[:nR], ids[nR:]
+	q.hint = q.r[0]
+	q.m.NodeVisits += cost.NodeVisits
+	q.m.DistanceCalcs += cost.SeedDists
+	q.m.ObjectsShipped += len(ids)
 	return nil
 }
 
@@ -429,7 +417,7 @@ func (q *PlaneQuery) recompute(p geom.Point) error {
 // update.
 func (q *PlaneQuery) Invalidate() {
 	q.init = false
-	q.r, q.ins, q.knn = nil, nil, nil
+	q.ids, q.r, q.ins = q.ids[:0], nil, nil
 }
 
 // AffectedByInsert reports whether an object just inserted into the index
@@ -445,19 +433,7 @@ func (q *PlaneQuery) AffectedByInsert(id int, p geom.Point, neighbors []int) boo
 // UsesObject reports whether id participates in the query's client-side
 // state (the prefetched set R or its influential set I(R)); removing such
 // an object from the index invalidates the state.
-func (q *PlaneQuery) UsesObject(id int) bool {
-	for _, rid := range q.r {
-		if rid == id {
-			return true
-		}
-	}
-	for _, xid := range q.ins {
-		if xid == id {
-			return true
-		}
-	}
-	return false
-}
+func (q *PlaneQuery) UsesObject(id int) bool { return slices.Contains(q.ids, id) }
 
 // InsertObject adds a data object during query maintenance. The prefetched
 // state is refreshed only when the new object can affect it: when it lands
@@ -466,10 +442,10 @@ func (q *PlaneQuery) UsesObject(id int) bool {
 // only available on raw-index queries; snapshot-pinned queries return
 // ErrReadOnly.
 func (q *PlaneQuery) InsertObject(p geom.Point) (int, error) {
-	if q.raw == nil {
+	if q.store != nil {
 		return -1, ErrReadOnly
 	}
-	id, err := q.raw.Insert(p)
+	id, err := q.ix.Insert(p)
 	if err != nil {
 		return -1, err
 	}
@@ -522,11 +498,11 @@ func (q *PlaneQuery) affectsState(id int, p geom.Point, neighbors func() ([]int,
 // It is only available on raw-index queries; snapshot-pinned queries
 // return ErrReadOnly.
 func (q *PlaneQuery) RemoveObject(id int) error {
-	if q.raw == nil {
+	if q.store != nil {
 		return ErrReadOnly
 	}
 	inState := q.UsesObject(id)
-	if err := q.raw.Remove(id); err != nil {
+	if err := q.ix.Remove(id); err != nil {
 		return err
 	}
 	if q.init && inState {

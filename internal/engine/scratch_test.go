@@ -1,0 +1,141 @@
+package engine
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/workload"
+)
+
+// TestSharedScratchSessionsMatchBruteForce puts 72 plane sessions of mixed
+// k and ρ on ONE shard, so every one of them searches through the same
+// scratch — visited stamps, frontier, R-tree iterator — and each keeps a
+// hint of its own across other sessions' searches. Their updates interleave
+// in shuffled partial batches with object inserts beside sessions, removals
+// of answer members and, for the watched half, the sweep's eager refreshes.
+// Every answer must be the brute-force kNN of the objects live at that
+// moment: state leaking from one session's search into the next shows up as
+// a wrong set. Run under -race.
+func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
+	objects := workload.Uniform(1500, testBounds, 5)
+	e, err := New(Config{Shards: 1, Bounds: testBounds, Objects: objects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	live := make(map[int]geom.Point, len(objects))
+	for id, p := range objects {
+		live[id] = p
+	}
+
+	const nSessions = 72
+	ks := []int{1, 2, 3, 5, 8, 13}
+	rhos := []float64{1, 1.6, 2.5}
+	rng := rand.New(rand.NewSource(6))
+	sids := make([]SessionID, nSessions)
+	k := make([]int, nSessions)
+	pos := make([]geom.Point, nSessions)
+	for i := range sids {
+		k[i] = ks[i%len(ks)]
+		if sids[i], err = e.CreateSession(k[i], rhos[i%len(rhos)]); err != nil {
+			t.Fatal(err)
+		}
+		pos[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	}
+	// Watching half of the sessions routes their data-update repairs
+	// through the sweep (Refresh) instead of the next Update.
+	watched := make([]uint64, 0, nSessions/2)
+	for i := 0; i < nSessions; i += 2 {
+		watched = append(watched, uint64(sids[i]))
+	}
+	sub := e.Stream().Subscribe(0, watched...)
+	c := collect(sub)
+	defer c.close()
+	defer sub.Close()
+
+	checkAnswer := func(step, i int, got []int) {
+		t.Helper()
+		d2 := make([]float64, 0, len(live))
+		for _, p := range live {
+			d2 = append(d2, pos[i].Dist2(p))
+		}
+		sort.Float64s(d2)
+		if len(got) != k[i] {
+			t.Fatalf("step %d session %d (k=%d): answer %v", step, i, k[i], got)
+		}
+		gd := make([]float64, 0, len(got))
+		for _, id := range got {
+			p, ok := live[id]
+			if !ok {
+				t.Fatalf("step %d session %d: answer %v holds removed object %d", step, i, got, id)
+			}
+			gd = append(gd, pos[i].Dist2(p))
+		}
+		sort.Float64s(gd)
+		for j := range gd {
+			if gd[j] != d2[j] {
+				t.Fatalf("step %d session %d (k=%d): answer %v has distance[%d] = %g, brute force %g", step, i, k[i], got, j, gd[j], d2[j])
+			}
+		}
+	}
+
+	var lastAnswer []int
+	for step := 0; step < 60; step++ {
+		// One data update per step.
+		switch {
+		case step%3 == 1 && len(lastAnswer) > 0: // remove a member of some session's answer
+			id := lastAnswer[rng.Intn(len(lastAnswer))]
+			if _, ok := live[id]; ok {
+				if err := e.RemoveObject(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, id)
+			}
+		default: // insert beside a session, or anywhere
+			p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+			if step%2 == 0 {
+				at := pos[rng.Intn(nSessions)]
+				p = geom.Pt(at.X+rng.Float64(), at.Y+rng.Float64())
+			}
+			if testBounds.Contains(p) {
+				id, err := e.InsertObject(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = p
+			}
+		}
+		// Two shuffled half-batches: sessions of different k alternate on
+		// the scratch, and a session's consecutive updates are separated
+		// by other sessions' searches.
+		order := rng.Perm(nSessions)
+		for _, half := range [][]int{order[:nSessions/2], order[nSessions/2:]} {
+			batch := make([]LocationUpdate, len(half))
+			for j, i := range half {
+				stride := []float64{0.5, 6, 40}[rng.Intn(3)]
+				pos[i] = geom.Pt(pos[i].X+(rng.Float64()*2-1)*stride, pos[i].Y+(rng.Float64()*2-1)*stride)
+				batch[j] = LocationUpdate{Session: sids[i], Pos: pos[i]}
+			}
+			results, err := e.UpdateBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range results {
+				if r.Err != nil {
+					t.Fatalf("step %d session %d: %v", step, half[j], r.Err)
+				}
+				checkAnswer(step, half[j], r.KNN)
+				lastAnswer = r.KNN
+			}
+		}
+	}
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Counters; c.Validations <= c.Invalidations || c.Invalidations == 0 || c.Recomputations <= nSessions {
+		t.Errorf("workload did not exercise both valid and invalid updates beyond first placement: %+v", c)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
+	"repro/internal/vortree"
 )
 
 // shard is one serving partition: a worker goroutine that owns every
@@ -55,12 +56,14 @@ type shard struct {
 	inOld   map[int]struct{}
 	inNew   map[int]struct{}
 
-	// Shared network-search scratch handed to every network session on this
-	// shard (sessions run serially on the worker goroutine, so sharing is
-	// race-free). Its dense per-vertex arrays are sized by the road network,
+	// Shared search scratch handed to every session on this shard (sessions
+	// run serially on the worker goroutine, so sharing is race-free). Their
+	// dense arrays are sized by the index — per road vertex, per object id —
 	// so one per shard instead of one per session keeps memory flat as
-	// session counts grow. Lazily created by the first network session.
-	netSc *netvor.SearchScratch
+	// session counts grow. netSc is lazily created by the first network
+	// session; planeSc's zero value is ready and grows on first use.
+	netSc   *netvor.SearchScratch
+	planeSc vortree.SearchScratch
 }
 
 // netScratch returns the shard's shared network-search scratch.
@@ -326,6 +329,7 @@ func (sh *shard) create(m createMsg) error {
 	if err != nil {
 		return err
 	}
+	q.UseScratch(&sh.planeSc)
 	sh.sessions[m.sid] = &session{plane: q}
 	sh.sessionsN.Store(int64(len(sh.sessions)))
 	return nil

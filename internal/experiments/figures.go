@@ -160,28 +160,31 @@ func AblationVorTree(cfg Config) ([]Row, error) {
 	traj := trajectory.RandomWaypoint(Bounds, cfg.steps(2000), 50, cfg.seed(122))
 	tree := ix.Tree()
 	var rows []Row
-	run := func(name string, knn func(geom.Point, int) []int) Row {
+	// knn returns the node visits of one search.
+	run := func(name string, knn func(geom.Point, int) int) Row {
 		start := nowMicros()
-		visitsBefore := tree.NodeVisits()
+		visits := 0
 		for _, p := range traj {
-			knn(p, 13) // ⌊1.6·8⌋
+			visits += knn(p, 13) // ⌊1.6·8⌋
 		}
 		elapsed := nowMicros() - start
 		return Row{
 			Experiment: "A2", Processor: name, Param: "k'=13",
 			Steps:     len(traj),
 			USPerStep: float64(elapsed) / float64(len(traj)),
-			Extra:     fmt.Sprintf("nodevisits=%d", tree.NodeVisits()-visitsBefore),
+			Extra:     fmt.Sprintf("nodevisits=%d", visits),
 		}
 	}
-	rows = append(rows, run("vortree-knn", func(p geom.Point, k int) []int { return ix.KNN(p, k) }))
-	rows = append(rows, run("rtree-knn", func(p geom.Point, k int) []int {
-		items := tree.KNN(p, k)
-		out := make([]int, len(items))
-		for i, it := range items {
-			out[i] = it.ID
-		}
-		return out
+	var sc vortree.SearchScratch
+	var buf []int
+	rows = append(rows, run("vortree-knn", func(p geom.Point, k int) int {
+		var visits int
+		buf, visits = ix.AppendKNN(p, k, buf[:0], &sc)
+		return visits
+	}))
+	rows = append(rows, run("rtree-knn", func(p geom.Point, k int) int {
+		_, visits := tree.KNNWithVisits(p, k)
+		return visits
 	}))
 	return rows, nil
 }

@@ -23,17 +23,14 @@
 package index
 
 import (
-	"repro/internal/geom"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 	"repro/internal/vortree"
 )
 
-// Backend is the read surface shared by the two index implementations:
-// the plane VoR-tree (vortree.Index) and the network Voronoi diagram
-// (netvor.Diagram). Query processors depend on this (or one of the
-// space-specific extensions below) rather than on the concrete types, so
-// they can be served equally from a raw index or a pinned snapshot.
+// Backend is the part of the read surface the two index implementations
+// share: the plane VoR-tree (vortree.Index) and the network Voronoi
+// diagram (netvor.Diagram).
 type Backend interface {
 	// Len returns the number of live data objects.
 	Len() int
@@ -42,30 +39,6 @@ type Backend interface {
 	// INS returns the influential neighbor set I(ids) of Definition 4,
 	// sorted by id.
 	INS(ids []int) ([]int, error)
-}
-
-// PlaneBackend is the plane-side read surface: Backend plus Euclidean kNN
-// and per-object geometry. Implemented by *vortree.Index.
-type PlaneBackend interface {
-	Backend
-	// KNN returns the k nearest objects to q in ascending distance order.
-	KNN(q geom.Point, k int) []int
-	// KNNCounted is KNN returning the node visits of this search — the
-	// per-query cost attribution that stays exact under concurrent
-	// readers of a shared snapshot.
-	KNNCounted(q geom.Point, k int) ([]int, int)
-	// AppendKNN is KNNCounted appending onto dst with caller-supplied
-	// scratch — the allocation-free form the serving hot path uses.
-	AppendKNN(q geom.Point, k int, dst []int, sc *vortree.SearchScratch) ([]int, int)
-	// AppendINS is Backend.INS appending onto dst with caller-supplied
-	// scratch.
-	AppendINS(ids []int, dst []int, sc *vortree.SearchScratch) ([]int, error)
-	// Point returns the coordinates of object id.
-	Point(id int) geom.Point
-	// Neighbors returns the order-1 Voronoi neighbor list of object id.
-	Neighbors(id int) ([]int, error)
-	// Visits returns the cumulative node-visit counter (page-I/O stand-in).
-	Visits() int
 }
 
 // NetworkBackend is the network-side read surface: Backend plus
@@ -104,8 +77,12 @@ type NetworkBackend interface {
 	Sites() []int
 }
 
-// Compile-time conformance of the two index implementations.
+// Compile-time conformance of the two index implementations. The plane
+// side has one implementation and its query processor holds it concretely
+// (Snapshot.Plane returns *vortree.Index): the validation loop reads an
+// object's coordinates per guard object per update, which an interface
+// would turn into a dynamic call.
 var (
-	_ PlaneBackend   = (*vortree.Index)(nil)
+	_ Backend        = (*vortree.Index)(nil)
 	_ NetworkBackend = (*netvor.Diagram)(nil)
 )

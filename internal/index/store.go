@@ -725,14 +725,10 @@ func (st *Store) Close() {
 // when it was published.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Plane returns the snapshot's plane read surface, or nil when the store
-// has no plane index.
-func (s *Snapshot) Plane() PlaneBackend {
-	if s.plane == nil {
-		return nil
-	}
-	return s.plane
-}
+// Plane returns the snapshot's plane index, or nil when the store has
+// none. The index is frozen at publish: reads are race-free across
+// sessions for as long as the snapshot is pinned, mutations are rejected.
+func (s *Snapshot) Plane() *vortree.Index { return s.plane }
 
 // Network returns the snapshot's network read surface, or nil without a
 // road network. The diagram is frozen at publish; reads are race-free

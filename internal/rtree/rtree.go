@@ -92,19 +92,7 @@ type Tree struct {
 	min    int          // min entries per node (m = M/2)
 	nodes  atomic.Int64 // total nodes reachable from root (bookkept incrementally)
 	copied atomic.Int64 // nodes copied or created since the last Clone
-
-	// visits counts nodes touched by search operations since the last
-	// ResetStats. It stands in for page I/O in the experiments. Atomic so
-	// that read-only searches on a tree shared across goroutines (an
-	// immutable index snapshot) stay race-free.
-	visits atomic.Int64
 }
-
-// NodeVisits returns the number of nodes touched by search operations
-// since the last ResetStats. Under concurrent readers the total is exact
-// but before/after deltas taken by one reader may include visits charged
-// by others.
-func (t *Tree) NodeVisits() int { return int(t.visits.Load()) }
 
 // New returns an empty tree with the given maximum node fanout; fanout < 4
 // is raised to 4. Use DefaultMaxEntries when in doubt.
@@ -133,11 +121,8 @@ func (t *Tree) NodeCount() int { return int(t.nodes.Load()) }
 // NodeCount-CopiedNodes nodes are shared with the previous version.
 func (t *Tree) CopiedNodes() int { return int(t.copied.Load()) }
 
-// ResetStats zeroes the NodeVisits counter.
-func (t *Tree) ResetStats() { t.visits.Store(0) }
-
-// Clone returns a new handle on the same node graph with a zeroed visit
-// counter, in O(1): no nodes are copied. Both handles then mutate with path
+// Clone returns a new handle on the same node graph in O(1): no nodes are
+// copied. Both handles then mutate with path
 // copying — each copies only the root-to-leaf spines it touches and shares
 // everything else — so the index snapshot store publishes the next epoch
 // without duplicating the index. Clone itself issues fresh ownership tokens
@@ -502,7 +487,6 @@ func (t *Tree) Search(r geom.Rect) []int {
 }
 
 func (t *Tree) search(n *node, r geom.Rect, out *[]int) {
-	t.visits.Add(1)
 	if n.leaf() {
 		for _, it := range n.items {
 			if r.Contains(it.P) {
@@ -525,10 +509,10 @@ func (t *Tree) KNN(q geom.Point, k int) []Item {
 	return items
 }
 
-// KNNWithVisits is KNN returning the number of nodes this search visited.
-// Unlike a before/after diff of NodeVisits, the count is exact even when
-// other goroutines search the tree concurrently (shared index snapshots);
-// the visits are still charged to the global counter too.
+// KNNWithVisits is KNN returning the number of nodes this search visited
+// (the page-I/O stand-in of the experiments). The count is per search, so
+// it is exact when other goroutines search the tree concurrently (shared
+// index snapshots) and costs them no shared cache line.
 func (t *Tree) KNNWithVisits(q geom.Point, k int) ([]Item, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
@@ -551,9 +535,8 @@ func (t *Tree) KNNWithVisits(q geom.Point, k int) ([]Item, int) {
 // it to extend a kNN set incrementally without restarting the search. The
 // zero value is usable via Reset, which also lets callers reuse one
 // iterator (and its heap memory) across searches — the allocation-free
-// serving path keeps one per query session.
+// serving path keeps one per shard worker.
 type KNNIterator struct {
-	t      *Tree
 	q      geom.Point
 	pq     knnHeap
 	visits int
@@ -570,15 +553,22 @@ func (t *Tree) NewKNNIterator(q geom.Point) *KNNIterator {
 }
 
 // Reset rewinds the iterator to a fresh scan of t from q, reusing its
-// internal heap memory. The abandoned frontier is zeroed first: its node
-// pointers would otherwise keep subtrees of superseded snapshot versions
-// reachable for the lifetime of a long-lived per-session scratch.
+// internal heap memory.
 func (it *KNNIterator) Reset(t *Tree, q geom.Point) {
-	it.t, it.q = t, q
-	clear(it.pq)
-	it.pq = it.pq[:0]
+	it.Release()
+	it.q = q
 	it.visits = 0
 	it.pq.push(knnEntry{node: t.root, d2: t.root.rect.Dist2Point(q)})
+}
+
+// Release abandons the scan: the frontier is zeroed so its node pointers
+// stop keeping subtrees of a superseded snapshot version reachable from a
+// long-lived scratch. Visited keeps its value; Next reports exhaustion
+// until the next Reset. A caller that takes only a prefix of the scan calls
+// it as soon as it has what it needs.
+func (it *KNNIterator) Release() {
+	clear(it.pq)
+	it.pq = it.pq[:0]
 }
 
 // Next returns the next-nearest item, or ok=false when exhausted.
@@ -589,7 +579,6 @@ func (it *KNNIterator) Next() (Item, bool) {
 			return e.item, true
 		}
 		it.visits++
-		it.t.visits.Add(1)
 		n := e.node
 		if n.leaf() {
 			for _, item := range n.items {

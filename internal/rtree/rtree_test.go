@@ -2,9 +2,12 @@ package rtree
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -263,17 +266,92 @@ func TestPropertyInsertSearch(t *testing.T) {
 	}
 }
 
-func TestNodeVisitsCounted(t *testing.T) {
+func TestVisitsCountedPerSearch(t *testing.T) {
 	items := randomItems(1000, 12)
 	tr := buildTree(t, items, 8)
-	tr.ResetStats()
-	tr.KNN(geom.Pt(500, 500), 10)
-	if tr.NodeVisits() == 0 {
-		t.Error("KNN did not count node visits")
+	_, v1 := tr.KNNWithVisits(geom.Pt(500, 500), 10)
+	_, v2 := tr.KNNWithVisits(geom.Pt(500, 500), 10)
+	if v1 == 0 || v1 != v2 {
+		t.Errorf("visits of two identical searches = %d, %d; want equal and > 0", v1, v2)
 	}
-	tr.ResetStats()
-	if tr.NodeVisits() != 0 {
-		t.Error("ResetStats did not zero the counter")
+}
+
+// TestIteratorReleaseDropsFrontier: a caller that takes only a prefix of
+// the scan releases the iterator, after which it pins no node and reports
+// exhaustion while still reporting what the scan visited.
+func TestIteratorReleaseDropsFrontier(t *testing.T) {
+	tr := buildTree(t, randomItems(1000, 12), 8)
+	it := tr.NewKNNIterator(geom.Pt(500, 500))
+	if _, ok := it.Next(); !ok {
+		t.Fatal("empty scan")
+	}
+	visited := it.Visited()
+	it.Release()
+	for i, e := range it.pq[:cap(it.pq)] {
+		if e.node != nil {
+			t.Fatalf("frontier slot %d still holds a node after Release", i)
+		}
+	}
+	if _, ok := it.Next(); ok {
+		t.Error("Next yielded an item after Release")
+	}
+	if it.Visited() != visited || visited == 0 {
+		t.Errorf("Visited = %d after Release, want %d", it.Visited(), visited)
+	}
+}
+
+// TestIteratorReleaseUnpinsSupersededNodes replays on the R-tree what the
+// snapshot store does per published epoch — Clone, mutate the clone, drop
+// the old handle — beside a long-lived iterator (a shard's scratch) that
+// searched the old version and kept only the first item. The old version's
+// copied spine is garbage then, and must be collectable: the unreleased
+// frontier pins it, Release lets it go.
+func TestIteratorReleaseUnpinsSupersededNodes(t *testing.T) {
+	var it KNNIterator
+	collected := make(chan struct{}, 1)
+	func() {
+		tr := buildTree(t, randomItems(2000, 21), 8)
+		// Search one corner, mutate the opposite one: the subtree the
+		// mutation copies is still waiting in the search frontier.
+		it.Reset(tr, geom.Pt(10, 10))
+		if _, ok := it.Next(); !ok {
+			t.Fatal("empty scan")
+		}
+		next := tr.Clone()
+		next.Insert(Item{ID: 5000, P: geom.Pt(990, 990)})
+		var superseded []*node
+		for _, c := range tr.root.children {
+			if !slices.Contains(next.root.children, c) {
+				superseded = append(superseded, c)
+			}
+		}
+		if len(superseded) != 1 {
+			t.Fatalf("setup: the insert superseded %d children of the old root, want 1", len(superseded))
+		}
+		if !slices.ContainsFunc(it.pq, func(e knnEntry) bool { return e.node == superseded[0] }) {
+			t.Fatal("setup: the superseded subtree is not in the search frontier")
+		}
+		runtime.SetFinalizer(superseded[0], func(*node) { collected <- struct{}{} })
+	}()
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	select {
+	case <-collected:
+		t.Fatal("superseded subtree collected while the frontier still referenced it")
+	default:
+	}
+	it.Release()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("superseded subtree still reachable after Release and GC")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

@@ -9,50 +9,30 @@ import (
 
 // INS returns the influential neighbor set I(O') of Definition 4: the union
 // of the order-1 Voronoi neighbor sets of the sites in knn, minus knn
-// itself. The result is sorted by id.
+// itself. The result is sorted by id. It is the reference construction —
+// the serving path obtains I(R) as a by-product of computing R (see
+// vortree.Index.AppendPrefetch) — and the oracle its tests compare against.
 func (d *Diagram) INS(knn []int) ([]int, error) {
-	var sc INSScratch
-	return d.AppendINS(knn, nil, &sc)
-}
-
-// INSScratch is reusable working memory for AppendINS; the zero value is
-// ready to use. It must not be shared across goroutines.
-type INSScratch struct {
-	ring  NeighborScratch
-	nb    []int
-	inKNN map[int]bool
-	seen  map[int]bool
-}
-
-// AppendINS is INS appending onto dst with caller-supplied scratch — the
-// allocation-free form used by the serving hot path. dst may be nil.
-func (d *Diagram) AppendINS(knn []int, dst []int, sc *INSScratch) ([]int, error) {
-	if sc.inKNN == nil {
-		sc.inKNN = make(map[int]bool, len(knn))
-		sc.seen = make(map[int]bool)
-	} else {
-		clear(sc.inKNN)
-		clear(sc.seen)
-	}
+	inKNN := make(map[int]bool, len(knn))
 	for _, id := range knn {
-		sc.inKNN[id] = true
+		inKNN[id] = true
 	}
-	start := len(dst)
+	seen := make(map[int]bool)
+	var out []int
 	for _, id := range knn {
-		nb, err := d.tri.AppendNeighbors(id, sc.nb[:0], &sc.ring)
-		sc.nb = nb[:0]
+		nb, err := d.tri.Neighbors(id)
 		if err != nil {
-			return dst[:start], fmt.Errorf("voronoi: INS of %v: %w", knn, err)
+			return nil, fmt.Errorf("voronoi: INS of %v: %w", knn, err)
 		}
 		for _, u := range nb {
-			if !sc.inKNN[u] && !sc.seen[u] {
-				sc.seen[u] = true
-				dst = append(dst, u)
+			if !inKNN[u] && !seen[u] {
+				seen[u] = true
+				out = append(out, u)
 			}
 		}
 	}
-	sort.Ints(dst[start:])
-	return dst, nil
+	sort.Ints(out)
+	return out, nil
 }
 
 // taggedEdge records which bisector produced a polygon edge during tagged

@@ -1,0 +1,290 @@
+package vortree
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/geom"
+	"repro/internal/rtree"
+	"repro/internal/voronoi"
+)
+
+// KNN returns the k nearest objects to q in ascending distance order using
+// the VR-kNN strategy: one best-first R-tree descent for the nearest
+// object, then incremental expansion over stored Voronoi neighbor lists.
+// This touches O(k) Voronoi records instead of O(k) R-tree paths. It is
+// the cold form — each call allocates a visited array sized by the id
+// space; callers that search repeatedly hold a SearchScratch and use
+// AppendKNN.
+func (ix *Index) KNN(q geom.Point, k int) []int {
+	var sc SearchScratch
+	ids, _ := ix.AppendKNN(q, k, nil, &sc)
+	return ids
+}
+
+// NoHint is the hint of a search that knows no object near its query
+// point; the search then seeds itself from the R-tree.
+const NoHint = -1
+
+// maxSeedHops bounds the hint walk. A hint is worth following only while
+// it is cheaper than the R-tree descent (about log_fanout(n) node visits):
+// a hint one or two cells away — a moving query's previous nearest object
+// — arrives in as many hops, while one across the data space would cost
+// O(√n) of them, so past this many the walk is abandoned for the descent.
+const maxSeedHops = 8
+
+// SearchCost is what one search spent finding its nearest object: the
+// R-tree nodes it touched (the page-I/O stand-in; 0 when a hint led there)
+// and the object distances the hint walk evaluated (0 without a live
+// hint). The Voronoi expansion that follows costs the same however the
+// search was seeded and is not counted here.
+type SearchCost struct {
+	NodeVisits int
+	SeedDists  int
+}
+
+// SearchScratch is reusable working memory for AppendPrefetch, AppendKNN
+// and AppendINS: the best-first R-tree iterator, the Voronoi expansion
+// frontier, the visited set and the neighbor-walk buffers. The zero value
+// is ready to use; a scratch serves any number of sequential searches
+// against any index version but must not be shared across goroutines.
+//
+// The visited set is an array of epoch stamps indexed by object id — a
+// search bumps the epoch instead of clearing anything — so it is sized by
+// the id space, not by the search. That makes a scratch cheap to use and
+// expensive to own: the serving engine keeps one per shard worker for all
+// of the worker's sessions, not one per session.
+type SearchScratch struct {
+	it    rtree.KNNIterator
+	pq    nnHeap
+	stamp []uint32 // stamp[id] == epoch: id was reached by the current search
+	epoch uint32
+	nb    []int
+	ring  voronoi.NeighborScratch
+}
+
+// beginVisit starts a fresh visited set covering ids below n.
+func (sc *SearchScratch) beginVisit(n int) {
+	if n > len(sc.stamp) {
+		// Headroom, so an id space growing by a few inserts per snapshot
+		// does not reallocate on every search.
+		grown := make([]uint32, n+n/4)
+		copy(grown, sc.stamp)
+		sc.stamp = grown
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stamps of 2^32 searches ago would alias
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+}
+
+// AppendKNN is KNN appending onto dst with caller-supplied scratch and the
+// exact R-tree node-visit count of this search. dst may be nil.
+func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([]int, int) {
+	dst, cost := ix.expand(q, k, NoHint, dst, sc)
+	return dst, cost.NodeVisits
+}
+
+// AppendPrefetch is the server side of one INS recomputation in a single
+// pass: it appends onto dst the m nearest objects to q in ascending
+// distance order — the prefetched set R — followed by their influential
+// neighbor set I(R) sorted by id, and returns the extended slice, the
+// number of members of R appended (fewer than m only when the index holds
+// fewer objects) and what finding the nearest object cost.
+//
+// I(R) costs nothing beyond R: the best-first expansion marks every
+// Voronoi neighbor of each object it takes, so once R is complete the
+// objects reached but not taken are exactly N(R) \ R = I(R), and they are
+// sitting in the frontier.
+//
+// hint names an object believed to be near q (NoHint for none) — a moving
+// query passes the nearest object of its previous result. A hint that is
+// live in this index version replaces the R-tree descent by a greedy walk
+// over Voronoi neighbors, which ends at the exact nearest object because
+// the Delaunay graph contains the nearest-neighbor graph; a removed,
+// never-assigned or far-away hint falls back to the descent. Either way
+// the result is the same.
+func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, dst []int, sc *SearchScratch) (ids []int, nR int, cost SearchCost) {
+	base := len(dst)
+	dst, cost = ix.expand(q, m, hint, dst, sc)
+	nR = len(dst) - base
+	for _, e := range sc.pq {
+		dst = append(dst, e.id)
+	}
+	sort.Ints(dst[base+nR:])
+	return dst, nR, cost
+}
+
+// AppendINS is INS appending onto dst with caller-supplied scratch, for a
+// caller that holds a kNN set it did not get from AppendPrefetch.
+func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, error) {
+	for _, id := range knn {
+		if !ix.Contains(id) {
+			return dst, fmt.Errorf("vortree: INS of %v: unknown id %d", knn, id)
+		}
+	}
+	sc.beginVisit(ix.NextID())
+	stamp, epoch := sc.stamp, sc.epoch
+	for _, id := range knn {
+		stamp[id] = epoch
+	}
+	start := len(dst)
+	for _, id := range knn {
+		nb, err := ix.diag.AppendNeighbors(id, sc.nb[:0], &sc.ring)
+		sc.nb = nb[:0]
+		if err != nil {
+			return dst[:start], fmt.Errorf("vortree: INS of %v: %w", knn, err)
+		}
+		for _, u := range nb {
+			if stamp[u] != epoch {
+				stamp[u] = epoch
+				dst = append(dst, u)
+			}
+		}
+	}
+	sort.Ints(dst[start:])
+	return dst, nil
+}
+
+// expand appends the k nearest objects to q onto dst by best-first
+// expansion over Voronoi neighbor lists from the nearest object, and
+// leaves in sc.pq the objects it reached but did not take.
+func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch) ([]int, SearchCost) {
+	sc.pq = sc.pq[:0]
+	if k <= 0 || ix.Len() == 0 {
+		return dst, SearchCost{}
+	}
+	start, cost, ok := ix.seed(q, hint, sc)
+	if !ok {
+		return dst, cost
+	}
+	sc.beginVisit(ix.NextID())
+	stamp, epoch := sc.stamp, sc.epoch
+	stamp[start] = epoch
+	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})
+	need := len(dst) + k
+	for len(sc.pq) > 0 && len(dst) < need {
+		e := sc.pq.pop()
+		dst = append(dst, e.id)
+		nb, err := ix.diag.AppendNeighbors(e.id, sc.nb[:0], &sc.ring)
+		sc.nb = nb[:0]
+		if err != nil {
+			continue
+		}
+		for _, u := range nb {
+			if stamp[u] != epoch {
+				stamp[u] = epoch
+				sc.pq.push(nnEntry{id: u, d2: q.Dist2(ix.diag.Site(u))})
+			}
+		}
+	}
+	return dst, cost
+}
+
+// seed finds the object nearest to q: by the walk from a live hint, else
+// by best-first R-tree descent. ok is false only on an empty index.
+func (ix *Index) seed(q geom.Point, hint int, sc *SearchScratch) (nearest int, cost SearchCost, ok bool) {
+	if hint >= 0 && ix.diag.Contains(hint) {
+		nearest, cost.SeedDists, ok = ix.walk(q, hint, sc)
+		if ok {
+			return nearest, cost, true
+		}
+	}
+	sc.it.Reset(ix.tree, q)
+	item, ok := sc.it.Next()
+	cost.NodeVisits = sc.it.Visited()
+	// Only the first item was wanted. Dropping the rest of the frontier now,
+	// not at the next search, keeps an idle scratch from pinning the R-tree
+	// nodes of a snapshot that has since been superseded.
+	sc.it.Release()
+	return item.ID, cost, ok
+}
+
+// walk is greedy descent on the Delaunay graph: from the live object from,
+// step to the Voronoi neighbor nearest to q until no neighbor is nearer.
+// It returns the nearest object and the number of distances it evaluated,
+// or ok == false when it gave up after maxSeedHops steps.
+func (ix *Index) walk(q geom.Point, from int, sc *SearchScratch) (nearest, dists int, ok bool) {
+	cur, best := from, q.Dist2(ix.diag.Site(from))
+	dists = 1
+	for hop := 0; hop <= maxSeedHops; hop++ {
+		nb, err := ix.diag.AppendNeighbors(cur, sc.nb[:0], &sc.ring)
+		sc.nb = nb[:0]
+		if err != nil {
+			return 0, dists, false
+		}
+		next := cur
+		for _, u := range nb {
+			if d := q.Dist2(ix.diag.Site(u)); d < best {
+				best, next = d, u
+			}
+		}
+		dists += len(nb)
+		if next == cur {
+			return cur, dists, true
+		}
+		cur = next
+	}
+	return 0, dists, false
+}
+
+type nnEntry struct {
+	id int
+	d2 float64
+}
+
+// nnHeap is a hand-rolled binary min-heap; container/heap would box every
+// nnEntry pushed, one allocation per expanded Voronoi neighbor. It is the
+// structural twin of rtree's knnHeap, kept separate (rather than behind a
+// generic with a comparison func) so the comparison inlines in the hot
+// loop; unlike knnHeap, pop need not zero the vacated slot because
+// nnEntry holds no pointers.
+type nnHeap []nnEntry
+
+func (h nnHeap) less(i, j int) bool {
+	if h[i].d2 != h[j].d2 {
+		return h[i].d2 < h[j].d2
+	}
+	return h[i].id < h[j].id
+}
+
+func (h *nnHeap) push(e nnEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *nnHeap) pop() nnEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	s = s[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(s) && s.less(l, smallest) {
+			smallest = l
+		}
+		if r < len(s) && s.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
+}

@@ -1,0 +1,301 @@
+package vortree
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// checkPrefetch verifies one AppendPrefetch result against the oracles: R
+// (ids[:nR]) has the brute-force kNN's sorted distance list — so ties
+// between equidistant objects pass whichever of them was taken — and I(R)
+// (ids[nR:]) is the reference construction ix.INS of that same R, as a
+// set, in ascending id order.
+func checkPrefetch(t *testing.T, ix *Index, q geom.Point, m int, ids []int, nR int) {
+	t.Helper()
+	checkPrefetchAgainst(t, ix, q, m, ids, nR, bruteKNN(ix, q, m))
+}
+
+// checkPrefetchAgainst is checkPrefetch with the brute-force kNN supplied,
+// for callers checking several searches of the same (q, m).
+func checkPrefetchAgainst(t *testing.T, ix *Index, q geom.Point, m int, ids []int, nR int, want []int) {
+	t.Helper()
+	if nR != len(want) {
+		t.Fatalf("q=%v m=%d: |R| = %d, want %d", q, m, nR, len(want))
+	}
+	r, ins := ids[:nR], ids[nR:]
+	for i, id := range r {
+		if got, w := q.Dist2(ix.Point(id)), q.Dist2(ix.Point(want[i])); got != w {
+			t.Fatalf("q=%v m=%d: R[%d] = %d at d2 %g, brute force has d2 %g\nR     %v\nbrute %v", q, m, i, id, got, w, r, want)
+		}
+	}
+	wantINS, err := ix.INS(r)
+	if err != nil {
+		t.Fatalf("q=%v m=%d: oracle INS(%v): %v", q, m, r, err)
+	}
+	if !sort.IntsAreSorted(ins) {
+		t.Fatalf("q=%v m=%d: I(R) not sorted by id: %v", q, m, ins)
+	}
+	if len(ins) != len(wantINS) {
+		t.Fatalf("q=%v m=%d: I(R) = %v, want %v (R %v)", q, m, ins, wantINS, r)
+	}
+	for i := range ins {
+		if ins[i] != wantINS[i] {
+			t.Fatalf("q=%v m=%d: I(R) = %v, want %v (R %v)", q, m, ins, wantINS, r)
+		}
+	}
+}
+
+// farthestObject returns the live object farthest from q.
+func farthestObject(ix *Index, q geom.Point) int {
+	far, best := -1, -1.0
+	for _, id := range ix.Diagram().IDs() {
+		if d := q.Dist2(ix.Point(id)); d > best {
+			far, best = id, d
+		}
+	}
+	return far
+}
+
+// TestFusedPrefetchMatchesOracle is the differential test of the one-pass
+// recompute: on uniform, fully degenerate and edge-hugging data, for a
+// random walk of queries and every kind of hint a session can hold, the
+// fused R + I(R) equals the brute-force kNN and the reference INS. One
+// scratch serves every search, across index versions, as a shard's does.
+func TestFusedPrefetchMatchesOracle(t *testing.T) {
+	lattice := make([]geom.Point, 0, 64*64)
+	for x := 0; x < 64; x++ {
+		for y := 0; y < 64; y++ {
+			lattice = append(lattice, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	// Duplicates collapse onto one object; the rest sit on the bounds edge
+	// and corners around a sparse interior.
+	edgy := randomPoints(300, 41)
+	edgy = append(edgy, edgy[:50]...)
+	for i := 0; i <= 20; i++ {
+		c := float64(i) * 50
+		edgy = append(edgy, geom.Pt(0, c), geom.Pt(1000, c), geom.Pt(c, 0), geom.Pt(c, 1000))
+	}
+	cases := []struct {
+		name    string
+		bounds  geom.Rect
+		pts     []geom.Point
+		step    float64 // query walk step, below the object spacing
+		queries int
+	}{
+		{"uniform20k", testBounds, randomPoints(20000, 40), 5, 100},
+		{"lattice64", geom.NewRect(geom.Pt(0, 0), geom.Pt(63, 63)), lattice, 0.5, 300},
+		{"duplicates+edges", testBounds, edgy, 20, 300},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, _, err := Build(tc.bounds, 16, tc.pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(42))
+			// Burn some ids so "removed" hints exist.
+			var removed []int
+			for i := 0; i < 20; i++ {
+				id := rng.Intn(ix.NextID())
+				if ix.Contains(id) && ix.Remove(id) == nil {
+					removed = append(removed, id)
+				}
+			}
+			w, h := tc.bounds.Width(), tc.bounds.Height()
+			var sc SearchScratch
+			var buf []int
+			q := tc.bounds.Center()
+			prev := NoHint
+			for i := 0; i < tc.queries; i++ {
+				// A walk of small steps, so the previous nearest object is a
+				// near hint; every tenth query lands on a data point or a
+				// half-integer point to force exact ties on the lattice, or
+				// just outside the bounds.
+				switch {
+				case i%10 == 3:
+					q = ix.Point(farthestObject(ix, geom.Pt(rng.Float64()*w, rng.Float64()*h)))
+				case i%10 == 6:
+					q = geom.Pt(math.Floor(rng.Float64()*w)+0.5, math.Floor(rng.Float64()*h)+0.5)
+				case i%10 == 9:
+					q = geom.Pt(-0.01*w, rng.Float64()*h)
+				default:
+					q = geom.Pt(q.X+(rng.Float64()*2-1)*tc.step, q.Y+(rng.Float64()*2-1)*tc.step)
+				}
+				m := 1 + rng.Intn(24)
+				if i%50 == 0 {
+					m = ix.Len() + 3 // the whole index: I(R) is empty
+				}
+				hints := []struct {
+					name string
+					id   int
+					dead bool // not live: must seed from the R-tree
+				}{
+					{"none", NoHint, true},
+					{"previous R[0]", prev, prev == NoHint},
+					{"far object", farthestObject(ix, q), false},
+					{"removed object", removed[rng.Intn(len(removed))], true},
+					{"id >= NextID", ix.NextID() + rng.Intn(5), true},
+				}
+				want := bruteKNN(ix, q, m)
+				for _, hint := range hints {
+					ids, nR, cost := ix.AppendPrefetch(q, m, hint.id, buf[:0], &sc)
+					buf = ids
+					checkPrefetchAgainst(t, ix, q, m, ids, nR, want)
+					if hint.dead && (cost.SeedDists != 0 || cost.NodeVisits == 0) {
+						t.Fatalf("hint %q: cost %+v, want an R-tree descent and no walk", hint.name, cost)
+					}
+					if cost.SeedDists == 0 && cost.NodeVisits == 0 {
+						t.Fatalf("hint %q: search found its seed at no cost: %+v", hint.name, cost)
+					}
+				}
+				prev = buf[0]
+
+				// A hint carried across a data update: the next version
+				// inserts objects around q and removes the hint itself half
+				// of the time.
+				if i%5 == 0 {
+					next := ix.Branch()
+					for j := 0; j < 3; j++ {
+						p := geom.Pt(q.X+rng.Float64()*tc.step, q.Y+rng.Float64()*tc.step)
+						if tc.bounds.Contains(p) {
+							if _, err := next.Insert(p); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if i%10 == 0 {
+						if err := next.Remove(prev); err != nil {
+							t.Fatal(err)
+						}
+						removed = append(removed, prev)
+					}
+					ids, nR, _ := next.AppendPrefetch(q, m, prev, buf[:0], &sc)
+					buf = ids
+					checkPrefetch(t, next, q, m, ids, nR)
+					ix, prev = next, buf[0]
+				}
+			}
+		})
+	}
+}
+
+// TestHintWalkCost pins down what the hint buys and what bounds it: a near
+// hint finds the nearest object without touching the R-tree, a hint across
+// the data space is abandoned after the hop budget for the descent.
+func TestHintWalkCost(t *testing.T) {
+	ix, _, err := Build(testBounds, 16, randomPoints(20000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc SearchScratch
+	q := geom.Pt(500, 500)
+	ids, _, cost := ix.AppendPrefetch(q, 12, NoHint, nil, &sc)
+	if cost.NodeVisits == 0 || cost.SeedDists != 0 {
+		t.Fatalf("no hint: cost %+v, want R-tree visits only", cost)
+	}
+	_, _, cost = ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], &sc)
+	if cost.NodeVisits != 0 || cost.SeedDists == 0 {
+		t.Fatalf("near hint: cost %+v, want a walk and no R-tree visit", cost)
+	}
+	_, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), ids[:0], &sc)
+	if cost.NodeVisits == 0 || cost.SeedDists == 0 {
+		t.Fatalf("far hint: cost %+v, want an abandoned walk then the descent", cost)
+	}
+	if maxDists := (maxSeedHops + 1) * 20; cost.SeedDists > maxDists {
+		t.Fatalf("far hint: walk evaluated %d distances, budget allows about %d", cost.SeedDists, maxDists)
+	}
+}
+
+// TestFusedVisitedEpochWrap: the visited stamps survive the epoch counter
+// wrapping around.
+func TestFusedVisitedEpochWrap(t *testing.T) {
+	ix, _, err := Build(testBounds, 16, randomPoints(2000, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc SearchScratch
+	q := geom.Pt(400, 600)
+	ix.AppendPrefetch(q, 10, NoHint, nil, &sc)
+	sc.epoch = math.MaxUint32 - 2
+	for i := 0; i < 6; i++ {
+		ids, nR, _ := ix.AppendPrefetch(q, 10, NoHint, nil, &sc)
+		checkPrefetch(t, ix, q, 10, ids, nR)
+	}
+	if sc.epoch == 0 || sc.epoch > 6 {
+		t.Fatalf("epoch = %d after wrapping, want a small non-zero value", sc.epoch)
+	}
+}
+
+// TestHintlessSearchReleasesIterator: the R-tree descent keeps only its
+// first item, so once a search returns its scratch holds no R-tree node
+// (the GC side of this is rtree's TestIteratorReleaseUnpinsSupersededNodes).
+func TestHintlessSearchReleasesIterator(t *testing.T) {
+	ix, _, err := Build(testBounds, 16, randomPoints(2000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc SearchScratch
+	if _, visits := ix.AppendKNN(geom.Pt(10, 10), 5, nil, &sc); visits == 0 {
+		t.Fatal("search did not descend the R-tree")
+	}
+	if item, ok := sc.it.Next(); ok {
+		t.Fatalf("scratch iterator still yields %v after the search: its frontier was not released", item)
+	}
+}
+
+// BenchmarkRecompute is the vortree row of the per-layer ledger without the
+// harness: one R + I(R) recomputation for a query that moved about one
+// object spacing since its last result, seeded from the R-tree and from the
+// previous nearest object.
+func BenchmarkRecompute(b *testing.B) {
+	const n, m = 100000, 12 // ⌊1.6·8⌋
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
+	rng := rand.New(rand.NewSource(10))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+	}
+	ix, _, err := Build(bounds, 16, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// 64 walks of 64 steps: neighbouring queries are near each other, walks
+	// are not.
+	qs := make([]geom.Point, 0, 4096)
+	for len(qs) < cap(qs) {
+		p := geom.Pt(1000+rng.Float64()*8000, 1000+rng.Float64()*8000)
+		for j := 0; j < 64; j++ {
+			p = geom.Pt(p.X+(rng.Float64()*2-1)*30, p.Y+(rng.Float64()*2-1)*30)
+			qs = append(qs, p)
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		hinted bool
+	}{{"rtree_seed", false}, {"hint_seed", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sc SearchScratch
+			var buf []int
+			hint := NoHint
+			visits, dists := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids, _, cost := ix.AppendPrefetch(qs[i%len(qs)], m, hint, buf[:0], &sc)
+				buf = ids
+				if bc.hinted {
+					hint = ids[0]
+				}
+				visits += cost.NodeVisits
+				dists += cost.SeedDists
+			}
+			b.ReportMetric(float64(visits)/float64(b.N), "nodevisits/op")
+			b.ReportMetric(float64(dists)/float64(b.N), "seeddists/op")
+		})
+	}
+}

@@ -1,10 +1,12 @@
 // Package vortree implements the VoR-tree of Sharifzadeh and Shahabi
 // (PVLDB 2010, reference [7] of the paper): an R-tree over the data objects
 // whose entries additionally carry the objects' Voronoi neighbor lists.
-// Nearest-neighbor search uses best-first R-tree traversal; the kNN set is
-// then grown incrementally by expanding Voronoi neighbors, which is exactly
-// the access pattern the INSQ query processor needs to compute the
-// prefetched set R and its influential neighbor set I(R).
+// The nearest object is found by best-first R-tree traversal — or, when the
+// caller knows an object near the query, by a short walk over the Voronoi
+// neighbor lists; the kNN set is then grown incrementally by expanding
+// Voronoi neighbors, which yields the prefetched set R of the INSQ query
+// processor and, as what the expansion has reached but not taken, its
+// influential neighbor set I(R) (see search.go).
 package vortree
 
 import (
@@ -100,8 +102,8 @@ func (ix *Index) Diagram() *voronoi.Diagram { return ix.diag }
 // Index methods).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
-// Clone returns a deep copy of the VoR-tree with the same object ids and a
-// zeroed node-visit counter. The R-tree side is persistent, so only the
+// Clone returns a deep copy of the VoR-tree with the same object ids. The
+// R-tree side is persistent, so only the
 // Voronoi overlay is physically copied; Clone is the fallback publication
 // path where the overlay's structural sharing is unsafe (see Branch).
 func (ix *Index) Clone() *Index {
@@ -130,17 +132,6 @@ func (ix *Index) ShareStats() (copied, total int) {
 // INS returns the influential neighbor set I(knn) of Definition 4 under
 // the order-1 Voronoi diagram of the indexed objects, sorted by id.
 func (ix *Index) INS(knn []int) ([]int, error) { return ix.diag.INS(knn) }
-
-// AppendINS is INS appending onto dst with caller-supplied scratch — the
-// allocation-free form used by the serving hot path.
-func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, error) {
-	return ix.diag.AppendINS(knn, dst, &sc.ins)
-}
-
-// Visits returns the cumulative R-tree node-visit counter (the page-I/O
-// stand-in); see rtree.Tree.NodeVisits for its semantics under concurrent
-// readers.
-func (ix *Index) Visits() int { return ix.tree.NodeVisits() }
 
 // Len returns the number of live objects.
 func (ix *Index) Len() int { return ix.diag.Len() }
@@ -192,137 +183,4 @@ func (ix *Index) NN(q geom.Point) int {
 		return -1
 	}
 	return items[0].ID
-}
-
-// KNN returns the k nearest objects to q in ascending distance order using
-// the VR-kNN strategy: one best-first R-tree descent for the nearest
-// object, then incremental expansion over stored Voronoi neighbor lists.
-// This touches O(k) Voronoi records instead of O(k) R-tree paths.
-func (ix *Index) KNN(q geom.Point, k int) []int {
-	ids, _ := ix.KNNCounted(q, k)
-	return ids
-}
-
-// KNNCounted is KNN returning the number of index nodes this search
-// visited — exact per call even under concurrent searches on a shared
-// snapshot, unlike a before/after diff of the global Visits counter.
-func (ix *Index) KNNCounted(q geom.Point, k int) ([]int, int) {
-	var sc SearchScratch
-	return ix.AppendKNN(q, k, nil, &sc)
-}
-
-// SearchScratch is reusable per-caller working memory for AppendKNN and
-// AppendINS: the best-first R-tree iterator, the Voronoi expansion
-// frontier, the visited set and the neighbor-walk buffers. The zero value
-// is ready to use; a scratch serves any number of sequential searches
-// against any index version but must not be shared across goroutines. The
-// query layer keeps one per session, which removes every per-call
-// allocation from the kNN path.
-type SearchScratch struct {
-	it   rtree.KNNIterator
-	pq   nnHeap
-	seen map[int]bool
-	nb   []int
-	ring voronoi.NeighborScratch
-	ins  voronoi.INSScratch
-}
-
-// AppendKNN is KNN appending onto dst with caller-supplied scratch and the
-// exact node-visit count of this search. dst may be nil.
-func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([]int, int) {
-	if k <= 0 || ix.Len() == 0 {
-		return dst, 0
-	}
-	sc.it.Reset(ix.tree, q)
-	seed, ok := sc.it.Next()
-	visits := sc.it.Visited()
-	if !ok {
-		return dst, visits
-	}
-	if sc.seen == nil {
-		sc.seen = make(map[int]bool, 4*k)
-	} else {
-		clear(sc.seen)
-	}
-	start := seed.ID
-	sc.pq = sc.pq[:0]
-	sc.seen[start] = true
-	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})
-	need := len(dst) + k
-	for len(sc.pq) > 0 && len(dst) < need {
-		e := sc.pq.pop()
-		dst = append(dst, e.id)
-		nb, err := ix.diag.AppendNeighbors(e.id, sc.nb[:0], &sc.ring)
-		sc.nb = nb[:0]
-		if err != nil {
-			continue
-		}
-		for _, u := range nb {
-			if !sc.seen[u] {
-				sc.seen[u] = true
-				sc.pq.push(nnEntry{id: u, d2: q.Dist2(ix.diag.Site(u))})
-			}
-		}
-	}
-	return dst, visits
-}
-
-type nnEntry struct {
-	id int
-	d2 float64
-}
-
-// nnHeap is a hand-rolled binary min-heap; container/heap would box every
-// nnEntry pushed, one allocation per expanded Voronoi neighbor. It is the
-// structural twin of rtree's knnHeap, kept separate (rather than behind a
-// generic with a comparison func) so the comparison inlines in the hot
-// loop; unlike knnHeap, pop need not zero the vacated slot because
-// nnEntry holds no pointers.
-type nnHeap []nnEntry
-
-func (h nnHeap) less(i, j int) bool {
-	if h[i].d2 != h[j].d2 {
-		return h[i].d2 < h[j].d2
-	}
-	return h[i].id < h[j].id
-}
-
-func (h *nnHeap) push(e nnEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *nnHeap) pop() nnEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	s = s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(s) && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
 }
