@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/metrics"
@@ -45,10 +46,10 @@ func (q *NaiveNetwork) Update(pos roadnet.Position) ([]int, error) {
 		return nil, err
 	}
 	q.m.Recomputations++
-	relaxBefore := q.d.Graph().EdgeRelaxations()
-	q.knn = q.d.KNN(pos, q.k)
+	var relaxed int
+	q.knn, _, relaxed = q.d.KNNWithDistancesCounted(pos, q.k)
 	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += q.d.Graph().EdgeRelaxations() - relaxBefore
+	q.m.EdgeRelaxations += relaxed
 	q.m.ObjectsShipped += len(q.knn)
 	if len(q.knn) < q.k {
 		return nil, fmt.Errorf("%w: reached %d of %d", ErrTooFewObjects, len(q.knn), q.k)
@@ -122,12 +123,10 @@ func (q *FullNetworkINS) Update(pos roadnet.Position) ([]int, error) {
 		return q.knn, nil
 	}
 	q.m.Validations++
-	// Rank all guard objects by true network distance: expand until every
-	// guard member is settled.
-	relaxBefore := q.d.Graph().EdgeRelaxations()
-	ranked := q.rankGuard(pos)
+	// Rank all guard objects by true network distance.
+	ranked, relaxed := q.rankGuard(pos)
 	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += q.d.Graph().EdgeRelaxations() - relaxBefore
+	q.m.EdgeRelaxations += relaxed
 	if len(ranked) >= q.k && sameSet(ranked[:q.k], q.knn) {
 		return q.knn, nil
 	}
@@ -143,30 +142,31 @@ func (q *FullNetworkINS) Update(pos roadnet.Position) ([]int, error) {
 }
 
 // rankGuard returns the guard objects in ascending true network distance
-// using a full-network Dijkstra that stops when all guards are settled.
-func (q *FullNetworkINS) rankGuard(pos roadnet.Position) []int {
+// from a Dijkstra over the whole network, and that search's relaxations: it
+// settles every reachable vertex once and scans each one's edges.
+func (q *FullNetworkINS) rankGuard(pos roadnet.Position) (ranked []int, relaxed int) {
 	g := q.d.Graph()
-	want := make(map[int]bool, len(q.guard))
-	for _, s := range q.guard {
-		want[s] = true
-	}
 	dist := g.ShortestDistances(pos.Sources(g), -1)
-	out := append([]int(nil), q.guard...)
-	sort.Slice(out, func(i, j int) bool {
-		if dist[out[i]] != dist[out[j]] {
-			return dist[out[i]] < dist[out[j]]
+	for v, dv := range dist {
+		if !math.IsInf(dv, 1) {
+			relaxed += g.Degree(v)
 		}
-		return out[i] < out[j]
+	}
+	ranked = append([]int(nil), q.guard...)
+	sort.Slice(ranked, func(i, j int) bool {
+		if dist[ranked[i]] != dist[ranked[j]] {
+			return dist[ranked[i]] < dist[ranked[j]]
+		}
+		return ranked[i] < ranked[j]
 	})
-	return out
+	return ranked, relaxed
 }
 
 func (q *FullNetworkINS) recompute(pos roadnet.Position) error {
 	q.m.Recomputations++
-	relaxBefore := q.d.Graph().EdgeRelaxations()
-	ids, _ := q.d.KNNWithDistances(pos, q.prefetchSize())
+	ids, _, relaxed := q.d.KNNWithDistancesCounted(pos, q.prefetchSize())
 	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += q.d.Graph().EdgeRelaxations() - relaxBefore
+	q.m.EdgeRelaxations += relaxed
 	if len(ids) < q.k {
 		return fmt.Errorf("%w: reached %d of %d", ErrTooFewObjects, len(ids), q.k)
 	}

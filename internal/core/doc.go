@@ -33,8 +33,17 @@
 // In road networks (Section IV), validation requires shortest-path
 // distances. Theorem 1 transfers the INS superset guarantee to network
 // Voronoi diagrams, and Theorem 2 confines the validation search to the
-// subnetwork covered by the Voronoi cells of the guard objects, which
-// NetworkQuery exploits through netvor.Subnetwork.
+// subnetwork covered by the Voronoi cells of the guard objects.
+// NetworkQuery runs that search as netvor.GuardSearch — the subnetwork as
+// a filter over the diagram's shared adjacency, never a graph of the
+// session's own — and runs it once per update: guard objects arrive in
+// ascending distance and each verdict is taken at the first one that
+// decides it (k kNN members in a row: valid; a non-member: stale, and the
+// same search continues to |R| hits for the re-rank; a hit outside R or an
+// exhausted subnetwork: recompute). NetworkQuery keeps kNN = R[:k] too; it
+// moves the guard objects an update settles to the front of R, so R[:k] is
+// in ascending network distance as of the last update and the rest of R as
+// of the last recomputation or re-rank.
 //
 // # Slice ownership
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -19,11 +20,12 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // Voronoi diagram; the query object moves along the network and reports a
 // position (edge + fraction) at every timestamp.
 //
-// Validation follows Theorem 2: instead of running shortest-path searches
-// on the full network, the processor keeps the subnetwork covered by the
-// Voronoi cells of the guard objects R ∪ I(R) and ranks the guard objects
-// on it. While the top-k on the subnetwork equals the current kNN set, the
-// kNN set is valid on the full network.
+// Validation follows Theorem 2: the kNN set is valid on the full network
+// while the k nearest guard objects of R ∪ I(R), ranked by a search confined
+// to the subnetwork their Voronoi cells cover, are the kNN set. The
+// subnetwork is a filter over the diagram's shared CSR (netvor.GuardSearch),
+// not a graph the session owns, and one resumable search per update yields
+// every verdict — valid, stale but repairable from R, or R itself invalid.
 //
 // Like PlaneQuery, a network query resolves its diagram through one of two
 // handles: NewNetworkQuery binds it to a raw diagram it may also mutate
@@ -33,57 +35,50 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // invalidating the client state only when a skipped site mutation could
 // disturb its guard cells.
 type NetworkQuery struct {
-	d   index.NetworkBackend
+	d   *netvor.Diagram
 	k   int
 	rho float64
 	m   metrics.Counters
 
-	// Exactly one of raw / store is set. snap is the pinned snapshot
-	// (store mode), released on Close or when re-pinning.
-	raw   *netvor.Diagram
+	// store and snap are set on a snapshot-pinned query only: snap is the
+	// pinned snapshot, released on Close or when re-pinning, and d is its
+	// diagram. A raw query (store == nil) owns d and may mutate it.
 	store *index.Store
 	snap  *index.Snapshot
 
 	init    bool
 	located bool // Update has been called at least once; last is meaningful
 	last    roadnet.Position
-	r       []int // prefetched ⌊ρk⌋ nearest sites, ascending network distance at fetch
-	ins     []int // I(R) under the network Voronoi diagram
-	guard   []int // r ∪ ins
-	sub     *netvor.Subnetwork
-	knn     []int // current kNN set
 
-	// Reusable per-query working memory mirroring PlaneQuery: the Dijkstra
-	// scratch of every network search plus the backing buffers r/ins/guard/
-	// knn alias into. Slices returned by Update are rewritten by the next
-	// Update/Sync/Refresh — the package's slice-ownership contract. sc
-	// defaults to the session-owned ownSc; UseScratch swaps in a shared
-	// (e.g. per-shard) scratch so its dense arrays are paid for once, not
-	// per session. subBuf retains the extracted subnetwork's storage across
-	// Invalidate so recomputes stop allocating.
-	sc       *netvor.SearchScratch
-	ownSc    netvor.SearchScratch
-	subBuf   *netvor.Subnetwork
-	setBuf   map[int]int
-	rBuf     []int
-	insBuf   []int
-	guardBuf []int
-	knnBuf   []int
-	topkBuf  []int
-	rankBuf  []int
-	dsBuf    []float64
+	// The client state is one id list, as on the plane: guard = R followed
+	// by I(R), r and ins are its two halves, and the kNN set is always
+	// r[:k]. An Update moves the guard objects it settles to the front of r
+	// in settle order, so r[:k] is in ascending network distance as of the
+	// last Update and all of r as of the last recomputation or re-rank. The
+	// buffer survives Invalidate; slices returned by Update alias it and
+	// are rewritten by the next Update/Sync/Refresh — the package's
+	// slice-ownership contract.
+	guard  []int
+	r, ins []int
+	dsBuf  []float64 // distances of the last recomputation's search
+
+	// sc is the search working memory: the engine's per-shard scratch (see
+	// UseScratch), or one the query allocates at its first search. Nothing
+	// in it belongs to the session between two calls.
+	sc *netvor.SearchScratch
 }
 
 // NewNetworkQuery creates an INS MkNN query over a network Voronoi diagram
 // the caller owns (and may mutate through InsertSite/RemoveSite).
 // Parameters mirror NewPlaneQuery.
 func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, error) {
-	q, err := newNetworkQuery(d, k, rho)
-	if err != nil {
+	if err := validateParams(k, rho); err != nil {
 		return nil, err
 	}
-	q.raw = d
-	return q, nil
+	if d.Len() < k {
+		return nil, fmt.Errorf("core: k = %d exceeds site count %d", k, d.Len())
+	}
+	return &NetworkQuery{d: d, k: k, rho: rho}, nil
 }
 
 // NewNetworkQueryPinned creates an INS MkNN query served from a shared
@@ -99,7 +94,7 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 	if snap == nil {
 		return nil, fmt.Errorf("core: %w", index.ErrClosed)
 	}
-	q, err := newNetworkQuery(snap.Network(), k, rho)
+	q, err := NewNetworkQuery(snap.Network(), k, rho)
 	if err != nil {
 		snap.Release()
 		return nil, err
@@ -108,27 +103,34 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 	return q, nil
 }
 
-func newNetworkQuery(d index.NetworkBackend, k int, rho float64) (*NetworkQuery, error) {
-	if err := validateParams(k, rho); err != nil {
-		return nil, err
-	}
-	if d.Len() < k {
-		return nil, fmt.Errorf("core: k = %d exceeds site count %d", k, d.Len())
-	}
-	q := &NetworkQuery{d: d, k: k, rho: rho}
-	q.sc = &q.ownSc
-	return q, nil
-}
-
 // UseScratch makes the query run its network searches through the given
-// shared scratch instead of its own. The serving engine passes one scratch
-// per shard: a shard's sessions run serially on its worker goroutine, so
-// sharing is race-free and the scratch's dense per-vertex arrays (sized by
-// the road network) are allocated once per shard rather than per session.
+// shared scratch instead of allocating its own. The serving engine passes
+// one scratch per shard: a shard's sessions run serially on its worker
+// goroutine, so sharing is race-free and the scratch's dense per-vertex
+// arrays (sized by the road network) are allocated once per shard rather
+// than per session. Search state in it is valid only inside one call.
 func (q *NetworkQuery) UseScratch(sc *netvor.SearchScratch) {
 	if sc != nil {
 		q.sc = sc
 	}
+}
+
+// scratch returns the search working memory, allocating the query's own on
+// first use when no shared one was supplied.
+func (q *NetworkQuery) scratch() *netvor.SearchScratch {
+	if q.sc == nil {
+		q.sc = new(netvor.SearchScratch)
+	}
+	return q.sc
+}
+
+// knn returns the current kNN set: the first k members of R (nil while the
+// client state is invalidated).
+func (q *NetworkQuery) knn() []int {
+	if len(q.r) == 0 {
+		return nil
+	}
+	return q.r[:q.k]
 }
 
 // Name identifies the processor in simulation reports.
@@ -142,11 +144,11 @@ func (q *NetworkQuery) Metrics() *metrics.Counters { return &q.m }
 
 // AppendCurrent appends the current kNN set onto dst — the zero-copy
 // accessor for callers that own a reusable buffer.
-func (q *NetworkQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn...) }
+func (q *NetworkQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn()...) }
 
 // Current returns the current kNN set as a fresh copy; see the package
 // slice-ownership contract.
-func (q *NetworkQuery) Current() []int { return append([]int(nil), q.knn...) }
+func (q *NetworkQuery) Current() []int { return append([]int(nil), q.knn()...) }
 
 // INS returns I(R) as a fresh copy.
 func (q *NetworkQuery) INS() []int { return append([]int(nil), q.ins...) }
@@ -154,10 +156,15 @@ func (q *NetworkQuery) INS() []int { return append([]int(nil), q.ins...) }
 // Prefetched returns R as a fresh copy.
 func (q *NetworkQuery) Prefetched() []int { return append([]int(nil), q.r...) }
 
-// Subnetwork returns the current Theorem-2 validation subnetwork. Its
-// storage is reused by the next recomputation — read it before the next
-// Update/Refresh, per the package's slice-ownership contract.
-func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork { return q.sub }
+// Subnetwork materializes the current Theorem-2 validation subnetwork (nil
+// while the client state is invalidated). It is a rendering and debugging
+// aid built on demand; Update searches the same region without building it.
+func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
+	if !q.init {
+		return nil
+	}
+	return q.d.Subnetwork(q.guard)
+}
 
 // Sync re-pins a snapshot-backed query to the newest published snapshot
 // (a no-op for raw-diagram queries and when already current). If any
@@ -226,13 +233,12 @@ func (q *NetworkQuery) Sync() {
 func (q *NetworkQuery) Refresh() (knn []int, recomputed bool, err error) {
 	q.Sync()
 	if q.init || !q.located {
-		return q.knn, false, nil
+		return q.knn(), false, nil
 	}
 	if err := q.recompute(q.last); err != nil {
 		return nil, false, err
 	}
-	q.init = true
-	return q.knn, true, nil
+	return q.knn(), true, nil
 }
 
 // Epoch returns the pinned snapshot's epoch (0 for raw-diagram queries).
@@ -252,23 +258,16 @@ func (q *NetworkQuery) Close() {
 	}
 }
 
-// Invalidate discards the client-side state (R, I(R), the subnetwork and
-// the kNN set) so the next Update performs a full recomputation.
+// Invalidate discards the client-side state (R, I(R) and the kNN set) so
+// the next Update performs a full recomputation.
 func (q *NetworkQuery) Invalidate() {
 	q.init = false
-	q.r, q.ins, q.guard, q.knn, q.sub = nil, nil, nil, nil, nil
+	q.guard, q.r, q.ins = q.guard[:0], nil, nil
 }
 
 // UsesSite reports whether vertex v participates in the query's guard set
 // R ∪ I(R); removing such a site invalidates the client state.
-func (q *NetworkQuery) UsesSite(v int) bool {
-	for _, s := range q.guard {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
+func (q *NetworkQuery) UsesSite(v int) bool { return slices.Contains(q.guard, v) }
 
 // AffectedBySiteInsert reports whether a site just inserted at vertex v
 // (with its post-insert network Voronoi neighbor list) can change this
@@ -285,18 +284,13 @@ func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
 	if neighbors == nil {
 		return true // unknown adjacency: be conservative
 	}
-	if q.sub != nil {
-		if _, ok := q.sub.ToSub[v]; ok {
-			return true
-		}
-	}
-	return q.intersectsGuard(neighbors)
+	return q.intersectsGuard(neighbors) || q.d.InSubnetwork(q.guard, v, q.scratch())
 }
 
 // AffectedBySiteRemove reports whether removing the site at vertex v (with
 // its pre-removal neighbor list) can change this query's state: the site
 // participated in the guard set, or its territory is inherited by a guard
-// member (whose cell then grows past the materialized subnetwork).
+// member (whose cell, and with it the Theorem-2 subnetwork, then grows).
 func (q *NetworkQuery) AffectedBySiteRemove(v int, neighbors []int) bool {
 	if !q.init {
 		return false
@@ -314,10 +308,8 @@ func (q *NetworkQuery) AffectedBySiteRemove(v int, neighbors []int) bool {
 // member. Both lists are O(k); no map needed.
 func (q *NetworkQuery) intersectsGuard(sites []int) bool {
 	for _, s := range sites {
-		for _, g := range q.guard {
-			if s == g {
-				return true
-			}
+		if q.UsesSite(s) {
+			return true
 		}
 	}
 	return false
@@ -329,16 +321,16 @@ func (q *NetworkQuery) intersectsGuard(sites []int) bool {
 // snapshot-pinned queries return ErrReadOnly (mutations of a shared index
 // go through its index.Store).
 func (q *NetworkQuery) InsertSite(v int) error {
-	if q.raw == nil {
+	if q.store != nil {
 		return ErrReadOnly
 	}
-	if err := q.raw.Insert(v); err != nil {
+	if err := q.d.Insert(v); err != nil {
 		return err
 	}
 	if !q.init {
 		return nil
 	}
-	nb, err := q.raw.Neighbors(v)
+	nb, err := q.d.Neighbors(v)
 	if err != nil {
 		nb = nil // conservative
 	}
@@ -352,14 +344,14 @@ func (q *NetworkQuery) InsertSite(v int) error {
 // maintenance; state is refreshed when the removal can affect it (see
 // AffectedBySiteRemove). Raw-diagram queries only.
 func (q *NetworkQuery) RemoveSite(v int) error {
-	if q.raw == nil {
+	if q.store != nil {
 		return ErrReadOnly
 	}
-	nb, err := q.raw.Neighbors(v)
+	nb, err := q.d.Neighbors(v)
 	if err != nil {
 		nb = nil
 	}
-	if err := q.raw.Remove(v); err != nil {
+	if err := q.d.Remove(v); err != nil {
 		return err
 	}
 	if !q.init {
@@ -396,110 +388,88 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 		if err := q.recompute(pos); err != nil {
 			return nil, err
 		}
-		q.init = true
-		return q.knn, nil
+		return q.knn(), nil
 	}
 
 	q.m.Validations++
-	// One bounded Dijkstra on the guard subnetwork, stopped as soon as k
-	// guard objects are settled; Theorem 2 certifies the kNN set when the
-	// subnetwork top-k matches it. This is the common, cheap path.
-	relaxBefore := q.sub.G.EdgeRelaxations()
-	topK, ds := q.sub.AppendKNNSites(pos, q.guard, q.k, q.topkBuf[:0], q.dsBuf[:0], q.sc)
-	q.topkBuf, q.dsBuf = topK, ds
-	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += q.sub.G.EdgeRelaxations() - relaxBefore
-	if len(topK) >= q.k && q.sameSet(topK, q.knn) {
-		return q.knn, nil
-	}
-	q.m.Invalidations++
-
-	// Stale: rank the whole prefetched set to see whether R survived.
-	relaxBefore = q.sub.G.EdgeRelaxations()
-	ranked, ds2 := q.sub.AppendKNNSites(pos, q.guard, len(q.r), q.rankBuf[:0], q.dsBuf[:0], q.sc)
-	q.rankBuf, q.dsBuf = ranked, ds2
-	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += q.sub.G.EdgeRelaxations() - relaxBefore
-
-	// Update cases (i)/(ii): if R as a whole is still the valid prefetch
-	// set, the subnetwork distances to its members are exact and the new
-	// kNN set is the subnetwork top-k — composed locally, no
-	// recomputation.
-	if len(ranked) >= len(q.r) && q.sameSet(ranked[:len(q.r)], q.r) {
-		q.knnBuf = append(q.knnBuf[:0], ranked[:q.k]...)
-		q.knn = q.knnBuf
-		return q.knn, nil
+	if q.validate(pos) {
+		return q.knn(), nil
 	}
 	if err := q.recompute(pos); err != nil {
 		return nil, err
 	}
-	return q.knn, nil
+	return q.knn(), nil
+}
+
+// validate runs the one search of an Update: guard objects are pulled from
+// the Theorem-2 subnetwork in ascending distance and each verdict is taken
+// at the first hit that decides it. The kNN set is valid once k hits have
+// all been kNN members. The first hit outside the kNN set makes it stale
+// and the same search goes on to |R| hits: if they are all members of R,
+// R is still the valid prefetch set, its subnetwork distances are exact and
+// the new kNN set is its k nearest — update cases (i)/(ii), composed
+// locally. The first hit outside R, or running out of subnetwork, proves R
+// invalid and stops the search at once; validate then reports false and
+// the caller recomputes.
+//
+// Hit i is swapped to r[i], so the members still to come are r[i:] and the
+// verdicts read off where a hit is found: at or beyond k while no hit has
+// been, it is not a kNN member (until then every swap stays inside r[:k],
+// which keeps that prefix the kNN set); not in r[i:] at all, it is not in R.
+func (q *NetworkQuery) validate(pos roadnet.Position) bool {
+	search, ok := q.d.BeginGuardSearch(pos, q.guard, q.scratch())
+	if !ok {
+		q.m.Invalidations++
+		return false
+	}
+	q.m.DijkstraRuns++
+	stale := false
+	for i := range q.r {
+		site, _, relaxed, found := search.Next()
+		q.m.EdgeRelaxations += relaxed
+		j := -1
+		if found {
+			j = slices.Index(q.r[i:], site)
+		}
+		if !stale && (j < 0 || i+j >= q.k) {
+			stale = true
+			q.m.Invalidations++
+		}
+		if j < 0 {
+			return false
+		}
+		q.r[i], q.r[i+j] = q.r[i+j], q.r[i]
+		if !stale && i == q.k-1 {
+			return true // k hits, all of them kNN members
+		}
+	}
+	return true // |R| hits, all of them members of R, now in rank order
 }
 
 // recompute fetches R and I(R) with incremental network expansion on the
-// full network and rebuilds the Theorem-2 subnetwork.
+// full network. A failure leaves the query invalidated: the search has
+// already overwritten the buffer the old state lived in.
 func (q *NetworkQuery) recompute(pos roadnet.Position) error {
+	q.Invalidate()
 	if q.d.Len() < q.k {
 		return fmt.Errorf("core: k = %d exceeds site count %d", q.k, q.d.Len())
 	}
 	q.m.Recomputations++
-	m := q.prefetchSize()
-	ids, ds, relaxed := q.d.AppendKNN(pos, m, q.rBuf[:0], q.dsBuf[:0], q.sc)
-	q.rBuf, q.dsBuf = ids, ds
+	sc := q.scratch()
+	guard, ds, relaxed := q.d.AppendKNN(pos, q.prefetchSize(), q.guard, q.dsBuf[:0], sc)
+	q.dsBuf = ds
 	q.m.DijkstraRuns++
 	q.m.EdgeRelaxations += relaxed
-	if len(ids) < q.k {
-		return fmt.Errorf("%w: found %d of %d", ErrDisconnected, len(ids), q.k)
+	nR := len(guard)
+	if nR < q.k {
+		return fmt.Errorf("%w: found %d of %d", ErrDisconnected, nR, q.k)
 	}
-	q.r = ids
-	ins, err := q.d.AppendINS(q.r, q.insBuf[:0], q.sc)
+	guard, err := q.d.AppendINS(guard, guard, sc)
 	if err != nil {
 		return fmt.Errorf("core: network INS: %w", err)
 	}
-	q.insBuf, q.ins = ins, ins
-	guard := append(q.guardBuf[:0], q.r...)
-	guard = append(guard, q.ins...)
-	q.guardBuf, q.guard = guard, guard
-	q.subBuf = q.d.SubnetworkInto(q.guard, q.subBuf, q.sc)
-	q.sub = q.subBuf
-	q.knn = q.r[:q.k]
-	q.m.ObjectsShipped += len(q.r) + len(q.ins)
+	q.guard, q.r, q.ins = guard, guard[:nR], guard[nR:]
+	q.init = true
+	q.m.ObjectsShipped += len(guard)
 	return nil
-}
-
-// sameSet reports set equality of two id lists using the query's reusable
-// membership scratch, so the per-update validation allocates nothing. At
-// kNN sizes (k, or the prefetch m) a quadratic scan beats hashing, so the
-// map only backs lists longer than a cache line's worth of ids.
-func (q *NetworkQuery) sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) <= 32 {
-	outer:
-		for _, x := range b {
-			for _, y := range a {
-				if x == y {
-					continue outer
-				}
-			}
-			return false
-		}
-		return true
-	}
-	if q.setBuf == nil {
-		q.setBuf = make(map[int]int, len(a))
-	} else {
-		clear(q.setBuf)
-	}
-	for _, x := range a {
-		q.setBuf[x]++
-	}
-	for _, x := range b {
-		if q.setBuf[x] == 0 {
-			return false
-		}
-		q.setBuf[x]--
-	}
-	return true
 }

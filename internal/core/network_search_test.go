@@ -1,0 +1,312 @@
+package core
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/metrics"
+	"repro/internal/netvor"
+	"repro/internal/roadnet"
+)
+
+// classifyNetUpdate runs one Update and names the outcome it took.
+func classifyNetUpdate(tb testing.TB, q *NetworkQuery, pos roadnet.Position) string {
+	tb.Helper()
+	before := *q.Metrics()
+	if _, err := q.Update(pos); err != nil {
+		tb.Fatal(err)
+	}
+	return outcomeName(before, *q.Metrics())
+}
+
+// outcomeName names the outcome of the one update between two counter
+// readings ("first" for a first placement, which validates nothing).
+func outcomeName(before, after metrics.Counters) string {
+	for _, o := range []string{"recompute", "rerank", "validate"} {
+		if after.Validations > before.Validations && outcomeCount(before, after, o) > 0 {
+			return o
+		}
+	}
+	return "first"
+}
+
+// netOutcomeLoop is outcomeLoop for the road network: a query over d and
+// two positions between which it alternates forever with every Update
+// taking the named outcome, found by trying walks of growing length from
+// random vertices.
+func netOutcomeLoop(tb testing.TB, d *netvor.Diagram, outcome string, seed int64) (*NetworkQuery, [2]roadnet.Position) {
+	tb.Helper()
+	const k, rho = 10, 1.6
+	g := d.Graph()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 200; trial++ {
+		start := rng.Intn(g.NumVertices())
+		route, err := roadnet.RandomWalkRoute(g, start, 400, rng.Int63())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, f := range []float64{0.01, 0.1, 0.2, 0.3, 0.5, 0.7, 1} {
+			pos := [2]roadnet.Position{route.PositionAt(0), route.PositionAt(f * route.Length())}
+			q, err := NewNetworkQuery(d, k, rho)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := q.Update(pos[0]); err != nil {
+				tb.Fatal(err)
+			}
+			ok := true
+			for i := 1; i <= 6 && ok; i++ {
+				ok = classifyNetUpdate(tb, q, pos[i&1]) == outcome
+			}
+			if ok {
+				return q, pos
+			}
+		}
+	}
+	tb.Fatalf("no pair of positions alternates with outcome %q", outcome)
+	return nil, [2]roadnet.Position{}
+}
+
+// gridDiagram builds the street grid and site density of the repository
+// benchmark's network workloads at the given side length.
+func gridDiagram(tb testing.TB, side, sites int) *netvor.Diagram {
+	tb.Helper()
+	g, err := roadnet.GridNetwork(side, side, geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000)), 0.2, 0.3, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := netvor.Build(g, rand.New(rand.NewSource(6)).Perm(g.NumVertices())[:sites])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestNetworkResumeUpdateAllocatesNothing: in steady state a network Update
+// allocates nothing in any of its three outcomes — the search state lives
+// in the scratch, a re-rank permutes R in place, and a recomputation
+// appends R and I(R) onto the session's one id list.
+func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
+	d := gridDiagram(t, 96, 1400)
+	for _, outcome := range []string{"validate", "rerank", "recompute"} {
+		q, pos := netOutcomeLoop(t, d, outcome, 5)
+		before := *q.Metrics()
+		i := 0
+		allocs := testing.AllocsPerRun(300, func() {
+			i++
+			if _, err := q.Update(pos[i&1]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per Update, want 0", outcome, allocs)
+		}
+		after := q.Metrics()
+		if took, n := outcomeCount(before, *after, outcome), after.Timestamps-before.Timestamps; took != n {
+			t.Errorf("%s: only %d of %d measured updates took that outcome", outcome, took, n)
+		}
+		// One search per searching update plus one per recomputation.
+		wantRuns := after.Validations - before.Validations + after.Recomputations - before.Recomputations
+		if got := after.DijkstraRuns - before.DijkstraRuns; got != wantRuns {
+			t.Errorf("%s: %d searches for %d validations + recomputations", outcome, got, wantRuns)
+		}
+	}
+}
+
+// TestNetworkResumeWalkWithSiteChurnMatchesOracle: random walks with
+// interleaved InsertSite/RemoveSite/Invalidate+Refresh answer like the
+// oracle after every call, keep kNN ≡ R[:k], and take all three outcomes.
+func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		k   int
+		rho float64
+	}{{1, 1}, {3, 1.6}, {8, 1.6}, {5, 1}} {
+		g, d := buildNetwork(t, 600, 90, int64(tc.k)*31)
+		q, err := NewNetworkQuery(d, tc.k, tc.rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(tc.k) + 100))
+		route, err := roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 6000, int64(tc.k)+200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes := map[string]int{}
+		check := func(pos roadnet.Position, knn []int) {
+			checkNetKNN(t, d, pos, knn, tc.k)
+			if r := q.Prefetched(); !slices.Equal(q.Current(), r[:tc.k]) {
+				t.Fatalf("kNN %v is not the prefix of R %v", q.Current(), r)
+			}
+		}
+		step := 0
+		for dist := 0.0; dist <= route.Length(); dist += 6 {
+			pos := route.PositionAt(dist)
+			before := *q.Metrics()
+			knn, err := q.Update(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes[outcomeName(before, *q.Metrics())]++
+			check(pos, knn)
+			step++
+			switch {
+			case step%7 == 0:
+				v := rng.Intn(g.NumVertices())
+				for d.IsSite(v) {
+					v = rng.Intn(g.NumVertices())
+				}
+				if err := q.InsertSite(v); err != nil {
+					t.Fatal(err)
+				}
+				check(pos, q.Current())
+			case step%11 == 0:
+				victim := d.Sites()[rng.Intn(d.Len())]
+				if step%22 == 0 {
+					victim = q.Current()[0] // evict the nearest neighbor itself
+				}
+				if err := q.RemoveSite(victim); err != nil {
+					t.Fatal(err)
+				}
+				check(pos, q.Current())
+			case step%53 == 0:
+				q.Invalidate()
+				knn, recomputed, err := q.Refresh()
+				if err != nil || !recomputed {
+					t.Fatalf("Refresh after Invalidate = (recomputed %v, err %v)", recomputed, err)
+				}
+				check(pos, knn)
+			}
+		}
+		for _, o := range []string{"validate", "recompute"} {
+			if outcomes[o] == 0 {
+				t.Errorf("k=%d rho=%g: walk never took outcome %s (%v)", tc.k, tc.rho, o, outcomes)
+			}
+		}
+		if tc.rho > 1 && tc.k > 1 && outcomes["rerank"] == 0 {
+			t.Errorf("k=%d rho=%g: walk never re-ranked (%v)", tc.k, tc.rho, outcomes)
+		}
+	}
+}
+
+// twoIslands is a network of two components: a 6x6 grid with plenty of
+// sites and a 3-vertex path with a single site, joined by nothing.
+func twoIslands(t *testing.T) (*netvor.Diagram, []int) {
+	t.Helper()
+	g, err := roadnet.GridNetwork(6, 6, testBounds, 0, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := g.AddVertex(geom.Pt(2000, 0))
+	b := g.AddVertex(geom.Pt(2010, 0))
+	c := g.AddVertex(geom.Pt(2020, 0))
+	for _, e := range [][2]int{{a, b}, {b, c}} {
+		if err := g.AddEdge(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sites := []int{0, 7, 14, 21, 28, 35, 3, 18, b}
+	d, err := netvor.Build(g, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, []int{a, b, c}
+}
+
+// TestNetworkDisconnectedRecomputeInvalidates: a query that wanders into a
+// component with fewer than k sites fails with ErrDisconnected and is left
+// invalidated — not with its kNN set aliasing the buffer the failed search
+// overwrote — so it answers correctly again as soon as it is back, and a
+// failed Refresh, InsertSite or RemoveSite repair leaves it the same way.
+func TestNetworkDisconnectedRecomputeInvalidates(t *testing.T) {
+	d, island := twoIslands(t)
+	const k = 3
+	q, err := NewNetworkQuery(d, k, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mainland := []roadnet.Position{
+		roadnet.VertexPosition(8), {U: 8, V: 9, T: 0.4}, roadnet.VertexPosition(22), {U: 22, V: 28, T: 0.9},
+	}
+	stranded := []roadnet.Position{
+		roadnet.VertexPosition(island[0]), {U: island[0], V: island[1], T: 0.5}, roadnet.VertexPosition(island[2]),
+	}
+	mustFail := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("%s = %v, want ErrDisconnected", what, err)
+		}
+		if cur := q.Current(); len(cur) != 0 {
+			t.Fatalf("%s left kNN %v behind; want the query invalidated", what, cur)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, pos := range mainland {
+			knn, err := q.Update(pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkNetKNN(t, d, pos, knn, k)
+		}
+		for _, pos := range stranded {
+			_, err := q.Update(pos)
+			mustFail("Update on the island", err)
+		}
+		// Eager repair at the stranded position fails the same way.
+		_, _, err := q.Refresh()
+		mustFail("Refresh on the island", err)
+	}
+
+	// Mutation-triggered repairs: place the query on the island with k = 1
+	// reachable, then make the island's only site disappear.
+	q1, err := NewNetworkQuery(d, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if knn, err := q1.Update(stranded[0]); err != nil || len(knn) != 1 || knn[0] != island[1] {
+		t.Fatalf("k=1 on the island = (%v, %v), want [%d]", knn, err, island[1])
+	}
+	if err := q1.RemoveSite(island[1]); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("RemoveSite of the island's only site = %v, want ErrDisconnected", err)
+	}
+	if cur := q1.Current(); len(cur) != 0 {
+		t.Fatalf("failed RemoveSite repair left kNN %v behind", cur)
+	}
+	if err := q1.InsertSite(island[2]); err != nil {
+		t.Fatalf("InsertSite while invalidated: %v", err)
+	}
+	knn, err := q1.Update(stranded[0])
+	if err != nil || len(knn) != 1 || knn[0] != island[2] {
+		t.Fatalf("k=1 after the island got a site again = (%v, %v), want [%d]", knn, err, island[2])
+	}
+}
+
+// BenchmarkNetworkUpdate is the core row of the per-layer ledger without
+// the harness: one Update on the repository benchmark's street grid
+// (448x448, 30k sites), k = 10, ρ = 1.6, by outcome.
+func BenchmarkNetworkUpdate(b *testing.B) {
+	d := gridDiagram(b, 448, 30000)
+	for _, outcome := range []string{"validate", "rerank", "recompute"} {
+		q, pos := netOutcomeLoop(b, d, outcome, 9)
+		step := 0 // runs on across the b.N ramp: the query is at pos[step&1]
+		b.Run(outcome, func(b *testing.B) {
+			before := *q.Metrics()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step++
+				if _, err := q.Update(pos[step&1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := *q.Metrics()
+			b.ReportMetric(float64(after.EdgeRelaxations-before.EdgeRelaxations)/float64(b.N), "relaxations/op")
+			if took := outcomeCount(before, after, outcome); took != b.N {
+				b.Fatalf("only %d of %d updates took outcome %s", took, b.N, outcome)
+			}
+		})
+	}
+}

@@ -25,32 +25,29 @@ func buildNetwork(t testing.TB, nVerts, nSites int, seed int64) (*roadnet.Graph,
 	return g, d
 }
 
-// checkNetKNN compares a network kNN result against ground-truth distances
-// from a full Dijkstra, tolerating equidistant ties.
+// checkNetKNN compares a network kNN result against the diagram's unpruned
+// full-network search (OracleKNNWithDistances) as sorted distance lists, so
+// equidistant ties pass.
 func checkNetKNN(t *testing.T, d *netvor.Diagram, pos roadnet.Position, got []int, k int) {
 	t.Helper()
+	_, want := d.OracleKNNWithDistances(pos, k)
+	if len(got) != k || len(want) != k {
+		t.Fatalf("at %+v: result has %d ids, oracle %d, want %d", pos, len(got), len(want), k)
+	}
 	dist := d.Graph().ShortestDistances(pos.Sources(d.Graph()), -1)
-	all := make([]float64, 0, len(d.Sites()))
-	for _, s := range d.Sites() {
-		all = append(all, dist[s])
-	}
-	sort.Float64s(all)
-	if len(got) != k {
-		t.Fatalf("result has %d ids, want %d", len(got), k)
-	}
 	gd := make([]float64, 0, k)
 	seen := make(map[int]bool)
 	for _, s := range got {
-		if seen[s] {
-			t.Fatalf("duplicate id %d in %v", s, got)
+		if seen[s] || !d.IsSite(s) {
+			t.Fatalf("at %+v: result %v repeats or invents site %d", pos, got, s)
 		}
 		seen[s] = true
 		gd = append(gd, dist[s])
 	}
 	sort.Float64s(gd)
 	for i := 0; i < k; i++ {
-		if math.Abs(gd[i]-all[i]) > 1e-9*(all[i]+1) {
-			t.Fatalf("network kNN distance[%d] = %g, want %g (result %v)", i, gd[i], all[i], got)
+		if math.Abs(gd[i]-want[i]) > 1e-9*(want[i]+1) {
+			t.Fatalf("at %+v: network kNN distance[%d] = %g, oracle says %g (result %v)", pos, i, gd[i], want[i], got)
 		}
 	}
 }

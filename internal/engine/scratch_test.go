@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/netvor"
+	"repro/internal/roadnet"
 	"repro/internal/workload"
 )
 
@@ -127,6 +129,133 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 					t.Fatalf("step %d session %d: %v", step, half[j], r.Err)
 				}
 				checkAnswer(step, half[j], r.KNN)
+				lastAnswer = r.KNN
+			}
+		}
+	}
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Counters; c.Validations <= c.Invalidations || c.Invalidations == 0 || c.Recomputations <= nSessions {
+		t.Errorf("workload did not exercise both valid and invalid updates beyond first placement: %+v", c)
+	}
+}
+
+// TestNetSharedScratchSessionsMatchOracle is the road-network twin: 72
+// network sessions of mixed k and ρ on ONE shard run their validation
+// searches through the same scratch, which between two calls holds nothing
+// of any session — guard marks, frontier and tentative distances are
+// rebuilt inside each Update. Updates interleave in shuffled half-batches
+// with site insertions beside sessions, removals of answer members and,
+// for the watched half, the sweep's eager refreshes (whose affectedness
+// test marks the scratch too). Every answer must be the kNN of a diagram
+// rebuilt from scratch over the live sites, compared as sorted distance
+// lists by unpruned search. Run under -race.
+func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
+	g, sites := testNetwork(t, 30, 30, 130, 41)
+	e, err := New(Config{Shards: 1, Network: g, NetworkSites: sites})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	live := make(map[int]bool, len(sites))
+	for _, s := range sites {
+		live[s] = true
+	}
+
+	const nSessions = 72
+	ks := []int{1, 2, 3, 5, 8, 13}
+	rhos := []float64{1, 1.6, 2.5}
+	rng := rand.New(rand.NewSource(8))
+	sids := make([]SessionID, nSessions)
+	k := make([]int, nSessions)
+	routes := make([]*roadnet.Route, nSessions)
+	at := make([]float64, nSessions)
+	for i := range sids {
+		k[i] = ks[i%len(ks)]
+		if sids[i], err = e.CreateNetworkSession(k[i], rhos[i%len(rhos)]); err != nil {
+			t.Fatal(err)
+		}
+		if routes[i], err = roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 4000, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	watched := make([]uint64, 0, nSessions/2)
+	for i := 0; i < nSessions; i += 2 {
+		watched = append(watched, uint64(sids[i]))
+	}
+	sub := e.Stream().Subscribe(0, watched...)
+	c := collect(sub)
+	defer c.close()
+	defer sub.Close()
+
+	var lastAnswer []int
+	for step := 0; step < 50; step++ {
+		// One site mutation per step.
+		if step%3 == 1 && len(lastAnswer) > 0 {
+			if v := lastAnswer[rng.Intn(len(lastAnswer))]; live[v] {
+				if err := e.RemoveNetworkObject(v); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, v)
+			}
+		} else {
+			v := rng.Intn(g.NumVertices())
+			if step%2 == 0 { // beside a session
+				i := rng.Intn(nSessions)
+				v = routes[i].PositionAt(at[i]).U
+			}
+			if !live[v] {
+				if _, err := e.InsertNetworkObject(v); err != nil {
+					t.Fatal(err)
+				}
+				live[v] = true
+			}
+		}
+		liveSites := make([]int, 0, len(live))
+		for v := range live {
+			liveSites = append(liveSites, v)
+		}
+		oracle, err := netvor.Build(g, liveSites)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		order := rng.Perm(nSessions)
+		for _, half := range [][]int{order[:nSessions/2], order[nSessions/2:]} {
+			batch := make([]NetworkLocationUpdate, len(half))
+			for j, i := range half {
+				at[i] += []float64{0.5, 12, 90}[rng.Intn(3)]
+				batch[j] = NetworkLocationUpdate{Session: sids[i], Pos: routes[i].PositionAt(at[i])}
+			}
+			results, err := e.UpdateNetworkBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range results {
+				i := half[j]
+				if r.Err != nil {
+					t.Fatalf("step %d session %d: %v", step, i, r.Err)
+				}
+				_, want := oracle.OracleKNNWithDistances(batch[j].Pos, k[i])
+				all := g.ShortestDistances(batch[j].Pos.Sources(g), -1)
+				got := make([]float64, 0, len(r.KNN))
+				for _, v := range r.KNN {
+					if !live[v] {
+						t.Fatalf("step %d session %d: answer %v holds removed site %d", step, i, r.KNN, v)
+					}
+					got = append(got, all[v])
+				}
+				sort.Float64s(got)
+				if len(got) != k[i] || len(want) != k[i] {
+					t.Fatalf("step %d session %d (k=%d): answer %v, oracle distances %v", step, i, k[i], r.KNN, want)
+				}
+				for x := range got {
+					if diff := got[x] - want[x]; diff > 1e-9 || diff < -1e-9 {
+						t.Fatalf("step %d session %d (k=%d): answer %v has distance[%d] = %g, oracle %g", step, i, k[i], r.KNN, x, got[x], want[x])
+					}
+				}
 				lastAnswer = r.KNN
 			}
 		}

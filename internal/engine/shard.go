@@ -60,18 +60,12 @@ type shard struct {
 	// run serially on the worker goroutine, so sharing is race-free). Their
 	// dense arrays are sized by the index — per road vertex, per object id —
 	// so one per shard instead of one per session keeps memory flat as
-	// session counts grow. netSc is lazily created by the first network
-	// session; planeSc's zero value is ready and grows on first use.
-	netSc   *netvor.SearchScratch
+	// session counts grow. The zero values are ready and grow on first use.
+	// A network session keeps nothing in netSc between two calls: the guard
+	// marks, the frontier and the tentative distances of its validation
+	// search are rebuilt inside each Update.
+	netSc   netvor.SearchScratch
 	planeSc vortree.SearchScratch
-}
-
-// netScratch returns the shard's shared network-search scratch.
-func (sh *shard) netScratch() *netvor.SearchScratch {
-	if sh.netSc == nil {
-		sh.netSc = &netvor.SearchScratch{}
-	}
-	return sh.netSc
 }
 
 // session is one live MkNN query pinned to a shard. Exactly one of plane
@@ -320,7 +314,7 @@ func (sh *shard) create(m createMsg) error {
 		if err != nil {
 			return err
 		}
-		q.UseScratch(sh.netScratch())
+		q.UseScratch(&sh.netSc)
 		sh.sessions[m.sid] = &session{network: q}
 		sh.sessionsN.Store(int64(len(sh.sessions)))
 		return nil

@@ -280,18 +280,12 @@ func (st *Store) HasNetwork() bool { return st.cur.Load().net != nil }
 // Bounds returns the plane data space.
 func (st *Store) Bounds() geom.Rect { return st.bounds }
 
-// Network returns the CURRENT snapshot's network read surface, or nil
+// Network returns the CURRENT snapshot's network Voronoi diagram, or nil
 // when the store has no road network. Like the plane side, the diagram is
 // epoch-versioned: site mutations publish a new frozen diagram, so
 // sessions that need a stable view across updates must pin a snapshot
 // rather than re-reading this accessor.
-func (st *Store) Network() NetworkBackend {
-	s := st.cur.Load()
-	if s.net == nil {
-		return nil
-	}
-	return s.net
-}
+func (st *Store) Network() *netvor.Diagram { return st.cur.Load().net }
 
 // Current returns the current snapshot without pinning it. The returned
 // snapshot is safe to read only while the caller also holds a pin that is
@@ -730,15 +724,11 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // sessions for as long as the snapshot is pinned, mutations are rejected.
 func (s *Snapshot) Plane() *vortree.Index { return s.plane }
 
-// Network returns the snapshot's network read surface, or nil without a
+// Network returns the snapshot's network Voronoi diagram, or nil without a
 // road network. The diagram is frozen at publish; reads are race-free
-// across sessions for as long as the snapshot is pinned.
-func (s *Snapshot) Network() NetworkBackend {
-	if s.net == nil {
-		return nil
-	}
-	return s.net
-}
+// across sessions for as long as the snapshot is pinned, mutations are
+// rejected.
+func (s *Snapshot) Network() *netvor.Diagram { return s.net }
 
 // PlaneObjects serializes the snapshot's plane side for checkpointing: the
 // live objects ascending by id, and the id the next insert will assign

@@ -261,8 +261,8 @@ func TestSubnetworkIntoReuseEquivalence(t *testing.T) {
 		}
 		for _, full := range guard {
 			pos := roadnet.VertexPosition(full)
-			a, ads := reused.KNNSites(pos, guard, 3)
-			b, bds := fresh.KNNSites(pos, guard, 3)
+			a, ads, _ := reused.KNNSites(pos, guard, 3)
+			b, bds, _ := fresh.KNNSites(pos, guard, 3)
 			if !sameIntSlice(a, b) {
 				t.Fatalf("round %d: KNNSites(%d) = %v, fresh says %v", round, full, a, b)
 			}
@@ -282,32 +282,38 @@ func TestSubnetworkIntoReuseEquivalence(t *testing.T) {
 	}
 }
 
-// TestAppendKNNSitesAllocFree pins the steady-state serving contract: a
-// warmed subnetwork query with caller-supplied scratch and buffers
-// performs zero allocations per call.
-func TestAppendKNNSitesAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := diffGraph(t, 200, 31)
-	perm := rng.Perm(g.NumVertices())
-	d, err := Build(g, perm[:16])
+// BenchmarkNetKNN prices the ALT bound on the full-network recompute
+// search at the repository benchmark's shape — a 448x448 street grid with
+// 30k sites (15 % of the vertices), 16 nearest sites from random vertices —
+// against the same search with the bound off. At this site density the
+// targets surround every start and the bound has nothing to prune.
+func BenchmarkNetKNN(b *testing.B) {
+	g, err := roadnet.GridNetwork(448, 448, geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000)), 0.2, 0.3, 5)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	guard := append([]int(nil), d.Sites()[:8]...)
-	var sc SearchScratch
-	sub := d.SubnetworkInto(guard, nil, &sc)
-	pos := roadnet.VertexPosition(guard[0])
-	ids := make([]int, 0, 16)
-	ds := make([]float64, 0, 16)
-	ids, ds = sub.AppendKNNSites(pos, guard, 3, ids[:0], ds[:0], &sc) // warm
-	if len(ids) != 3 {
-		t.Fatalf("warmup returned %d sites", len(ids))
+	d, err := Build(g, rand.New(rand.NewSource(6)).Perm(g.NumVertices())[:30000])
+	if err != nil {
+		b.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		ids, ds = sub.AppendKNNSites(pos, guard, 3, ids[:0], ds[:0], &sc)
-	})
-	_ = ds
-	if allocs != 0 {
-		t.Fatalf("AppendKNNSites allocates %.1f per call, want 0", allocs)
+	for _, mode := range []struct {
+		name string
+		alt  bool
+	}{{"alt", true}, {"plain", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			var sc SearchScratch
+			var ids []int
+			var ds []float64
+			relaxed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var r int
+				ids, ds, r = d.appendKNN(roadnet.VertexPosition(rng.Intn(g.NumVertices())), 16, ids[:0], ds[:0], &sc, mode.alt)
+				relaxed += r
+			}
+			b.ReportMetric(float64(relaxed)/float64(b.N), "relaxations/op")
+		})
 	}
 }

@@ -2,10 +2,12 @@
 // of the paper: data objects sit on road-network vertices, every network
 // vertex is assigned to its nearest object (by network distance), and two
 // objects are network Voronoi neighbors when their cells touch. The package
-// also extracts the Theorem-2 subnetwork — the part of the network covered
-// by the Voronoi cells of a set of objects — on which kNN validation can
-// run instead of the full graph, and provides incremental network
-// expansion (INE-style) kNN from arbitrary on-edge positions.
+// also serves the Theorem-2 subnetwork — the part of the network covered
+// by the Voronoi cells of a set of objects, on which kNN validation can
+// run instead of the full graph — as a resumable search filtered by the
+// owner labels (GuardSearch) and, for rendering and as that search's test
+// oracle, as a materialized graph (Subnetwork), and provides incremental
+// network expansion (INE-style) kNN from arbitrary on-edge positions.
 //
 // The diagram is an online structure with the same publication lifecycle
 // as the plane VoR-tree: Insert/Remove mutate the site set incrementally
@@ -17,10 +19,12 @@
 // is proportional to the territory it moves, not to the network size.
 //
 // Searches run over the graph's packed CSR view with dense epoch-stamped
-// scratch and are pruned by the graph's ALT landmarks: the diagram keeps a
-// projection of its site set onto the landmark axes, maintained exactly
-// across Insert and conservatively (superset intervals) across Remove, so
-// a pruned search always returns exactly what plain Dijkstra would — see
+// scratch. The full-network kNN search is pruned by the graph's ALT
+// landmarks (the guard search, whose targets surround its start, is not:
+// the bound pruned 0.2 % of it). The diagram keeps a projection of its site
+// set onto the landmark axes, maintained exactly across Insert and
+// conservatively (superset intervals) across Remove, so a pruned search
+// always returns exactly what plain Dijkstra would — see
 // OracleKNNWithDistances for the unpruned oracle the tests compare against.
 package netvor
 
@@ -836,9 +840,8 @@ func (d *Diagram) KNNWithDistances(pos roadnet.Position, k int) ([]int, []float6
 }
 
 // KNNWithDistancesCounted is KNNWithDistances additionally returning the
-// number of edge relaxations this search performed — exact per call even
-// under concurrent searches on the shared network, unlike a before/after
-// diff of the graph's global counter (which is still charged too).
+// number of edge relaxations this search performed. The count is the
+// search's own: nothing is charged to state shared with other searches.
 func (d *Diagram) KNNWithDistancesCounted(pos roadnet.Position, k int) ([]int, []float64, int) {
 	var sc SearchScratch
 	return d.AppendKNN(pos, k, nil, nil, &sc)
@@ -861,8 +864,10 @@ func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []
 // distances, mark set) plus the ALT bound evaluator and a traversal stack.
 // The zero value is ready to use; a scratch serves any number of
 // sequential searches against any diagram version but must not be shared
-// across goroutines. The serving layer keeps one per shard, which removes
-// every per-update allocation from the network kNN path — the road twin of
+// across goroutines, and holds one search at a time: beginning a search
+// (or AppendINS, InSubnetwork, SubnetworkInto) ends the previous one. The
+// serving layer keeps one per shard, which removes every per-update
+// allocation from the network kNN path — the road twin of
 // vortree.SearchScratch.
 type SearchScratch struct {
 	road  roadnet.SearchScratch
@@ -939,36 +944,20 @@ func (d *Diagram) appendKNN(pos roadnet.Position, k int, dst []int, ds []float64
 			}
 		}
 	}
-	g.AddRelaxations(relaxed)
 	return dst, ds, relaxed
 }
 
-// Subnetwork is the Theorem-2 search space: the part of the road network
-// covered by the Voronoi cells of a chosen site set, materialized as its
-// own Graph with vertex id translation maps plus the ALT state needed to
-// prune searches on it (landmark distances stay in the full-network
-// metric, which lower-bounds the subnetwork metric).
+// Subnetwork is the Theorem-2 search space — the part of the road network
+// covered by the Voronoi cells of a chosen site set — materialized as its
+// own Graph with vertex id translation maps. Serving never builds one: the
+// per-update validation runs GuardSearch, the same subnetwork expressed as
+// a filter on the shared CSR. The materialized form is the rendering API
+// (svg frames, the CLI, the examples) and the differential oracle the
+// filter is tested against.
 type Subnetwork struct {
 	G      *roadnet.Graph
 	ToSub  map[int]int // full-network vertex id -> subnetwork id
 	ToFull []int       // subnetwork id -> full-network id
-
-	full32 []int32 // ToFull as int32, for allocation-free bound lookups
-
-	// ALT pruning state captured at extraction: the diagram's landmarks
-	// and the projection of the extraction site set onto them. Searches
-	// for any SUBSET of the extraction sites stay admissible under it.
-	lm             *roadnet.Landmarks
-	projLo, projHi []float64
-
-	// extSites is the exact slice passed to SubnetworkInto and isSite the
-	// per-subnetwork-vertex membership of that set. When AppendKNNSites is
-	// handed the identical slice (the steady-state validation path always
-	// re-asks about the extraction set) the cached membership replaces the
-	// per-query map lookups. The caller must not mutate the slice between
-	// extraction and queries, per the package's slice-ownership contract.
-	extSites []int
-	isSite   []bool
 }
 
 // Subnetwork extracts the union of the Voronoi cells of the given sites:
@@ -990,7 +979,6 @@ func (s *Subnetwork) intern(d *Diagram, v int32) int {
 	id := s.G.AddVertex(d.g.Point(int(v)))
 	s.ToSub[int(v)] = id
 	s.ToFull = append(s.ToFull, int(v))
-	s.full32 = append(s.full32, v)
 	return id
 }
 
@@ -1001,24 +989,22 @@ const (
 )
 
 // SubnetworkInto is Subnetwork reusing a previously returned Subnetwork's
-// storage (pass nil to allocate a fresh one) and caller-supplied scratch —
-// the form the query layer uses so periodic recomputes stop paying the
-// extraction allocations. Instead of scanning every network edge, it
-// walks each wanted cell outward from its site (cells are connected:
-// every vertex's shortest-path predecessor shares its owner), visiting
-// only the extracted region plus its one-edge boundary ring. Subnetwork
-// vertex ids are assigned in walk order, so two extractions of the same
-// region are equal as graphs but may number vertices differently; callers
-// hold no contract on the numbering.
+// translation tables (pass nil to allocate fresh ones) and caller-supplied
+// scratch; the graph itself is built anew. Instead of scanning every
+// network edge, it walks each wanted cell outward from its site (cells are
+// connected: every vertex's shortest-path predecessor shares its owner),
+// visiting only the extracted region plus its one-edge boundary ring.
+// Subnetwork vertex ids are assigned in walk order, so two extractions of
+// the same region are equal as graphs but may number vertices differently;
+// callers hold no contract on the numbering.
 func (d *Diagram) SubnetworkInto(sites []int, sub *Subnetwork, sc *SearchScratch) *Subnetwork {
 	if sub == nil {
-		sub = &Subnetwork{G: roadnet.NewGraph(), ToSub: make(map[int]int, len(sites)*8)}
+		sub = &Subnetwork{ToSub: make(map[int]int, len(sites)*8)}
 	} else {
-		sub.G.Reset()
 		clear(sub.ToSub)
 		sub.ToFull = sub.ToFull[:0]
-		sub.full32 = sub.full32[:0]
 	}
+	sub.G = roadnet.NewGraph()
 	c := d.g.CSR()
 	road := &sc.road
 	road.MarkBegin(d.g.NumVertices())
@@ -1065,18 +1051,6 @@ func (d *Diagram) SubnetworkInto(sites []int, sub *Subnetwork, sc *SearchScratch
 		}
 	}
 	sc.stack = stack
-	sub.lm = d.lm
-	if sub.lm != nil {
-		sub.projLo, sub.projHi = sub.lm.Project(sites, sub.projLo[:0], sub.projHi[:0])
-	}
-	sub.extSites = sites
-	sub.isSite = slices.Grow(sub.isSite[:0], len(sub.ToFull))[:len(sub.ToFull)]
-	clear(sub.isSite)
-	for _, s := range sites {
-		if sv, ok := sub.ToSub[s]; ok {
-			sub.isSite[sv] = true
-		}
-	}
 	return sub
 }
 
@@ -1104,69 +1078,35 @@ func (s *Subnetwork) Translate(pos roadnet.Position) (roadnet.Position, bool) {
 	return roadnet.Position{U: su, V: sv, T: pos.T}, true
 }
 
-// KNNSites returns the k nearest of the given sites to pos, computed
-// entirely on the subnetwork, together with their subnetwork distances.
-// Results are full-network vertex ids. This is the Theorem-2 validation
-// primitive: if the answer (as a set) equals the current kNN set, the kNN
-// set is valid on the full network; subnetwork distances to non-kNN guard
-// objects may exceed their full-network values, so only the set comparison
-// is meaningful.
-func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, []float64) {
-	var sc SearchScratch
-	return s.AppendKNNSites(pos, sites, k, nil, nil, &sc)
-}
-
-// AppendKNNSites is KNNSites appending ids onto dst and distances onto ds
-// with caller-supplied scratch — the allocation-free form the per-update
-// validation path uses. The expansion is ALT-pruned through the
-// extraction-time projection: full-network landmark distances lower-bound
-// subnetwork distances (the subnetwork has a subset of the edges), and
-// the given sites must be a subset of the extraction sites, so the bound
-// stays admissible and the answer matches plain Dijkstra exactly.
-func (s *Subnetwork) AppendKNNSites(pos roadnet.Position, sites []int, k int, dst []int, ds []float64, sc *SearchScratch) ([]int, []float64) {
-	if k <= 0 {
-		return dst, ds
-	}
+// KNNSites returns the k nearest of the given sites to pos by plain
+// Dijkstra on the materialized subnetwork, with their subnetwork distances
+// (full-network vertex ids) and the number of edges scanned from settled
+// vertices. It is the oracle of GuardSearch, which must return the same
+// sites, the same distances and the same count. Subnetwork distances to
+// objects outside the current kNN set may exceed their full-network values,
+// so only the set comparison of Theorem 2 is meaningful.
+func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, []float64, int) {
 	spos, ok := s.Translate(pos)
-	if !ok {
-		return dst, ds
+	if !ok || k <= 0 {
+		return nil, nil, 0
 	}
-	g := s.G
-	n := g.NumVertices()
-	c := g.CSR()
-	road := &sc.road
-	// The steady-state caller re-asks about the extraction set itself, so
-	// the cached membership vector answers "is this a wanted site" without
-	// per-query map lookups; any other slice falls back to mark bits.
-	cached := len(sites) == len(s.extSites) &&
-		(len(sites) == 0 || &sites[0] == &s.extSites[0])
-	if !cached {
-		road.MarkBegin(n)
-		for _, site := range sites {
-			if sv, ok := s.ToSub[site]; ok {
-				road.SetMark(int32(sv), 1)
-			}
+	n := s.G.NumVertices()
+	c := s.G.CSR()
+	var road roadnet.SearchScratch
+	road.MarkBegin(n)
+	for _, site := range sites {
+		if sv, ok := s.ToSub[site]; ok {
+			road.SetMark(int32(sv), 1)
 		}
 	}
 	road.Begin(n)
-	bnd := &sc.bnd
-	bnd.Clear()
-	if s.lm != nil {
-		bnd.Bind(s.lm, s.projLo, s.projHi, int32(s.ToFull[spos.U]))
-	}
-	seed := func(v int, dd float64) {
-		sv := int32(v)
-		if road.TryImprove(sv, dd) {
-			road.Push(dd+bnd.Bound(s.full32[sv]), dd, sv)
+	for _, src := range spos.Sources(s.G) {
+		if road.TryImprove(int32(src.V), src.D) {
+			road.Push(src.D, src.D, int32(src.V))
 		}
 	}
-	if v, ok := spos.AtVertex(); ok {
-		seed(v, 0)
-	} else if w, ok := g.EdgeWeight(spos.U, spos.V); ok {
-		seed(spos.U, spos.T*w)
-		seed(spos.V, (1-spos.T)*w)
-	}
-	need := len(dst) + k
+	var ids []int
+	var ds []float64
 	relaxed := 0
 	for {
 		_, dd, v, ok := road.Pop()
@@ -1176,47 +1116,20 @@ func (s *Subnetwork) AppendKNNSites(pos roadnet.Position, sites []int, k int, ds
 		if dd > road.DistAt(v) {
 			continue
 		}
-		if (cached && s.isSite[v]) || (!cached && road.Mark(v) != 0) {
-			dst = append(dst, s.ToFull[v])
+		if road.Mark(v) != 0 {
+			ids = append(ids, s.ToFull[v])
 			ds = append(ds, dd)
-			if len(dst) == need {
+			if len(ids) == k {
 				break
 			}
 		}
 		for e := c.Off[v]; e < c.Off[v+1]; e++ {
 			relaxed++
 			u := c.To[e]
-			nd := dd + c.W[e]
-			if road.TryImprove(u, nd) {
-				road.Push(nd+bnd.Bound(s.full32[u]), nd, u)
+			if nd := dd + c.W[e]; road.TryImprove(u, nd) {
+				road.Push(nd, nd, u)
 			}
 		}
 	}
-	g.AddRelaxations(relaxed)
-	return dst, ds
-}
-
-// DistancesToSites returns the network distance from pos to each given
-// site, computed on the subnetwork. Because the subnetwork omits edges
-// outside the guard cells, these are upper bounds on the full-network
-// distances (exact for the current kNN members while the kNN set is
-// valid). Sites missing from the subnetwork report +Inf.
-func (s *Subnetwork) DistancesToSites(pos roadnet.Position, sites []int) []float64 {
-	out := make([]float64, len(sites))
-	spos, ok := s.Translate(pos)
-	if !ok {
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-		return out
-	}
-	dist := s.G.ShortestDistances(spos.Sources(s.G), -1)
-	for i, site := range sites {
-		if sv, ok := s.ToSub[site]; ok {
-			out[i] = dist[sv]
-		} else {
-			out[i] = math.Inf(1)
-		}
-	}
-	return out
+	return ids, ds, relaxed
 }

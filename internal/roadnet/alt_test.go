@@ -117,18 +117,6 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 	if w, ok := g.EdgeWeight(a, b); !ok || w != 0 {
 		t.Fatalf("zero-weight edge reads (%g, %v)", w, ok)
 	}
-
-	// Reset recycles the CSR storage; the rebuilt graph gets a fresh view.
-	g.Reset()
-	if g.NumVertices() != 0 || g.NumEdges() != 0 {
-		t.Fatal("Reset left vertices or edges behind")
-	}
-	v0 := g.AddVertex(geom.Pt(0, 0))
-	v1 := g.AddVertex(geom.Pt(3, 4))
-	if err := g.AddEdge(v0, v1, 0); err != nil {
-		t.Fatal(err)
-	}
-	checkCSR(g)
 }
 
 func TestLandmarksDeterministicAndComponentCover(t *testing.T) {

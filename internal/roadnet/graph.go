@@ -43,32 +43,11 @@ type Graph struct {
 
 	// view is the packed adjacency cache, published atomically so frozen
 	// index snapshots sharing this graph can search it from many
-	// goroutines. recycle holds the arrays of a Reset graph's old view for
-	// the next build (only Reset writes it, and Reset requires exclusive
-	// ownership).
-	view    atomic.Pointer[CSR]
-	lms     atomic.Pointer[Landmarks]
-	recycle *CSR
-
-	// relax counts Dijkstra edge relaxations since ResetStats; the
-	// experiments use it as a machine-independent cost measure. Atomic so
-	// that shortest-path searches on a graph shared across goroutines (the
-	// network side of an index snapshot) stay race-free.
-	relax atomic.Int64
-}
-
-// EdgeRelaxations returns the number of Dijkstra edge relaxations counted
-// since the last ResetStats. Under concurrent readers the total is exact
-// but before/after deltas taken by one reader may include relaxations
-// charged by others.
-func (g *Graph) EdgeRelaxations() int { return int(g.relax.Load()) }
-
-// AddRelaxations charges n edge relaxations to the graph's counter; search
-// code batches local counts into one atomic add per query.
-func (g *Graph) AddRelaxations(n int) {
-	if n != 0 {
-		g.relax.Add(int64(n))
-	}
+	// goroutines. The graph holds no cost counter — a search that reports
+	// relaxations counts and returns them itself — so concurrent readers
+	// write no shared cache line.
+	view atomic.Pointer[CSR]
+	lms  atomic.Pointer[Landmarks]
 }
 
 // NewGraph returns an empty graph.
@@ -86,16 +65,10 @@ func (g *Graph) invalidate() {
 	}
 }
 
-// AddVertex adds a vertex at p and returns its id. After a Reset, the
-// adjacency slots of the previous incarnation are reused capacity and all.
+// AddVertex adds a vertex at p and returns its id.
 func (g *Graph) AddVertex(p geom.Point) int {
 	g.pts = append(g.pts, p)
-	if len(g.adj) < cap(g.adj) {
-		g.adj = g.adj[:len(g.adj)+1]
-		g.adj[len(g.adj)-1] = g.adj[len(g.adj)-1][:0]
-	} else {
-		g.adj = append(g.adj, nil)
-	}
+	g.adj = append(g.adj, nil)
 	g.invalidate()
 	return len(g.pts) - 1
 }
@@ -150,25 +123,6 @@ func (g *Graph) addEdgeChecked(u, v int, w float64) error {
 	g.edges++
 	g.invalidate()
 	return nil
-}
-
-// Reset empties the graph in place, keeping every backing allocation (the
-// vertex and adjacency slices plus the recycled CSR arrays) for reuse —
-// the subnetwork-materialization path rebuilds a small graph into the same
-// memory on every recompute. The caller must have exclusive use of the
-// graph.
-func (g *Graph) Reset() {
-	g.pts = g.pts[:0]
-	g.adj = g.adj[:0]
-	g.edges = 0
-	g.relax.Store(0)
-	if c := g.view.Load(); c != nil {
-		g.recycle = c
-		g.view.Store(nil)
-	}
-	if g.lms.Load() != nil {
-		g.lms.Store(nil)
-	}
 }
 
 // NumVertices returns the vertex count.
@@ -226,9 +180,6 @@ func (g *Graph) Edges(fn func(u, v int, w float64)) {
 	}
 }
 
-// ResetStats zeroes the relaxation counter.
-func (g *Graph) ResetStats() { g.relax.Store(0) }
-
 // CSR is the packed adjacency view of a graph in compressed-sparse-row
 // layout: the half-edges of vertex v are To[Off[v]:Off[v+1]] with parallel
 // weights in W (Off has length V+1). Search hot paths iterate it with
@@ -258,26 +209,7 @@ func (g *Graph) CSR() *CSR {
 func (g *Graph) buildCSR() *CSR {
 	n := len(g.pts)
 	m := 2 * g.edges
-	c := g.recycle
-	g.recycle = nil
-	if c == nil {
-		c = &CSR{}
-	}
-	if cap(c.Off) >= n+1 {
-		c.Off = c.Off[:n+1]
-	} else {
-		c.Off = make([]int32, n+1)
-	}
-	if cap(c.To) >= m {
-		c.To = c.To[:m]
-	} else {
-		c.To = make([]int32, m)
-	}
-	if cap(c.W) >= m {
-		c.W = c.W[:m]
-	} else {
-		c.W = make([]float64, m)
-	}
+	c := &CSR{Off: make([]int32, n+1), To: make([]int32, m), W: make([]float64, m)}
 	pos := int32(0)
 	for v, a := range g.adj {
 		c.Off[v] = pos
@@ -318,7 +250,6 @@ func (g *Graph) ShortestDistances(sources []Source, stopAt float64) []float64 {
 		}
 	}
 	c := g.CSR()
-	relaxed := 0
 	for len(h) > 0 {
 		it := h.pop()
 		if it.d > dist[it.v] {
@@ -328,7 +259,6 @@ func (g *Graph) ShortestDistances(sources []Source, stopAt float64) []float64 {
 			break
 		}
 		for i := c.Off[it.v]; i < c.Off[it.v+1]; i++ {
-			relaxed++
 			u := c.To[i]
 			if nd := it.d + c.W[i]; nd < dist[u] {
 				dist[u] = nd
@@ -336,7 +266,6 @@ func (g *Graph) ShortestDistances(sources []Source, stopAt float64) []float64 {
 			}
 		}
 	}
-	g.AddRelaxations(relaxed)
 	return dist
 }
 
@@ -361,7 +290,6 @@ func (g *Graph) ShortestPath(s, t int) (path []int, d float64, ok bool) {
 	hb.push(heapItem{key: 0, d: 0, v: int32(t)})
 	best := math.Inf(1)
 	meet := int32(-1)
-	relaxed := 0
 
 	expand := func(h *heap4, dist map[int32]float64, prev map[int32]int32, done map[int32]bool,
 		otherDist map[int32]float64) {
@@ -376,7 +304,6 @@ func (g *Graph) ShortestPath(s, t int) (path []int, d float64, ok bool) {
 			}
 		}
 		for i := c.Off[it.v]; i < c.Off[it.v+1]; i++ {
-			relaxed++
 			u := c.To[i]
 			nd := it.d + c.W[i]
 			if cur, ok := dist[u]; !ok || nd < cur {
@@ -397,7 +324,6 @@ func (g *Graph) ShortestPath(s, t int) (path []int, d float64, ok bool) {
 			expand(&hb, distB, prevB, doneB, distF)
 		}
 	}
-	g.AddRelaxations(relaxed)
 	if meet == -1 {
 		return nil, 0, false
 	}
@@ -449,8 +375,6 @@ func (g *Graph) AStar(s, t int) (path []int, d float64, ok bool) {
 	done := map[int32]bool{}
 	var h heap4
 	h.push(heapItem{key: g.pts[s].Dist(target), d: 0, v: int32(s)})
-	relaxed := 0
-	defer func() { g.AddRelaxations(relaxed) }()
 	for len(h) > 0 {
 		it := h.pop()
 		if done[it.v] {
@@ -473,7 +397,6 @@ func (g *Graph) AStar(s, t int) (path []int, d float64, ok bool) {
 			return out, dist[int32(t)], true
 		}
 		for i := c.Off[it.v]; i < c.Off[it.v+1]; i++ {
-			relaxed++
 			u := c.To[i]
 			nd := dist[it.v] + c.W[i]
 			if cur, ok := dist[u]; !ok || nd < cur {

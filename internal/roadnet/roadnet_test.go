@@ -283,19 +283,6 @@ func TestShortestPathRoute(t *testing.T) {
 	}
 }
 
-func TestEdgeRelaxationsCounter(t *testing.T) {
-	g := lineGraph(10)
-	g.ResetStats()
-	g.ShortestDistances([]Source{{V: 0, D: 0}}, -1)
-	if g.EdgeRelaxations() == 0 {
-		t.Error("relaxations not counted")
-	}
-	g.ResetStats()
-	if g.EdgeRelaxations() != 0 {
-		t.Error("ResetStats did not zero counter")
-	}
-}
-
 func BenchmarkDijkstraGrid64(b *testing.B) {
 	g, err := GridNetwork(64, 64, testBounds, 0.2, 0.3, 11)
 	if err != nil {
