@@ -147,7 +147,7 @@ func check(kind string, base, fresh record, th thresholds) []string {
 			growth := fresh.RelaxationsPerUpdate / base.RelaxationsPerUpdate
 			if growth > th.maxRelaxGrowth {
 				fails = append(fails, fmt.Sprintf(
-					"relaxations_per_update grew %.2fx (%.1f -> %.1f; limit %.1fx): the search pruning regressed",
+					"relaxations_per_update grew %.2fx (%.1f -> %.1f; limit %.1fx): the network search regressed",
 					growth, base.RelaxationsPerUpdate, fresh.RelaxationsPerUpdate, th.maxRelaxGrowth))
 			}
 		}

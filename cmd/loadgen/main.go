@@ -414,11 +414,6 @@ func main() {
 		fmt.Printf("server counters        %v\n", st.Counters)
 		fmt.Printf("server recompute rate  %.2f%% of updates\n",
 			100*float64(st.Counters.Recomputations)/float64(max(st.Counters.Timestamps, 1)))
-		if st.NetLandmarks > 0 {
-			fmt.Printf("server network ALT     landmarks=%d proj_rebuilds=%d relaxations/update=%.1f\n",
-				st.NetLandmarks, st.NetProjRebuilds,
-				float64(st.Counters.EdgeRelaxations)/float64(max(st.Counters.Timestamps, 1)))
-		}
 		if s := st.Stream; s.Published > 0 || s.Subscribers > 0 {
 			fmt.Printf("server stream          published=%d delivered=%d coalesced=%d dropped=%d\n",
 				s.Published, s.Delivered, s.Coalesced, s.Dropped)

@@ -336,14 +336,8 @@ type StatsResponse struct {
 	EpochPublishUS   float64 `json:"epoch_publish_us"`
 	IndexNodes       int     `json:"index_nodes"`
 	IndexNodesCopied int     `json:"index_nodes_copied"`
-	// NetLandmarks is the network index's ALT landmark count (0 without a
-	// road network); NetProjRebuilds counts lazy site-projection rebuilds
-	// — together with Counters.EdgeRelaxations they make the shortest-path
-	// pruning observable in serving, not just in bench.
-	NetLandmarks    int     `json:"net_landmarks,omitempty"`
-	NetProjRebuilds uint64  `json:"net_proj_rebuilds,omitempty"`
-	UptimeSec       float64 `json:"uptime_seconds"`
-	UpdatesPerSec   float64 `json:"updates_per_sec"`
+	UptimeSec        float64 `json:"uptime_seconds"`
+	UpdatesPerSec    float64 `json:"updates_per_sec"`
 	// Degraded mirrors the durability layer's read-only mode (writes get
 	// 503 while it is set); Shed counts update entries rejected by
 	// admission control (429); Expired counts entries dropped because
@@ -380,8 +374,6 @@ func NewStatsResponse(st engine.Stats) StatsResponse {
 		EpochPublishUS:   st.EpochPublishUS,
 		IndexNodes:       st.IndexNodes,
 		IndexNodesCopied: st.IndexNodesCopied,
-		NetLandmarks:     st.NetLandmarks,
-		NetProjRebuilds:  st.NetProjRebuilds,
 		UptimeSec:        st.Uptime.Seconds(),
 		UpdatesPerSec:    st.UpdatesPerSec,
 		Degraded:         st.Degraded,

@@ -40,7 +40,10 @@
 // ascending distance and each verdict is taken at the first one that
 // decides it (k kNN members in a row: valid; a non-member: stale, and the
 // same search continues to |R| hits for the re-rank; a hit outside R or an
-// exhausted subnetwork: recompute). NetworkQuery keeps kNN = R[:k] too; it
+// exhausted subnetwork: R is invalid, and the same search drops the filter
+// and goes on over the full network as the recomputation, keeping the hits
+// it settled before it first touched the subnetwork's boundary ring, which
+// are exact). NetworkQuery keeps kNN = R[:k] too; it
 // moves the guard objects an update settles to the front of R, so R[:k] is
 // in ascending network distance as of the last update and the rest of R as
 // of the last recomputation or re-rank.

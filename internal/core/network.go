@@ -25,7 +25,9 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // to the subnetwork their Voronoi cells cover, are the kNN set. The
 // subnetwork is a filter over the diagram's shared CSR (netvor.GuardSearch),
 // not a graph the session owns, and one resumable search per update yields
-// every verdict — valid, stale but repairable from R, or R itself invalid.
+// every verdict — valid, stale but repairable from R, or R itself invalid —
+// and, on the last, widens onto the full network and becomes the
+// recomputation.
 //
 // Like PlaneQuery, a network query resolves its diagram through one of two
 // handles: NewNetworkQuery binds it to a raw diagram it may also mutate
@@ -60,7 +62,6 @@ type NetworkQuery struct {
 	// slice-ownership contract.
 	guard  []int
 	r, ins []int
-	dsBuf  []float64 // distances of the last recomputation's search
 
 	// sc is the search working memory: the engine's per-shard scratch (see
 	// UseScratch), or one the query allocates at its first search. Nothing
@@ -375,13 +376,14 @@ func (q *NetworkQuery) prefetchSize() int {
 }
 
 // Update processes a location update and returns the current kNN set
-// (shared slice; do not modify).
+// (shared slice; do not modify). A position that is not on the network is
+// rejected before anything is counted or changed.
 func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 	q.Sync()
-	q.m.Timestamps++
 	if err := pos.Validate(q.d.Graph()); err != nil {
 		return nil, err
 	}
+	q.m.Timestamps++
 	q.last = pos
 	q.located = true
 	if !q.init {
@@ -392,10 +394,11 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 	}
 
 	q.m.Validations++
-	if q.validate(pos) {
+	search, kept, valid := q.validate(pos)
+	if valid {
 		return q.knn(), nil
 	}
-	if err := q.recompute(pos); err != nil {
+	if err := q.refetch(&search, kept); err != nil {
 		return nil, err
 	}
 	return q.knn(), nil
@@ -409,20 +412,21 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 // R is still the valid prefetch set, its subnetwork distances are exact and
 // the new kNN set is its k nearest — update cases (i)/(ii), composed
 // locally. The first hit outside R, or running out of subnetwork, proves R
-// invalid and stops the search at once; validate then reports false and
-// the caller recomputes.
+// invalid. validate then reports false and hands the search back widened
+// onto the full network, with the number of leading guard entries that are
+// already the nearest sites in order, for refetch to go on from.
 //
 // Hit i is swapped to r[i], so the members still to come are r[i:] and the
 // verdicts read off where a hit is found: at or beyond k while no hit has
 // been, it is not a kNN member (until then every swap stays inside r[:k],
 // which keeps that prefix the kNN set); not in r[i:] at all, it is not in R.
-func (q *NetworkQuery) validate(pos roadnet.Position) bool {
+func (q *NetworkQuery) validate(pos roadnet.Position) (search netvor.GuardSearch, kept int, valid bool) {
 	search, ok := q.d.BeginGuardSearch(pos, q.guard, q.scratch())
+	q.m.DijkstraRuns++
 	if !ok {
 		q.m.Invalidations++
-		return false
+		return q.d.BeginSearch(pos, q.scratch()), 0, false
 	}
-	q.m.DijkstraRuns++
 	stale := false
 	for i := range q.r {
 		site, _, relaxed, found := search.Next()
@@ -436,35 +440,56 @@ func (q *NetworkQuery) validate(pos roadnet.Position) bool {
 			q.m.Invalidations++
 		}
 		if j < 0 {
-			return false
+			// The hits before this one sit in r[:i] in settle order. Those
+			// settled before the ring are the nearest sites outright, and
+			// when all i are, so is the hit that failed (never when the
+			// subnetwork ran out: exact counts hits, and there were only i).
+			if kept = search.Widen(); kept > i {
+				q.guard[i] = site
+			}
+			return search, kept, false
 		}
 		q.r[i], q.r[i+j] = q.r[i+j], q.r[i]
 		if !stale && i == q.k-1 {
-			return true // k hits, all of them kNN members
+			return search, 0, true // k hits, all of them kNN members
 		}
 	}
-	return true // |R| hits, all of them members of R, now in rank order
+	return search, 0, true // |R| hits, all of them members of R, now in rank order
 }
 
-// recompute fetches R and I(R) with incremental network expansion on the
-// full network. A failure leaves the query invalidated: the search has
-// already overwritten the buffer the old state lived in.
+// recompute fetches R and I(R) from scratch: a search begun on the full
+// network at pos, for the cases that have no validation search to continue.
 func (q *NetworkQuery) recompute(pos roadnet.Position) error {
+	search := q.d.BeginSearch(pos, q.scratch())
+	q.m.DijkstraRuns++
+	return q.refetch(&search, 0)
+}
+
+// refetch rebuilds R and I(R) from a full-network search: guard[:kept] are
+// its first kept hits, already in place, and the rest of R is pulled from
+// it. A failure leaves the query invalidated: the pulls have already
+// overwritten the buffer the old state lived in.
+func (q *NetworkQuery) refetch(search *netvor.GuardSearch, kept int) error {
+	m := q.prefetchSize()
+	guard := q.guard[:min(kept, m)]
 	q.Invalidate()
 	if q.d.Len() < q.k {
 		return fmt.Errorf("core: k = %d exceeds site count %d", q.k, q.d.Len())
 	}
 	q.m.Recomputations++
-	sc := q.scratch()
-	guard, ds, relaxed := q.d.AppendKNN(pos, q.prefetchSize(), q.guard, q.dsBuf[:0], sc)
-	q.dsBuf = ds
-	q.m.DijkstraRuns++
-	q.m.EdgeRelaxations += relaxed
+	for len(guard) < m {
+		site, _, relaxed, ok := search.Next()
+		q.m.EdgeRelaxations += relaxed
+		if !ok {
+			break
+		}
+		guard = append(guard, site)
+	}
 	nR := len(guard)
 	if nR < q.k {
 		return fmt.Errorf("%w: found %d of %d", ErrDisconnected, nR, q.k)
 	}
-	guard, err := q.d.AppendINS(guard, guard, sc)
+	guard, err := q.d.AppendINS(guard, guard, q.scratch())
 	if err != nil {
 		return fmt.Errorf("core: network INS: %w", err)
 	}

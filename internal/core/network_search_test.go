@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -108,10 +109,10 @@ func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 		if took, n := outcomeCount(before, *after, outcome), after.Timestamps-before.Timestamps; took != n {
 			t.Errorf("%s: only %d of %d measured updates took that outcome", outcome, took, n)
 		}
-		// One search per searching update plus one per recomputation.
-		wantRuns := after.Validations - before.Validations + after.Recomputations - before.Recomputations
-		if got := after.DijkstraRuns - before.DijkstraRuns; got != wantRuns {
-			t.Errorf("%s: %d searches for %d validations + recomputations", outcome, got, wantRuns)
+		// One search begun per update, whatever its outcome: a recomputation
+		// continues the validation search.
+		if got := after.DijkstraRuns - before.DijkstraRuns; got != after.Validations-before.Validations {
+			t.Errorf("%s: %d searches begun for %d validations", outcome, got, after.Validations-before.Validations)
 		}
 	}
 }
@@ -119,6 +120,9 @@ func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 // TestNetworkResumeWalkWithSiteChurnMatchesOracle: random walks with
 // interleaved InsertSite/RemoveSite/Invalidate+Refresh answer like the
 // oracle after every call, keep kNN ≡ R[:k], and take all three outcomes.
+// Every Update begins exactly one search, and a recomputation — continued
+// from the failed validation or begun cold — leaves all of R the nearest
+// sites in rank order and I(R) their neighbor set.
 func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		k   int
@@ -141,6 +145,17 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 				t.Fatalf("kNN %v is not the prefix of R %v", q.Current(), r)
 			}
 		}
+		checkRecomputed := func(pos roadnet.Position) {
+			r := q.Prefetched()
+			checkNetKNN(t, d, pos, r, len(r))
+			dist := g.ShortestDistances(pos.Sources(g), -1)
+			if !slices.IsSortedFunc(r, func(a, b int) int { return cmp.Compare(dist[a], dist[b]) }) {
+				t.Fatalf("at %+v: R %v is not in rank order after a recomputation", pos, r)
+			}
+			if ins, err := d.INS(r); err != nil || !slices.Equal(q.INS(), ins) {
+				t.Fatalf("at %+v: I(R) = %v, the diagram says %v (err %v)", pos, q.INS(), ins, err)
+			}
+		}
 		step := 0
 		for dist := 0.0; dist <= route.Length(); dist += 6 {
 			pos := route.PositionAt(dist)
@@ -149,8 +164,15 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes[outcomeName(before, *q.Metrics())]++
+			outcome := outcomeName(before, *q.Metrics())
+			outcomes[outcome]++
 			check(pos, knn)
+			if runs := q.Metrics().DijkstraRuns - before.DijkstraRuns; runs != 1 {
+				t.Fatalf("at %+v: %s began %d searches, want 1", pos, outcome, runs)
+			}
+			if outcome == "recompute" {
+				checkRecomputed(pos)
+			}
 			step++
 			switch {
 			case step%7 == 0:
@@ -158,10 +180,14 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 				for d.IsSite(v) {
 					v = rng.Intn(g.NumVertices())
 				}
+				recomputed := q.Metrics().Recomputations
 				if err := q.InsertSite(v); err != nil {
 					t.Fatal(err)
 				}
 				check(pos, q.Current())
+				if q.Metrics().Recomputations > recomputed {
+					checkRecomputed(pos)
+				}
 			case step%11 == 0:
 				victim := d.Sites()[rng.Intn(d.Len())]
 				if step%22 == 0 {
@@ -178,6 +204,7 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 					t.Fatalf("Refresh after Invalidate = (recomputed %v, err %v)", recomputed, err)
 				}
 				check(pos, knn)
+				checkRecomputed(pos)
 			}
 		}
 		for _, o := range []string{"validate", "recompute"} {
@@ -257,6 +284,19 @@ func TestNetworkDisconnectedRecomputeInvalidates(t *testing.T) {
 		// Eager repair at the stranded position fails the same way.
 		_, _, err := q.Refresh()
 		mustFail("Refresh on the island", err)
+	}
+
+	// The same failure with a kept prefix, as a continued recomputation has
+	// it. (No Update gets there: the guard subnetwork lies in the query's
+	// component, so a validation that began can always reach the k sites of
+	// R.) The query must not end up serving the prefix it kept.
+	if _, err := q.Update(mainland[0]); err != nil {
+		t.Fatal(err)
+	}
+	search := q.d.BeginSearch(stranded[0], q.scratch())
+	mustFail("refetch with a kept prefix on the island", q.refetch(&search, 1))
+	if len(q.Prefetched()) != 0 || len(q.INS()) != 0 {
+		t.Fatalf("failed refetch left R %v, I(R) %v behind", q.Prefetched(), q.INS())
 	}
 
 	// Mutation-triggered repairs: place the query on the island with k = 1

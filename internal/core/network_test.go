@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,7 +26,7 @@ func buildNetwork(t testing.TB, nVerts, nSites int, seed int64) (*roadnet.Graph,
 	return g, d
 }
 
-// checkNetKNN compares a network kNN result against the diagram's unpruned
+// checkNetKNN compares a network kNN result against the diagram's cold
 // full-network search (OracleKNNWithDistances) as sorted distance lists, so
 // equidistant ties pass.
 func checkNetKNN(t *testing.T, d *netvor.Diagram, pos roadnet.Position, got []int, k int) {
@@ -73,6 +74,30 @@ func TestNetworkQueryRejectsBadPosition(t *testing.T) {
 	}
 	if _, err := q.Update(roadnet.Position{U: 0, V: 59, T: 0.5}); err == nil {
 		t.Error("expected error for position on non-edge")
+	}
+	// A rejected position is not an update: nothing ran, so no counter moves
+	// (Timestamps is the denominator of every per-update ratio) and the
+	// answer of the last good update stands.
+	good := roadnet.VertexPosition(7)
+	if _, err := q.Update(good); err != nil {
+		t.Fatal(err)
+	}
+	before, knn := *q.Metrics(), q.Current()
+	for _, bad := range []roadnet.Position{
+		{U: 0, V: 59, T: 0.5}, {U: -1, V: -1}, {U: 60, V: 60}, {U: 7, V: d.Graph().AdjacentVertices(7)[0], T: math.NaN()},
+	} {
+		if _, err := q.Update(bad); err == nil {
+			t.Errorf("expected error for position %+v", bad)
+		}
+	}
+	if after := *q.Metrics(); after != before {
+		t.Errorf("rejected positions moved the counters: %+v -> %+v", before, after)
+	}
+	if !slices.Equal(q.Current(), knn) {
+		t.Errorf("rejected positions changed the kNN set: %v -> %v", knn, q.Current())
+	}
+	if _, err := q.Update(good); err != nil || q.Metrics().Recomputations != before.Recomputations {
+		t.Errorf("update after rejected positions: err %v, recomputations %d -> %d", err, before.Recomputations, q.Metrics().Recomputations)
 	}
 }
 

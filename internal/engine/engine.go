@@ -201,11 +201,9 @@ type Stats struct {
 	// instrumentation, mirroring IndexNodes/IndexNodesCopied.
 	NetPages       int
 	NetPagesCopied int
-	// NetLandmarks is the ALT landmark count of the network index (0
-	// without a road network); NetProjRebuilds counts the lazy site-
-	// projection rebuilds the pruned searches performed — how often a
-	// site removal cost a projection rebuild instead of an exact widen.
-	NetLandmarks    int
+	// NetProjRebuilds counted the ALT layer's site-projection rebuilds and
+	// reads 0 now that the layer is gone; the field stays until a
+	// benchmark-defining PR drops netvor.proj_rebuilds, which reads it.
 	NetProjRebuilds uint64
 	// Updates counts processed location updates.
 	Updates uint64
@@ -890,7 +888,6 @@ func (e *Engine) Stats() (Stats, error) {
 	}
 	if net := e.store.Current().Network(); net != nil {
 		st.NetworkObjects = net.Len()
-		st.NetLandmarks, st.NetProjRebuilds = net.ALTStats()
 	}
 	if pubs, total := e.store.PublishStats(); pubs > 0 {
 		st.EpochPublishUS = float64(total.Nanoseconds()) / 1e3 / float64(pubs)

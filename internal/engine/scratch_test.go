@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -151,7 +152,10 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 // for the watched half, the sweep's eager refreshes (whose affectedness
 // test marks the scratch too). Every answer must be the kNN of a diagram
 // rebuilt from scratch over the live sites, compared as sorted distance
-// lists by unpruned search. Run under -race.
+// lists by a cold full-network search, and the set the session reports as its state
+// (R[:k]) must be the answer just returned, in the same order. Recomputations
+// that continue the failed validation search through the shared scratch must
+// be among them. Run under -race.
 func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 	g, sites := testNetwork(t, 30, 30, 130, 41)
 	e, err := New(Config{Shards: 1, Network: g, NetworkSites: sites})
@@ -256,6 +260,9 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 						t.Fatalf("step %d session %d (k=%d): answer %v has distance[%d] = %g, oracle %g", step, i, k[i], r.KNN, x, got[x], want[x])
 					}
 				}
+				if st, err := e.State(sids[i]); err != nil || !slices.Equal(st.KNN, r.KNN) {
+					t.Fatalf("step %d session %d: answered %v, state holds %v (err %v)", step, i, r.KNN, st.KNN, err)
+				}
 				lastAnswer = r.KNN
 			}
 		}
@@ -266,5 +273,11 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 	}
 	if c := st.Counters; c.Validations <= c.Invalidations || c.Invalidations == 0 || c.Recomputations <= nSessions {
 		t.Errorf("workload did not exercise both valid and invalid updates beyond first placement: %+v", c)
+	}
+	// One search is begun per update and per eager refresh that recomputes;
+	// a recomputation that has a validation search to continue begins none.
+	// So validations + recomputations - searches counts the continued ones.
+	if c := st.Counters; c.Validations+c.Recomputations-c.DijkstraRuns < nSessions {
+		t.Errorf("only %d recomputations continued their validation search: %+v", c.Validations+c.Recomputations-c.DijkstraRuns, c)
 	}
 }

@@ -42,11 +42,8 @@ type NetworkBenchResult struct {
 	RecomputePct    float64 `json:"recompute_pct"`
 
 	// RelaxationsPerUpdate is the mean number of Dijkstra edge relaxations
-	// one location update costs — the work metric the ALT pruning layer is
-	// accountable for. ALTLandmarks is the landmark count behind that
-	// pruning (0 would mean the searches ran unpruned).
+	// one location update costs — the network search's work metric.
 	RelaxationsPerUpdate float64 `json:"relaxations_per_update"`
-	ALTLandmarks         int     `json:"alt_landmarks"`
 
 	// EpochPublishUS is the mean wall time of publishing one site-mutation
 	// epoch during the run. SharedPageRatio is the fraction of
@@ -68,11 +65,11 @@ func (r NetworkBenchResult) String() string {
 	return fmt.Sprintf(
 		"NETWORK shards=%d sessions=%d vertices=%d sites=%d steps=%d churn=%d\n"+
 			"        updates=%d rate=%.0f/s p50=%.1fus p95=%.1fus p99=%.1fus\n"+
-			"        allocs/update=%.1f relaxations/update=%.1f landmarks=%d snapshots=%d recompute=%.2f%%\n"+
+			"        allocs/update=%.1f relaxations/update=%.1f snapshots=%d recompute=%.2f%%\n"+
 			"        publish=%.1fus shared_pages=%.1f%% scaling_x8=%.2f (%.1fus -> %.1fus)",
 		r.Shards, r.Sessions, r.Vertices, r.Sites, r.Steps, r.DataUpdates,
 		r.Updates, r.UpdatesSec, r.P50UpdateUS, r.P95UpdateUS, r.P99UpdateUS,
-		r.AllocsPerUpdate, r.RelaxationsPerUpdate, r.ALTLandmarks, r.SnapshotsLive, r.RecomputePct,
+		r.AllocsPerUpdate, r.RelaxationsPerUpdate, r.SnapshotsLive, r.RecomputePct,
 		r.EpochPublishUS, 100*r.SharedPageRatio, r.PublishScalingX8, r.PublishUSSmall, r.PublishUSLarge)
 }
 
@@ -323,7 +320,6 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 			float64(max(steady, 1)),
 		RelaxationsPerUpdate: float64(st.Counters.EdgeRelaxations-st0.Counters.EdgeRelaxations) /
 			float64(max(steady, 1)),
-		ALTLandmarks:   st.NetLandmarks,
 		EpochPublishUS: st.EpochPublishUS,
 		PublishUSSmall: pubSmall,
 		PublishUSLarge: pubLarge,

@@ -17,7 +17,7 @@ type Counters struct {
 	Recomputations  int // full server-side recomputations (communication events)
 	ObjectsShipped  int // data objects sent client-ward by recomputations
 	DistanceCalcs   int // point-to-point distance evaluations
-	DijkstraRuns    int // shortest-path searches (road network mode)
+	DijkstraRuns    int // shortest-path searches begun (road network mode); a recomputation that continues its validation search begins none
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
 	NodeVisits      int // index nodes touched (stand-in for page I/O)
 }

@@ -14,11 +14,13 @@ import (
 // says its weights are tie-free, so the filter and the materialized
 // subgraph (which number vertices differently and break heap ties by vertex
 // id) must agree hit for hit and relaxation for relaxation; with ties the
-// comparison is on distances.
+// comparison is on distances. island lists the vertices of the network's
+// disconnected component, if it has one.
 type guardCase struct {
 	name    string
 	d       *Diagram
 	generic bool
+	island  []int
 }
 
 // addIsland appends a disconnected path of n vertices with tie-free weights
@@ -55,17 +57,17 @@ func guardCases(t *testing.T) []guardCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, guardCase{"grid64", build(grid, rng, 7), true})
+	cases = append(cases, guardCase{"grid64", build(grid, rng, 7), true, nil})
 
 	planar := diffGraph(t, 1500, 43)
 	island := addIsland(t, planar, 6, rng)
-	cases = append(cases, guardCase{"planar+island", build(planar, rng, 10, island[1], island[4]), true})
+	cases = append(cases, guardCase{"planar+island", build(planar, rng, 10, island[1], island[4]), true, island})
 
 	unit, err := roadnet.GridNetwork(64, 64, testBounds, 0, 0, 44)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, guardCase{"unitgrid64", build(unit, rng, 7), false})
+	cases = append(cases, guardCase{"unitgrid64", build(unit, rng, 7), false, nil})
 
 	// Explicit zero-weight shortcuts between vertices two hops apart.
 	zero := diffGraph(t, 900, 45)
@@ -78,7 +80,7 @@ func guardCases(t *testing.T) []guardCase {
 		}
 	}
 	island = addIsland(t, zero, 4, rng)
-	cases = append(cases, guardCase{"zeroweight+island", build(zero, rng, 10, island[0]), false})
+	cases = append(cases, guardCase{"zeroweight+island", build(zero, rng, 10, island[0]), false, island})
 	return cases
 }
 
@@ -214,6 +216,119 @@ func TestGuardSearchMatchesMaterializedSubnetwork(t *testing.T) {
 		}
 		if served == 0 || refused == 0 {
 			t.Fatalf("%s: %d probes served, %d refused; want both", tc.name, served, refused)
+		}
+	}
+}
+
+// TestGuardSearchWidenMatchesColdSearch is the differential test of the
+// continuation: a guard search pulled for a random number of hits — none,
+// some, or until its subnetwork runs out — then widened and pulled until m
+// sites are held (the hits Widen calls exact, then fresh ones) holds what a
+// cold full-network search for m sites returns. On tie-free networks that
+// is the same ids and bit-identical distances, also against a brute-force
+// ranking, and the continuation never relaxes more edges than the cold
+// search; with ties, the same distance list over distinct sites that sit at
+// those distances. The guard sets include ones that put the ring right
+// around the start (k = 1, ρ = 1, and a lone site of a two-site island), so
+// the verdict often comes after the ring has been settled.
+func TestGuardSearchWidenMatchesColdSearch(t *testing.T) {
+	var sc, coldSc SearchScratch
+	for _, tc := range guardCases(t) {
+		rng := rand.New(rand.NewSource(19))
+		g := tc.d.Graph()
+		// Coverage: continuations that dropped hits settled past the ring,
+		// that began before any ring vertex was settled, that began from an
+		// exhausted subnetwork, and that kept a hit still pending.
+		var dropped, unringed, exhausted, pendKept int
+		check := func(guard []int, pos roadnet.Position) {
+			search, ok := tc.d.BeginGuardSearch(pos, guard, &sc)
+			if !ok {
+				return
+			}
+			pull := rng.Intn(len(guard) + 2) // up to one more than there are
+			ids, ds, _ := pullHits(&search, pull)
+			ringed, pending := search.ringed, search.pend >= 0
+			exact := search.Widen()
+			switch {
+			case exact > len(ids) || (!ringed && exact < len(ids)):
+				t.Fatalf("%s: %+v: %d of %d hits exact, ring settled: %v", tc.name, pos, exact, len(ids), ringed)
+			case exact < len(ids):
+				dropped++
+			case !ringed:
+				unringed++
+			}
+			if len(ids) < pull {
+				exhausted++
+			}
+			if pending && exact == len(ids) {
+				pendKept++
+			}
+			m := 1 + rng.Intn(len(guard)+4)
+			ids, ds = ids[:min(exact, m)], ds[:min(exact, m)]
+			more, moreDS, relaxed := pullHits(&search, m-len(ids))
+			ids, ds = append(ids, more...), append(ds, moreDS...)
+
+			wantIDs, wantDS, coldRelaxed := tc.d.AppendKNN(pos, m, nil, nil, &coldSc)
+			if !slices.Equal(ds, wantDS) {
+				t.Fatalf("%s: %+v pull=%d exact=%d m=%d: continued search holds %v at %v, cold search %v at %v",
+					tc.name, pos, pull, exact, m, ids, ds, wantIDs, wantDS)
+			}
+			if tc.generic && !slices.Equal(ids, wantIDs) {
+				t.Fatalf("%s: %+v pull=%d exact=%d m=%d: continued search holds %v, cold search %v",
+					tc.name, pos, pull, exact, m, ids, wantIDs)
+			}
+			if rng.Intn(8) == 0 { // a full Dijkstra per probe is the slow part
+				all, allDS := bruteKNN(tc.d, pos)
+				for i, id := range ids {
+					if j := slices.Index(all, id); j < 0 || allDS[j] != ds[i] || slices.Index(ids, id) != i {
+						t.Fatalf("%s: %+v pull=%d exact=%d m=%d: entry %d = (%d, %g) is not a distinct site at that distance",
+							tc.name, pos, pull, exact, m, i, id, ds[i])
+					}
+				}
+				if tc.generic && !slices.Equal(ids, all[:len(ids)]) {
+					t.Fatalf("%s: %+v pull=%d exact=%d m=%d: continued search holds %v, brute force %v",
+						tc.name, pos, pull, exact, m, ids, all[:len(ids)])
+				}
+			}
+			if tc.generic && relaxed > coldRelaxed {
+				t.Fatalf("%s: %+v pull=%d exact=%d m=%d: continuation relaxed %d edges, a cold search %d",
+					tc.name, pos, pull, exact, m, relaxed, coldRelaxed)
+			}
+		}
+		for trial := 0; trial < 8; trial++ {
+			guard, _ := randomGuard(t, tc.d, rng)
+			if trial%4 == 3 { // k = 1, ρ = 1: the ring hugs the start
+				nn := tc.d.KNN(roadnet.VertexPosition(rng.Intn(g.NumVertices())), 1)
+				ins, err := tc.d.INS(nn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				guard = append(nn, ins...)
+			}
+			for _, pos := range guardProbes(g, tc.d.Subnetwork(guard), rng) {
+				check(guard, pos)
+			}
+		}
+		// The island: guarded whole it has no ring and exhausts into nothing;
+		// guarded by one site of two the ring is on the island and the
+		// continuation must find the other.
+		if tc.island != nil {
+			o, _ := tc.d.Owner(tc.island[0])
+			nb, err := tc.d.Neighbors(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, guard := range [][]int{append([]int{o}, nb...), {o}} {
+				for rep := 0; rep < 10; rep++ {
+					for _, pos := range guardProbes(g, tc.d.Subnetwork(guard), rng) {
+						check(guard, pos)
+					}
+				}
+			}
+		}
+		if dropped == 0 || unringed == 0 || exhausted == 0 || pendKept == 0 {
+			t.Fatalf("%s: %d continuations dropped hits, %d began inside the ring, %d began exhausted, %d kept a pending hit; want all four",
+				tc.name, dropped, unringed, exhausted, pendKept)
 		}
 	}
 }

@@ -6,8 +6,10 @@
 // by the Voronoi cells of a set of objects, on which kNN validation can
 // run instead of the full graph — as a resumable search filtered by the
 // owner labels (GuardSearch) and, for rendering and as that search's test
-// oracle, as a materialized graph (Subnetwork), and provides incremental
-// network expansion (INE-style) kNN from arbitrary on-edge positions.
+// oracle, as a materialized graph (Subnetwork). The same search with the
+// filter off is the incremental network expansion (INE-style) kNN from
+// arbitrary on-edge positions, and a filtered search can drop the filter
+// midway (GuardSearch.Widen), so the package has one expansion loop.
 //
 // The diagram is an online structure with the same publication lifecycle
 // as the plane VoR-tree: Insert/Remove mutate the site set incrementally
@@ -19,13 +21,9 @@
 // is proportional to the territory it moves, not to the network size.
 //
 // Searches run over the graph's packed CSR view with dense epoch-stamped
-// scratch. The full-network kNN search is pruned by the graph's ALT
-// landmarks (the guard search, whose targets surround its start, is not:
-// the bound pruned 0.2 % of it). The diagram keeps a projection of its site
-// set onto the landmark axes, maintained exactly across Insert and
-// conservatively (superset intervals) across Remove, so a pruned search
-// always returns exactly what plain Dijkstra would — see
-// OracleKNNWithDistances for the unpruned oracle the tests compare against.
+// scratch and are plain Dijkstra: sites cover the map, so no goal-directed
+// bound has anything to prune (DESIGN.md records the measurement that
+// removed the ALT landmarks).
 package netvor
 
 import (
@@ -35,7 +33,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/roadnet"
 )
@@ -89,20 +86,6 @@ type adjPage struct {
 	entries []adjEntry
 }
 
-// siteProj is the projection of the diagram's site set onto its landmark
-// axes: per landmark, the [lo,hi] interval of landmark distances over the
-// sites. The pruned searches lower-bound the distance to the nearest site
-// through these intervals (roadnet.ALTBound). exact records whether the
-// intervals are over precisely the current site set: Insert widens them
-// exactly, Remove only flags them stale — intervals over a SUPERSET of
-// the sites are still admissible (wider intervals only weaken the bound),
-// so a stale projection can cost pruning power but never a wrong answer.
-// The next search lazily rebuilds an exact one (see altProj).
-type siteProj struct {
-	lo, hi []float64
-	exact  bool
-}
-
 // relabel records one vertex's previous owner during an Insert claim —
 // the dense replacement for the old map[int]int mutation log.
 type relabel struct {
@@ -138,12 +121,6 @@ type Diagram struct {
 	// supports. Paged like the label tables so Branch never pays O(sites).
 	adj       []*adjPage
 	adjShared []bool
-
-	// ALT state: the graph's landmark set as captured at Build, the site
-	// projection onto it, and the lineage-shared lazy-rebuild counter.
-	lm           *roadnet.Landmarks
-	proj         atomic.Pointer[siteProj]
-	projRebuilds *atomic.Uint64
 
 	mut *mutScratch // shared down the Branch lineage; see mutScratch
 
@@ -203,70 +180,7 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 		b, _ := d.label(v)
 		d.incPair(a, b)
 	})
-
-	d.lm = g.Landmarks()
-	d.proj.Store(d.buildSiteProj())
-	d.projRebuilds = new(atomic.Uint64)
 	return d, nil
-}
-
-// buildSiteProj computes the exact projection of the current site set.
-func (d *Diagram) buildSiteProj() *siteProj {
-	lo, hi := d.lm.Project(d.sites, nil, nil)
-	return &siteProj{lo: lo, hi: hi, exact: true}
-}
-
-// altProj returns a projection of the site set usable for pruning,
-// lazily rebuilding an exact one when a Remove left it stale. The rebuild
-// races benignly under concurrent reads of a frozen version: every racer
-// computes the identical projection from the immutable site set.
-func (d *Diagram) altProj() *siteProj {
-	if p := d.proj.Load(); p != nil && p.exact {
-		return p
-	}
-	p := d.buildSiteProj()
-	d.proj.Store(p)
-	if d.projRebuilds != nil {
-		d.projRebuilds.Add(1)
-	}
-	return p
-}
-
-// widenProj extends an exact projection with the new site v — min/max
-// against v's landmark distances — keeping it exact without a rebuild.
-func (d *Diagram) widenProj(v int) {
-	p := d.proj.Load()
-	if p == nil || !p.exact || d.lm == nil || len(p.lo) != d.lm.Count() {
-		return
-	}
-	np := &siteProj{
-		lo:    append([]float64(nil), p.lo...),
-		hi:    append([]float64(nil), p.hi...),
-		exact: true,
-	}
-	for l := 0; l < d.lm.Count(); l++ {
-		dv := d.lm.DistRow(l)[v]
-		if dv < np.lo[l] {
-			np.lo[l] = dv
-		}
-		if dv > np.hi[l] {
-			np.hi[l] = dv
-		}
-	}
-	d.proj.Store(np)
-}
-
-// ALTStats reports the ALT instrumentation: the landmark count and the
-// number of lazy exact-projection rebuilds performed across this
-// diagram's Branch lineage.
-func (d *Diagram) ALTStats() (landmarks int, projRebuilds uint64) {
-	if d.lm != nil {
-		landmarks = d.lm.Count()
-	}
-	if d.projRebuilds != nil {
-		projRebuilds = d.projRebuilds.Load()
-	}
-	return landmarks, projRebuilds
 }
 
 // mutSc returns the lineage's mutation scratch, creating it lazily.
@@ -358,17 +272,14 @@ func (d *Diagram) setLabel(v int, owner int, dist float64) {
 func (d *Diagram) Branch() *Diagram {
 	d.frozen = true
 	child := &Diagram{
-		g:            d.g,
-		sites:        append([]int(nil), d.sites...),
-		pages:        append([]*labelPage(nil), d.pages...),
-		shared:       make([]bool, len(d.pages)),
-		adj:          append([]*adjPage(nil), d.adj...),
-		adjShared:    make([]bool, len(d.adj)),
-		lm:           d.lm,
-		projRebuilds: d.projRebuilds,
-		mut:          d.mut,
+		g:         d.g,
+		sites:     append([]int(nil), d.sites...),
+		pages:     append([]*labelPage(nil), d.pages...),
+		shared:    make([]bool, len(d.pages)),
+		adj:       append([]*adjPage(nil), d.adj...),
+		adjShared: make([]bool, len(d.adj)),
+		mut:       d.mut,
 	}
-	child.proj.Store(d.proj.Load())
 	for i := range child.shared {
 		child.shared[i] = true
 	}
@@ -382,17 +293,14 @@ func (d *Diagram) Branch() *Diagram {
 // itself — the fallback publication path mirroring vortree.Index.Clone.
 func (d *Diagram) Clone() *Diagram {
 	c := &Diagram{
-		g:            d.g,
-		sites:        append([]int(nil), d.sites...),
-		pages:        make([]*labelPage, len(d.pages)),
-		shared:       make([]bool, len(d.pages)),
-		copied:       len(d.pages),
-		adj:          make([]*adjPage, len(d.adj)),
-		adjShared:    make([]bool, len(d.adj)),
-		lm:           d.lm,
-		projRebuilds: new(atomic.Uint64),
+		g:         d.g,
+		sites:     append([]int(nil), d.sites...),
+		pages:     make([]*labelPage, len(d.pages)),
+		shared:    make([]bool, len(d.pages)),
+		copied:    len(d.pages),
+		adj:       make([]*adjPage, len(d.adj)),
+		adjShared: make([]bool, len(d.adj)),
 	}
-	c.proj.Store(d.proj.Load())
 	for i, pg := range d.pages {
 		c.pages[i] = &labelPage{
 			owner: append([]int(nil), pg.owner...),
@@ -570,7 +478,6 @@ func (d *Diagram) Insert(v int) error {
 		}
 	}
 	d.sites = insertSorted(d.sites, v)
-	d.widenProj(v)
 	return nil
 }
 
@@ -668,12 +575,6 @@ func (d *Diagram) Remove(s int) error {
 		return fmt.Errorf("netvor: remove %d left dangling adjacency %v", s, e.sites)
 	}
 	d.sites = removeSorted(d.sites, s)
-	// The projection may now be wider than the site set. That is still
-	// admissible (superset intervals), so flag it for a lazy rebuild
-	// instead of paying for one on every remove.
-	if p := d.proj.Load(); p != nil && p.exact {
-		d.proj.Store(&siteProj{lo: p.lo, hi: p.hi, exact: false})
-	}
 	return nil
 }
 
@@ -847,102 +748,45 @@ func (d *Diagram) KNNWithDistancesCounted(pos roadnet.Position, k int) ([]int, [
 	return d.AppendKNN(pos, k, nil, nil, &sc)
 }
 
-// OracleKNNWithDistances is KNNWithDistances computed by plain Dijkstra
-// with no ALT pruning — the oracle path the differential tests compare
-// the pruned searches against. Because the ALT heuristic is consistent
-// and zero at every site, the pruned search settles sites in the exact
-// same order with the exact same distances; this method exists to prove
-// that, not to be faster.
+// OracleKNNWithDistances is KNNWithDistances under the name the repository
+// benchmark's brute-force check calls it by.
 func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []float64) {
-	var sc SearchScratch
-	ids, ds, _ := d.appendKNN(pos, k, nil, nil, &sc, false)
-	return ids, ds
+	return d.KNNWithDistances(pos, k)
 }
 
 // SearchScratch is reusable per-caller working memory for the network
 // searches: the dense epoch-stamped search state (frontier heap, tentative
-// distances, mark set) plus the ALT bound evaluator and a traversal stack.
-// The zero value is ready to use; a scratch serves any number of
-// sequential searches against any diagram version but must not be shared
-// across goroutines, and holds one search at a time: beginning a search
-// (or AppendINS, InSubnetwork, SubnetworkInto) ends the previous one. The
-// serving layer keeps one per shard, which removes every per-update
-// allocation from the network kNN path — the road twin of
-// vortree.SearchScratch.
+// distances, mark set), the log of vertices a guard search settled past its
+// ring (see GuardSearch.Widen) and a traversal stack. The zero value is
+// ready to use; a scratch serves any number of sequential searches against
+// any diagram version but must not be shared across goroutines, and holds
+// one search at a time: beginning a search (or AppendINS, InSubnetwork,
+// SubnetworkInto) ends the previous one. The serving layer keeps one per
+// shard, which removes every per-update allocation from the network kNN
+// path — the road twin of vortree.SearchScratch.
 type SearchScratch struct {
-	road  roadnet.SearchScratch
-	bnd   roadnet.ALTBound
-	stack []int32
+	road     roadnet.SearchScratch
+	resettle []int32
+	stack    []int32
 }
 
-// AppendKNN is KNNWithDistancesCounted appending ids onto dst (and, when
-// ds is non-nil or appended-to, distances onto ds) with caller-supplied
-// scratch — the allocation-free form the serving hot path uses. The
-// expansion is ALT-pruned; results are identical to the plain-Dijkstra
-// oracle (see OracleKNNWithDistances).
+// AppendKNN is KNNWithDistancesCounted appending ids onto dst and distances
+// onto ds with caller-supplied scratch: a widened search (BeginSearch)
+// pulled k times.
 func (d *Diagram) AppendKNN(pos roadnet.Position, k int, dst []int, ds []float64, sc *SearchScratch) ([]int, []float64, int) {
-	return d.appendKNN(pos, k, dst, ds, sc, true)
-}
-
-// appendKNN runs the incremental network expansion, A*-guided by the ALT
-// site bound when useALT is set. Lazy deletion needs no settled set:
-// pushes happen only on strict tentative-distance improvement, so a
-// popped entry is current iff its distance still matches the table.
-func (d *Diagram) appendKNN(pos roadnet.Position, k int, dst []int, ds []float64, sc *SearchScratch, useALT bool) ([]int, []float64, int) {
 	if k <= 0 {
 		return dst, ds, 0
 	}
-	g := d.g
-	n := g.NumVertices()
-	c := g.CSR()
-	road := &sc.road
-	road.Begin(n)
-	bnd := &sc.bnd
-	bnd.Clear()
-	if useALT {
-		p := d.altProj()
-		bnd.Bind(d.lm, p.lo, p.hi, int32(pos.U))
-	}
-	seed := func(v int, dd float64) {
-		if v < 0 || v >= n {
-			return
-		}
-		sv := int32(v)
-		if road.TryImprove(sv, dd) {
-			road.Push(dd+bnd.Bound(sv), dd, sv)
-		}
-	}
-	if v, ok := pos.AtVertex(); ok {
-		seed(v, 0)
-	} else if w, ok := g.EdgeWeight(pos.U, pos.V); ok {
-		seed(pos.U, pos.T*w)
-		seed(pos.V, (1-pos.T)*w)
-	}
-	need := len(dst) + k
+	s := d.BeginSearch(pos, sc)
 	relaxed := 0
-	for {
-		_, dd, v, ok := road.Pop()
+	for need := len(dst) + k; len(dst) < need; {
+		site, dist, r, ok := s.Next()
+		relaxed += r
 		if !ok {
 			break
 		}
-		if dd > road.DistAt(v) {
-			continue
-		}
-		if d.IsSite(int(v)) {
-			dst = append(dst, int(v))
-			ds = append(ds, dd)
-			if len(dst) == need {
-				break
-			}
-		}
-		for e := c.Off[v]; e < c.Off[v+1]; e++ {
-			relaxed++
-			u := c.To[e]
-			nd := dd + c.W[e]
-			if road.TryImprove(u, nd) {
-				road.Push(nd+bnd.Bound(u), nd, u)
-			}
-		}
+		dst = append(dst, site)
+		ds = append(ds, dist)
 	}
 	return dst, ds, relaxed
 }
@@ -1102,14 +946,14 @@ func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, 
 	road.Begin(n)
 	for _, src := range spos.Sources(s.G) {
 		if road.TryImprove(int32(src.V), src.D) {
-			road.Push(src.D, src.D, int32(src.V))
+			road.Push(src.D, int32(src.V))
 		}
 	}
 	var ids []int
 	var ds []float64
 	relaxed := 0
 	for {
-		_, dd, v, ok := road.Pop()
+		dd, v, ok := road.Pop()
 		if !ok {
 			break
 		}
@@ -1127,7 +971,7 @@ func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, 
 			relaxed++
 			u := c.To[e]
 			if nd := dd + c.W[e]; road.TryImprove(u, nd) {
-				road.Push(nd, nd, u)
+				road.Push(nd, u)
 			}
 		}
 	}

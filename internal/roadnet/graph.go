@@ -32,10 +32,8 @@ type halfEdge struct {
 //
 // Storage is two-layered: the adjacency lists are the mutable build-time
 // representation, and the search hot paths read a packed CSR view (see
-// CSR) that is derived lazily and invalidated by any mutation. Likewise,
-// the ALT landmark set (see Landmarks) is derived lazily and invalidated
-// together with the view, so a graph that stops mutating — the serving
-// lifecycle — pays for each exactly once.
+// CSR) that is derived lazily and invalidated by any mutation, so a graph
+// that stops mutating — the serving lifecycle — pays for it exactly once.
 type Graph struct {
 	pts   []geom.Point
 	adj   [][]halfEdge
@@ -47,21 +45,17 @@ type Graph struct {
 	// relaxations counts and returns them itself — so concurrent readers
 	// write no shared cache line.
 	view atomic.Pointer[CSR]
-	lms  atomic.Pointer[Landmarks]
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
-// invalidate drops the derived views after a mutation. The loads keep the
-// common build loop (thousands of Adds, views never built) from hammering
+// invalidate drops the derived view after a mutation. The load keeps the
+// common build loop (thousands of Adds, view never built) from hammering
 // the same cache line with stores.
 func (g *Graph) invalidate() {
 	if g.view.Load() != nil {
 		g.view.Store(nil)
-	}
-	if g.lms.Load() != nil {
-		g.lms.Store(nil)
 	}
 }
 

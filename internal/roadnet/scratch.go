@@ -6,9 +6,7 @@ import "math"
 // priority (the tentative distance for Dijkstra, distance plus heuristic
 // for A*), d the tentative distance at push time, and v the vertex. Keys
 // tie-break on the vertex id so every search in the package settles
-// equal-priority vertices in the same deterministic order — in particular,
-// an ALT-pruned search (whose heuristic is zero at every target) emits
-// targets in exactly the order the plain-Dijkstra oracle does, which lets
+// equal-priority vertices in the same deterministic order, which lets
 // differential tests compare result lists verbatim.
 type heapItem struct {
 	key float64
@@ -136,19 +134,19 @@ func (sc *SearchScratch) Reached(v int32) bool {
 	return int(v) < len(sc.stamp) && sc.stamp[v] == sc.epoch
 }
 
-// Push adds a frontier entry with pop priority key and tentative distance d.
-func (sc *SearchScratch) Push(key, d float64, v int32) {
-	sc.hp.push(heapItem{key: key, d: d, v: v})
+// Push adds a frontier entry for vertex v at tentative distance d.
+func (sc *SearchScratch) Push(d float64, v int32) {
+	sc.hp.push(heapItem{key: d, d: d, v: v})
 }
 
-// Pop removes the lowest-keyed frontier entry; ok is false when the
-// frontier is empty.
-func (sc *SearchScratch) Pop() (key, d float64, v int32, ok bool) {
+// Pop removes the nearest frontier entry; ok is false when the frontier is
+// empty.
+func (sc *SearchScratch) Pop() (d float64, v int32, ok bool) {
 	if len(sc.hp) == 0 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	it := sc.hp.pop()
-	return it.key, it.d, it.v, true
+	return it.d, it.v, true
 }
 
 // MarkBegin resets the mark set for n vertices; every mark reads as 0.
