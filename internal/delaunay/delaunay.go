@@ -10,7 +10,10 @@
 // Lawson flips. All geometric decisions go through the exact predicates in
 // package geom, so degenerate inputs (collinear and cocircular points) are
 // handled correctly. Vertex deletion retriangulates the star polygon of the
-// removed vertex with Delaunay ear clipping.
+// removed vertex with Delaunay ear clipping. A whole point set (InsertAll,
+// Restore in bulk.go) goes through the same insertion, its ids fixed first
+// in input order and the vertices then linked along a Hilbert curve so the
+// walks are short.
 //
 // The face and vertex tables live in copy-on-write pages (see paged.go),
 // which gives the triangulation cheap version branching: Branch returns a
@@ -24,6 +27,7 @@ package delaunay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -36,6 +40,16 @@ var ErrOutOfBounds = errors.New("delaunay: point outside triangulation bounds")
 // ErrDuplicate is returned by Insert for a point that exactly coincides
 // with an existing vertex. The existing vertex index is still returned.
 var ErrDuplicate = errors.New("delaunay: duplicate point")
+
+// ErrTooManyVertices is returned when an insertion, a pad or a restore
+// would grow the vertex table past maxSlots.
+var ErrTooManyVertices = errors.New("delaunay: vertex id space exhausted")
+
+// maxSlots caps the vertex table (super corners, live, removed and padded
+// slots alike). Vertex and face indices are int32, and v vertices span
+// fewer than 2v faces whose dead slots are recycled before the face table
+// grows, so half the int32 range keeps both index spaces from wrapping.
+const maxSlots = math.MaxInt32 / 2
 
 // ErrFrozen is returned by mutations on a version that has been branched
 // from: only the newest version of a branch chain accepts writes, which is
@@ -160,46 +174,89 @@ func isSuper(v int32) bool { return v < 3 }
 // returns the existing id together with ErrDuplicate; points outside the
 // triangulation bounds return ErrOutOfBounds.
 func (t *Triangulation) Insert(p geom.Point) (int, error) {
+	if err := t.admit(1, p); err != nil {
+		return -1, err
+	}
+	vi, fresh := t.reserve(p)
+	if !fresh {
+		return int(vi) - 3, ErrDuplicate
+	}
+	t.link(vi)
+	return int(vi) - 3, nil
+}
+
+// admit checks everything that can refuse an insertion — a frozen version,
+// no room for slots more vertex slots, a point outside the bounds — and
+// touches nothing, so a refused call leaves the triangulation as it was.
+func (t *Triangulation) admit(slots int, pts ...geom.Point) error {
 	if t.frozen.Load() {
-		return -1, ErrFrozen
+		return ErrFrozen
 	}
+	if slots > maxSlots-len(t.pts) {
+		return fmt.Errorf("%w: %d slots in use, %d more asked for", ErrTooManyVertices, len(t.pts), slots)
+	}
+	for _, p := range pts {
+		if err := t.inBounds(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *Triangulation) inBounds(p geom.Point) error {
 	if !t.bounds.Contains(p) {
-		return -1, fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
+		return fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
 	}
+	return nil
+}
+
+// reserve fixes the id of an admitted point: it returns the vertex already
+// at p, or appends p as the next vertex slot (fresh) without triangulating
+// it. A fresh vertex reads as removed until link wires it in. Ids are
+// therefore a function of the order of reserve calls alone — whatever order
+// the vertices are linked in afterwards.
+func (t *Triangulation) reserve(p geom.Point) (vi int32, fresh bool) {
 	if id, ok := t.index[p]; ok {
-		return id, ErrDuplicate
+		return int32(id + 3), false
 	}
-	vi := int32(len(t.pts))
+	vi = int32(len(t.pts))
 	t.pts = append(t.pts, p)
 	t.vface.append(noTri, t.own)
-	id := int(vi) - 3
-	t.index[p] = id
+	t.index[p] = int(vi) - 3
 	t.nLive++
+	return vi, true
+}
 
-	ti, onEdge := t.locate(p)
+// link triangulates reserved vertex vi: walk to the face holding it, split
+// that face (or the two faces sharing the edge it lies on) and flip until
+// Delaunay again.
+func (t *Triangulation) link(vi int32) {
+	ti, onEdge := t.locate(t.pts[vi])
 	if onEdge >= 0 {
 		t.insertOnEdge(ti, onEdge, vi)
 	} else {
 		t.insertInFace(ti, vi)
 	}
-	return id, nil
 }
 
 // PadVertex appends one dead vertex slot without touching the
 // triangulation: the slot's id is burned exactly as if the vertex had been
 // inserted and removed, so the next Insert assigns the id after it.
-// Restore paths (rebuilding a checkpointed index) use it to reproduce an
-// id sequence that contains removed vertices, which keeps ids assigned
-// after recovery identical to the ids the original instance would have
-// assigned.
+// Restore uses it to reproduce an id sequence that contains removed
+// vertices, which keeps ids assigned after recovery identical to the ids
+// the original instance would have assigned.
 func (t *Triangulation) PadVertex() (int, error) {
-	if t.frozen.Load() {
-		return -1, ErrFrozen
+	if err := t.admit(1); err != nil {
+		return -1, err
 	}
-	vi := int32(len(t.pts))
+	t.pad()
+	return t.IDUpperBound() - 1, nil
+}
+
+// pad appends the dead slot of PadVertex; the caller has admitted it.
+func (t *Triangulation) pad() {
 	t.pts = append(t.pts, geom.Point{})
 	t.vface.append(noTri, t.own)
-	return int(vi) - 3, nil
 }
 
 // IDUpperBound returns the exclusive upper bound of assigned vertex ids:
@@ -458,19 +515,8 @@ func (t *Triangulation) legalize(f int32, e int, p int32) {
 // away in favor of a super vertex, and edges incident to super vertices are
 // flipped whenever the opposing real vertex "sees" the edge.
 func (t *Triangulation) shouldFlip(a, b, c, d int32) bool {
-	supers := 0
-	for _, v := range [4]int32{a, b, c, d} {
-		if isSuper(v) {
-			supers++
-		}
-	}
-	switch {
-	case supers == 0:
-		return geom.InCircle(t.pts[a], t.pts[b], t.pts[c], t.pts[d]) > 0
-	default:
-		// With any super vertex involved, fall back to the in-circle test
-		// as well: the super corners are far enough away that the float
-		// evaluation of the predicate gives the at-infinity answer.
-		return geom.InCircle(t.pts[a], t.pts[b], t.pts[c], t.pts[d]) > 0
-	}
+	// No special case when a super corner is involved: the corners are far
+	// enough away that the float evaluation of the predicate gives the
+	// at-infinity answer.
+	return geom.InCircle(t.pts[a], t.pts[b], t.pts[c], t.pts[d]) > 0
 }

@@ -1,7 +1,6 @@
 package delaunay
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/geom"
@@ -269,19 +268,4 @@ func (t *Triangulation) Remove(id int) error {
 	t.nLive--
 	t.setVface(vi, noTri)
 	return nil
-}
-
-// InsertAll inserts every point and returns the assigned vertex ids. Exact
-// duplicates map to the first occurrence's id. It stops at the first
-// out-of-bounds point and returns its error.
-func (t *Triangulation) InsertAll(pts []geom.Point) ([]int, error) {
-	ids := make([]int, len(pts))
-	for i, p := range pts {
-		id, err := t.Insert(p)
-		if err != nil && !errors.Is(err, ErrDuplicate) {
-			return ids[:i], err
-		}
-		ids[i] = id
-	}
-	return ids, nil
 }

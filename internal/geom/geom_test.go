@@ -244,6 +244,55 @@ func TestInCircleMatchesDistanceToCircumcenter(t *testing.T) {
 	}
 }
 
+// TestInCircleRoundFreeAgreesWithExact: whenever the round-free stage
+// certifies a sign it is the big-arithmetic sign — on small integers (where
+// it must certify, cocircular quadruples included), on full-mantissa
+// floats, and at magnitudes where products overflow or underflow.
+func TestInCircleRoundFreeAgreesWithExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	draw := map[string]func() float64{
+		"integers":  func() float64 { return float64(rng.Intn(40)) },
+		"quarters":  func() float64 { return float64(rng.Intn(4000)) / 4 },
+		"floats":    func() float64 { return rng.Float64() * 1000 },
+		"mixed":     func() float64 { return float64(rng.Intn(10)) + float64(rng.Intn(2))*rng.Float64()*1e-9 },
+		"huge":      func() float64 { return float64(rng.Intn(40)) * 1e150 },
+		"tiny":      func() float64 { return float64(rng.Intn(40)) * 1e-160 },
+		"subnormal": func() float64 { return float64(rng.Intn(40)) * 5e-324 },
+	}
+	for name, f := range draw {
+		certified, zeros := 0, 0
+		for i := 0; i < 4000; i++ {
+			a, b, c, d := Pt(f(), f()), Pt(f(), f()), Pt(f(), f()), Pt(f(), f())
+			got, ok := inCircleRoundFree(a, b, c, d)
+			if !ok {
+				continue
+			}
+			certified++
+			want := inCircleExact(a, b, c, d)
+			if got != want {
+				t.Fatalf("%s: round-free InCircle(%v,%v,%v,%v) = %d, exact %d", name, a, b, c, d, got, want)
+			}
+			if want == 0 {
+				zeros++
+			}
+		}
+		switch name {
+		case "integers", "quarters":
+			if certified != 4000 || (name == "integers" && zeros == 0) {
+				t.Errorf("%s: %d of 4000 certified, %d on the circle", name, certified, zeros)
+			}
+		case "huge", "tiny", "subnormal":
+			if certified == 4000 {
+				t.Errorf("%s: every draw certified although products leave the float range", name)
+			}
+		}
+	}
+	// The lattice case end to end: four corners of a unit square.
+	if got := InCircle(Pt(3, 3), Pt(4, 3), Pt(4, 4), Pt(3, 4)); got != 0 {
+		t.Errorf("unit square: InCircle = %d, want 0", got)
+	}
+}
+
 func TestCircumcenterEquidistant(t *testing.T) {
 	err := quick.Check(func(ax, ay, bx, by, cx, cy float64) bool {
 		a := Pt(clampCoord(ax), clampCoord(ay))

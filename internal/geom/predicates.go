@@ -83,7 +83,9 @@ var inCircleErrBound = (10.0 + 96.0*ulpHalf) * ulpHalf
 // InCircle reports whether point d lies strictly inside the circle through
 // a, b and c, which must be in counter-clockwise order. It returns +1 when
 // d is inside, -1 when outside, and 0 when d lies exactly on the circle.
-// Like Orient it uses a floating-point filter with an exact fallback.
+// Like Orient it uses a floating-point filter with an exact fallback; in
+// between, a round-free re-evaluation settles the exactly cocircular inputs
+// that structured data is full of without big arithmetic.
 func InCircle(a, b, c, d Point) int {
 	adx, ady := a.X-d.X, a.Y-d.Y
 	bdx, bdy := b.X-d.X, b.Y-d.Y
@@ -115,7 +117,50 @@ func InCircle(a, b, c, d Point) int {
 		}
 		return 0
 	}
+	if s, ok := inCircleRoundFree(a, b, c, d); ok {
+		return s
+	}
 	return inCircleExact(a, b, c, d)
+}
+
+// inCircleRoundFree re-evaluates the in-circle determinant in float64 and
+// certifies it when no operation rounded: every difference and sum is
+// checked with Knuth's two-sum error term and every product with a fused
+// multiply-add, and if all the error terms are zero the float result IS the
+// exact determinant, sign and zero included. That is the case the filter
+// cannot decide but that needs no big arithmetic: exactly cocircular points
+// with short mantissas — integer lattices, street grids — where the exact
+// answer is 0 and every legalization of a bulk build asks for it.
+func inCircleRoundFree(a, b, c, d Point) (int, bool) {
+	ok := true
+	sub := func(x, y float64) float64 {
+		s := x - y
+		yv := x - s
+		if (x-(s+yv))+(yv-y) != 0 {
+			ok = false
+		}
+		return s
+	}
+	add := func(x, y float64) float64 { return sub(x, -y) }
+	mul := func(x, y float64) float64 {
+		p := x * y
+		// A product that underflows can hide its rounding error from the
+		// fused multiply-add; leave those to the big fallback.
+		if math.FMA(x, y, -p) != 0 || (math.Abs(p) < 1e-250 && x != 0 && y != 0) {
+			ok = false
+		}
+		return p
+	}
+	adx, ady := sub(a.X, d.X), sub(a.Y, d.Y)
+	bdx, bdy := sub(b.X, d.X), sub(b.Y, d.Y)
+	cdx, cdy := sub(c.X, d.X), sub(c.Y, d.Y)
+	lift := func(x, y float64) float64 { return add(mul(x, x), mul(y, y)) }
+	cross := func(px, py, qx, qy float64) float64 { return sub(mul(px, qy), mul(qx, py)) }
+	det := add(add(mul(lift(adx, ady), cross(bdx, bdy, cdx, cdy)),
+		mul(lift(bdx, bdy), cross(cdx, cdy, adx, ady))),
+		mul(lift(cdx, cdy), cross(adx, ady, bdx, bdy)))
+	// An overflow anywhere leaves a NaN error term, which clears ok too.
+	return int(sign(det)), ok
 }
 
 func inCircleExact(a, b, c, d Point) int {

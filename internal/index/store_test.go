@@ -2,6 +2,8 @@ package index
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -301,5 +303,58 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	wg.Wait()
 	if got := st.LiveSnapshots(); got != 1 {
 		t.Errorf("live snapshots after readers drained = %d, want 1", got)
+	}
+}
+
+// TestStoreRestoreGapsMatchesLiveStore: a store rebuilt from a snapshot's
+// checkpoint form — bulk-restored, with the ids the churn burned left as
+// gaps — publishes at the checkpoint's epoch, answers as the live store
+// does, and hands out the same ids from there on.
+func TestStoreRestoreGapsMatchesLiveStore(t *testing.T) {
+	live := newPlaneStore(t, 2000, 0)
+	rng := rand.New(rand.NewSource(11))
+	for batch := 0; batch < 40; batch++ {
+		var muts []Mutation
+		for i := 0; i < 8; i++ {
+			muts = append(muts,
+				Mutation{ID: batch*8 + i},
+				Mutation{Insert: true, P: geom.Pt(rng.Float64()*1000, rng.Float64()*1000)})
+		}
+		if _, err := live.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := live.Acquire()
+	objs, nextID := snap.PlaneObjects()
+	snap.Release()
+	if nextID == len(objs) {
+		t.Fatal("churn burned no ids: nothing to restore around")
+	}
+	restored, err := NewStore(Config{Bounds: testBounds, Restore: &Restore{
+		Epoch: live.Epoch(), HasPlane: true, Plane: objs, NextID: nextID,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Epoch() != live.Epoch() {
+		t.Fatalf("restored at epoch %d, want %d", restored.Epoch(), live.Epoch())
+	}
+	for step := 0; step < 50; step++ {
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		got, want := restored.Current().Plane().KNN(q, 8), live.Current().Plane().KNN(q, 8)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: restored kNN(%v) = %v, live store %v", step, q, got, want)
+		}
+		a, errA := restored.Insert(q)
+		b, errB := live.Insert(q)
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("step %d: restored store assigned id %d (%v), live store %d (%v)", step, a, errA, b, errB)
+		}
+		if err := restored.Remove(objs[step].ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Remove(objs[step].ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

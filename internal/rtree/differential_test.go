@@ -60,6 +60,14 @@ func sameIDs(a, b []int) bool {
 // it was pinned — while concurrent readers hammer the pinned snapshots to
 // let -race prove the sharing is write-free.
 func TestDifferentialPathCopy(t *testing.T) {
+	// The chain starts from an empty tree and from a packed one: path
+	// copies, splits and condensation must work the same on bulk-loaded
+	// nodes, whose entry slices are windows onto shared arrays.
+	t.Run("empty", func(t *testing.T) { differentialPathCopy(t, 0) })
+	t.Run("bulk", func(t *testing.T) { differentialPathCopy(t, 300) })
+}
+
+func differentialPathCopy(t *testing.T, preload int) {
 	const (
 		steps  = 400
 		probeN = 5
@@ -72,9 +80,12 @@ func TestDifferentialPathCopy(t *testing.T) {
 		probes[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 	}
 
-	tr := New(fanout)
 	live := make(map[int]geom.Point)
-	nextID := 0
+	for _, it := range randomItems(preload, 32) {
+		live[it.ID] = it.P
+	}
+	tr := BulkLoad(fanout, randomItems(preload, 32))
+	nextID := preload
 
 	type pin struct {
 		tree    *Tree

@@ -11,8 +11,11 @@
 // node graph — and the copy-on-write index snapshot store publishes a new
 // epoch in time proportional to the mutation batch, not the object count.
 // An ownership token makes repeated mutations through the same handle
-// mutate already-copied nodes in place, so bulk builds pay the spine copy
-// only once per node, not once per insert.
+// mutate already-copied nodes in place, so a batch of mutations pays the
+// spine copy only once per node, not once per insert. A tree over a known
+// item set is not grown by inserts at all: BulkLoad (bulk.go) packs it
+// sort-tile-recursive into the same kind of nodes, all owned by the new
+// handle.
 package rtree
 
 import (
@@ -661,6 +664,9 @@ func (h *knnHeap) pop() knnEntry {
 // exported CheckInvariants.
 func (t *Tree) checkInvariants(n *node, depth int, leafDepth *int, nodes *int) error {
 	*nodes++
+	if e := n.entries(); e > t.max || (depth > 0 && e < t.min) {
+		return fmt.Errorf("rtree: node at depth %d holds %d entries, want %d..%d", depth, e, t.min, t.max)
+	}
 	if n.leaf() {
 		if *leafDepth == -1 {
 			*leafDepth = depth
@@ -686,8 +692,9 @@ func (t *Tree) checkInvariants(n *node, depth int, leafDepth *int, nodes *int) e
 }
 
 // CheckInvariants verifies the structural invariants of the tree: uniform
-// leaf depth, containment of child rectangles, and the incremental node
-// count against a full traversal. It is exported for tests and costs a
+// leaf depth, node occupancy between the minimum (root excepted) and the
+// fanout, containment of child rectangles, and the incremental node count
+// against a full traversal. It is exported for tests and costs a
 // full traversal.
 func (t *Tree) CheckInvariants() error {
 	ld := -1

@@ -30,8 +30,9 @@ func NewDiagram(bounds geom.Rect) *Diagram {
 	return &Diagram{tri: delaunay.New(bounds), bounds: bounds}
 }
 
-// Build constructs a diagram of the given sites. Exact duplicates collapse
-// onto one site. The returned ids parallel pts.
+// Build constructs a diagram of the given sites in one bulk pass (see
+// delaunay.InsertAll). Exact duplicates collapse onto one site. The returned
+// ids parallel pts.
 func Build(bounds geom.Rect, pts []geom.Point) (*Diagram, []int, error) {
 	d := NewDiagram(bounds)
 	ids, err := d.tri.InsertAll(pts)
@@ -39,6 +40,21 @@ func Build(bounds geom.Rect, pts []geom.Point) (*Diagram, []int, error) {
 		return nil, nil, fmt.Errorf("voronoi: build: %w", err)
 	}
 	return d, ids, nil
+}
+
+// Site is one live site of a saved diagram: its id and position.
+type Site = delaunay.Vertex
+
+// Restore rebuilds, in the same bulk pass, a diagram whose live sites and
+// id sequence are those of a saved one: sites strictly ascending by id,
+// nextID the id the next Insert assigns, every id in between burned (see
+// delaunay.Restore, whose errors it returns as they are).
+func Restore(bounds geom.Rect, sites []Site, nextID int) (*Diagram, error) {
+	tri, err := delaunay.Restore(bounds, sites, nextID)
+	if err != nil {
+		return nil, err
+	}
+	return &Diagram{tri: tri, bounds: bounds}, nil
 }
 
 // Bounds returns the clipping rectangle of the diagram.
@@ -75,8 +91,8 @@ func (d *Diagram) Contains(id int) bool { return d.tri.Contains(id) }
 func (d *Diagram) Insert(p geom.Point) (int, error) { return d.tri.Insert(p) }
 
 // PadSite burns one site id without adding a site, exactly as if the site
-// had been inserted and removed. Restore paths use it to reproduce the id
-// sequence of a checkpointed diagram whose history contains removals.
+// had been inserted and removed. Restore pads the same way; this is the
+// one-at-a-time form the per-object reference builders in tests use.
 func (d *Diagram) PadSite() (int, error) { return d.tri.PadVertex() }
 
 // IDUpperBound returns the id the next Insert will assign; removed sites

@@ -30,63 +30,51 @@ func New(bounds geom.Rect, fanout int) *Index {
 	return &Index{tree: rtree.New(fanout), diag: voronoi.NewDiagram(bounds)}
 }
 
-// Build constructs a VoR-tree over pts and returns the assigned ids
-// parallel to pts. Duplicate points collapse to a single object.
+// Build constructs a VoR-tree over pts in one bulk pass — the diagram's
+// Hilbert-ordered build, then the R-tree packed over the ids it assigned —
+// and returns those ids parallel to pts. Duplicate points collapse to a
+// single object. A failed Build has built nothing.
 func Build(bounds geom.Rect, fanout int, pts []geom.Point) (*Index, []int, error) {
-	ix := New(bounds, fanout)
-	ids := make([]int, len(pts))
-	for i, p := range pts {
-		id, err := ix.Insert(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("vortree: build: %w", err)
-		}
-		ids[i] = id
+	diag, ids, err := voronoi.Build(bounds, pts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("vortree: build: %w", err)
 	}
-	return ix, ids, nil
+	// Ids count up from 0 in order of first occurrence, so a point whose id
+	// is not the next one repeats an earlier point.
+	items := make([]rtree.Item, 0, diag.Len())
+	for i, id := range ids {
+		if id == len(items) {
+			items = append(items, rtree.Item{ID: id, P: pts[i]})
+		}
+	}
+	return &Index{tree: rtree.BulkLoad(fanout, items), diag: diag}, ids, nil
 }
 
 // RestoreObject is one live object of a serialized index snapshot: its
 // assigned id and its position.
-type RestoreObject struct {
-	ID int
-	P  geom.Point
-}
+type RestoreObject = voronoi.Site
 
 // Restore rebuilds a VoR-tree whose live object set AND id sequence match
 // a checkpointed index: objs must be strictly ascending by id, and nextID
 // is the id the original index would assign to the next insert (ids of
-// removed objects stay burned, so nextID can exceed len(objs)). The
-// physical tree shape may differ from the original — objects are inserted
-// in id order, not in their historical order — but every query answer and
-// every id assigned after the restore is identical, which is what crash
-// recovery (internal/wal) needs to replay a write-ahead log on top.
+// removed objects stay burned, so nextID can exceed len(objs)). It is the
+// bulk pass of Build with the ids given rather than assigned, and it
+// rejects up front an id sequence it cannot reproduce — ids out of order
+// or not below nextID, a point out of bounds, two objects on one point, a
+// nextID past the id space. The physical tree shape differs from the
+// original's, which grew by inserts, but every query answer and every id
+// assigned after the restore is identical, which is what crash recovery
+// (internal/wal) needs to replay a write-ahead log on top.
 func Restore(bounds geom.Rect, fanout int, objs []RestoreObject, nextID int) (*Index, error) {
-	ix := New(bounds, fanout)
-	j := 0
-	for id := 0; id < nextID; id++ {
-		if j < len(objs) && objs[j].ID == id {
-			got, err := ix.Insert(objs[j].P)
-			if err != nil {
-				return nil, fmt.Errorf("vortree: restore id %d: %w", id, err)
-			}
-			if got != id {
-				return nil, fmt.Errorf("vortree: restore assigned id %d, want %d (objs not ascending?)", got, id)
-			}
-			j++
-			continue
-		}
-		got, err := ix.diag.PadSite()
-		if err != nil {
-			return nil, fmt.Errorf("vortree: restore pad %d: %w", id, err)
-		}
-		if got != id {
-			return nil, fmt.Errorf("vortree: restore pad assigned id %d, want %d", got, id)
-		}
+	diag, err := voronoi.Restore(bounds, objs, nextID)
+	if err != nil {
+		return nil, fmt.Errorf("vortree: %w", err)
 	}
-	if j != len(objs) {
-		return nil, fmt.Errorf("vortree: restore: %d objects with ids >= nextID %d", len(objs)-j, nextID)
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item(o)
 	}
-	return ix, nil
+	return &Index{tree: rtree.BulkLoad(fanout, items), diag: diag}, nil
 }
 
 // NextID returns the id the next Insert will assign. Removed objects keep
