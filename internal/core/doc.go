@@ -48,6 +48,19 @@
 // in ascending network distance as of the last update and the rest of R as
 // of the last recomputation or re-rank.
 //
+// A session that stays on one edge does not search at all (edgeAnchor). A
+// position on an edge reaches the subnetwork only through the edge's two
+// endpoints, so every guard distance is a linear function of the fraction
+// along the edge and of the distances from the endpoints. The session keeps
+// the k nearest guard objects of each endpoint, and those 2k entries decide
+// the "valid" verdict exactly at any point of the edge; whatever they cannot
+// certify goes to the search above, which remains the only place a re-rank or
+// a recomputation starts. The tables are built when the step the session
+// just took says at least two more updates will land on the edge (a build
+// costs two searches, each update answered saves one), follow the session
+// across a vertex at the price of one search, outlive re-ranks and re-pins
+// that leave the guard cells alone, and are dropped with the guard set.
+//
 // # Slice ownership
 //
 // This is the one place the result-slice contract is defined; the facade,

@@ -27,7 +27,10 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // not a graph the session owns, and one resumable search per update yields
 // every verdict — valid, stale but repairable from R, or R itself invalid —
 // and, on the last, widens onto the full network and becomes the
-// recomputation.
+// recomputation. In front of that search sits the edge anchor: while the
+// session stays on one edge, the k nearest guard objects of the edge's two
+// endpoints certify "valid" without a search (see edgeAnchor), and hand over
+// to the search whenever they cannot.
 //
 // Like PlaneQuery, a network query resolves its diagram through one of two
 // handles: NewNetworkQuery binds it to a raw diagram it may also mutate
@@ -62,6 +65,10 @@ type NetworkQuery struct {
 	// slice-ownership contract.
 	guard  []int
 	r, ins []int
+
+	// anchor is the search-free validation state for the edge the session is
+	// on (see edgeAnchor); it is valid for the current guard set only.
+	anchor edgeAnchor
 
 	// sc is the search working memory: the engine's per-shard scratch (see
 	// UseScratch), or one the query allocates at its first search. Nothing
@@ -259,10 +266,12 @@ func (q *NetworkQuery) Close() {
 	}
 }
 
-// Invalidate discards the client-side state (R, I(R) and the kNN set) so
-// the next Update performs a full recomputation.
+// Invalidate discards the client-side state (R, I(R), the kNN set and the
+// edge anchor built against them) so the next Update performs a full
+// recomputation.
 func (q *NetworkQuery) Invalidate() {
 	q.init = false
+	q.anchor.armed = false
 	q.guard, q.r, q.ins = q.guard[:0], nil, nil
 }
 
@@ -384,6 +393,7 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 		return nil, err
 	}
 	q.m.Timestamps++
+	prev := q.last
 	q.last = pos
 	q.located = true
 	if !q.init {
@@ -394,6 +404,10 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 	}
 
 	q.m.Validations++
+	if t, ok := q.anchorAt(prev, pos); ok && q.anchoredValid(t) {
+		q.m.AnchoredValidations++
+		return q.knn(), nil
+	}
 	search, kept, valid := q.validate(pos)
 	if valid {
 		return q.knn(), nil

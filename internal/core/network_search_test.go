@@ -89,9 +89,23 @@ func gridDiagram(tb testing.TB, side, sites int) *netvor.Diagram {
 // TestNetworkResumeUpdateAllocatesNothing: in steady state a network Update
 // allocates nothing in any of its three outcomes — the search state lives
 // in the scratch, a re-rank permutes R in place, and a recomputation
-// appends R and I(R) onto the session's one id list.
+// appends R and I(R) onto the session's one id list — nor on a slow walk
+// whose edge anchor arms, serves, is carried across vertices and is dropped by
+// recomputations: the two tables keep their capacity and the candidates are
+// ranked in the scratch.
 func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 	d := gridDiagram(t, 96, 1400)
+	// One search begun per validation the anchor did not answer, whatever its
+	// outcome (a recomputation continues the validation search), and one per
+	// anchor table built.
+	checkSearches := func(what string, before, after metrics.Counters) {
+		t.Helper()
+		want := (after.Validations - before.Validations) - (after.AnchoredValidations - before.AnchoredValidations) +
+			(after.AnchorBuilds - before.AnchorBuilds)
+		if got := after.DijkstraRuns - before.DijkstraRuns; got != want {
+			t.Errorf("%s: %d searches begun, want %d (%v)", what, got, want, after)
+		}
+	}
 	for _, outcome := range []string{"validate", "rerank", "recompute"} {
 		q, pos := netOutcomeLoop(t, d, outcome, 5)
 		before := *q.Metrics()
@@ -109,20 +123,64 @@ func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 		if took, n := outcomeCount(before, *after, outcome), after.Timestamps-before.Timestamps; took != n {
 			t.Errorf("%s: only %d of %d measured updates took that outcome", outcome, took, n)
 		}
-		// One search begun per update, whatever its outcome: a recomputation
-		// continues the validation search.
-		if got := after.DijkstraRuns - before.DijkstraRuns; got != after.Validations-before.Validations {
-			t.Errorf("%s: %d searches begun for %d validations", outcome, got, after.Validations-before.Validations)
-		}
+		checkSearches(outcome, before, *after)
 	}
+
+	// The slow walk, back and forth over one route at a tenth of an edge per
+	// update; the first two round trips grow the buffers to their steady size.
+	g := d.Graph()
+	const cell = 10000.0 / 95
+	route, err := roadnet.RandomWalkRoute(g, 4000, 30*cell, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions := anchorWalkPositions(route, cell, []float64{0.1}, 300, false)
+	q, err := NewNetworkQuery(d, 10, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, dir := 0, 1
+	served, carried, dropped := 0, 0, 0
+	step := func() {
+		armed, before := q.anchor.armed, *q.Metrics()
+		if _, err := q.Update(positions[i]); err != nil {
+			t.Fatal(err)
+		}
+		after := q.Metrics()
+		served += after.AnchoredValidations - before.AnchoredValidations
+		if after.AnchorBuilds-before.AnchorBuilds == 1 {
+			carried++
+		}
+		if armed && after.Recomputations > before.Recomputations {
+			dropped++
+		}
+		if i+dir < 0 || i+dir >= len(positions) {
+			dir = -dir
+		}
+		i += dir
+	}
+	for n := 0; n < 4*len(positions); n++ {
+		step()
+	}
+	served, carried, dropped = 0, 0, 0
+	before := *q.Metrics()
+	if allocs := testing.AllocsPerRun(2*len(positions), step); allocs != 0 {
+		t.Errorf("slow walk: %.2f allocs per Update, want 0", allocs)
+	}
+	if served == 0 || carried == 0 || dropped == 0 {
+		t.Errorf("slow walk: anchor served %d updates, was carried %d times and dropped by a recomputation %d times; want all three", served, carried, dropped)
+	}
+	checkSearches("slow walk", before, *q.Metrics())
 }
 
 // TestNetworkResumeWalkWithSiteChurnMatchesOracle: random walks with
 // interleaved InsertSite/RemoveSite/Invalidate+Refresh answer like the
 // oracle after every call, keep kNN ≡ R[:k], and take all three outcomes.
-// Every Update begins exactly one search, and a recomputation — continued
-// from the failed validation or begun cold — leaves all of R the nearest
-// sites in rank order and I(R) their neighbor set.
+// Every Update begins the searches its class says — none when the edge anchor
+// answers it, one otherwise, and on top of that two when it builds an anchor
+// and one when it carries one across a vertex — and a recomputation, continued
+// from the failed validation or begun cold, leaves all of R the nearest sites
+// in rank order and I(R) their neighbor set.
 func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		k   int
@@ -139,6 +197,7 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		outcomes := map[string]int{}
+		anchored := 0
 		check := func(pos roadnet.Position, knn []int) {
 			checkNetKNN(t, d, pos, knn, tc.k)
 			if r := q.Prefetched(); !slices.Equal(q.Current(), r[:tc.k]) {
@@ -167,9 +226,15 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			outcome := outcomeName(before, *q.Metrics())
 			outcomes[outcome]++
 			check(pos, knn)
-			if runs := q.Metrics().DijkstraRuns - before.DijkstraRuns; runs != 1 {
-				t.Fatalf("at %+v: %s began %d searches, want 1", pos, outcome, runs)
+			after := q.Metrics()
+			served, built := after.AnchoredValidations-before.AnchoredValidations, after.AnchorBuilds-before.AnchorBuilds
+			if runs := after.DijkstraRuns - before.DijkstraRuns; runs != 1-served+built || served > 1 || built > 2 {
+				t.Fatalf("at %+v: %s began %d searches (served from the anchor %d, anchor tables built %d)", pos, outcome, runs, served, built)
 			}
+			if served == 1 && outcome != "validate" {
+				t.Fatalf("at %+v: the anchor answered a %s", pos, outcome)
+			}
+			anchored += served
 			if outcome == "recompute" {
 				checkRecomputed(pos)
 			}
@@ -206,6 +271,9 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 				check(pos, knn)
 				checkRecomputed(pos)
 			}
+		}
+		if anchored == 0 {
+			t.Errorf("k=%d rho=%g: no update was answered from an edge anchor", tc.k, tc.rho)
 		}
 		for _, o := range []string{"validate", "recompute"} {
 			if outcomes[o] == 0 {
@@ -325,9 +393,20 @@ func TestNetworkDisconnectedRecomputeInvalidates(t *testing.T) {
 
 // BenchmarkNetworkUpdate is the core row of the per-layer ledger without
 // the harness: one Update on the repository benchmark's street grid
-// (448x448, 30k sites), k = 10, ρ = 1.6, by outcome.
+// (448x448, 30k sites), k = 10, ρ = 1.6 — by outcome, between two positions,
+// and as the benchmark's two kinds of session, a crawl (2 units per update, a
+// tenth of an edge) and a stride (16 units) back and forth over a 256-position
+// random walk. relax/update is edge relaxations plus anchor table entries
+// read, the network's share of the benchmark's search_steps_per_update;
+// anchored/update and tables/update are the edge anchor's split.
 func BenchmarkNetworkUpdate(b *testing.B) {
 	d := gridDiagram(b, 448, 30000)
+	report := func(b *testing.B, before, after metrics.Counters) {
+		n := float64(b.N)
+		b.ReportMetric(float64(after.EdgeRelaxations-before.EdgeRelaxations+after.DistanceCalcs-before.DistanceCalcs)/n, "relax/update")
+		b.ReportMetric(float64(after.AnchoredValidations-before.AnchoredValidations)/n, "anchored/update")
+		b.ReportMetric(float64(after.AnchorBuilds-before.AnchorBuilds)/n, "tables/update")
+	}
 	for _, outcome := range []string{"validate", "rerank", "recompute"} {
 		q, pos := netOutcomeLoop(b, d, outcome, 9)
 		step := 0 // runs on across the b.N ramp: the query is at pos[step&1]
@@ -343,10 +422,45 @@ func BenchmarkNetworkUpdate(b *testing.B) {
 			}
 			b.StopTimer()
 			after := *q.Metrics()
-			b.ReportMetric(float64(after.EdgeRelaxations-before.EdgeRelaxations)/float64(b.N), "relaxations/op")
+			report(b, before, after)
 			if took := outcomeCount(before, after, outcome); took != b.N {
 				b.Fatalf("only %d of %d updates took outcome %s", took, b.N, outcome)
 			}
+		})
+	}
+	for _, walk := range []struct {
+		name string
+		step float64
+	}{{"crawl", 2}, {"stride", 16}} {
+		const trajLen = 256
+		route, err := roadnet.RandomWalkRoute(d.Graph(), 100000, walk.step*trajLen, 9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		positions := make([]roadnet.Position, trajLen)
+		for j := range positions {
+			positions[j] = route.PositionAt(walk.step * float64(j))
+		}
+		q, err := NewNetworkQuery(d, 10, 1.6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at, dir := 0, 1
+		b.Run(walk.name, func(b *testing.B) {
+			before := *q.Metrics()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Update(positions[at]); err != nil {
+					b.Fatal(err)
+				}
+				if at+dir < 0 || at+dir >= trajLen {
+					dir = -dir
+				}
+				at += dir
+			}
+			b.StopTimer()
+			report(b, before, *q.Metrics())
 		})
 	}
 }

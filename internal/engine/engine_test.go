@@ -337,6 +337,17 @@ func TestEngineNetworkSessions(t *testing.T) {
 			t.Fatalf("at %v: engine %v, reference %v", pos, results[0].KNN, want)
 		}
 	}
+	// The validation split is readable from Stats: at a fifth of an edge per
+	// update the session is served from edge anchors, as often as the
+	// reference.
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Counters, *ref.Metrics(); got.AnchoredValidations == 0 ||
+		got.AnchoredValidations != want.AnchoredValidations || got.AnchorBuilds != want.AnchorBuilds {
+		t.Errorf("Stats counters %v, reference %v", got, want)
+	}
 
 	// A plane update against a network session is a per-entry error.
 	results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(1, 1)}})

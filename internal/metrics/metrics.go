@@ -17,9 +17,17 @@ type Counters struct {
 	Recomputations  int // full server-side recomputations (communication events)
 	ObjectsShipped  int // data objects sent client-ward by recomputations
 	DistanceCalcs   int // point-to-point distance evaluations
-	DijkstraRuns    int // shortest-path searches begun (road network mode); a recomputation that continues its validation search begins none
+	DijkstraRuns    int // shortest-path searches begun (road network mode): per update none when the edge anchor answers, one otherwise (a recomputation continues its validation search), plus the AnchorBuilds
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
 	NodeVisits      int // index nodes touched (stand-in for page I/O)
+
+	// The road-network validation split: of Validations, AnchoredValidations
+	// found the kNN set valid from the session's edge anchor without a
+	// search. AnchorBuilds counts the endpoint tables built for anchors, one
+	// search each — two when a session arms on an edge, one when it carries a
+	// shared endpoint onto the next edge.
+	AnchoredValidations int
+	AnchorBuilds        int
 }
 
 // Add accumulates other into c.
@@ -33,6 +41,8 @@ func (c *Counters) Add(other Counters) {
 	c.DijkstraRuns += other.DijkstraRuns
 	c.EdgeRelaxations += other.EdgeRelaxations
 	c.NodeVisits += other.NodeVisits
+	c.AnchoredValidations += other.AnchoredValidations
+	c.AnchorBuilds += other.AnchorBuilds
 }
 
 // Reset zeroes all counters.
@@ -66,7 +76,8 @@ type PerStep struct {
 // String implements fmt.Stringer with the fields the experiment tables use.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"steps=%d validations=%d invalidations=%d recomputations=%d shipped=%d distcalcs=%d dijkstra=%d relax=%d nodevisits=%d",
+		"steps=%d validations=%d invalidations=%d recomputations=%d shipped=%d distcalcs=%d dijkstra=%d relax=%d nodevisits=%d anchored=%d anchorbuilds=%d",
 		c.Timestamps, c.Validations, c.Invalidations, c.Recomputations,
-		c.ObjectsShipped, c.DistanceCalcs, c.DijkstraRuns, c.EdgeRelaxations, c.NodeVisits)
+		c.ObjectsShipped, c.DistanceCalcs, c.DijkstraRuns, c.EdgeRelaxations, c.NodeVisits,
+		c.AnchoredValidations, c.AnchorBuilds)
 }

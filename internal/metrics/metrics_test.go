@@ -7,10 +7,12 @@ import (
 
 func TestAddAndReset(t *testing.T) {
 	a := Counters{Timestamps: 2, Validations: 1, Recomputations: 3, ObjectsShipped: 10}
-	b := Counters{Timestamps: 5, Invalidations: 2, DistanceCalcs: 7, EdgeRelaxations: 9}
+	b := Counters{Timestamps: 5, Invalidations: 2, DistanceCalcs: 7, EdgeRelaxations: 9, AnchoredValidations: 4, AnchorBuilds: 3}
 	a.Add(b)
+	a.Add(Counters{AnchoredValidations: 1, AnchorBuilds: 2})
 	if a.Timestamps != 7 || a.Invalidations != 2 || a.Recomputations != 3 ||
-		a.DistanceCalcs != 7 || a.EdgeRelaxations != 9 || a.ObjectsShipped != 10 {
+		a.DistanceCalcs != 7 || a.EdgeRelaxations != 9 || a.ObjectsShipped != 10 ||
+		a.AnchoredValidations != 5 || a.AnchorBuilds != 5 {
 		t.Errorf("Add produced %+v", a)
 	}
 	a.Reset()
@@ -31,9 +33,9 @@ func TestPerTimestamp(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	c := Counters{Timestamps: 3, Recomputations: 1}
+	c := Counters{Timestamps: 3, Recomputations: 1, AnchoredValidations: 2, AnchorBuilds: 4}
 	s := c.String()
-	for _, want := range []string{"steps=3", "recomputations=1"} {
+	for _, want := range []string{"steps=3", "recomputations=1", "anchored=2", "anchorbuilds=4"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}

@@ -81,6 +81,78 @@ func sameIntSlice(a, b []int) bool {
 	return true
 }
 
+// TestDifferentialCoincidentSites is TestDifferentialSiteMutations on a grid
+// a third of whose edges have weight zero, so that sites keep landing at
+// distance zero from one another — joining a lower id, a higher id, a chain
+// of them, and leaving again. Every site must own its own vertex whatever
+// its neighbours' ids, and the incrementally repaired labels, adjacency and
+// kNN answers must equal a fresh Build's: a coincident site hands over the
+// territory the other one reached through its vertex, and gives it back.
+func TestDifferentialCoincidentSites(t *testing.T) {
+	const side = 9
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := roadnet.NewGraph()
+		for i := 0; i < side*side; i++ {
+			g.AddVertex(geom.Pt(float64(i%side)*10, float64(i/side)*10))
+		}
+		join := func(u, v int) {
+			w := float64(1 + rng.Intn(3))
+			if rng.Intn(3) == 0 {
+				w = 0
+			}
+			if err := g.AddEdgeWeight(u, v, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < side*side; i++ {
+			if i%side < side-1 {
+				join(i, i+1)
+			}
+			if i/side < side-1 {
+				join(i, i+side)
+			}
+		}
+		d, err := Build(g, rng.Perm(side * side)[:6])
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := []roadnet.Position{
+			roadnet.VertexPosition(rng.Intn(side * side)),
+			roadnet.VertexPosition(rng.Intn(side * side)),
+		}
+		coincident := 0
+		for step := 0; step < 120; step++ {
+			if d.Len() > 3 && rng.Intn(5) < 2 {
+				victim := d.Sites()[rng.Intn(d.Len())]
+				if err := d.Remove(victim); err != nil {
+					t.Fatalf("seed %d step %d: remove %d: %v", seed, step, victim, err)
+				}
+			} else {
+				v := rng.Intn(side * side)
+				for d.IsSite(v) {
+					v = rng.Intn(side * side)
+				}
+				if _, dist := d.Owner(v); dist == 0 {
+					coincident++
+				}
+				if err := d.Insert(v); err != nil {
+					t.Fatalf("seed %d step %d: insert %d: %v", seed, step, v, err)
+				}
+			}
+			for _, s := range d.Sites() {
+				if o, dist := d.Owner(s); o != s || dist != 0 {
+					t.Fatalf("seed %d step %d: site %d has owner (%d, %g)", seed, step, s, o, dist)
+				}
+			}
+			checkAgainstRebuild(t, step, d, g, probes)
+		}
+		if coincident < 10 {
+			t.Errorf("seed %d: only %d inserts landed at distance 0 from a site", seed, coincident)
+		}
+	}
+}
+
 // TestDifferentialSiteMutations drives a random site insert/delete
 // sequence through the incrementally maintained diagram and checks, at
 // every step, that its full state equals a diagram rebuilt from scratch —

@@ -173,16 +173,37 @@ func TestKNNDisconnectedAndZeroWeight(t *testing.T) {
 	if err := d.Remove(comp[1][5]); err != nil {
 		t.Fatal(err)
 	}
-	// The replacement must not sit at distance 0 from the surviving site:
-	// ownership ties go to the lower id, so of two sites joined by a
-	// zero-length path the higher one owns nothing, not even its own vertex,
-	// and no search reports it (a known gap, listed in ROADMAP.md).
+	// The replacement sits at distance 0 from the surviving site, joined to it
+	// by a zero-length path: each owns its own vertex, both are reported, and
+	// the insert-built labels are those of a fresh Build.
 	fromSite := g.ShortestDistances([]roadnet.Source{{V: comp[1][10]}}, -1)
-	repl := slices.IndexFunc(comp[1], func(v int) bool { return fromSite[v] > 0 })
-	if err := d.Insert(comp[1][repl]); err != nil {
-		t.Fatal(err)
+	repl := slices.IndexFunc(comp[1], func(v int) bool { return v != comp[1][10] && fromSite[v] == 0 })
+	if repl < 0 {
+		t.Fatal("no vertex at distance 0 from the surviving site")
 	}
-	checkKNNMatchesBruteForce(t, d, probes)
+	for _, twin := range []int{comp[1][repl], comp[1][10]} {
+		// Once as the higher id joining the lower, once the other way round.
+		other := comp[1][repl] + comp[1][10] - twin
+		if d.IsSite(twin) {
+			if err := d.Remove(twin); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstRebuild(t, twin, d, g, probes)
+		}
+		if err := d.Insert(twin); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []int{twin, other} {
+			if o, dist := d.Owner(s); !d.IsSite(s) || o != s || dist != 0 {
+				t.Fatalf("after inserting %d: site %d has owner (%d, %g), IsSite %v", twin, s, o, dist, d.IsSite(s))
+			}
+		}
+		if knn := d.KNN(roadnet.VertexPosition(twin), 2); !slices.Contains(knn, twin) || !slices.Contains(knn, other) {
+			t.Fatalf("2NN at %d = %v, want both coincident sites %d and %d", twin, knn, twin, other)
+		}
+		checkAgainstRebuild(t, twin, d, g, probes)
+		checkKNNMatchesBruteForce(t, d, probes)
+	}
 }
 
 // subEdges canonicalizes a subnetwork's edge multiset in full-network ids.

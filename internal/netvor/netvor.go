@@ -86,21 +86,20 @@ type adjPage struct {
 	entries []adjEntry
 }
 
-// relabel records one vertex's previous owner during an Insert claim —
-// the dense replacement for the old map[int]int mutation log.
+// relabel records the owner a vertex had before a mutation took it (-1 for
+// a vertex of the cell the mutation dug out, whose labels are reset first).
 type relabel struct {
 	v, old int32
 }
 
 // mutScratch is reusable working memory for diagram mutations: the owner
-// frontier heap, the Insert relabel log, and the Remove cell/DFS buffers.
-// One scratch is shared down a Branch lineage (only the unfrozen head
-// mutates, and the store serializes mutations), so steady-state site
-// churn allocates nothing here.
+// frontier heap, the log of relabelled vertices and the cell-walk stack. One
+// scratch is shared down a Branch lineage (only the unfrozen head mutates,
+// and the store serializes mutations), so steady-state site churn allocates
+// nothing here.
 type mutScratch struct {
 	oh        ownerHeap4
 	relabeled []relabel
-	cell      []int32
 	stack     []int32
 }
 
@@ -129,7 +128,8 @@ type Diagram struct {
 
 // Build computes the network Voronoi diagram of the given site vertices.
 // Ties in vertex ownership break toward the lower site id, which makes the
-// diagram deterministic; cells are nonempty because every site owns itself.
+// diagram deterministic; cells are nonempty because every site owns itself
+// (see captures).
 func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("netvor: no sites")
@@ -151,27 +151,11 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 	}
 
 	// Multi-source Dijkstra carrying the owning site with each label.
-	c := g.CSR()
 	var h ownerHeap4
 	for _, s := range d.sites {
-		h.push(ownerItem{v: int32(s), d: 0, site: int32(s)})
+		d.source(&h, s)
 	}
-	for len(h) > 0 {
-		it := h.pop()
-		o, dd := d.label(int(it.v))
-		if it.d > dd || (it.d == dd && o != -1 && int32(o) <= it.site) {
-			continue
-		}
-		d.setLabel(int(it.v), int(it.site), it.d)
-		for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
-			u := c.To[e]
-			nd := it.d + c.W[e]
-			uo, ud := d.label(int(u))
-			if nd < ud || (nd == ud && int(it.site) < uo) {
-				h.push(ownerItem{v: u, d: nd, site: it.site})
-			}
-		}
-	}
+	d.settle(g.CSR(), &h, nil)
 
 	// Voronoi adjacency: two cells touch when some edge has endpoints with
 	// different owners (the boundary point lies on that edge).
@@ -181,6 +165,114 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 		d.incPair(a, b)
 	})
 	return d, nil
+}
+
+// captures reports whether the label it would take its vertex from the
+// current label (o, dd): it is strictly nearer, or as near and of a lower site
+// id. A site's own vertex is never taken from it by a tie, so two sites
+// joined by a zero-length path both own themselves — both IsSite, both
+// reported by every search — and the higher one's wave is what goes on from
+// its vertex: a wave passes only through vertices it owns. That keeps every
+// cell connected (a vertex's owner is the owner of one of its shortest-path
+// predecessors) and makes the labelling a local fixpoint, the two facts the
+// incremental Insert and Remove repair from.
+func captures(it ownerItem, o int, dd float64) bool {
+	return it.d < dd || (it.d == dd && int(it.site) < o && o != int(it.v))
+}
+
+// source labels site s's own vertex and queues it for settle.
+func (d *Diagram) source(h *ownerHeap4, s int) {
+	d.setLabel(s, s, 0)
+	h.push(ownerItem{v: int32(s), d: 0, site: int32(s)})
+}
+
+// settle runs the frontier h to exhaustion: the label-correcting
+// multi-source Dijkstra behind Build, Insert and Remove. A source expands
+// from the label it was given; any other entry first has to capture its
+// vertex, and log, when set, records the owner it took it from. Entries pop
+// in (distance, site id) order, so a vertex is captured twice only when a
+// zero-weight edge delivers an equal-distance lower id late.
+func (d *Diagram) settle(c *roadnet.CSR, h *ownerHeap4, log *[]relabel) {
+	for len(*h) > 0 {
+		it := h.pop()
+		if it.v != it.site {
+			o, dd := d.label(int(it.v))
+			if !captures(it, o, dd) {
+				continue
+			}
+			if log != nil {
+				*log = append(*log, relabel{v: it.v, old: int32(o)})
+			}
+			d.setLabel(int(it.v), int(it.site), it.d)
+		}
+		for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
+			next := ownerItem{v: c.To[e], d: it.d + c.W[e], site: it.site}
+			if uo, ud := d.label(int(next.v)); captures(next, uo, ud) {
+				h.push(next)
+			}
+		}
+	}
+}
+
+// dig resets the labels of site s's cell to (unreachable, +Inf) and queues,
+// for every edge leaving it, the outside endpoint's label carried across —
+// the seeds from which settle redistributes the territory. The cell is
+// walked from s over s-owned vertices (it is connected, see captures); the
+// reset doubles as the visited mark, so no membership set is needed.
+func (d *Diagram) dig(c *roadnet.CSR, mut *mutScratch, s int) {
+	mut.stack = append(mut.stack[:0], int32(s))
+	d.setLabel(s, -1, math.Inf(1))
+	for len(mut.stack) > 0 {
+		u := mut.stack[len(mut.stack)-1]
+		mut.stack = mut.stack[:len(mut.stack)-1]
+		for e := c.Off[u]; e < c.Off[u+1]; e++ {
+			x := c.To[e]
+			switch xo, xd := d.label(int(x)); xo {
+			case s:
+				d.setLabel(int(x), -1, math.Inf(1))
+				mut.stack = append(mut.stack, x)
+			case -1: // dug already (or unreachable from any site)
+			default:
+				mut.oh.push(ownerItem{v: u, d: xd + c.W[e], site: int32(xo)})
+			}
+		}
+	}
+}
+
+// rebind moves the adjacency support of every edge with a relabelled
+// endpoint from the pair of cells it separated to the pair it separates now.
+// dug is the owner of the cell the mutation dug out, which the log records
+// as -1.
+func (d *Diagram) rebind(c *roadnet.CSR, mut *mutScratch, dug int) {
+	// One entry per vertex, the earliest: the owner before the mutation.
+	slices.SortStableFunc(mut.relabeled, func(a, b relabel) int { return cmp.Compare(a.v, b.v) })
+	log := slices.CompactFunc(mut.relabeled, func(a, b relabel) bool { return a.v == b.v })
+	mut.relabeled = log
+	before := func(r relabel) int {
+		if r.old == -1 {
+			return dug
+		}
+		return int(r.old)
+	}
+	for _, r := range log {
+		was := before(r)
+		now, _ := d.label(int(r.v))
+		for e := c.Off[r.v]; e < c.Off[r.v+1]; e++ {
+			x := c.To[e]
+			xNow, _ := d.label(int(x))
+			xWas := xNow
+			if i, ok := slices.BinarySearchFunc(log, x, func(a relabel, t int32) int { return cmp.Compare(a.v, t) }); ok {
+				if x < r.v {
+					continue // an edge inside the relabelled territory moves once
+				}
+				xWas = before(log[i])
+			}
+			if was != now || xWas != xNow {
+				d.decPair(was, xWas)
+				d.incPair(now, xNow)
+			}
+		}
+	}
 }
 
 // mutSc returns the lineage's mutation scratch, creating it lazily.
@@ -428,65 +520,36 @@ func (d *Diagram) Insert(v int) error {
 	if d.IsSite(v) {
 		return fmt.Errorf("%w: %d", ErrSiteExists, v)
 	}
-
-	// Claim Dijkstra: labels all carry site v. mut.relabeled logs each
-	// relabeled vertex's previous owner; a vertex is accepted at most once
-	// (pushes require strict improvement or a strictly better tie), so the
-	// log holds each vertex exactly once.
 	c := d.g.CSR()
 	mut := d.mutSc()
 	mut.oh = mut.oh[:0]
 	mut.relabeled = mut.relabeled[:0]
-	mut.oh.push(ownerItem{v: int32(v), d: 0, site: int32(v)})
-	for len(mut.oh) > 0 {
-		it := mut.oh.pop()
-		o, dd := d.label(int(it.v))
-		if !(it.d < dd || (it.d == dd && v < o)) {
-			continue
-		}
-		mut.relabeled = append(mut.relabeled, relabel{v: it.v, old: int32(o)})
-		d.setLabel(int(it.v), v, it.d)
-		for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
-			u := c.To[e]
-			nd := it.d + c.W[e]
-			uo, ud := d.label(int(u))
-			if nd < ud || (nd == ud && v < uo) {
-				mut.oh.push(ownerItem{v: u, d: nd, site: int32(v)})
-			}
-		}
+	o, dd := d.label(v)
+	dug := -1
+	if dd == 0 && o < v {
+		// v lies at distance zero from a site of lower id, which keeps every
+		// tie — but whatever that site reached through v is v's now, because
+		// a wave passes only through vertices it owns. That territory is
+		// somewhere in o's cell: dig it out and share it between the two.
+		dug = o
+		d.dig(c, mut, o)
+		d.source(&mut.oh, o)
 	}
-
-	// Move the adjacency support of every edge touching relabeled
-	// territory from the old owners to v. Post-claim, owner(x) == v is
-	// exactly "x was relabeled" (v owned nothing before), so membership
-	// reads off the label table and old owners come from the sorted log.
-	slices.SortFunc(mut.relabeled, func(a, b relabel) int { return cmp.Compare(a.v, b.v) })
-	for _, r := range mut.relabeled {
-		ou := int(r.old)
-		for e := c.Off[r.v]; e < c.Off[r.v+1]; e++ {
-			x := c.To[e]
-			if xo, _ := d.label(int(x)); xo == v {
-				if r.v < x {
-					i, _ := slices.BinarySearchFunc(mut.relabeled, x, func(a relabel, t int32) int { return cmp.Compare(a.v, t) })
-					d.decPair(ou, int(mut.relabeled[i].old))
-				}
-				continue
-			} else {
-				d.decPair(ou, xo)
-				d.incPair(v, xo)
-			}
-		}
-	}
+	mut.relabeled = append(mut.relabeled, relabel{v: int32(v), old: int32(o)})
+	d.source(&mut.oh, v)
+	d.settle(c, &mut.oh, &mut.relabeled)
+	d.rebind(c, mut, dug)
 	d.sites = insertSorted(d.sites, v)
 	return nil
 }
 
 // Remove deletes the data object at vertex s and repairs the diagram
-// incrementally: the orphaned cell is collected (it is connected, because
-// every vertex's shortest-path predecessor shares its owner), its labels
-// reset, and a multi-source Dijkstra seeded from the cell's boundary
-// redistributes the territory among the surviving neighbors. Cost is
-// proportional to the removed cell, not the network.
+// incrementally: the orphaned cell is dug out and a multi-source Dijkstra
+// seeded from its boundary redistributes the territory among the surviving
+// neighbors. Cost is proportional to the removed cell, not the network. The
+// repair leaves the hole only when s's vertex stood in the way of a
+// lower-id site at distance zero from it: outside labels are otherwise
+// already optimal with respect to the surviving sites.
 func (d *Diagram) Remove(s int) error {
 	if d.frozen {
 		return ErrFrozen
@@ -497,80 +560,13 @@ func (d *Diagram) Remove(s int) error {
 	if len(d.sites) == 1 {
 		return ErrLastSite
 	}
-
-	// Collect the cell by DFS over s-owned vertices, resetting each label
-	// to (unreachable, +Inf) as it is discovered — the reset doubles as
-	// the visited mark, so no membership set is needed.
 	c := d.g.CSR()
 	mut := d.mutSc()
-	mut.cell = append(mut.cell[:0], int32(s))
-	mut.stack = append(mut.stack[:0], int32(s))
-	d.setLabel(s, -1, math.Inf(1))
-	for len(mut.stack) > 0 {
-		u := mut.stack[len(mut.stack)-1]
-		mut.stack = mut.stack[:len(mut.stack)-1]
-		for e := c.Off[u]; e < c.Off[u+1]; e++ {
-			x := c.To[e]
-			if o, _ := d.label(int(x)); o == s {
-				d.setLabel(int(x), -1, math.Inf(1))
-				mut.cell = append(mut.cell, x)
-				mut.stack = append(mut.stack, x)
-			}
-		}
-	}
-	slices.Sort(mut.cell)
-
-	// Seed the repair from every boundary edge: a surviving neighbor's
-	// exact label plus the crossing edge. In-cell neighbors now read
-	// (-1, +Inf) and so seed nothing. The repair frontier never escapes
-	// the hole on its own: outside labels are already optimal (with the
-	// min-site tie-break) with respect to the surviving sites, so the
-	// push test below rejects every outward relaxation.
 	mut.oh = mut.oh[:0]
-	for _, u := range mut.cell {
-		for e := c.Off[u]; e < c.Off[u+1]; e++ {
-			x := c.To[e]
-			if xo, xd := d.label(int(x)); xo != -1 {
-				mut.oh.push(ownerItem{v: u, d: xd + c.W[e], site: int32(xo)})
-			}
-		}
-	}
-	for len(mut.oh) > 0 {
-		it := mut.oh.pop()
-		o, dd := d.label(int(it.v))
-		if !(it.d < dd || (it.d == dd && int(it.site) < o)) {
-			continue
-		}
-		d.setLabel(int(it.v), int(it.site), it.d)
-		for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
-			u := c.To[e]
-			nd := it.d + c.W[e]
-			uo, ud := d.label(int(u))
-			if nd < ud || (nd == ud && int(it.site) < uo) {
-				mut.oh.push(ownerItem{v: u, d: nd, site: it.site})
-			}
-		}
-	}
-
-	// Move the adjacency support of the cell's edges to the new owners.
-	// Pre-removal, edges inside the cell carried no support (both ends s)
-	// and boundary edges supported (s, outside-owner). Cell membership is
-	// a binary search in the sorted cell list.
-	for _, u := range mut.cell {
-		uo, _ := d.label(int(u))
-		for e := c.Off[u]; e < c.Off[u+1]; e++ {
-			x := c.To[e]
-			xo, _ := d.label(int(x))
-			if _, inCell := slices.BinarySearch(mut.cell, x); inCell {
-				if u < x {
-					d.incPair(uo, xo)
-				}
-				continue
-			}
-			d.decPair(s, xo)
-			d.incPair(uo, xo)
-		}
-	}
+	mut.relabeled = mut.relabeled[:0]
+	d.dig(c, mut, s)
+	d.settle(c, &mut.oh, &mut.relabeled)
+	d.rebind(c, mut, s)
 	if e := d.adjAt(s); len(e.sites) != 0 {
 		return fmt.Errorf("netvor: remove %d left dangling adjacency %v", s, e.sites)
 	}
@@ -768,6 +764,18 @@ type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
 	stack    []int32
+	floats   []float64
+}
+
+// Floats returns n float64s of the scratch for the caller to fill, with
+// unspecified contents — the query layer ranks an edge anchor's candidates
+// in it, so that buffer is per shard and not per session. Like everything in
+// the scratch it is the caller's until the scratch starts anything else.
+func (sc *SearchScratch) Floats(n int) []float64 {
+	if cap(sc.floats) < n {
+		sc.floats = make([]float64, n)
+	}
+	return sc.floats[:n]
 }
 
 // AppendKNN is KNNWithDistancesCounted appending ids onto dst and distances

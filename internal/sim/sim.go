@@ -122,5 +122,8 @@ func diff(before, after metrics.Counters) metrics.Counters {
 		DijkstraRuns:    after.DijkstraRuns - before.DijkstraRuns,
 		EdgeRelaxations: after.EdgeRelaxations - before.EdgeRelaxations,
 		NodeVisits:      after.NodeVisits - before.NodeVisits,
+
+		AnchoredValidations: after.AnchoredValidations - before.AnchoredValidations,
+		AnchorBuilds:        after.AnchorBuilds - before.AnchorBuilds,
 	}
 }
