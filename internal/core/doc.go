@@ -49,17 +49,19 @@
 // of the last recomputation or re-rank.
 //
 // A session that stays on one edge does not search at all (edgeAnchor). A
-// position on an edge reaches the subnetwork only through the edge's two
-// endpoints, so every guard distance is a linear function of the fraction
-// along the edge and of the distances from the endpoints. The session keeps
-// the k nearest guard objects of each endpoint, and those 2k entries decide
-// the "valid" verdict exactly at any point of the edge; whatever they cannot
-// certify goes to the search above, which remains the only place a re-rank or
-// a recomputation starts. The tables are built when the step the session
-// just took says at least two more updates will land on the edge (a build
-// costs two searches, each update answered saves one), follow the session
-// across a vertex at the price of one search, outlive re-ranks and re-pins
-// that leave the guard cells alone, and are dropped with the guard set.
+// position on an edge leaves it only through the edge's two endpoints, so its
+// distance to every object is a linear function of the fraction along the
+// edge and of the distances from the endpoints. The session keeps the ⌊ρk⌋
+// nearest objects of each endpoint on the full network, and merging the two
+// tables at its fraction yields the hits a full-network search from it would
+// report, exactly, ties included. That merge is a second source behind the
+// one validation loop: valid, re-rank and recomputation all come out of it,
+// by the same code, and the recomputation on the edge is a table read too.
+// The tables are built on the session's second consecutive update on an edge,
+// follow it across a vertex at the price of one search, and depend on the
+// edge and the objects near it, not on the guard set: they outlive re-ranks,
+// recomputations and Invalidate, and are dropped only by object churn — the
+// removal of a member, an insert whose Voronoi neighbors include a member.
 //
 // # Slice ownership
 //

@@ -27,10 +27,11 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // not a graph the session owns, and one resumable search per update yields
 // every verdict — valid, stale but repairable from R, or R itself invalid —
 // and, on the last, widens onto the full network and becomes the
-// recomputation. In front of that search sits the edge anchor: while the
-// session stays on one edge, the k nearest guard objects of the edge's two
-// endpoints certify "valid" without a search (see edgeAnchor), and hand over
-// to the search whenever they cannot.
+// recomputation. While the session stays on one edge the search is replaced
+// by its result: the ⌊ρk⌋ nearest objects of the edge's two endpoints, merged
+// at the session's fraction of the edge, are the hits the widened search
+// would report (see edgeAnchor), and the same loop takes the same verdicts
+// and the recomputation from them.
 //
 // Like PlaneQuery, a network query resolves its diagram through one of two
 // handles: NewNetworkQuery binds it to a raw diagram it may also mutate
@@ -66,8 +67,8 @@ type NetworkQuery struct {
 	guard  []int
 	r, ins []int
 
-	// anchor is the search-free validation state for the edge the session is
-	// on (see edgeAnchor); it is valid for the current guard set only.
+	// anchor is the search-free state for the edge the session is on (see
+	// edgeAnchor); it outlives the guard set and falls to site churn only.
 	anchor edgeAnchor
 
 	// sc is the search working memory: the engine's per-shard scratch (see
@@ -181,8 +182,9 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
 // member's, the site lands inside the Theorem-2 subnetwork, or a removed
 // site participates in (or neighbors) the guard set — the client state is
 // invalidated and the next Update recomputes; otherwise the existing state
-// carries over unchanged. Plane ops in the shared log are skipped: they
-// cannot affect a network session.
+// carries over unchanged. The edge anchor is judged by every op of the
+// window, by its own rule and whether or not a guard set is held. Plane ops
+// in the shared log are skipped: they cannot affect a network session.
 func (q *NetworkQuery) Sync() {
 	if q.store == nil || q.snap == nil {
 		return
@@ -197,38 +199,34 @@ func (q *NetworkQuery) Sync() {
 	if next == nil {
 		return // store closed: keep serving the already-pinned snapshot
 	}
-	invalidate := false
-	if q.init {
+	if q.init || q.anchor.armed {
 		ops, ok := q.store.OpsSince(q.snap.Epoch(), next.Epoch())
-		if !ok {
-			invalidate = true // lagged past the log: be conservative
-		} else {
-			for _, op := range ops {
-				if !op.Network {
-					continue
-				}
-				// Affectedness is evaluated against the still-pinned old
-				// snapshot's guard state, where every guard site is live.
-				switch {
-				case op.Conservative:
-					invalidate = true
-				case op.Insert:
-					invalidate = q.AffectedBySiteInsert(op.ID, op.Neighbors)
-				default:
-					invalidate = q.AffectedBySiteRemove(op.ID, op.Neighbors)
-				}
-				if invalidate {
-					break
-				}
+		if !ok { // lagged past the log, and ops is empty: be conservative
+			q.Invalidate()
+			q.anchor.armed = false
+		}
+		// Affectedness is evaluated against the still-pinned old snapshot's
+		// guard state, where every guard site is live, until nothing is left
+		// to judge.
+		for i := 0; i < len(ops) && (q.init || q.anchor.armed); i++ {
+			affected := false
+			switch op := &ops[i]; {
+			case !op.Network: // a plane op
+			case op.Conservative:
+				affected, q.anchor.armed = true, false
+			case op.Insert:
+				affected = q.AffectedBySiteInsert(op.ID, op.Neighbors)
+			default:
+				affected = q.AffectedBySiteRemove(op.ID, op.Neighbors)
+			}
+			if affected {
+				q.Invalidate()
 			}
 		}
 	}
 	q.snap.Release()
 	q.snap = next
 	q.d = next.Network()
-	if invalidate {
-		q.Invalidate()
-	}
 }
 
 // Refresh turns lazy invalidation into eager repair: it re-pins via Sync
@@ -266,12 +264,13 @@ func (q *NetworkQuery) Close() {
 	}
 }
 
-// Invalidate discards the client-side state (R, I(R), the kNN set and the
-// edge anchor built against them) so the next Update performs a full
-// recomputation.
+// Invalidate discards the client-side state (R, I(R) and the kNN set) so the
+// next Update performs a full recomputation. The edge anchor does not depend
+// on that state and stays: a caller that invalidates because the site set
+// changed behind the query must also have reported the change through
+// AffectedBySiteInsert or AffectedBySiteRemove.
 func (q *NetworkQuery) Invalidate() {
 	q.init = false
-	q.anchor.armed = false
 	q.guard, q.r, q.ins = q.guard[:0], nil, nil
 }
 
@@ -287,7 +286,21 @@ func (q *NetworkQuery) UsesSite(v int) bool { return slices.Contains(q.guard, v)
 // Theorem-2 subnetwork, the region every candidate closer than the guard
 // radius must occupy. The caller supplies the neighbor list so it is
 // looked up once per mutation rather than once per session.
+//
+// This and AffectedBySiteRemove are how a caller that mutates the diagram
+// behind the query reports every site mutation, whether or not a guard set
+// is held, because they also judge the edge anchor, and drop it when
+// touched. The new site enters an endpoint's table only next to a member: at
+// rank j ≥ 2 the owner of the last foreign vertex on the shortest path from
+// the endpoint ranks before it, by distance or by the id tie-break of the
+// diagram, and is its neighbor; at rank 1 it took the endpoint from the
+// table's first entry and their cells meet along the old shortest path. A
+// short table holds every site its endpoint reaches and any insert may
+// extend it.
 func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
+	if a := &q.anchor; a.armed && (neighbors == nil || min(len(a.end[0].site), len(a.end[1].site)) < q.prefetchCap() || slices.ContainsFunc(neighbors, a.holds)) {
+		a.armed = false
+	}
 	if !q.init {
 		return false
 	}
@@ -300,8 +313,13 @@ func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
 // AffectedBySiteRemove reports whether removing the site at vertex v (with
 // its pre-removal neighbor list) can change this query's state: the site
 // participated in the guard set, or its territory is inherited by a guard
-// member (whose cell, and with it the Theorem-2 subnetwork, then grows).
+// member (whose cell, and with it the Theorem-2 subnetwork, then grows). The
+// edge anchor is dropped exactly when the site is in one of its tables:
+// distances from a vertex to the other sites do not depend on the site set.
 func (q *NetworkQuery) AffectedBySiteRemove(v int, neighbors []int) bool {
+	if q.anchor.armed && q.anchor.holds(v) {
+		q.anchor.armed = false
+	}
 	if !q.init {
 		return false
 	}
@@ -337,9 +355,6 @@ func (q *NetworkQuery) InsertSite(v int) error {
 	if err := q.d.Insert(v); err != nil {
 		return err
 	}
-	if !q.init {
-		return nil
-	}
 	nb, err := q.d.Neighbors(v)
 	if err != nil {
 		nb = nil // conservative
@@ -364,25 +379,17 @@ func (q *NetworkQuery) RemoveSite(v int) error {
 	if err := q.d.Remove(v); err != nil {
 		return err
 	}
-	if !q.init {
-		return nil
-	}
 	if q.AffectedBySiteRemove(v, nb) {
 		return q.recompute(q.last)
 	}
 	return nil
 }
 
-func (q *NetworkQuery) prefetchSize() int {
-	m := int(q.rho * float64(q.k))
-	if m < q.k {
-		m = q.k
-	}
-	if n := q.d.Len(); m > n {
-		m = n
-	}
-	return m
-}
+// prefetchCap is M = ⌊ρk⌋ (at least k): the size of R while the diagram has
+// that many sites, and of a full anchor table.
+func (q *NetworkQuery) prefetchCap() int { return max(q.k, int(q.rho*float64(q.k))) }
+
+func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len()) }
 
 // Update processes a location update and returns the current kNN set
 // (shared slice; do not modify). A position that is not on the network is
@@ -393,58 +400,49 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 		return nil, err
 	}
 	q.m.Timestamps++
-	prev := q.last
-	q.last = pos
-	q.located = true
-	if !q.init {
-		if err := q.recompute(pos); err != nil {
-			return nil, err
+	if q.located {
+		q.anchorAt(q.last, pos)
+	}
+	q.last, q.located = pos, true
+	hits, kept := q.open(pos), 0
+	if q.init {
+		q.m.Validations++
+		var valid bool
+		if kept, valid = q.validate(&hits); valid {
+			if hits.tab != nil {
+				q.m.AnchoredValidations++
+			}
+			return q.knn(), nil
 		}
-		return q.knn(), nil
 	}
-
-	q.m.Validations++
-	if t, ok := q.anchorAt(prev, pos); ok && q.anchoredValid(t) {
-		q.m.AnchoredValidations++
-		return q.knn(), nil
-	}
-	search, kept, valid := q.validate(pos)
-	if valid {
-		return q.knn(), nil
-	}
-	if err := q.refetch(&search, kept); err != nil {
+	if err := q.refetch(&hits, kept); err != nil {
 		return nil, err
 	}
 	return q.knn(), nil
 }
 
-// validate runs the one search of an Update: guard objects are pulled from
-// the Theorem-2 subnetwork in ascending distance and each verdict is taken
+// validate runs the one pass of an Update over its hits — guard objects
+// pulled from the Theorem-2 subnetwork in ascending distance, or the nearest
+// sites outright when the edge anchor or a position off the subnetwork
+// supplies them, which by Theorem 2 decide alike — and each verdict is taken
 // at the first hit that decides it. The kNN set is valid once k hits have
 // all been kNN members. The first hit outside the kNN set makes it stale
 // and the same search goes on to |R| hits: if they are all members of R,
 // R is still the valid prefetch set, its subnetwork distances are exact and
 // the new kNN set is its k nearest — update cases (i)/(ii), composed
 // locally. The first hit outside R, or running out of subnetwork, proves R
-// invalid. validate then reports false and hands the search back widened
-// onto the full network, with the number of leading guard entries that are
-// already the nearest sites in order, for refetch to go on from.
+// invalid. validate then reports false and leaves the hits widened onto the
+// full network, with the number of leading guard entries that are already
+// the nearest sites in order, for refetch to go on from.
 //
 // Hit i is swapped to r[i], so the members still to come are r[i:] and the
 // verdicts read off where a hit is found: at or beyond k while no hit has
 // been, it is not a kNN member (until then every swap stays inside r[:k],
 // which keeps that prefix the kNN set); not in r[i:] at all, it is not in R.
-func (q *NetworkQuery) validate(pos roadnet.Position) (search netvor.GuardSearch, kept int, valid bool) {
-	search, ok := q.d.BeginGuardSearch(pos, q.guard, q.scratch())
-	q.m.DijkstraRuns++
-	if !ok {
-		q.m.Invalidations++
-		return q.d.BeginSearch(pos, q.scratch()), 0, false
-	}
+func (q *NetworkQuery) validate(hits *hitCursor) (kept int, valid bool) {
 	stale := false
 	for i := range q.r {
-		site, _, relaxed, found := search.Next()
-		q.m.EdgeRelaxations += relaxed
+		site, found := hits.next(&q.m)
 		j := -1
 		if found {
 			j = slices.Index(q.r[i:], site)
@@ -457,33 +455,34 @@ func (q *NetworkQuery) validate(pos roadnet.Position) (search netvor.GuardSearch
 			// The hits before this one sit in r[:i] in settle order. Those
 			// settled before the ring are the nearest sites outright, and
 			// when all i are, so is the hit that failed (never when the
-			// subnetwork ran out: exact counts hits, and there were only i).
-			if kept = search.Widen(); kept > i {
+			// hits ran out: widen counts hits, and there were only i).
+			if kept = hits.widen(); kept > i {
 				q.guard[i] = site
 			}
-			return search, kept, false
+			return kept, false
 		}
 		q.r[i], q.r[i+j] = q.r[i+j], q.r[i]
 		if !stale && i == q.k-1 {
-			return search, 0, true // k hits, all of them kNN members
+			return 0, true // k hits, all of them kNN members
 		}
 	}
-	return search, 0, true // |R| hits, all of them members of R, now in rank order
+	return 0, true // |R| hits, all of them members of R, now in rank order
 }
 
-// recompute fetches R and I(R) from scratch: a search begun on the full
-// network at pos, for the cases that have no validation search to continue.
+// recompute fetches R and I(R) from scratch at pos, for the cases that have
+// no validation to continue: from the anchor's tables when they cover pos,
+// else from a search begun on the full network. It never arms an anchor.
 func (q *NetworkQuery) recompute(pos roadnet.Position) error {
-	search := q.d.BeginSearch(pos, q.scratch())
-	q.m.DijkstraRuns++
-	return q.refetch(&search, 0)
+	q.Invalidate()
+	hits := q.open(pos)
+	return q.refetch(&hits, 0)
 }
 
-// refetch rebuilds R and I(R) from a full-network search: guard[:kept] are
-// its first kept hits, already in place, and the rest of R is pulled from
-// it. A failure leaves the query invalidated: the pulls have already
-// overwritten the buffer the old state lived in.
-func (q *NetworkQuery) refetch(search *netvor.GuardSearch, kept int) error {
+// refetch rebuilds R and I(R) from full-network hits: guard[:kept] are the
+// first kept of them, already in place, and the rest of R is pulled. A
+// failure leaves the query invalidated: the pulls have already overwritten
+// the buffer the old state lived in.
+func (q *NetworkQuery) refetch(hits *hitCursor, kept int) error {
 	m := q.prefetchSize()
 	guard := q.guard[:min(kept, m)]
 	q.Invalidate()
@@ -492,8 +491,7 @@ func (q *NetworkQuery) refetch(search *netvor.GuardSearch, kept int) error {
 	}
 	q.m.Recomputations++
 	for len(guard) < m {
-		site, _, relaxed, ok := search.Next()
-		q.m.EdgeRelaxations += relaxed
+		site, ok := hits.next(&q.m)
 		if !ok {
 			break
 		}

@@ -29,7 +29,10 @@ func testNetwork(t *testing.T, rows, cols, nSites int, seed int64) (*roadnet.Gra
 // over its own raw diagram, mutated in lockstep with the engine's store
 // under the engine-identical lazy-invalidation rule (invalidate when a
 // site mutation can disturb the guard cells; recompute at the next
-// update) — the network mirror of refQuery.
+// update) — the network mirror of refQuery. It mutates the diagram behind
+// the query, so it reports every mutation through the AffectedBySite* hooks,
+// with a nil neighbor list when the lookup failed: they judge the query's
+// edge anchor as well as its guard set.
 type refNetQuery struct {
 	d *netvor.Diagram
 	q *core.NetworkQuery
@@ -53,16 +56,22 @@ func (r *refNetQuery) insert(t *testing.T, v int) {
 	if err := r.d.Insert(v); err != nil {
 		t.Fatal(err)
 	}
-	nb, nbErr := r.d.Neighbors(v)
-	if nbErr != nil || r.q.AffectedBySiteInsert(v, nb) {
+	nb, err := r.d.Neighbors(v)
+	if err != nil {
+		nb = nil
+	}
+	if r.q.AffectedBySiteInsert(v, nb) {
 		r.q.Invalidate()
 	}
 }
 
 func (r *refNetQuery) remove(t *testing.T, v int) {
 	t.Helper()
-	nb, nbErr := r.d.Neighbors(v)
-	if nbErr != nil || r.q.AffectedBySiteRemove(v, nb) {
+	nb, err := r.d.Neighbors(v)
+	if err != nil {
+		nb = nil
+	}
+	if r.q.AffectedBySiteRemove(v, nb) {
 		r.q.Invalidate()
 	}
 	if err := r.d.Remove(v); err != nil {

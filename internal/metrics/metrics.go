@@ -17,15 +17,17 @@ type Counters struct {
 	Recomputations  int // full server-side recomputations (communication events)
 	ObjectsShipped  int // data objects sent client-ward by recomputations
 	DistanceCalcs   int // point-to-point distance evaluations
-	DijkstraRuns    int // shortest-path searches begun (road network mode): per update none when the edge anchor answers, one otherwise (a recomputation continues its validation search), plus the AnchorBuilds
+	DijkstraRuns    int // shortest-path searches begun (road network mode): per update the AnchorBuilds, plus one unless the edge anchor's tables answer it (a recomputation continues its validation search)
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
 	NodeVisits      int // index nodes touched (stand-in for page I/O)
 
-	// The road-network validation split: of Validations, AnchoredValidations
-	// found the kNN set valid from the session's edge anchor without a
-	// search. AnchorBuilds counts the endpoint tables built for anchors, one
-	// search each — two when a session arms on an edge, one when it carries a
-	// shared endpoint onto the next edge.
+	// The road-network split: of Validations, AnchoredValidations were
+	// decided from the session's edge anchor without a search and ended
+	// valid, the kNN set kept or re-ranked from R (recomputations the tables
+	// answer are not counted here; they begin no search either). AnchorBuilds
+	// counts the endpoint tables built for anchors, one search each — two
+	// when a session arms on an edge, one when it carries a shared endpoint
+	// onto the next edge. Table entries read count as DistanceCalcs.
 	AnchoredValidations int
 	AnchorBuilds        int
 }

@@ -49,7 +49,8 @@ type GuardSearch struct {
 	// wide says the owner-label filter is off. While it is on, ringed says a
 	// ring vertex has been settled — from then on labels are subnetwork
 	// distances, upper bounds on the full network, and every settled vertex
-	// is logged in sc.resettle — and exact counts the hits reported before.
+	// is logged in sc.resettle. exact counts the hits that stand: those
+	// reported before the ring, and every hit of a widened search.
 	wide   bool
 	ringed bool
 	exact  int
@@ -158,7 +159,8 @@ func (s *GuardSearch) seed(v int32, dd float64) {
 // full network and reports every site. It returns how many of the hits
 // reported so far are exact — the nearest sites of the full network, in
 // order — and stay reported; the rest will be reported again, at their
-// full-network distances and in their full-network order.
+// full-network distances and in their full-network order. On a search that
+// is already wide that is every hit, and nothing else changes.
 //
 // Up to the first ring vertex it settled, the filtered search did what the
 // unfiltered one does, pop for pop: every vertex was interior and relaxed
@@ -174,7 +176,7 @@ func (s *GuardSearch) seed(v int32, dd float64) {
 // frontier minimum reaches D, every label below D is final. An exhausted
 // subnetwork (Next returned !ok) is the same case with an empty frontier.
 func (s *GuardSearch) Widen() (exact int) {
-	s.wide = true
+	s.wide, s.ringed = true, false
 	road, log := &s.sc.road, s.sc.resettle
 	for _, v := range log {
 		road.Push(road.DistAt(v), v)
@@ -214,15 +216,15 @@ func (s *GuardSearch) Next() (site int, dist float64, relaxed int, ok bool) {
 		} else {
 			hit = road.Mark(v) != 0
 			in = hit || s.d.interior(v, road)
-			switch {
-			case !in || s.ringed:
+			if !in || s.ringed {
 				s.ringed = true
 				s.sc.resettle = append(s.sc.resettle, v)
-			case hit:
-				s.exact++
 			}
 		}
 		if hit {
+			if !s.ringed {
+				s.exact++
+			}
 			s.pend, s.pendD = v, dd
 			return int(v), dd, relaxed, true
 		}

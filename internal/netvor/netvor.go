@@ -764,18 +764,6 @@ type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
 	stack    []int32
-	floats   []float64
-}
-
-// Floats returns n float64s of the scratch for the caller to fill, with
-// unspecified contents — the query layer ranks an edge anchor's candidates
-// in it, so that buffer is per shard and not per session. Like everything in
-// the scratch it is the caller's until the scratch starts anything else.
-func (sc *SearchScratch) Floats(n int) []float64 {
-	if cap(sc.floats) < n {
-		sc.floats = make([]float64, n)
-	}
-	return sc.floats[:n]
 }
 
 // AppendKNN is KNNWithDistancesCounted appending ids onto dst and distances
