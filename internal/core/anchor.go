@@ -118,21 +118,22 @@ func (q *NetworkQuery) anchorAt(prev, pos roadnet.Position) {
 	a.armed = true
 }
 
-// pinEndpoint fills one table of the anchor: a full-network search from the
-// endpoint, pulled up to M hits.
+// pinEndpoint fills one table of the anchor with the M nearest sites of the
+// endpoint on the full network: from the scratch's table cache, where
+// whichever session came through the vertex last left them, or by the search
+// the cache then remembers. A hit is charged the invalidation stamps it read,
+// one distance evaluation each.
 func (q *NetworkQuery) pinEndpoint(tab *anchorTable, endpoint int) {
-	tab.site, tab.dist = tab.site[:0], tab.dist[:0]
-	search := q.d.BeginSearch(roadnet.VertexPosition(endpoint), q.scratch())
-	q.m.DijkstraRuns++
-	q.m.AnchorBuilds++
-	for m := q.prefetchCap(); len(tab.site) < m; {
-		site, dist, relaxed, found := search.Next()
-		q.m.EdgeRelaxations += relaxed
-		if !found {
-			break
-		}
-		tab.site = append(tab.site, int32(site))
-		tab.dist = append(tab.dist, dist)
+	var relaxed, reads int
+	var hit bool
+	tab.site, tab.dist, relaxed, reads, hit = q.d.AppendVertexTable(endpoint, q.prefetchCap(), q.sites, q.Epoch(), tab.site[:0], tab.dist[:0], q.scratch())
+	q.m.EdgeRelaxations += relaxed
+	q.m.DistanceCalcs += reads
+	if hit {
+		q.m.AnchorTableHits++
+	} else {
+		q.m.DijkstraRuns++
+		q.m.AnchorBuilds++
 	}
 }
 

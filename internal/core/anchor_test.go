@@ -101,12 +101,18 @@ func anchorWalkPositions(route *roadnet.Route, cell float64, steps []float64, n 
 	return out
 }
 
+// tablesTaken is how many endpoint tables the anchor took between two counter
+// readings: those searched for and those the table cache served.
+func tablesTaken(before, after metrics.Counters) int {
+	return after.AnchorBuilds - before.AnchorBuilds + after.AnchorTableHits - before.AnchorTableHits
+}
+
 // checkAnchorCounts checks the search-count contract of the Update at pos that
-// took q's counters on from before: at most two tables built, one search per
-// table built and one more unless the tables answered — the anchor, where the
-// update left it, covers pos — and AnchoredValidations counting exactly the
-// validations the tables answered without a recomputation. It reports whether
-// they answered.
+// took q's counters on from before: at most two tables taken, built or served
+// from the cache, one search per table built and one more unless the tables
+// answered — the anchor, where the update left it, covers pos — and
+// AnchoredValidations counting exactly the validations the tables answered
+// without a recomputation. It reports whether they answered.
 func checkAnchorCounts(t testing.TB, q *NetworkQuery, pos roadnet.Position, before metrics.Counters) (answered bool) {
 	t.Helper()
 	m := q.Metrics()
@@ -117,8 +123,9 @@ func checkAnchorCounts(t testing.TB, q *NetworkQuery, pos roadnet.Position, befo
 	if answered {
 		want = built
 	}
-	if runs := m.DijkstraRuns - before.DijkstraRuns; runs != want || built > 2 {
-		t.Fatalf("at %+v: began %d searches, want %d (tables answered %v, tables built %d)", pos, runs, want, answered, built)
+	if runs := m.DijkstraRuns - before.DijkstraRuns; runs != want || tablesTaken(before, *m) > 2 {
+		t.Fatalf("at %+v: began %d searches, want %d (tables answered %v, tables built %d, served from the cache %d)",
+			pos, runs, want, answered, built, m.AnchorTableHits-before.AnchorTableHits)
 	}
 	served := 0
 	if answered && m.Validations > before.Validations && m.Recomputations == before.Recomputations {
@@ -180,13 +187,12 @@ func runAnchorWalk(t *testing.T, q, ctl *NetworkQuery, diagram func() *netvor.Di
 		knn := slices.Clone(got)
 		m := *q.Metrics()
 		served := m.AnchoredValidations - before.AnchoredValidations
-		built := m.AnchorBuilds - before.AnchorBuilds
 		recomputed := m.Recomputations - before.Recomputations
 		answered := checkAnchorCounts(t, q, pos, before)
 		st.updates++
 		st.served += served
 		st.recomputes += recomputed
-		switch built {
+		switch tablesTaken(before, m) {
 		case 1:
 			st.carries++
 		case 2:

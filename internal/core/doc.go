@@ -57,11 +57,15 @@
 // report, exactly, ties included. That merge is a second source behind the
 // one validation loop: valid, re-rank and recomputation all come out of it,
 // by the same code, and the recomputation on the edge is a table read too.
-// The tables are built on the session's second consecutive update on an edge,
-// follow it across a vertex at the price of one search, and depend on the
+// The tables are taken on the session's second consecutive update on an edge,
+// follow it across a vertex at the price of one more, and depend on the
 // edge and the objects near it, not on the guard set: they outlive re-ranks,
 // recomputations and Invalidate, and are dropped only by object churn — the
 // removal of a member, an insert whose Voronoi neighbors include a member.
+// A table belongs to a vertex, not to a session, so it is searched for once:
+// the search scratch the shard's sessions share remembers it (netvor's table
+// cache, bounded, judged by the same churn rule), and the next session through
+// that vertex, or the same one on its way back, copies it.
 //
 // # Slice ownership
 //

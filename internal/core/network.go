@@ -52,6 +52,8 @@ type NetworkQuery struct {
 	store *index.Store
 	snap  *index.Snapshot
 
+	sites any // the site set d is a version of, to the scratch's table cache: store, or the raw diagram
+
 	init    bool
 	located bool // Update has been called at least once; last is meaningful
 	last    roadnet.Position
@@ -87,7 +89,7 @@ func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, erro
 	if d.Len() < k {
 		return nil, fmt.Errorf("core: k = %d exceeds site count %d", k, d.Len())
 	}
-	return &NetworkQuery{d: d, k: k, rho: rho}, nil
+	return &NetworkQuery{d: d, k: k, rho: rho, sites: d}, nil
 }
 
 // NewNetworkQueryPinned creates an INS MkNN query served from a shared
@@ -108,7 +110,7 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 		snap.Release()
 		return nil, err
 	}
-	q.store, q.snap = st, snap
+	q.store, q.snap, q.sites = st, snap, st
 	return q, nil
 }
 
@@ -184,11 +186,13 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
 // invalidated and the next Update recomputes; otherwise the existing state
 // carries over unchanged. The edge anchor is judged by every op of the
 // window, by its own rule and whether or not a guard set is held. Plane ops
-// in the shared log are skipped: they cannot affect a network session.
+// in the shared log are skipped: they cannot affect a network session. On the
+// way out the scratch's table cache is brought to the query's epoch.
 func (q *NetworkQuery) Sync() {
 	if q.store == nil || q.snap == nil {
 		return
 	}
+	defer q.followTables()
 	cur := q.store.Current()
 	if cur.Epoch() == q.snap.Epoch() {
 		return
@@ -227,6 +231,25 @@ func (q *NetworkQuery) Sync() {
 	q.snap.Release()
 	q.snap = next
 	q.d = next.Network()
+}
+
+// followTables reports to the scratch's table cache the site mutations from
+// the epoch it has followed the store to up to the pinned one — once per epoch
+// and scratch, by the first session to get there. A window the log no longer
+// covers, like an op it could not resolve, drops every table.
+func (q *NetworkQuery) followTables() {
+	sc, to := q.scratch(), q.snap.Epoch()
+	if from, behind := sc.FollowTo(q.store, to); behind {
+		ops, ok := q.store.OpsSince(from, to)
+		if !ok {
+			sc.SiteChanged(0, true, nil)
+		}
+		for i := range ops {
+			if op := &ops[i]; op.Network {
+				sc.SiteChanged(op.ID, op.Insert || op.Conservative, op.Neighbors)
+			}
+		}
+	}
 }
 
 // Refresh turns lazy invalidation into eager repair: it re-pins via Sync
@@ -290,7 +313,9 @@ func (q *NetworkQuery) UsesSite(v int) bool { return slices.Contains(q.guard, v)
 // This and AffectedBySiteRemove are how a caller that mutates the diagram
 // behind the query reports every site mutation, whether or not a guard set
 // is held, because they also judge the edge anchor, and drop it when
-// touched. The new site enters an endpoint's table only next to a member: at
+// touched, and tell the scratch's table cache, which judges its tables alike
+// (for a pinned query, Sync reads it the store's log instead). The new site
+// enters an endpoint's table only next to a member: at
 // rank j ≥ 2 the owner of the last foreign vertex on the shortest path from
 // the endpoint ranks before it, by distance or by the id tie-break of the
 // diagram, and is its neighbor; at rank 1 it took the endpoint from the
@@ -298,6 +323,9 @@ func (q *NetworkQuery) UsesSite(v int) bool { return slices.Contains(q.guard, v)
 // short table holds every site its endpoint reaches and any insert may
 // extend it.
 func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
+	if q.store == nil {
+		q.scratch().SiteChanged(v, true, neighbors)
+	}
 	if a := &q.anchor; a.armed && (neighbors == nil || min(len(a.end[0].site), len(a.end[1].site)) < q.prefetchCap() || slices.ContainsFunc(neighbors, a.holds)) {
 		a.armed = false
 	}
@@ -317,6 +345,9 @@ func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
 // edge anchor is dropped exactly when the site is in one of its tables:
 // distances from a vertex to the other sites do not depend on the site set.
 func (q *NetworkQuery) AffectedBySiteRemove(v int, neighbors []int) bool {
+	if q.store == nil {
+		q.scratch().SiteChanged(v, false, nil)
+	}
 	if q.anchor.armed && q.anchor.holds(v) {
 		q.anchor.armed = false
 	}

@@ -145,7 +145,7 @@ func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 			answered := update(q, positions[i])
 			after := q.Metrics()
 			served += after.AnchoredValidations - before.AnchoredValidations
-			if after.AnchorBuilds-before.AnchorBuilds == 1 {
+			if tablesTaken(before, *after) == 1 { // searched for, or served from the cache
 				carried++
 			}
 			if answered && after.Recomputations > before.Recomputations {
@@ -391,12 +391,16 @@ var gridWalks = []struct {
 	step float64
 }{{"crawl", 2}, {"stride", 16}, {"jog", 21}, {"sprint", 36}}
 
+// benchTraj is how many positions a session of the repository benchmark
+// replays, ping-pong.
+const benchTraj = 256
+
 // gridWalk returns a k = 10, ρ = 1.6 session over d and step, which moves it
-// one update on, back and forth over a 256-position random walk, and returns
-// the position it reported.
+// one update on, back and forth over a random walk of benchTraj positions, and
+// returns the position it reported.
 func gridWalk(tb testing.TB, d *netvor.Diagram, stride float64) (q *NetworkQuery, step func() roadnet.Position) {
 	tb.Helper()
-	const trajLen = 256
+	const trajLen = benchTraj
 	route, err := roadnet.RandomWalkRoute(d.Graph(), 100000, stride*trajLen, 9)
 	if err != nil {
 		tb.Fatal(err)
@@ -422,38 +426,87 @@ func gridWalk(tb testing.TB, d *netvor.Diagram, stride float64) (q *NetworkQuery
 	}
 }
 
+// foreignScratch returns a scratch whose table cache follows some other site
+// set than any query's: it serves them nothing and keeps nothing of theirs, so
+// a session on it searches for every table, as all did before there was a
+// cache.
+func foreignScratch(d *netvor.Diagram) *netvor.SearchScratch {
+	sc := new(netvor.SearchScratch)
+	d.AppendVertexTable(0, 1, "some other site set", 0, nil, nil, sc)
+	return sc
+}
+
 // searchSteps is the network's share of the benchmark's
-// search_steps_per_update: edge relaxations plus anchor table entries read.
+// search_steps_per_update: edge relaxations plus anchor table entries and
+// table cache stamps read.
 func searchSteps(m *metrics.Counters) int { return m.EdgeRelaxations + m.DistanceCalcs }
 
-// TestNetworkAnchorGainOnBenchmarkGrid pins what the edge anchor saves, as
-// counts, which repeat exactly: over four traversals of each walk, a crawl
-// costs at most 55 search steps per update and a stride at most 260 where a
-// session that never arms pays over 300, and a sprint costs exactly what that
-// control does.
+// TestNetworkAnchorGainOnBenchmarkGrid pins what the edge anchor and the table
+// cache behind it save, as counts, which repeat exactly, over the benchmark's
+// ping-pong: one traversal out and the same 256 updates' way back. Beside the
+// session runs a twin whose scratch follows some other site set, so that the
+// cache serves it nothing: it costs what a session did before there was a
+// cache (the counts of the parent commit, a crawl under 60 search steps per
+// update and a stride under 260 where a control that never arms pays over
+// 300), and update by update the session costs exactly the same whenever it
+// took no table from the cache — a first visit reads no stamp and pays for
+// nothing — and less when it did; the random walk crosses its own path now and
+// then, so some tables are served on the way out already. On the way back
+// every table is, none is built, a stride costs under a third of its way out
+// and a crawl, most of whose cost is the merges that answer its validations,
+// under two fifths. A sprint never arms, takes no table and costs exactly what
+// the control does, both ways.
 func TestNetworkAnchorGainOnBenchmarkGrid(t *testing.T) {
 	d := gridDiagram(t, 448, 30000)
-	const updates = 1024
+	foreign := foreignScratch(d)
+	want := map[string][3]int{ // the twin's way out; the session's way out and back
+		"crawl": {14013, 13057, 4830}, "stride": {63780, 54360, 8818}, "jog": {84327, 71471, 13212}, "sprint": {101090, 101090, 101337},
+	}
 	for _, walk := range gridWalks {
 		q, step := gridWalk(t, d, walk.step)
+		twin, twinStep := gridWalk(t, d, walk.step)
+		twin.UseScratch(foreign)
 		ctl, ctlStep := gridWalk(t, d, walk.step)
-		for i := 0; i < updates; i++ {
-			step()
-			ctl.anchor.armed = false
-			ctl.last = roadnet.Position{U: -1, V: -1} // knocked off its edge: never arms
-			ctlStep()
+		var cost, twinCost, ctlCost [2]int
+		for pass := range cost {
+			before, twinBefore, ctlBefore := *q.Metrics(), *twin.Metrics(), *ctl.Metrics()
+			for i := 0; i < benchTraj; i++ {
+				was, twinWas := *q.Metrics(), *twin.Metrics()
+				pos := step()
+				twinStep()
+				m, tm := q.Metrics(), twin.Metrics()
+				paid, twinPaid := searchSteps(m)-searchSteps(&was), searchSteps(tm)-searchSteps(&twinWas)
+				if served := m.AnchorTableHits - was.AnchorTableHits; served == 0 && paid != twinPaid || served > 0 && paid >= twinPaid || tablesTaken(was, *m) != tablesTaken(twinWas, *tm) {
+					t.Fatalf("%s at %+v: %d search steps with %d of %d tables from the cache, %d with none of %d",
+						walk.name, pos, paid, served, tablesTaken(was, *m), twinPaid, tablesTaken(twinWas, *tm))
+				}
+				ctl.anchor.armed = false
+				ctl.last = roadnet.Position{U: -1, V: -1} // knocked off its edge: never arms
+				ctlStep()
+			}
+			m, tm, cm := q.Metrics(), twin.Metrics(), ctl.Metrics()
+			cost[pass], twinCost[pass], ctlCost[pass] = searchSteps(m)-searchSteps(&before), searchSteps(tm)-searchSteps(&twinBefore), searchSteps(cm)-searchSteps(&ctlBefore)
+			t.Logf("%s, pass %d: %.1f search steps per update (%d anchored, %d tables built, %d from the cache), with no cache %.1f, never arming %.1f",
+				walk.name, pass, float64(cost[pass])/benchTraj, m.AnchoredValidations-before.AnchoredValidations, m.AnchorBuilds-before.AnchorBuilds,
+				m.AnchorTableHits-before.AnchorTableHits, float64(twinCost[pass])/benchTraj, float64(ctlCost[pass])/benchTraj)
+			if back := pass == 1; back && m.AnchorBuilds != before.AnchorBuilds {
+				t.Errorf("%s: %d tables built on the way back", walk.name, m.AnchorBuilds-before.AnchorBuilds)
+			}
 		}
-		m, cm := q.Metrics(), ctl.Metrics()
-		cost, ctlCost := float64(searchSteps(m))/updates, float64(searchSteps(cm))/updates
-		t.Logf("%s: %.1f search steps per update (%d anchored, %d tables), never arming %.1f", walk.name, cost, m.AnchoredValidations, m.AnchorBuilds, ctlCost)
-		if cm.AnchorBuilds != 0 || m.Recomputations != cm.Recomputations || m.ObjectsShipped != cm.ObjectsShipped {
-			t.Errorf("%s: %v, never arming %v", walk.name, m, cm)
+		m, tm, cm := q.Metrics(), twin.Metrics(), ctl.Metrics()
+		if tm.AnchorTableHits != 0 || tablesTaken(metrics.Counters{}, *cm) != 0 || m.Recomputations != cm.Recomputations || m.ObjectsShipped != cm.ObjectsShipped {
+			t.Errorf("%s: %v, with no cache %v, never arming %v", walk.name, m, tm, cm)
 		}
-		switch limit := map[string]float64{"crawl": 55, "stride": 260}[walk.name]; {
-		case limit > 0 && (cost > limit || ctlCost < 300):
-			t.Errorf("%s: %.1f search steps per update, want at most %g (never arming: %.1f)", walk.name, cost, limit, ctlCost)
-		case walk.name == "sprint" && (m.AnchorBuilds != 0 || searchSteps(m) != searchSteps(cm)):
-			t.Errorf("sprint: %d search steps with %d tables built, never arming %d", searchSteps(m), m.AnchorBuilds, searchSteps(cm))
+		if got := [3]int{twinCost[0], cost[0], cost[1]}; got != want[walk.name] {
+			t.Errorf("%s: %v search steps (no cache, out; out; back), want %v", walk.name, got, want[walk.name])
+		}
+		switch limit := map[string]int{"crawl": 60, "stride": 260}[walk.name] * benchTraj; {
+		case walk.name == "crawl" && 5*cost[1] > 2*cost[0], walk.name == "stride" && 3*cost[1] > cost[0]:
+			t.Errorf("%s: %d search steps on the way back, %d on the way out", walk.name, cost[1], cost[0])
+		case limit > 0 && (twinCost[0] > limit || ctlCost[0] < 300*benchTraj):
+			t.Errorf("%s: %d search steps on the way out with no cache, want at most %d (never arming: %d)", walk.name, twinCost[0], limit, ctlCost[0])
+		case walk.name == "sprint" && (tablesTaken(metrics.Counters{}, *m) != 0 || cost != ctlCost):
+			t.Errorf("sprint: %v search steps with %d tables taken, never arming %v", cost, tablesTaken(metrics.Counters{}, *m), ctlCost)
 		}
 	}
 }
@@ -461,8 +514,12 @@ func TestNetworkAnchorGainOnBenchmarkGrid(t *testing.T) {
 // BenchmarkNetworkUpdate is the core row of the per-layer ledger without
 // the harness: one Update on the repository benchmark's street grid, k = 10,
 // ρ = 1.6 — by outcome, between two positions, and as the sessions of
-// gridWalks. relax/update is searchSteps; anchored/update and tables/update
-// are the edge anchor's split.
+// gridWalks, twice: with a scratch that follows some other site set, so that
+// every table is searched for (what a session costs where no one has driven
+// before, and what it cost before there was a table cache), and pingpong/, as
+// the benchmark's sessions run, every table out of the cache after the first
+// traversal. relax/update is searchSteps; anchored/update, tables/update and
+// cached/update are the edge anchor's split.
 func BenchmarkNetworkUpdate(b *testing.B) {
 	d := gridDiagram(b, 448, 30000)
 	report := func(b *testing.B, before, after metrics.Counters) {
@@ -470,6 +527,7 @@ func BenchmarkNetworkUpdate(b *testing.B) {
 		b.ReportMetric(float64(searchSteps(&after)-searchSteps(&before))/n, "relax/update")
 		b.ReportMetric(float64(after.AnchoredValidations-before.AnchoredValidations)/n, "anchored/update")
 		b.ReportMetric(float64(after.AnchorBuilds-before.AnchorBuilds)/n, "tables/update")
+		b.ReportMetric(float64(after.AnchorTableHits-before.AnchorTableHits)/n, "cached/update")
 	}
 	for _, outcome := range []string{"validate", "rerank", "recompute"} {
 		q, pos := netOutcomeLoop(b, d, outcome, 9)
@@ -492,17 +550,23 @@ func BenchmarkNetworkUpdate(b *testing.B) {
 			}
 		})
 	}
-	for _, walk := range gridWalks {
-		q, step := gridWalk(b, d, walk.step)
-		b.Run(walk.name, func(b *testing.B) {
-			before := *q.Metrics()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
+	foreign := foreignScratch(d)
+	for _, prefix := range []string{"", "pingpong/"} {
+		for _, walk := range gridWalks {
+			q, step := gridWalk(b, d, walk.step)
+			if prefix == "" {
+				q.UseScratch(foreign)
 			}
-			b.StopTimer()
-			report(b, before, *q.Metrics())
-		})
+			b.Run(prefix+walk.name, func(b *testing.B) {
+				before := *q.Metrics()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+				b.StopTimer()
+				report(b, before, *q.Metrics())
+			})
+		}
 	}
 }

@@ -345,7 +345,7 @@ func TestEngineNetworkSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := st.Counters, *ref.Metrics(); got.AnchoredValidations == 0 ||
-		got.AnchoredValidations != want.AnchoredValidations || got.AnchorBuilds != want.AnchorBuilds {
+		got.AnchoredValidations != want.AnchoredValidations || got.AnchorBuilds != want.AnchorBuilds || got.AnchorTableHits != want.AnchorTableHits {
 		t.Errorf("Stats counters %v, reference %v", got, want)
 	}
 

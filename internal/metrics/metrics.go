@@ -24,12 +24,15 @@ type Counters struct {
 	// The road-network split: of Validations, AnchoredValidations were
 	// decided from the session's edge anchor without a search and ended
 	// valid, the kNN set kept or re-ranked from R (recomputations the tables
-	// answer are not counted here; they begin no search either). AnchorBuilds
-	// counts the endpoint tables built for anchors, one search each — two
-	// when a session arms on an edge, one when it carries a shared endpoint
-	// onto the next edge. Table entries read count as DistanceCalcs.
+	// answer are not counted here; they begin no search either). An anchor
+	// takes two endpoint tables when a session arms on an edge, one when it
+	// carries a shared endpoint onto the next edge: AnchorBuilds counts the
+	// tables searched for, one search each, AnchorTableHits those the shard's
+	// per-vertex table cache served instead. Table entries read, and the
+	// invalidation stamps a cache hit checks, count as DistanceCalcs.
 	AnchoredValidations int
 	AnchorBuilds        int
+	AnchorTableHits     int
 }
 
 // Add accumulates other into c.
@@ -45,6 +48,7 @@ func (c *Counters) Add(other Counters) {
 	c.NodeVisits += other.NodeVisits
 	c.AnchoredValidations += other.AnchoredValidations
 	c.AnchorBuilds += other.AnchorBuilds
+	c.AnchorTableHits += other.AnchorTableHits
 }
 
 // Reset zeroes all counters.
@@ -78,8 +82,8 @@ type PerStep struct {
 // String implements fmt.Stringer with the fields the experiment tables use.
 func (c Counters) String() string {
 	return fmt.Sprintf(
-		"steps=%d validations=%d invalidations=%d recomputations=%d shipped=%d distcalcs=%d dijkstra=%d relax=%d nodevisits=%d anchored=%d anchorbuilds=%d",
+		"steps=%d validations=%d invalidations=%d recomputations=%d shipped=%d distcalcs=%d dijkstra=%d relax=%d nodevisits=%d anchored=%d anchorbuilds=%d anchorhits=%d",
 		c.Timestamps, c.Validations, c.Invalidations, c.Recomputations,
 		c.ObjectsShipped, c.DistanceCalcs, c.DijkstraRuns, c.EdgeRelaxations, c.NodeVisits,
-		c.AnchoredValidations, c.AnchorBuilds)
+		c.AnchoredValidations, c.AnchorBuilds, c.AnchorTableHits)
 }

@@ -751,19 +751,21 @@ func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []
 }
 
 // SearchScratch is reusable per-caller working memory for the network
-// searches: the dense epoch-stamped search state (frontier heap, tentative
-// distances, mark set), the log of vertices a guard search settled past its
-// ring (see GuardSearch.Widen) and a traversal stack. The zero value is
-// ready to use; a scratch serves any number of sequential searches against
-// any diagram version but must not be shared across goroutines, and holds
-// one search at a time: beginning a search (or AppendINS, InSubnetwork,
-// SubnetworkInto) ends the previous one. The serving layer keeps one per
-// shard, which removes every per-update allocation from the network kNN
-// path — the road twin of vortree.SearchScratch.
+// searches: the epoch-stamped search state (frontier heap, dense tentative
+// distances, sparse mark set), the log of vertices a guard search settled
+// past its ring (see GuardSearch.Widen), a traversal stack, and the one thing
+// that outlives a call, the cache of per-vertex nearest-site tables (see
+// tableCache). The zero value is ready to use; a scratch serves any number of
+// sequential searches against any diagram version but must not be shared
+// across goroutines, and holds one search at a time: beginning a search (or
+// AppendINS, InSubnetwork, SubnetworkInto) ends the previous one. The serving
+// layer keeps one per shard, which removes every per-update allocation from
+// the network kNN path — the road twin of vortree.SearchScratch.
 type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
 	stack    []int32
+	tables   tableCache
 }
 
 // AppendKNN is KNNWithDistancesCounted appending ids onto dst and distances

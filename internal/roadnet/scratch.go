@@ -75,23 +75,30 @@ func (h *heap4) pop() heapItem {
 }
 
 // SearchScratch is reusable working memory for the shortest-path searches:
-// the frontier heap plus two epoch-stamped dense arrays — tentative
-// distances and an int32 mark set — whose logical clear is a counter bump,
-// not an O(V) wipe. The zero value is ready to use; one scratch serves any
-// number of sequential searches over graphs of any sizes (the arrays grow
-// to the largest graph seen) but must not be shared across goroutines. It
-// is the road twin of vortree.SearchScratch: the serving layer keeps one
-// per shard, which removes every steady-state allocation from the network
-// search path.
+// the frontier heap, a dense array of tentative distances and a sparse int32
+// mark set, both epoch-stamped: their logical clear is a counter bump, not a
+// wipe. The marks tag a guard list of some tens of sites, so they are an
+// open-addressed table sized by how many are set, not by the graph. The zero
+// value is ready to use; one scratch serves any number of sequential searches
+// over graphs of any sizes (the distances grow to the largest graph seen) but
+// must not be shared across goroutines. It is the road twin of
+// vortree.SearchScratch: the serving layer keeps one per shard, which removes
+// every steady-state allocation from the network search path.
 type SearchScratch struct {
 	hp    heap4
 	dist  []float64
 	stamp []uint32
 	epoch uint32
 
-	mark      []int32
-	markStamp []uint32
+	marks     []markSlot // a power of two long, at most a quarter of it live
+	marked    int
 	markEpoch uint32
+}
+
+// markSlot is one entry of the mark set, live while stamp is the set's epoch.
+type markSlot struct {
+	v, val int32
+	stamp  uint32
 }
 
 // Begin readies the scratch for a new search over n vertices: the frontier
@@ -149,32 +156,55 @@ func (sc *SearchScratch) Pop() (d float64, v int32, ok bool) {
 	return it.d, it.v, true
 }
 
-// MarkBegin resets the mark set for n vertices; every mark reads as 0.
-// The mark set is independent of the distance state, so a caller can mark
-// target vertices and then run a search in the same scratch.
+// MarkBegin empties the mark set; every mark reads as 0. The set is
+// independent of the distance state, so a caller can mark target vertices
+// and then run a search in the same scratch. n sizes nothing any more.
 func (sc *SearchScratch) MarkBegin(n int) {
-	if len(sc.mark) < n {
-		sc.mark = make([]int32, n)
-		sc.markStamp = make([]uint32, n)
-		sc.markEpoch = 0
+	if sc.marks == nil {
+		sc.marks = make([]markSlot, 64)
 	}
+	sc.marked = 0
 	sc.markEpoch++
 	if sc.markEpoch == 0 {
-		clear(sc.markStamp)
+		clear(sc.marks)
 		sc.markEpoch = 1
+	}
+}
+
+// markAt returns the slot that holds vertex v's mark, or the free one where
+// it goes. Nothing is deleted within an epoch, so the first slot that is not
+// live ends the probe.
+func (sc *SearchScratch) markAt(v int32) *markSlot {
+	h := uint32(v) * 0x9E3779B1
+	for i := h ^ h>>16; ; i++ {
+		if s := &sc.marks[i&uint32(len(sc.marks)-1)]; s.stamp != sc.markEpoch || s.v == v {
+			return s
+		}
 	}
 }
 
 // SetMark tags vertex v with val (0 is indistinguishable from unset).
 func (sc *SearchScratch) SetMark(v int32, val int32) {
-	sc.mark[v] = val
-	sc.markStamp[v] = sc.markEpoch
+	s := sc.markAt(v)
+	if s.stamp != sc.markEpoch {
+		if sc.marked++; 4*sc.marked > len(sc.marks) {
+			old := sc.marks
+			sc.marks = make([]markSlot, 2*len(old))
+			for _, o := range old {
+				if o.stamp == sc.markEpoch {
+					*sc.markAt(o.v) = o
+				}
+			}
+			s = sc.markAt(v)
+		}
+	}
+	*s = markSlot{v, val, sc.markEpoch}
 }
 
 // Mark returns vertex v's tag, 0 when never set since MarkBegin.
 func (sc *SearchScratch) Mark(v int32) int32 {
-	if sc.markStamp[v] != sc.markEpoch {
-		return 0
+	if s := sc.markAt(v); s.stamp == sc.markEpoch {
+		return s.val
 	}
-	return sc.mark[v]
+	return 0
 }

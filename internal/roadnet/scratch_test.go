@@ -118,3 +118,52 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 		t.Fatalf("zero-weight edge reads (%g, %v)", w, ok)
 	}
 }
+
+// TestSparseMarks: the mark set holds what a dense array would, whatever the
+// order and however many marks are set — it grows past its load factor and
+// keeps the marks set before — forgets all of it at MarkBegin without being
+// wiped, and survives the wrap of its epoch counter.
+func TestSparseMarks(t *testing.T) {
+	var sc SearchScratch
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 6; round++ {
+		if round == 4 {
+			sc.markEpoch = math.MaxUint32 - 1 // rounds 4 and 5 straddle the wrap
+		}
+		sc.MarkBegin(1 << 20)
+		if round == 5 && sc.markEpoch != 1 {
+			t.Fatalf("epoch after the wrap = %d, want 1", sc.markEpoch)
+		}
+		want := map[int32]int32{}
+		n := []int{5, 20000, 40, 3000, 700, 700}[round]
+		for i := 0; i < n; i++ {
+			v := int32(rng.Intn(1 << 20))
+			if i%3 == 0 {
+				v = int32(i) * 64 // runs that collide under a weak hash
+			}
+			val := int32(1 + rng.Intn(3))
+			sc.SetMark(v, val)
+			want[v] = val
+			if i%5 == 0 { // setting again overwrites and counts once
+				sc.SetMark(v, val|4)
+				want[v] = val | 4
+			}
+		}
+		if sc.marked != len(want) || 4*sc.marked > len(sc.marks) {
+			t.Fatalf("round %d: %d slots live of %d for %d marks", round, sc.marked, len(sc.marks), len(want))
+		}
+		for v, val := range want {
+			if got := sc.Mark(v); got != val {
+				t.Fatalf("round %d: Mark(%d) = %d, want %d", round, v, got, val)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			if v := int32(rng.Intn(1 << 20)); sc.Mark(v) != want[v] {
+				t.Fatalf("round %d: Mark(%d) = %d, want %d", round, v, sc.Mark(v), want[v])
+			}
+		}
+	}
+	if len(sc.marks) < 4*20000 {
+		t.Fatalf("the set shrank to %d slots", len(sc.marks))
+	}
+}

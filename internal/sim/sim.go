@@ -125,5 +125,6 @@ func diff(before, after metrics.Counters) metrics.Counters {
 
 		AnchoredValidations: after.AnchoredValidations - before.AnchoredValidations,
 		AnchorBuilds:        after.AnchorBuilds - before.AnchorBuilds,
+		AnchorTableHits:     after.AnchorTableHits - before.AnchorTableHits,
 	}
 }
