@@ -117,9 +117,10 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 // UseScratch makes the query run its network searches through the given
 // shared scratch instead of allocating its own. The serving engine passes
 // one scratch per shard: a shard's sessions run serially on its worker
-// goroutine, so sharing is race-free and the scratch's dense per-vertex
-// arrays (sized by the road network) are allocated once per shard rather
-// than per session. Search state in it is valid only inside one call.
+// goroutine, so sharing is race-free and what the scratch sizes by the road
+// network (4 bytes of slot per vertex, the table cache's ring) is allocated
+// once per shard rather than per session. Search state in it is valid only
+// inside one call.
 func (q *NetworkQuery) UseScratch(sc *netvor.SearchScratch) {
 	if sc != nil {
 		q.sc = sc

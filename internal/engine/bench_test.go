@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/roadnet"
 	"repro/internal/workload"
 )
 
@@ -47,6 +48,61 @@ func BenchmarkEngineIndexMemory(b *testing.B) {
 				e.Close()
 			}
 		})
+	}
+}
+
+// BenchmarkEngineNetworkMemory reports what the road side of an engine keeps
+// on the heap for a 256x256 street grid with 15 % of its vertices sites: the
+// graph (coordinates and CSR), the engine built over it (the diagram: labels
+// and the sites' neighbor lists) and, per shard, the search scratch once
+// every shard has served network updates — the part that multiplies by the
+// shard count, sized by 4 bytes per vertex plus what the searches touched.
+func BenchmarkEngineNetworkMemory(b *testing.B) {
+	const (
+		grid   = 256
+		shards = 8
+	)
+	heapMB := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	for i := 0; i < b.N; i++ {
+		empty := heapMB()
+		g, err := workload.Network(grid, testBounds, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sites, err := workload.NetworkSites(g, g.NumVertices()*15/100, 43) // a prefix of a whole permutation
+		if err != nil {
+			b.Fatal(err)
+		}
+		sites = append([]int(nil), sites...)
+		g.CSR()
+		graph := heapMB()
+		e, err := New(Config{Shards: shards, Network: g, NetworkSites: sites})
+		if err != nil {
+			b.Fatal(err)
+		}
+		built := heapMB()
+		batch := make([]NetworkLocationUpdate, 16*shards)
+		for j := range batch {
+			sid, err := e.CreateNetworkSession(8, 1.6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[j] = NetworkLocationUpdate{Session: sid, Pos: roadnet.VertexPosition(j * g.NumVertices() / len(batch))}
+		}
+		if _, err := e.UpdateNetworkBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		served := heapMB()
+		b.ReportMetric(graph-empty, "graph_MB")
+		b.ReportMetric(built-graph, "diagram_MB")
+		b.ReportMetric((served-built)/shards, "scratch_MB_per_shard")
+		e.Close()
 	}
 }
 

@@ -59,7 +59,7 @@ type GuardSearch struct {
 // markGuard stamps the guard sites in the scratch's mark set, the state
 // interior and inSubnetwork read.
 func (d *Diagram) markGuard(guard []int, road *roadnet.SearchScratch) {
-	road.MarkBegin(d.g.NumVertices())
+	road.MarkBegin()
 	for _, s := range guard {
 		road.SetMark(int32(s), 1)
 	}

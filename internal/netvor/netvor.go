@@ -20,10 +20,12 @@
 // incrementally through per-pair edge-support counts, so a mutation's cost
 // is proportional to the territory it moves, not to the network size.
 //
-// Searches run over the graph's packed CSR view with dense epoch-stamped
-// scratch and are plain Dijkstra: sites cover the map, so no goal-directed
-// bound has anything to prune (DESIGN.md records the measurement that
-// removed the ALT landmarks).
+// Searches run over the graph's packed CSR with scratch sized by what they
+// touch (sparse-set distances, a hashed mark set) and are plain Dijkstra:
+// sites cover the map, so no goal-directed bound has anything to prune
+// (DESIGN.md records the measurement that removed the ALT landmarks). What
+// the diagram stores per network vertex is its label and one bit; neighbor
+// lists exist for sites only.
 package netvor
 
 import (
@@ -31,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -70,20 +73,29 @@ type labelPage struct {
 // Branch's page-table copy stays short.
 const adjPageSize = 64
 
-// adjEntry is one vertex's slot in the adjacency table. For a site it
-// holds the sorted neighbor sites and, parallel to them, the number of
-// edges supporting each adjacency (the count that lets adjacency update
-// incrementally as territory moves). Slices are immutable once installed:
-// every change writes fresh ones, so entries shared across versions never
-// change underneath their readers.
+// adjEntry is one site's entry in the adjacency table: its sorted neighbor
+// sites and, parallel to them, the number of edges supporting each adjacency
+// (the count that lets adjacency update incrementally as territory moves).
+// Slices are immutable once installed: every change writes fresh ones, so
+// entries shared across versions never change underneath their readers.
 type adjEntry struct {
 	sites  []int
 	counts []int
 }
 
-// adjPage holds the adjacency entries of one run of adjPageSize vertices.
+// adjPage holds the adjacency entries of one run of adjPageSize vertices:
+// bit i of has says the run's i-th vertex has one, and entries packs those
+// in vertex order, so a vertex's entry sits at the rank of its bit. Only a
+// site with a neighbor has an entry; every other vertex costs its bit.
 type adjPage struct {
+	has     uint64
 	entries []adjEntry
+}
+
+// find returns the rank of vertex v's entry in its page and whether it has one.
+func (pg *adjPage) find(v int) (rank int, ok bool) {
+	bit := uint64(1) << (v % adjPageSize)
+	return bits.OnesCount64(pg.has & (bit - 1)), pg.has&bit != 0
 }
 
 // relabel records the owner a vertex had before a mutation took it (-1 for
@@ -304,27 +316,41 @@ func (d *Diagram) initPages(n int) {
 	d.adj = make([]*adjPage, na)
 	d.adjShared = make([]bool, na)
 	for i := range d.adj {
-		lo := i * adjPageSize
-		hi := min(lo+adjPageSize, n)
-		d.adj[i] = &adjPage{entries: make([]adjEntry, hi-lo)}
+		d.adj[i] = &adjPage{}
 	}
 }
 
-// adjAt returns vertex v's adjacency entry for reading.
-func (d *Diagram) adjAt(v int) *adjEntry {
-	return &d.adj[v/adjPageSize].entries[v%adjPageSize]
+// adjAt returns vertex v's adjacency entry, the empty one when it has none.
+func (d *Diagram) adjAt(v int) adjEntry {
+	pg := d.adj[v/adjPageSize]
+	if i, ok := pg.find(v); ok {
+		return pg.entries[i]
+	}
+	return adjEntry{}
 }
 
-// writableAdj returns vertex v's adjacency entry for writing, copying the
-// page (shallow — entry slices stay shared until rewritten) when it is
-// shared with another version.
-func (d *Diagram) writableAdj(v int) *adjEntry {
+// setAdj installs e as vertex v's adjacency entry, copying the page (shallow
+// — entry slices stay shared until rewritten) when it is shared with another
+// version. An entry that lists no neighbor is removed instead, so the table
+// holds what the live sites need and nothing a removed one left behind.
+func (d *Diagram) setAdj(v int, e adjEntry) {
 	pi := v / adjPageSize
+	pg := d.adj[pi]
 	if d.adjShared[pi] {
-		d.adj[pi] = &adjPage{entries: append([]adjEntry(nil), d.adj[pi].entries...)}
-		d.adjShared[pi] = false
+		pg = &adjPage{has: pg.has, entries: slices.Clone(pg.entries)}
+		d.adj[pi], d.adjShared[pi] = pg, false
 	}
-	return &d.adj[pi].entries[v%adjPageSize]
+	i, ok := pg.find(v)
+	switch bit := uint64(1) << (v % adjPageSize); {
+	case len(e.sites) == 0 && ok:
+		pg.entries = slices.Delete(pg.entries, i, i+1)
+		pg.has &^= bit
+	case ok:
+		pg.entries[i] = e
+	case len(e.sites) != 0:
+		pg.entries = slices.Insert(pg.entries, i, e)
+		pg.has |= bit
+	}
 }
 
 // label returns vertex v's (owner, dist).
@@ -407,7 +433,7 @@ func (d *Diagram) Clone() *Diagram {
 				counts: append([]int(nil), e.counts...),
 			}
 		}
-		c.adj[i] = &adjPage{entries: entries}
+		c.adj[i] = &adjPage{has: pg.has, entries: entries}
 	}
 	return c
 }
@@ -424,8 +450,8 @@ func (d *Diagram) incPair(a, b int) {
 	if a == b || a == -1 || b == -1 {
 		return
 	}
-	d.addSupport(a, b)
-	d.addSupport(b, a)
+	d.support(a, b, 1)
+	d.support(b, a, 1)
 }
 
 // decPair removes one edge of support between the cells of sites a and b,
@@ -434,72 +460,42 @@ func (d *Diagram) decPair(a, b int) {
 	if a == b || a == -1 || b == -1 {
 		return
 	}
-	d.dropSupport(a, b)
-	d.dropSupport(b, a)
+	d.support(a, b, -1)
+	d.support(b, a, -1)
 }
 
-// addSupport records one more edge supporting t in s's neighbor list.
-// Entry slices are rewritten, never mutated: shared copies held by other
+// support adds delta (+1 or -1) to the number of edges supporting t in s's
+// neighbor list: the first installs the adjacency, the last one to go drops
+// it. Entry slices are rewritten, never mutated: shared copies held by other
 // versions (or captured in mutation logs) never change underneath their
 // readers.
-func (d *Diagram) addSupport(s, t int) {
-	e := d.writableAdj(s)
-	i := sort.SearchInts(e.sites, t)
-	if i < len(e.sites) && e.sites[i] == t {
-		counts := append([]int(nil), e.counts...)
-		counts[i]++
-		e.counts = counts
+func (d *Diagram) support(s, t, delta int) {
+	e := d.adjAt(s)
+	i, ok := slices.BinarySearch(e.sites, t)
+	switch {
+	case !ok && delta < 0:
 		return
+	case !ok:
+		e = adjEntry{insertAt(e.sites, i, t), insertAt(e.counts, i, delta)}
+	case e.counts[i]+delta == 0:
+		e = adjEntry{removeAt(e.sites, i), removeAt(e.counts, i)}
+	default:
+		e.counts = slices.Clone(e.counts)
+		e.counts[i] += delta
 	}
-	sites := make([]int, 0, len(e.sites)+1)
-	sites = append(sites, e.sites[:i]...)
-	sites = append(sites, t)
-	sites = append(sites, e.sites[i:]...)
-	counts := make([]int, 0, len(e.counts)+1)
-	counts = append(counts, e.counts[:i]...)
-	counts = append(counts, 1)
-	counts = append(counts, e.counts[i:]...)
-	e.sites, e.counts = sites, counts
+	d.setAdj(s, e)
 }
 
-// dropSupport removes one edge supporting t in s's neighbor list,
-// dropping the adjacency when the last supporting edge goes.
-func (d *Diagram) dropSupport(s, t int) {
-	e := d.writableAdj(s)
-	i := sort.SearchInts(e.sites, t)
-	if i >= len(e.sites) || e.sites[i] != t {
-		return
-	}
-	if e.counts[i] > 1 {
-		counts := append([]int(nil), e.counts...)
-		counts[i]--
-		e.counts = counts
-		return
-	}
-	sites := make([]int, 0, len(e.sites)-1)
-	sites = append(sites, e.sites[:i]...)
-	sites = append(sites, e.sites[i+1:]...)
-	counts := make([]int, 0, len(e.counts)-1)
-	counts = append(counts, e.counts[:i]...)
-	counts = append(counts, e.counts[i+1:]...)
-	e.sites, e.counts = sites, counts
-}
-
-// insertSorted returns a fresh sorted slice with x added.
-func insertSorted(ns []int, x int) []int {
-	i := sort.SearchInts(ns, x)
+// insertAt returns a fresh slice with x inserted at index i.
+func insertAt(ns []int, i, x int) []int {
 	out := make([]int, 0, len(ns)+1)
 	out = append(out, ns[:i]...)
 	out = append(out, x)
 	return append(out, ns[i:]...)
 }
 
-// removeSorted returns a fresh sorted slice with x removed.
-func removeSorted(ns []int, x int) []int {
-	i := sort.SearchInts(ns, x)
-	if i >= len(ns) || ns[i] != x {
-		return ns
-	}
+// removeAt returns a fresh slice without the element at index i.
+func removeAt(ns []int, i int) []int {
 	out := make([]int, 0, len(ns)-1)
 	out = append(out, ns[:i]...)
 	return append(out, ns[i+1:]...)
@@ -539,7 +535,7 @@ func (d *Diagram) Insert(v int) error {
 	d.source(&mut.oh, v)
 	d.settle(c, &mut.oh, &mut.relabeled)
 	d.rebind(c, mut, dug)
-	d.sites = insertSorted(d.sites, v)
+	d.sites = insertAt(d.sites, sort.SearchInts(d.sites, v), v)
 	return nil
 }
 
@@ -570,7 +566,7 @@ func (d *Diagram) Remove(s int) error {
 	if e := d.adjAt(s); len(e.sites) != 0 {
 		return fmt.Errorf("netvor: remove %d left dangling adjacency %v", s, e.sites)
 	}
-	d.sites = removeSorted(d.sites, s)
+	d.sites = removeAt(d.sites, sort.SearchInts(d.sites, s))
 	return nil
 }
 
@@ -702,7 +698,7 @@ func (d *Diagram) INS(knn []int) ([]int, error) {
 // AppendINS is INS appending onto dst with caller-supplied scratch.
 func (d *Diagram) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, error) {
 	road := &sc.road
-	road.MarkBegin(d.g.NumVertices())
+	road.MarkBegin()
 	for _, s := range knn {
 		road.SetMark(int32(s), 1)
 	}
@@ -751,16 +747,18 @@ func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []
 }
 
 // SearchScratch is reusable per-caller working memory for the network
-// searches: the epoch-stamped search state (frontier heap, dense tentative
-// distances, sparse mark set), the log of vertices a guard search settled
+// searches: the search state (frontier heap, sparse-set tentative distances,
+// hashed mark set — roadnet.SearchScratch, 4 bytes per network vertex and
+// otherwise sized by the search), the log of vertices a guard search settled
 // past its ring (see GuardSearch.Widen), a traversal stack, and the one thing
 // that outlives a call, the cache of per-vertex nearest-site tables (see
-// tableCache). The zero value is ready to use; a scratch serves any number of
-// sequential searches against any diagram version but must not be shared
-// across goroutines, and holds one search at a time: beginning a search (or
-// AppendINS, InSubnetwork, SubnetworkInto) ends the previous one. The serving
-// layer keeps one per shard, which removes every per-update allocation from
-// the network kNN path — the road twin of vortree.SearchScratch.
+// tableCache, at most 8 bytes per vertex). The zero value is ready to use; a
+// scratch serves any number of sequential searches against any diagram
+// version but must not be shared across goroutines, and holds one search at a
+// time: beginning a search (or AppendINS, InSubnetwork, SubnetworkInto) ends
+// the previous one. The serving layer keeps one per shard, which removes every
+// per-update allocation from the network kNN path — the road twin of
+// vortree.SearchScratch.
 type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
@@ -849,7 +847,7 @@ func (d *Diagram) SubnetworkInto(sites []int, sub *Subnetwork, sc *SearchScratch
 	sub.G = roadnet.NewGraph()
 	c := d.g.CSR()
 	road := &sc.road
-	road.MarkBegin(d.g.NumVertices())
+	road.MarkBegin()
 	for _, s := range sites {
 		road.SetMark(int32(s), snWant)
 	}
@@ -935,7 +933,7 @@ func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, 
 	n := s.G.NumVertices()
 	c := s.G.CSR()
 	var road roadnet.SearchScratch
-	road.MarkBegin(n)
+	road.MarkBegin()
 	for _, site := range sites {
 		if sv, ok := s.ToSub[site]; ok {
 			road.SetMark(int32(sv), 1)

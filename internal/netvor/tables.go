@@ -7,8 +7,9 @@ import "repro/internal/roadnet"
 // callers of a scratch share them, the longest table built for a vertex
 // serving shorter requests by its prefix. Tables are written back to back
 // into a ring of (site, dist) entries bounded at 8 bytes per network vertex
-// (what roadnet.SearchScratch's marks took while they were dense), over the
-// oldest once it is full. A table is a head entry — the vertex; the negated
+// (twice what the rest of the scratch, roadnet.SearchScratch's slots, keeps
+// per vertex, and most of a shard's share of the heap), over the oldest once
+// it is full. A table is a head entry — the vertex; the negated
 // build clock, less one, which no distance looks like — then its entries;
 // writing only moves forward, so a table whose head reads as written is
 // whole. A site mutation stamps with the clock the sites whose presence in a

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -20,7 +21,7 @@ var ErrVertex = errors.New("roadnet: invalid vertex")
 // ErrEdge is returned for invalid edge definitions.
 var ErrEdge = errors.New("roadnet: invalid edge")
 
-// halfEdge is one direction of an undirected edge in an adjacency list.
+// halfEdge is one direction of an undirected edge in the build buffer.
 type halfEdge struct {
 	to int
 	w  float64
@@ -30,40 +31,55 @@ type halfEdge struct {
 // objects live on vertices, matching the paper's model ("we assume that the
 // data objects are all at the vertices").
 //
-// Storage is two-layered: the adjacency lists are the mutable build-time
-// representation, and the search hot paths read a packed CSR view (see
-// CSR) that is derived lazily and invalidated by any mutation, so a graph
-// that stops mutating — the serving lifecycle — pays for it exactly once.
+// The packed CSR (see CSR) is the graph: every read of the adjacency, the
+// searches' and the accessors' alike, goes through it. Mutations collect in
+// adj, a per-vertex build buffer that exists only between a mutation and the
+// next read: the first CSR call packs it, publishes the view and releases it,
+// and a mutation of a published graph unpacks the view into a fresh buffer
+// first (thaw). A graph that stops mutating — the serving lifecycle — so
+// holds its edges once, in three flat arrays.
 type Graph struct {
 	pts   []geom.Point
-	adj   [][]halfEdge
 	edges int
 
-	// view is the packed adjacency cache, published atomically so frozen
-	// index snapshots sharing this graph can search it from many
-	// goroutines. The graph holds no cost counter — a search that reports
-	// relaxations counts and returns them itself — so concurrent readers
-	// write no shared cache line.
+	adj [][]halfEdge // nil while view is published
+	mu  sync.Mutex   // serializes the first readers' build of view
+
+	// view is the packed adjacency, published atomically so frozen index
+	// snapshots sharing this graph can search it from many goroutines. The
+	// graph holds no cost counter — a search that reports relaxations
+	// counts and returns them itself — so concurrent readers write no
+	// shared cache line.
 	view atomic.Pointer[CSR]
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
 
-// invalidate drops the derived view after a mutation. The load keeps the
-// common build loop (thousands of Adds, view never built) from hammering
-// the same cache line with stores.
-func (g *Graph) invalidate() {
-	if g.view.Load() != nil {
-		g.view.Store(nil)
+// thaw readies the build buffer for a mutation: a published view is unpacked
+// into it, edge order kept, and dropped. The lists are cut from one array at
+// full capacity, so the first append to one moves it out.
+func (g *Graph) thaw() {
+	c := g.view.Load()
+	if c == nil {
+		return
 	}
+	half := make([]halfEdge, len(c.To))
+	for i, to := range c.To {
+		half[i] = halfEdge{int(to), c.W[i]}
+	}
+	g.adj = make([][]halfEdge, len(g.pts))
+	for v := range g.adj {
+		g.adj[v] = half[c.Off[v]:c.Off[v+1]:c.Off[v+1]]
+	}
+	g.view.Store(nil)
 }
 
 // AddVertex adds a vertex at p and returns its id.
 func (g *Graph) AddVertex(p geom.Point) int {
+	g.thaw()
 	g.pts = append(g.pts, p)
 	g.adj = append(g.adj, nil)
-	g.invalidate()
 	return len(g.pts) - 1
 }
 
@@ -107,6 +123,7 @@ func (g *Graph) AddEdgeWeight(u, v int, w float64) error {
 // addEdgeChecked inserts an edge whose endpoints and weight have been
 // validated, rejecting parallels.
 func (g *Graph) addEdgeChecked(u, v int, w float64) error {
+	g.thaw()
 	for _, he := range g.adj[u] {
 		if he.to == v {
 			return fmt.Errorf("%w: parallel edge (%d,%d)", ErrEdge, u, v)
@@ -115,7 +132,6 @@ func (g *Graph) addEdgeChecked(u, v int, w float64) error {
 	g.adj[u] = append(g.adj[u], halfEdge{v, w})
 	g.adj[v] = append(g.adj[v], halfEdge{u, w})
 	g.edges++
-	g.invalidate()
 	return nil
 }
 
@@ -129,13 +145,17 @@ func (g *Graph) NumEdges() int { return g.edges }
 func (g *Graph) Point(v int) geom.Point { return g.pts[v] }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int {
+	c := g.CSR()
+	return int(c.Off[v+1] - c.Off[v])
+}
 
 // AdjacentVertices returns the vertices adjacent to v.
 func (g *Graph) AdjacentVertices(v int) []int {
-	out := make([]int, len(g.adj[v]))
-	for i, he := range g.adj[v] {
-		out[i] = he.to
+	c := g.CSR()
+	out := make([]int, 0, c.Off[v+1]-c.Off[v])
+	for _, to := range c.To[c.Off[v]:c.Off[v+1]] {
+		out = append(out, int(to))
 	}
 	return out
 }
@@ -145,8 +165,9 @@ func (g *Graph) AdjacentVertices(v int) []int {
 // AdjacentVertices+EdgeWeight; search hot paths iterate the CSR view
 // directly instead.
 func (g *Graph) VisitEdgesFrom(v int, fn func(to int, w float64)) {
-	for _, he := range g.adj[v] {
-		fn(he.to, he.w)
+	c := g.CSR()
+	for e := c.Off[v]; e < c.Off[v+1]; e++ {
+		fn(int(c.To[e]), c.W[e])
 	}
 }
 
@@ -155,9 +176,10 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	if u < 0 || u >= len(g.pts) {
 		return 0, false
 	}
-	for _, he := range g.adj[u] {
-		if he.to == v {
-			return he.w, true
+	c := g.CSR()
+	for e := c.Off[u]; e < c.Off[u+1]; e++ {
+		if int(c.To[e]) == v {
+			return c.W[e], true
 		}
 	}
 	return 0, false
@@ -165,42 +187,43 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 
 // Edges calls fn for every undirected edge once (with u < v).
 func (g *Graph) Edges(fn func(u, v int, w float64)) {
-	for u := range g.adj {
-		for _, he := range g.adj[u] {
-			if u < he.to {
-				fn(u, he.to, he.w)
+	c := g.CSR()
+	for u := range g.pts {
+		for e := c.Off[u]; e < c.Off[u+1]; e++ {
+			if v := int(c.To[e]); u < v {
+				fn(u, v, c.W[e])
 			}
 		}
 	}
 }
 
-// CSR is the packed adjacency view of a graph in compressed-sparse-row
-// layout: the half-edges of vertex v are To[Off[v]:Off[v+1]] with parallel
-// weights in W (Off has length V+1). Search hot paths iterate it with
-// three flat array reads per edge instead of chasing per-vertex slice
-// headers; weights stay float64 so distances are bit-identical to the
-// adjacency-list searches. A CSR is immutable once published.
+// CSR is the packed adjacency of a graph in compressed-sparse-row layout:
+// the half-edges of vertex v are To[Off[v]:Off[v+1]], in the order the edges
+// were added, with parallel weights in W (Off has length V+1). Search hot
+// paths iterate it with three flat array reads per edge instead of chasing
+// per-vertex slice headers; weights stay float64 so distances are
+// bit-identical to the adjacency-list searches. A CSR is immutable once
+// published.
 type CSR struct {
 	Off []int32
 	To  []int32
 	W   []float64
 }
 
-// CSR returns the packed adjacency view, building and publishing it on
-// first use after a mutation. Concurrent readers may race to build after
-// the same mutation; the copies are identical and the last store wins.
-// Mutating the graph while other goroutines search it is not supported
-// (unchanged from the adjacency lists).
+// CSR returns the packed adjacency, packing the build buffer, publishing the
+// result and releasing the buffer on first use after a mutation. Concurrent
+// first readers build once: the slow path holds the mutex, the fast path is
+// one atomic load. Mutating the graph while other goroutines read it is not
+// supported.
 func (g *Graph) CSR() *CSR {
 	if c := g.view.Load(); c != nil {
 		return c
 	}
-	c := g.buildCSR()
-	g.view.Store(c)
-	return c
-}
-
-func (g *Graph) buildCSR() *CSR {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.view.Load(); c != nil {
+		return c
+	}
 	n := len(g.pts)
 	m := 2 * g.edges
 	c := &CSR{Off: make([]int32, n+1), To: make([]int32, m), W: make([]float64, m)}
@@ -214,6 +237,8 @@ func (g *Graph) buildCSR() *CSR {
 		}
 	}
 	c.Off[n] = pos
+	g.adj = nil
+	g.view.Store(c)
 	return c
 }
 
@@ -443,6 +468,7 @@ func (g *Graph) Connected() bool {
 	if n == 0 {
 		return true
 	}
+	c := g.CSR()
 	seen := make([]bool, n)
 	stack := []int{0}
 	seen[0] = true
@@ -450,11 +476,11 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.adj[v] {
-			if !seen[he.to] {
-				seen[he.to] = true
+		for _, u := range c.To[c.Off[v]:c.Off[v+1]] {
+			if !seen[u] {
+				seen[u] = true
 				count++
-				stack = append(stack, he.to)
+				stack = append(stack, int(u))
 			}
 		}
 	}

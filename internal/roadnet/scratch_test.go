@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,86 +37,161 @@ func TestHeap4Ordering(t *testing.T) {
 	}
 }
 
-func TestSearchScratchEpochs(t *testing.T) {
-	var sc SearchScratch
-	sc.Begin(8)
-	if !sc.TryImprove(3, 5) {
-		t.Fatal("first improvement rejected")
+// boundedSearch runs Dijkstra from src over g in sc until it has settled
+// settle vertices, the way the serving searches drive the scratch. A model,
+// when given, is told every tentative distance the scratch is and has to
+// agree on which of them improve.
+func boundedSearch(sc *SearchScratch, g *Graph, src int32, settle int, model map[int32]float64) {
+	c := g.CSR()
+	improve := func(v int32, d float64) {
+		better := sc.TryImprove(v, d)
+		if model != nil {
+			if cur, ok := model[v]; better != (!ok || d < cur) {
+				panic("TryImprove disagrees with the model")
+			}
+		}
+		if better {
+			if model != nil {
+				model[v] = d
+			}
+			sc.Push(d, v)
+		}
 	}
-	if sc.TryImprove(3, 5) || sc.TryImprove(3, 7) {
-		t.Fatal("non-improvement accepted")
-	}
-	if !sc.TryImprove(3, 2) {
-		t.Fatal("strict improvement rejected")
-	}
-	if got := sc.DistAt(3); got != 2 {
-		t.Fatalf("DistAt = %g, want 2", got)
-	}
-	if sc.Reached(4) {
-		t.Fatal("untouched vertex reads reached")
-	}
-	// A new epoch logically clears everything without touching the arrays.
-	sc.Begin(8)
-	if sc.Reached(3) || !math.IsInf(sc.DistAt(3), 1) {
-		t.Fatal("epoch bump did not clear the distance state")
-	}
-	// The mark set is independent of the distance state.
-	sc.MarkBegin(8)
-	sc.SetMark(2, 7)
-	if got := sc.Mark(2); got != 7 {
-		t.Fatalf("Mark = %d, want 7", got)
-	}
-	if got := sc.Mark(3); got != 0 {
-		t.Fatalf("unset Mark = %d, want 0", got)
-	}
-	sc.MarkBegin(8)
-	if got := sc.Mark(2); got != 0 {
-		t.Fatalf("Mark after MarkBegin = %d, want 0", got)
+	sc.Begin(g.NumVertices())
+	improve(src, 0)
+	for settle > 0 {
+		d, v, ok := sc.Pop()
+		if !ok {
+			return
+		}
+		if d > sc.DistAt(v) {
+			continue
+		}
+		settle--
+		for e := c.Off[v]; e < c.Off[v+1]; e++ {
+			improve(c.To[e], d+c.W[e])
+		}
 	}
 }
 
-func TestCSRMatchesAdjacency(t *testing.T) {
-	g, err := RandomPlanarNetwork(60, testBounds, 0.5, 0.3, 7)
+// TestSparseDistMatchesMapModel: the sparse-set distances read, after every
+// one of 10k searches alternating between a large and a small graph on one
+// scratch, exactly as a map filled beside them — for every vertex of the
+// larger graph, so also for those whose slot was written by an earlier search
+// (stale, pointing into or past the current reach list), for those never
+// written (slot 0, against whatever reach[0] holds), and for ids past the
+// slots. Nothing is cleared between searches and nothing is allocated.
+func TestSparseDistMatchesMapModel(t *testing.T) {
+	big, err := GridNetwork(24, 24, testBounds, 0.2, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSR := func(g *Graph) {
-		t.Helper()
-		c := g.CSR()
-		if len(c.Off) != g.NumVertices()+1 {
-			t.Fatalf("CSR offsets: %d, want %d", len(c.Off), g.NumVertices()+1)
-		}
-		edges := 0
-		for v := 0; v < g.NumVertices(); v++ {
-			for e := c.Off[v]; e < c.Off[v+1]; e++ {
-				edges++
-				u := int(c.To[e])
-				w, ok := g.EdgeWeight(v, u)
-				if !ok {
-					t.Fatalf("CSR edge %d-%d not in the graph", v, u)
-				}
-				if w != c.W[e] {
-					t.Fatalf("CSR weight %d-%d = %g, graph says %g", v, u, c.W[e], w)
-				}
-			}
-		}
-		if edges != 2*g.NumEdges() {
-			t.Fatalf("CSR half-edges = %d, want %d", edges, 2*g.NumEdges())
-		}
-	}
-	checkCSR(g)
-
-	// Mutation invalidates the cached view; the rebuilt one includes the
-	// new edge, and an explicit zero weight survives (AddEdgeWeight must
-	// not substitute the Euclidean length the way AddEdge does).
-	a := g.AddVertex(geom.Pt(1, 1))
-	b := g.AddVertex(geom.Pt(2, 2))
-	if err := g.AddEdgeWeight(a, b, 0); err != nil {
+	small, err := GridNetwork(7, 7, testBounds, 0.2, 0.3, 6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSR(g)
-	if w, ok := g.EdgeWeight(a, b); !ok || w != 0 {
-		t.Fatalf("zero-weight edge reads (%g, %v)", w, ok)
+	var sc SearchScratch
+	if sc.Reached(0) || !math.IsInf(sc.DistAt(0), 1) {
+		t.Fatal("the zero scratch has reached a vertex")
+	}
+	rng := rand.New(rand.NewSource(12))
+	model := map[int32]float64{}
+	for i := 0; i < 10000; i++ {
+		g := []*Graph{small, big}[i%2]
+		if i%7 == 0 {
+			g = small // two in a row now and then
+		}
+		clear(model)
+		// Mostly a few dozen vertices, as in serving; sometimes all of them.
+		settle := 1 + rng.Intn(40)
+		if i%97 == 0 {
+			settle = g.NumVertices()
+		}
+		boundedSearch(&sc, g, int32(rng.Intn(g.NumVertices())), settle, model)
+		if len(sc.reach) != len(model) {
+			t.Fatalf("search %d: %d vertices reached, model has %d", i, len(sc.reach), len(model))
+		}
+		for v := int32(0); int(v) < big.NumVertices()+3; v++ {
+			want, ok := model[v]
+			if !ok {
+				want = math.Inf(1)
+			}
+			if sc.Reached(v) != ok || sc.DistAt(v) != want {
+				t.Fatalf("search %d: vertex %d reads (%g, %v), model (%g, %v)", i, v, sc.DistAt(v), sc.Reached(v), want, ok)
+			}
+		}
+	}
+	if len(sc.slot) != big.NumVertices() {
+		t.Fatalf("%d slots for a largest graph of %d vertices", len(sc.slot), big.NumVertices())
+	}
+	// The mark set is independent of the distance state.
+	sc.MarkBegin()
+	sc.SetMark(2, 7)
+	sc.Begin(big.NumVertices())
+	if got := sc.Mark(2); got != 7 {
+		t.Fatalf("Mark across Begin = %d, want 7", got)
+	}
+	sc.MarkBegin()
+	if sc.Mark(2) != 0 {
+		t.Fatal("Mark survived MarkBegin")
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		i++
+		boundedSearch(&sc, []*Graph{small, big}[i%2], int32(i%49), 40, nil)
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocs per steady-state search, want 0", allocs)
+	}
+}
+
+// TestCSRMatchesAdjacency: the CSR of a graph built from a list of edges
+// holds, per vertex, that vertex's edges of the list in list order — whether
+// the graph is packed once at the end or packed and thawed along the way.
+func TestCSRMatchesAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 60
+	type half struct {
+		to int32
+		w  float64
+	}
+	for _, sealEvery := range []int{0, 1, 17} {
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.AddVertex(geom.Pt(rng.Float64()*100, rng.Float64()*100))
+		}
+		want := make([][]half, n)
+		seen := map[[2]int]bool{}
+		for len(seen) < 150 {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v || seen[[2]int{u, v}] || seen[[2]int{v, u}] {
+				continue
+			}
+			seen[[2]int{u, v}] = true
+			// An explicit zero weight must survive: AddEdgeWeight does not
+			// substitute the Euclidean length the way AddEdge does.
+			w := float64(rng.Intn(4))
+			if err := g.AddEdgeWeight(u, v, w); err != nil {
+				t.Fatal(err)
+			}
+			want[u] = append(want[u], half{int32(v), w})
+			want[v] = append(want[v], half{int32(u), w})
+			if sealEvery > 0 && len(seen)%sealEvery == 0 {
+				g.CSR()
+			}
+		}
+		c := g.CSR()
+		if len(c.Off) != n+1 || int(c.Off[n]) != 2*g.NumEdges() || len(c.To) != 2*len(seen) || len(c.W) != len(c.To) {
+			t.Fatalf("CSR shape: %d offsets, %d half-edges, %d weights for %d edges", len(c.Off), len(c.To), len(c.W), len(seen))
+		}
+		for v := 0; v < n; v++ {
+			var got []half
+			for e := c.Off[v]; e < c.Off[v+1]; e++ {
+				got = append(got, half{c.To[e], c.W[e]})
+			}
+			if !slices.Equal(got, want[v]) {
+				t.Fatalf("sealing every %d: vertex %d has %v, the edge list says %v", sealEvery, v, got, want[v])
+			}
+		}
 	}
 }
 
@@ -130,7 +206,7 @@ func TestSparseMarks(t *testing.T) {
 		if round == 4 {
 			sc.markEpoch = math.MaxUint32 - 1 // rounds 4 and 5 straddle the wrap
 		}
-		sc.MarkBegin(1 << 20)
+		sc.MarkBegin()
 		if round == 5 && sc.markEpoch != 1 {
 			t.Fatalf("epoch after the wrap = %d, want 1", sc.markEpoch)
 		}
