@@ -179,6 +179,33 @@ func TestHintedUpdateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestVisitedSetGrowthThenUpdateAllocatesNothing: the scratch a shard shares
+// among its sessions has just served a search fifty times as wide as this
+// session's, which doubled its visited table several times; the session's
+// next recomputations through it allocate nothing.
+func TestVisitedSetGrowthThenUpdateAllocatesNothing(t *testing.T) {
+	ix := buildIndex(t, 20000, 77)
+	q, pts := outcomeLoop(t, ix, "recompute", 5)
+	sc := new(vortree.SearchScratch)
+	q.UseScratch(sc)
+	if ids, _, _ := ix.AppendPrefetch(pts[0], 600, vortree.NoHint, nil, sc); len(ids) < 600 {
+		t.Fatalf("wide search returned %d objects", len(ids))
+	}
+	before := q.Metrics().Recomputations
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		i++
+		if _, err := q.Update(pts[i&1]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("%.1f allocs per recomputing Update after the scratch grew, want 0", allocs)
+	}
+	if got := q.Metrics().Recomputations - before; got != 201 {
+		t.Errorf("%d of 201 measured updates recomputed", got)
+	}
+}
+
 // outcomeCount returns how many of the updates between two counter
 // readings took the named outcome.
 func outcomeCount(before, after metrics.Counters, outcome string) int {

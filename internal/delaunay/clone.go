@@ -6,28 +6,22 @@ import "repro/internal/geom"
 // state with the original; site ids are preserved. It is the fallback
 // publication path where the structural sharing of Branch is unsafe — in
 // particular after an aborted mutation batch may have left the shared
-// writer state (duplicate index, free list, appended points) out of sync —
-// so it rebuilds that state from the live faces and vertices instead of
-// copying it.
+// writer state (the face free list, which the abandoned branch popped from
+// and pushed onto in place) out of sync — so it rebuilds that state from
+// the face table instead of copying it.
 func (t *Triangulation) Clone() *Triangulation {
 	own := new(pageOwner)
 	c := &Triangulation{
 		pts:    append([]geom.Point(nil), t.pts...),
 		tris:   t.tris.deepCopy(own),
 		vface:  t.vface.deepCopy(own),
-		index:  make(map[geom.Point]int, t.nLive),
 		bounds: t.bounds,
 		nLive:  t.nLive,
 		own:    own,
 	}
 	c.walk.Store(t.walk.Load())
-	for i := 3; i < len(c.pts); i++ {
-		if c.vfaceAt(int32(i)) != noTri {
-			c.index[c.pts[i]] = i - 3
-		}
-	}
 	for f := 0; f < c.numFaces(); f++ {
-		if !c.tri(int32(f)).alive {
+		if !c.tri(int32(f)).alive() {
 			c.free = append(c.free, int32(f))
 		}
 	}

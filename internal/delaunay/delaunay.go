@@ -53,7 +53,7 @@ const maxSlots = math.MaxInt32 / 2
 
 // ErrFrozen is returned by mutations on a version that has been branched
 // from: only the newest version of a branch chain accepts writes, which is
-// what keeps the shared writer state (duplicate index, free list) coherent.
+// what keeps the shared writer state (the face free list) coherent.
 var ErrFrozen = errors.New("delaunay: triangulation frozen by Branch")
 
 // noTri marks a missing triangle neighbor (boundary of the super-triangle).
@@ -61,14 +61,16 @@ var ErrFrozen = errors.New("delaunay: triangulation frozen by Branch")
 // vertex always has an incident live face.
 const noTri = -1
 
-// triangle is one face of the triangulation. Vertices are indices into
-// Triangulation.pts in counter-clockwise order; n[i] is the face across
-// edge (v[i], v[(i+1)%3]) or noTri.
+// triangle is one face of the triangulation — 24 bytes, two per vertex.
+// Vertices are indices into Triangulation.pts in counter-clockwise order;
+// n[i] is the face across edge (v[i], v[(i+1)%3]) or noTri. A dead
+// (recyclable) slot has v[0] < 0 and nothing else meaningful.
 type triangle struct {
-	v     [3]int32
-	n     [3]int32
-	alive bool
+	v [3]int32
+	n [3]int32
 }
+
+func (tr *triangle) alive() bool { return tr.v[0] >= 0 }
 
 // Triangulation is an incremental Delaunay triangulation. The zero value is
 // not usable; call New.
@@ -77,20 +79,20 @@ type triangle struct {
 // vertex-face hints (vface) are paged copy-on-write and diverge per
 // version. The vertex coordinates (pts) are append-only and shared by every
 // version — ids are never recycled, and only the newest version appends.
-// The duplicate-detection map (index) and the face free list (free) are
-// writer state: they ride along the branch chain and are only meaningful at
-// the newest version, which is the only one allowed to mutate.
+// The face free list (free) is writer state: it rides along the branch
+// chain and is only meaningful at the newest version, which is the only one
+// allowed to mutate. Nothing remembers which points are vertices: the face
+// that holds a point has it as a corner if it is one (see Insert).
 type Triangulation struct {
-	pts    []geom.Point       // vertex 0..2 are the super-triangle corners
-	tris   paged[triangle]    // faces, including dead (recycled) slots
-	vface  paged[int32]       // some live face incident to each vertex; noTri = removed
-	free   []int32            // writer-only: recycled face slots
-	index  map[geom.Point]int // writer-only: point -> vertex id
-	bounds geom.Rect          // accepted insertion region
-	walk   atomic.Int32       // recently touched face: walk start hint
-	nLive  int                // number of live (non-deleted) input vertices
-	own    *pageOwner         // this version's page-ownership token
-	frozen atomic.Bool        // set by Branch; mutations are rejected
+	pts    []geom.Point    // vertex 0..2 are the super-triangle corners
+	tris   paged[triangle] // faces, including dead (recycled) slots
+	vface  paged[int32]    // some live face incident to each vertex; noTri = removed
+	free   []int32         // writer-only: recycled face slots
+	bounds geom.Rect       // accepted insertion region
+	walk   atomic.Int32    // recently touched face: walk start hint
+	nLive  int             // number of live (non-deleted) input vertices
+	own    *pageOwner      // this version's page-ownership token
+	frozen atomic.Bool     // set by Branch; mutations are rejected
 }
 
 // New returns an empty triangulation accepting points inside bounds. The
@@ -109,11 +111,10 @@ func New(bounds geom.Rect) *Triangulation {
 			{X: c.X + 3*m, Y: c.Y - m},
 			{X: c.X, Y: c.Y + 3*m},
 		},
-		index:  make(map[geom.Point]int),
 		bounds: bounds,
 		own:    new(pageOwner),
 	}
-	t.tris.append(triangle{v: [3]int32{0, 1, 2}, n: [3]int32{noTri, noTri, noTri}, alive: true}, t.own)
+	t.tris.append(triangle{v: [3]int32{0, 1, 2}, n: [3]int32{noTri, noTri, noTri}}, t.own)
 	for i := 0; i < 3; i++ {
 		t.vface.append(0, t.own)
 	}
@@ -132,7 +133,6 @@ func (t *Triangulation) Branch() *Triangulation {
 		tris:   t.tris.branch(),
 		vface:  t.vface.branch(),
 		free:   t.free,
-		index:  t.index,
 		bounds: t.bounds,
 		nLive:  t.nLive,
 		own:    new(pageOwner),
@@ -172,17 +172,38 @@ func isSuper(v int32) bool { return v < 3 }
 
 // Insert adds p and returns its vertex id. Inserting an exact duplicate
 // returns the existing id together with ErrDuplicate; points outside the
-// triangulation bounds return ErrOutOfBounds.
+// triangulation bounds return ErrOutOfBounds. One point location serves
+// both: the face that holds p tells whether p is already a vertex, and is
+// the face to split if it is not.
 func (t *Triangulation) Insert(p geom.Point) (int, error) {
 	if err := t.admit(1, p); err != nil {
 		return -1, err
 	}
-	vi, fresh := t.reserve(p)
-	if !fresh {
+	f, onEdge := t.locate(p)
+	if vi := t.cornerAt(f, p); vi != noVertex {
 		return int(vi) - 3, ErrDuplicate
 	}
-	t.link(vi)
+	vi := t.reserve(p)
+	t.split(f, onEdge, vi)
 	return int(vi) - 3, nil
+}
+
+// noVertex is cornerAt's "p is not a vertex".
+const noVertex = -1
+
+// cornerAt returns the corner of face f that sits exactly at p, or
+// noVertex. For f the face locate found for p this decides whether p is a
+// live vertex: the faces of a triangulation meet a vertex only at their
+// corners, so a closed face that holds a vertex has it as a corner, and a
+// removed vertex is in no face. (The super-triangle corners are out of
+// bounds, so an admitted point never matches one.)
+func (t *Triangulation) cornerAt(f int32, p geom.Point) int32 {
+	for _, v := range t.tri(f).v {
+		if t.pts[v] == p {
+			return v
+		}
+	}
+	return noVertex
 }
 
 // admit checks everything that can refuse an insertion — a frozen version,
@@ -210,32 +231,27 @@ func (t *Triangulation) inBounds(p geom.Point) error {
 	return nil
 }
 
-// reserve fixes the id of an admitted point: it returns the vertex already
-// at p, or appends p as the next vertex slot (fresh) without triangulating
-// it. A fresh vertex reads as removed until link wires it in. Ids are
+// reserve fixes the id of an admitted point the caller knows is not a
+// vertex: it appends p as the next vertex slot without triangulating it. A
+// reserved vertex reads as removed until split wires it in. Ids are
 // therefore a function of the order of reserve calls alone — whatever order
 // the vertices are linked in afterwards.
-func (t *Triangulation) reserve(p geom.Point) (vi int32, fresh bool) {
-	if id, ok := t.index[p]; ok {
-		return int32(id + 3), false
-	}
-	vi = int32(len(t.pts))
+func (t *Triangulation) reserve(p geom.Point) int32 {
+	vi := int32(len(t.pts))
 	t.pts = append(t.pts, p)
 	t.vface.append(noTri, t.own)
-	t.index[p] = int(vi) - 3
 	t.nLive++
-	return vi, true
+	return vi
 }
 
-// link triangulates reserved vertex vi: walk to the face holding it, split
-// that face (or the two faces sharing the edge it lies on) and flip until
-// Delaunay again.
-func (t *Triangulation) link(vi int32) {
-	ti, onEdge := t.locate(t.pts[vi])
+// split triangulates reserved vertex vi inside face f, which locate found
+// for its point: split f (or the two faces sharing edge onEdge, when the
+// point lies on it) and flip until Delaunay again.
+func (t *Triangulation) split(f int32, onEdge int, vi int32) {
 	if onEdge >= 0 {
-		t.insertOnEdge(ti, onEdge, vi)
+		t.insertOnEdge(f, onEdge, vi)
 	} else {
-		t.insertInFace(ti, vi)
+		t.insertInFace(f, vi)
 	}
 }
 
@@ -271,7 +287,7 @@ func (t *Triangulation) IDUpperBound() int { return len(t.pts) - 3 }
 // walk hint is atomic and the face table is only read.
 func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
 	f := t.walk.Load()
-	if f < 0 || int(f) >= t.numFaces() || !t.tri(f).alive {
+	if f < 0 || int(f) >= t.numFaces() || !t.tri(f).alive() {
 		f = t.anyAlive()
 	}
 	// The walk is guaranteed to terminate with exact predicates, but guard
@@ -307,7 +323,7 @@ func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
 	// Fallback: exhaustive scan (unreachable in practice).
 	for i := 0; i < t.numFaces(); i++ {
 		tr := t.tri(int32(i))
-		if !tr.alive {
+		if !tr.alive() {
 			continue
 		}
 		inside, on := true, -1
@@ -330,7 +346,7 @@ func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
 
 func (t *Triangulation) anyAlive() int32 {
 	for i := t.numFaces() - 1; i >= 0; i-- {
-		if t.tri(int32(i)).alive {
+		if t.tri(int32(i)).alive() {
 			return int32(i)
 		}
 	}
@@ -340,7 +356,7 @@ func (t *Triangulation) anyAlive() int32 {
 // newTri allocates (or recycles) a face slot and refreshes the incident
 // face hints of its three vertices.
 func (t *Triangulation) newTri(v0, v1, v2, n0, n1, n2 int32) int32 {
-	tr := triangle{v: [3]int32{v0, v1, v2}, n: [3]int32{n0, n1, n2}, alive: true}
+	tr := triangle{v: [3]int32{v0, v1, v2}, n: [3]int32{n0, n1, n2}}
 	var id int32
 	if k := len(t.free); k > 0 {
 		id = t.free[k-1]
@@ -357,7 +373,7 @@ func (t *Triangulation) newTri(v0, v1, v2, n0, n1, n2 int32) int32 {
 }
 
 func (t *Triangulation) killTri(id int32) {
-	t.triMut(id).alive = false
+	t.triMut(id).v[0] = noVertex
 	t.free = append(t.free, id)
 }
 
@@ -439,8 +455,6 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 	d := otr.v[(j+2)%3]
 	nud, ndw := otr.n[(j+1)%3], otr.n[(j+2)%3]
 
-	t.killTri(ti)
-	t.killTri(o)
 	// Four new faces around p: (u,p,c), (p,w,c), (w,p,d), (p,u,d).
 	t0 := t.newTri(u, p, c, noTri, noTri, ncu)
 	t1 := t.newTri(p, w, c, noTri, nwc, noTri)
@@ -455,6 +469,12 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 	t.replaceNeighbor(nwc, ti, t1)
 	t.replaceNeighbor(ndw, o, t2)
 	t.replaceNeighbor(nud, o, t3)
+	// The old faces die only now. Killed first, their slots would be
+	// recycled into t0 and t1, and an outer face that borders both of them
+	// (u or w has only three faces) could not tell its pointer to o from
+	// the one just repointed to o's recycled slot.
+	t.killTri(ti)
+	t.killTri(o)
 	t.walk.Store(t0)
 
 	t.legalize(t0, 2, p)
@@ -495,8 +515,8 @@ func (t *Triangulation) legalize(f int32, e int, p int32) {
 	nad, ndb := otr.n[(j+1)%3], otr.n[(j+2)%3]
 
 	// Reuse slots: f becomes (a,d,c), o becomes (d,b,c).
-	*t.triMut(f) = triangle{v: [3]int32{a, d, c}, n: [3]int32{nad, o, nca}, alive: true}
-	*t.triMut(o) = triangle{v: [3]int32{d, b, c}, n: [3]int32{ndb, nbc, f}, alive: true}
+	*t.triMut(f) = triangle{v: [3]int32{a, d, c}, n: [3]int32{nad, o, nca}}
+	*t.triMut(o) = triangle{v: [3]int32{d, b, c}, n: [3]int32{ndb, nbc, f}}
 	t.setVface(a, f)
 	t.setVface(d, f)
 	t.setVface(c, f)

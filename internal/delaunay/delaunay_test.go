@@ -43,7 +43,7 @@ func checkAdjacency(t *testing.T, tr *Triangulation) {
 	t.Helper()
 	for fi := 0; fi < tr.numFaces(); fi++ {
 		f := tr.tri(int32(fi))
-		if !f.alive {
+		if !f.alive() {
 			continue
 		}
 		for e := 0; e < 3; e++ {
@@ -52,7 +52,7 @@ func checkAdjacency(t *testing.T, tr *Triangulation) {
 				continue
 			}
 			ot := tr.tri(o)
-			if !ot.alive {
+			if !ot.alive() {
 				t.Fatalf("face %d edge %d points at dead face %d", fi, e, o)
 			}
 			a, b := f.v[e], f.v[(e+1)%3]
@@ -160,6 +160,36 @@ func TestCollinearInsertion(t *testing.T) {
 		}
 	}
 	if _, err := tr.Insert(geom.Pt(500, 700)); err != nil {
+		t.Fatal(err)
+	}
+	checkAdjacency(t, tr)
+	checkDelaunay(t, tr)
+}
+
+// TestInsertOnEdgeSharedOuterFace: a point on an edge whose endpoint has
+// only three faces — the two being split and one outer face bordering both.
+// Repointing that face by old slot number, with the old slots recycled in
+// the same breath, once crossed its two pointers (found by the bounds-edge
+// input of TestDuplicateDetectionMatchesMapOracle: (1000, 0) below has
+// exactly that star when (650, 0) lands on the edge to (600, 0)).
+func TestInsertOnEdgeSharedOuterFace(t *testing.T) {
+	tr := New(testBounds)
+	for _, p := range []geom.Point{geom.Pt(0, 200), geom.Pt(0, 50), geom.Pt(1000, 0)} {
+		if _, err := tr.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []geom.Point{geom.Pt(0, 100), geom.Pt(0, 200), geom.Pt(650, 1000), geom.Pt(600, 0), geom.Pt(0, 500), geom.Pt(650, 0)} {
+		if _, err := tr.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		checkAdjacency(t, tr)
+	}
+	checkDelaunay(t, tr)
+	if err := tr.Remove(2); err != nil { // (1000, 0): its star must close
 		t.Fatal(err)
 	}
 	checkAdjacency(t, tr)

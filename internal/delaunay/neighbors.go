@@ -16,14 +16,14 @@ var ErrNotFound = fmt.Errorf("delaunay: vertex not found")
 // this callable on frozen versions shared across goroutines.
 func (t *Triangulation) faceOf(vi int32) int32 {
 	f := t.vfaceAt(vi)
-	if f != noTri && t.tri(f).alive && t.hasVertex(f, vi) {
+	if f != noTri && t.tri(f).alive() && t.hasVertex(f, vi) {
 		return f
 	}
 	if f == noTri {
 		return noTri // removed vertex: no incident faces by definition
 	}
 	for i := 0; i < t.numFaces(); i++ {
-		if t.tri(int32(i)).alive && t.hasVertex(int32(i), vi) {
+		if t.tri(int32(i)).alive() && t.hasVertex(int32(i), vi) {
 			return int32(i)
 		}
 	}
@@ -136,7 +136,7 @@ func (t *Triangulation) Triangles() [][3]int {
 	var out [][3]int
 	for i := 0; i < t.numFaces(); i++ {
 		tr := t.tri(int32(i))
-		if !tr.alive || isSuper(tr.v[0]) || isSuper(tr.v[1]) || isSuper(tr.v[2]) {
+		if !tr.alive() || isSuper(tr.v[0]) || isSuper(tr.v[1]) || isSuper(tr.v[2]) {
 			continue
 		}
 		out = append(out, [3]int{int(tr.v[0]) - 3, int(tr.v[1]) - 3, int(tr.v[2]) - 3})
@@ -264,7 +264,6 @@ func (t *Triangulation) Remove(id int) error {
 	}
 	emit(poly[0], poly[1], poly[2])
 
-	delete(t.index, t.pts[vi])
 	t.nLive--
 	t.setVface(vi, noTri)
 	return nil

@@ -24,27 +24,50 @@ func benchEngine(b *testing.B, nObjects, shards int) *Engine {
 	return e
 }
 
-// BenchmarkEngineIndexMemory reports the resident index heap after
-// building an engine, per shard count. With the shared snapshot store the
-// reported index_MB must stay flat as shards grow (O(objects)); the
-// replica design it replaced grew it linearly (O(shards × objects)).
+// heapMB is the live heap after two collections, in MiB.
+func heapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// BenchmarkEngineIndexMemory reports the resident plane heap of an engine,
+// per shard count, once every shard has served a recomputation — read right
+// after New it would miss the search scratch, the one term that multiplies
+// by the shard count. With the shared snapshot store the reported index_MB
+// must stay flat as shards grow (O(objects)); the replica design it replaced
+// grew it linearly (O(shards × objects)). scratch_KB_per_shard is what the
+// first recomputation added per shard: the scratch, sized by the search,
+// and the guard list of the one session that drove it.
 func BenchmarkEngineIndexMemory(b *testing.B) {
 	const nObjects = 20000
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				objects := workload.Uniform(nObjects, testBounds, 42)
-				runtime.GC()
-				var before runtime.MemStats
-				runtime.ReadMemStats(&before)
+				before := heapMB()
 				e, err := New(Config{Shards: shards, Bounds: testBounds, Objects: objects})
 				if err != nil {
 					b.Fatal(err)
 				}
-				runtime.GC()
-				var after runtime.MemStats
-				runtime.ReadMemStats(&after)
-				b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), "index_MB")
+				// Session ids count up and shard by id: one session a shard.
+				batch := make([]LocationUpdate, shards)
+				for j := range batch {
+					sid, err := e.CreateSession(8, 1.6)
+					if err != nil {
+						b.Fatal(err)
+					}
+					batch[j] = LocationUpdate{Session: sid, Pos: geom.Pt(float64(j)*50+25, 500)}
+				}
+				built := heapMB()
+				if _, err := e.UpdateBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				served := heapMB()
+				b.ReportMetric(served-before, "index_MB")
+				b.ReportMetric((served-built)*1024/float64(shards), "scratch_KB_per_shard")
 				e.Close()
 			}
 		})
@@ -62,13 +85,6 @@ func BenchmarkEngineNetworkMemory(b *testing.B) {
 		grid   = 256
 		shards = 8
 	)
-	heapMB := func() float64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc) / (1 << 20)
-	}
 	for i := 0; i < b.N; i++ {
 		empty := heapMB()
 		g, err := workload.Network(grid, testBounds, 42)

@@ -176,11 +176,12 @@ type Store struct {
 	dur      Durability // optional write-ahead hook; see SetDurability
 	// poisoned is set when a plane mutation batch aborts after partially
 	// mutating the path-copied branch: the writer state shared along the
-	// branch chain (duplicate index, free list) may then be out of sync,
-	// so the next Apply publishes through a deep Clone — the fallback that
-	// rebuilds it — instead of a Branch. The network side needs no such
-	// flag: a netvor branch shares no writer state with its parent, so an
-	// abandoned branch cannot corrupt the published snapshot.
+	// branch chain (the triangulation's face free list, which the branch
+	// popped and pushed in place) may then be out of sync, so the next
+	// Apply publishes through a deep Clone — the fallback that rebuilds it
+	// from the face table — instead of a Branch. The network side needs no
+	// such flag: a netvor branch shares no writer state with its parent, so
+	// an abandoned branch cannot corrupt the published snapshot.
 	poisoned bool
 
 	live atomic.Int64 // snapshots whose pin count is > 0

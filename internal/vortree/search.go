@@ -13,9 +13,8 @@ import (
 // the VR-kNN strategy: one best-first R-tree descent for the nearest
 // object, then incremental expansion over stored Voronoi neighbor lists.
 // This touches O(k) Voronoi records instead of O(k) R-tree paths. It is
-// the cold form — each call allocates a visited array sized by the id
-// space; callers that search repeatedly hold a SearchScratch and use
-// AppendKNN.
+// the cold form — each call allocates its working memory, O(k) of it;
+// callers that search repeatedly hold a SearchScratch and use AppendKNN.
 func (ix *Index) KNN(q geom.Point, k int) []int {
 	var sc SearchScratch
 	ids, _ := ix.AppendKNN(q, k, nil, &sc)
@@ -47,36 +46,77 @@ type SearchCost struct {
 // and AppendINS: the best-first R-tree iterator, the Voronoi expansion
 // frontier, the visited set and the neighbor-walk buffers. The zero value
 // is ready to use; a scratch serves any number of sequential searches
-// against any index version but must not be shared across goroutines.
+// against any index version — or unrelated indexes — but must not be shared
+// across goroutines.
 //
-// The visited set is an array of epoch stamps indexed by object id — a
-// search bumps the epoch instead of clearing anything — so it is sized by
-// the id space, not by the search. That makes a scratch cheap to use and
-// expensive to own: the serving engine keeps one per shard worker for all
-// of the worker's sessions, not one per session.
+// The visited set holds the ids the current search reached and nothing
+// else: an open-addressed table, epoch-stamped, so its logical clear is a
+// counter bump and not a wipe (the shape of roadnet.SearchScratch's mark
+// set). It is sized by the widest search the scratch has served — some 2 KB
+// for the |R ∪ I(R)| ≈ 60 objects of a recomputation — whatever the size of
+// the index or of its id space, so a scratch is as cheap to own as to use.
+// The serving engine keeps one per shard worker for all of the worker's
+// sessions.
 type SearchScratch struct {
 	it    rtree.KNNIterator
 	pq    nnHeap
-	stamp []uint32 // stamp[id] == epoch: id was reached by the current search
+	seen  []visitSlot // a power of two long, at most a quarter of it live
+	nSeen int
 	epoch uint32
 	nb    []int
 	ring  voronoi.NeighborScratch
 }
 
-// beginVisit starts a fresh visited set covering ids below n.
-func (sc *SearchScratch) beginVisit(n int) {
-	if n > len(sc.stamp) {
-		// Headroom, so an id space growing by a few inserts per snapshot
-		// does not reallocate on every search.
-		grown := make([]uint32, n+n/4)
-		copy(grown, sc.stamp)
-		sc.stamp = grown
+// visitSlot is one entry of the visited set, live while epoch is the set's.
+type visitSlot struct {
+	id    int32 // object ids are delaunay vertex slots, which are int32
+	epoch uint32
+}
+
+// beginVisit empties the visited set.
+func (sc *SearchScratch) beginVisit() {
+	if sc.seen == nil {
+		sc.seen = make([]visitSlot, 64)
 	}
+	sc.nSeen = 0
 	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stamps of 2^32 searches ago would alias
-		clear(sc.stamp)
+	if sc.epoch == 0 { // wrapped: slots of 2^32 searches ago would read as live
+		clear(sc.seen)
 		sc.epoch = 1
 	}
+}
+
+// seenAt returns the slot that holds id, or the free one where it goes.
+// Nothing leaves the set within an epoch, so the first slot that is not
+// live ends the probe.
+func (sc *SearchScratch) seenAt(id int32) *visitSlot {
+	h := uint32(id) * 0x9E3779B1
+	for i := h ^ h>>16; ; i++ {
+		if s := &sc.seen[i&uint32(len(sc.seen)-1)]; s.epoch != sc.epoch || s.id == id {
+			return s
+		}
+	}
+}
+
+// visit adds id to the visited set and reports whether the current search
+// reached it for the first time.
+func (sc *SearchScratch) visit(id int) bool {
+	s := sc.seenAt(int32(id))
+	if s.epoch == sc.epoch {
+		return false
+	}
+	if sc.nSeen++; 4*sc.nSeen > len(sc.seen) {
+		old := sc.seen
+		sc.seen = make([]visitSlot, 2*len(old))
+		for _, o := range old {
+			if o.epoch == sc.epoch {
+				*sc.seenAt(o.id) = o
+			}
+		}
+		s = sc.seenAt(int32(id))
+	}
+	*s = visitSlot{int32(id), sc.epoch}
+	return true
 }
 
 // AppendKNN is KNN appending onto dst with caller-supplied scratch and the
@@ -124,10 +164,9 @@ func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, erro
 			return dst, fmt.Errorf("vortree: INS of %v: unknown id %d", knn, id)
 		}
 	}
-	sc.beginVisit(ix.NextID())
-	stamp, epoch := sc.stamp, sc.epoch
+	sc.beginVisit()
 	for _, id := range knn {
-		stamp[id] = epoch
+		sc.visit(id)
 	}
 	start := len(dst)
 	for _, id := range knn {
@@ -137,8 +176,7 @@ func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, erro
 			return dst[:start], fmt.Errorf("vortree: INS of %v: %w", knn, err)
 		}
 		for _, u := range nb {
-			if stamp[u] != epoch {
-				stamp[u] = epoch
+			if sc.visit(u) {
 				dst = append(dst, u)
 			}
 		}
@@ -159,9 +197,8 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch)
 	if !ok {
 		return dst, cost
 	}
-	sc.beginVisit(ix.NextID())
-	stamp, epoch := sc.stamp, sc.epoch
-	stamp[start] = epoch
+	sc.beginVisit()
+	sc.visit(start)
 	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})
 	need := len(dst) + k
 	for len(sc.pq) > 0 && len(dst) < need {
@@ -173,8 +210,7 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch)
 			continue
 		}
 		for _, u := range nb {
-			if stamp[u] != epoch {
-				stamp[u] = epoch
+			if sc.visit(u) {
 				sc.pq.push(nnEntry{id: u, d2: q.Dist2(ix.diag.Site(u))})
 			}
 		}
