@@ -16,19 +16,28 @@
 // Query processing follows Section III of the paper: on (re)computation the
 // processor fetches the ⌊ρk⌋ nearest objects R (ρ ≥ 1 is the prefetch
 // ratio) plus I(R) and ships them to the client. Each timestamp is then
-// validated with one O(|R|+|I(R)|) scan that evaluates every distance once:
-// find the farthest current kNN member (r.delete) and the nearest
-// influential-set member (r.candidate); the kNN set is stale only if
-// r.candidate is closer than r.delete. A stale kNN set is first repaired
-// locally by re-ranking R with the distances that scan cached (covering the
-// paper's update cases (i) and (ii)); only when R itself is invalidated
-// does the processor recompute — a communication event, which the
-// experiments count.
+// validated by one O(|R|+|I(R)|) scan: find the farthest current kNN member
+// (r.delete) and the nearest influential-set member (r.candidate); the kNN
+// set is stale only if r.candidate is closer than r.delete. A stale kNN set
+// is first repaired locally by re-ranking R with the distances that scan
+// evaluated (covering the paper's update cases (i) and (ii)); only when R
+// itself is invalidated does the processor recompute — a communication
+// event, which the experiments count.
+//
+// PlaneQuery's scan evaluates only the distances a verdict can turn on. A
+// recomputation ships each object's distance from the position it ran at,
+// the anchor; by the triangle inequality an object whose anchor distance
+// exceeds r + δ, δ being how far the query has moved from the anchor, is
+// farther than r and need not be evaluated against the radius r of the
+// kNN set (or, on a stale kNN set, of R). The verdicts are exactly those of
+// evaluating every member; an update that happens to evaluate them all
+// becomes the new anchor.
 //
 // PlaneQuery keeps the kNN set as a prefix of R: the kNN set is R[:k] at
 // all times, and a re-rank sorts R in place. R is therefore in ascending
 // distance as of the last recomputation or re-rank, whichever came last —
-// not necessarily in the order it was fetched.
+// not necessarily in the order it was fetched. I(R) is in no particular
+// order (the order the recomputation's search frontier held it).
 //
 // In road networks (Section IV), validation requires shortest-path
 // distances. Theorem 1 transfers the INS superset guarantee to network

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -50,47 +49,30 @@ type PlaneQuery struct {
 	disableRerank bool
 
 	// The client state is one id list: ids = R followed by I(R), as one
-	// recomputation ships them. r and ins are its two halves, and the kNN
-	// set is always r[:k] — a re-rank permutes r itself, so r is in
-	// ascending distance as of the last recomputation or re-rank. dist
-	// parallels ids: the squared distances the last validated Update
-	// measured, from which it derived all of its verdicts. The buffers
+	// recomputation ships them, R being ids[:nR]. The kNN set is always
+	// R[:k] — a re-rank permutes R itself, so R is in ascending distance as
+	// of the last recomputation or re-rank. anchor parallels ids: the
+	// squared distances from the anchor point at, where the last update
+	// that measured every member stood (a recomputation measures them all),
+	// from which measure bounds what it need not evaluate. The buffers
 	// survive Invalidate; slices returned by Update alias ids and are
 	// rewritten by the next Update/Sync/Refresh, which is the package's
 	// slice-ownership contract.
 	ids    []int
-	r, ins []int
-	dist   []float64
-	rank   byDist // re-rank view over (r, dist); a field so sorting allocates nothing
+	nR     int
+	anchor []float64
+	at     geom.Point
 
-	// hint is an object near the query — the nearest guard object the last
-	// Update saw, else the last result's nearest object — from which the
-	// next recomputation walks to the new nearest object instead of
-	// descending the R-tree. It survives Invalidate: the guard sets may be
-	// stale after a data update, the neighbourhood is not.
+	// hint is an object near the query — the nearest object the last
+	// validation evaluated, else the last result's nearest object — from
+	// which the next recomputation walks to the new nearest object instead
+	// of descending the R-tree. It survives Invalidate: the guard sets may
+	// be stale after a data update, the neighbourhood is not.
 	hint int
 
 	// sc is the search working memory: the engine's per-shard scratch (see
 	// UseScratch), or one the query allocates at its first recomputation.
 	sc *vortree.SearchScratch
-}
-
-// byDist sorts object ids by a parallel distance key, ties by id.
-type byDist struct {
-	ids []int
-	d   []float64
-}
-
-func (b *byDist) Len() int { return len(b.ids) }
-func (b *byDist) Less(i, j int) bool {
-	if b.d[i] != b.d[j] {
-		return b.d[i] < b.d[j]
-	}
-	return b.ids[i] < b.ids[j]
-}
-func (b *byDist) Swap(i, j int) {
-	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
-	b.d[i], b.d[j] = b.d[j], b.d[i]
 }
 
 // NewPlaneQuery creates an INS MkNN query over the given VoR-tree index.
@@ -164,11 +146,16 @@ func (q *PlaneQuery) SetDisableLocalRerank(v bool) { q.disableRerank = v }
 // knn returns the current kNN set: the first k members of R (nil while the
 // client state is invalidated).
 func (q *PlaneQuery) knn() []int {
-	if len(q.r) == 0 {
+	if len(q.ids) == 0 {
 		return nil
 	}
-	return q.r[:q.k]
+	return q.ids[:q.k]
 }
+
+// r returns the prefetched set R and ins its influential neighbor set I(R),
+// the two halves of the id list.
+func (q *PlaneQuery) r() []int   { return q.ids[:q.nR] }
+func (q *PlaneQuery) ins() []int { return q.ids[q.nR:] }
 
 // Current returns the current kNN set (ascending distance as of the last
 // re-rank) as a fresh copy; see the package slice-ownership contract.
@@ -182,10 +169,10 @@ func (q *PlaneQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn()
 
 // AppendPrefetched appends the prefetched set R onto dst; its first k
 // members are the current kNN set.
-func (q *PlaneQuery) AppendPrefetched(dst []int) []int { return append(dst, q.r...) }
+func (q *PlaneQuery) AppendPrefetched(dst []int) []int { return append(dst, q.r()...) }
 
-// AppendINS appends I(R) onto dst.
-func (q *PlaneQuery) AppendINS(dst []int) []int { return append(dst, q.ins...) }
+// AppendINS appends I(R) onto dst, in no particular order.
+func (q *PlaneQuery) AppendINS(dst []int) []int { return append(dst, q.ins()...) }
 
 // Sync re-pins a snapshot-backed query to the newest published snapshot
 // (a no-op for raw-index queries and when already current). If any data
@@ -265,7 +252,6 @@ func (q *PlaneQuery) Refresh() (knn []int, recomputed bool, err error) {
 	if err := q.recompute(q.lastPos); err != nil {
 		return nil, false, err
 	}
-	q.init = true
 	return q.knn(), true, nil
 }
 
@@ -295,11 +281,11 @@ func (q *PlaneQuery) InfluenceSet() []int {
 
 // Prefetched returns the prefetched set R as a fresh copy; its first k
 // members are the current kNN set.
-func (q *PlaneQuery) Prefetched() []int { return append([]int(nil), q.r...) }
+func (q *PlaneQuery) Prefetched() []int { return append([]int(nil), q.r()...) }
 
 // INS returns I(R), the influential neighbor set of the prefetched set, as
-// a fresh copy.
-func (q *PlaneQuery) INS() []int { return append([]int(nil), q.ins...) }
+// a fresh copy in no particular order.
+func (q *PlaneQuery) INS() []int { return append([]int(nil), q.ins()...) }
 
 // prefetchSize returns ⌊ρk⌋ clamped to [k, number of objects].
 func (q *PlaneQuery) prefetchSize() int {
@@ -325,12 +311,11 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 		if err := q.recompute(p); err != nil {
 			return nil, err
 		}
-		q.init = true
 		return q.knn(), nil
 	}
 
 	q.m.Validations++
-	knnValid, rValid := q.measure(p)
+	dist, knnValid, rValid := q.measure(p)
 	if knnValid {
 		return q.knn(), nil
 	}
@@ -339,10 +324,9 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	// Update cases (i) and (ii) of Section III-B: the prefetched set R may
 	// still be valid even though the kNN set is stale, in which case the
 	// new kNN set is composed locally by re-ranking R — no communication.
-	// The distances are the ones measure just cached.
+	// The distances are the ones measure just evaluated.
 	if rValid && !q.disableRerank {
-		q.rank = byDist{ids: q.r, d: q.dist[:len(q.r)]}
-		sort.Sort(&q.rank)
+		q.rerank(dist)
 		return q.knn(), nil
 	}
 	if err := q.recompute(p); err != nil {
@@ -351,45 +335,122 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	return q.knn(), nil
 }
 
-// measure is the one distance pass of an Update: it evaluates d(p, o) once
-// for every o in R ∪ I(R) into q.dist and derives both validity verdicts
-// from it. The kNN set is valid (Section III-A) while its farthest member
-// (r.delete) is no farther than the nearest member of its influential set
-// (R \ kNN) ∪ I(R) (r.candidate); R is valid as the ⌊ρk⌋-NN set while its
-// farthest member is no farther than the nearest member of I(R). The
-// nearest object seen becomes the hint of a recomputation that may follow.
-func (q *PlaneQuery) measure(p geom.Point) (knnValid, rValid bool) {
-	if cap(q.dist) < len(q.ids) {
-		q.dist = make([]float64, len(q.ids), 2*len(q.ids))
+// margin widens measure's triangle-inequality bound by a relative 2⁻³⁰,
+// far above the rounding of the squared distances, root and sum it
+// compares (a few units of 2⁻⁵³ each): a member the bound skips is farther
+// from the query than the radius in floating point, not only in the reals.
+const margin = 1 + 0x1p-30
+
+// measure takes the two verdicts of an Update at p. The kNN set is valid
+// (Section III-A) while its farthest member (r.delete) is no farther than
+// the nearest member of its influential set (R \ kNN) ∪ I(R)
+// (r.candidate); R is valid as the ⌊ρk⌋-NN set while its farthest member
+// is no farther than the nearest member of I(R).
+//
+// It evaluates only the distances a verdict can turn on. Every member o
+// carries its anchor distance d(at, o), and with δ = d(p, at) the triangle
+// inequality gives d(p, o) ≥ d(at, o) − δ, so a guard object whose anchor
+// distance exceeds r + δ is farther from p than r and cannot be closer
+// than a member at radius r. measure evaluates δ and the kNN members, then
+// the guard objects the bound does not rule out against the kNN radius;
+// only if the kNN set is stale, the rest of R (a re-rank orders it) and
+// the I(R) members the bound does not rule out against R's radius. The
+// verdicts are those of evaluating every member
+// (TestBoundedValidationMatchesFullPass).
+//
+// The distances go to the scratch's buffer, marked -1 where not evaluated,
+// which measure returns for the re-rank. The nearest object evaluated —
+// the nearest of all, as every skipped one is farther than a kNN member —
+// becomes the hint of a recomputation that may follow, and an update that
+// happened to evaluate every member becomes the new anchor.
+func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid bool) {
+	k, nR := q.k, q.nR
+	dist = q.sc.Dists(len(q.ids))
+	delta := math.Sqrt(p.Dist2(q.at))
+	maxKNN := 0.0
+	for i, id := range q.ids[:k] {
+		dist[i] = p.Dist2(q.ix.Point(id))
+		maxKNN = max(maxKNN, dist[i])
 	}
-	dist := q.dist[:len(q.ids)]
-	q.dist = dist
+	for i := k; i < len(dist); i++ {
+		dist[i] = -1
+	}
+	evals := 1 + k
+	minGuard, n := q.evaluateWithin(p, dist, k, maxKNN, delta)
+	knnValid = maxKNN <= minGuard
+	evals += n
+	if !knnValid {
+		maxR := maxKNN
+		for i := k; i < nR; i++ {
+			if dist[i] < 0 {
+				dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+				evals++
+			}
+			maxR = max(maxR, dist[i])
+		}
+		minINS, n := q.evaluateWithin(p, dist, nR, maxR, delta)
+		rValid = maxR <= minINS
+		evals += n
+	}
+	q.m.DistanceCalcs += evals
+
 	nearest := 0
-	for i, id := range q.ids {
-		d := p.Dist2(q.ix.Point(id))
-		dist[i] = d
-		if d < dist[nearest] {
+	for i, d := range dist {
+		if d >= 0 && d < dist[nearest] {
 			nearest = i
 		}
 	}
-	q.m.DistanceCalcs += len(dist)
 	q.hint = q.ids[nearest]
+	if evals == 1+len(dist) {
+		q.at = p
+		copy(q.anchor, dist)
+	}
+	return dist, knnValid, rValid
+}
 
-	inf := math.Inf(1)
-	maxKNN := slices.Max(dist[:q.k])
-	minRest, maxRest, minINS := inf, 0.0, inf
-	if rest := dist[q.k:len(q.r)]; len(rest) > 0 {
-		minRest, maxRest = slices.Min(rest), slices.Max(rest)
+// evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
+// evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
+// radius √r2 of p, δ being p's distance from the anchor point. It returns
+// the least distance evaluated in dist[from:] (+Inf for none) and the
+// number of distances it evaluated.
+func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, evals int) {
+	bound := (math.Sqrt(r2) + delta) * margin
+	bound *= bound
+	least = math.Inf(1)
+	for i := from; i < len(dist); i++ {
+		if dist[i] < 0 {
+			if q.anchor[i] > bound {
+				continue
+			}
+			dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+			evals++
+		}
+		least = min(least, dist[i])
 	}
-	if len(q.ins) > 0 {
-		minINS = slices.Min(dist[len(q.r):])
+	return least, evals
+}
+
+// rerank sorts R by this update's distances, ties by id, carrying each
+// member's anchor distance along. R arrives ordered by the distances of an
+// earlier position, so an insertion sort costs about one comparison per
+// member plus one swap per pair the move reordered, and needs no sort view.
+func (q *PlaneQuery) rerank(dist []float64) {
+	r := q.r()
+	for i := 1; i < len(r); i++ {
+		for j := i; j > 0 && (dist[j] < dist[j-1] || dist[j] == dist[j-1] && r[j] < r[j-1]); j-- {
+			r[j], r[j-1] = r[j-1], r[j]
+			dist[j], dist[j-1] = dist[j-1], dist[j]
+			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
+		}
 	}
-	return maxKNN <= min(minRest, minINS), max(maxKNN, maxRest) <= minINS
 }
 
 // recompute performs the server-side computation: fetch the ⌊ρk⌋ nearest
-// objects and their influential neighbor set, and ship both to the client.
+// objects and their influential neighbor set, with their distances from p,
+// which become the anchor, and ship both to the client. It invalidates
+// first, so a failure leaves no stale guard set behind.
 func (q *PlaneQuery) recompute(p geom.Point) error {
+	q.Invalidate()
 	if q.ix.Len() == 0 {
 		return ErrEmptyIndex
 	}
@@ -400,9 +461,10 @@ func (q *PlaneQuery) recompute(p geom.Point) error {
 		q.sc = new(vortree.SearchScratch)
 	}
 	q.m.Recomputations++
-	ids, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, q.ids[:0], q.sc)
-	q.ids, q.r, q.ins = ids, ids[:nR], ids[nR:]
-	q.hint = q.r[0]
+	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, q.ids[:0], q.anchor[:0], q.sc)
+	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
+	q.hint = ids[0]
+	q.init = true
 	q.m.NodeVisits += cost.NodeVisits
 	q.m.DistanceCalcs += cost.SeedDists
 	q.m.ObjectsShipped += len(ids)
@@ -417,7 +479,7 @@ func (q *PlaneQuery) recompute(p geom.Point) error {
 // update.
 func (q *PlaneQuery) Invalidate() {
 	q.init = false
-	q.ids, q.r, q.ins = q.ids[:0], nil, nil
+	q.ids, q.nR = q.ids[:0], 0
 }
 
 // AffectedByInsert reports whether an object just inserted into the index
@@ -467,7 +529,7 @@ func (q *PlaneQuery) InsertObject(p geom.Point) (int, error) {
 // supply a list it already fetched once per shard.
 func (q *PlaneQuery) affectsState(id int, p geom.Point, neighbors func() ([]int, error)) bool {
 	var maxR float64
-	for _, rid := range q.r {
+	for _, rid := range q.r() {
 		if rid == id {
 			return true
 		}
@@ -483,7 +545,7 @@ func (q *PlaneQuery) affectsState(id int, p geom.Point, neighbors func() ([]int,
 		return true // be conservative
 	}
 	for _, u := range nb {
-		for _, rid := range q.r { // both lists are O(k); no map needed
+		for _, rid := range q.r() { // both lists are O(k); no map needed
 			if rid == u {
 				return true
 			}

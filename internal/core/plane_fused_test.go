@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/trajectory"
 	"repro/internal/vortree"
 )
 
@@ -188,7 +189,7 @@ func TestVisitedSetGrowthThenUpdateAllocatesNothing(t *testing.T) {
 	q, pts := outcomeLoop(t, ix, "recompute", 5)
 	sc := new(vortree.SearchScratch)
 	q.UseScratch(sc)
-	if ids, _, _ := ix.AppendPrefetch(pts[0], 600, vortree.NoHint, nil, sc); len(ids) < 600 {
+	if ids, _, _, _ := ix.AppendPrefetch(pts[0], 600, vortree.NoHint, nil, nil, sc); len(ids) < 600 {
 		t.Fatalf("wide search returned %d objects", len(ids))
 	}
 	before := q.Metrics().Recomputations
@@ -221,7 +222,8 @@ func outcomeCount(before, after metrics.Counters, outcome string) int {
 }
 
 // BenchmarkPlaneUpdate is the core row of the per-layer ledger without the
-// harness: one Update at 100k objects, k = 8, ρ = 1.6, by outcome.
+// harness: one Update at 100k objects, k = 8, ρ = 1.6, by outcome, and the
+// benchmark harness's mix of them (mix).
 func BenchmarkPlaneUpdate(b *testing.B) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
 	rng := rand.New(rand.NewSource(3))
@@ -254,4 +256,52 @@ func BenchmarkPlaneUpdate(b *testing.B) {
 			}
 		})
 	}
+	// The harness's plane sessions: k = 1, 5, 10, 20 in turn, half of them
+	// stepping 2 and half 16 per update, each replaying 256 positions
+	// ping-pong, all through one scratch as on one shard. Their first
+	// placements happen before the clock starts.
+	b.Run("mix", func(b *testing.B) {
+		const sessions, trajLen = 64, 256
+		sc := new(vortree.SearchScratch)
+		qs := make([]*PlaneQuery, sessions)
+		trajs := make([][]geom.Point, sessions)
+		var before metrics.Counters
+		for i := range qs {
+			step := 2.0
+			if (i/4)%2 == 1 {
+				step = 16
+			}
+			trajs[i] = trajectory.RandomWaypoint(bounds, trajLen, step, int64(i))
+			q, err := NewPlaneQuery(ix, []int{1, 5, 10, 20}[i%4], 1.6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q.UseScratch(sc)
+			if _, err := q.Update(trajs[i][0]); err != nil {
+				b.Fatal(err)
+			}
+			before.Add(*q.Metrics())
+			qs[i] = q
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			i := n % sessions
+			j := (n/sessions + 1) % (2*trajLen - 2) // ping-pong over 0..trajLen-1
+			if j >= trajLen {
+				j = 2*trajLen - 2 - j
+			}
+			if _, err := qs[i].Update(trajs[i][j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		var after metrics.Counters
+		for _, q := range qs {
+			after.Add(*q.Metrics())
+		}
+		updates := float64(after.Timestamps - before.Timestamps)
+		b.ReportMetric(float64(after.DistanceCalcs-before.DistanceCalcs+after.NodeVisits-before.NodeVisits)/updates, "searchsteps/op")
+		b.ReportMetric(100*float64(after.Recomputations-before.Recomputations)/updates, "recompute%")
+	})
 }

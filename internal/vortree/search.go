@@ -2,6 +2,7 @@ package vortree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -36,7 +37,9 @@ const maxSeedHops = 8
 // R-tree nodes it touched (the page-I/O stand-in; 0 when a hint led there)
 // and the object distances the hint walk evaluated (0 without a live
 // hint). The Voronoi expansion that follows costs the same however the
-// search was seeded and is not counted here.
+// search was seeded and is not counted here — including the distance it
+// evaluates for every object it reaches, which AppendPrefetch hands to its
+// caller.
 type SearchCost struct {
 	NodeVisits int
 	SeedDists  int
@@ -44,7 +47,8 @@ type SearchCost struct {
 
 // SearchScratch is reusable working memory for AppendPrefetch, AppendKNN
 // and AppendINS: the best-first R-tree iterator, the Voronoi expansion
-// frontier, the visited set and the neighbor-walk buffers. The zero value
+// frontier, the visited set, the neighbor-walk buffers and a distance
+// buffer a caller may borrow between searches (Dists). The zero value
 // is ready to use; a scratch serves any number of sequential searches
 // against any index version — or unrelated indexes — but must not be shared
 // across goroutines.
@@ -65,6 +69,17 @@ type SearchScratch struct {
 	epoch uint32
 	nb    []int
 	ring  voronoi.NeighborScratch
+	dists []float64
+}
+
+// Dists returns n float64s owned by the scratch, for a caller that measures
+// distances between searches — a plane session's validation writes there
+// the distances of the guard objects it evaluates. The contents are
+// undefined; the next call, and the next AppendKNN through the scratch,
+// overwrite them.
+func (sc *SearchScratch) Dists(n int) []float64 {
+	sc.dists = slices.Grow(sc.dists[:0], n)[:n]
+	return sc.dists
 }
 
 // visitSlot is one entry of the visited set, live while epoch is the set's.
@@ -122,21 +137,25 @@ func (sc *SearchScratch) visit(id int) bool {
 // AppendKNN is KNN appending onto dst with caller-supplied scratch and the
 // exact R-tree node-visit count of this search. dst may be nil.
 func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([]int, int) {
-	dst, cost := ix.expand(q, k, NoHint, dst, sc)
+	var cost SearchCost
+	dst, sc.dists, cost = ix.expand(q, k, NoHint, dst, sc.dists[:0], sc)
 	return dst, cost.NodeVisits
 }
 
 // AppendPrefetch is the server side of one INS recomputation in a single
 // pass: it appends onto dst the m nearest objects to q in ascending
 // distance order — the prefetched set R — followed by their influential
-// neighbor set I(R) sorted by id, and returns the extended slice, the
-// number of members of R appended (fewer than m only when the index holds
-// fewer objects) and what finding the nearest object cost.
+// neighbor set I(R) in the order the frontier holds it (no particular
+// order), and onto ds the squared distance q.Dist2(ix.Point(id)) of each
+// object it appends to dst, at the same offset. It returns the two extended
+// slices, the number of members of R appended (fewer than m only when the
+// index holds fewer objects) and what finding the nearest object cost.
 //
 // I(R) costs nothing beyond R: the best-first expansion marks every
 // Voronoi neighbor of each object it takes, so once R is complete the
 // objects reached but not taken are exactly N(R) \ R = I(R), and they are
-// sitting in the frontier.
+// sitting in the frontier with their distances, which the expansion had to
+// evaluate to order it.
 //
 // hint names an object believed to be near q (NoHint for none) — a moving
 // query passes the nearest object of its previous result. A hint that is
@@ -145,15 +164,15 @@ func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([
 // the Delaunay graph contains the nearest-neighbor graph; a removed,
 // never-assigned or far-away hint falls back to the descent. Either way
 // the result is the same.
-func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, dst []int, sc *SearchScratch) (ids []int, nR int, cost SearchCost) {
+func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, dst []int, ds []float64, sc *SearchScratch) (ids []int, d2 []float64, nR int, cost SearchCost) {
 	base := len(dst)
-	dst, cost = ix.expand(q, m, hint, dst, sc)
+	dst, ds, cost = ix.expand(q, m, hint, dst, ds, sc)
 	nR = len(dst) - base
 	for _, e := range sc.pq {
 		dst = append(dst, e.id)
+		ds = append(ds, e.d2)
 	}
-	sort.Ints(dst[base+nR:])
-	return dst, nR, cost
+	return dst, ds, nR, cost
 }
 
 // AppendINS is INS appending onto dst with caller-supplied scratch, for a
@@ -185,17 +204,18 @@ func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, erro
 	return dst, nil
 }
 
-// expand appends the k nearest objects to q onto dst by best-first
-// expansion over Voronoi neighbor lists from the nearest object, and
-// leaves in sc.pq the objects it reached but did not take.
-func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch) ([]int, SearchCost) {
+// expand appends the k nearest objects to q onto dst, and their squared
+// distances onto ds, by best-first expansion over Voronoi neighbor lists
+// from the nearest object, and leaves in sc.pq the objects it reached but
+// did not take.
+func (ix *Index) expand(q geom.Point, k, hint int, dst []int, ds []float64, sc *SearchScratch) ([]int, []float64, SearchCost) {
 	sc.pq = sc.pq[:0]
 	if k <= 0 || ix.Len() == 0 {
-		return dst, SearchCost{}
+		return dst, ds, SearchCost{}
 	}
 	start, cost, ok := ix.seed(q, hint, sc)
 	if !ok {
-		return dst, cost
+		return dst, ds, cost
 	}
 	sc.beginVisit()
 	sc.visit(start)
@@ -204,6 +224,7 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch)
 	for len(sc.pq) > 0 && len(dst) < need {
 		e := sc.pq.pop()
 		dst = append(dst, e.id)
+		ds = append(ds, e.d2)
 		nb, err := ix.diag.AppendNeighbors(e.id, sc.nb[:0], &sc.ring)
 		sc.nb = nb[:0]
 		if err != nil {
@@ -215,7 +236,7 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, sc *SearchScratch)
 			}
 		}
 	}
-	return dst, cost
+	return dst, ds, cost
 }
 
 // seed finds the object nearest to q: by the walk from a live hint, else

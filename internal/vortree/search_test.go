@@ -3,7 +3,7 @@ package vortree
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -11,22 +11,30 @@ import (
 
 // checkPrefetch verifies one AppendPrefetch result against the oracles: R
 // (ids[:nR]) has the brute-force kNN's sorted distance list — so ties
-// between equidistant objects pass whichever of them was taken — and I(R)
-// (ids[nR:]) is the reference construction ix.INS of that same R, as a
-// set, in ascending id order.
-func checkPrefetch(t *testing.T, ix *Index, q geom.Point, m int, ids []int, nR int) {
+// between equidistant objects pass whichever of them was taken — I(R)
+// (ids[nR:]) is the reference construction ix.INS of that same R as a set,
+// and ds holds each object's q.Dist2(ix.Point(id)), bit for bit.
+func checkPrefetch(t *testing.T, ix *Index, q geom.Point, m int, ids []int, ds []float64, nR int) {
 	t.Helper()
-	checkPrefetchAgainst(t, ix, q, m, ids, nR, bruteKNN(ix, q, m))
+	checkPrefetchAgainst(t, ix, q, m, ids, ds, nR, bruteKNN(ix, q, m))
 }
 
 // checkPrefetchAgainst is checkPrefetch with the brute-force kNN supplied,
 // for callers checking several searches of the same (q, m).
-func checkPrefetchAgainst(t *testing.T, ix *Index, q geom.Point, m int, ids []int, nR int, want []int) {
+func checkPrefetchAgainst(t *testing.T, ix *Index, q geom.Point, m int, ids []int, ds []float64, nR int, want []int) {
 	t.Helper()
 	if nR != len(want) {
 		t.Fatalf("q=%v m=%d: |R| = %d, want %d", q, m, nR, len(want))
 	}
-	r, ins := ids[:nR], ids[nR:]
+	if len(ds) != len(ids) {
+		t.Fatalf("q=%v m=%d: %d distances for %d objects", q, m, len(ds), len(ids))
+	}
+	for i, id := range ids {
+		if w := q.Dist2(ix.Point(id)); math.Float64bits(ds[i]) != math.Float64bits(w) {
+			t.Fatalf("q=%v m=%d: object %d (position %d) at distance %v, q.Dist2 says %v", q, m, id, i, ds[i], w)
+		}
+	}
+	r := ids[:nR]
 	for i, id := range r {
 		if got, w := q.Dist2(ix.Point(id)), q.Dist2(ix.Point(want[i])); got != w {
 			t.Fatalf("q=%v m=%d: R[%d] = %d at d2 %g, brute force has d2 %g\nR     %v\nbrute %v", q, m, i, id, got, w, r, want)
@@ -36,16 +44,8 @@ func checkPrefetchAgainst(t *testing.T, ix *Index, q geom.Point, m int, ids []in
 	if err != nil {
 		t.Fatalf("q=%v m=%d: oracle INS(%v): %v", q, m, r, err)
 	}
-	if !sort.IntsAreSorted(ins) {
-		t.Fatalf("q=%v m=%d: I(R) not sorted by id: %v", q, m, ins)
-	}
-	if len(ins) != len(wantINS) {
+	if ins := slices.Sorted(slices.Values(ids[nR:])); !slices.Equal(ins, wantINS) {
 		t.Fatalf("q=%v m=%d: I(R) = %v, want %v (R %v)", q, m, ins, wantINS, r)
-	}
-	for i := range ins {
-		if ins[i] != wantINS[i] {
-			t.Fatalf("q=%v m=%d: I(R) = %v, want %v (R %v)", q, m, ins, wantINS, r)
-		}
 	}
 }
 
@@ -109,6 +109,7 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 			w, h := tc.bounds.Width(), tc.bounds.Height()
 			var sc SearchScratch
 			var buf []int
+			var dbuf []float64
 			q := tc.bounds.Center()
 			prev := NoHint
 			for i := 0; i < tc.queries; i++ {
@@ -143,9 +144,9 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 				}
 				want := bruteKNN(ix, q, m)
 				for _, hint := range hints {
-					ids, nR, cost := ix.AppendPrefetch(q, m, hint.id, buf[:0], &sc)
-					buf = ids
-					checkPrefetchAgainst(t, ix, q, m, ids, nR, want)
+					ids, ds, nR, cost := ix.AppendPrefetch(q, m, hint.id, buf[:0], dbuf[:0], &sc)
+					buf, dbuf = ids, ds
+					checkPrefetchAgainst(t, ix, q, m, ids, ds, nR, want)
 					if hint.dead && (cost.SeedDists != 0 || cost.NodeVisits == 0) {
 						t.Fatalf("hint %q: cost %+v, want an R-tree descent and no walk", hint.name, cost)
 					}
@@ -174,9 +175,9 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 						}
 						removed = append(removed, prev)
 					}
-					ids, nR, _ := next.AppendPrefetch(q, m, prev, buf[:0], &sc)
-					buf = ids
-					checkPrefetch(t, next, q, m, ids, nR)
+					ids, ds, nR, _ := next.AppendPrefetch(q, m, prev, buf[:0], dbuf[:0], &sc)
+					buf, dbuf = ids, ds
+					checkPrefetch(t, next, q, m, ids, ds, nR)
 					ix, prev = next, buf[0]
 				}
 			}
@@ -194,15 +195,15 @@ func TestHintWalkCost(t *testing.T) {
 	}
 	var sc SearchScratch
 	q := geom.Pt(500, 500)
-	ids, _, cost := ix.AppendPrefetch(q, 12, NoHint, nil, &sc)
+	ids, _, _, cost := ix.AppendPrefetch(q, 12, NoHint, nil, nil, &sc)
 	if cost.NodeVisits == 0 || cost.SeedDists != 0 {
 		t.Fatalf("no hint: cost %+v, want R-tree visits only", cost)
 	}
-	_, _, cost = ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], &sc)
+	_, _, _, cost = ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], nil, &sc)
 	if cost.NodeVisits != 0 || cost.SeedDists == 0 {
 		t.Fatalf("near hint: cost %+v, want a walk and no R-tree visit", cost)
 	}
-	_, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), ids[:0], &sc)
+	_, _, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), ids[:0], nil, &sc)
 	if cost.NodeVisits == 0 || cost.SeedDists == 0 {
 		t.Fatalf("far hint: cost %+v, want an abandoned walk then the descent", cost)
 	}
@@ -220,11 +221,11 @@ func TestFusedVisitedEpochWrap(t *testing.T) {
 	}
 	var sc SearchScratch
 	q := geom.Pt(400, 600)
-	ix.AppendPrefetch(q, 10, NoHint, nil, &sc)
+	ix.AppendPrefetch(q, 10, NoHint, nil, nil, &sc)
 	sc.epoch = math.MaxUint32 - 2
 	for i := 0; i < 6; i++ {
-		ids, nR, _ := ix.AppendPrefetch(q, 10, NoHint, nil, &sc)
-		checkPrefetch(t, ix, q, 10, ids, nR)
+		ids, ds, nR, _ := ix.AppendPrefetch(q, 10, NoHint, nil, nil, &sc)
+		checkPrefetch(t, ix, q, 10, ids, ds, nR)
 	}
 	if sc.epoch == 0 || sc.epoch > 6 {
 		t.Fatalf("epoch = %d after wrapping, want a small non-zero value", sc.epoch)
@@ -281,13 +282,14 @@ func BenchmarkRecompute(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var sc SearchScratch
 			var buf []int
+			var dbuf []float64
 			hint := NoHint
 			visits, dists := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ids, _, cost := ix.AppendPrefetch(qs[i%len(qs)], m, hint, buf[:0], &sc)
-				buf = ids
+				ids, ds, _, cost := ix.AppendPrefetch(qs[i%len(qs)], m, hint, buf[:0], dbuf[:0], &sc)
+				buf, dbuf = ids, ds
 				if bc.hinted {
 					hint = ids[0]
 				}
