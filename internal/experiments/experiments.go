@@ -13,6 +13,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -34,6 +35,10 @@ type Row struct {
 	Shipped    int     // objects shipped to the client
 	USPerStep  float64 // microseconds per timestamp
 	Extra      string  // experiment-specific column
+
+	// Counters are the run's cost counters (zero for the fixture and
+	// A2 rows, which run no processor).
+	Counters metrics.Counters
 }
 
 // String renders the row for the harness output.
@@ -52,6 +57,7 @@ func reportRow(exp, param string, rep sim.Report, extra string) Row {
 		Shipped:    rep.Counters.ObjectsShipped,
 		USPerStep:  rep.PerStepMicros(),
 		Extra:      extra,
+		Counters:   rep.Counters,
 	}
 }
 
