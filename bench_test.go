@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	insq "repro"
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/voronoi"
 )
 
@@ -243,16 +245,18 @@ func BenchmarkE9Theorem2(b *testing.B) {
 }
 
 // BenchmarkE11Updates measures query maintenance with one data-object
-// insert or delete every 20 steps.
+// insert or delete every 20 steps, each repaired eagerly (Refresh).
 func BenchmarkE11Updates(b *testing.B) {
-	ix, _, err := insq.BuildPlaneIndex(benchBounds, insq.UniformPoints(10000, benchBounds, 11))
+	st, err := index.NewStore(index.Config{Bounds: benchBounds, Objects: insq.UniformPoints(10000, benchBounds, 11)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := insq.NewPlaneQuery(ix, 8, 1.6)
+	defer st.Close()
+	q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer q.Close()
 	traj := insq.RandomWaypoint(benchBounds, 8192, 8, 111)
 	rng := rand.New(rand.NewSource(112))
 	var inserted []int
@@ -261,20 +265,24 @@ func BenchmarkE11Updates(b *testing.B) {
 		if _, err := q.Update(traj[i%len(traj)]); err != nil {
 			b.Fatal(err)
 		}
-		if i%20 == 10 {
-			if rng.Intn(2) == 0 || len(inserted) == 0 {
-				id, err := q.InsertObject(insq.Pt(rng.Float64()*10000, rng.Float64()*10000))
-				if err != nil {
-					b.Fatal(err)
-				}
-				inserted = append(inserted, id)
-			} else {
-				j := rng.Intn(len(inserted))
-				if err := q.RemoveObject(inserted[j]); err != nil {
-					b.Fatal(err)
-				}
-				inserted = append(inserted[:j], inserted[j+1:]...)
+		if i%20 != 10 {
+			continue
+		}
+		if rng.Intn(2) == 0 || len(inserted) == 0 {
+			id, err := st.Insert(insq.Pt(rng.Float64()*10000, rng.Float64()*10000))
+			if err != nil {
+				b.Fatal(err)
 			}
+			inserted = append(inserted, id)
+		} else {
+			j := rng.Intn(len(inserted))
+			if err := st.Remove(inserted[j]); err != nil {
+				b.Fatal(err)
+			}
+			inserted = append(inserted[:j], inserted[j+1:]...)
+		}
+		if _, _, err := q.Refresh(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -35,6 +35,13 @@
 //	    ...
 //	}
 //
+// A query never changes the index it reads: NewPlaneQuery and
+// NewNetworkQuery serve one fixed index or diagram. Data updates (objects
+// inserted or removed while queries move) go through the serving engine
+// below, whose sessions run the same queries pinned to an index store's
+// snapshots and re-pin after every update, recomputing only when it can
+// affect them.
+//
 // # Serving
 //
 // Beyond the single-query processors, the package exposes a concurrent

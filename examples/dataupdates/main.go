@@ -1,9 +1,10 @@
 // Command dataupdates demonstrates query maintenance under data object
 // updates (Section III of the paper): while the query object moves, data
 // objects are inserted and removed — new restaurants open, gas stations
-// close. The INS processor refreshes its guard sets only when an update
-// can actually affect them, and the program cross-checks every reported
-// kNN set against a fresh index search.
+// close. The objects live in an index store, which publishes a new snapshot
+// per update; the INS processor, pinned to the store, refreshes its guard
+// sets only when an update can actually affect them, and the program
+// cross-checks every reported kNN set against a fresh index search.
 package main
 
 import (
@@ -13,22 +14,25 @@ import (
 	"sort"
 
 	insq "repro"
+	"repro/internal/core"
+	"repro/internal/index"
 )
 
 func main() {
 	bounds := insq.NewRect(insq.Pt(0, 0), insq.Pt(1000, 1000))
-	objects := insq.UniformPoints(1000, bounds, 21)
-	ix, ids, err := insq.BuildPlaneIndex(bounds, objects)
+	st, err := index.NewStore(index.Config{Bounds: bounds, Objects: insq.UniformPoints(1000, bounds, 21)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, err := insq.NewPlaneQuery(ix, 5, 1.6)
+	defer st.Close()
+	q, err := core.NewPlaneQueryPinned(st, 5, 1.6)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer q.Close()
 
 	rng := rand.New(rand.NewSource(22))
-	live := append([]int(nil), ids...)
+	live := st.Current().Plane().Diagram().IDs()
 	traj := insq.RandomWaypoint(bounds, 2000, 2, 23)
 
 	inserts, removes, verified := 0, 0, 0
@@ -42,7 +46,7 @@ func main() {
 		if step%50 == 25 {
 			if rng.Intn(2) == 0 {
 				p := insq.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				id, err := q.InsertObject(p)
+				id, err := st.Insert(p)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -50,19 +54,23 @@ func main() {
 				inserts++
 			} else if len(live) > 100 {
 				i := rng.Intn(len(live))
-				if err := q.RemoveObject(live[i]); err != nil {
+				if err := st.Remove(live[i]); err != nil {
 					log.Fatal(err)
 				}
 				live = append(live[:i], live[i+1:]...)
 				removes++
 			}
 			// The paper requires the result to reflect updates
-			// immediately; verify against a from-scratch search.
+			// immediately: repair the query eagerly, then verify its
+			// answer against a from-scratch search.
+			if _, _, err := q.Refresh(); err != nil {
+				log.Fatal(err)
+			}
 			knn, err = q.Update(pos)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fresh := ix.KNN(pos, 5)
+			fresh := st.Current().Plane().KNN(pos, 5)
 			if !sameSet(knn, fresh) {
 				log.Fatalf("step %d: stale result %v, fresh search %v", step, knn, fresh)
 			}
@@ -73,7 +81,7 @@ func main() {
 
 	m := q.Metrics()
 	fmt.Printf("moved %d steps with %d object inserts and %d removes (index now holds %d objects)\n",
-		m.Timestamps, inserts, removes, ix.Len())
+		m.Timestamps, inserts, removes, st.Current().Plane().Len())
 	fmt.Printf("all %d post-update results verified against fresh searches\n", verified)
 	fmt.Printf("kNN recomputations: %d — update-triggered refreshes only fire when the guard sets are affected\n",
 		m.Recomputations)

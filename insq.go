@@ -67,9 +67,12 @@ func BuildNetworkVoronoi(g *RoadNetwork, siteVertices []int) (*NetworkVoronoi, e
 
 // Query processors.
 type (
-	// PlaneQuery is the INS moving kNN query in 2D Euclidean space.
+	// PlaneQuery is the INS moving kNN query in 2D Euclidean space. Built
+	// by NewPlaneQuery it reads a fixed index; the Engine's sessions are
+	// PlaneQueries pinned to snapshots of a changing one.
 	PlaneQuery = core.PlaneQuery
-	// NetworkQuery is the INS moving kNN query in road networks.
+	// NetworkQuery is the INS moving kNN query in road networks, read-only
+	// like PlaneQuery.
 	NetworkQuery = core.NetworkQuery
 	// Metrics holds the cost counters every processor accumulates.
 	Metrics = metrics.Counters

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
@@ -31,7 +32,7 @@ import (
 // The tables depend on the edge and on the sites near it, not on the guard
 // set: re-ranks, recomputations and Invalidate keep them, and the
 // recomputation on the edge is read from them too. Only site churn touches
-// them (AffectedBySiteInsert, AffectedBySiteRemove). The slices keep their
+// them (judge). The slices keep their
 // capacity across drops, so a session owns 2M (int32, float64) pairs and a
 // steady-state Update allocates nothing.
 type edgeAnchor struct {
@@ -51,6 +52,26 @@ type anchorTable struct {
 // holds reports whether site s is in either table.
 func (a *edgeAnchor) holds(s int) bool {
 	return slices.Contains(a.end[0].site, int32(s)) || slices.Contains(a.end[1].site, int32(s))
+}
+
+// judge drops an armed anchor when the site op may have changed one of its
+// tables, m long when full: an op that could not be resolved, the removal of
+// a member — distances from a vertex to the other sites do not depend on
+// the site set — and an insert next to a member, or with short tables,
+// which hold every site their endpoint reaches and which any insert may
+// extend. The new site enters a full table only next to a member: at rank
+// j ≥ 2 the owner of the last foreign vertex on the shortest path from the
+// endpoint ranks before it, by distance or by the id tie-break of the
+// diagram, and is its neighbor; at rank 1 it took the endpoint from the
+// table's first entry and their cells meet along the old shortest path.
+func (a *edgeAnchor) judge(op *index.Op, m int) {
+	switch {
+	case !a.armed:
+	case op.Conservative, !op.Insert && a.holds(op.ID):
+		a.armed = false
+	case op.Insert && (op.Neighbors == nil || min(len(a.end[0].site), len(a.end[1].site)) < m || slices.ContainsFunc(op.Neighbors, a.holds)):
+		a.armed = false
+	}
 }
 
 // along returns the fraction of pos from u along the edge (u, v), whichever
@@ -126,7 +147,7 @@ func (q *NetworkQuery) anchorAt(prev, pos roadnet.Position) {
 func (q *NetworkQuery) pinEndpoint(tab *anchorTable, endpoint int) {
 	var relaxed, reads int
 	var hit bool
-	tab.site, tab.dist, relaxed, reads, hit = q.d.AppendVertexTable(endpoint, q.prefetchCap(), q.sites, q.Epoch(), tab.site[:0], tab.dist[:0], q.scratch())
+	tab.site, tab.dist, relaxed, reads, hit = q.d.AppendVertexTable(endpoint, q.prefetchCap(), q.siteSet(), q.Epoch(), tab.site[:0], tab.dist[:0], q.scratch())
 	q.m.EdgeRelaxations += relaxed
 	q.m.DistanceCalcs += reads
 	if hit {
@@ -167,7 +188,7 @@ func (q *NetworkQuery) open(pos roadnet.Position) hitCursor {
 	}
 	q.m.DijkstraRuns++
 	if q.init {
-		if s, ok := q.d.BeginGuardSearch(pos, q.guard, q.scratch()); ok {
+		if s, ok := q.d.BeginGuardSearch(pos, q.ids, q.scratch()); ok {
 			return hitCursor{search: s}
 		}
 	}

@@ -621,7 +621,7 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 					}
 				}
 			case 2:
-				if s, ok = pick("guard site outside the tables", func(s int) bool { return q.UsesSite(s) && !inTables(s) }); ok {
+				if s, ok = pick("guard site outside the tables", func(s int) bool { return slices.Contains(q.ids, s) && !inTables(s) }); ok {
 					if kept, _ := mutateAndRepin("removal of a guard site outside the tables", false, s); !kept || q.init {
 						t.Fatalf("the removal of guard site %d outside the tables: anchor kept %v, guard kept %v", s, kept, q.init)
 					}
@@ -649,7 +649,7 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 						t.Fatalf("an insert at %d, far from (%d,%d), dropped the anchor", s, u, v)
 					}
 				}
-				if s, ok = pick("site far away", func(s int) bool { return isSite(s) && far(s) && !q.UsesSite(s) }); ok {
+				if s, ok = pick("site far away", func(s int) bool { return isSite(s) && far(s) && !slices.Contains(q.ids, s) }); ok {
 					park(u, v)
 					if kept, _ := mutateAndRepin("removal far away", false, s); !kept {
 						t.Fatalf("the removal of %d, far from (%d,%d), dropped the anchor", s, u, v)
@@ -705,7 +705,7 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 		if !q.anchor.armed {
 			t.Fatalf("guard held %v: not armed", held)
 		}
-		if affected := q.AffectedBySiteInsert(99, nil); affected != held || q.anchor.armed {
+		if affected := q.affects(&index.Op{Network: true, Insert: true, ID: 99}); affected != held || q.anchor.armed {
 			t.Errorf("guard held %v: insert with unknown adjacency reports %v and leaves the anchor armed %v", held, affected, q.anchor.armed)
 		}
 	}
@@ -808,23 +808,22 @@ func TestNetworkAnchorInvalidationUnderRandomChurn(t *testing.T) {
 	}
 }
 
-// TestNetworkAnchorSeesMutationsWhileInvalidated: a raw-diagram session that
-// is armed but holds no guard set still has its tables judged by InsertSite
-// and RemoveSite, and by the AffectedBySite* hooks a caller mutating the
-// diagram behind it reports through: the next update, answered on the same
-// edge, knows the site that appeared on the endpoint and the one that went.
+// TestNetworkAnchorSeesMutationsWhileInvalidated: a session that is armed but
+// holds no guard set still has its tables judged when it re-pins, lazily
+// (Sync) or eagerly (Refresh): the next update, answered on the same edge,
+// knows the site that appeared on the endpoint and the one that went.
 func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 	g, err := roadnet.GridNetwork(12, 12, geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000)), 0.2, 0.3, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k, u, v = 3, 65, 66
-	for _, behind := range []bool{false, true} {
-		d, err := netvor.Build(g, rand.New(rand.NewSource(32)).Perm(u)[:30]) // u and v are no sites
+	for _, eager := range []bool{true, false} {
+		store, err := index.NewStore(index.Config{Network: g, NetworkSites: rand.New(rand.NewSource(32)).Perm(u)[:30]}) // u and v are no sites
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewNetworkQuery(d, k, 1.6)
+		q, err := NewNetworkQueryPinned(store, k, 1.6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -835,44 +834,41 @@ func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 				if knn, err = q.Update(pos); err != nil {
 					t.Fatal(err)
 				}
-				checkNetKNN(t, d, pos, knn, k)
+				checkNetKNN(t, store.Current().Network(), pos, knn, k)
 			}
 			if !q.anchor.armed {
 				t.Fatal("not armed")
 			}
 			return slices.Clone(knn)
 		}
+		repin := func() {
+			if !eager {
+				q.Sync()
+			} else if _, _, err := q.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		park()
 		q.Invalidate()
-		if behind {
-			if err := d.Insert(u); err != nil {
-				t.Fatal(err)
-			}
-			nb, _ := d.Neighbors(u)
-			if q.AffectedBySiteInsert(u, nb) {
-				t.Error("an invalidated query reports its guard set affected")
-			}
-		} else if err := q.InsertSite(u); err != nil {
+		if err := store.InsertSite(u); err != nil {
 			t.Fatal(err)
 		}
+		repin()
 		if q.anchor.armed {
-			t.Errorf("behind %v: a site on the endpoint left the anchor armed", behind)
+			t.Errorf("eager %v: a site on the endpoint left the anchor armed", eager)
 		}
 		if knn := park(); knn[0] != u {
-			t.Errorf("behind %v: kNN %v after a site appeared on endpoint %d", behind, knn, u)
+			t.Errorf("eager %v: kNN %v after a site appeared on endpoint %d", eager, knn, u)
 		}
 		q.Invalidate()
-		if behind {
-			nb, _ := d.Neighbors(u)
-			q.AffectedBySiteRemove(u, nb)
-			if err := d.Remove(u); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := q.RemoveSite(u); err != nil {
+		if err := store.RemoveSite(u); err != nil {
 			t.Fatal(err)
 		}
+		repin()
 		if knn := park(); slices.Contains(knn, u) {
-			t.Errorf("behind %v: kNN %v after site %d went", behind, knn, u)
+			t.Errorf("eager %v: kNN %v after site %d went", eager, knn, u)
 		}
+		q.Close()
+		store.Close()
 	}
 }

@@ -33,11 +33,11 @@
 // evaluating every member; an update that happens to evaluate them all
 // becomes the new anchor.
 //
-// PlaneQuery keeps the kNN set as a prefix of R: the kNN set is R[:k] at
-// all times, and a re-rank sorts R in place. R is therefore in ascending
-// distance as of the last recomputation or re-rank, whichever came last —
-// not necessarily in the order it was fetched. I(R) is in no particular
-// order (the order the recomputation's search frontier held it).
+// Both queries keep the kNN set as a prefix of R: the kNN set is R[:k] at
+// all times, and a re-rank sorts R in place. On the plane R is therefore in
+// ascending distance as of the last recomputation or re-rank, whichever
+// came last — not necessarily in the order it was fetched. I(R) is in no
+// particular order (the order the recomputation's search frontier held it).
 //
 // In road networks (Section IV), validation requires shortest-path
 // distances. Theorem 1 transfers the INS superset guarantee to network
@@ -52,10 +52,9 @@
 // exhausted subnetwork: R is invalid, and the same search drops the filter
 // and goes on over the full network as the recomputation, keeping the hits
 // it settled before it first touched the subnetwork's boundary ring, which
-// are exact). NetworkQuery keeps kNN = R[:k] too; it
-// moves the guard objects an update settles to the front of R, so R[:k] is
-// in ascending network distance as of the last update and the rest of R as
-// of the last recomputation or re-rank.
+// are exact). It moves the guard objects an update settles to the front of
+// R, so R[:k] is in ascending network distance as of the last update and the
+// rest of R as of the last recomputation or re-rank.
 //
 // A session that stays on one edge does not search at all (edgeAnchor). A
 // position on an edge leaves it only through the edge's two endpoints, so its
@@ -76,25 +75,44 @@
 // cache, bounded, judged by the same churn rule), and the next session through
 // that vertex, or the same one on its way back, copies it.
 //
+// # One lifecycle
+//
+// The two query types run one session (session.go): the parameters and
+// counters, the client state — one id list, R followed by I(R) — the last
+// reported position, the snapshot pin, and one Sync, Refresh, Invalidate,
+// Epoch and Close. A metric supplies only its judgement of one index
+// mutation (the network's also judges the edge anchor and brings the
+// search scratch's table cache along), its Update and its recomputation.
+//
+// A query never changes the index it reads. NewPlaneQuery and
+// NewNetworkQuery read one fixed index. NewPlaneQueryPinned and
+// NewNetworkQueryPinned pin the current snapshot of an index.Store, through
+// which all data updates go (Store.Apply). Such a query re-pins to the
+// newest snapshot at every Update, or when Sync is called, and replays the
+// store's log of the mutations in between over its state: it invalidates the
+// state when one of them can affect it, or cannot be judged, and recomputes
+// at its next Update; Refresh recomputes at once, at the last reported
+// position. This is the paper's lazy invalidation of the client state,
+// applied at re-pin time.
+//
 // # Slice ownership
 //
 // This is the one place the result-slice contract is defined; the facade,
 // engine and HTTP layers inherit it rather than restating it.
 //
 //   - Update (both processors) returns a slice that aliases internal state
-//     and is rewritten by the query's next Update/Sync. It is the hot-path
-//     result — one call per location update — so the processor does not
-//     copy it; a caller that retains it beyond the next call, or hands it
-//     to another goroutine, must copy it first. The serving engine copies
+//     and is rewritten by the query's next Update/Sync/Refresh. It is the
+//     hot-path result — one call per location update — so the processor
+//     does not copy it; a caller that retains it beyond the next call, or
+//     hands it to another goroutine, must copy it first. The serving engine copies
 //     it once at its boundary (engine.UpdateResult.KNN is freshly
 //     allocated), which is where results cross goroutines.
 //   - The introspection accessors — Current, Prefetched, INS,
 //     InfluenceSet — return freshly allocated copies the caller owns.
 //     They are cold paths (rendering, debugging, examples), so the copy
 //     is the right default and lets callers sort or mutate freely.
-//   - The Append* variants (AppendCurrent, AppendPrefetched, AppendINS)
-//     append into a caller-owned buffer and allocate nothing. They exist
-//     for single-goroutine hot paths that reuse a scratch buffer — the
-//     engine shards capturing delta baselines, the stream publication
-//     path — and the copying accessors above remain the public default.
+//   - AppendCurrent appends into a caller-owned buffer and allocates
+//     nothing. It exists for the engine shards, which capture delta
+//     baselines in a reused buffer; the copying accessors above remain the
+//     public default.
 package core

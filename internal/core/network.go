@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 )
@@ -33,63 +32,33 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // would report (see edgeAnchor), and the same loop takes the same verdicts
 // and the recomputation from them.
 //
-// Like PlaneQuery, a network query resolves its diagram through one of two
-// handles: NewNetworkQuery binds it to a raw diagram it may also mutate
-// (the single-threaded experiment mode), while NewNetworkQueryPinned pins
-// it to the immutable snapshots of an index.Store shared with other
-// sessions — every Update then lazily re-pins to the newest snapshot,
-// invalidating the client state only when a skipped site mutation could
-// disturb its guard cells.
+// An Update moves the guard objects it settles to the front of R in settle
+// order, so the kNN set R[:k] is in ascending network distance as of the
+// last Update and all of R as of the last recomputation or re-rank. Like
+// PlaneQuery, a network query reads one fixed diagram (NewNetworkQuery) or
+// pins the snapshots of an index.Store (NewNetworkQueryPinned).
 type NetworkQuery struct {
-	d   *netvor.Diagram
-	k   int
-	rho float64
-	m   metrics.Counters
+	session[roadnet.Position, netvor.SearchScratch]
 
-	// store and snap are set on a snapshot-pinned query only: snap is the
-	// pinned snapshot, released on Close or when re-pinning, and d is its
-	// diagram. A raw query (store == nil) owns d and may mutate it.
-	store *index.Store
-	snap  *index.Snapshot
-
-	sites any // the site set d is a version of, to the scratch's table cache: store, or the raw diagram
-
-	init    bool
-	located bool // Update has been called at least once; last is meaningful
-	last    roadnet.Position
-
-	// The client state is one id list, as on the plane: guard = R followed
-	// by I(R), r and ins are its two halves, and the kNN set is always
-	// r[:k]. An Update moves the guard objects it settles to the front of r
-	// in settle order, so r[:k] is in ascending network distance as of the
-	// last Update and all of r as of the last recomputation or re-rank. The
-	// buffer survives Invalidate; slices returned by Update alias it and
-	// are rewritten by the next Update/Sync/Refresh — the package's
-	// slice-ownership contract.
-	guard  []int
-	r, ins []int
+	d *netvor.Diagram // the pinned snapshot's diagram, or the fixed one
 
 	// anchor is the search-free state for the edge the session is on (see
 	// edgeAnchor); it outlives the guard set and falls to site churn only.
 	anchor edgeAnchor
-
-	// sc is the search working memory: the engine's per-shard scratch (see
-	// UseScratch), or one the query allocates at its first search. Nothing
-	// in it belongs to the session between two calls.
-	sc *netvor.SearchScratch
 }
 
 // NewNetworkQuery creates an INS MkNN query over a network Voronoi diagram
-// the caller owns (and may mutate through InsertSite/RemoveSite).
-// Parameters mirror NewPlaneQuery.
+// that does not change while the query runs. Parameters mirror
+// NewPlaneQuery.
 func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, error) {
-	if err := validateParams(k, rho); err != nil {
+	s, err := newSession[roadnet.Position, netvor.SearchScratch](k, rho, true)
+	if err != nil {
 		return nil, err
 	}
 	if d.Len() < k {
 		return nil, fmt.Errorf("core: k = %d exceeds site count %d", k, d.Len())
 	}
-	return &NetworkQuery{d: d, k: k, rho: rho, sites: d}, nil
+	return &NetworkQuery{session: s, d: d}, nil
 }
 
 // NewNetworkQueryPinned creates an INS MkNN query served from a shared
@@ -101,72 +70,20 @@ func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, 
 	if !st.HasNetwork() {
 		return nil, errors.New("core: no road network configured")
 	}
-	snap := st.Acquire()
-	if snap == nil {
-		return nil, fmt.Errorf("core: %w", index.ErrClosed)
-	}
-	q, err := NewNetworkQuery(snap.Network(), k, rho)
+	q, err := NewNetworkQuery(st.Network(), k, rho)
 	if err != nil {
-		snap.Release()
 		return nil, err
 	}
-	q.store, q.snap, q.sites = st, snap, st
+	snap, err := q.pin(st)
+	if err != nil {
+		return nil, err
+	}
+	q.d = snap.Network()
 	return q, nil
-}
-
-// UseScratch makes the query run its network searches through the given
-// shared scratch instead of allocating its own. The serving engine passes
-// one scratch per shard: a shard's sessions run serially on its worker
-// goroutine, so sharing is race-free and what the scratch sizes by the road
-// network (4 bytes of slot per vertex, the table cache's ring) is allocated
-// once per shard rather than per session. Search state in it is valid only
-// inside one call.
-func (q *NetworkQuery) UseScratch(sc *netvor.SearchScratch) {
-	if sc != nil {
-		q.sc = sc
-	}
-}
-
-// scratch returns the search working memory, allocating the query's own on
-// first use when no shared one was supplied.
-func (q *NetworkQuery) scratch() *netvor.SearchScratch {
-	if q.sc == nil {
-		q.sc = new(netvor.SearchScratch)
-	}
-	return q.sc
-}
-
-// knn returns the current kNN set: the first k members of R (nil while the
-// client state is invalidated).
-func (q *NetworkQuery) knn() []int {
-	if len(q.r) == 0 {
-		return nil
-	}
-	return q.r[:q.k]
 }
 
 // Name identifies the processor in simulation reports.
 func (q *NetworkQuery) Name() string { return "ins-network" }
-
-// K returns the query parameter k.
-func (q *NetworkQuery) K() int { return q.k }
-
-// Metrics returns the accumulated cost counters.
-func (q *NetworkQuery) Metrics() *metrics.Counters { return &q.m }
-
-// AppendCurrent appends the current kNN set onto dst — the zero-copy
-// accessor for callers that own a reusable buffer.
-func (q *NetworkQuery) AppendCurrent(dst []int) []int { return append(dst, q.knn()...) }
-
-// Current returns the current kNN set as a fresh copy; see the package
-// slice-ownership contract.
-func (q *NetworkQuery) Current() []int { return append([]int(nil), q.knn()...) }
-
-// INS returns I(R) as a fresh copy.
-func (q *NetworkQuery) INS() []int { return append([]int(nil), q.ins...) }
-
-// Prefetched returns R as a fresh copy.
-func (q *NetworkQuery) Prefetched() []int { return append([]int(nil), q.r...) }
 
 // Subnetwork materializes the current Theorem-2 validation subnetwork (nil
 // while the client state is invalidated). It is a rendering and debugging
@@ -175,63 +92,58 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
 	if !q.init {
 		return nil
 	}
-	return q.d.Subnetwork(q.guard)
+	return q.d.Subnetwork(q.ids)
 }
 
-// Sync re-pins a snapshot-backed query to the newest published snapshot
-// (a no-op for raw-diagram queries and when already current). If any
-// network-site mutation between the pinned and the newest epoch can
-// disturb the query's guard cells — the new site's cell touches a guard
-// member's, the site lands inside the Theorem-2 subnetwork, or a removed
-// site participates in (or neighbors) the guard set — the client state is
-// invalidated and the next Update recomputes; otherwise the existing state
-// carries over unchanged. The edge anchor is judged by every op of the
-// window, by its own rule and whether or not a guard set is held. Plane ops
-// in the shared log are skipped: they cannot affect a network session. On the
-// way out the scratch's table cache is brought to the query's epoch.
-func (q *NetworkQuery) Sync() {
-	if q.store == nil || q.snap == nil {
-		return
+// Sync re-pins a store-pinned query to the newest snapshot, invalidating
+// the client state only when a skipped site mutation can disturb its guard
+// cells: the new site's cell touches a guard member's, the site lands
+// inside the Theorem-2 subnetwork, or a removed site is in (or neighbors)
+// the guard set. The edge anchor is judged by its own rule. On the way out
+// the scratch's table cache is brought to the query's epoch.
+func (q *NetworkQuery) Sync() { q.sync(q) }
+
+// Refresh re-pins like Sync and, when that invalidated the client state,
+// recomputes at the last reported position at once; recomputed reports
+// whether it did. The kNN slice aliases internal state under the same
+// contract as Update.
+func (q *NetworkQuery) Refresh() (knn []int, recomputed bool, err error) { return q.refresh(q) }
+
+// affects judges one site op against the pinned diagram, where every guard
+// site is live. The edge anchor is judged first, by its own rule and
+// whether or not a guard set is held (edgeAnchor.judge). An insert affects
+// the guard set when it carved territory adjacent to a guard cell — any
+// guard member in its neighbor list; capturing territory from a guard
+// member always creates that adjacency — or landed inside the Theorem-2
+// subnetwork, the region every candidate closer than the guard radius must
+// occupy. A removal affects it when the site is a guard member or its
+// territory is inherited by one, whose cell, and with it the subnetwork,
+// then grows. An unknown neighbor list affects it.
+func (q *NetworkQuery) affects(op *index.Op) bool {
+	q.anchor.judge(op, q.prefetchCap())
+	switch {
+	case !q.init:
+		return false
+	case op.Neighbors == nil, !op.Insert && slices.Contains(q.ids, op.ID), q.intersectsGuard(op.Neighbors):
+		return true
 	}
-	defer q.followTables()
-	cur := q.store.Current()
-	if cur.Epoch() == q.snap.Epoch() {
-		return
-	}
-	// Pin first, then read the op window up to the pinned epoch, so no
-	// mutation can slip between the window and the snapshot.
-	next := q.store.Acquire()
-	if next == nil {
-		return // store closed: keep serving the already-pinned snapshot
-	}
-	if q.init || q.anchor.armed {
-		ops, ok := q.store.OpsSince(q.snap.Epoch(), next.Epoch())
-		if !ok { // lagged past the log, and ops is empty: be conservative
-			q.Invalidate()
-			q.anchor.armed = false
-		}
-		// Affectedness is evaluated against the still-pinned old snapshot's
-		// guard state, where every guard site is live, until nothing is left
-		// to judge.
-		for i := 0; i < len(ops) && (q.init || q.anchor.armed); i++ {
-			affected := false
-			switch op := &ops[i]; {
-			case !op.Network: // a plane op
-			case op.Conservative:
-				affected, q.anchor.armed = true, false
-			case op.Insert:
-				affected = q.AffectedBySiteInsert(op.ID, op.Neighbors)
-			default:
-				affected = q.AffectedBySiteRemove(op.ID, op.Neighbors)
-			}
-			if affected {
-				q.Invalidate()
-			}
+	return op.Insert && q.d.InSubnetwork(q.ids, op.ID, q.scratch())
+}
+
+// intersectsGuard reports whether any of the listed sites is a guard
+// member. Both lists are O(k); no map needed.
+func (q *NetworkQuery) intersectsGuard(sites []int) bool {
+	for _, s := range sites {
+		if slices.Contains(q.ids, s) {
+			return true
 		}
 	}
-	q.snap.Release()
-	q.snap = next
-	q.d = next.Network()
+	return false
+}
+
+func (q *NetworkQuery) pinned(snap *index.Snapshot) {
+	q.d = snap.Network()
+	q.followTables()
 }
 
 // followTables reports to the scratch's table cache the site mutations from
@@ -253,173 +165,15 @@ func (q *NetworkQuery) followTables() {
 	}
 }
 
-// Refresh turns lazy invalidation into eager repair: it re-pins via Sync
-// and, when that invalidated the client state (a skipped site mutation
-// disturbed the guard cells), immediately recomputes at the last reported
-// position instead of waiting for the next location update. recomputed
-// reports whether a recomputation ran; the kNN slice aliases internal
-// state under the same contract as Update. The serving engine calls it on
-// epoch notifications for sessions with push subscribers.
-func (q *NetworkQuery) Refresh() (knn []int, recomputed bool, err error) {
-	q.Sync()
-	if q.init || !q.located {
-		return q.knn(), false, nil
-	}
-	if err := q.recompute(q.last); err != nil {
-		return nil, false, err
-	}
-	return q.knn(), true, nil
-}
-
-// Epoch returns the pinned snapshot's epoch (0 for raw-diagram queries).
-func (q *NetworkQuery) Epoch() uint64 {
-	if q.snap == nil {
-		return 0
-	}
-	return q.snap.Epoch()
-}
-
-// Close releases the query's snapshot pin. It is idempotent and a no-op
-// for raw-diagram queries; the query must not be used afterwards.
-func (q *NetworkQuery) Close() {
-	if q.snap != nil {
-		q.snap.Release()
-		q.snap = nil
-	}
-}
-
-// Invalidate discards the client-side state (R, I(R) and the kNN set) so the
-// next Update performs a full recomputation. The edge anchor does not depend
-// on that state and stays: a caller that invalidates because the site set
-// changed behind the query must also have reported the change through
-// AffectedBySiteInsert or AffectedBySiteRemove.
-func (q *NetworkQuery) Invalidate() {
-	q.init = false
-	q.guard, q.r, q.ins = q.guard[:0], nil, nil
-}
-
-// UsesSite reports whether vertex v participates in the query's guard set
-// R ∪ I(R); removing such a site invalidates the client state.
-func (q *NetworkQuery) UsesSite(v int) bool { return slices.Contains(q.guard, v) }
-
-// AffectedBySiteInsert reports whether a site just inserted at vertex v
-// (with its post-insert network Voronoi neighbor list) can change this
-// query's prefetched state: it carved territory adjacent to a guard cell
-// (any guard member in its neighbor list — capturing territory from a
-// guard member always creates that adjacency) or it landed inside the
-// Theorem-2 subnetwork, the region every candidate closer than the guard
-// radius must occupy. The caller supplies the neighbor list so it is
-// looked up once per mutation rather than once per session.
-//
-// This and AffectedBySiteRemove are how a caller that mutates the diagram
-// behind the query reports every site mutation, whether or not a guard set
-// is held, because they also judge the edge anchor, and drop it when
-// touched, and tell the scratch's table cache, which judges its tables alike
-// (for a pinned query, Sync reads it the store's log instead). The new site
-// enters an endpoint's table only next to a member: at
-// rank j ≥ 2 the owner of the last foreign vertex on the shortest path from
-// the endpoint ranks before it, by distance or by the id tie-break of the
-// diagram, and is its neighbor; at rank 1 it took the endpoint from the
-// table's first entry and their cells meet along the old shortest path. A
-// short table holds every site its endpoint reaches and any insert may
-// extend it.
-func (q *NetworkQuery) AffectedBySiteInsert(v int, neighbors []int) bool {
-	if q.store == nil {
-		q.scratch().SiteChanged(v, true, neighbors)
-	}
-	if a := &q.anchor; a.armed && (neighbors == nil || min(len(a.end[0].site), len(a.end[1].site)) < q.prefetchCap() || slices.ContainsFunc(neighbors, a.holds)) {
-		a.armed = false
-	}
-	if !q.init {
-		return false
-	}
-	if neighbors == nil {
-		return true // unknown adjacency: be conservative
-	}
-	return q.intersectsGuard(neighbors) || q.d.InSubnetwork(q.guard, v, q.scratch())
-}
-
-// AffectedBySiteRemove reports whether removing the site at vertex v (with
-// its pre-removal neighbor list) can change this query's state: the site
-// participated in the guard set, or its territory is inherited by a guard
-// member (whose cell, and with it the Theorem-2 subnetwork, then grows). The
-// edge anchor is dropped exactly when the site is in one of its tables:
-// distances from a vertex to the other sites do not depend on the site set.
-func (q *NetworkQuery) AffectedBySiteRemove(v int, neighbors []int) bool {
-	if q.store == nil {
-		q.scratch().SiteChanged(v, false, nil)
-	}
-	if q.anchor.armed && q.anchor.holds(v) {
-		q.anchor.armed = false
-	}
-	if !q.init {
-		return false
-	}
-	if q.UsesSite(v) {
-		return true
-	}
-	if neighbors == nil {
-		return true
-	}
-	return q.intersectsGuard(neighbors)
-}
-
-// intersectsGuard reports whether any of the listed sites is a guard
-// member. Both lists are O(k); no map needed.
-func (q *NetworkQuery) intersectsGuard(sites []int) bool {
-	for _, s := range sites {
-		if q.UsesSite(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// InsertSite adds a data object at vertex v during query maintenance. The
-// prefetched state is refreshed only when the new site can affect it (see
-// AffectedBySiteInsert). It is only available on raw-diagram queries;
-// snapshot-pinned queries return ErrReadOnly (mutations of a shared index
-// go through its index.Store).
-func (q *NetworkQuery) InsertSite(v int) error {
+// siteSet names the site set the diagram is a version of, which the
+// scratch's table cache follows: a pinned query's store, or the fixed
+// diagram of a read-only one.
+func (q *NetworkQuery) siteSet() any {
 	if q.store != nil {
-		return ErrReadOnly
+		return q.store
 	}
-	if err := q.d.Insert(v); err != nil {
-		return err
-	}
-	nb, err := q.d.Neighbors(v)
-	if err != nil {
-		nb = nil // conservative
-	}
-	if q.AffectedBySiteInsert(v, nb) {
-		return q.recompute(q.last)
-	}
-	return nil
+	return q.d
 }
-
-// RemoveSite deletes the data object at vertex v during query
-// maintenance; state is refreshed when the removal can affect it (see
-// AffectedBySiteRemove). Raw-diagram queries only.
-func (q *NetworkQuery) RemoveSite(v int) error {
-	if q.store != nil {
-		return ErrReadOnly
-	}
-	nb, err := q.d.Neighbors(v)
-	if err != nil {
-		nb = nil
-	}
-	if err := q.d.Remove(v); err != nil {
-		return err
-	}
-	if q.AffectedBySiteRemove(v, nb) {
-		return q.recompute(q.last)
-	}
-	return nil
-}
-
-// prefetchCap is M = ⌊ρk⌋ (at least k): the size of R while the diagram has
-// that many sites, and of a full anchor table.
-func (q *NetworkQuery) prefetchCap() int { return max(q.k, int(q.rho*float64(q.k))) }
 
 func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len()) }
 
@@ -472,12 +226,12 @@ func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 // been, it is not a kNN member (until then every swap stays inside r[:k],
 // which keeps that prefix the kNN set); not in r[i:] at all, it is not in R.
 func (q *NetworkQuery) validate(hits *hitCursor) (kept int, valid bool) {
-	stale := false
-	for i := range q.r {
+	r, stale := q.ids[:q.nR], false
+	for i := range r {
 		site, found := hits.next(&q.m)
 		j := -1
 		if found {
-			j = slices.Index(q.r[i:], site)
+			j = slices.Index(r[i:], site)
 		}
 		if !stale && (j < 0 || i+j >= q.k) {
 			stale = true
@@ -489,11 +243,11 @@ func (q *NetworkQuery) validate(hits *hitCursor) (kept int, valid bool) {
 			// when all i are, so is the hit that failed (never when the
 			// hits ran out: widen counts hits, and there were only i).
 			if kept = hits.widen(); kept > i {
-				q.guard[i] = site
+				r[i] = site
 			}
 			return kept, false
 		}
-		q.r[i], q.r[i+j] = q.r[i+j], q.r[i]
+		r[i], r[i+j] = r[i+j], r[i]
 		if !stale && i == q.k-1 {
 			return 0, true // k hits, all of them kNN members
 		}
@@ -510,35 +264,35 @@ func (q *NetworkQuery) recompute(pos roadnet.Position) error {
 	return q.refetch(&hits, 0)
 }
 
-// refetch rebuilds R and I(R) from full-network hits: guard[:kept] are the
+// refetch rebuilds R and I(R) from full-network hits: ids[:kept] are the
 // first kept of them, already in place, and the rest of R is pulled. A
 // failure leaves the query invalidated: the pulls have already overwritten
 // the buffer the old state lived in.
 func (q *NetworkQuery) refetch(hits *hitCursor, kept int) error {
 	m := q.prefetchSize()
-	guard := q.guard[:min(kept, m)]
+	ids := q.ids[:min(kept, m)]
 	q.Invalidate()
 	if q.d.Len() < q.k {
 		return fmt.Errorf("core: k = %d exceeds site count %d", q.k, q.d.Len())
 	}
 	q.m.Recomputations++
-	for len(guard) < m {
+	for len(ids) < m {
 		site, ok := hits.next(&q.m)
 		if !ok {
 			break
 		}
-		guard = append(guard, site)
+		ids = append(ids, site)
 	}
-	nR := len(guard)
+	nR := len(ids)
 	if nR < q.k {
 		return fmt.Errorf("%w: found %d of %d", ErrDisconnected, nR, q.k)
 	}
-	guard, err := q.d.AppendINS(guard, guard, q.scratch())
+	ids, err := q.d.AppendINS(ids, ids, q.scratch())
 	if err != nil {
 		return fmt.Errorf("core: network INS: %w", err)
 	}
-	q.guard, q.r, q.ins = guard, guard[:nR], guard[nR:]
+	q.ids, q.nR = ids, nR
 	q.init = true
-	q.m.ObjectsShipped += len(guard)
+	q.m.ObjectsShipped += len(ids)
 	return nil
 }

@@ -2,12 +2,12 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
@@ -170,8 +170,9 @@ func TestNetworkResumeUpdateAllocatesNothing(t *testing.T) {
 }
 
 // TestNetworkResumeWalkWithSiteChurnMatchesOracle: random walks with
-// interleaved InsertSite/RemoveSite/Invalidate+Refresh answer like the
-// oracle after every call, keep kNN ≡ R[:k], and take all three outcomes.
+// interleaved site inserts and removals, each repaired by Refresh, and
+// Invalidate+Refresh answer like the oracle after every call, keep
+// kNN ≡ R[:k], and take all three outcomes.
 // Every Update begins the searches its class says (checkAnchorCounts) — one
 // per anchor table built, and one more unless the tables answer it — and a
 // recomputation, read from the tables, continued from the failed validation or
@@ -182,11 +183,17 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 		k   int
 		rho float64
 	}{{1, 1}, {3, 1.6}, {8, 1.6}, {5, 1}} {
-		g, d := buildNetwork(t, 600, 90, int64(tc.k)*31)
-		q, err := NewNetworkQuery(d, tc.k, tc.rho)
+		g, built := buildNetwork(t, 600, 90, int64(tc.k)*31)
+		store, err := index.NewStore(index.Config{Network: g, NetworkSites: built.Sites()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer store.Close()
+		q, err := NewNetworkQueryPinned(store, tc.k, tc.rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
 		rng := rand.New(rand.NewSource(int64(tc.k) + 100))
 		route, err := roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 6000, int64(tc.k)+200)
 		if err != nil {
@@ -195,13 +202,13 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 		outcomes := map[string]int{}
 		anchored := map[string]int{} // outcomes of the updates the anchor's tables answered
 		check := func(pos roadnet.Position, knn []int) {
-			checkNetKNN(t, d, pos, knn, tc.k)
+			checkNetKNN(t, store.Current().Network(), pos, knn, tc.k)
 			if r := q.Prefetched(); !slices.Equal(q.Current(), r[:tc.k]) {
 				t.Fatalf("kNN %v is not the prefix of R %v", q.Current(), r)
 			}
 		}
 		checkRecomputed := func(pos roadnet.Position) {
-			r := q.Prefetched()
+			d, r := store.Current().Network(), q.Prefetched()
 			checkNetKNN(t, d, pos, r, len(r))
 			dist := g.ShortestDistances(pos.Sources(g), -1)
 			if !slices.IsSortedFunc(r, func(a, b int) int { return cmp.Compare(dist[a], dist[b]) }) {
@@ -231,27 +238,36 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			step++
 			switch {
 			case step%7 == 0:
+				d := store.Current().Network()
 				v := rng.Intn(g.NumVertices())
 				for d.IsSite(v) {
 					v = rng.Intn(g.NumVertices())
 				}
-				recomputed := q.Metrics().Recomputations
-				if err := q.InsertSite(v); err != nil {
+				if err := store.InsertSite(v); err != nil {
 					t.Fatal(err)
 				}
-				check(pos, q.Current())
-				if q.Metrics().Recomputations > recomputed {
+				knn, recomputed, err := q.Refresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(pos, knn)
+				if recomputed {
 					checkRecomputed(pos)
 				}
 			case step%11 == 0:
+				d := store.Current().Network()
 				victim := d.Sites()[rng.Intn(d.Len())]
 				if step%22 == 0 {
 					victim = q.Current()[0] // evict the nearest neighbor itself
 				}
-				if err := q.RemoveSite(victim); err != nil {
+				if err := store.RemoveSite(victim); err != nil {
 					t.Fatal(err)
 				}
-				check(pos, q.Current())
+				knn, _, err := q.Refresh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(pos, knn)
 			case step%53 == 0:
 				q.Invalidate()
 				knn, recomputed, err := q.Refresh()
@@ -298,87 +314,6 @@ func twoIslands(t *testing.T) (*netvor.Diagram, []int) {
 		t.Fatal(err)
 	}
 	return d, []int{a, b, c}
-}
-
-// TestNetworkDisconnectedRecomputeInvalidates: a query that wanders into a
-// component with fewer than k sites fails with ErrDisconnected and is left
-// invalidated — not with its kNN set aliasing the buffer the failed search
-// overwrote — so it answers correctly again as soon as it is back, and a
-// failed Refresh, InsertSite or RemoveSite repair leaves it the same way.
-func TestNetworkDisconnectedRecomputeInvalidates(t *testing.T) {
-	d, island := twoIslands(t)
-	const k = 3
-	q, err := NewNetworkQuery(d, k, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainland := []roadnet.Position{
-		roadnet.VertexPosition(8), {U: 8, V: 9, T: 0.4}, roadnet.VertexPosition(22), {U: 22, V: 28, T: 0.9},
-	}
-	stranded := []roadnet.Position{
-		roadnet.VertexPosition(island[0]), {U: island[0], V: island[1], T: 0.5}, roadnet.VertexPosition(island[2]),
-	}
-	mustFail := func(what string, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrDisconnected) {
-			t.Fatalf("%s = %v, want ErrDisconnected", what, err)
-		}
-		if cur := q.Current(); len(cur) != 0 {
-			t.Fatalf("%s left kNN %v behind; want the query invalidated", what, cur)
-		}
-	}
-	for round := 0; round < 3; round++ {
-		for _, pos := range mainland {
-			knn, err := q.Update(pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkNetKNN(t, d, pos, knn, k)
-		}
-		for _, pos := range stranded {
-			_, err := q.Update(pos)
-			mustFail("Update on the island", err)
-		}
-		// Eager repair at the stranded position fails the same way.
-		_, _, err := q.Refresh()
-		mustFail("Refresh on the island", err)
-	}
-
-	// The same failure with a kept prefix, as a continued recomputation has
-	// it. (No Update gets there: the guard subnetwork lies in the query's
-	// component, so a validation that began can always reach the k sites of
-	// R.) The query must not end up serving the prefix it kept.
-	if _, err := q.Update(mainland[0]); err != nil {
-		t.Fatal(err)
-	}
-	hits := hitCursor{search: q.d.BeginSearch(stranded[0], q.scratch())}
-	mustFail("refetch with a kept prefix on the island", q.refetch(&hits, 1))
-	if len(q.Prefetched()) != 0 || len(q.INS()) != 0 {
-		t.Fatalf("failed refetch left R %v, I(R) %v behind", q.Prefetched(), q.INS())
-	}
-
-	// Mutation-triggered repairs: place the query on the island with k = 1
-	// reachable, then make the island's only site disappear.
-	q1, err := NewNetworkQuery(d, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if knn, err := q1.Update(stranded[0]); err != nil || len(knn) != 1 || knn[0] != island[1] {
-		t.Fatalf("k=1 on the island = (%v, %v), want [%d]", knn, err, island[1])
-	}
-	if err := q1.RemoveSite(island[1]); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("RemoveSite of the island's only site = %v, want ErrDisconnected", err)
-	}
-	if cur := q1.Current(); len(cur) != 0 {
-		t.Fatalf("failed RemoveSite repair left kNN %v behind", cur)
-	}
-	if err := q1.InsertSite(island[2]); err != nil {
-		t.Fatalf("InsertSite while invalidated: %v", err)
-	}
-	knn, err := q1.Update(stranded[0])
-	if err != nil || len(knn) != 1 || knn[0] != island[2] {
-		t.Fatalf("k=1 after the island got a site again = (%v, %v), want [%d]", knn, err, island[2])
-	}
 }
 
 // gridWalks are sessions on the repository benchmark's street grid (448x448,

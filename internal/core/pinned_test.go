@@ -1,8 +1,9 @@
 package core
 
 import (
-	"errors"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,19 +18,19 @@ import (
 
 var pinnedBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
 
-// TestPinnedMatchesRawUnderMutations drives a snapshot-pinned query and a
-// raw-index query through the same trajectory while the store (and,
-// mirrored, the raw index) churns objects; answers must agree exactly at
-// every step. The raw reference applies the engine-identical invalidation
-// rule: Invalidate when a mutation can affect the guard sets, recompute at
-// the next update.
+// TestPinnedMatchesRawUnderMutations drives two store-pinned queries
+// through the same trajectory while their stores churn objects in lockstep;
+// answers must agree exactly at every step. The pinned query re-pins at its
+// Update, over whatever window of mutations went by; the reference re-pins
+// right after each mutation and so judges each on its own: Invalidate when
+// it can affect the guard sets, recompute at the next update.
 func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 	pts := workload.Uniform(300, pinnedBounds, 11)
 	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: pts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawIx, _, err := vortree.Build(pinnedBounds, 16, pts)
+	refSt, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: pts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +39,11 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pinned.Close()
-	ref, err := NewPlaneQuery(rawIx, 4, 1.6)
+	ref, err := NewPlaneQueryPinned(refSt, 4, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ref.Close()
 
 	traj := trajectory.RandomWaypoint(pinnedBounds, 80, 10, 3)
 	var inserted []int
@@ -52,12 +54,10 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 			if err := st.Remove(id); err != nil {
 				t.Fatal(err)
 			}
-			if ref.UsesObject(id) {
-				ref.Invalidate()
-			}
-			if err := rawIx.Remove(id); err != nil {
+			if err := refSt.Remove(id); err != nil {
 				t.Fatal(err)
 			}
+			ref.Sync()
 			return
 		}
 		p := geom.Pt(float64((step*97)%1000), float64((step*61)%1000))
@@ -65,17 +65,14 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rid, err := rawIx.Insert(p)
+		rid, err := refSt.Insert(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rid != id {
-			t.Fatalf("step %d: store id %d, raw id %d", step, id, rid)
+			t.Fatalf("step %d: store id %d, reference id %d", step, id, rid)
 		}
-		nb, nbErr := rawIx.Neighbors(id)
-		if nbErr != nil || ref.AffectedByInsert(id, p, nb) {
-			ref.Invalidate()
-		}
+		ref.Sync()
 		inserted = append(inserted, id)
 	}
 
@@ -87,14 +84,14 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 		}
 		want, err := ref.Update(pos)
 		if err != nil {
-			t.Fatalf("step %d raw: %v", step, err)
+			t.Fatalf("step %d reference: %v", step, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("step %d: pinned %v, raw %v", step, got, want)
+			t.Fatalf("step %d: pinned %v, reference %v", step, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("step %d: pinned %v, raw %v", step, got, want)
+				t.Fatalf("step %d: pinned %v, reference %v", step, got, want)
 			}
 		}
 	}
@@ -119,111 +116,24 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 	}
 }
 
-// TestPinnedLazyInvalidation checks that a far-away insert does not reset
-// the client state (no extra recomputation), while an insert at the query
-// position does.
-func TestPinnedLazyInvalidation(t *testing.T) {
-	// Dense enough that Voronoi adjacency is local: a far-corner insert is
-	// then provably irrelevant to a query at the opposite corner.
-	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(400, pinnedBounds, 9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := NewPlaneQueryPinned(st, 2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	pos := geom.Pt(105, 105)
-	if _, err := q.Update(pos); err != nil {
-		t.Fatal(err)
-	}
-	recomps := q.Metrics().Recomputations
-
-	// Far corner insert: cannot affect R or I(R) of a query at (105,105).
-	if _, err := st.Insert(geom.Pt(850, 850)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Update(pos); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Metrics().Recomputations; got != recomps {
-		t.Errorf("far insert caused recomputation (%d -> %d)", recomps, got)
-	}
-	if q.Epoch() != st.Epoch() {
-		t.Errorf("query did not re-pin: epoch %d vs %d", q.Epoch(), st.Epoch())
-	}
-
-	// Insert right at the query position: must invalidate and become NN.
-	id, err := st.Insert(geom.Pt(105, 106))
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn, err := q.Update(pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Metrics().Recomputations; got != recomps+1 {
-		t.Errorf("near insert: recomputations %d, want %d", got, recomps+1)
-	}
-	if len(knn) == 0 || knn[0] != id {
-		t.Errorf("knn after near insert = %v, want leading %d", knn, id)
-	}
-}
-
-// TestPinnedLogOverflowConservative: a query lagging past the mutation log
-// must recompute rather than trust stale guard sets.
-func TestPinnedLogOverflowConservative(t *testing.T) {
-	st, err := index.NewStore(index.Config{
-		Bounds:   pinnedBounds,
-		Objects:  workload.Uniform(50, pinnedBounds, 5),
-		LogDepth: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := NewPlaneQueryPinned(st, 3, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	pos := geom.Pt(500, 500)
-	if _, err := q.Update(pos); err != nil {
-		t.Fatal(err)
-	}
-	recomps := q.Metrics().Recomputations
-	// Five far-away inserts overflow the 2-deep log; even though none
-	// affects the query, it cannot prove that and must recompute.
-	for i := 0; i < 5; i++ {
-		if _, err := st.Insert(geom.Pt(10+float64(i), 10)); err != nil {
-			t.Fatal(err)
+// TestPinnedReadOnly: a query never changes the index it reads — neither
+// query type has a method that inserts or removes objects; data updates go
+// through an index.Store — and a pinned query needs its metric's side of
+// the store.
+func TestPinnedReadOnly(t *testing.T) {
+	for _, q := range []any{&PlaneQuery{}, &NetworkQuery{}} {
+		typ := reflect.TypeOf(q)
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Insert") || strings.HasPrefix(name, "Remove") {
+				t.Errorf("%v has the mutation method %s", typ, name)
+			}
 		}
 	}
-	if _, err := q.Update(pos); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Metrics().Recomputations; got != recomps+1 {
-		t.Errorf("recomputations = %d, want %d (conservative invalidation)", got, recomps+1)
-	}
-}
 
-func TestPinnedReadOnly(t *testing.T) {
 	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(20, pinnedBounds, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewPlaneQueryPinned(st, 2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	if _, err := q.InsertObject(geom.Pt(1, 1)); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("InsertObject on pinned query: %v", err)
-	}
-	if err := q.RemoveObject(0); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("RemoveObject on pinned query: %v", err)
-	}
-
 	g, err := roadnet.GridNetwork(5, 5, pinnedBounds, 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 func fullPassUpdate(q *PlaneQuery, p geom.Point) ([]int, error) {
 	q.Sync()
 	q.m.Timestamps++
-	q.lastPos, q.located = p, true
+	q.last, q.located = p, true
 	if !q.init {
 		if err := q.recompute(p); err != nil {
 			return nil, err
@@ -208,8 +208,9 @@ func (w *boundedWalk) next() geom.Point {
 // a cocircular ring around the query, objects on the bounds edge; k = 1, 5,
 // 10, 20 at ρ = 1.6 and k = 5 at ρ = 1 — through standstills, short and
 // long steps and jumps, with inserts and removals near and far, Invalidate,
-// Refresh and re-pins that invalidate nothing mixed in, on raw indexes and
-// on one shared store. After every call the two agree on the kNN set in
+// Refresh and re-pins that invalidate nothing mixed in, on a store each,
+// repaired by Refresh after every mutation, and on one shared store, re-pinned
+// lazily. After every call the two agree on the kNN set in
 // order, R in order, I(R) as a set, the hint and every counter but
 // DistanceCalcs, which the bounded session must spend less of.
 func TestBoundedValidationMatchesFullPass(t *testing.T) {
@@ -219,55 +220,47 @@ func TestBoundedValidationMatchesFullPass(t *testing.T) {
 	}{{1, 1.6}, {5, 1.6}, {10, 1.6}, {20, 1.6}, {5, 1}}
 	for ci, tc := range boundedCases() {
 		for pi, par := range params {
-			for _, pinned := range []bool{false, true} {
+			for _, shared := range []bool{false, true} {
 				seed := int64(100*ci + 10*pi)
-				if pinned {
+				if shared {
 					seed++
 				}
-				runBoundedTwin(t, tc, par.k, par.rho, pinned, seed)
+				runBoundedTwin(t, tc, par.k, par.rho, shared, seed)
 			}
 		}
 	}
-	for _, pinned := range []bool{false, true} {
-		runBoundedTwin(t, ulpTie(), 1, 1.6, pinned, 1)
+	for _, shared := range []bool{false, true} {
+		runBoundedTwin(t, ulpTie(), 1, 1.6, shared, 1)
 	}
 }
 
-func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, pinned bool, seed int64) {
-	mode := "raw"
-	if pinned {
-		mode = "pinned"
+func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared bool, seed int64) {
+	mode := "own stores"
+	if shared {
+		mode = "shared store"
 	}
 	name := tc.name + " " + mode
-	var a, b *PlaneQuery
-	var st *index.Store
-	var ixA, ixB *vortree.Index
-	var err error
-	if pinned {
-		if st, err = index.NewStore(index.Config{Bounds: tc.bounds, Objects: tc.pts}); err != nil {
-			t.Fatal(err)
-		}
-		if a, err = NewPlaneQueryPinned(st, k, rho); err != nil {
-			t.Fatal(err)
-		}
-		if b, err = NewPlaneQueryPinned(st, k, rho); err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-		defer b.Close()
-	} else {
-		for _, ix := range []**vortree.Index{&ixA, &ixB} {
-			if *ix, _, err = vortree.Build(tc.bounds, 16, tc.pts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if a, err = NewPlaneQuery(ixA, k, rho); err != nil {
-			t.Fatal(err)
-		}
-		if b, err = NewPlaneQuery(ixB, k, rho); err != nil {
+	// a and b pin stA and stB, one store when shared.
+	stA, err := index.NewStore(index.Config{Bounds: tc.bounds, Objects: tc.pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB := stA
+	if !shared {
+		if stB, err = index.NewStore(index.Config{Bounds: tc.bounds, Objects: tc.pts}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	a, err := NewPlaneQueryPinned(stA, k, rho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPlaneQueryPinned(stB, k, rho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
 	// One scratch for both, as a shard's sessions share one.
 	sc := new(vortree.SearchScratch)
 	a.UseScratch(sc)
@@ -311,23 +304,31 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, pinned boo
 	far := func() geom.Point {
 		return geom.Pt(b0.Min.X+rng.Float64()*b0.Width(), b0.Min.Y+rng.Float64()*b0.Height())
 	}
-	live := func() int {
-		if pinned {
-			return st.Current().Plane().Len()
-		}
-		return ixA.Len()
-	}
+	live := func() int { return stA.Current().Plane().Len() }
 	victim := func() int {
 		if state := append(a.Prefetched(), a.INS()...); len(state) > 0 && rng.Intn(2) == 0 {
 			return state[rng.Intn(len(state))]
 		}
-		var ids []int
-		if pinned {
-			ids = st.Current().Plane().Diagram().IDs()
-		} else {
-			ids = ixA.Diagram().IDs()
-		}
+		ids := stA.Current().Plane().Diagram().IDs()
 		return ids[rng.Intn(len(ids))]
+	}
+	// repair follows a mutation: on a store each, Refresh; on a shared store,
+	// after an insert, now and then an engine epoch notification (Sync).
+	repair := func(what string) {
+		if shared {
+			if rng.Intn(2) == 0 {
+				a.Sync()
+				b.Sync()
+			}
+			same(what, a.knn(), b.knn(), nil, nil)
+			return
+		}
+		knnA, recA, errA := a.Refresh()
+		knnB, recB, errB := b.Refresh()
+		if recA != recB {
+			t.Fatalf("%s step %d: %s Refresh recomputed %v | %v", name, step, what, recA, recB)
+		}
+		same(what, knnA, knnB, errA, errB)
 	}
 
 	const steps = 400
@@ -348,33 +349,27 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, pinned boo
 			if !tc.bounds.Contains(pt) {
 				continue
 			}
-			if pinned {
-				if _, err := st.Insert(pt); err != nil {
-					t.Fatal(err)
-				}
-				if rng.Intn(2) == 0 { // an engine epoch notification
-					a.Sync()
-					b.Sync()
-				}
-				same("insert", a.knn(), b.knn(), nil, nil)
-				continue
+			idA, err := stA.Insert(pt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			idA, errA := a.InsertObject(pt)
-			idB, errB := b.InsertObject(pt)
-			if idA != idB {
-				t.Fatalf("%s step %d: insert ids %d | %d", name, step, idA, idB)
+			if !shared {
+				if idB, err := stB.Insert(pt); err != nil || idB != idA {
+					t.Fatalf("%s step %d: insert ids %d | %d (%v)", name, step, idA, idB, err)
+				}
 			}
-			same("insert", a.knn(), b.knn(), errA, errB)
+			repair("insert")
 		case op == 2 && live() > 4*k+20: // remove a member of the state or any object
 			id := victim()
-			if pinned {
-				if err := st.Remove(id); err != nil {
+			if err := stA.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			if !shared {
+				if err := stB.Remove(id); err != nil {
 					t.Fatal(err)
 				}
-				continue
+				repair("remove")
 			}
-			errA, errB := a.RemoveObject(id), b.RemoveObject(id)
-			same("remove", a.knn(), b.knn(), errA, errB)
 		case op == 3:
 			a.Invalidate()
 			b.Invalidate()
@@ -392,81 +387,8 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, pinned boo
 	if ma.DistanceCalcs >= mb.DistanceCalcs {
 		t.Errorf("%s k=%d rho=%g: the bound evaluated %d distances, the full pass %d", name, k, rho, ma.DistanceCalcs, mb.DistanceCalcs)
 	}
-	if strings.Contains(tc.name, "uniform") && !pinned && k == 5 && rho == 1.6 {
+	if strings.Contains(tc.name, "uniform") && !shared && k == 5 && rho == 1.6 {
 		t.Logf("%s k=%d: %d distances against the full pass's %d over %d updates (%d recomputations)",
 			name, k, ma.DistanceCalcs, mb.DistanceCalcs, ma.Timestamps, ma.Recomputations)
-	}
-}
-
-// TestPlaneFailedRecomputeInvalidates: a recomputation that fails — here
-// because a removal left fewer objects than k — leaves no guard set behind.
-// Every update fails until an insert makes k objects again, and then the
-// session answers the brute-force kNN. Before the fix a raw session's
-// RemoveObject reported the failure and its next Update validated the old
-// guard set, answering the removed object with a nil error.
-func TestPlaneFailedRecomputeInvalidates(t *testing.T) {
-	pts := []geom.Point{geom.Pt(100, 100), geom.Pt(200, 100), geom.Pt(100, 200)}
-	pos := geom.Pt(120, 120)
-	for _, pinned := range []bool{false, true} {
-		var q *PlaneQuery
-		var st *index.Store
-		var ix *vortree.Index
-		var err error
-		if pinned {
-			if st, err = index.NewStore(index.Config{Bounds: testBounds, Objects: pts}); err != nil {
-				t.Fatal(err)
-			}
-			if q, err = NewPlaneQueryPinned(st, 3, 1.6); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if ix, _, err = vortree.Build(testBounds, 16, pts); err != nil {
-				t.Fatal(err)
-			}
-			if q, err = NewPlaneQuery(ix, 3, 1.6); err != nil {
-				t.Fatal(err)
-			}
-		}
-		knn, err := q.Update(pos)
-		if err != nil || len(knn) != 3 {
-			t.Fatalf("pinned=%v: first update = %v, %v", pinned, knn, err)
-		}
-		removed := knn[0]
-		if pinned {
-			if err := st.Remove(removed); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := q.RemoveObject(removed); err == nil || !strings.Contains(err.Error(), "exceeds object count") {
-			t.Fatalf("RemoveObject of a kNN member with 3 objects left 2: err = %v, want the failed recomputation", err)
-		}
-		for i := 0; i < 2; i++ {
-			if knn, err := q.Update(pos); err == nil || len(knn) != 0 {
-				t.Fatalf("pinned=%v: update %d after the removal = %v, %v; want an error and no kNN", pinned, i, knn, err)
-			}
-			if got := q.Current(); len(got) != 0 || len(q.INS()) != 0 {
-				t.Fatalf("pinned=%v: state after a failed recomputation: kNN %v, I(R) %v", pinned, got, q.INS())
-			}
-		}
-		if knn, recomputed, err := q.Refresh(); err == nil || recomputed || len(knn) != 0 {
-			t.Fatalf("pinned=%v: Refresh after the removal = %v, %v, %v; want an error", pinned, knn, recomputed, err)
-		}
-		if pinned {
-			_, err = st.Insert(geom.Pt(150, 150))
-			ix = st.Current().Plane()
-		} else {
-			_, err = q.InsertObject(geom.Pt(150, 150))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		knn, err = q.Update(pos)
-		if err != nil {
-			t.Fatalf("pinned=%v: update after the insert: %v", pinned, err)
-		}
-		if slices.Contains(knn, removed) {
-			t.Fatalf("pinned=%v: kNN %v names the removed object %d", pinned, knn, removed)
-		}
-		checkKNNAgainstBrute(t, ix, pos, knn, 3)
-		q.Close()
 	}
 }

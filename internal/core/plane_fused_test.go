@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
@@ -14,7 +15,8 @@ import (
 
 // TestFusedUpdateKeepsKNNPrefixOfR is the property test of the one-pass
 // Update: along random walks — small steps, strides and teleports — with
-// object inserts and removals, invalidations and eager refreshes mixed in,
+// object inserts and removals, each repaired by Refresh, and invalidations
+// and eager refreshes mixed in,
 // after every step the kNN set is the first k members of R, the guard set
 // is the rest of R plus I(R), and the answer equals brute force whichever
 // of validate / re-rank / recompute produced it.
@@ -23,8 +25,11 @@ func TestFusedUpdateKeepsKNNPrefixOfR(t *testing.T) {
 		k   int
 		rho float64
 	}{{1, 1}, {1, 1.6}, {3, 1.6}, {8, 1.6}, {8, 1}, {5, 2.5}} {
-		ix := buildIndex(t, 1500, int64(100+tc.k))
-		q, err := NewPlaneQuery(ix, tc.k, tc.rho)
+		st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: randomPoints(1500, int64(100+tc.k))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewPlaneQueryPinned(st, tc.k, tc.rho)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +46,13 @@ func TestFusedUpdateKeepsKNNPrefixOfR(t *testing.T) {
 			if want := append(r[tc.k:], q.INS()...); !slices.Equal(q.InfluenceSet(), want) {
 				t.Fatalf("k=%d rho=%g %s: InfluenceSet() = %v, want R[k:] + I(R) = %v", tc.k, tc.rho, what, q.InfluenceSet(), want)
 			}
-			checkKNNAgainstBrute(t, ix, pos, cur, tc.k)
+			checkKNNAgainstBrute(t, st.Current().Plane(), pos, cur, tc.k)
+		}
+		refresh := func() {
+			t.Helper()
+			if _, _, err := q.Refresh(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		pos := geom.Pt(500, 500)
 		outcomes := map[string]int{}
@@ -59,20 +70,23 @@ func TestFusedUpdateKeepsKNNPrefixOfR(t *testing.T) {
 
 			switch step % 7 {
 			case 1: // insert beside the query: lands inside R
-				if _, err := q.InsertObject(geom.Pt(pos.X+rng.Float64(), pos.Y+rng.Float64())); err != nil && pos.X < 999 && pos.Y < 999 {
+				if _, err := st.Insert(geom.Pt(pos.X+rng.Float64(), pos.Y+rng.Float64())); err != nil && pos.X < 999 && pos.Y < 999 {
 					t.Fatal(err)
 				}
+				refresh()
 				check("after near insert", pos, nil)
 			case 3: // insert anywhere
-				if _, err := q.InsertObject(geom.Pt(rng.Float64()*1000, rng.Float64()*1000)); err != nil {
+				if _, err := st.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000)); err != nil {
 					t.Fatal(err)
 				}
+				refresh()
 				check("after far insert", pos, nil)
 			case 4: // remove a member of the state (often the hint itself)
 				state := append(q.Prefetched(), q.INS()...)
-				if err := q.RemoveObject(state[rng.Intn(len(state))]); err != nil {
+				if err := st.Remove(state[rng.Intn(len(state))]); err != nil {
 					t.Fatal(err)
 				}
+				refresh()
 				check("after state removal", pos, nil)
 			case 5: // a data update applied outside the query, repaired eagerly
 				q.Invalidate()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/vortree"
 )
 
@@ -216,12 +217,26 @@ func TestInfluenceSetDisjointFromKNN(t *testing.T) {
 	}
 }
 
-func TestInsertObjectKeepsResultCorrect(t *testing.T) {
-	ix := buildIndex(t, 300, 10)
-	q, err := NewPlaneQuery(ix, 5, 1.6)
+// pinnedIndex returns a store of n random objects and a query pinned to it.
+func pinnedIndex(t *testing.T, n int, seed int64, k int) (*index.Store, *PlaneQuery) {
+	t.Helper()
+	st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: randomPoints(n, seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(st.Close)
+	q, err := NewPlaneQueryPinned(st, k, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	return st, q
+}
+
+// TestInsertObjectKeepsResultCorrect: inserts next to the query and far from
+// it, each repaired by Refresh, leave the answer the brute-force kNN.
+func TestInsertObjectKeepsResultCorrect(t *testing.T) {
+	st, q := pinnedIndex(t, 300, 10, 5)
 	rng := rand.New(rand.NewSource(11))
 	traj := walkTrajectory(300, 2, 12)
 	for i, p := range traj {
@@ -229,7 +244,7 @@ func TestInsertObjectKeepsResultCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKNNAgainstBrute(t, ix, p, got, 5)
+		checkKNNAgainstBrute(t, st.Current().Plane(), p, got, 5)
 		if i%10 == 5 {
 			// Insert sometimes right next to the query, sometimes far away.
 			var np geom.Point
@@ -240,7 +255,10 @@ func TestInsertObjectKeepsResultCorrect(t *testing.T) {
 			} else {
 				np = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 			}
-			if _, err := q.InsertObject(np); err != nil {
+			if _, err := st.Insert(np); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := q.Refresh(); err != nil {
 				t.Fatal(err)
 			}
 			// Result must already reflect the insert at the same position.
@@ -248,17 +266,15 @@ func TestInsertObjectKeepsResultCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkKNNAgainstBrute(t, ix, p, got, 5)
+			checkKNNAgainstBrute(t, st.Current().Plane(), p, got, 5)
 		}
 	}
 }
 
+// TestRemoveObjectKeepsResultCorrect: removals of kNN members and of random
+// objects, each repaired by Refresh, leave the answer the brute-force kNN.
 func TestRemoveObjectKeepsResultCorrect(t *testing.T) {
-	ix := buildIndex(t, 400, 13)
-	q, err := NewPlaneQuery(ix, 5, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, q := pinnedIndex(t, 400, 13, 5)
 	rng := rand.New(rand.NewSource(14))
 	traj := walkTrajectory(300, 2, 15)
 	for i, p := range traj {
@@ -266,25 +282,28 @@ func TestRemoveObjectKeepsResultCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKNNAgainstBrute(t, ix, p, got, 5)
-		if i%10 == 5 && ix.Len() > 50 {
+		checkKNNAgainstBrute(t, st.Current().Plane(), p, got, 5)
+		if i%10 == 5 && st.Current().Plane().Len() > 50 {
 			// Remove sometimes a current kNN member (worst case), sometimes
 			// a random object.
 			var victim int
 			if rng.Intn(2) == 0 {
 				victim = q.Current()[rng.Intn(len(q.Current()))]
 			} else {
-				ids := ix.Diagram().IDs()
+				ids := st.Current().Plane().Diagram().IDs()
 				victim = ids[rng.Intn(len(ids))]
 			}
-			if err := q.RemoveObject(victim); err != nil {
+			if err := st.Remove(victim); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := q.Refresh(); err != nil {
 				t.Fatal(err)
 			}
 			got, err := q.Update(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkKNNAgainstBrute(t, ix, p, got, 5)
+			checkKNNAgainstBrute(t, st.Current().Plane(), p, got, 5)
 		}
 	}
 }

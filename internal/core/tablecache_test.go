@@ -44,9 +44,11 @@ func tableCacheNetwork(t *testing.T, jitter float64) (g *roadnet.Graph, sites, i
 
 // TestTableCacheMatchesFreshSearch tests the scratch's per-vertex table cache
 // differentially, through pinEndpoint, its one caller. Sessions of k = 1, 5,
-// 10 and 20 (M = 1, 8, 16, 32) share one scratch over a raw diagram and over
-// an index.Store, on a jittered and on an all-ties grid, while windows of one
-// to three random site mutations go by. Every table pinned — searched for or
+// 10 and 20 (M = 1, 8, 16, 32) share one scratch over an index.Store, on a
+// jittered and on an all-ties grid, while random site mutations go by: in the
+// /raw subtests the sessions re-pin after every mutation, so the cache hears
+// of each on its own; in /store, after windows of one to three, and one
+// session now and then stays behind. Every table pinned — searched for or
 // served from the cache, whole or as the prefix of a longer one — is
 // AppendKNN(VertexPosition(v), M) on the session's diagram bit for bit, ids
 // and distances, ties included; a hit begins no search and is charged the
@@ -58,40 +60,23 @@ func tableCacheNetwork(t *testing.T, jitter float64) (g *roadnet.Graph, sites, i
 func TestTableCacheMatchesFreshSearch(t *testing.T) {
 	ks := []int{1, 5, 10, 20}
 	for _, tc := range []struct {
-		name   string
-		jitter float64
-		pinned bool
+		name    string
+		jitter  float64
+		windows bool
 	}{{"jittered/raw", 0.25, false}, {"ties/raw", 0, false}, {"jittered/store", 0.25, true}, {"ties/store", 0, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, sites, island := tableCacheNetwork(t, tc.jitter)
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
-			var (
-				d     *netvor.Diagram // the raw diagram
-				store *index.Store
-				err   error
-			)
-			if tc.pinned {
-				if store, err = index.NewStore(index.Config{Network: g, NetworkSites: sites}); err != nil {
-					t.Fatal(err)
-				}
-				defer store.Close()
-			} else if d, err = netvor.Build(g, sites); err != nil {
+			store, err := index.NewStore(index.Config{Network: g, NetworkSites: sites})
+			if err != nil {
 				t.Fatal(err)
 			}
-			current := func() *netvor.Diagram {
-				if tc.pinned {
-					return store.Current().Network()
-				}
-				return d
-			}
+			defer store.Close()
+			current := func() *netvor.Diagram { return store.Current().Network() }
 			sc := new(netvor.SearchScratch)
+			var qs []*NetworkQuery
 			session := func(k int) *NetworkQuery {
-				var q *NetworkQuery
-				if tc.pinned {
-					q, err = NewNetworkQueryPinned(store, k, 1.6)
-				} else {
-					q, err = NewNetworkQuery(d, k, 1.6)
-				}
+				q, err := NewNetworkQueryPinned(store, k, 1.6)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +84,6 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 				q.UseScratch(sc)
 				return q
 			}
-			var qs []*NetworkQuery
 			for _, k := range ks {
 				qs = append(qs, session(k))
 			}
@@ -176,28 +160,18 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 				if insert {
 					inserts++
 				}
-				switch {
-				case tc.pinned && insert:
+				if insert {
 					err = store.InsertSite(v)
-				case tc.pinned:
+				} else {
 					err = store.RemoveSite(v)
-				case insert:
-					if err = d.Insert(v); err == nil {
-						nb, _ := d.Neighbors(v)
-						for _, q := range qs {
-							q.AffectedBySiteInsert(v, nb)
-						}
-					}
-				default:
-					nb, _ := d.Neighbors(v)
-					if err = d.Remove(v); err == nil {
-						for _, q := range qs {
-							q.AffectedBySiteRemove(v, nb)
-						}
-					}
 				}
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !tc.windows {
+					for _, q := range qs {
+						q.Sync()
+					}
 				}
 			}
 
@@ -206,7 +180,7 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					mutate()
 				}
-				if lag := qs[round%len(qs)]; tc.pinned && round%5 == 2 {
+				if lag := qs[round%len(qs)]; tc.windows && round%5 == 2 {
 					// One session stays behind while the others take the cache
 					// on: it builds for itself, against its own snapshot.
 					for _, q := range qs {

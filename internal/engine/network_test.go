@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
@@ -26,55 +27,38 @@ func testNetwork(t *testing.T, rows, cols, nSites int, seed int64) (*roadnet.Gra
 }
 
 // refNetQuery is a single-threaded reference session: a core.NetworkQuery
-// over its own raw diagram, mutated in lockstep with the engine's store
-// under the engine-identical lazy-invalidation rule (invalidate when a
-// site mutation can disturb the guard cells; recompute at the next
-// update) — the network mirror of refQuery. It mutates the diagram behind
-// the query, so it reports every mutation through the AffectedBySite* hooks,
-// with a nil neighbor list when the lookup failed: they judge the query's
-// edge anchor as well as its guard set.
+// pinned to its own index store, mutated in lockstep with the engine's
+// store — the network mirror of refQuery. It re-pins at its next update,
+// where the store's log of site mutations judges its guard set and its edge
+// anchor.
 type refNetQuery struct {
-	d *netvor.Diagram
-	q *core.NetworkQuery
+	st *index.Store
+	q  *core.NetworkQuery
 }
 
 func newRefNetQuery(t *testing.T, g *roadnet.Graph, sites []int, k int, rho float64) *refNetQuery {
 	t.Helper()
-	d, err := netvor.Build(g, sites)
+	st, err := index.NewStore(index.Config{Network: g, NetworkSites: sites})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.NewNetworkQuery(d, k, rho)
+	q, err := core.NewNetworkQueryPinned(st, k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refNetQuery{d: d, q: q}
+	return &refNetQuery{st: st, q: q}
 }
 
 func (r *refNetQuery) insert(t *testing.T, v int) {
 	t.Helper()
-	if err := r.d.Insert(v); err != nil {
+	if err := r.st.InsertSite(v); err != nil {
 		t.Fatal(err)
-	}
-	nb, err := r.d.Neighbors(v)
-	if err != nil {
-		nb = nil
-	}
-	if r.q.AffectedBySiteInsert(v, nb) {
-		r.q.Invalidate()
 	}
 }
 
 func (r *refNetQuery) remove(t *testing.T, v int) {
 	t.Helper()
-	nb, err := r.d.Neighbors(v)
-	if err != nil {
-		nb = nil
-	}
-	if r.q.AffectedBySiteRemove(v, nb) {
-		r.q.Invalidate()
-	}
-	if err := r.d.Remove(v); err != nil {
+	if err := r.st.RemoveSite(v); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,75 +68,41 @@ type shard struct {
 	planeSc vortree.SearchScratch
 }
 
-// session is one live MkNN query pinned to a shard. Exactly one of plane
-// and network is non-nil. seq is the session's push-stream sequence
-// counter, touched only by the shard worker, so per-session event order
-// needs no synchronization.
+// query is what a session runs, on either metric: core.PlaneQuery and
+// core.NetworkQuery both satisfy it. Only a location update takes the
+// metric's own position type (see runBatch).
+type query interface {
+	AppendCurrent(dst []int) []int
+	Current() []int
+	Metrics() *metrics.Counters
+	Sync()
+	Refresh() (knn []int, recomputed bool, err error)
+	Epoch() uint64
+	Close()
+}
+
+// updater is a query that takes positions of type P.
+type updater[P any] interface {
+	Update(pos P) ([]int, error)
+}
+
+// update runs one location update on q if q takes positions of type P; ran
+// reports whether it did.
+func update[P any](q query, pos P) (knn []int, ran bool, err error) {
+	u, ran := q.(updater[P])
+	if !ran {
+		return nil, false, nil
+	}
+	knn, err = u.Update(pos)
+	return knn, true, err
+}
+
+// session is one live MkNN query pinned to a shard. seq is the session's
+// push-stream sequence counter, touched only by the shard worker, so
+// per-session event order needs no synchronization.
 type session struct {
-	plane   *core.PlaneQuery
-	network *core.NetworkQuery
-	seq     uint64
-}
-
-// current returns a fresh copy of the session's kNN membership — the
-// baseline a snapshot-first subscriber holds, captured before a change so
-// the published delta applies exactly onto the client view.
-func (s *session) current() []int {
-	if s.plane != nil {
-		return s.plane.Current()
-	}
-	return s.network.Current()
-}
-
-// appendCurrent is current appending onto a caller-owned buffer — the
-// zero-copy form the worker loop uses for delta baselines.
-func (s *session) appendCurrent(dst []int) []int {
-	if s.plane != nil {
-		return s.plane.AppendCurrent(dst)
-	}
-	return s.network.AppendCurrent(dst)
-}
-
-func (s *session) counters() metrics.Counters {
-	if s.plane != nil {
-		return *s.plane.Metrics()
-	}
-	return *s.network.Metrics()
-}
-
-// sync re-pins the session to the newest snapshot, applying the lazy
-// invalidation check of the underlying processor.
-func (s *session) sync() {
-	if s.plane != nil {
-		s.plane.Sync()
-		return
-	}
-	s.network.Sync()
-}
-
-// refresh is the eager-repair form of sync used for watched sessions.
-func (s *session) refresh() (knn []int, recomputed bool, err error) {
-	if s.plane != nil {
-		return s.plane.Refresh()
-	}
-	return s.network.Refresh()
-}
-
-// epoch returns the index snapshot epoch the session is pinned to.
-func (s *session) epoch() uint64 {
-	if s.plane != nil {
-		return s.plane.Epoch()
-	}
-	return s.network.Epoch()
-}
-
-// close releases the session's snapshot pin.
-func (s *session) close() {
-	if s.plane != nil {
-		s.plane.Close()
-		return
-	}
-	s.network.Close()
+	q   query
+	seq uint64
 }
 
 // message is a mailbox envelope; the worker type-switches on it.
@@ -244,9 +210,9 @@ func (sh *shard) handle(msg message) {
 			return
 		}
 		if sh.events.Watched(uint64(m.sid)) {
-			sh.publish(m.sid, s, stream.CauseClose, s.current(), nil, sh.store.Epoch())
+			sh.publish(m.sid, s, stream.CauseClose, s.q.Current(), nil, sh.store.Epoch())
 		}
-		s.close()
+		s.q.Close()
 		delete(sh.sessions, m.sid)
 		sh.sessionsN.Store(int64(len(sh.sessions)))
 		m.reply <- nil
@@ -263,7 +229,7 @@ func (sh *shard) handle(msg message) {
 // shutdown releases every session's snapshot pin on engine close.
 func (sh *shard) shutdown() {
 	for _, s := range sh.sessions {
-		s.close()
+		s.q.Close()
 	}
 	sh.sessions = nil
 	sh.sessionsN.Store(0)
@@ -286,12 +252,12 @@ func (sh *shard) sweep() {
 	active := sh.events.Active()
 	for sid, s := range sh.sessions {
 		if !active || !sh.events.Watched(uint64(sid)) {
-			s.sync()
+			s.q.Sync()
 			continue
 		}
-		prev := s.appendCurrent(sh.prevBuf[:0])
+		prev := s.q.AppendCurrent(sh.prevBuf[:0])
 		sh.prevBuf = prev[:0]
-		knn, recomputed, err := s.refresh()
+		knn, recomputed, err := s.q.Refresh()
 		if err != nil {
 			// The result is gone (e.g. k now exceeds the object count) and
 			// the error will surface at the session's next Update. Still
@@ -299,32 +265,33 @@ func (sh *shard) sweep() {
 			// kept the old members would otherwise hold a silently-wrong
 			// view, and the eventual recompute publishes its delta against
 			// the empty baseline — the chain stays exact.
-			sh.publish(sid, s, stream.CauseData, prev, nil, s.epoch())
+			sh.publish(sid, s, stream.CauseData, prev, nil, s.q.Epoch())
 			continue
 		}
 		if recomputed {
-			sh.publish(sid, s, stream.CauseData, prev, knn, s.epoch())
+			sh.publish(sid, s, stream.CauseData, prev, knn, s.q.Epoch())
 		}
 	}
 }
 
 func (sh *shard) create(m createMsg) error {
+	var q query
 	if m.network {
-		q, err := core.NewNetworkQueryPinned(sh.store, m.k, m.rho)
+		nq, err := core.NewNetworkQueryPinned(sh.store, m.k, m.rho)
 		if err != nil {
 			return err
 		}
-		q.UseScratch(&sh.netSc)
-		sh.sessions[m.sid] = &session{network: q}
-		sh.sessionsN.Store(int64(len(sh.sessions)))
-		return nil
+		nq.UseScratch(&sh.netSc)
+		q = nq
+	} else {
+		pq, err := core.NewPlaneQueryPinned(sh.store, m.k, m.rho)
+		if err != nil {
+			return err
+		}
+		pq.UseScratch(&sh.planeSc)
+		q = pq
 	}
-	q, err := core.NewPlaneQueryPinned(sh.store, m.k, m.rho)
-	if err != nil {
-		return err
-	}
-	q.UseScratch(&sh.planeSc)
-	sh.sessions[m.sid] = &session{plane: q}
+	sh.sessions[m.sid] = &session{q: q}
 	sh.sessionsN.Store(int64(len(sh.sessions)))
 	return nil
 }
@@ -365,21 +332,21 @@ func (sh *shard) runBatch(m batchMsg) {
 		watched := sh.events.Watched(uint64(e.sid))
 		var prev []int
 		if watched {
-			prev = s.appendCurrent(sh.prevBuf[:0])
+			prev = s.q.AppendCurrent(sh.prevBuf[:0])
 			sh.prevBuf = prev[:0]
 		}
 		var knn []int
+		var ran bool
 		var err error
-		switch {
-		case m.network && s.network != nil:
-			start := time.Now()
-			knn, err = s.network.Update(e.net)
+		start := time.Now()
+		if m.network {
+			knn, ran, err = update(s.q, e.net)
+		} else {
+			knn, ran, err = update(s.q, e.pos)
+		}
+		if ran {
 			sh.observe(time.Since(start))
-		case !m.network && s.plane != nil:
-			start := time.Now()
-			knn, err = s.plane.Update(e.pos)
-			sh.observe(time.Since(start))
-		default:
+		} else {
 			// A no-op: not counted as a processed update so Stats
 			// throughput and latency reflect real query work only.
 			err = fmt.Errorf("engine: session %d is not a %s session", e.sid, batchKind(m.network))
@@ -389,13 +356,13 @@ func (sh *shard) runBatch(m batchMsg) {
 		// boundary fixed by the core package's slice-ownership contract).
 		m.results[e.idx] = UpdateResult{Session: e.sid, KNN: append([]int(nil), knn...), Err: err}
 		if watched {
-			epoch := s.epoch()
+			epoch := s.q.Epoch()
 			if err != nil {
 				// A failed update can still change the session's state
 				// (recompute errors invalidate it); publish whatever
 				// transition happened so subscriber views track the
 				// session exactly — publish skips no-ops.
-				knn = s.current()
+				knn = s.q.Current()
 			}
 			sh.publish(e.sid, s, stream.CauseMove, prev, knn, epoch)
 		}
@@ -434,7 +401,7 @@ func (sh *shard) state(sid SessionID) stateReply {
 	if !ok {
 		return stateReply{err: fmt.Errorf("%w: %d", ErrUnknownSession, sid)}
 	}
-	return stateReply{state: SessionState{Seq: s.seq, Epoch: s.epoch(), KNN: s.current()}}
+	return stateReply{state: SessionState{Seq: s.seq, Epoch: s.q.Epoch(), KNN: s.q.Current()}}
 }
 
 // diffIDs returns the membership delta from old to new (order-insensitive;
@@ -488,7 +455,7 @@ func (sh *shard) stats() shardStats {
 		hist:     sh.hist,
 	}
 	for _, s := range sh.sessions {
-		st.counters.Add(s.counters())
+		st.counters.Add(*s.q.Metrics())
 	}
 	return st
 }

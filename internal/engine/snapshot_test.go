@@ -6,54 +6,47 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/trajectory"
-	"repro/internal/vortree"
 	"repro/internal/workload"
 )
 
-// refQuery is a single-threaded reference session: a core.PlaneQuery over
-// its own raw index replica, mutated in lockstep with the engine's store
-// under the engine-identical lazy-invalidation rule (invalidate when a
-// mutation can affect the guard sets; recompute at the next update).
+// refQuery is a single-threaded reference session: a core.PlaneQuery pinned
+// to its own index store, mutated in lockstep with the engine's store. It
+// re-pins at its next update, invalidating when a mutation can affect the
+// guard sets and recomputing then.
 type refQuery struct {
-	ix *vortree.Index
+	st *index.Store
 	q  *core.PlaneQuery
 }
 
 func newRefQuery(t *testing.T, objects []geom.Point, k int, rho float64) *refQuery {
 	t.Helper()
-	ix, _, err := vortree.Build(testBounds, 16, objects)
+	st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: objects})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.NewPlaneQuery(ix, k, rho)
+	q, err := core.NewPlaneQueryPinned(st, k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refQuery{ix: ix, q: q}
+	return &refQuery{st: st, q: q}
 }
 
 func (r *refQuery) insert(t *testing.T, p geom.Point, wantID int) {
 	t.Helper()
-	id, err := r.ix.Insert(p)
+	id, err := r.st.Insert(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != wantID {
 		t.Fatalf("reference id %d, engine id %d", id, wantID)
 	}
-	nb, nbErr := r.ix.Neighbors(id)
-	if nbErr != nil || r.q.AffectedByInsert(id, p, nb) {
-		r.q.Invalidate()
-	}
 }
 
 func (r *refQuery) remove(t *testing.T, id int) {
 	t.Helper()
-	if r.q.UsesObject(id) {
-		r.q.Invalidate()
-	}
-	if err := r.ix.Remove(id); err != nil {
+	if err := r.st.Remove(id); err != nil {
 		t.Fatal(err)
 	}
 }

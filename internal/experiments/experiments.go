@@ -13,6 +13,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
@@ -290,16 +291,18 @@ func pickSites(nVerts, nSites int, seed int64) []int {
 	return out
 }
 
-// E11 sweeps the data-update rate during a moving query.
+// E11 sweeps the data-update rate during a moving query. The objects live
+// in an index.Store, as a served dataset does, and the query repairs itself
+// eagerly after every insert or removal (Refresh).
 func E11(cfg Config) ([]Row, error) {
 	steps := cfg.steps(3000)
 	var rows []Row
 	for _, updatesPer100 := range []int{0, 1, 5, 10} {
-		ix, err := planeIndex(10000, cfg.seed(11))
+		st, err := index.NewStore(index.Config{Bounds: Bounds, Objects: workload.Uniform(10000, Bounds, cfg.seed(11))})
 		if err != nil {
 			return nil, err
 		}
-		q, err := core.NewPlaneQuery(ix, 8, 1.6)
+		q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +314,9 @@ func E11(cfg Config) ([]Row, error) {
 			state = state*6364136223846793005 + 1442695040888963407
 			return int((state >> 33) % uint64(n))
 		}
-		rep, err := runPlaneWithUpdates(q, traj, updatesPer100, rnd)
+		rep, err := runPlaneWithUpdates(st, q, traj, updatesPer100, rnd)
+		q.Close()
+		st.Close()
 		if err != nil {
 			return nil, fmt.Errorf("E11 u=%d: %w", updatesPer100, err)
 		}
@@ -322,7 +327,7 @@ func E11(cfg Config) ([]Row, error) {
 
 // runPlaneWithUpdates drives the query manually so object inserts/removes
 // can be interleaved with location updates.
-func runPlaneWithUpdates(q *core.PlaneQuery, traj []geom.Point, updatesPer100 int,
+func runPlaneWithUpdates(st *index.Store, q *core.PlaneQuery, traj []geom.Point, updatesPer100 int,
 	rnd func(int) int) (sim.Report, error) {
 	interval := 0
 	if updatesPer100 > 0 {
@@ -334,31 +339,35 @@ func runPlaneWithUpdates(q *core.PlaneQuery, traj []geom.Point, updatesPer100 in
 		if _, err := q.Update(pos); err != nil {
 			return sim.Report{}, err
 		}
-		if interval > 0 && step%interval == interval/2 {
-			if rnd(2) == 0 || len(inserted) == 0 {
-				// Insert near the query half the time so updates actually
-				// intersect the guard sets; far inserts exercise the
-				// cheap no-refresh path.
-				p := geom.Pt(
-					Bounds.Min.X+float64(rnd(10000)),
-					Bounds.Min.Y+float64(rnd(10000)))
-				if rnd(2) == 0 {
-					p = geom.Pt(
-						clampTo(pos.X+float64(rnd(400))-200, Bounds.Min.X, Bounds.Max.X),
-						clampTo(pos.Y+float64(rnd(400))-200, Bounds.Min.Y, Bounds.Max.Y))
-				}
-				id, err := q.InsertObject(p)
-				if err != nil {
-					return sim.Report{}, err
-				}
-				inserted = append(inserted, id)
-			} else {
-				i := rnd(len(inserted))
-				if err := q.RemoveObject(inserted[i]); err != nil {
-					return sim.Report{}, err
-				}
-				inserted = append(inserted[:i], inserted[i+1:]...)
+		if interval == 0 || step%interval != interval/2 {
+			continue
+		}
+		if rnd(2) == 0 || len(inserted) == 0 {
+			// Insert near the query half the time so updates actually
+			// intersect the guard sets; far inserts exercise the cheap
+			// no-refresh path.
+			p := geom.Pt(
+				Bounds.Min.X+float64(rnd(10000)),
+				Bounds.Min.Y+float64(rnd(10000)))
+			if rnd(2) == 0 {
+				p = geom.Pt(
+					clampTo(pos.X+float64(rnd(400))-200, Bounds.Min.X, Bounds.Max.X),
+					clampTo(pos.Y+float64(rnd(400))-200, Bounds.Min.Y, Bounds.Max.Y))
 			}
+			id, err := st.Insert(p)
+			if err != nil {
+				return sim.Report{}, err
+			}
+			inserted = append(inserted, id)
+		} else {
+			i := rnd(len(inserted))
+			if err := st.Remove(inserted[i]); err != nil {
+				return sim.Report{}, err
+			}
+			inserted = append(inserted[:i], inserted[i+1:]...)
+		}
+		if _, _, err := q.Refresh(); err != nil {
+			return sim.Report{}, err
 		}
 	}
 	return sim.Report{
