@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -174,6 +175,49 @@ func TestIngestStreamTCP(t *testing.T) {
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestIngestRejectsInvalidPositions: positions the session's space does not
+// have answer bad_request per entry over binary ingest, whose float codec
+// carries any bit pattern: a plane point with a NaN or infinite coordinate,
+// a network position on an edge the graph lacks. A valid update in the same
+// frame still answers.
+func TestIngestRejectsInvalidPositions(t *testing.T) {
+	ts, ln, _ := newIngestServer(t, 0)
+	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	sid, err := c.CreateSession(3, 1.6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsid, err := c.CreateSession(2, 1.6, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := insqclient.DialIngestTCP(context.Background(), ln.Addr().String(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	ack, err := ing.Call(api.IngestBatch{
+		WantResults: true,
+		Updates: []api.UpdateEntry{
+			{Session: sid, X: math.NaN(), Y: 1},
+			{Session: sid, X: 1, Y: math.Inf(-1)},
+			{Session: sid, X: 100, Y: 100},
+		},
+		NetworkUpdates: []api.NetworkUpdateEntry{{Session: nsid, U: 0, V: 63, T: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ack.Results) != 4 {
+		t.Fatalf("ack: %+v", ack)
+	}
+	for i, want := range []api.ErrorCode{api.CodeBadRequest, api.CodeBadRequest, api.CodeOK, api.CodeBadRequest} {
+		if r := ack.Results[i]; r.Code != want || (want == api.CodeOK) != (len(r.KNN) > 0) {
+			t.Errorf("entry %d: %+v, want code %s", i, r, want)
+		}
 	}
 }
 

@@ -63,6 +63,7 @@ var table = []struct {
 	{engine.ErrNoNetwork, ErrorInfo{CodeNoNetwork, http.StatusBadRequest, false}},
 	{engine.ErrNoPlaneIndex, ErrorInfo{CodeNoPlaneIndex, http.StatusBadRequest, false}},
 	{engine.ErrOutOfBounds, ErrorInfo{CodeOutOfBounds, http.StatusBadRequest, false}},
+	{engine.ErrInvalidPosition, ErrorInfo{CodeBadRequest, http.StatusBadRequest, false}},
 	{engine.ErrDegraded, ErrorInfo{CodeDegraded, http.StatusServiceUnavailable, true}},
 	{engine.ErrOverloaded, ErrorInfo{CodeOverloaded, http.StatusTooManyRequests, true}},
 	{engine.ErrExpired, ErrorInfo{CodeExpired, http.StatusGatewayTimeout, false}},

@@ -183,7 +183,7 @@ func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len(
 func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
 	q.Sync()
 	if err := pos.Validate(q.d.Graph()); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidPosition, err)
 	}
 	q.m.Timestamps++
 	if q.located {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -86,8 +87,8 @@ func TestNetworkQueryRejectsBadPosition(t *testing.T) {
 	for _, bad := range []roadnet.Position{
 		{U: 0, V: 59, T: 0.5}, {U: -1, V: -1}, {U: 60, V: 60}, {U: 7, V: d.Graph().AdjacentVertices(7)[0], T: math.NaN()},
 	} {
-		if _, err := q.Update(bad); err == nil {
-			t.Errorf("expected error for position %+v", bad)
+		if _, err := q.Update(bad); !errors.Is(err, ErrInvalidPosition) {
+			t.Errorf("position %+v: %v, want ErrInvalidPosition", bad, err)
 		}
 	}
 	if after := *q.Metrics(); after != before {

@@ -135,9 +135,14 @@ func (q *PlaneQuery) prefetchSize() int { return min(q.prefetchCap(), q.ix.Len()
 
 // Update processes a location update of the query object and returns the
 // current kNN set (ascending distance at the time of the last re-rank).
-// The returned slice is shared; callers must not modify it.
+// The returned slice is shared; callers must not modify it. A position
+// with a NaN or infinite coordinate is rejected before anything is counted
+// or changed.
 func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	q.Sync()
+	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		return nil, fmt.Errorf("%w: (%g, %g)", ErrInvalidPosition, p.X, p.Y)
+	}
 	q.m.Timestamps++
 	q.last = p
 	q.located = true

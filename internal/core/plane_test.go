@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,6 +107,35 @@ func TestPlaneQueryEmptyIndex(t *testing.T) {
 	}
 	if _, err := q.Update(geom.Pt(1, 1)); err == nil {
 		t.Error("expected error on empty index")
+	}
+}
+
+// TestPlaneQueryRejectsBadPosition: a point with a NaN or infinite
+// coordinate is not an update. It is rejected with ErrInvalidPosition before
+// anything is counted, and the answer of the last good update stands.
+func TestPlaneQueryRejectsBadPosition(t *testing.T) {
+	q, err := NewPlaneQuery(buildIndex(t, 60, 2), 2, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := geom.Pt(500, 500)
+	if _, err := q.Update(good); err != nil {
+		t.Fatal(err)
+	}
+	before, knn := *q.Metrics(), q.Current()
+	for _, bad := range []geom.Point{{X: math.NaN(), Y: 1}, {X: 1, Y: math.NaN()}, {X: math.Inf(1), Y: 1}, {X: 1, Y: math.Inf(-1)}} {
+		if got, err := q.Update(bad); !errors.Is(err, ErrInvalidPosition) || got != nil {
+			t.Errorf("Update(%v) = %v, %v; want ErrInvalidPosition", bad, got, err)
+		}
+	}
+	if after := *q.Metrics(); after != before {
+		t.Errorf("rejected positions moved the counters: %+v -> %+v", before, after)
+	}
+	if !slices.Equal(q.Current(), knn) {
+		t.Errorf("rejected positions changed the kNN set: %v -> %v", knn, q.Current())
+	}
+	if _, err := q.Update(good); err != nil || q.Metrics().Recomputations != before.Recomputations {
+		t.Errorf("update after rejected positions: err %v, recomputations %d -> %d", err, before.Recomputations, q.Metrics().Recomputations)
 	}
 }
 

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/index"
 	"repro/internal/metrics"
 )
+
+// ErrInvalidPosition is returned, wrapped, by an Update whose position is
+// not one the query's space has: a plane point with a NaN or infinite
+// coordinate, a network position off the graph. Nothing is counted or
+// changed.
+var ErrInvalidPosition = errors.New("core: invalid position")
 
 // session is the INS lifecycle a query runs the same way on both metrics,
 // over positions of type P with search scratch S: its parameters and

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -87,6 +88,11 @@ var (
 	// before the owning shard could apply them; the shard drops the work
 	// instead of executing it late.
 	ErrExpired = errors.New("engine: request deadline expired before apply")
+	// ErrInvalidPosition marks per-entry results whose position the
+	// session's space does not have — a plane point with a NaN or infinite
+	// coordinate, a network position off the graph: a caller-input error,
+	// rejected before anything is counted.
+	ErrInvalidPosition = core.ErrInvalidPosition
 )
 
 // Config parameterizes New. Objects/Bounds configure the 2D Euclidean
