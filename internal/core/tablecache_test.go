@@ -75,17 +75,14 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 			current := func() *netvor.Diagram { return store.Current().Network() }
 			sc := new(netvor.SearchScratch)
 			var qs []*NetworkQuery
-			session := func(k int) *NetworkQuery {
+			for _, k := range ks {
 				q, err := NewNetworkQueryPinned(store, k, 1.6)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(q.Close)
 				q.UseScratch(sc)
-				return q
-			}
-			for _, k := range ks {
-				qs = append(qs, session(k))
+				qs = append(qs, q)
 			}
 
 			// pin pins v's table for q and checks it against the search;
