@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	insq "repro"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/index"
@@ -331,13 +332,19 @@ func BenchmarkAblationRerank(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVorTreeKNN compares the VoR-tree kNN (one R-tree
-// descent + Voronoi expansion) against plain best-first R-tree kNN.
+// BenchmarkAblationVorTreeKNN compares the plane index's kNN (a walk from
+// the entry grid + Voronoi expansion) against plain best-first R-tree kNN.
 func BenchmarkAblationVorTreeKNN(b *testing.B) {
-	ix, _, err := insq.BuildPlaneIndex(benchBounds, insq.UniformPoints(50000, benchBounds, 22))
+	pts := insq.UniformPoints(50000, benchBounds, 22)
+	ix, ids, err := insq.BuildPlaneIndex(benchBounds, pts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	items := make([]baseline.RItem, len(pts))
+	for i, p := range pts {
+		items[i] = baseline.RItem{ID: ids[i], P: p}
+	}
+	tree := baseline.NewRTree(16, items)
 	qs := insq.RandomWaypoint(benchBounds, 1024, 50, 122)
 	b.Run("vortree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -346,7 +353,7 @@ func BenchmarkAblationVorTreeKNN(b *testing.B) {
 	})
 	b.Run("rtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.Tree().KNN(qs[i%len(qs)], 13)
+			tree.KNN(qs[i%len(qs)], 13)
 		}
 	})
 }

@@ -57,7 +57,7 @@ var runners = []runner{
 	{id: "E11", doc: "data-object update rate sweep", fn: experiments.E11},
 	{id: "E12", doc: "order-k precomputation blow-up vs INS", fn: experiments.E12},
 	{id: "A1", doc: "ablation: local re-rank path", fn: experiments.AblationRerank},
-	{id: "A2", doc: "ablation: VoR-tree vs R-tree kNN", fn: experiments.AblationVorTree},
+	{id: "A2", doc: "ablation: grid-seeded Voronoi kNN vs R-tree kNN", fn: experiments.AblationVorTree},
 	{id: "A3", doc: "ablation: order-k cell construction candidates", fn: experiments.AblationOrderKConstruction},
 	{id: "ENGINE", doc: "online serving benchmark (shared snapshot store)",
 		record: func(cfg experiments.Config) (any, error) { return experiments.EngineBench(cfg) }},

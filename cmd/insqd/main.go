@@ -75,7 +75,6 @@ func main() {
 		objects     = flag.Int("objects", 100000, "synthetic plane data objects")
 		space       = flag.Float64("space", 10000, "side length of the square data space")
 		shards      = flag.Int("shards", 8, "engine shards (parallel session workers)")
-		fanout      = flag.Int("fanout", insq.DefaultFanout, "VoR-tree fanout")
 		seed        = flag.Int64("seed", 42, "dataset seed")
 		netGrid     = flag.Int("network-grid", 0, "serve a road-network side too: a GxG street grid (0 = plane only; loadgen -network must use the same value)")
 		netSites    = flag.Int("network-sites", 1000, "initial network data objects (with -network-grid)")
@@ -112,7 +111,6 @@ func main() {
 	bounds := insq.NewRect(insq.Pt(0, 0), insq.Pt(*space, *space))
 	cfg := insq.EngineConfig{
 		Shards:  *shards,
-		Fanout:  *fanout,
 		Bounds:  bounds,
 		Objects: insq.UniformPoints(*objects, bounds, *seed),
 	}
@@ -205,7 +203,6 @@ func main() {
 		}
 		log.Printf("durability: opening %s (fsync=%s, checkpoint-every=%d)...", *dataDir, policy, *ckptEach)
 		mgr, err = wal.Open(index.Config{
-			Fanout:       *fanout,
 			Bounds:       bounds,
 			Objects:      cfg.Objects,
 			Network:      cfg.Network,

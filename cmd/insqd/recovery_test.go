@@ -42,7 +42,6 @@ func recoveryConfig(t *testing.T) insq.EngineConfig {
 func startDurable(t *testing.T, cfg insq.EngineConfig, dir string) (*httptest.Server, *insq.Engine, *wal.Manager) {
 	t.Helper()
 	mgr, err := wal.Open(index.Config{
-		Fanout:       cfg.Fanout,
 		Bounds:       cfg.Bounds,
 		Objects:      cfg.Objects,
 		Network:      cfg.Network,

@@ -35,8 +35,9 @@ func NewRect(a, b Point) Rect { return geom.NewRect(a, b) }
 
 // Indexes and diagrams.
 type (
-	// PlaneIndex is the VoR-tree over the data objects: an R-tree plus the
-	// order-1 Voronoi diagram, kept in sync under updates.
+	// PlaneIndex is the plane index over the data objects: their order-1
+	// Voronoi diagram with its neighbor lists, kept in sync under updates,
+	// and an entry grid where searches without a hint start.
 	PlaneIndex = vortree.Index
 	// VoronoiDiagram is the dynamic order-1 Voronoi diagram.
 	VoronoiDiagram = voronoi.Diagram
@@ -50,10 +51,11 @@ type (
 	NetworkVoronoi = netvor.Diagram
 )
 
-// DefaultFanout is the default VoR-tree node fanout.
+// DefaultFanout is ignored: it was the node fanout of the R-tree the plane
+// index no longer has, and stays so that existing callers compile.
 const DefaultFanout = 16
 
-// BuildPlaneIndex constructs a VoR-tree over the data objects; returned
+// BuildPlaneIndex constructs the plane index over the data objects; returned
 // ids parallel pts. Exact duplicates collapse to one object.
 func BuildPlaneIndex(bounds Rect, pts []Point) (*PlaneIndex, []int, error) {
 	return vortree.Build(bounds, DefaultFanout, pts)

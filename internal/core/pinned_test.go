@@ -10,7 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/roadnet"
-	"repro/internal/rtree"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
 	"repro/internal/workload"
@@ -160,8 +159,7 @@ func TestPinnedReadOnly(t *testing.T) {
 // TestSharedScratchDoesNotPinSupersededSnapshot: a shard's scratch outlives
 // every snapshot its sessions search. After a search, a Store.Apply and the
 // session's re-pin, nothing the idle scratch or the session holds may keep
-// the superseded index version reachable (the frontier-level half of this
-// is rtree's TestIteratorReleaseUnpinsSupersededNodes).
+// the superseded index version reachable.
 func TestSharedScratchDoesNotPinSupersededSnapshot(t *testing.T) {
 	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(2000, pinnedBounds, 13)})
 	if err != nil {
@@ -174,11 +172,11 @@ func TestSharedScratchDoesNotPinSupersededSnapshot(t *testing.T) {
 	}
 	defer q.Close()
 	q.UseScratch(&sc)
-	if _, err := q.Update(geom.Pt(100, 100)); err != nil { // first placement: R-tree descent
+	if _, err := q.Update(geom.Pt(100, 100)); err != nil { // first placement: a cold start
 		t.Fatal(err)
 	}
 	collected := make(chan struct{}, 1)
-	runtime.SetFinalizer(q.ix.Tree(), func(*rtree.Tree) { collected <- struct{}{} })
+	runtime.SetFinalizer(q.ix, func(*vortree.Index) { collected <- struct{}{} })
 	if _, err := st.Insert(geom.Pt(900, 900)); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,7 @@ func TestSharedScratchDoesNotPinSupersededSnapshot(t *testing.T) {
 		case <-collected:
 			return
 		case <-deadline:
-			t.Fatal("superseded snapshot's R-tree still reachable after re-pin and GC")
+			t.Fatal("superseded snapshot's index still reachable after re-pin and GC")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

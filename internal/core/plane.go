@@ -38,8 +38,9 @@ type PlaneQuery struct {
 	// hint is an object near the query — the nearest object the last
 	// validation evaluated, else the last result's nearest object — from
 	// which the next recomputation walks to the new nearest object instead
-	// of descending the R-tree. It survives Invalidate: the guard sets may
-	// be stale after a data update, the neighbourhood is not.
+	// of starting cold from the index's entry grid. It survives Invalidate:
+	// the guard sets may be stale after a data update, the neighbourhood is
+	// not.
 	hint int
 
 	disableRerank bool

@@ -189,7 +189,7 @@ func TestHintedUpdateAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: only %d of %d measured updates took that outcome", outcome, took, n)
 		}
 		if outcome == "recompute" && after.NodeVisits != before.NodeVisits {
-			t.Errorf("recompute: %d R-tree node visits after first placement, want 0 (hint-seeded)", after.NodeVisits-before.NodeVisits)
+			t.Errorf("recompute: %d grid cells read after first placement, want 0 (hint-seeded)", after.NodeVisits-before.NodeVisits)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestNewPlaneQueryValidation(t *testing.T) {
 }
 
 func TestPlaneQueryEmptyIndex(t *testing.T) {
-	ix := vortree.New(testBounds, 16)
+	ix := vortree.New(testBounds)
 	q, err := NewPlaneQuery(ix, 1, 1)
 	if err != nil {
 		t.Fatal(err)

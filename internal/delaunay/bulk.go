@@ -14,8 +14,9 @@ import (
 // exactly as a loop of Insert would assign them; the new vertices are then
 // linked in Hilbert-curve order, so each point-location walk starts next to
 // its target instead of crossing the O(√n) faces between two unrelated
-// points. A call that fails — an out-of-bounds point, no room for len(pts)
-// more vertices — has changed nothing.
+// points, and the entry grid is filled afresh for the new size. A call that
+// fails — an out-of-bounds point, no room for len(pts) more vertices — has
+// changed nothing.
 func (t *Triangulation) InsertAll(pts []geom.Point) ([]int, error) {
 	if err := t.admit(len(pts), pts...); err != nil {
 		return nil, err
@@ -55,6 +56,7 @@ func (t *Triangulation) InsertAll(pts []geom.Point) ([]int, error) {
 	for _, k := range links {
 		t.link(int32(ids[uint32(k)] + 3))
 	}
+	t.fillGrid()
 	return ids, nil
 }
 
@@ -111,6 +113,7 @@ func Restore(bounds geom.Rect, vs []Vertex, nextID int) (*Triangulation, error) 
 	for _, k := range order {
 		t.link(int32(vs[uint32(k)].ID + 3))
 	}
+	t.fillGrid()
 	return t, nil
 }
 

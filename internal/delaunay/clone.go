@@ -15,11 +15,13 @@ func (t *Triangulation) Clone() *Triangulation {
 		pts:    append([]geom.Point(nil), t.pts...),
 		tris:   t.tris.deepCopy(own),
 		vface:  t.vface.deepCopy(own),
+		grid:   t.grid.deepCopy(own),
+		gbits:  t.gbits,
 		bounds: t.bounds,
+		walk:   t.walk,
 		nLive:  t.nLive,
 		own:    own,
 	}
-	c.walk.Store(t.walk.Load())
 	for f := 0; f < c.numFaces(); f++ {
 		if !c.tri(int32(f)).alive() {
 			c.free = append(c.free, int32(f))

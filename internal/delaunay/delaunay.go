@@ -15,13 +15,20 @@
 // in input order and the vertices then linked along a Hilbert curve so the
 // walks are short.
 //
-// The face and vertex tables live in copy-on-write pages (see paged.go),
-// which gives the triangulation cheap version branching: Branch returns a
-// new mutable version in O(n/pageSize) that shares every untouched page
-// with the (now frozen) receiver, and a mutation repairs only the handful
-// of pages holding the faces it rewrites. The copy-on-write index snapshot
-// store publishes one branch per data-update epoch; Clone remains as the
-// deep fallback that shares nothing.
+// The nearest vertex to a query point is found by the same kind of walk,
+// over the Delaunay graph: greedy descent from a start near the query
+// (nearest.go). A caller that knows a vertex near the query starts there;
+// any other search starts from a flat entry grid over the bounds, one
+// vertex per cell (grid.go) — jump-and-walk with the jump read off a table,
+// which is the whole of the triangulation's spatial index.
+//
+// The face, vertex and grid tables live in copy-on-write pages (see
+// paged.go), which gives the triangulation cheap version branching: Branch
+// returns a new mutable version in O(n/pageSize) that shares every
+// untouched page with the (now frozen) receiver, and a mutation repairs only
+// the handful of pages holding the faces and cells it rewrites. The
+// copy-on-write index snapshot store publishes one branch per data-update
+// epoch; Clone remains as the deep fallback that shares nothing.
 package delaunay
 
 import (
@@ -75,21 +82,25 @@ func (tr *triangle) alive() bool { return tr.v[0] >= 0 }
 // Triangulation is an incremental Delaunay triangulation. The zero value is
 // not usable; call New.
 //
-// Version state is split three ways. The face table (tris) and the
-// vertex-face hints (vface) are paged copy-on-write and diverge per
-// version. The vertex coordinates (pts) are append-only and shared by every
-// version — ids are never recycled, and only the newest version appends.
-// The face free list (free) is writer state: it rides along the branch
-// chain and is only meaningful at the newest version, which is the only one
-// allowed to mutate. Nothing remembers which points are vertices: the face
-// that holds a point has it as a corner if it is one (see Insert).
+// Version state is split three ways. The face table (tris), the
+// vertex-face hints (vface) and the entry grid (grid) are paged
+// copy-on-write and diverge per version. The vertex coordinates (pts) are
+// append-only and shared by every version — ids are never recycled, and
+// only the newest version appends. The face free list (free) and the walk
+// hint are writer state: they ride along the branch chain and are only
+// meaningful at the newest version, which is the only one allowed to
+// mutate — readers never touch either. Nothing remembers which points are
+// vertices: the face that holds a point has it as a corner if it is one
+// (see Insert).
 type Triangulation struct {
 	pts    []geom.Point    // vertex 0..2 are the super-triangle corners
 	tris   paged[triangle] // faces, including dead (recycled) slots
 	vface  paged[int32]    // some live face incident to each vertex; noTri = removed
+	grid   paged[int32]    // entry grid: a live vertex per cell (see grid.go)
+	gbits  uint8           // the grid is 2^gbits cells on a side
 	free   []int32         // writer-only: recycled face slots
 	bounds geom.Rect       // accepted insertion region
-	walk   atomic.Int32    // recently touched face: walk start hint
+	walk   int32           // writer-only: recently touched face, locate's start
 	nLive  int             // number of live (non-deleted) input vertices
 	own    *pageOwner      // this version's page-ownership token
 	frozen atomic.Bool     // set by Branch; mutations are rejected
@@ -118,27 +129,38 @@ func New(bounds geom.Rect) *Triangulation {
 	for i := 0; i < 3; i++ {
 		t.vface.append(0, t.own)
 	}
+	t.fillGrid()
 	return t
 }
 
 // Branch returns a new mutable version of the triangulation and freezes the
 // receiver: further reads of the receiver stay valid (and race-free against
 // mutations of the branch), but its own Insert/Remove return ErrFrozen.
-// The cost is two page-directory copies — O(n/pageSize), not O(n); the
+// The cost is three page-directory copies — O(n/pageSize), not O(n); the
 // branch shares every page with the receiver until it writes it.
 func (t *Triangulation) Branch() *Triangulation {
 	t.frozen.Store(true)
-	c := &Triangulation{
+	return &Triangulation{
 		pts:    t.pts,
 		tris:   t.tris.branch(),
 		vface:  t.vface.branch(),
+		grid:   t.grid.branch(),
+		gbits:  t.gbits,
 		free:   t.free,
 		bounds: t.bounds,
+		walk:   t.walk,
 		nLive:  t.nLive,
 		own:    new(pageOwner),
 	}
-	c.walk.Store(t.walk.Load())
-	return c
+}
+
+// ShareStats reports the structural sharing of this version: the pages of
+// its face, vertex-face and grid tables it copied or created since it was
+// branched (or built), and their total page count. 1 - copied/total is the
+// fraction of the triangulation it shares with the version it branched
+// from.
+func (t *Triangulation) ShareStats() (copied, total int) {
+	return t.tris.copied + t.vface.copied + t.grid.copied, len(t.tris.dir) + len(t.vface.dir) + len(t.grid.dir)
 }
 
 // tri returns face f for reading. The pointer is stable on frozen versions;
@@ -185,6 +207,7 @@ func (t *Triangulation) Insert(p geom.Point) (int, error) {
 	}
 	vi := t.reserve(p)
 	t.split(f, onEdge, vi)
+	t.gridInsert(vi)
 	return int(vi) - 3, nil
 }
 
@@ -283,10 +306,10 @@ func (t *Triangulation) IDUpperBound() int { return len(t.pts) - 3 }
 
 // locate walks from the hint triangle to the face containing p. It returns
 // the face index and, when p lies exactly on one of its edges, that edge's
-// index (otherwise -1). It is called on read paths too (Nearest), so the
-// walk hint is atomic and the face table is only read.
+// index (otherwise -1). Only mutations locate, so the walk hint it starts
+// from and leaves behind is the writer's own.
 func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
-	f := t.walk.Load()
+	f := t.walk
 	if f < 0 || int(f) >= t.numFaces() || !t.tri(f).alive() {
 		f = t.anyAlive()
 	}
@@ -317,7 +340,7 @@ func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
 		if moved {
 			continue
 		}
-		t.walk.Store(f)
+		t.walk = f
 		return f, on
 	}
 	// Fallback: exhaustive scan (unreachable in practice).
@@ -337,7 +360,7 @@ func (t *Triangulation) locate(p geom.Point) (face int32, onEdge int) {
 			}
 		}
 		if inside {
-			t.walk.Store(int32(i))
+			t.walk = int32(i)
 			return int32(i), on
 		}
 	}
@@ -410,7 +433,7 @@ func (t *Triangulation) insertInFace(ti, p int32) {
 	t.replaceNeighbor(na, ti, t0)
 	t.replaceNeighbor(nb, ti, t1)
 	t.replaceNeighbor(nc, ti, t2)
-	t.walk.Store(t0)
+	t.walk = t0
 
 	t.legalize(t0, 0, p)
 	t.legalize(t1, 0, p)
@@ -434,7 +457,7 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 		t.triMut(t1).n[2] = t0
 		t.replaceNeighbor(nwc, ti, t1)
 		t.replaceNeighbor(ncu, ti, t0)
-		t.walk.Store(t0)
+		t.walk = t0
 		t.legalize(t0, 2, p)
 		t.legalize(t1, 1, p)
 		return
@@ -475,7 +498,7 @@ func (t *Triangulation) insertOnEdge(ti int32, e int, p int32) {
 	// the one just repointed to o's recycled slot.
 	t.killTri(ti)
 	t.killTri(o)
-	t.walk.Store(t0)
+	t.walk = t0
 
 	t.legalize(t0, 2, p)
 	t.legalize(t1, 1, p)

@@ -38,9 +38,11 @@ func checkDelaunay(t *testing.T, tr *Triangulation) {
 	}
 }
 
-// checkAdjacency asserts the internal neighbor pointers are mutual.
+// checkAdjacency asserts the internal neighbor pointers are mutual, and
+// the entry grid's invariant (checkGrid).
 func checkAdjacency(t *testing.T, tr *Triangulation) {
 	t.Helper()
+	checkGrid(t, tr)
 	for fi := 0; fi < tr.numFaces(); fi++ {
 		f := tr.tri(int32(fi))
 		if !f.alive() {

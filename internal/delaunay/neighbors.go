@@ -146,7 +146,7 @@ func (t *Triangulation) Triangles() [][3]int {
 
 // Remove deletes vertex id from the triangulation and restores the Delaunay
 // property by retriangulating the star polygon of the removed vertex with
-// Delaunay ear clipping.
+// Delaunay ear clipping; the grid cells it held go to its neighbors.
 func (t *Triangulation) Remove(id int) error {
 	if t.frozen.Load() {
 		return ErrFrozen
@@ -214,7 +214,7 @@ func (t *Triangulation) Remove(id int) error {
 		link(f, 0, a, b)
 		link(f, 1, b, c)
 		link(f, 2, c, a)
-		t.walk.Store(f)
+		t.walk = f
 	}
 
 	// Delaunay ear clipping of the (star-shaped) hole polygon.
@@ -266,5 +266,6 @@ func (t *Triangulation) Remove(id int) error {
 
 	t.nLive--
 	t.setVface(vi, noTri)
+	t.gridRemove(vi, ring)
 	return nil
 }

@@ -24,10 +24,12 @@ type page[T any] struct {
 // branch copies only the directory (n/pageSize pointers); mutation copies
 // only the touched page. Reads on a frozen version never write, so many
 // goroutines may read versions concurrently while the newest version is
-// mutated.
+// mutated. copied counts the pages this version copied or created since it
+// was branched — the structural-sharing instrumentation of ShareStats.
 type paged[T any] struct {
-	dir []*page[T]
-	n   int
+	dir    []*page[T]
+	n      int
+	copied int
 }
 
 func (p *paged[T]) len() int { return p.n }
@@ -47,6 +49,7 @@ func (p *paged[T]) mut(i int, own *pageOwner) *T {
 	if pg.own != own {
 		cp := &page[T]{own: own, data: append(make([]T, 0, pageSize), pg.data...)}
 		p.dir[i>>pageBits] = cp
+		p.copied++
 		pg = cp
 	}
 	return &pg.data[i&pageMask]
@@ -56,6 +59,7 @@ func (p *paged[T]) mut(i int, own *pageOwner) *T {
 func (p *paged[T]) append(v T, own *pageOwner) {
 	if p.n>>pageBits == len(p.dir) {
 		p.dir = append(p.dir, &page[T]{own: own, data: make([]T, pageSize)})
+		p.copied++
 	}
 	*p.mut(p.n, own) = v
 	p.n++
@@ -70,7 +74,7 @@ func (p *paged[T]) branch() paged[T] {
 // deepCopy returns a copy sharing nothing with the receiver, every page
 // owned by own.
 func (p *paged[T]) deepCopy(own *pageOwner) paged[T] {
-	c := paged[T]{dir: make([]*page[T], len(p.dir)), n: p.n}
+	c := paged[T]{dir: make([]*page[T], len(p.dir)), n: p.n, copied: len(p.dir)}
 	for i, pg := range p.dir {
 		c.dir[i] = &page[T]{own: own, data: append(make([]T, 0, pageSize), pg.data...)}
 	}

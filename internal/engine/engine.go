@@ -103,7 +103,8 @@ type Config struct {
 	// more parallelism; the index is shared, so shard count no longer
 	// multiplies memory.
 	Shards int
-	// Fanout is the VoR-tree node fanout (default 16).
+	// Fanout is ignored. It was the node fanout of the R-tree the plane
+	// index no longer has, and stays so that existing callers compile.
 	Fanout int
 	// MailboxDepth is the per-shard request queue length (default 128);
 	// senders block when a mailbox is full, providing backpressure.
@@ -197,9 +198,10 @@ type Stats struct {
 	// epoch (path-copy branch + mutations + publish), in microseconds;
 	// 0 before the first data update.
 	EpochPublishUS float64
-	// IndexNodes is the plane index node count; IndexNodesCopied is how
-	// many of them the latest epoch copied (the rest are shared with the
-	// previous snapshot — the path-copying publication at work).
+	// IndexNodes is the plane index's page count (triangulation faces,
+	// vertex-face hints and entry grid); IndexNodesCopied is how many of
+	// them the latest epoch copied (the rest are shared with the previous
+	// snapshot — the copy-on-write publication at work).
 	IndexNodes       int
 	IndexNodesCopied int
 	// NetPages is the network label-page count; NetPagesCopied is how many
@@ -308,7 +310,6 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		var err error
 		st, err = index.NewStore(index.Config{
-			Fanout:       cfg.Fanout,
 			LogDepth:     cfg.LogDepth,
 			Bounds:       cfg.Bounds,
 			Objects:      cfg.Objects,

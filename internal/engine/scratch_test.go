@@ -14,7 +14,7 @@ import (
 
 // TestSharedScratchSessionsMatchBruteForce puts 72 plane sessions of mixed
 // k and ρ on ONE shard, so every one of them searches through the same
-// scratch — visited stamps, frontier, R-tree iterator — and each keeps a
+// scratch — visited stamps, frontier, ring buffers — and each keeps a
 // hint of its own across other sessions' searches. Their updates interleave
 // in shuffled partial batches with object inserts beside sessions, removals
 // of answer members and, for the watched half, the sweep's eager refreshes.

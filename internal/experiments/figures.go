@@ -150,17 +150,24 @@ func AblationRerank(cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// AblationVorTree compares computing R with the VoR-tree (one best-first
-// descent + Voronoi expansion) against plain best-first R-tree kNN.
+// AblationVorTree compares computing R with the plane index (a walk from
+// the entry grid + Voronoi expansion) against plain best-first R-tree kNN,
+// the VoR-tree's seed: "visits" is the cold start's cells and distances,
+// against the R-tree's nodes.
 func AblationVorTree(cfg Config) ([]Row, error) {
 	ix, err := planeIndex(50000, cfg.seed(22))
 	if err != nil {
 		return nil, err
 	}
 	traj := trajectory.RandomWaypoint(Bounds, cfg.steps(2000), 50, cfg.seed(122))
-	tree := ix.Tree()
+	ids := ix.Diagram().IDs()
+	items := make([]baseline.RItem, len(ids))
+	for i, id := range ids {
+		items[i] = baseline.RItem{ID: id, P: ix.Point(id)}
+	}
+	tree := baseline.NewRTree(16, items)
 	var rows []Row
-	// knn returns the node visits of one search.
+	// knn returns what one search cost.
 	run := func(name string, knn func(geom.Point, int) int) Row {
 		start := nowMicros()
 		visits := 0
@@ -183,7 +190,7 @@ func AblationVorTree(cfg Config) ([]Row, error) {
 		return visits
 	}))
 	rows = append(rows, run("rtree-knn", func(p geom.Point, k int) int {
-		_, visits := tree.KNNWithVisits(p, k)
+		_, visits := tree.KNN(p, k)
 		return visits
 	}))
 	return rows, nil

@@ -59,7 +59,8 @@ const DefaultLogDepth = 4096
 // Network/NetworkSites the road-network side; at least one side must be
 // configured.
 type Config struct {
-	// Fanout is the VoR-tree node fanout (default 16).
+	// Fanout is ignored. It was the node fanout of the R-tree the plane
+	// index no longer has, and stays so that existing callers compile.
 	Fanout int
 	// LogDepth bounds the mutation log (default DefaultLogDepth).
 	LogDepth int
@@ -163,7 +164,6 @@ type Op struct {
 // Store owns the canonical indexes and publishes immutable epoch-versioned
 // snapshots. All methods are safe for concurrent use.
 type Store struct {
-	fanout int
 	bounds geom.Rect
 
 	cur       atomic.Pointer[Snapshot]
@@ -209,9 +209,6 @@ type Snapshot struct {
 // NewStore builds the canonical indexes and publishes the initial snapshot
 // at epoch 0.
 func NewStore(cfg Config) (*Store, error) {
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 16
-	}
 	if cfg.LogDepth <= 0 {
 		cfg.LogDepth = DefaultLogDepth
 	}
@@ -226,15 +223,15 @@ func NewStore(cfg Config) (*Store, error) {
 	if !hasPlane && cfg.Network == nil {
 		return nil, errors.New("index: config has neither plane objects nor a road network")
 	}
-	st := &Store{fanout: cfg.Fanout, bounds: cfg.Bounds, logDepth: cfg.LogDepth, obs: cfg.Obs}
+	st := &Store{bounds: cfg.Bounds, logDepth: cfg.LogDepth, obs: cfg.Obs}
 	var plane *vortree.Index
 	if hasPlane {
 		var ix *vortree.Index
 		var err error
 		if rs := cfg.Restore; rs != nil {
-			ix, err = vortree.Restore(cfg.Bounds, cfg.Fanout, rs.Plane, rs.NextID)
+			ix, err = vortree.Restore(cfg.Bounds, 0, rs.Plane, rs.NextID)
 		} else {
-			ix, _, err = vortree.Build(cfg.Bounds, cfg.Fanout, cfg.Objects)
+			ix, _, err = vortree.Build(cfg.Bounds, 0, cfg.Objects)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("index: build plane index: %w", err)
@@ -377,8 +374,8 @@ func (st *Store) RemoveSite(v int) error {
 // Apply applies a batch of mutations under at most ONE path-copied branch
 // per index side and ONE publish, and returns the object id of each
 // mutation in order. Publication is sublinear in the object count on both
-// sides: the plane branch shares every untouched R-tree node and Voronoi
-// overlay page, and the network branch shares every untouched
+// sides: the plane branch shares every untouched triangulation page (faces,
+// vertex-face hints, entry grid), and the network branch shares every untouched
 // shortest-path label page, with the snapshot it supersedes — the epoch
 // cost is proportional to the batch's structural footprint, not to the
 // index size. A failed mutation aborts the whole batch without publishing
@@ -626,8 +623,8 @@ func (st *Store) PublishStats() (publishes uint64, total time.Duration) {
 }
 
 // PlaneShareStats reports the structural sharing of the current plane
-// snapshot against its predecessor: the index nodes its publishing epoch
-// copied, and the total node count. Both are 0 without a plane index.
+// snapshot against its predecessor: the triangulation pages its publishing
+// epoch copied, and the total page count. Both are 0 without a plane index.
 func (st *Store) PlaneShareStats() (copied, total int) {
 	if p := st.cur.Load().plane; p != nil {
 		return p.ShareStats()

@@ -19,7 +19,7 @@ type Counters struct {
 	DistanceCalcs   int // point-to-point distance evaluations; in the plane, a validation's (the step from the anchor point, the kNN members, the guard objects the anchor bound cannot rule out) and a hint walk's, not a recomputation's Voronoi expansion
 	DijkstraRuns    int // shortest-path searches begun (road network mode): per update the AnchorBuilds, plus one unless the edge anchor's tables answer it (a recomputation continues its validation search)
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
-	NodeVisits      int // index nodes touched (stand-in for page I/O)
+	NodeVisits      int // index nodes or grid cells touched (stand-in for page I/O)
 
 	// The road-network split: of Validations, AnchoredValidations were
 	// decided from the session's edge anchor without a search and ended

@@ -59,7 +59,7 @@ func TestRunPlaneFleetValidation(t *testing.T) {
 }
 
 func TestRunPlaneFleetPropagatesErrors(t *testing.T) {
-	ix := vortree.New(testBounds, 16)
+	ix := vortree.New(testBounds)
 	q, err := core.NewPlaneQuery(ix, 1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func TestRunNetwork(t *testing.T) {
 }
 
 func TestRunPlanePropagatesErrors(t *testing.T) {
-	ix := vortree.New(testBounds, 16)
+	ix := vortree.New(testBounds)
 	q, err := core.NewPlaneQuery(ix, 1, 1)
 	if err != nil {
 		t.Fatal(err)

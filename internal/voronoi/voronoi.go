@@ -120,6 +120,17 @@ func (d *Diagram) AppendNeighbors(id int, dst []int, sc *NeighborScratch) ([]int
 // empty.
 func (d *Diagram) Nearest(p geom.Point) int { return d.tri.Nearest(p) }
 
+// NearestFrom is Nearest starting from site hint, if live, for at most
+// maxHops steps, with caller-supplied scratch and the cost of the search
+// (see delaunay.NearestFrom).
+func (d *Diagram) NearestFrom(p geom.Point, hint, maxHops int, sc *NeighborScratch) (id, cells, dists int) {
+	return d.tri.NearestFrom(p, hint, maxHops, sc)
+}
+
+// ShareStats reports the triangulation pages this version copied or
+// created since it was branched, and the total page count.
+func (d *Diagram) ShareStats() (copied, total int) { return d.tri.ShareStats() }
+
 // Cell materializes the order-1 Voronoi cell of site id clipped to the
 // diagram bounds, as a counter-clockwise convex polygon. The cell of a
 // site is fully determined by its Voronoi neighbors:

@@ -21,7 +21,7 @@ import (
 // nextID < 0 means "whatever the inserts reach".
 func insertBuilt(t testing.TB, bounds geom.Rect, objs []RestoreObject, nextID int) *Index {
 	t.Helper()
-	ix := New(bounds, 16)
+	ix := New(bounds)
 	pad := func(upTo int) {
 		for ix.NextID() < upTo {
 			if _, err := ix.diag.PadSite(); err != nil {
@@ -92,12 +92,6 @@ func compareIndexes(t *testing.T, bulk, ref *Index, bounds geom.Rect, unique boo
 	t.Helper()
 	if bulk.Len() != ref.Len() || bulk.NextID() != ref.NextID() {
 		t.Fatalf("Len %d, NextID %d; insert-built has %d, %d", bulk.Len(), bulk.NextID(), ref.Len(), ref.NextID())
-	}
-	if bulk.Tree().Len() != bulk.Len() {
-		t.Fatalf("R-tree holds %d items, diagram %d", bulk.Tree().Len(), bulk.Len())
-	}
-	if err := bulk.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	ids := bulk.Diagram().IDs()
 	if !slices.Equal(ids, ref.Diagram().IDs()) {
@@ -323,7 +317,7 @@ func TestBulkRestoreRejects(t *testing.T) {
 // TestBulkBranchIsolation publishes a bulk-built index as the snapshot
 // store does — Branch, mutate the branch — while readers keep searching
 // the frozen parent: its answers must not change, and under -race the
-// packed nodes and pages it shares with the branch must never be written.
+// pages it shares with the branch must never be written.
 func TestBulkBranchIsolation(t *testing.T) {
 	pts := randomPoints(5000, 58)
 	parent, ids, err := Build(testBounds, 16, pts)
@@ -434,7 +428,7 @@ func TestBulkDegenerateBuildTime(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild100k is the boot path: one VoR-tree over 100k uniform
+// BenchmarkBuild100k is the boot path: one plane index over 100k uniform
 // points, as index.NewStore builds it.
 func BenchmarkBuild100k(b *testing.B) {
 	pts := randomPoints(100000, 21)

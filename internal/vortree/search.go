@@ -6,16 +6,15 @@ import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/voronoi"
 )
 
 // KNN returns the k nearest objects to q in ascending distance order using
-// the VR-kNN strategy: one best-first R-tree descent for the nearest
-// object, then incremental expansion over stored Voronoi neighbor lists.
-// This touches O(k) Voronoi records instead of O(k) R-tree paths. It is
-// the cold form — each call allocates its working memory, O(k) of it;
-// callers that search repeatedly hold a SearchScratch and use AppendKNN.
+// the VR-kNN strategy: find the nearest object — here by a walk from the
+// triangulation's entry grid — then expand incrementally over stored
+// Voronoi neighbor lists, touching O(k) Voronoi records. It is the cold
+// form — each call allocates its working memory, O(k) of it; callers that
+// search repeatedly hold a SearchScratch and use AppendKNN.
 func (ix *Index) KNN(q geom.Point, k int) []int {
 	var sc SearchScratch
 	ids, _ := ix.AppendKNN(q, k, nil, &sc)
@@ -23,31 +22,30 @@ func (ix *Index) KNN(q geom.Point, k int) []int {
 }
 
 // NoHint is the hint of a search that knows no object near its query
-// point; the search then seeds itself from the R-tree.
+// point; the search then starts from the entry grid.
 const NoHint = -1
 
 // maxSeedHops bounds the hint walk. A hint is worth following only while
-// it is cheaper than the R-tree descent (about log_fanout(n) node visits):
-// a hint one or two cells away — a moving query's previous nearest object
-// — arrives in as many hops, while one across the data space would cost
-// O(√n) of them, so past this many the walk is abandoned for the descent.
+// it is cheaper than a cold start (one grid cell and a walk of about a
+// dozen distances): a hint one or two cells away — a moving query's
+// previous nearest object — arrives in as many hops, while one across the
+// data space would cost O(√n) of them, so past this many the walk is
+// abandoned for the grid.
 const maxSeedHops = 8
 
 // SearchCost is what one search spent finding its nearest object: the
-// R-tree nodes it touched (the page-I/O stand-in; 0 when a hint led there)
-// and the object distances the hint walk evaluated (0 without a live
-// hint). The Voronoi expansion that follows costs the same however the
-// search was seeded and is not counted here — including the distance it
-// evaluates for every object it reaches, which AppendPrefetch hands to its
-// caller.
+// entry-grid cells it read (the page-I/O stand-in: 1 for a cold start, 0
+// when a hint led there) and the object distances its walks evaluated. The
+// Voronoi expansion that follows costs the same however the search was
+// seeded and is not counted here — including the distance it evaluates for
+// every object it reaches, which AppendPrefetch hands to its caller.
 type SearchCost struct {
 	NodeVisits int
 	SeedDists  int
 }
 
 // SearchScratch is reusable working memory for AppendPrefetch, AppendKNN
-// and AppendINS: the best-first R-tree iterator, the Voronoi expansion
-// frontier, the visited set, the neighbor-walk buffers and a distance
+// and AppendINS: the Voronoi expansion frontier, the visited set, the neighbor-walk buffers and a distance
 // buffer a caller may borrow between searches (Dists). The zero value
 // is ready to use; a scratch serves any number of sequential searches
 // against any index version — or unrelated indexes — but must not be shared
@@ -62,7 +60,6 @@ type SearchCost struct {
 // The serving engine keeps one per shard worker for all of the worker's
 // sessions.
 type SearchScratch struct {
-	it    rtree.KNNIterator
 	pq    nnHeap
 	seen  []visitSlot // a power of two long, at most a quarter of it live
 	nSeen int
@@ -134,12 +131,13 @@ func (sc *SearchScratch) visit(id int) bool {
 	return true
 }
 
-// AppendKNN is KNN appending onto dst with caller-supplied scratch and the
-// exact R-tree node-visit count of this search. dst may be nil.
+// AppendKNN is KNN appending onto dst with caller-supplied scratch, and
+// what the cold start of this search cost: the grid cells read plus the
+// distances the walk evaluated. dst may be nil.
 func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([]int, int) {
 	var cost SearchCost
 	dst, sc.dists, cost = ix.expand(q, k, NoHint, dst, sc.dists[:0], sc)
-	return dst, cost.NodeVisits
+	return dst, cost.NodeVisits + cost.SeedDists
 }
 
 // AppendPrefetch is the server side of one INS recomputation in a single
@@ -159,11 +157,10 @@ func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([
 //
 // hint names an object believed to be near q (NoHint for none) — a moving
 // query passes the nearest object of its previous result. A hint that is
-// live in this index version replaces the R-tree descent by a greedy walk
-// over Voronoi neighbors, which ends at the exact nearest object because
-// the Delaunay graph contains the nearest-neighbor graph; a removed,
-// never-assigned or far-away hint falls back to the descent. Either way
-// the result is the same.
+// live in this index version starts the greedy walk over Voronoi neighbors
+// in place of the entry grid; a removed, never-assigned or far-away hint
+// falls back to the grid. Either way the walk ends at the exact nearest
+// object, and the result is the same.
 func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, dst []int, ds []float64, sc *SearchScratch) (ids []int, d2 []float64, nR int, cost SearchCost) {
 	base := len(dst)
 	dst, ds, cost = ix.expand(q, m, hint, dst, ds, sc)
@@ -213,10 +210,8 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, ds []float64, sc *
 	if k <= 0 || ix.Len() == 0 {
 		return dst, ds, SearchCost{}
 	}
-	start, cost, ok := ix.seed(q, hint, sc)
-	if !ok {
-		return dst, ds, cost
-	}
+	start, cells, dists := ix.diag.NearestFrom(q, hint, maxSeedHops, &sc.ring)
+	cost := SearchCost{NodeVisits: cells, SeedDists: dists}
 	sc.beginVisit()
 	sc.visit(start)
 	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})
@@ -239,64 +234,14 @@ func (ix *Index) expand(q geom.Point, k, hint int, dst []int, ds []float64, sc *
 	return dst, ds, cost
 }
 
-// seed finds the object nearest to q: by the walk from a live hint, else
-// by best-first R-tree descent. ok is false only on an empty index.
-func (ix *Index) seed(q geom.Point, hint int, sc *SearchScratch) (nearest int, cost SearchCost, ok bool) {
-	if hint >= 0 && ix.diag.Contains(hint) {
-		nearest, cost.SeedDists, ok = ix.walk(q, hint, sc)
-		if ok {
-			return nearest, cost, true
-		}
-	}
-	sc.it.Reset(ix.tree, q)
-	item, ok := sc.it.Next()
-	cost.NodeVisits = sc.it.Visited()
-	// Only the first item was wanted. Dropping the rest of the frontier now,
-	// not at the next search, keeps an idle scratch from pinning the R-tree
-	// nodes of a snapshot that has since been superseded.
-	sc.it.Release()
-	return item.ID, cost, ok
-}
-
-// walk is greedy descent on the Delaunay graph: from the live object from,
-// step to the Voronoi neighbor nearest to q until no neighbor is nearer.
-// It returns the nearest object and the number of distances it evaluated,
-// or ok == false when it gave up after maxSeedHops steps.
-func (ix *Index) walk(q geom.Point, from int, sc *SearchScratch) (nearest, dists int, ok bool) {
-	cur, best := from, q.Dist2(ix.diag.Site(from))
-	dists = 1
-	for hop := 0; hop <= maxSeedHops; hop++ {
-		nb, err := ix.diag.AppendNeighbors(cur, sc.nb[:0], &sc.ring)
-		sc.nb = nb[:0]
-		if err != nil {
-			return 0, dists, false
-		}
-		next := cur
-		for _, u := range nb {
-			if d := q.Dist2(ix.diag.Site(u)); d < best {
-				best, next = d, u
-			}
-		}
-		dists += len(nb)
-		if next == cur {
-			return cur, dists, true
-		}
-		cur = next
-	}
-	return 0, dists, false
-}
-
 type nnEntry struct {
 	id int
 	d2 float64
 }
 
 // nnHeap is a hand-rolled binary min-heap; container/heap would box every
-// nnEntry pushed, one allocation per expanded Voronoi neighbor. It is the
-// structural twin of rtree's knnHeap, kept separate (rather than behind a
-// generic with a comparison func) so the comparison inlines in the hot
-// loop; unlike knnHeap, pop need not zero the vacated slot because
-// nnEntry holds no pointers.
+// nnEntry pushed, one allocation per expanded Voronoi neighbor. pop need
+// not zero the vacated slot because nnEntry holds no pointers.
 type nnHeap []nnEntry
 
 func (h nnHeap) less(i, j int) bool {

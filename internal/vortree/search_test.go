@@ -134,7 +134,7 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 				hints := []struct {
 					name string
 					id   int
-					dead bool // not live: must seed from the R-tree
+					dead bool // not live: must start from the grid
 				}{
 					{"none", NoHint, true},
 					{"previous R[0]", prev, prev == NoHint},
@@ -147,11 +147,11 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 					ids, ds, nR, cost := ix.AppendPrefetch(q, m, hint.id, buf[:0], dbuf[:0], &sc)
 					buf, dbuf = ids, ds
 					checkPrefetchAgainst(t, ix, q, m, ids, ds, nR, want)
-					if hint.dead && (cost.SeedDists != 0 || cost.NodeVisits == 0) {
-						t.Fatalf("hint %q: cost %+v, want an R-tree descent and no walk", hint.name, cost)
+					if hint.dead && cost.NodeVisits != 1 {
+						t.Fatalf("hint %q: cost %+v, want one grid cell read", hint.name, cost)
 					}
-					if cost.SeedDists == 0 && cost.NodeVisits == 0 {
-						t.Fatalf("hint %q: search found its seed at no cost: %+v", hint.name, cost)
+					if cost.NodeVisits > 1 || cost.SeedDists == 0 {
+						t.Fatalf("hint %q: cost %+v, want at most one grid cell and a walk", hint.name, cost)
 					}
 				}
 				prev = buf[0]
@@ -186,8 +186,9 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 }
 
 // TestHintWalkCost pins down what the hint buys and what bounds it: a near
-// hint finds the nearest object without touching the R-tree, a hint across
-// the data space is abandoned after the hop budget for the descent.
+// hint finds the nearest object without reading the grid, a hint across the
+// data space is abandoned after the hop budget for the cold start, which
+// reads one grid cell and walks a few steps from its entry.
 func TestHintWalkCost(t *testing.T) {
 	ix, _, err := Build(testBounds, 16, randomPoints(20000, 7))
 	if err != nil {
@@ -195,20 +196,23 @@ func TestHintWalkCost(t *testing.T) {
 	}
 	var sc SearchScratch
 	q := geom.Pt(500, 500)
-	ids, _, _, cost := ix.AppendPrefetch(q, 12, NoHint, nil, nil, &sc)
-	if cost.NodeVisits == 0 || cost.SeedDists != 0 {
-		t.Fatalf("no hint: cost %+v, want R-tree visits only", cost)
+	ids, _, _, cold := ix.AppendPrefetch(q, 12, NoHint, nil, nil, &sc)
+	if cold.NodeVisits != 1 || cold.SeedDists == 0 || cold.SeedDists > 40 {
+		t.Fatalf("no hint: cost %+v, want one grid cell and a short walk", cold)
 	}
-	_, _, _, cost = ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], nil, &sc)
+	if _, visits := ix.AppendKNN(q, 12, ids[:0], &sc); visits != cold.NodeVisits+cold.SeedDists {
+		t.Fatalf("AppendKNN reports a cold start costing %d, AppendPrefetch %+v", visits, cold)
+	}
+	_, _, _, cost := ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], nil, &sc)
 	if cost.NodeVisits != 0 || cost.SeedDists == 0 {
-		t.Fatalf("near hint: cost %+v, want a walk and no R-tree visit", cost)
+		t.Fatalf("near hint: cost %+v, want a walk and no grid cell", cost)
 	}
 	_, _, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), ids[:0], nil, &sc)
-	if cost.NodeVisits == 0 || cost.SeedDists == 0 {
-		t.Fatalf("far hint: cost %+v, want an abandoned walk then the descent", cost)
+	if cost.NodeVisits != 1 || cost.SeedDists <= cold.SeedDists {
+		t.Fatalf("far hint: cost %+v, want an abandoned walk then the cold start (%+v)", cost, cold)
 	}
-	if maxDists := (maxSeedHops + 1) * 20; cost.SeedDists > maxDists {
-		t.Fatalf("far hint: walk evaluated %d distances, budget allows about %d", cost.SeedDists, maxDists)
+	if maxDists := (maxSeedHops+1)*20 + cold.SeedDists; cost.SeedDists > maxDists {
+		t.Fatalf("far hint: walks evaluated %d distances, budget allows about %d", cost.SeedDists, maxDists)
 	}
 }
 
@@ -232,27 +236,10 @@ func TestFusedVisitedEpochWrap(t *testing.T) {
 	}
 }
 
-// TestHintlessSearchReleasesIterator: the R-tree descent keeps only its
-// first item, so once a search returns its scratch holds no R-tree node
-// (the GC side of this is rtree's TestIteratorReleaseUnpinsSupersededNodes).
-func TestHintlessSearchReleasesIterator(t *testing.T) {
-	ix, _, err := Build(testBounds, 16, randomPoints(2000, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc SearchScratch
-	if _, visits := ix.AppendKNN(geom.Pt(10, 10), 5, nil, &sc); visits == 0 {
-		t.Fatal("search did not descend the R-tree")
-	}
-	if item, ok := sc.it.Next(); ok {
-		t.Fatalf("scratch iterator still yields %v after the search: its frontier was not released", item)
-	}
-}
-
 // BenchmarkRecompute is the vortree row of the per-layer ledger without the
 // harness: one R + I(R) recomputation for a query that moved about one
-// object spacing since its last result, seeded from the R-tree and from the
-// previous nearest object.
+// object spacing since its last result, started cold from the entry grid
+// and from the previous nearest object.
 func BenchmarkRecompute(b *testing.B) {
 	const n, m = 100000, 12 // ⌊1.6·8⌋
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
@@ -278,7 +265,7 @@ func BenchmarkRecompute(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		hinted bool
-	}{{"rtree_seed", false}, {"hint_seed", true}} {
+	}{{"cold_seed", false}, {"hint_seed", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var sc SearchScratch
 			var buf []int
@@ -296,7 +283,7 @@ func BenchmarkRecompute(b *testing.B) {
 				visits += cost.NodeVisits
 				dists += cost.SeedDists
 			}
-			b.ReportMetric(float64(visits)/float64(b.N), "nodevisits/op")
+			b.ReportMetric(float64(visits)/float64(b.N), "cells/op")
 			b.ReportMetric(float64(dists)/float64(b.N), "seeddists/op")
 		})
 	}

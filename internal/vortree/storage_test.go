@@ -19,12 +19,12 @@ func heapLive() uint64 {
 }
 
 // TestPlaneHeapBudget holds the plane side to its storage budget, the twin of
-// netvor's TestNetworkHeapBudget: a built index retains at most 115 bytes per
-// object (points 16, two 24-byte faces 48, vertex-face hints 4, R-tree ~31,
-// page directories), and a search scratch that has served k = 20, ρ = 1.6
-// recomputations at most 16 KB — at 10k objects, at 100k, and after 50k
-// inserts and 50k removals have pushed the id space half again as far: it is
-// sized by the search, not by the index.
+// netvor's TestNetworkHeapBudget: a built index retains at most 85 bytes per
+// object (points 16, two 24-byte faces 48, vertex-face hints 4, entry grid
+// 2.6, page headers and directories), and a search scratch that has served
+// k = 20, ρ = 1.6 recomputations at most 16 KB — at 10k objects, at 100k,
+// and after 50k inserts and 50k removals have pushed the id space half
+// again as far: it is sized by the search, not by the index.
 func TestPlaneHeapBudget(t *testing.T) {
 	const (
 		m         = 32 // ⌊1.6·20⌋
@@ -36,7 +36,7 @@ func TestPlaneHeapBudget(t *testing.T) {
 		var buf []int
 		for i := range scs {
 			hint := NoHint
-			for j := 0; j < 8; j++ { // the R-tree descent first, then hint walks
+			for j := 0; j < 8; j++ { // a cold start first, then hint walks
 				q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 				ids, _, nR, _ := ix.AppendPrefetch(q, m, hint, buf[:0], nil, &scs[i])
 				if nR != m {
@@ -67,8 +67,8 @@ func TestPlaneHeapBudget(t *testing.T) {
 		runtime.KeepAlive(pts)
 		perObject := float64(built-before) / float64(n)
 		t.Logf("%d objects: index %.1f B per object", n, perObject)
-		if n >= 50000 && perObject > 115 {
-			t.Errorf("%d objects: the index retains %.1f B per object, budget 115", n, perObject)
+		if n >= 50000 && perObject > 85 {
+			t.Errorf("%d objects: the index retains %.1f B per object, budget 85", n, perObject)
 		}
 		scs := make([]SearchScratch, scratches)
 		per := scratchBytes(ix, scs, 52)
@@ -242,7 +242,7 @@ func TestVisitedSetSteadyStateAllocatesNothing(t *testing.T) {
 		hint := buf[0]
 		for i, ix := range ixs {
 			if allocs := testing.AllocsPerRun(20, search(ix, m, NoHint)); allocs != 0 {
-				t.Errorf("m=%d, index %d: %.1f allocs per R-tree-seeded AppendPrefetch, want 0", m, i, allocs)
+				t.Errorf("m=%d, index %d: %.1f allocs per cold AppendPrefetch, want 0", m, i, allocs)
 			}
 		}
 		if allocs := testing.AllocsPerRun(20, search(ixs[0], 32, hint)); allocs != 0 {

@@ -70,21 +70,6 @@ func TestBuildAndKNN(t *testing.T) {
 	}
 }
 
-func TestNNAgreesWithRtreeAndDiagram(t *testing.T) {
-	ix, _, err := Build(testBounds, 8, randomPoints(300, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		a, b := ix.NN(q), ix.Diagram().Nearest(q)
-		if a != b && q.Dist2(ix.Point(a)) != q.Dist2(ix.Point(b)) {
-			t.Fatalf("NN disagreement: rtree %d vs voronoi %d", a, b)
-		}
-	}
-}
-
 func TestInsertRemoveConsistency(t *testing.T) {
 	ix, ids, err := Build(testBounds, 8, randomPoints(150, 5))
 	if err != nil {
@@ -117,7 +102,7 @@ func TestInsertRemoveConsistency(t *testing.T) {
 }
 
 func TestInsertDuplicate(t *testing.T) {
-	ix := New(testBounds, 8)
+	ix := New(testBounds)
 	id1, err := ix.Insert(geom.Pt(10, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -135,19 +120,16 @@ func TestInsertDuplicate(t *testing.T) {
 }
 
 func TestRemoveUnknown(t *testing.T) {
-	ix := New(testBounds, 8)
+	ix := New(testBounds)
 	if err := ix.Remove(42); err == nil {
 		t.Error("expected error removing unknown id")
 	}
 }
 
 func TestKNNEmptyAndSmall(t *testing.T) {
-	ix := New(testBounds, 8)
+	ix := New(testBounds)
 	if got := ix.KNN(geom.Pt(5, 5), 3); got != nil {
 		t.Errorf("KNN on empty index = %v", got)
-	}
-	if got := ix.NN(geom.Pt(5, 5)); got != -1 {
-		t.Errorf("NN on empty index = %d, want -1", got)
 	}
 	id, _ := ix.Insert(geom.Pt(7, 7))
 	if got := ix.KNN(geom.Pt(5, 5), 3); len(got) != 1 || got[0] != id {

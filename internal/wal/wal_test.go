@@ -25,7 +25,6 @@ func testConfig(t *testing.T) index.Config {
 		t.Fatal(err)
 	}
 	return index.Config{
-		Fanout:       8,
 		Bounds:       testBounds,
 		Objects:      workload.Uniform(40, testBounds, 1),
 		Network:      g,
