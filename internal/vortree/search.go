@@ -45,11 +45,11 @@ type SearchCost struct {
 }
 
 // SearchScratch is reusable working memory for AppendPrefetch, AppendKNN
-// and AppendINS: the Voronoi expansion frontier, the visited set, the neighbor-walk buffers and a distance
-// buffer a caller may borrow between searches (Dists). The zero value
-// is ready to use; a scratch serves any number of sequential searches
-// against any index version — or unrelated indexes — but must not be shared
-// across goroutines.
+// and AppendINS: the Voronoi expansion frontier, the visited set, the
+// neighbor-walk buffers and a distance buffer a caller may borrow between
+// searches (Dists). The zero value is ready to use; a scratch serves any
+// number of sequential searches against any index version — or unrelated
+// indexes — but must not be shared across goroutines.
 //
 // The visited set holds the ids the current search reached and nothing
 // else: an open-addressed table, epoch-stamped, so its logical clear is a
