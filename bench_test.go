@@ -15,10 +15,10 @@ import (
 	"testing"
 
 	insq "repro"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/index"
+	"repro/internal/rtree"
 	"repro/internal/voronoi"
 )
 
@@ -340,11 +340,11 @@ func BenchmarkAblationVorTreeKNN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	items := make([]baseline.RItem, len(pts))
+	items := make([]rtree.Item, len(pts))
 	for i, p := range pts {
-		items[i] = baseline.RItem{ID: ids[i], P: p}
+		items[i] = rtree.Item{ID: ids[i], P: p}
 	}
-	tree := baseline.NewRTree(16, items)
+	tree := rtree.BulkLoad(16, items)
 	qs := insq.RandomWaypoint(benchBounds, 1024, 50, 122)
 	b.Run("vortree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

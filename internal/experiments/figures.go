@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
+	"repro/internal/rtree"
 	"repro/internal/sim"
 	"repro/internal/trajectory"
 	"repro/internal/voronoi"
@@ -161,11 +162,11 @@ func AblationVorTree(cfg Config) ([]Row, error) {
 	}
 	traj := trajectory.RandomWaypoint(Bounds, cfg.steps(2000), 50, cfg.seed(122))
 	ids := ix.Diagram().IDs()
-	items := make([]baseline.RItem, len(ids))
+	items := make([]rtree.Item, len(ids))
 	for i, id := range ids {
-		items[i] = baseline.RItem{ID: id, P: ix.Point(id)}
+		items[i] = rtree.Item{ID: id, P: ix.Point(id)}
 	}
-	tree := baseline.NewRTree(16, items)
+	tree := rtree.BulkLoad(16, items)
 	var rows []Row
 	// knn returns what one search cost.
 	run := func(name string, knn func(geom.Point, int) int) Row {

@@ -1,4 +1,11 @@
-package baseline
+// Package rtree is the plain R-tree kNN that ablation A2 measures the
+// plane index's Voronoi expansion against: a static tree packed
+// sort-tile-recursive (Leutenegger et al.) and searched best first
+// (Hjaltason and Samet), every node it expands counted as one page read.
+// It is built once and never mutated. It is not on the serving path: the
+// plane index has no R-tree and starts cold searches from the
+// triangulation's entry grid (see package vortree).
+package rtree
 
 import (
 	"cmp"
@@ -8,49 +15,45 @@ import (
 	"repro/internal/geom"
 )
 
-// RTree is the plain R-tree kNN that ablation A2 measures the Voronoi
-// expansion against: a static tree packed sort-tile-recursive (Leutenegger
-// et al.) and searched best first (Hjaltason and Samet), every node it
-// expands counted as one page read. It is built once and never mutated;
-// the serving index has no R-tree (see package vortree).
-type RTree struct {
-	root *rnode
+// Tree is a packed, immutable R-tree over points.
+type Tree struct {
+	root *node
 	size int
 }
 
-// RItem is one indexed point with its caller-chosen id.
-type RItem struct {
+// Item is one indexed point with its caller-chosen id.
+type Item struct {
 	ID int
 	P  geom.Point
 }
 
-type rnode struct {
+type node struct {
 	rect     geom.Rect
-	children []*rnode // nil at leaves
-	items    []RItem
+	children []*node // nil at leaves
+	items    []Item
 }
 
-// NewRTree packs items into a tree of the given fanout (at least 4). Each
+// BulkLoad packs items into a tree of the given fanout (at least 4). Each
 // level is sorted by x, cut into about √g vertical strips, each strip
 // sorted by y and cut into g tiles in all, g being the node count that
 // leaves each node three quarters full — the packing of the dynamic tree
 // the plane index used to carry, so A2 measures the same tree. items is
 // reordered and not kept.
-func NewRTree(fanout int, items []RItem) *RTree {
+func BulkLoad(fanout int, items []Item) *Tree {
 	fanout = max(fanout, 4)
-	t := &RTree{size: len(items)}
+	t := &Tree{size: len(items)}
 	if len(items) == 0 {
 		return t
 	}
 	level := pack(items, fanout,
-		func(a, b RItem) int { return cmp.Compare(a.P.X, b.P.X) },
-		func(a, b RItem) int { return cmp.Compare(a.P.Y, b.P.Y) },
-		func(run []RItem) *rnode { return &rnode{items: run} })
+		func(a, b Item) int { return cmp.Compare(a.P.X, b.P.X) },
+		func(a, b Item) int { return cmp.Compare(a.P.Y, b.P.Y) },
+		func(run []Item) *node { return &node{items: run} })
 	for len(level) > 1 {
 		level = pack(level, fanout,
-			func(a, b *rnode) int { return cmp.Compare(a.rect.Min.X+a.rect.Max.X, b.rect.Min.X+b.rect.Max.X) },
-			func(a, b *rnode) int { return cmp.Compare(a.rect.Min.Y+a.rect.Max.Y, b.rect.Min.Y+b.rect.Max.Y) },
-			func(run []*rnode) *rnode { return &rnode{children: run} })
+			func(a, b *node) int { return cmp.Compare(a.rect.Min.X+a.rect.Max.X, b.rect.Min.X+b.rect.Max.X) },
+			func(a, b *node) int { return cmp.Compare(a.rect.Min.Y+a.rect.Max.Y, b.rect.Min.Y+b.rect.Max.Y) },
+			func(run []*node) *node { return &node{children: run} })
 	}
 	t.root = level[0]
 	return t
@@ -59,7 +62,7 @@ func NewRTree(fanout int, items []RItem) *RTree {
 // pack builds one level: it tiles the entries s (reordering them) into
 // nodes of the given fanout, each made by mk over its own copy of an even
 // share of the entries.
-func pack[E any](s []E, fanout int, byX, byY func(a, b E) int, mk func(run []E) *rnode) []*rnode {
+func pack[E any](s []E, fanout int, byX, byY func(a, b E) int, mk func(run []E) *node) []*node {
 	// Three quarters full, but never so many nodes that an even share
 	// falls below fanout/2 (a level of 13 is one node, not 7+6).
 	fill := fanout - fanout/4
@@ -71,7 +74,7 @@ func pack[E any](s []E, fanout int, byX, byY func(a, b E) int, mk func(run []E) 
 	for i := 0; i < strips; i++ {
 		slices.SortFunc(s[cut(i*groups/strips):cut((i+1)*groups/strips)], byY)
 	}
-	level := make([]*rnode, groups)
+	level := make([]*node, groups)
 	for j := range level {
 		n := mk(slices.Clone(s[cut(j):cut(j+1)]))
 		if n.children == nil {
@@ -91,17 +94,17 @@ func pack[E any](s []E, fanout int, byX, byY func(a, b E) int, mk func(run []E) 
 }
 
 // Len returns the number of indexed points.
-func (t *RTree) Len() int { return t.size }
+func (t *Tree) Len() int { return t.size }
 
 // KNN returns the k nearest items to q in ascending distance order, ties
 // by id, and the number of nodes the search expanded.
-func (t *RTree) KNN(q geom.Point, k int) ([]RItem, int) {
+func (t *Tree) KNN(q geom.Point, k int) ([]Item, int) {
 	if k <= 0 || t.size == 0 {
 		return nil, 0
 	}
-	out := make([]RItem, 0, min(k, t.size))
+	out := make([]Item, 0, min(k, t.size))
 	visits := 0
-	pq := rHeap{{node: t.root, d2: t.root.rect.Dist2Point(q)}}
+	pq := entryHeap{{node: t.root, d2: t.root.rect.Dist2Point(q)}}
 	for len(pq) > 0 && len(out) < k {
 		e := pq.pop()
 		if e.node == nil {
@@ -110,27 +113,27 @@ func (t *RTree) KNN(q geom.Point, k int) ([]RItem, int) {
 		}
 		visits++
 		for _, it := range e.node.items {
-			pq.push(rEntry{item: it, d2: q.Dist2(it.P)})
+			pq.push(entry{item: it, d2: q.Dist2(it.P)})
 		}
 		for _, c := range e.node.children {
-			pq.push(rEntry{node: c, d2: c.rect.Dist2Point(q)})
+			pq.push(entry{node: c, d2: c.rect.Dist2Point(q)})
 		}
 	}
 	return out, visits
 }
 
-// rEntry is a node still to expand, or an item (node nil) still to report.
-type rEntry struct {
-	node *rnode
-	item RItem
+// entry is a node still to expand, or an item (node nil) still to report.
+type entry struct {
+	node *node
+	item Item
 	d2   float64
 }
 
-// rHeap is a binary min-heap of entries: by distance, then items before
-// nodes, then by id, so equal distances come out in a fixed order.
-type rHeap []rEntry
+// entryHeap is a binary min-heap of entries: by distance, then items
+// before nodes, then by id, so equal distances come out in a fixed order.
+type entryHeap []entry
 
-func (h rHeap) less(i, j int) bool {
+func (h entryHeap) less(i, j int) bool {
 	if h[i].d2 != h[j].d2 {
 		return h[i].d2 < h[j].d2
 	}
@@ -140,7 +143,7 @@ func (h rHeap) less(i, j int) bool {
 	return h[i].item.ID < h[j].item.ID
 }
 
-func (h *rHeap) push(e rEntry) {
+func (h *entryHeap) push(e entry) {
 	*h = append(*h, e)
 	s := *h
 	for i := len(s) - 1; i > 0; {
@@ -153,7 +156,7 @@ func (h *rHeap) push(e rEntry) {
 	}
 }
 
-func (h *rHeap) pop() rEntry {
+func (h *entryHeap) pop() entry {
 	s := *h
 	top := s[0]
 	last := len(s) - 1

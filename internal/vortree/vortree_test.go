@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
 var testBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
@@ -66,6 +67,38 @@ func TestBuildAndKNN(t *testing.T) {
 			if !sameIDSet(got, want) {
 				t.Fatalf("KNN(%v,%d) = %v, want %v", q, k, got, want)
 			}
+		}
+	}
+}
+
+// TestNNAgreesWithRtreeAndDiagram: the index's cold nearest object (a walk
+// from the entry grid) agrees with best-first search of a packed R-tree
+// over the same objects and with the diagram's own nearest site, inside
+// the bounds and past them.
+func TestNNAgreesWithRtreeAndDiagram(t *testing.T) {
+	ix, ids, err := Build(testBounds, 8, randomPoints(300, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]rtree.Item, len(ids))
+	for i, id := range ids {
+		items[i] = rtree.Item{ID: id, P: ix.Point(id)}
+	}
+	tree := rtree.BulkLoad(8, items)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200; i++ {
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if i%4 == 0 {
+			q = geom.Pt(rng.Float64()*3000-1000, rng.Float64()*3000-1000)
+		}
+		knn := ix.KNN(q, 1)
+		nn, _ := tree.KNN(q, 1)
+		if len(knn) != 1 || len(nn) != 1 {
+			t.Fatalf("nearest of %v: index %v, rtree %v", q, knn, nn)
+		}
+		a, b, c := knn[0], nn[0].ID, ix.Diagram().Nearest(q)
+		if d := q.Dist2(ix.Point(a)); d != q.Dist2(ix.Point(b)) || d != q.Dist2(ix.Point(c)) {
+			t.Fatalf("nearest of %v: index %d, rtree %d, voronoi %d", q, a, b, c)
 		}
 	}
 }
