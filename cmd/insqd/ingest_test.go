@@ -178,6 +178,41 @@ func TestIngestStreamTCP(t *testing.T) {
 	}
 }
 
+// TestRemoveOutOfRangeID: removing a plane object id no object ever had,
+// including the three largest int64s (where the index once wrapped onto a
+// super-triangle corner and panicked), answers 404 over HTTP and
+// unknown_object over a raw TCP ingest connection, and the server keeps
+// serving both afterwards.
+func TestRemoveOutOfRangeID(t *testing.T) {
+	ts, ln, _ := newIngestServer(t, 0)
+	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	sid, err := c.CreateSession(2, 1.6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := insqclient.DialIngestTCP(context.Background(), ln.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	for _, id := range []uint64{math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64, math.MaxUint64} {
+		if code := doDelete(t, fmt.Sprintf("%s/v1/objects/%d", ts.URL, id)); code != http.StatusNotFound {
+			t.Fatalf("DELETE /v1/objects/%d: status %d, want 404", id, code)
+		}
+		ack, err := ing.Call(api.IngestBatch{Mutations: []index.Mutation{{ID: int(id)}}})
+		if err != nil || ack.Code != api.CodeUnknownObject {
+			t.Fatalf("ingest remove %d: ack %+v, err %v, want unknown_object", id, ack, err)
+		}
+	}
+	ack, err := ing.Call(api.IngestBatch{WantResults: true, Updates: []api.UpdateEntry{{Session: sid, X: 50, Y: 50}}})
+	if err != nil || ack.Code != api.CodeOK || len(ack.Results) != 1 || len(ack.Results[0].KNN) != 2 {
+		t.Fatalf("update after the refused removals: ack %+v, err %v", ack, err)
+	}
+	if st, err := c.Stats(); err != nil || st.Epoch != 0 {
+		t.Fatalf("stats after the refused removals: epoch %d, err %v", st.Epoch, err)
+	}
+}
+
 // TestIngestRejectsInvalidPositions: positions the session's space does not
 // have answer bad_request per entry over binary ingest, whose float codec
 // carries any bit pattern: a plane point with a NaN or infinite coordinate,

@@ -80,8 +80,8 @@ func TestServerNetworkEndToEnd(t *testing.T) {
 	}
 	initialSites := st.NetworkObjects
 	for {
-		if _, err := e.InsertNetworkObject(home); err == nil {
-			if err := e.RemoveNetworkObject(home); err != nil {
+		if err := mutate(e, insq.Mutation{Network: true, Insert: true, ID: home}); err == nil {
+			if err := mutate(e, insq.Mutation{Network: true, ID: home}); err != nil {
 				t.Fatal(err)
 			}
 			break // home was free (probe insert undone)
@@ -177,10 +177,10 @@ func firstSite(t *testing.T, e *insq.Engine) int {
 	// Probe vertices until one rejects insertion as a duplicate — that
 	// one is a live site. Cheap on the small test grid.
 	for v := 0; ; v++ {
-		if _, err := e.InsertNetworkObject(v); err != nil {
+		if err := mutate(e, insq.Mutation{Network: true, Insert: true, ID: v}); err != nil {
 			return v
 		}
-		if err := e.RemoveNetworkObject(v); err != nil {
+		if err := mutate(e, insq.Mutation{Network: true, ID: v}); err != nil {
 			t.Fatal(err)
 		}
 	}

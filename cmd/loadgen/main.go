@@ -628,7 +628,7 @@ func (t inprocTarget) closeSession(sid uint64) error {
 }
 
 func (t inprocTarget) update(entries []api.UpdateEntry) (*api.UpdateResponse, error) {
-	results, err := t.e.UpdateBatch(api.NewLocationUpdates(entries))
+	results, err := t.e.UpdateBatchCtx(context.Background(), api.NewLocationUpdates(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +637,7 @@ func (t inprocTarget) update(entries []api.UpdateEntry) (*api.UpdateResponse, er
 }
 
 func (t inprocTarget) networkUpdate(entries []api.NetworkUpdateEntry) (*api.UpdateResponse, error) {
-	results, err := t.e.UpdateNetworkBatch(api.NewNetworkLocationUpdates(entries))
+	results, err := t.e.UpdateNetworkBatchCtx(context.Background(), api.NewNetworkLocationUpdates(entries))
 	if err != nil {
 		return nil, err
 	}
@@ -645,18 +645,31 @@ func (t inprocTarget) networkUpdate(entries []api.NetworkUpdateEntry) (*api.Upda
 	return &resp, nil
 }
 
-func (t inprocTarget) insertObject(x, y float64) (int, error) {
-	return t.e.InsertObject(insq.Pt(x, y))
+// apply runs one mutation as a one-entry batch and returns its id.
+func (t inprocTarget) apply(m insq.Mutation) (int, error) {
+	ids, err := t.e.ApplyMutations(context.Background(), []insq.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }
 
-func (t inprocTarget) removeObject(id int) error { return t.e.RemoveObject(id) }
+func (t inprocTarget) insertObject(x, y float64) (int, error) {
+	return t.apply(insq.Mutation{Insert: true, P: insq.Pt(x, y)})
+}
+
+func (t inprocTarget) removeObject(id int) error {
+	_, err := t.apply(insq.Mutation{ID: id})
+	return err
+}
 
 func (t inprocTarget) insertNetworkObject(vertex int) (int, error) {
-	return t.e.InsertNetworkObject(vertex)
+	return t.apply(insq.Mutation{Network: true, Insert: true, ID: vertex})
 }
 
 func (t inprocTarget) removeNetworkObject(vertex int) error {
-	return t.e.RemoveNetworkObject(vertex)
+	_, err := t.apply(insq.Mutation{Network: true, ID: vertex})
+	return err
 }
 
 // subscribe consumes the engine's broker directly — the push-latency

@@ -51,7 +51,8 @@
 //
 //	e, err := insq.NewEngine(insq.EngineConfig{Shards: 8, Bounds: bounds, Objects: objects})
 //	sid, err := e.CreateSession(5, 1.6)
-//	results, err := e.UpdateBatch([]insq.LocationUpdate{{Session: sid, Pos: pos}})
+//	results, err := e.UpdateBatchCtx(ctx, []insq.LocationUpdate{{Session: sid, Pos: pos}})
+//	ids, err := e.ApplyMutations(ctx, []insq.Mutation{{Insert: true, P: insq.Pt(10, 20)}})
 //
 // cmd/insqd fronts the engine with an HTTP/JSON API and cmd/loadgen drives
 // it with thousands of synthetic moving clients.

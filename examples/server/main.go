@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,13 +54,14 @@ func main() {
 	// update; the engine fans it out to the shards and gathers results.
 	// Every tenth step also mutates the object set: affected sessions are
 	// invalidated and recompute lazily, the rest never notice.
+	ctx := context.Background()
 	var churned []int
 	for s := 0; s < steps; s++ {
 		batch := make([]insq.LocationUpdate, sessions)
 		for i := range sids {
 			batch[i] = insq.LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := e.UpdateBatchCtx(ctx, batch)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,14 +71,14 @@ func main() {
 			}
 		}
 		if s%10 == 5 {
-			id, err := e.InsertObject(insq.Pt(float64(s)*37, float64(s)*91))
+			ids, err := e.ApplyMutations(ctx, []insq.Mutation{{Insert: true, P: insq.Pt(float64(s)*37, float64(s)*91)}})
 			if err != nil {
 				log.Fatal(err)
 			}
-			churned = append(churned, id)
+			churned = append(churned, ids[0])
 		}
 		if len(churned) > 2 {
-			if err := e.RemoveObject(churned[0]); err != nil {
+			if _, err := e.ApplyMutations(ctx, []insq.Mutation{{ID: churned[0]}}); err != nil {
 				log.Fatal(err)
 			}
 			churned = churned[1:]

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
@@ -51,14 +52,10 @@ type (
 	NetworkVoronoi = netvor.Diagram
 )
 
-// DefaultFanout is ignored: it was the node fanout of the R-tree the plane
-// index no longer has, and stays so that existing callers compile.
-const DefaultFanout = 16
-
 // BuildPlaneIndex constructs the plane index over the data objects; returned
 // ids parallel pts. Exact duplicates collapse to one object.
 func BuildPlaneIndex(bounds Rect, pts []Point) (*PlaneIndex, []int, error) {
-	return vortree.Build(bounds, DefaultFanout, pts)
+	return vortree.Build(bounds, 0, pts)
 }
 
 // BuildNetworkVoronoi computes the network Voronoi diagram of data objects
@@ -242,6 +239,10 @@ type (
 	NetworkLocationUpdate = engine.NetworkLocationUpdate
 	// UpdateResult is the per-session outcome of a batched update.
 	UpdateResult = engine.UpdateResult
+	// Mutation is one entry of an Engine.ApplyMutations batch: a plane
+	// object insert (P) or removal (ID), or, with Network set, a network
+	// site insert or removal at vertex ID.
+	Mutation = index.Mutation
 	// EngineStats is an aggregated engine serving snapshot.
 	EngineStats = engine.Stats
 	// SessionState is a point-in-time kNN snapshot of one live session.
@@ -251,7 +252,7 @@ type (
 )
 
 // Continuous-query push streaming (Engine.Stream): incremental kNN result
-// deltas delivered to subscribers instead of polled via UpdateBatch.
+// deltas delivered to subscribers instead of polled via UpdateBatchCtx.
 type (
 	// StreamBroker fans per-session result events out to subscribers with
 	// bounded, coalescing queues; reach it via Engine.Stream().

@@ -27,9 +27,10 @@ import (
 // payloads are ack frames (FrameAck); every batch is answered by exactly
 // one ack carrying the batch's echoed Seq and a status byte from the
 // shared error table (FrameCode). Integers travel as uvarints, floats as
-// little-endian IEEE-754 bits — the same compact codec the WAL uses for
-// index.Mutation records. Per-session results are elided from acks
-// unless the batch sets WantResults.
+// little-endian IEEE-754 bits; a batch's mutations are written by
+// index.AppendMutations, the encoding the WAL's batch records use too.
+// Per-session results are elided from acks unless the batch sets
+// WantResults.
 
 const (
 	// ClientMagic/ServerMagic open an ingest stream in each direction; a
@@ -145,12 +146,6 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 // Batch payload flag bits.
 const batchWantResults = 1 << 0
 
-// Mutation flag bits, shared layout with the WAL's batch records.
-const (
-	mutInsert  = 1 << 0
-	mutNetwork = 1 << 1
-)
-
 // AppendBatch appends a batch frame's payload (unframed) to dst.
 func AppendBatch(dst []byte, b IngestBatch) []byte {
 	dst = append(dst, FrameBatch)
@@ -173,24 +168,7 @@ func AppendBatch(dst []byte, b IngestBatch) []byte {
 		dst = binary.AppendUvarint(dst, uint64(u.V))
 		dst = appendFloat(dst, u.T)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Mutations)))
-	for _, m := range b.Mutations {
-		var f byte
-		if m.Insert {
-			f |= mutInsert
-		}
-		if m.Network {
-			f |= mutNetwork
-		}
-		dst = append(dst, f)
-		if !m.Network && m.Insert {
-			dst = appendFloat(dst, m.P.X)
-			dst = appendFloat(dst, m.P.Y)
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(m.ID))
-	}
-	return dst
+	return index.AppendMutations(dst, b.Mutations)
 }
 
 // DecodeBatch decodes a batch frame payload produced by AppendBatch.
@@ -219,18 +197,10 @@ func DecodeBatch(payload []byte) (IngestBatch, error) {
 			})
 		}
 	}
-	if n := d.count(); n > 0 {
-		b.Mutations = make([]index.Mutation, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			f := d.byte()
-			m := index.Mutation{Insert: f&mutInsert != 0, Network: f&mutNetwork != 0}
-			if !m.Network && m.Insert {
-				m.P.X = d.float()
-				m.P.Y = d.float()
-			} else {
-				m.ID = int(d.uvarint())
-			}
-			b.Mutations = append(b.Mutations, m)
+	if d.err == nil {
+		var err error
+		if b.Mutations, d.buf, err = index.DecodeMutations(d.buf); err != nil {
+			d.fail()
 		}
 	}
 	if d.err == nil && len(d.buf) != 0 {

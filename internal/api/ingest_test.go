@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -63,6 +64,33 @@ func normalizeBatch(b IngestBatch) IngestBatch {
 		b.Mutations = nil
 	}
 	return b
+}
+
+// TestBatchFrameGoldenBytes pins one framed batch's bytes: the wire stays
+// what clients built before the mutation encoding moved into package index.
+func TestBatchFrameGoldenBytes(t *testing.T) {
+	const golden = "3f000000e97d97d80101090103000000000000f83f000000000000004001040506000000000000d03f" +
+		"04010000000000d05e40000000000000e0bf0080808080802003ac020207"
+	b := IngestBatch{
+		Seq:            9,
+		WantResults:    true,
+		Updates:        []UpdateEntry{{Session: 3, X: 1.5, Y: 2}},
+		NetworkUpdates: []NetworkUpdateEntry{{Session: 4, U: 5, V: 6, T: 0.25}},
+		Mutations: []index.Mutation{
+			{Insert: true, P: geom.Pt(123.25, -0.5)},
+			{ID: 1 << 40},
+			{Network: true, Insert: true, ID: 300},
+			{Network: true, ID: 7},
+		},
+	}
+	frame := AppendFrame(nil, AppendBatch(nil, b))
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("batch frame\n got %s\nwant %s", got, golden)
+	}
+	got, err := DecodeBatch(frame[frameHdrLen:])
+	if err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("decode = %+v, %v", got, err)
+	}
 }
 
 func TestAckRoundTrip(t *testing.T) {

@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -145,4 +146,74 @@ func TestBranchConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	checkDelaunay(t, head)
 	checkAdjacency(t, head)
+}
+
+// TestAbortedBranchIsDiscarded: a branch that removes and inserts and is
+// then dropped leaves its parent as it was — answers and free face slots
+// alike — so the next branch of the parent mutates a sound triangulation.
+// The parent's free list is non-empty (removals recycle faces), which is
+// where a branch sharing it would pop slots and push others over them.
+func TestAbortedBranchIsDiscarded(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	head := New(testBounds)
+	if _, err := head.InsertAll(randomPoints(300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 6; i++ {
+			live := head.VertexIDs()
+			if err := head.Remove(live[rng.Intn(len(live))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		published := head
+		snap := neighborSnapshot(t, published)
+		// Inserts first: they pop the parent's free slots, and the removals
+		// after them push other face ids where those entries were.
+		abandoned := published.Branch()
+		for i := 0; i < 8; i++ {
+			if _, err := abandoned.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000)); err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			live := abandoned.VertexIDs()
+			if err := abandoned.Remove(live[rng.Intn(len(live))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		head = published.Branch()
+		for i := 0; i < 8; i++ {
+			if _, err := head.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000)); err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Fatal(err)
+			}
+		}
+		checkAdjacency(t, head)
+		checkDelaunay(t, head)
+		if got := neighborSnapshot(t, published); !sameNeighbors(snap, got) {
+			t.Fatalf("round %d: the published version changed under its branches", round)
+		}
+	}
+}
+
+// TestContainsOutOfRangeID: ids outside the vertex table are not vertices,
+// including the three largest ints, for which id+3 wraps onto a
+// super-triangle corner; Neighbors and Remove refuse them.
+func TestContainsOutOfRangeID(t *testing.T) {
+	tr := New(testBounds)
+	if _, err := tr.InsertAll(randomPoints(20, 7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, tr.IDUpperBound(), math.MaxInt - 2, math.MaxInt - 1, math.MaxInt} {
+		if tr.Contains(id) {
+			t.Errorf("Contains(%d) = true", id)
+		}
+		if _, err := tr.Neighbors(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Neighbors(%d) = %v, want ErrNotFound", id, err)
+		}
+		if err := tr.Remove(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Remove(%d) = %v, want ErrNotFound", id, err)
+		}
+	}
+	checkAdjacency(t, tr)
 }

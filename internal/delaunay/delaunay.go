@@ -28,7 +28,8 @@
 // untouched page with the (now frozen) receiver, and a mutation repairs only
 // the handful of pages holding the faces and cells it rewrites. The
 // copy-on-write index snapshot store publishes one branch per data-update
-// epoch; Clone remains as the deep fallback that shares nothing.
+// epoch. A branch shares nothing writable with its parent, so a branch that
+// is abandoned halfway through a batch is simply dropped.
 package delaunay
 
 import (
@@ -59,8 +60,8 @@ var ErrTooManyVertices = errors.New("delaunay: vertex id space exhausted")
 const maxSlots = math.MaxInt32 / 2
 
 // ErrFrozen is returned by mutations on a version that has been branched
-// from: only the newest version of a branch chain accepts writes, which is
-// what keeps the shared writer state (the face free list) coherent.
+// from: its pages are shared with the branch, so a write in place would
+// reach the branch and every reader of the version.
 var ErrFrozen = errors.New("delaunay: triangulation frozen by Branch")
 
 // noTri marks a missing triangle neighbor (boundary of the super-triangle).
@@ -85,13 +86,12 @@ func (tr *triangle) alive() bool { return tr.v[0] >= 0 }
 // Version state is split three ways. The face table (tris), the
 // vertex-face hints (vface) and the entry grid (grid) are paged
 // copy-on-write and diverge per version. The vertex coordinates (pts) are
-// append-only and shared by every version — ids are never recycled, and
-// only the newest version appends. The face free list (free) and the walk
-// hint are writer state: they ride along the branch chain and are only
-// meaningful at the newest version, which is the only one allowed to
-// mutate — readers never touch either. Nothing remembers which points are
-// vertices: the face that holds a point has it as a corner if it is one
-// (see Insert).
+// append-only and shared by every version: a version reads only the ids
+// below its own length, so a branch appending past it disturbs nobody. The
+// face free list (free) and the walk hint are writer state that each
+// version owns (Branch copies them); readers never touch either. Nothing
+// remembers which points are vertices: the face that holds a point has it
+// as a corner if it is one (see Insert).
 type Triangulation struct {
 	pts    []geom.Point    // vertex 0..2 are the super-triangle corners
 	tris   paged[triangle] // faces, including dead (recycled) slots
@@ -136,8 +136,11 @@ func New(bounds geom.Rect) *Triangulation {
 // Branch returns a new mutable version of the triangulation and freezes the
 // receiver: further reads of the receiver stay valid (and race-free against
 // mutations of the branch), but its own Insert/Remove return ErrFrozen.
-// The cost is three page-directory copies — O(n/pageSize), not O(n); the
-// branch shares every page with the receiver until it writes it.
+// The cost is three page-directory copies and the free list — O(n/pageSize),
+// not O(n); the branch shares every page with the receiver until it writes
+// it. The free list is copied because a branch pops face slots and pushes
+// dead ones: sharing its backing array would let an abandoned branch
+// overwrite entries the receiver still lists.
 func (t *Triangulation) Branch() *Triangulation {
 	t.frozen.Store(true)
 	return &Triangulation{
@@ -146,7 +149,7 @@ func (t *Triangulation) Branch() *Triangulation {
 		vface:  t.vface.branch(),
 		grid:   t.grid.branch(),
 		gbits:  t.gbits,
-		free:   t.free,
+		free:   append([]int32(nil), t.free...),
 		bounds: t.bounds,
 		walk:   t.walk,
 		nLive:  t.nLive,

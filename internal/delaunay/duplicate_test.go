@@ -85,7 +85,7 @@ func duplicatePools() map[string][]geom.Point {
 // points is checked against one kept by the test, over seeded random
 // insert / remove / re-insert on general and degenerate inputs, across the
 // version lifecycle of the snapshot store (a published branch; a branch
-// abandoned half-applied, then the Clone fallback).
+// abandoned half-applied, then a fresh branch of the published version).
 func TestDuplicateDetectionMatchesMapOracle(t *testing.T) {
 	for name, pool := range duplicatePools() {
 		t.Run(name, func(t *testing.T) {
@@ -174,9 +174,10 @@ func TestDuplicateDetectionMatchesMapOracle(t *testing.T) {
 					continue
 				}
 				// A batch that aborts: its branch inserts and removes, then is
-				// abandoned, and the store falls back to a Clone of the
-				// published version. Neither what the branch added is a vertex
-				// nor what it removed is gone.
+				// abandoned, and the store branches the published version
+				// again. Neither what the branch added is a vertex nor what it
+				// removed is gone, and the abandoned branch's face recycling
+				// left the published version's free list alone.
 				branch := tr.Branch()
 				vs := or.vertices()
 				gone := vs[rng.Intn(len(vs))]
@@ -190,7 +191,7 @@ func TestDuplicateDetectionMatchesMapOracle(t *testing.T) {
 				if _, err := branch.InsertAll([]geom.Point{draw(), gone.P, draw()}); err != nil {
 					t.Fatal(err)
 				}
-				tr = tr.Clone()
+				tr = tr.Branch()
 				insert(gone.P)
 				insert(added)
 				check("after the abandoned branch")

@@ -101,7 +101,7 @@ func (t *Triangulation) Neighbors(id int) ([]int, error) {
 // supplied by the caller — the allocation-free form the serving hot path
 // uses. dst may be nil; the scratch must not be shared across goroutines.
 func (t *Triangulation) AppendNeighbors(id int, dst []int, sc *RingScratch) ([]int, error) {
-	if id < 0 || id+3 >= len(t.pts) || t.vfaceAt(int32(id+3)) == noTri {
+	if !t.Contains(id) {
 		return dst, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	_, ring := t.ringAround(int32(id+3), sc)
@@ -113,9 +113,11 @@ func (t *Triangulation) AppendNeighbors(id int, dst []int, sc *RingScratch) ([]i
 	return dst, nil
 }
 
-// Contains reports whether vertex id is live in the triangulation.
+// Contains reports whether vertex id is live in the triangulation. The
+// bound is written so that no id overflows it: id+3 wraps for the three
+// largest ints and would name a super-triangle corner.
 func (t *Triangulation) Contains(id int) bool {
-	return id >= 0 && id+3 < len(t.pts) && t.vfaceAt(int32(id+3)) != noTri
+	return id >= 0 && id < len(t.pts)-3 && t.vfaceAt(int32(id+3)) != noTri
 }
 
 // VertexIDs returns the ids of all live vertices in insertion order.

@@ -70,13 +70,3 @@ func (p *paged[T]) append(v T, own *pageOwner) {
 func (p *paged[T]) branch() paged[T] {
 	return paged[T]{dir: append([]*page[T](nil), p.dir...), n: p.n}
 }
-
-// deepCopy returns a copy sharing nothing with the receiver, every page
-// owned by own.
-func (p *paged[T]) deepCopy(own *pageOwner) paged[T] {
-	c := paged[T]{dir: make([]*page[T], len(p.dir)), n: p.n, copied: len(p.dir)}
-	for i, pg := range p.dir {
-		c.dir[i] = &page[T]{own: own, data: append(make([]T, 0, pageSize), pg.data...)}
-	}
-	return c
-}

@@ -62,7 +62,7 @@ func BenchmarkEngineIndexMemory(b *testing.B) {
 					batch[j] = LocationUpdate{Session: sid, Pos: geom.Pt(float64(j)*50+25, 500)}
 				}
 				built := heapMB()
-				if _, err := e.UpdateBatch(batch); err != nil {
+				if _, err := updateBatch(e, batch); err != nil {
 					b.Fatal(err)
 				}
 				served := heapMB()
@@ -111,7 +111,7 @@ func BenchmarkEngineNetworkMemory(b *testing.B) {
 			}
 			batch[j] = NetworkLocationUpdate{Session: sid, Pos: roadnet.VertexPosition(j * g.NumVertices() / len(batch))}
 		}
-		if _, err := e.UpdateNetworkBatch(batch); err != nil {
+		if _, err := updateNetworkBatch(e, batch); err != nil {
 			b.Fatal(err)
 		}
 		served := heapMB()
@@ -146,7 +146,7 @@ func BenchmarkEngineDataUpdate(b *testing.B) {
 				sids[i] = sid
 				batch[i] = LocationUpdate{Session: sid, Pos: geom.Pt(float64(i%100)*10+5, float64(i%50)*20+5)}
 			}
-			if _, err := e.UpdateBatch(batch); err != nil {
+			if _, err := updateBatch(e, batch); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -156,13 +156,13 @@ func BenchmarkEngineDataUpdate(b *testing.B) {
 				if len(inserted) > 32 {
 					id := inserted[0]
 					inserted = inserted[1:]
-					if err := e.RemoveObject(id); err != nil {
+					if err := removeObject(e, id); err != nil {
 						b.Fatal(err)
 					}
 					continue
 				}
 				p := geom.Pt(float64((i*131)%1000), float64((i*373)%1000))
-				id, err := e.InsertObject(p)
+				id, err := insertObject(e, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -201,7 +201,7 @@ func BenchmarkEngineLocationUpdate(b *testing.B) {
 						Pos:     geom.Pt(float64((i*7+j*13)%1000), float64((i*11+j*17)%1000)),
 					}
 				}
-				results, err := e.UpdateBatch(batch)
+				results, err := updateBatch(e, batch)
 				if err != nil {
 					b.Fatal(err)
 				}

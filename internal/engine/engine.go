@@ -576,18 +576,14 @@ func (e *Engine) CloseSession(sid SessionID) error {
 	return <-reply
 }
 
-// UpdateBatch processes one batched location-update request — typically
+// UpdateBatchCtx processes one batched location-update request — typically
 // one network round-trip carrying updates for many sessions. Updates are
 // fanned out to the owning shards, run in parallel across shards (in input
 // order within each session's shard), and gathered into one result per
 // update, in input order. The returned error reflects engine-level
-// failure only; per-session errors ride in the results.
-func (e *Engine) UpdateBatch(updates []LocationUpdate) ([]UpdateResult, error) {
-	return e.UpdateBatchCtx(context.Background(), updates)
-}
-
-// UpdateBatchCtx is UpdateBatch with a request context carrying the trace
-// ID (obs.TraceID) for queue-wait timing and slow-batch attribution.
+// failure only; per-session errors ride in the results. ctx carries the
+// trace ID (obs.TraceID) for queue-wait timing and slow-batch attribution,
+// and its deadline expires entries still waiting for their shard.
 func (e *Engine) UpdateBatchCtx(ctx context.Context, updates []LocationUpdate) ([]UpdateResult, error) {
 	plan := e.plans.Get().(*batchPlan)
 	plan.entries = plan.entries[:0]
@@ -597,12 +593,7 @@ func (e *Engine) UpdateBatchCtx(ctx context.Context, updates []LocationUpdate) (
 	return e.runBatch(ctx, false, plan)
 }
 
-// UpdateNetworkBatch is UpdateBatch for road-network sessions.
-func (e *Engine) UpdateNetworkBatch(updates []NetworkLocationUpdate) ([]UpdateResult, error) {
-	return e.UpdateNetworkBatchCtx(context.Background(), updates)
-}
-
-// UpdateNetworkBatchCtx is UpdateNetworkBatch with a request context.
+// UpdateNetworkBatchCtx is UpdateBatchCtx for road-network sessions.
 func (e *Engine) UpdateNetworkBatchCtx(ctx context.Context, updates []NetworkLocationUpdate) ([]UpdateResult, error) {
 	plan := e.plans.Get().(*batchPlan)
 	plan.entries = plan.entries[:0]
@@ -688,117 +679,15 @@ func (e *Engine) runBatch(ctx context.Context, network bool, plan *batchPlan) ([
 	return results, nil
 }
 
-// InsertObject adds a plane data object and returns its id. The store
-// applies the mutation copy-on-write and publishes the next snapshot under
-// the next epoch; sessions whose guard sets the new object can affect are
-// invalidated when they re-pin and recompute at their next location
-// update. The cost is independent of the shard count.
-func (e *Engine) InsertObject(p geom.Point) (int, error) {
-	return e.InsertObjectCtx(context.Background(), p)
-}
-
-// InsertObjectCtx is InsertObject with a request context carrying the
-// trace ID for slow-op attribution in the publish and WAL stages.
-func (e *Engine) InsertObjectCtx(ctx context.Context, p geom.Point) (int, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return -1, ErrClosed
-	}
-	if e.degraded() {
-		return -1, ErrDegraded
-	}
-	// Reject bad input before it reaches the store (and after the closed
-	// check, so a closed engine always reports ErrClosed).
-	if e.hasPlane && !e.bounds.Contains(p) {
-		return -1, fmt.Errorf("%w: %v not in [%v, %v]", ErrOutOfBounds, p, e.bounds.Min, e.bounds.Max)
-	}
-	ids, err := e.store.ApplyCtx(ctx, []index.Mutation{{Insert: true, P: p}})
-	if err != nil {
-		return -1, e.mapStoreErr(err)
-	}
-	return ids[0], nil
-}
-
-// RemoveObject deletes a plane data object; sessions using it in their
-// guard sets are invalidated when they re-pin.
-func (e *Engine) RemoveObject(id int) error {
-	return e.RemoveObjectCtx(context.Background(), id)
-}
-
-// RemoveObjectCtx is RemoveObject with a request context.
-func (e *Engine) RemoveObjectCtx(ctx context.Context, id int) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if e.degraded() {
-		return ErrDegraded
-	}
-	if _, err := e.store.ApplyCtx(ctx, []index.Mutation{{ID: id}}); err != nil {
-		return e.mapStoreErr(err)
-	}
-	return nil
-}
-
-// InsertNetworkObject adds a network data object at vertex v. The store
-// applies the site insertion copy-on-write to the network Voronoi diagram
-// and publishes the next snapshot under the next epoch; network sessions
-// whose guard cells the new site can disturb are invalidated when they
-// re-pin — the exact machinery the plane side uses, now covering the road
-// network. The returned id is v: network objects are identified by the
-// vertex they sit on.
-func (e *Engine) InsertNetworkObject(v int) (int, error) {
-	return e.InsertNetworkObjectCtx(context.Background(), v)
-}
-
-// InsertNetworkObjectCtx is InsertNetworkObject with a request context.
-func (e *Engine) InsertNetworkObjectCtx(ctx context.Context, v int) (int, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return -1, ErrClosed
-	}
-	if e.degraded() {
-		return -1, ErrDegraded
-	}
-	if _, err := e.store.ApplyCtx(ctx, []index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
-		return -1, e.mapStoreErr(err)
-	}
-	return v, nil
-}
-
-// RemoveNetworkObject deletes the network data object at vertex v;
-// network sessions using it (or bordering its cell) are invalidated when
-// they re-pin.
-func (e *Engine) RemoveNetworkObject(v int) error {
-	return e.RemoveNetworkObjectCtx(context.Background(), v)
-}
-
-// RemoveNetworkObjectCtx is RemoveNetworkObject with a request context.
-func (e *Engine) RemoveNetworkObjectCtx(ctx context.Context, v int) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if e.degraded() {
-		return ErrDegraded
-	}
-	if _, err := e.store.ApplyCtx(ctx, []index.Mutation{{Network: true, ID: v}}); err != nil {
-		return e.mapStoreErr(err)
-	}
-	return nil
-}
-
-// ApplyMutations applies a pre-decoded object-mutation batch — the batch
-// entry point for the binary ingest path, where mutations arrive already
-// in index vocabulary and the per-object wrappers above would cost one
-// copy-on-write epoch publication each. The whole batch is validated up
-// front, logged as one WAL record and published as one snapshot swap;
-// it is applied or rejected whole. The returned ids parallel muts: the
-// assigned id for plane inserts, the echoed id/vertex otherwise.
+// ApplyMutations is the engine's one write entry: it inserts and removes
+// plane objects and network sites (a network object is named by the vertex
+// it sits on). The whole batch is validated up front, logged as one WAL
+// record and published as one copy-on-write snapshot under the next
+// epochs; it is applied or rejected whole. Sessions whose guard sets a
+// mutation can affect are invalidated when they re-pin. The returned ids
+// parallel muts: the assigned id for plane inserts, the echoed id/vertex
+// otherwise. ctx carries the trace ID for slow-op attribution in the
+// publish and WAL stages.
 func (e *Engine) ApplyMutations(ctx context.Context, muts []index.Mutation) ([]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -811,8 +700,8 @@ func (e *Engine) ApplyMutations(ctx context.Context, muts []index.Mutation) ([]i
 	if e.degraded() {
 		return nil, ErrDegraded
 	}
-	// Reject bad input before it reaches the store, matching the
-	// per-object entry points.
+	// Reject bad input before it reaches the store (and after the closed
+	// check, so a closed engine always reports ErrClosed).
 	for _, m := range muts {
 		if !m.Network && m.Insert && e.hasPlane && !e.bounds.Contains(m.P) {
 			return nil, fmt.Errorf("%w: %v not in [%v, %v]", ErrOutOfBounds, m.P, e.bounds.Min, e.bounds.Max)

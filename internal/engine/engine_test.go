@@ -33,6 +33,42 @@ func newTestEngine(t *testing.T, nObjects, shards int) *Engine {
 	return e
 }
 
+// Test shorthands over the engine's ctx-first API: a background context,
+// one mutation per write batch.
+func updateBatch(e *Engine, u []LocationUpdate) ([]UpdateResult, error) {
+	return e.UpdateBatchCtx(context.Background(), u)
+}
+
+func updateNetworkBatch(e *Engine, u []NetworkLocationUpdate) ([]UpdateResult, error) {
+	return e.UpdateNetworkBatchCtx(context.Background(), u)
+}
+
+func mutate(e *Engine, m index.Mutation) (int, error) {
+	ids, err := e.ApplyMutations(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
+}
+
+func insertObject(e *Engine, p geom.Point) (int, error) {
+	return mutate(e, index.Mutation{Insert: true, P: p})
+}
+
+func removeObject(e *Engine, id int) error {
+	_, err := mutate(e, index.Mutation{ID: id})
+	return err
+}
+
+func insertNetworkObject(e *Engine, v int) (int, error) {
+	return mutate(e, index.Mutation{Network: true, Insert: true, ID: v})
+}
+
+func removeNetworkObject(e *Engine, v int) error {
+	_, err := mutate(e, index.Mutation{Network: true, ID: v})
+	return err
+}
+
 // TestEngineManyConcurrentSessions is the serving acceptance test: 1000
 // live sessions across 8 shards, driven by concurrent batched updates
 // while a churn goroutine interleaves object inserts and deletes. Run
@@ -85,12 +121,12 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 			if len(inserted) > 20 {
 				id := inserted[0]
 				inserted = inserted[1:]
-				if err := e.RemoveObject(id); err != nil {
+				if err := removeObject(e, id); err != nil {
 					t.Errorf("remove %d: %v", id, err)
 				}
 			} else {
 				p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				id, err := e.InsertObject(p)
+				id, err := insertObject(e, p)
 				if err != nil {
 					t.Errorf("insert %v: %v", p, err)
 				} else {
@@ -120,7 +156,7 @@ func TestEngineManyConcurrentSessions(t *testing.T) {
 				for i, sid := range mine {
 					batch[i] = LocationUpdate{Session: sid, Pos: trajs[i][s]}
 				}
-				results, err := e.UpdateBatch(batch)
+				results, err := updateBatch(e, batch)
 				if err != nil {
 					t.Errorf("driver %d step %d: %v", d, s, err)
 					return
@@ -206,7 +242,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for i := range sids {
 			batch[i] = LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := updateBatch(e, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +286,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 
 	// Insert an object right at the query position: it must become the NN
 	// at the next update.
-	newID, err := e.InsertObject(geom.Pt(479, 481))
+	newID, err := insertObject(e, geom.Pt(479, 481))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +295,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 	}
 
 	// Remove it again: the previous NN must come back.
-	if err := e.RemoveObject(newID); err != nil {
+	if err := removeObject(e, newID); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustUpdate(t, e, sid, pos); !equalInts(got, knn) {
@@ -280,7 +316,7 @@ func TestEngineDataUpdateInvalidation(t *testing.T) {
 
 func mustUpdate(t *testing.T, e *Engine, sid SessionID, pos geom.Point) []int {
 	t.Helper()
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: pos}})
+	results, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: pos}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +358,7 @@ func TestEngineNetworkSessions(t *testing.T) {
 	}
 	for dist := 0.0; dist <= route.Length(); dist += 25 {
 		pos := route.PositionAt(dist)
-		results, err := e.UpdateNetworkBatch([]NetworkLocationUpdate{{Session: sid, Pos: pos}})
+		results, err := updateNetworkBatch(e, []NetworkLocationUpdate{{Session: sid, Pos: pos}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +386,7 @@ func TestEngineNetworkSessions(t *testing.T) {
 	}
 
 	// A plane update against a network session is a per-entry error.
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(1, 1)}})
+	results, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: geom.Pt(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +418,7 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.CloseSession(0); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("close zero: %v", err)
 	}
-	results, err := e.UpdateBatch([]LocationUpdate{{Session: 12345, Pos: geom.Pt(1, 1)}, {Session: 0, Pos: geom.Pt(1, 1)}})
+	results, err := updateBatch(e, []LocationUpdate{{Session: 12345, Pos: geom.Pt(1, 1)}, {Session: 0, Pos: geom.Pt(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +439,10 @@ func TestEngineErrors(t *testing.T) {
 		t.Errorf("double close: %v", err)
 	}
 
-	if err := e.RemoveObject(99999); !errors.Is(err, ErrUnknownObject) {
+	if err := removeObject(e, 99999); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("remove of unknown object: %v", err)
 	}
-	if _, err := e.InsertObject(geom.Pt(-1, -1)); !errors.Is(err, ErrOutOfBounds) {
+	if _, err := insertObject(e, geom.Pt(-1, -1)); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("out-of-bounds insert: %v", err)
 	}
 }
@@ -426,7 +462,7 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.CreateSession(2, 1.6); !errors.Is(err, ErrClosed) {
 		t.Errorf("create after close: %v", err)
 	}
-	if _, err := e.UpdateBatch([]LocationUpdate{{Session: sid}}); !errors.Is(err, ErrClosed) {
+	if _, err := updateBatch(e, []LocationUpdate{{Session: sid}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("update after close: %v", err)
 	}
 	if err := e.CloseSession(sid); !errors.Is(err, ErrClosed) {
@@ -435,11 +471,11 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.Stats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("stats after close: %v", err)
 	}
-	if _, err := e.InsertObject(geom.Pt(1, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := insertObject(e, geom.Pt(1, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("insert after close: %v", err)
 	}
 	// ErrClosed wins over input validation on a closed engine.
-	if _, err := e.InsertObject(geom.Pt(-1, -1)); !errors.Is(err, ErrClosed) {
+	if _, err := insertObject(e, geom.Pt(-1, -1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("out-of-bounds insert after close: %v", err)
 	}
 }
@@ -462,9 +498,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestApplyMutations covers the pre-decoded batch entry point the binary
-// ingest path uses: one call publishes the whole batch, ids parallel the
-// mutations, and the state matches the per-object wrappers.
+// TestApplyMutations covers the engine's write entry with batches of more
+// than one mutation: one call publishes the whole batch, ids parallel the
+// mutations, and bad input is refused whole.
 func TestApplyMutations(t *testing.T) {
 	e := newTestEngine(t, 50, 2)
 	st0, err := e.Stats()

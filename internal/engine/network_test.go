@@ -124,7 +124,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 		if s%3 == 2 && len(added) > 2 {
 			victim := added[0]
 			added = added[1:]
-			if err := e.RemoveNetworkObject(victim); err != nil {
+			if err := removeNetworkObject(e, victim); err != nil {
 				t.Fatalf("step %d remove site %d: %v", s, victim, err)
 			}
 			isSite[victim] = false
@@ -142,7 +142,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 			for isSite[v] {
 				v = rng.Intn(g.NumVertices())
 			}
-			if _, err := e.InsertNetworkObject(v); err != nil {
+			if _, err := insertNetworkObject(e, v); err != nil {
 				t.Fatalf("step %d insert site %d: %v", s, v, err)
 			}
 			isSite[v] = true
@@ -166,7 +166,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 		for i := range sids {
 			batch[i] = NetworkLocationUpdate{Session: sids[i], Pos: routes[i].PositionAt(dist)}
 		}
-		results, err := e.UpdateNetworkBatch(batch)
+		results, err := updateNetworkBatch(e, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestStreamNetworkEagerPush(t *testing.T) {
 	for isSite[home] {
 		home++
 	}
-	res, err := e.UpdateNetworkBatch([]NetworkLocationUpdate{{Session: sid, Pos: roadnet.VertexPosition(home)}})
+	res, err := updateNetworkBatch(e, []NetworkLocationUpdate{{Session: sid, Pos: roadnet.VertexPosition(home)}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
@@ -239,7 +239,7 @@ func TestStreamNetworkEagerPush(t *testing.T) {
 	sub := e.Stream().Subscribe(0, uint64(sid))
 	defer sub.Close()
 
-	id, err := e.InsertNetworkObject(home)
+	id, err := insertNetworkObject(e, home)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -48,7 +49,7 @@ func TestEngineObservability(t *testing.T) {
 	if _, err := e.UpdateBatchCtx(ctx, []LocationUpdate{{Session: sid, Pos: geom.Pt(10, 10)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InsertObjectCtx(ctx, geom.Pt(11, 11)); err != nil {
+	if _, err := e.ApplyMutations(ctx, []index.Mutation{{Insert: true, P: geom.Pt(11, 11)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Give the shards a moment to drain the epoch notification (sweep).
@@ -98,7 +99,7 @@ func TestEngineObsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(5, 5)}}); err != nil {
+	if _, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: geom.Pt(5, 5)}}); err != nil {
 		t.Fatal(err)
 	}
 	var p *obs.Pipeline

@@ -50,14 +50,14 @@ func TestEngineKillHealRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	update := func(p geom.Point) ([]int, error) {
-		results, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: p}})
+		results, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: p}})
 		if err != nil {
 			return nil, err
 		}
 		return results[0].KNN, results[0].Err
 	}
 
-	if _, err := e.InsertObject(geom.Pt(500, 500)); err != nil {
+	if _, err := insertObject(e, geom.Pt(500, 500)); err != nil {
 		t.Fatalf("healthy insert: %v", err)
 	}
 	epochBefore := mgr.Store().Epoch()
@@ -65,17 +65,17 @@ func TestEngineKillHealRoundTrip(t *testing.T) {
 	// Kill the disk: writes must degrade, reads must not.
 	fault.WALFsyncErr.Arm(fault.Spec{})
 	for i := 0; i < 3 && !e.Degraded(); i++ {
-		if _, err := e.InsertObject(geom.Pt(600, 600)); err == nil {
+		if _, err := insertObject(e, geom.Pt(600, 600)); err == nil {
 			t.Fatal("insert succeeded with wal.fsync.err armed")
 		}
 	}
 	if !e.Degraded() {
 		t.Fatal("engine not degraded after repeated durability failures")
 	}
-	if _, err := e.InsertObject(geom.Pt(601, 601)); !errors.Is(err, ErrDegraded) {
+	if _, err := insertObject(e, geom.Pt(601, 601)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded insert error = %v, want ErrDegraded", err)
 	}
-	if err := e.RemoveObject(1); !errors.Is(err, ErrDegraded) {
+	if err := removeObject(e, 1); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded remove error = %v, want ErrDegraded", err)
 	}
 	for i := 0; i < 10; i++ {
@@ -98,7 +98,7 @@ func TestEngineKillHealRoundTrip(t *testing.T) {
 	fault.WALFsyncErr.Disarm()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := e.InsertObject(geom.Pt(700, 700)); err == nil {
+		if _, err := insertObject(e, geom.Pt(700, 700)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -127,7 +127,7 @@ func TestEngineKillHealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e2.UpdateBatch([]LocationUpdate{{Session: sid2, Pos: probe}})
+	results, err := updateBatch(e2, []LocationUpdate{{Session: sid2, Pos: probe}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestEngineShedsAtHighWatermark(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, err := e.UpdateBatch([]LocationUpdate{{
+				_, err := updateBatch(e, []LocationUpdate{{
 					Session: sids[w],
 					Pos:     geom.Pt(float64((w*97+i*13)%999)+1, float64((w*61+i*29)%999)+1),
 				}})
@@ -240,7 +240,7 @@ func TestEngineDropsExpiredBatches(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.UpdateBatch([]LocationUpdate{{Session: occupier, Pos: geom.Pt(100, 100)}})
+		updateBatch(e, []LocationUpdate{{Session: occupier, Pos: geom.Pt(100, 100)}})
 	}()
 	time.Sleep(5 * time.Millisecond) // worker dequeues the occupier and sleeps in the failpoint
 

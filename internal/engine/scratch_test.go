@@ -91,7 +91,7 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 		case step%3 == 1 && len(lastAnswer) > 0: // remove a member of some session's answer
 			id := lastAnswer[rng.Intn(len(lastAnswer))]
 			if _, ok := live[id]; ok {
-				if err := e.RemoveObject(id); err != nil {
+				if err := removeObject(e, id); err != nil {
 					t.Fatal(err)
 				}
 				delete(live, id)
@@ -103,7 +103,7 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 				p = geom.Pt(at.X+rng.Float64(), at.Y+rng.Float64())
 			}
 			if testBounds.Contains(p) {
-				id, err := e.InsertObject(p)
+				id, err := insertObject(e, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +121,7 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 				pos[i] = geom.Pt(pos[i].X+(rng.Float64()*2-1)*stride, pos[i].Y+(rng.Float64()*2-1)*stride)
 				batch[j] = LocationUpdate{Session: sids[i], Pos: pos[i]}
 			}
-			results, err := e.UpdateBatch(batch)
+			results, err := updateBatch(e, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 		// One site mutation per step.
 		if step%3 == 1 && len(lastAnswer) > 0 {
 			if v := lastAnswer[rng.Intn(len(lastAnswer))]; live[v] {
-				if err := e.RemoveNetworkObject(v); err != nil {
+				if err := removeNetworkObject(e, v); err != nil {
 					t.Fatal(err)
 				}
 				delete(live, v)
@@ -211,7 +211,7 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 				v = routes[i].PositionAt(at[i]).U
 			}
 			if !live[v] {
-				if _, err := e.InsertNetworkObject(v); err != nil {
+				if _, err := insertNetworkObject(e, v); err != nil {
 					t.Fatal(err)
 				}
 				live[v] = true
@@ -233,7 +233,7 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 				at[i] += []float64{0.5, 12, 90}[rng.Intn(3)]
 				batch[j] = NetworkLocationUpdate{Session: sids[i], Pos: routes[i].PositionAt(at[i])}
 			}
-			results, err := e.UpdateNetworkBatch(batch)
+			results, err := updateNetworkBatch(e, batch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 		if s%3 == 2 && len(inserted) > 3 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if err := removeObject(e, id); err != nil {
 				t.Fatalf("step %d remove %d: %v", s, id, err)
 			}
 			for _, r := range refs {
@@ -97,7 +97,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 			}
 		} else {
 			p := geom.Pt(float64((s*131)%1000), float64((s*373)%1000))
-			id, err := e.InsertObject(p)
+			id, err := insertObject(e, p)
 			if err != nil {
 				t.Fatalf("step %d insert: %v", s, err)
 			}
@@ -111,7 +111,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 		for i := range sids {
 			batch[i] = LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := updateBatch(e, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 			for i, sid := range extra {
 				batch[i] = LocationUpdate{Session: sid, Pos: traj[s%len(traj)]}
 			}
-			if _, err := e.UpdateBatch(batch); err != nil {
+			if _, err := updateBatch(e, batch); err != nil {
 				t.Errorf("background batch: %v", err)
 				return
 			}
@@ -227,7 +227,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		// session syncs to an epoch >= it.
 		if s%2 == 0 {
 			p := geom.Pt(float64((s*211)%1000), float64((s*97)%1000))
-			id, err := e.InsertObject(p)
+			id, err := insertObject(e, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		} else if len(inserted) > 2 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if err := removeObject(e, id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -244,7 +244,7 @@ func TestEngineCrossShardCoherence(t *testing.T) {
 		for i, sid := range sids {
 			batch[i] = LocationUpdate{Session: sid, Pos: traj[s]}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := updateBatch(e, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

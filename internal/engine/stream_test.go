@@ -152,7 +152,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 
 	// Baseline: one location update per session; each publishes its first
 	// event (full kNN as Added).
-	results, err := e.UpdateBatch(batch)
+	results, err := updateBatch(e, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 		if !bounds.Contains(p) {
 			p = geom.Pt(500+rng.Float64(), 500+rng.Float64())
 		}
-		if _, err := e.InsertObject(p); err != nil {
+		if _, err := insertObject(e, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestStreamNotificationOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.UpdateBatch([]LocationUpdate{{Session: vid, Pos: pos[i]}})
+		res, err := updateBatch(e, []LocationUpdate{{Session: vid, Pos: pos[i]}})
 		if err != nil || res[0].Err != nil {
 			t.Fatalf("verify session: %v / %v", err, res[0].Err)
 		}
@@ -270,7 +270,7 @@ func TestStreamEagerPushWithoutPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: geom.Pt(500, 500)}})
+	res, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: geom.Pt(500, 500)}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
@@ -279,7 +279,7 @@ func TestStreamEagerPushWithoutPolling(t *testing.T) {
 	defer sub.Close()
 
 	// This object lands a hair from the session — it must become its 1-NN.
-	id, err := e.InsertObject(geom.Pt(500.01, 500.01))
+	id, err := insertObject(e, geom.Pt(500.01, 500.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := geom.Pt(50, 50)
-	if res, err := e.UpdateBatch([]LocationUpdate{{Session: sid, Pos: pos}}); err != nil || res[0].Err != nil {
+	if res, err := updateBatch(e, []LocationUpdate{{Session: sid, Pos: pos}}); err != nil || res[0].Err != nil {
 		t.Fatalf("update: %v / %v", err, res[0].Err)
 	}
 
@@ -350,10 +350,10 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 
 	// Drop to 4 objects: k=5 is now unsatisfiable, the eager recompute
 	// errors, and the subscriber must be told its view is stale.
-	if err := e.RemoveObject(0); err != nil {
+	if err := removeObject(e, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RemoveObject(1); err != nil {
+	if err := removeObject(e, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor := func(desc string, pred func([]stream.Event) bool) []stream.Event {
@@ -375,10 +375,10 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 
 	// Recovery: two inserts restore k-satisfiability; the recompute's
 	// delta must build the new view from the published empty baseline.
-	if _, err := e.InsertObject(geom.Pt(50.5, 50.5)); err != nil {
+	if _, err := insertObject(e, geom.Pt(50.5, 50.5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.InsertObject(geom.Pt(49.5, 49.5)); err != nil {
+	if _, err := insertObject(e, geom.Pt(49.5, 49.5)); err != nil {
 		t.Fatal(err)
 	}
 	evs := waitFor("recovered kNN", func(evs []stream.Event) bool {
@@ -401,7 +401,7 @@ func TestStreamDeltaChainSurvivesRefreshError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.UpdateBatch([]LocationUpdate{{Session: vid, Pos: pos}})
+	res, err := updateBatch(e, []LocationUpdate{{Session: vid, Pos: pos}})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("verify: %v / %v", err, res[0].Err)
 	}
@@ -441,7 +441,7 @@ func TestStreamSlowConsumerBounded(t *testing.T) {
 		for i := range batch {
 			batch[i].Pos = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		}
-		if _, err := e.UpdateBatch(batch); err != nil {
+		if _, err := updateBatch(e, batch); err != nil {
 			t.Fatal(err)
 		}
 		if n := sub.Pending(); n > depth {

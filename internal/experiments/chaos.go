@@ -88,7 +88,7 @@ func knnProbe(e *engine.Engine, at geom.Point) ([]int, error) {
 		return nil, err
 	}
 	defer e.CloseSession(sid)
-	results, err := e.UpdateBatch([]engine.LocationUpdate{{Session: sid, Pos: at}})
+	results, err := e.UpdateBatchCtx(context.Background(), []engine.LocationUpdate{{Session: sid, Pos: at}})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func ChaosBench(cfg Config) (ChaosBenchResult, error) {
 				Pos:     geom.Pt(float64((step*131+i*37)%9973)+1, float64((step*373+i*59)%9941)+1),
 			}
 		}
-		results, err := e.UpdateBatch(batch)
+		results, err := e.UpdateBatchCtx(context.Background(), batch)
 		if err != nil {
 			return err
 		}
@@ -199,7 +199,7 @@ func ChaosBench(cfg Config) (ChaosBenchResult, error) {
 	wseq := 0
 	tryWrite := func() error {
 		res.WritesAttempted++
-		id, err := e.InsertObject(writeAt(wseq))
+		id, err := mutate(e, index.Mutation{Insert: true, P: writeAt(wseq)})
 		wseq++
 		if err != nil {
 			res.WritesRejected++
@@ -345,7 +345,7 @@ func ChaosBench(cfg Config) (ChaosBenchResult, error) {
 					Pos:     geom.Pt(float64((w*97+i*13)%9973)+1, float64((w*61+i*29)%9941)+1),
 				}}
 				attempted.Add(1)
-				oe.UpdateBatch(batch) // ErrOverloaded expected under pressure
+				oe.UpdateBatchCtx(context.Background(), batch) // ErrOverloaded expected under pressure
 			}
 		}(w)
 	}
@@ -359,7 +359,7 @@ func ChaosBench(cfg Config) (ChaosBenchResult, error) {
 		occupied := make(chan struct{})
 		go func() {
 			defer close(occupied)
-			oe.UpdateBatch([]engine.LocationUpdate{{Session: osids[1], Pos: geom.Pt(200, 200)}})
+			oe.UpdateBatchCtx(context.Background(), []engine.LocationUpdate{{Session: osids[1], Pos: geom.Pt(200, 200)}})
 		}()
 		time.Sleep(2 * time.Millisecond) // let the worker dequeue the occupier
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -92,12 +93,12 @@ func servingRate(e *engine.Engine, sessions, steps int, seed int64) (rate float6
 	for s := 0; s < steps; s++ {
 		if s%4 == 1 {
 			if len(inserted) > 8 {
-				if err := e.RemoveObject(inserted[0]); err != nil {
+				if _, err := mutate(e, index.Mutation{ID: inserted[0]}); err != nil {
 					return 0, 0, err
 				}
 				inserted = inserted[1:]
 			} else {
-				id, err := e.InsertObject(geom.Pt(float64((s*131)%10000), float64((s*373)%10000)))
+				id, err := mutate(e, index.Mutation{Insert: true, P: geom.Pt(float64((s*131)%10000), float64((s*373)%10000))})
 				if err != nil {
 					return 0, 0, err
 				}
@@ -111,7 +112,7 @@ func servingRate(e *engine.Engine, sessions, steps int, seed int64) (rate float6
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateBatch(batch)
+			results, err := e.UpdateBatchCtx(context.Background(), batch)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -62,6 +63,16 @@ func (r EngineBenchResult) String() string {
 		r.Updates, r.UpdatesSec, r.P50UpdateUS, r.P95UpdateUS, r.P99UpdateUS,
 		r.AllocsPerUpdate, r.ResidentIndexBytes, r.SnapshotsLive, r.RecomputePct,
 		r.EpochPublishUS, 100*r.SharedNodeRatio, r.PublishScalingX8, r.PublishUSSmall, r.PublishUSLarge)
+}
+
+// mutate applies one object mutation as a one-entry engine batch and
+// returns its id.
+func mutate(e *engine.Engine, m index.Mutation) (int, error) {
+	ids, err := e.ApplyMutations(context.Background(), []index.Mutation{m})
+	if err != nil {
+		return -1, err
+	}
+	return ids[0], nil
 }
 
 // publishProbeUS builds a store of n objects and returns the mean wall
@@ -148,12 +159,12 @@ func EngineBench(cfg Config) (EngineBenchResult, error) {
 		// Object churn: one data update every four steps.
 		if s%4 == 1 {
 			if len(inserted) > 8 {
-				if err := e.RemoveObject(inserted[0]); err != nil {
+				if _, err := mutate(e, index.Mutation{ID: inserted[0]}); err != nil {
 					return EngineBenchResult{}, err
 				}
 				inserted = inserted[1:]
 			} else {
-				id, err := e.InsertObject(geom.Pt(float64((s*131)%10000), float64((s*373)%10000)))
+				id, err := mutate(e, index.Mutation{Insert: true, P: geom.Pt(float64((s*131)%10000), float64((s*373)%10000))})
 				if err != nil {
 					return EngineBenchResult{}, err
 				}
@@ -167,7 +178,7 @@ func EngineBench(cfg Config) (EngineBenchResult, error) {
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateBatch(batch)
+			results, err := e.UpdateBatchCtx(context.Background(), batch)
 			if err != nil {
 				return EngineBenchResult{}, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -228,7 +229,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 		for i := lo; i < hi; i++ {
 			batch[i-lo] = engine.NetworkLocationUpdate{Session: sids[i], Pos: trajs[i][0]}
 		}
-		results, err := e.UpdateNetworkBatch(batch)
+		results, err := e.UpdateNetworkBatchCtx(context.Background(), batch)
 		if err != nil {
 			return NetworkBenchResult{}, err
 		}
@@ -253,7 +254,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 			if len(inserted) > 8 {
 				v := inserted[0]
 				inserted = inserted[1:]
-				if err := e.RemoveNetworkObject(v); err != nil {
+				if _, err := mutate(e, index.Mutation{Network: true, ID: v}); err != nil {
 					return NetworkBenchResult{}, err
 				}
 				delete(taken, v)
@@ -262,7 +263,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 				for taken[v] {
 					v = rng.Intn(g.NumVertices())
 				}
-				if _, err := e.InsertNetworkObject(v); err != nil {
+				if _, err := mutate(e, index.Mutation{Network: true, Insert: true, ID: v}); err != nil {
 					return NetworkBenchResult{}, err
 				}
 				taken[v] = true
@@ -276,7 +277,7 @@ func NetworkBench(cfg Config) (NetworkBenchResult, error) {
 			for i := lo; i < hi; i++ {
 				batch[i-lo] = engine.NetworkLocationUpdate{Session: sids[i], Pos: trajs[i][s]}
 			}
-			results, err := e.UpdateNetworkBatch(batch)
+			results, err := e.UpdateNetworkBatchCtx(context.Background(), batch)
 			if err != nil {
 				return NetworkBenchResult{}, err
 			}

@@ -171,7 +171,7 @@ func ServeBench(cfg Config) (ServeBenchResult, error) {
 		pos[i] = geom.Pt(rng.Float64()*Bounds.Max.X, rng.Float64()*Bounds.Max.Y)
 		place[i] = engine.LocationUpdate{Session: sid, Pos: pos[i]}
 	}
-	if _, err := e.UpdateBatch(place); err != nil {
+	if _, err := e.UpdateBatchCtx(context.Background(), place); err != nil {
 		return ServeBenchResult{}, err
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -102,7 +104,7 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 		pos[i] = geom.Pt(rng.Float64()*Bounds.Max.X, rng.Float64()*Bounds.Max.Y)
 		batch[i] = engine.LocationUpdate{Session: sid, Pos: pos[i]}
 	}
-	if _, err := e.UpdateBatch(batch); err != nil {
+	if _, err := e.UpdateBatchCtx(context.Background(), batch); err != nil {
 		return StreamBenchResult{}, err
 	}
 
@@ -160,7 +162,7 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 		if len(inserted) > 32 {
 			id := inserted[0]
 			inserted = inserted[1:]
-			if err := e.RemoveObject(id); err != nil {
+			if _, err := mutate(e, index.Mutation{ID: id}); err != nil {
 				return StreamBenchResult{}, err
 			}
 			continue
@@ -171,7 +173,7 @@ func StreamBench(cfg Config) (StreamBenchResult, error) {
 			p = geom.Pt(Bounds.Max.X/2, Bounds.Max.Y/2)
 		}
 		t0 := time.Now()
-		id, err := e.InsertObject(p)
+		id, err := mutate(e, index.Mutation{Insert: true, P: p})
 		if err != nil {
 			return StreamBenchResult{}, err
 		}

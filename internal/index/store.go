@@ -174,15 +174,6 @@ type Store struct {
 	logDepth int
 	log      []Op       // contiguous ops, oldest first
 	dur      Durability // optional write-ahead hook; see SetDurability
-	// poisoned is set when a plane mutation batch aborts after partially
-	// mutating the path-copied branch: the writer state shared along the
-	// branch chain (the triangulation's face free list, which the branch
-	// popped and pushed in place) may then be out of sync, so the next
-	// Apply publishes through a deep Clone — the fallback that rebuilds it
-	// from the face table — instead of a Branch. The network side needs no
-	// such flag: a netvor branch shares no writer state with its parent, so
-	// an abandoned branch cannot corrupt the published snapshot.
-	poisoned bool
 
 	live atomic.Int64 // snapshots whose pin count is > 0
 
@@ -229,7 +220,7 @@ func NewStore(cfg Config) (*Store, error) {
 		var ix *vortree.Index
 		var err error
 		if rs := cfg.Restore; rs != nil {
-			ix, err = vortree.Restore(cfg.Bounds, 0, rs.Plane, rs.NextID)
+			ix, err = vortree.Restore(cfg.Bounds, rs.Plane, rs.NextID)
 		} else {
 			ix, _, err = vortree.Build(cfg.Bounds, 0, cfg.Objects)
 		}
@@ -378,12 +369,10 @@ func (st *Store) RemoveSite(v int) error {
 // vertex-face hints, entry grid), and the network branch shares every untouched
 // shortest-path label page, with the snapshot it supersedes — the epoch
 // cost is proportional to the batch's structural footprint, not to the
-// index size. A failed mutation aborts the whole batch without publishing
-// anything; if a plane abort happened after part of the batch already
-// mutated the branch, the next Apply falls back to a deep Clone, which
-// rebuilds the writer state the abandoned branch shared with the published
-// snapshot (network branches share no writer state, so they are simply
-// discarded).
+// index size. A failed mutation or durability append aborts the whole
+// batch without publishing anything: neither side's branch shares writer
+// state with the published snapshot, so both are simply discarded, and the
+// next batch branches the published snapshot afresh.
 func (st *Store) Apply(muts []Mutation) ([]int, error) {
 	return st.ApplyCtx(context.Background(), muts)
 }
@@ -413,12 +402,7 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 			nextNet = cur.net.Branch()
 		}
 		if !m.Network && nextPlane == nil {
-			if st.poisoned {
-				nextPlane = cur.plane.Clone() // deep fallback: rebuilds writer state
-				st.poisoned = false
-			} else {
-				nextPlane = cur.plane.Branch()
-			}
+			nextPlane = cur.plane.Branch()
 		}
 	}
 	ids := make([]int, len(muts))
@@ -429,11 +413,6 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 		if m.Network {
 			op, err := applySite(nextNet, m, epoch)
 			if err != nil {
-				// The network branch is safely discardable, but a mixed
-				// batch may already have mutated the plane branch, whose
-				// shared writer state is now suspect — same fallback as a
-				// plane abort.
-				st.poisoned = st.poisoned || nextPlane != nil
 				return nil, err
 			}
 			ids[i] = m.ID
@@ -443,7 +422,6 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 		if m.Insert {
 			id, err := nextPlane.Insert(m.P)
 			if err != nil {
-				st.poisoned = true
 				return nil, fmt.Errorf("index: insert %v: %w", m.P, err)
 			}
 			ids[i] = id
@@ -457,7 +435,6 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 			continue
 		}
 		if err := nextPlane.Remove(m.ID); err != nil {
-			st.poisoned = true
 			return nil, fmt.Errorf("index: remove %d: %w", m.ID, err)
 		}
 		ids[i] = m.ID
@@ -471,10 +448,7 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 		}
 		if err := st.dur.AppendBatch(ctx, cur.epoch+1, muts); err != nil {
 			// The batch is durable only if the append succeeded; abort
-			// unpublished so no caller observes state the log misses. A
-			// touched plane branch leaves suspect shared writer state behind,
-			// exactly like a mid-batch abort.
-			st.poisoned = st.poisoned || nextPlane != nil
+			// unpublished so no caller observes state the log misses.
 			return nil, fmt.Errorf("%w: %w", ErrDurability, err)
 		}
 		if st.obs.Enabled() {
@@ -549,11 +523,11 @@ func applySite(net *netvor.Diagram, m Mutation, epoch uint64) (Op, error) {
 // is paid for: plane inserts must be in bounds, network inserts must name
 // a fresh vertex, and removals must reference an object live at that point
 // of the batch (the network side additionally may never drain to zero
-// sites). Rejecting input errors up front means a mid-batch abort — which
-// poisons the plane's shared writer state — is only reachable through
-// internal inconsistencies. (Plane ids assigned by an insert are unknown
-// until applied, so a batch cannot remove them; network sites are named by
-// vertex, so it can.)
+// sites). Input errors are therefore answered before any branch is paid
+// for; a mid-batch abort is left to internal inconsistencies and discards
+// its branches like any other abort. (Plane ids assigned by an insert are
+// unknown until applied, so a batch cannot remove them; network sites are
+// named by vertex, so it can.)
 func (st *Store) validate(cur *Snapshot, muts []Mutation) error {
 	var removed map[int]bool   // plane ids removed earlier in the batch
 	var siteDelta map[int]bool // vertex -> is a site after the batch prefix

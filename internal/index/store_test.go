@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -248,6 +249,27 @@ func TestStoreRemoveErrors(t *testing.T) {
 	}
 	if s := st.Acquire(); s != nil {
 		t.Error("Acquire after Close returned a snapshot, want nil")
+	}
+}
+
+// TestRemoveOutOfRangeID: a plane removal of an id no object ever had —
+// negative, the next id, or one of the three largest ints, where id+3
+// wraps onto a super-triangle corner — is refused as unknown and publishes
+// nothing.
+func TestRemoveOutOfRangeID(t *testing.T) {
+	st := newPlaneStore(t, 50, 0)
+	defer st.Close()
+	next := st.Current().Plane().NextID()
+	for _, id := range []int{-1, next, math.MaxInt - 2, math.MaxInt - 1, math.MaxInt} {
+		if err := st.Remove(id); !errors.Is(err, ErrUnknownObject) {
+			t.Errorf("Remove(%d) = %v, want ErrUnknownObject", id, err)
+		}
+		if st.Epoch() != 0 {
+			t.Fatalf("Remove(%d) published epoch %d", id, st.Epoch())
+		}
+	}
+	if got := st.Current().Plane().Len(); got != 50 {
+		t.Fatalf("%d live objects after refused removals, want 50", got)
 	}
 }
 

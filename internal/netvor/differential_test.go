@@ -316,14 +316,6 @@ func TestBranchIsSublinear(t *testing.T) {
 	if copied, total := b.ShareStats(); copied == 0 || copied == total {
 		t.Fatalf("one insert after branch copied %d of %d pages; want a strict subset", copied, total)
 	}
-	// Clone rebuilds everything and shares nothing.
-	c := d.Clone()
-	if err := c.Insert(v); err != nil {
-		t.Fatal(err)
-	}
-	if o1, _ := d.Owner(v); o1 == v {
-		t.Fatal("clone mutation leaked into the original")
-	}
 	// Sorted site lists survive churn (the sorted-insert bookkeeping).
 	if !sort.IntsAreSorted(b.Sites()) {
 		t.Fatalf("branch sites not sorted: %v", b.Sites())

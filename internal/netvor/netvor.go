@@ -16,9 +16,10 @@
 // (relabeling only the vertices whose ownership actually changes), Branch
 // hands out a new mutable version by copy-on-write over the shortest-path
 // label pages (freezing the receiver, whose reads stay race-free forever),
-// and Clone is the deep-copy fallback. Cell adjacency is maintained
-// incrementally through per-pair edge-support counts, so a mutation's cost
-// is proportional to the territory it moves, not to the network size.
+// and a branch that is never published is simply dropped. Cell adjacency is
+// maintained incrementally through per-pair edge-support counts, so a
+// mutation's cost is proportional to the territory it moves, not to the
+// network size.
 //
 // Searches run over the graph's packed CSR with scratch sized by what they
 // touch (sparse-set distances, a hashed mark set) and are plain Dijkstra:
@@ -405,37 +406,6 @@ func (d *Diagram) Branch() *Diagram {
 		child.adjShared[i] = true
 	}
 	return child
-}
-
-// Clone returns a deep, unfrozen copy sharing nothing but the road network
-// itself — the fallback publication path mirroring vortree.Index.Clone.
-func (d *Diagram) Clone() *Diagram {
-	c := &Diagram{
-		g:         d.g,
-		sites:     append([]int(nil), d.sites...),
-		pages:     make([]*labelPage, len(d.pages)),
-		shared:    make([]bool, len(d.pages)),
-		copied:    len(d.pages),
-		adj:       make([]*adjPage, len(d.adj)),
-		adjShared: make([]bool, len(d.adj)),
-	}
-	for i, pg := range d.pages {
-		c.pages[i] = &labelPage{
-			owner: append([]int(nil), pg.owner...),
-			dist:  append([]float64(nil), pg.dist...),
-		}
-	}
-	for i, pg := range d.adj {
-		entries := make([]adjEntry, len(pg.entries))
-		for j, e := range pg.entries {
-			entries[j] = adjEntry{
-				sites:  append([]int(nil), e.sites...),
-				counts: append([]int(nil), e.counts...),
-			}
-		}
-		c.adj[i] = &adjPage{has: pg.has, entries: entries}
-	}
-	return c
 }
 
 // ShareStats reports the structural-sharing instrumentation of the label

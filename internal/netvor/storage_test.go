@@ -76,8 +76,8 @@ func (p published) check(t *testing.T, cycle int) {
 // 64x64 grid, branching every 50, the head holds one adjacency entry per live
 // site and none for a vertex that stopped being one; the frozen ancestors
 // (the last four are kept) answer Neighbors as they did when they were
-// published, whatever the head did to the pages it shared with them; a Clone
-// carries the same entries; and the live heap is flat from cycle 2k on.
+// published, whatever the head did to the pages it shared with them; and the
+// live heap is flat from cycle 2k on.
 func TestAdjacencyChurnLeavesNoEntryBehind(t *testing.T) {
 	g, err := roadnet.GridNetwork(64, 64, testBounds, 0.2, 0.3, 61)
 	if err != nil {
@@ -126,16 +126,6 @@ func TestAdjacencyChurnLeavesNoEntryBehind(t *testing.T) {
 	end := heapLive()
 	for _, p := range frozen {
 		p.check(t, 20000)
-	}
-	clone := d.Clone()
-	if got := adjEntries(t, clone); got != d.Len() {
-		t.Fatalf("Clone holds %d adjacency entries for %d sites", got, d.Len())
-	}
-	for _, s := range d.Sites() {
-		want, _ := d.Neighbors(s)
-		if ns, err := clone.Neighbors(s); err != nil || !slices.Equal(ns, want) {
-			t.Fatalf("Clone Neighbors(%d) = %v (%v), want %v", s, ns, err, want)
-		}
 	}
 	// Flat: what churn leaves behind would be some bytes a cycle, 18k times.
 	if slack := heapAt2k/10 + 64<<10; end > heapAt2k+slack {

@@ -373,24 +373,13 @@ func (s *Server) insertNetworkObject(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	id, err := s.e.InsertNetworkObjectCtx(r.Context(), req.Vertex)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ObjectResponse{ID: id})
+	s.insert(w, r, insq.Mutation{Network: true, Insert: true, ID: req.Vertex})
 }
 
 func (s *Server) removeNetworkObject(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+	if id, ok := pathID(w, r); ok {
+		s.remove(w, r, insq.Mutation{Network: true, ID: int(id)})
 	}
-	if err := s.e.RemoveNetworkObjectCtx(r.Context(), int(id)); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) insertObject(w http.ResponseWriter, r *http.Request) {
@@ -398,20 +387,28 @@ func (s *Server) insertObject(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	id, err := s.e.InsertObjectCtx(r.Context(), insq.Pt(req.X, req.Y))
+	s.insert(w, r, insq.Mutation{Insert: true, P: insq.Pt(req.X, req.Y)})
+}
+
+func (s *Server) removeObject(w http.ResponseWriter, r *http.Request) {
+	if id, ok := pathID(w, r); ok {
+		s.remove(w, r, insq.Mutation{ID: int(id)})
+	}
+}
+
+// insert applies one insert as a one-entry batch and answers its id.
+func (s *Server) insert(w http.ResponseWriter, r *http.Request, m insq.Mutation) {
+	ids, err := s.e.ApplyMutations(r.Context(), []insq.Mutation{m})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.ObjectResponse{ID: id})
+	writeJSON(w, http.StatusOK, api.ObjectResponse{ID: ids[0]})
 }
 
-func (s *Server) removeObject(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.e.RemoveObjectCtx(r.Context(), int(id)); err != nil {
+// remove applies one removal as a one-entry batch.
+func (s *Server) remove(w http.ResponseWriter, r *http.Request, m insq.Mutation) {
+	if _, err := s.e.ApplyMutations(r.Context(), []insq.Mutation{m}); err != nil {
 		writeError(w, err)
 		return
 	}

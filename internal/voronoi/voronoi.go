@@ -60,13 +60,6 @@ func Restore(bounds geom.Rect, sites []Site, nextID int) (*Diagram, error) {
 // Bounds returns the clipping rectangle of the diagram.
 func (d *Diagram) Bounds() geom.Rect { return d.bounds }
 
-// Clone returns a deep copy of the diagram sharing no mutable state with
-// the original; site ids are preserved. It is the fallback publication
-// path; the snapshot store normally uses Branch.
-func (d *Diagram) Clone() *Diagram {
-	return &Diagram{tri: d.tri.Clone(), bounds: d.bounds}
-}
-
 // Branch returns a new mutable version of the diagram in O(n/pageSize),
 // sharing all untouched triangulation pages with the receiver, which is
 // frozen: its reads stay valid forever, its mutations return an error. The

@@ -231,7 +231,7 @@ func TestRestoreGapsThenChurn(t *testing.T) {
 				}
 			}
 			nextID := len(all) + 7
-			bulk, err := Restore(tc.bounds, 16, objs, nextID)
+			bulk, err := Restore(tc.bounds, objs, nextID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestBulkRestoreRejects(t *testing.T) {
 		{"nextID past the id space", []RestoreObject{at(0, 1, 1)}, math.MaxInt32, delaunay.ErrTooManyVertices,
 			"vortree: restore: nextID 2147483647: delaunay: vertex id space exhausted"},
 	} {
-		ix, err := Restore(testBounds, 16, tc.objs, tc.nextID)
+		ix, err := Restore(testBounds, tc.objs, tc.nextID)
 		if err == nil || ix != nil {
 			t.Errorf("%s: Restore = %v, %v; want an error", tc.name, ix, err)
 			continue
@@ -461,7 +461,7 @@ func BenchmarkRestore100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Restore(testBounds, 16, objs, len(pts)); err != nil {
+		if _, err := Restore(testBounds, objs, len(pts)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,9 +58,8 @@ type RestoreObject = voronoi.Site
 // nextID past the id space. The triangulation may pick other diagonals
 // than the original's, which grew by inserts, but every query answer and
 // every id assigned after the restore is identical, which is what crash
-// recovery (internal/wal) needs to replay a write-ahead log on top. fanout
-// is ignored, as in Build.
-func Restore(bounds geom.Rect, fanout int, objs []RestoreObject, nextID int) (*Index, error) {
+// recovery (internal/wal) needs to replay a write-ahead log on top.
+func Restore(bounds geom.Rect, objs []RestoreObject, nextID int) (*Index, error) {
 	diag, err := voronoi.Restore(bounds, objs, nextID)
 	if err != nil {
 		return nil, fmt.Errorf("vortree: %w", err)
@@ -77,17 +76,12 @@ func (ix *Index) NextID() int { return ix.diag.IDUpperBound() }
 // except through Index methods).
 func (ix *Index) Diagram() *voronoi.Diagram { return ix.diag }
 
-// Clone returns a deep copy of the index with the same object ids; it is
-// the fallback publication path where the structural sharing of Branch is
-// unsafe.
-func (ix *Index) Clone() *Index { return &Index{diag: ix.diag.Clone()} }
-
 // Branch returns a new mutable version of the index: the diagram branches
 // its copy-on-write page tables in O(n/pageSize). The receiver is frozen —
 // reads on it stay valid and race-free forever, mutations are rejected —
 // which is exactly the lifecycle of a published index snapshot.
-// Publication cost is therefore sublinear in the object count, where Clone
-// is O(n).
+// Publication cost is therefore sublinear in the object count, and a branch
+// that is never published is simply dropped.
 func (ix *Index) Branch() *Index { return &Index{diag: ix.diag.Branch()} }
 
 // ShareStats reports the structural sharing of this version: the

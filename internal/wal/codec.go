@@ -16,12 +16,6 @@ import (
 // format bump.
 const recordBatch = 1
 
-// Mutation flag bits of the batch record encoding.
-const (
-	mutInsert  = 1 << 0
-	mutNetwork = 1 << 1
-)
-
 // Checkpoint flag bits.
 const (
 	ckptHasPlane   = 1 << 0
@@ -34,32 +28,12 @@ const (
 var errTruncatedRecord = errors.New("wal: truncated record payload")
 
 // appendBatchRecord encodes one applied mutation batch covering epochs
-// firstEpoch .. firstEpoch+len(muts)-1. The encoding is positional, not
-// self-describing: a flags byte per mutation, then the one field the
-// mutation kind needs — coordinates for plane inserts, the object/vertex
-// id for everything else (plane removals name an id; network mutations
-// name their vertex for both directions).
+// firstEpoch .. firstEpoch+len(muts)-1: the record kind, the first epoch,
+// then the mutations in the index's own encoding (index.AppendMutations).
 func appendBatchRecord(dst []byte, firstEpoch uint64, muts []index.Mutation) []byte {
 	dst = append(dst, recordBatch)
 	dst = binary.AppendUvarint(dst, firstEpoch)
-	dst = binary.AppendUvarint(dst, uint64(len(muts)))
-	for _, m := range muts {
-		var flags byte
-		if m.Insert {
-			flags |= mutInsert
-		}
-		if m.Network {
-			flags |= mutNetwork
-		}
-		dst = append(dst, flags)
-		if !m.Network && m.Insert {
-			dst = appendFloat(dst, m.P.X)
-			dst = appendFloat(dst, m.P.Y)
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(m.ID))
-	}
-	return dst
+	return index.AppendMutations(dst, muts)
 }
 
 // decodeBatchRecord is the inverse of appendBatchRecord.
@@ -70,42 +44,11 @@ func decodeBatchRecord(p []byte) (firstEpoch uint64, muts []index.Mutation, err 
 	if p[0] != recordBatch {
 		return 0, nil, fmt.Errorf("wal: unknown record kind %d", p[0])
 	}
-	p = p[1:]
-	if firstEpoch, p, err = readUvarint(p); err != nil {
+	if firstEpoch, p, err = readUvarint(p[1:]); err != nil {
 		return 0, nil, err
 	}
-	var n uint64
-	if n, p, err = readUvarint(p); err != nil {
-		return 0, nil, err
-	}
-	if n == 0 || n > uint64(len(p)) {
-		// Every mutation takes at least two bytes; a count beyond the
-		// remaining payload is corruption, not a huge batch.
+	if muts, p, err = index.DecodeMutations(p); err != nil || len(muts) == 0 {
 		return 0, nil, errTruncatedRecord
-	}
-	muts = make([]index.Mutation, n)
-	for i := range muts {
-		if len(p) == 0 {
-			return 0, nil, errTruncatedRecord
-		}
-		flags := p[0]
-		p = p[1:]
-		m := index.Mutation{Insert: flags&mutInsert != 0, Network: flags&mutNetwork != 0}
-		if !m.Network && m.Insert {
-			if m.P.X, p, err = readFloat(p); err != nil {
-				return 0, nil, err
-			}
-			if m.P.Y, p, err = readFloat(p); err != nil {
-				return 0, nil, err
-			}
-		} else {
-			var id uint64
-			if id, p, err = readUvarint(p); err != nil {
-				return 0, nil, err
-			}
-			m.ID = int(id)
-		}
-		muts[i] = m
 	}
 	if len(p) != 0 {
 		return 0, nil, fmt.Errorf("wal: %d trailing bytes after batch record", len(p))
