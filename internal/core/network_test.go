@@ -59,8 +59,10 @@ func TestNewNetworkQueryValidation(t *testing.T) {
 	if _, err := NewNetworkQuery(d, 0, 1.5); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := NewNetworkQuery(d, 2, 0.9); err == nil {
-		t.Error("expected error for rho<1")
+	for _, rho := range []float64{0.9, math.NaN(), math.Inf(1)} {
+		if _, err := NewNetworkQuery(d, 2, rho); err == nil {
+			t.Errorf("expected error for rho=%g", rho)
+		}
 	}
 	if _, err := NewNetworkQuery(d, 9, 1.5); err == nil {
 		t.Error("expected error for k > site count")

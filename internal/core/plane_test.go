@@ -87,8 +87,21 @@ func TestNewPlaneQueryValidation(t *testing.T) {
 	if _, err := NewPlaneQuery(ix, 0, 1.5); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := NewPlaneQuery(ix, 3, 0.5); err == nil {
-		t.Error("expected error for rho<1")
+	for _, rho := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewPlaneQuery(ix, 3, rho); err == nil {
+			t.Errorf("expected error for rho=%g", rho)
+		}
+	}
+	// A finite ρ whose ρk is past the int range prefetches every object.
+	huge, err := NewPlaneQuery(ix, 3, 1e300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := huge.Update(geom.Pt(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if huge.nR != ix.Len() {
+		t.Errorf("rho=1e300 prefetched %d objects, want all %d", huge.nR, ix.Len())
 	}
 	q, err := NewPlaneQuery(ix, 20, 1)
 	if err != nil {

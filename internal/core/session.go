@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -74,8 +75,8 @@ func newSession[P, S any](k int, rho float64, network bool) (session[P, S], erro
 	if k < 1 {
 		return session[P, S]{}, fmt.Errorf("core: k = %d, must be >= 1", k)
 	}
-	if rho < 1 {
-		return session[P, S]{}, fmt.Errorf("core: prefetch ratio rho = %g, must be >= 1", rho)
+	if math.IsNaN(rho) || math.IsInf(rho, 0) || rho < 1 {
+		return session[P, S]{}, fmt.Errorf("core: prefetch ratio rho = %g, must be finite and >= 1", rho)
 	}
 	return session[P, S]{k: k, rho: rho, network: network}, nil
 }
@@ -186,8 +187,14 @@ func (s *session[P, S]) Close() {
 }
 
 // prefetchCap is M = ⌊ρk⌋, at least k: the size of R while the index holds
-// that many objects.
-func (s *session[P, S]) prefetchCap() int { return max(s.k, int(s.rho*float64(s.k))) }
+// that many objects. A ρk past the int range saturates rather than going
+// through Go's implementation-defined float-to-int conversion.
+func (s *session[P, S]) prefetchCap() int {
+	if m := s.rho * float64(s.k); m < math.MaxInt {
+		return max(s.k, int(m))
+	}
+	return math.MaxInt
+}
 
 // knn returns the current kNN set, the first k members of R (nil while the
 // client state is invalidated).

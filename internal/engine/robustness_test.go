@@ -15,13 +15,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestEngineKillHealRoundTrip is the PR's acceptance test, end to end at
-// the engine layer: with a persistent fsync failure armed the engine
-// enters degraded mode (object writes rejected with ErrDegraded, location
-// updates keep serving, the WAL un-advanced), disarming the fault lets
-// the background probe restore durability and writes, and a subsequent
-// crash + recovery replays to a store identical to a kNN probe taken
-// before the crash. Run with -race.
+// TestEngineKillHealRoundTrip is the degradation ladder end to end at the
+// engine layer: with a persistent fsync failure armed the engine enters
+// degraded mode (object writes rejected with ErrDegraded, location updates
+// keep serving, the WAL un-advanced), and disarming the fault lets the
+// background probe restore durability and writes. A bounded disk-full burst
+// then degrades the engine and clears by itself once its fires are spent,
+// with no Disarm; a stretched epoch publication acks every write while the
+// location updates between them keep answering. A crash + recovery after
+// all of it replays to a store identical to a kNN probe taken before the
+// crash. Run with -race.
 func TestEngineKillHealRoundTrip(t *testing.T) {
 	defer fault.DisarmAll()
 	dir := t.TempDir()
@@ -108,6 +111,51 @@ func TestEngineKillHealRoundTrip(t *testing.T) {
 	}
 	if e.Degraded() {
 		t.Fatal("engine still degraded after a successful write")
+	}
+
+	// A bounded disk-full burst: DegradeAfter 2 flips the engine degraded
+	// mid-burst, and once the three fires are spent the heal probe restores
+	// writes with no Disarm.
+	fullBefore := fault.WALDiskFull.Fires()
+	fault.WALDiskFull.Arm(fault.Spec{Count: 3})
+	sawDegraded := false
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		_, err := insertObject(e, geom.Pt(710, 710))
+		sawDegraded = sawDegraded || e.Degraded()
+		if err == nil && !e.Degraded() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the disk-full burst never cleared")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := fault.WALDiskFull.Fires() - fullBefore; n != 3 {
+		t.Fatalf("wal.disk.full fired %d times, want its count of 3", n)
+	}
+	if !sawDegraded {
+		t.Fatal("three disk-full failures with DegradeAfter 2 never degraded the engine")
+	}
+	if fault.WALDiskFull.Armed() {
+		t.Fatal("wal.disk.full still armed after its count was spent")
+	}
+
+	// A stretched epoch publication: every write is durable before the
+	// delay and acked after it, and the location updates between writes
+	// answer from the previous snapshot without error.
+	delayBefore := fault.StorePublishDelay.Fires()
+	fault.StorePublishDelay.Arm(fault.Spec{Delay: 5 * time.Millisecond, Count: 4})
+	for i := 0; i < 4; i++ {
+		if _, err := insertObject(e, geom.Pt(float64(720+i), 720)); err != nil {
+			t.Fatalf("write %d under publish delay: %v", i, err)
+		}
+		if _, err := update(geom.Pt(float64(300+i*50), 400)); err != nil {
+			t.Fatalf("location update %d under publish delay: %v", i, err)
+		}
+	}
+	if n := fault.StorePublishDelay.Fires() - delayBefore; n != 4 {
+		t.Fatalf("store.publish.delay fired %d times, want 4", n)
 	}
 
 	// Crash by abandonment (fsync=always: all acknowledged writes are on

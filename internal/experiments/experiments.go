@@ -72,11 +72,6 @@ type Config struct {
 	// canonical published tables. The E1/E2 paper-figure fixtures are
 	// seed-independent by construction.
 	Seed int64
-	// Vertices overrides the NETWORK benchmark's road-network size (the
-	// street grid is ⌈√Vertices⌉ on a side; site density is held fixed so
-	// cell sizes — and with them the per-update search work — stay
-	// comparable across sizes). 0 keeps the canonical 4096-vertex grid.
-	Vertices int
 }
 
 // seed derives a workload seed from its canonical base and the run's
@@ -376,13 +371,6 @@ func runPlaneWithUpdates(st *index.Store, q *core.PlaneQuery, traj []geom.Point,
 		Duration: time.Since(start),
 		Counters: *q.Metrics(),
 	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func clampTo(v, lo, hi float64) float64 {

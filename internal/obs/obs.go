@@ -9,9 +9,8 @@
 // *Counter, *Gauge, *Histogram or *SlowLog turns every method into a
 // single nil-check branch, no clock reads, no atomics, no allocation.
 // Subsystems take a *Pipeline in their config; passing nil compiles the
-// whole layer to a no-op. The OBS benchmark (internal/experiments)
-// measures serving throughput in both modes and benchguard gates the
-// difference.
+// whole layer to a no-op. The repository benchmark (benchmark/) reports
+// what instrumentation costs as obs.trace_overhead_pct.
 //
 // Stage taxonomy. One location update (or data mutation) flows through
 // the write pipeline as: HTTP decode -> shard mailbox (queue wait) ->
