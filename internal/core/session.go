@@ -84,10 +84,11 @@ func newSession[P, S any](k int, rho float64, network bool) (session[P, S], erro
 // UseScratch makes the query run its index searches through the given
 // shared scratch instead of allocating its own. The serving engine passes
 // one scratch per shard: a shard's sessions run serially on its worker
-// goroutine, so sharing is race-free, and what a scratch sizes by the index
-// (the plane's visited set, the network's per-vertex slots and table cache)
-// is paid for once per shard rather than once per session. Nothing in it
-// belongs to a session between two calls.
+// goroutine, so sharing is race-free, and what a scratch keeps between
+// searches (the plane's visited set, the network's hashed distances and its
+// ring of endpoint tables, which outlives every call) is paid for once per
+// shard rather than once per session. Nothing in it belongs to a session
+// between two calls.
 func (s *session[P, S]) UseScratch(sc *S) {
 	if sc != nil {
 		s.sc = sc

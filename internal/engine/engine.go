@@ -40,6 +40,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/metrics"
+	"repro/internal/netvor"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
@@ -261,6 +262,11 @@ type Engine struct {
 	obs       *obs.Pipeline // nil when observability is off
 	shedDepth int           // admission-control watermark; 0 disables
 
+	// tables is the endpoint-table entries the shards' scratches draw their
+	// rings from: one ring's worth per shard in all, each shard's first 1,024
+	// taken in New and the rest where the load is.
+	tables *netvor.TableBudget
+
 	// shed counts entries rejected by admission control; expired counts
 	// entries whose deadline passed while blocked at the mailbox door
 	// (shard-side expiries are counted per shard).
@@ -331,6 +337,7 @@ func New(cfg Config) (*Engine, error) {
 		bounds:    st.Bounds(),
 		obs:       cfg.Obs,
 		shedDepth: cfg.ShedDepth,
+		tables:    netvor.NewTableBudget(cfg.Shards, st.Network()),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
@@ -343,6 +350,7 @@ func New(cfg Config) (*Engine, error) {
 			sessions: make(map[SessionID]*session),
 			obs:      cfg.Obs,
 		}
+		e.shards[i].netSc.UseTableBudget(e.tables)
 	}
 	e.registerMetrics(cfg.Obs.Registry())
 	e.plans.New = func() any {
@@ -419,6 +427,12 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
+	reg.GaugeFunc("insq_table_ring_entries",
+		"Endpoint-table ring entries the shards have drawn from the engine's budget.",
+		func() float64 { return float64(e.tables.Drawn()) })
+	reg.GaugeFunc("insq_table_ring_entries_max",
+		"Endpoint-table ring entries the shards may draw in all (one ring of 2/3 entry per road vertex per shard).",
+		func() float64 { return float64(e.tables.Max()) })
 	reg.GaugeFunc("insq_stream_subscribers",
 		"Live push-stream subscribers.",
 		func() float64 { return float64(e.events.Stats().Subscribers) })

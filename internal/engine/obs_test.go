@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/roadnet"
 	"repro/internal/workload"
 )
 
@@ -89,6 +91,55 @@ func TestEngineObservability(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestEngineTableBudgetGauges: the endpoint-table budget's two gauges read
+// what the shards have drawn and what they may, at scrape time. New draws
+// each shard's first 1,024 entries; a k = 20 session walking a long route
+// builds more 21-entry tables than that holds, so its shard draws more.
+func TestEngineTableBudgetGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	g, sites := testNetwork(t, 40, 40, 240, 3)
+	e, err := New(Config{Shards: 2, Network: g, NetworkSites: sites, Obs: obs.NewPipeline(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	scrape := func(drawn int) string {
+		t.Helper()
+		var expo strings.Builder
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		out := expo.String()
+		for _, want := range []string{
+			fmt.Sprintf("insq_table_ring_entries %d\n", drawn),
+			fmt.Sprintf("insq_table_ring_entries_max %d\n", 2*(g.NumVertices()*2/3)),
+		} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("the exposition lacks %q:\n%s", want, out)
+			}
+		}
+		return out
+	}
+	scrape(2 * 1024)
+	sid, err := e.CreateNetworkSession(20, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, err := roadnet.RandomWalkRoute(g, 0, 8000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0.0; at < route.Length(); at += 8 {
+		if _, err := updateNetworkBatch(e, []NetworkLocationUpdate{{Session: sid, Pos: route.PositionAt(at)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if drawn := e.tables.Drawn(); drawn <= 2*1024 {
+		t.Fatalf("a k = 20 session walking %.0f units drew nothing past the first rings: %d entries", route.Length(), drawn)
+	}
+	scrape(e.tables.Drawn())
 }
 
 // TestEngineObsDisabled pins the noop invariant: a nil pipeline engine

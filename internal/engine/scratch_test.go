@@ -242,24 +242,12 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 				if r.Err != nil {
 					t.Fatalf("step %d session %d: %v", step, i, r.Err)
 				}
-				_, want := oracle.OracleKNNWithDistances(batch[j].Pos, k[i])
-				all := g.ShortestDistances(batch[j].Pos.Sources(g), -1)
-				got := make([]float64, 0, len(r.KNN))
 				for _, v := range r.KNN {
 					if !live[v] {
 						t.Fatalf("step %d session %d: answer %v holds removed site %d", step, i, r.KNN, v)
 					}
-					got = append(got, all[v])
 				}
-				sort.Float64s(got)
-				if len(got) != k[i] || len(want) != k[i] {
-					t.Fatalf("step %d session %d (k=%d): answer %v, oracle distances %v", step, i, k[i], r.KNN, want)
-				}
-				for x := range got {
-					if diff := got[x] - want[x]; diff > 1e-9 || diff < -1e-9 {
-						t.Fatalf("step %d session %d (k=%d): answer %v has distance[%d] = %g, oracle %g", step, i, k[i], r.KNN, x, got[x], want[x])
-					}
-				}
+				checkNetAnswer(t, g, oracle, batch[j].Pos, k[i], r.KNN)
 				if st, err := e.State(sids[i]); err != nil || !slices.Equal(st.KNN, r.KNN) {
 					t.Fatalf("step %d session %d: answered %v, state holds %v (err %v)", step, i, r.KNN, st.KNN, err)
 				}
@@ -279,5 +267,94 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 	// So validations + recomputations - searches counts the continued ones.
 	if c := st.Counters; c.Validations+c.Recomputations-c.DijkstraRuns < nSessions {
 		t.Errorf("only %d recomputations continued their validation search: %+v", c.Validations+c.Recomputations-c.DijkstraRuns, c)
+	}
+}
+
+// checkNetAnswer fails the test unless knn is a k-nearest-site set of pos in
+// g: its sorted network distances, by a cold search over the whole graph,
+// are those oracle, a diagram built over the live sites, reports.
+func checkNetAnswer(t *testing.T, g *roadnet.Graph, oracle *netvor.Diagram, pos roadnet.Position, k int, knn []int) {
+	t.Helper()
+	_, want := oracle.OracleKNNWithDistances(pos, k)
+	all := g.ShortestDistances(pos.Sources(g), -1)
+	got := make([]float64, 0, len(knn))
+	for _, v := range knn {
+		got = append(got, all[v])
+	}
+	sort.Float64s(got)
+	if len(got) != k || len(want) != k {
+		t.Fatalf("k=%d at %v: answer %v, oracle distances %v", k, pos, knn, want)
+	}
+	for x := range got {
+		if diff := got[x] - want[x]; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("k=%d at %v: answer %v has distance[%d] = %g, oracle %g", k, pos, knn, x, got[x], want[x])
+		}
+	}
+}
+
+// TestTableBudgetSharedByShards: eight shards draw their endpoint-table rings
+// from the engine's one budget while their workers serve crawling, striding
+// and sprinting network sessions concurrently (run under -race). Every shard
+// holds a ring from New on — its first 1,024 entries, or the whole of its
+// share where that is less, as on the small grid, whose budget New spends —
+// and on the larger grid the busy shards draw the rest while they serve.
+// What they draw never exceeds the budget, and every answer is the kNN of a
+// diagram built over the sites.
+func TestTableBudgetSharedByShards(t *testing.T) {
+	const shards, nSessions = 8, 64
+	for _, c := range []struct{ side, sites int }{{30, 130}, {60, 520}} {
+		g, sites := testNetwork(t, c.side, c.side, c.sites, 43)
+		e, err := New(Config{Shards: shards, Network: g, NetworkSites: sites})
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := g.NumVertices() * 2 / 3
+		budget, first := shards*share, shards*min(1024, share)
+		if e.tables.Max() != budget || e.tables.Drawn() != first {
+			t.Fatalf("%dx%d: a fresh engine's budget: %d of %d drawn, want a ring a shard, %d of %d", c.side, c.side, e.tables.Drawn(), e.tables.Max(), first, budget)
+		}
+		oracle, err := netvor.Build(g, sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := []int{1, 5, 10, 20}
+		rng := rand.New(rand.NewSource(44))
+		sids := make([]SessionID, nSessions)
+		routes := make([]*roadnet.Route, nSessions)
+		at := make([]float64, nSessions)
+		for i := range sids {
+			if sids[i], err = e.CreateNetworkSession(ks[i%len(ks)], 1.6); err != nil {
+				t.Fatal(err)
+			}
+			if routes[i], err = roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 6000, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 60; step++ {
+			batch := make([]NetworkLocationUpdate, nSessions)
+			for i := range batch {
+				at[i] += []float64{0.5, 12, 90}[i%3]
+				batch[i] = NetworkLocationUpdate{Session: sids[i], Pos: routes[i].PositionAt(at[i])}
+			}
+			results, err := updateNetworkBatch(e, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatalf("%dx%d step %d session %d: %v", c.side, c.side, step, i, r.Err)
+				}
+				checkNetAnswer(t, g, oracle, batch[i].Pos, ks[i%len(ks)], r.KNN)
+			}
+			if drawn := e.tables.Drawn(); drawn > budget {
+				t.Fatalf("%dx%d step %d: %d entries drawn from a budget of %d", c.side, c.side, step, drawn, budget)
+			}
+		}
+		drawn := e.tables.Drawn()
+		t.Logf("%dx%d: %d of %d entries drawn, %d of them by New", c.side, c.side, drawn, budget, first)
+		if first < budget && drawn == first {
+			t.Errorf("%dx%d: no ring grew past the entries New drew (%d of %d)", c.side, c.side, drawn, budget)
+		}
+		e.Close()
 	}
 }

@@ -57,13 +57,14 @@ type shard struct {
 	inNew   map[int]struct{}
 
 	// Shared search scratch handed to every session on this shard (sessions
-	// run serially on the worker goroutine, so sharing is race-free). Their
-	// dense arrays are sized by the index — per road vertex, per object id —
-	// so one per shard instead of one per session keeps memory flat as
-	// session counts grow. The zero values are ready and grow on first use.
-	// A network session keeps nothing in netSc between two calls: the guard
-	// marks, the frontier and the tentative distances of its validation
-	// search are rebuilt inside each Update.
+	// run serially on the worker goroutine, so sharing is race-free). What
+	// they keep is sized by the widest search they ran, plus netSc's ring of
+	// endpoint tables, which draws from the engine's table budget (its first
+	// entries in New); one per shard instead of one per session keeps memory
+	// flat as session counts grow. The rest grows on first use. A network
+	// session keeps nothing in netSc between two calls: the guard marks, the
+	// frontier and the tentative distances of its validation search are
+	// rebuilt inside each Update.
 	netSc   netvor.SearchScratch
 	planeSc vortree.SearchScratch
 }

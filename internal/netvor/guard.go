@@ -124,7 +124,7 @@ func (d *Diagram) begin(pos roadnet.Position, sc *SearchScratch, wide bool) (s G
 	n := d.g.NumVertices()
 	s = GuardSearch{d: d, c: d.g.CSR(), sc: sc, pend: -1, wide: wide}
 	road := &sc.road
-	road.Begin(n)
+	road.Begin()
 	sc.resettle = sc.resettle[:0]
 	if pos.U < 0 || pos.U >= n || pos.V < 0 || pos.V >= n {
 		return s, false

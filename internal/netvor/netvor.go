@@ -22,7 +22,7 @@
 // network size.
 //
 // Searches run over the graph's packed CSR with scratch sized by what they
-// touch (sparse-set distances, a hashed mark set) and are plain Dijkstra:
+// touch (hashed distances and mark set) and are plain Dijkstra:
 // sites cover the map, so no goal-directed bound has anything to prune
 // (DESIGN.md records the measurement that removed the ALT landmarks). What
 // the diagram stores per network vertex is its label and one bit; neighbor
@@ -717,18 +717,19 @@ func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []
 }
 
 // SearchScratch is reusable per-caller working memory for the network
-// searches: the search state (frontier heap, sparse-set tentative distances,
-// hashed mark set — roadnet.SearchScratch, 4 bytes per network vertex and
-// otherwise sized by the search), the log of vertices a guard search settled
-// past its ring (see GuardSearch.Widen), a traversal stack, and the one thing
-// that outlives a call, the cache of per-vertex nearest-site tables (see
-// tableCache, at most 8 bytes per vertex). The zero value is ready to use; a
-// scratch serves any number of sequential searches against any diagram
-// version but must not be shared across goroutines, and holds one search at a
-// time: beginning a search (or AppendINS, InSubnetwork, SubnetworkInto) ends
-// the previous one. The serving layer keeps one per shard, which removes every
-// per-update allocation from the network kNN path — the road twin of
-// vortree.SearchScratch.
+// searches: the search state (frontier heap, hashed tentative distances and
+// mark set — roadnet.SearchScratch, sized by the widest search it has run),
+// the log of vertices a guard search settled past its ring (see
+// GuardSearch.Widen), a traversal stack, and the one thing that outlives a
+// call, the cache of per-vertex nearest-site tables (see tableCache), whose
+// ring draws its entries from a TableBudget: the engine's, shared by its
+// shards (UseTableBudget), or else a private one of one ring. The zero value
+// is ready to use; a scratch serves any number of sequential searches against
+// any diagram version but must not be shared across goroutines, and holds one
+// search at a time: beginning a search (or AppendINS, InSubnetwork,
+// SubnetworkInto) ends the previous one. The serving layer keeps one per
+// shard, which removes every per-update allocation from the network kNN path
+// — the road twin of vortree.SearchScratch.
 type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
@@ -900,7 +901,6 @@ func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, 
 	if !ok || k <= 0 {
 		return nil, nil, 0
 	}
-	n := s.G.NumVertices()
 	c := s.G.CSR()
 	var road roadnet.SearchScratch
 	road.MarkBegin()
@@ -909,7 +909,7 @@ func (s *Subnetwork) KNNSites(pos roadnet.Position, sites []int, k int) ([]int, 
 			road.SetMark(int32(sv), 1)
 		}
 	}
-	road.Begin(n)
+	road.Begin()
 	for _, src := range spos.Sources(s.G) {
 		if road.TryImprove(int32(src.V), src.D) {
 			road.Push(src.D, int32(src.V))

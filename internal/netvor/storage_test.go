@@ -137,8 +137,10 @@ func TestAdjacencyChurnLeavesNoEntryBehind(t *testing.T) {
 // 128x128 grid with 15 % of the vertices sites, the benchmark's shape: the
 // graph and its diagram retain at most 130 bytes per vertex (coordinates 16,
 // CSR ~52, labels 16, neighbor lists of the sites ~25), and a search scratch
-// that has served a kNN search at most 6 (4 of slot, the rest sized by the
-// search).
+// that has served a kNN search at most 0.5: it holds nothing sized by the
+// graph, only by the search. The scratch figure is the mean of eight, one per
+// shard of the benchmark's engine, which also averages out the collector's
+// own few kilobytes.
 func TestNetworkHeapBudget(t *testing.T) {
 	const grid = 128
 	before := heapLive()
@@ -157,16 +159,19 @@ func TestNetworkHeapBudget(t *testing.T) {
 	} else {
 		t.Logf("graph + diagram: %.1f B per vertex", perVertex)
 	}
-	sc := new(SearchScratch)
-	ids, _, _ := d.AppendKNN(roadnet.VertexPosition(n/2), 16, nil, nil, sc)
-	if len(ids) != 16 {
-		t.Fatalf("AppendKNN found %d sites", len(ids))
+	scs := make([]*SearchScratch, 8)
+	for i := range scs {
+		scs[i] = new(SearchScratch)
+		ids, _, _ := d.AppendKNN(roadnet.VertexPosition(n/2), 16, nil, nil, scs[i])
+		if len(ids) != 16 {
+			t.Fatalf("AppendKNN found %d sites", len(ids))
+		}
 	}
-	if perVertex := float64(heapLive()-index) / float64(n); perVertex > 6 {
-		t.Errorf("an idle search scratch retains %.1f B per vertex, budget 6", perVertex)
+	if perVertex := float64(heapLive()-index) / float64(len(scs)*n); perVertex > 0.5 {
+		t.Errorf("an idle search scratch retains %.2f B per vertex, budget 0.5", perVertex)
 	} else {
-		t.Logf("idle scratch: %.1f B per vertex", perVertex)
+		t.Logf("idle scratch: %.2f B per vertex", perVertex)
 	}
-	runtime.KeepAlive(sc)
+	runtime.KeepAlive(scs)
 	runtime.KeepAlive(d)
 }

@@ -75,90 +75,130 @@ func (h *heap4) pop() heapItem {
 }
 
 // SearchScratch is reusable working memory for the shortest-path searches:
-// the frontier heap, the tentative distances and an int32 mark set. The
-// distances are a sparse set (Briggs and Torczon): reach lists the vertices
-// the current search has reached with their distances, in the order it reached
-// them, and slot[v] says where in reach to look for v — the 4 bytes per vertex
-// that are all the scratch sizes by the graph, never cleared, because a stale
-// or never-written slot points at an entry of another vertex or past the end. The marks tag a guard list of some tens of sites, so they
-// are an open-addressed table, epoch-stamped: its logical clear is a counter
-// bump, not a wipe. The zero value is ready to use; one scratch serves any
-// number of sequential searches over graphs of any sizes (slot grows to the
-// largest graph seen, reach to the widest search) but must not be shared
-// across goroutines. It is the road twin of vortree.SearchScratch: the serving
-// layer keeps one per shard, which removes every steady-state allocation from
-// the network search path.
+// the frontier heap, the tentative distances and an int32 mark set. Both the
+// distances and the marks are a stampTable — open-addressed, epoch-stamped,
+// sized by the most vertices one search put in it — so the scratch holds no
+// array sized by the graph, and emptying either is a counter bump, not a
+// wipe. The zero value is ready to use; one scratch serves any number of
+// sequential searches over graphs of any sizes but must not be shared across
+// goroutines. It is the road twin of vortree.SearchScratch: the serving layer
+// keeps one per shard, which removes every steady-state allocation from the
+// network search path.
 type SearchScratch struct {
 	hp    heap4
-	slot  []uint32
-	reach []reached
-
-	marks     []markSlot // a power of two long, at most a quarter of it live
-	marked    int
-	markEpoch uint32
+	dist  stampTable[float64]
+	marks stampTable[int32]
 }
 
-// reached is one vertex of the current search and its tentative distance.
-type reached struct {
-	d float64
-	v int32
+// stampTable maps vertices to values of type V for one search: open
+// addressing with linear probing over a power-of-two slot array, doubled when
+// a search fills it past its load (see fill). An entry is live while its
+// stamp is the table's epoch, so reset empties the table by bumping the
+// epoch, and nothing is deleted within one.
+type stampTable[V any] struct {
+	slots []stampSlot[V]
+	live  int
+	epoch uint32
 }
 
-// markSlot is one entry of the mark set, live while stamp is the set's epoch.
-type markSlot struct {
-	v, val int32
-	stamp  uint32
+// stampSlot is one entry of a stampTable.
+type stampSlot[V any] struct {
+	v     int32
+	stamp uint32
+	val   V
 }
 
-// Begin readies the scratch for a new search over n vertices: the frontier
-// empties and every tentative distance reads as +Inf again.
-func (sc *SearchScratch) Begin(n int) {
+// reset empties the table: every vertex reads as unset.
+func (t *stampTable[V]) reset() {
+	if t.slots == nil {
+		t.slots = make([]stampSlot[V], 64)
+	}
+	t.live = 0
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.slots)
+		t.epoch = 1
+	}
+}
+
+// at returns the slot that holds vertex v, or the free one where it goes.
+// Nothing is deleted within an epoch, so the first slot that is not live ends
+// the probe.
+func (t *stampTable[V]) at(v int32) *stampSlot[V] {
+	h := uint32(v) * 0x9E3779B1
+	for i := h ^ h>>16; ; i++ {
+		if s := &t.slots[i&uint32(len(t.slots)-1)]; s.stamp != t.epoch || s.v == v {
+			return s
+		}
+	}
+}
+
+// get returns the slot that holds vertex v, nil when v is unset (also
+// before the first reset).
+func (t *stampTable[V]) get(v int32) *stampSlot[V] {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	if s := t.at(v); s.stamp == t.epoch {
+		return s
+	}
+	return nil
+}
+
+// fill writes v's value into s, the free slot at(v) returned, doubling the
+// table first when the entry would take it past 1/load full. The distances
+// are kept at most half full: a search reaches hundreds of vertices, and the
+// table is most of what an idle scratch holds. The marks, some tens of guard
+// sites, are kept at most a quarter full, which shortens the probes of the
+// misses most mark reads are.
+func (t *stampTable[V]) fill(s *stampSlot[V], v int32, val V, load int) {
+	if t.live++; load*t.live > len(t.slots) {
+		old := t.slots
+		t.slots = make([]stampSlot[V], 2*len(old))
+		for _, o := range old {
+			if o.stamp == t.epoch {
+				*t.at(o.v) = o
+			}
+		}
+		s = t.at(v)
+	}
+	*s = stampSlot[V]{v, t.epoch, val}
+}
+
+// Begin readies the scratch for a new search: the frontier empties and every
+// tentative distance reads as +Inf again.
+func (sc *SearchScratch) Begin() {
 	sc.hp = sc.hp[:0]
-	sc.reach = sc.reach[:0]
-	if len(sc.slot) < n {
-		sc.slot = make([]uint32, n)
-	}
-}
-
-// find returns where in reach vertex v is, ok false when the search has not
-// reached it.
-func (sc *SearchScratch) find(v int32) (i uint32, ok bool) {
-	if int(v) >= len(sc.slot) {
-		return 0, false
-	}
-	i = sc.slot[v]
-	return i, int(i) < len(sc.reach) && sc.reach[i].v == v
+	sc.dist.reset()
 }
 
 // TryImprove records d as vertex v's tentative distance if it beats the
-// current one, reporting whether it did — the Dijkstra relaxation test. It
-// spells find's test out (v is a vertex of the graph Begin sized slot for):
-// through find it is past the inlining budget, 5 % of a cold kNN search.
+// current one, reporting whether it did — the Dijkstra relaxation test.
 func (sc *SearchScratch) TryImprove(v int32, d float64) bool {
-	if i := sc.slot[v]; int(i) < len(sc.reach) && sc.reach[i].v == v {
-		if sc.reach[i].d <= d {
-			return false
-		}
-		sc.reach[i].d = d
+	t := &sc.dist
+	s := t.at(v)
+	if s.stamp != t.epoch {
+		t.fill(s, v, d, 2)
 		return true
 	}
-	sc.slot[v] = uint32(len(sc.reach))
-	sc.reach = append(sc.reach, reached{d, v})
+	if s.val <= d {
+		return false
+	}
+	s.val = d
 	return true
 }
 
 // DistAt returns vertex v's tentative distance (+Inf when unset).
 func (sc *SearchScratch) DistAt(v int32) float64 {
-	if i, ok := sc.find(v); ok {
-		return sc.reach[i].d
+	if s := sc.dist.get(v); s != nil {
+		return s.val
 	}
 	return math.Inf(1)
 }
 
 // Reached reports whether v holds a tentative distance.
 func (sc *SearchScratch) Reached(v int32) bool {
-	_, ok := sc.find(v)
-	return ok
+	return sc.dist.get(v) != nil
 }
 
 // Push adds a frontier entry for vertex v at tentative distance d.
@@ -180,50 +220,22 @@ func (sc *SearchScratch) Pop() (d float64, v int32, ok bool) {
 // independent of the distance state, so a caller can mark target vertices
 // and then run a search in the same scratch.
 func (sc *SearchScratch) MarkBegin() {
-	if sc.marks == nil {
-		sc.marks = make([]markSlot, 64)
-	}
-	sc.marked = 0
-	sc.markEpoch++
-	if sc.markEpoch == 0 {
-		clear(sc.marks)
-		sc.markEpoch = 1
-	}
-}
-
-// markAt returns the slot that holds vertex v's mark, or the free one where
-// it goes. Nothing is deleted within an epoch, so the first slot that is not
-// live ends the probe.
-func (sc *SearchScratch) markAt(v int32) *markSlot {
-	h := uint32(v) * 0x9E3779B1
-	for i := h ^ h>>16; ; i++ {
-		if s := &sc.marks[i&uint32(len(sc.marks)-1)]; s.stamp != sc.markEpoch || s.v == v {
-			return s
-		}
-	}
+	sc.marks.reset()
 }
 
 // SetMark tags vertex v with val (0 is indistinguishable from unset).
 func (sc *SearchScratch) SetMark(v int32, val int32) {
-	s := sc.markAt(v)
-	if s.stamp != sc.markEpoch {
-		if sc.marked++; 4*sc.marked > len(sc.marks) {
-			old := sc.marks
-			sc.marks = make([]markSlot, 2*len(old))
-			for _, o := range old {
-				if o.stamp == sc.markEpoch {
-					*sc.markAt(o.v) = o
-				}
-			}
-			s = sc.markAt(v)
-		}
+	t := &sc.marks
+	if s := t.at(v); s.stamp == t.epoch {
+		s.val = val
+	} else {
+		t.fill(s, v, val, 4)
 	}
-	*s = markSlot{v, val, sc.markEpoch}
 }
 
 // Mark returns vertex v's tag, 0 when never set since MarkBegin.
 func (sc *SearchScratch) Mark(v int32) int32 {
-	if s := sc.markAt(v); s.stamp == sc.markEpoch {
+	if s := sc.marks.get(v); s != nil {
 		return s.val
 	}
 	return 0

@@ -57,7 +57,7 @@ func boundedSearch(sc *SearchScratch, g *Graph, src int32, settle int, model map
 			sc.Push(d, v)
 		}
 	}
-	sc.Begin(g.NumVertices())
+	sc.Begin()
 	improve(src, 0)
 	for settle > 0 {
 		d, v, ok := sc.Pop()
@@ -74,13 +74,14 @@ func boundedSearch(sc *SearchScratch, g *Graph, src int32, settle int, model map
 	}
 }
 
-// TestSparseDistMatchesMapModel: the sparse-set distances read, after every
-// one of 10k searches alternating between a large and a small graph on one
+// TestSparseDistMatchesMapModel: the hashed distances read, after every one
+// of 10k searches alternating between a large and a small graph on one
 // scratch, exactly as a map filled beside them — for every vertex of the
-// larger graph, so also for those whose slot was written by an earlier search
-// (stale, pointing into or past the current reach list), for those never
-// written (slot 0, against whatever reach[0] holds), and for ids past the
-// slots. Nothing is cleared between searches and nothing is allocated.
+// larger graph, so also for those an earlier search reached (stale entries of
+// a past epoch) and for ids past the graph. The table is sized by the most
+// vertices one search reached, whatever the graph: a search over a graph a
+// hundred times larger leaves it as it was. Nothing is cleared between
+// searches and nothing is allocated.
 func TestSparseDistMatchesMapModel(t *testing.T) {
 	big, err := GridNetwork(24, 24, testBounds, 0.2, 0.3, 5)
 	if err != nil {
@@ -96,6 +97,7 @@ func TestSparseDistMatchesMapModel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12))
 	model := map[int32]float64{}
+	widest := 0
 	for i := 0; i < 10000; i++ {
 		g := []*Graph{small, big}[i%2]
 		if i%7 == 0 {
@@ -108,9 +110,10 @@ func TestSparseDistMatchesMapModel(t *testing.T) {
 			settle = g.NumVertices()
 		}
 		boundedSearch(&sc, g, int32(rng.Intn(g.NumVertices())), settle, model)
-		if len(sc.reach) != len(model) {
-			t.Fatalf("search %d: %d vertices reached, model has %d", i, len(sc.reach), len(model))
+		if sc.dist.live != len(model) {
+			t.Fatalf("search %d: %d vertices reached, model has %d", i, sc.dist.live, len(model))
 		}
+		widest = max(widest, len(model))
 		for v := int32(0); int(v) < big.NumVertices()+3; v++ {
 			want, ok := model[v]
 			if !ok {
@@ -121,13 +124,22 @@ func TestSparseDistMatchesMapModel(t *testing.T) {
 			}
 		}
 	}
-	if len(sc.slot) != big.NumVertices() {
-		t.Fatalf("%d slots for a largest graph of %d vertices", len(sc.slot), big.NumVertices())
+	huge, err := GridNetwork(240, 240, testBounds, 0.2, 0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundedSearch(&sc, huge, int32(huge.NumVertices()/2), 40, nil)
+	slots := 64
+	for 2*widest > slots { // at most half full
+		slots *= 2
+	}
+	if len(sc.dist.slots) != slots {
+		t.Fatalf("%d slots after searches that reached %d vertices at most, want %d", len(sc.dist.slots), widest, slots)
 	}
 	// The mark set is independent of the distance state.
 	sc.MarkBegin()
 	sc.SetMark(2, 7)
-	sc.Begin(big.NumVertices())
+	sc.Begin()
 	if got := sc.Mark(2); got != 7 {
 		t.Fatalf("Mark across Begin = %d, want 7", got)
 	}
@@ -204,11 +216,11 @@ func TestSparseMarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for round := 0; round < 6; round++ {
 		if round == 4 {
-			sc.markEpoch = math.MaxUint32 - 1 // rounds 4 and 5 straddle the wrap
+			sc.marks.epoch = math.MaxUint32 - 1 // rounds 4 and 5 straddle the wrap
 		}
 		sc.MarkBegin()
-		if round == 5 && sc.markEpoch != 1 {
-			t.Fatalf("epoch after the wrap = %d, want 1", sc.markEpoch)
+		if round == 5 && sc.marks.epoch != 1 {
+			t.Fatalf("epoch after the wrap = %d, want 1", sc.marks.epoch)
 		}
 		want := map[int32]int32{}
 		n := []int{5, 20000, 40, 3000, 700, 700}[round]
@@ -225,8 +237,8 @@ func TestSparseMarks(t *testing.T) {
 				want[v] = val | 4
 			}
 		}
-		if sc.marked != len(want) || 4*sc.marked > len(sc.marks) {
-			t.Fatalf("round %d: %d slots live of %d for %d marks", round, sc.marked, len(sc.marks), len(want))
+		if sc.marks.live != len(want) || 4*sc.marks.live > len(sc.marks.slots) {
+			t.Fatalf("round %d: %d slots live of %d for %d marks", round, sc.marks.live, len(sc.marks.slots), len(want))
 		}
 		for v, val := range want {
 			if got := sc.Mark(v); got != val {
@@ -239,7 +251,7 @@ func TestSparseMarks(t *testing.T) {
 			}
 		}
 	}
-	if len(sc.marks) < 4*20000 {
-		t.Fatalf("the set shrank to %d slots", len(sc.marks))
+	if len(sc.marks.slots) < 4*20000 {
+		t.Fatalf("the set shrank to %d slots", len(sc.marks.slots))
 	}
 }
