@@ -246,18 +246,18 @@ func BenchmarkE9Theorem2(b *testing.B) {
 }
 
 // BenchmarkE11Updates measures query maintenance with one data-object
-// insert or delete every 20 steps, each repaired eagerly (Refresh).
+// insert or delete every 20 steps, each advanced over and repaired eagerly
+// (Advance, Refresh).
 func BenchmarkE11Updates(b *testing.B) {
 	st, err := index.NewStore(index.Config{Bounds: benchBounds, Objects: insq.UniformPoints(10000, benchBounds, 11)})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
+	q, err := core.NewPlaneQuery(st.Current().Plane(), 8, 1.6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer q.Close()
 	traj := insq.RandomWaypoint(benchBounds, 8192, 8, 111)
 	rng := rand.New(rand.NewSource(112))
 	var inserted []int
@@ -282,6 +282,9 @@ func BenchmarkE11Updates(b *testing.B) {
 			}
 			inserted = append(inserted[:j], inserted[j+1:]...)
 		}
+		next := st.Current()
+		ops, covered := st.OpsSince(q.Epoch(), next.Epoch())
+		q.Advance(next, ops, covered)
 		if _, _, err := q.Refresh(); err != nil {
 			b.Fatal(err)
 		}

@@ -2,8 +2,9 @@
 // updates (Section III of the paper): while the query object moves, data
 // objects are inserted and removed — new restaurants open, gas stations
 // close. The objects live in an index store, which publishes a new snapshot
-// per update; the INS processor, pinned to the store, refreshes its guard
-// sets only when an update can actually affect them, and the program
+// per update. After each one the INS processor is advanced to the new
+// snapshot over the store's log of the updates in between, refreshes its
+// guard sets only when an update can actually affect them, and the program
 // cross-checks every reported kNN set against a fresh index search.
 package main
 
@@ -25,11 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer st.Close()
-	q, err := core.NewPlaneQueryPinned(st, 5, 1.6)
+	q, err := core.NewPlaneQuery(st.Current().Plane(), 5, 1.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer q.Close()
 
 	rng := rand.New(rand.NewSource(22))
 	live := st.Current().Plane().Diagram().IDs()
@@ -61,8 +61,12 @@ func main() {
 				removes++
 			}
 			// The paper requires the result to reflect updates
-			// immediately: repair the query eagerly, then verify its
-			// answer against a from-scratch search.
+			// immediately: move the query to the new snapshot, repair it
+			// eagerly, then verify its answer against a from-scratch
+			// search.
+			next := st.Current()
+			ops, covered := st.OpsSince(q.Epoch(), next.Epoch())
+			q.Advance(next, ops, covered)
 			if _, _, err := q.Refresh(); err != nil {
 				log.Fatal(err)
 			}

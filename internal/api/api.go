@@ -320,8 +320,8 @@ func NewWALStats(s wal.Stats) WALStats {
 }
 
 // StatsResponse is the engine snapshot served by GET /v1/stats. Snapshots
-// is the number of live index versions: 1 when every session has re-pinned
-// to the current one, more while lagging sessions keep old versions alive.
+// is the number of live index versions: 1 when every shard has moved to the
+// current one, more while a lagging shard keeps an old version pinned.
 type StatsResponse struct {
 	Shards         int    `json:"shards"`
 	Sessions       int    `json:"sessions"`

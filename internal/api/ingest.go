@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -17,9 +16,8 @@ import (
 //
 // A stream opens with the 8-byte client magic, answered by the 8-byte
 // server magic, then carries length-prefixed CRC32C frames in both
-// directions — the same framing idiom as the write-ahead log
-// (internal/wal), so a torn or corrupted frame is detected before any
-// payload byte is interpreted:
+// directions — the write-ahead log's frame (index.AppendFrame), so a torn
+// or corrupted frame is detected before any payload byte is interpreted:
 //
 //	[payload len: uint32 LE][crc32c(payload): uint32 LE][payload]
 //
@@ -39,7 +37,7 @@ const (
 	ServerMagic = "INSQACK1"
 
 	// frameHdrLen is the fixed frame header: payload length + CRC32C.
-	frameHdrLen = 8
+	frameHdrLen = index.FrameHeaderLen
 
 	// MaxFramePayload bounds one frame (matching the JSON request body cap)
 	// so a corrupted or hostile length prefix cannot exhaust memory.
@@ -51,9 +49,6 @@ const (
 	FrameBatch byte = 1
 	FrameAck   byte = 2
 )
-
-// crcTable is the Castagnoli table, shared with the WAL's framing.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadFrame wraps every framing/codec-level decode failure (bad CRC,
 // truncated payload, oversized length, unknown kind). It is terminal for
@@ -109,38 +104,19 @@ type IngestAck struct {
 	MutationIDs []int
 }
 
-// AppendFrame appends one framed payload to dst.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
+// AppendFrame appends one framed payload to dst (index.AppendFrame).
+func AppendFrame(dst, payload []byte) []byte { return index.AppendFrame(dst, payload) }
 
 // ReadFrame reads one frame from the stream and returns its verified
-// payload. io.EOF is returned only at a clean frame boundary; any torn
-// header/payload or CRC mismatch is an ErrBadFrame.
+// payload, at most MaxFramePayload bytes. io.EOF is returned only at a
+// clean frame boundary; any torn header/payload, bad length or CRC mismatch
+// is an ErrBadFrame: the stream's framing is lost.
 func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: torn header: %v", ErrBadFrame, err)
+	payload, err := index.ReadFrame(br, MaxFramePayload)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	if plen == 0 || plen > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: torn payload: %v", ErrBadFrame, err)
-	}
-	if crc := crc32.Checksum(payload, crcTable); crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrBadFrame)
-	}
-	return payload, nil
+	return payload, err
 }
 
 // Batch payload flag bits.

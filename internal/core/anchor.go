@@ -147,7 +147,7 @@ func (q *NetworkQuery) anchorAt(prev, pos roadnet.Position) {
 func (q *NetworkQuery) pinEndpoint(tab *anchorTable, endpoint int) {
 	var relaxed, reads int
 	var hit bool
-	tab.site, tab.dist, relaxed, reads, hit = q.d.AppendVertexTable(endpoint, q.prefetchCap(), q.siteSet(), q.Epoch(), tab.site[:0], tab.dist[:0], q.scratch())
+	tab.site, tab.dist, relaxed, reads, hit = q.d.AppendVertexTable(endpoint, q.prefetchCap(), tab.site[:0], tab.dist[:0], q.scratch())
 	q.m.EdgeRelaxations += relaxed
 	q.m.DistanceCalcs += reads
 	if hit {

@@ -57,7 +57,7 @@ func sameTables(a, b *edgeAnchor) bool {
 // session arming on the new snapshot d pins, bit for bit. It reports whether
 // an anchor was kept or dropped and, when dropped, whether the tables had
 // changed.
-func checkRepin(t *testing.T, q *NetworkQuery, d *netvor.Diagram) (kept, dropped, changed bool) {
+func checkRepin(t *testing.T, q *netOnStore, d *netvor.Diagram) (kept, dropped, changed bool) {
 	t.Helper()
 	armed, epoch := q.anchor.armed, q.Epoch()
 	q.Sync()
@@ -164,7 +164,7 @@ type anchorWalkStats struct {
 // With exact (no equidistant sites, so verdicts cannot depend on a tie order)
 // the two sessions must agree update by update on the answer, its order, and
 // the recomputations and objects shipped.
-func runAnchorWalk(t *testing.T, q, ctl *NetworkQuery, diagram func() *netvor.Diagram, positions []roadnet.Position, mutate func(i int, pos roadnet.Position), exact bool) anchorWalkStats {
+func runAnchorWalk(t *testing.T, q, ctl *netOnStore, diagram func() *netvor.Diagram, positions []roadnet.Position, mutate func(i int, pos roadnet.Position), exact bool) anchorWalkStats {
 	t.Helper()
 	var st anchorWalkStats
 	k := q.K()
@@ -188,7 +188,7 @@ func runAnchorWalk(t *testing.T, q, ctl *NetworkQuery, diagram func() *netvor.Di
 		m := *q.Metrics()
 		served := m.AnchoredValidations - before.AnchoredValidations
 		recomputed := m.Recomputations - before.Recomputations
-		answered := checkAnchorCounts(t, q, pos, before)
+		answered := checkAnchorCounts(t, q.NetworkQuery, pos, before)
 		st.updates++
 		st.served += served
 		st.recomputes += recomputed
@@ -284,16 +284,14 @@ func TestNetworkAnchorWalksMatchOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer store.Close()
-				q, err := NewNetworkQueryPinned(store, k, 1.6)
+				q, err := newNetOnStore(store, k, 1.6)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer q.Close()
-				ctl, err := NewNetworkQueryPinned(store, k, 1.6)
+				ctl, err := newNetOnStore(store, k, 1.6)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer ctl.Close()
 				rng := rand.New(rand.NewSource(int64(100*wi + k)))
 				length := 0.0
 				for i := 0; i < wk.n; i++ {
@@ -426,7 +424,7 @@ func TestNetworkAnchorTiesAndZeroWeight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := runAnchorWalk(t, q, ctl, func() *netvor.Diagram { return d }, positions, nil, false)
+		st := runAnchorWalk(t, &netOnStore{NetworkQuery: q}, &netOnStore{NetworkQuery: ctl}, func() *netvor.Diagram { return d }, positions, nil, false)
 		t.Logf("k=%d: %+v", k, st)
 		if st.served == 0 || st.carries == 0 {
 			t.Errorf("k=%d: the walk was never served or never carried: %+v", k, st)
@@ -531,7 +529,7 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewNetworkQueryPinned(store, k, 1.6)
+		q, err := newNetOnStore(store, k, 1.6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -683,7 +681,6 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 				t.Errorf("k=%d: case %q not covered: %v", k, what, seen)
 			}
 		}
-		q.Close()
 		store.Close()
 	}
 
@@ -743,10 +740,10 @@ func TestNetworkAnchorInvalidationUnderRandomChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var qs [4]*NetworkQuery
+			var qs [4]*netOnStore
 			var at [len(qs)]roadnet.Position
 			for i := range qs {
-				if qs[i], err = NewNetworkQueryPinned(store, k, 1.6); err != nil {
+				if qs[i], err = newNetOnStore(store, k, 1.6); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -800,9 +797,6 @@ func TestNetworkAnchorInvalidationUnderRandomChurn(t *testing.T) {
 			if kept == 0 || needed == 0 {
 				t.Errorf("graph %d, k=%d: cases not covered", gi, k)
 			}
-			for _, q := range qs {
-				q.Close()
-			}
 			store.Close()
 		}
 	}
@@ -823,7 +817,7 @@ func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewNetworkQueryPinned(store, k, 1.6)
+		q, err := newNetOnStore(store, k, 1.6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -868,7 +862,6 @@ func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 		if knn := park(); slices.Contains(knn, u) {
 			t.Errorf("eager %v: kNN %v after site %d went", eager, knn, u)
 		}
-		q.Close()
 		store.Close()
 	}
 }

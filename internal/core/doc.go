@@ -79,21 +79,25 @@
 //
 // The two query types run one session (session.go): the parameters and
 // counters, the client state — one id list, R followed by I(R) — the last
-// reported position, the snapshot pin, and one Sync, Refresh, Invalidate,
-// Epoch and Close. A metric supplies only its judgement of one index
-// mutation (the network's also judges the edge anchor and brings the
-// search scratch's table cache along), its Update and its recomputation.
+// reported position, the epoch of the index it reads, and one Advance,
+// Refresh, Invalidate and Epoch. A metric supplies only its judgement of one
+// index mutation (the network's also judges the edge anchor), what it reads
+// of a snapshot (the network's brings the search scratch's table cache
+// along, FollowTables), its Update and its recomputation.
 //
-// A query never changes the index it reads. NewPlaneQuery and
-// NewNetworkQuery read one fixed index. NewPlaneQueryPinned and
-// NewNetworkQueryPinned pin the current snapshot of an index.Store, through
-// which all data updates go (Store.Apply). Such a query re-pins to the
-// newest snapshot at every Update, or when Sync is called, and replays the
-// store's log of the mutations in between over its state: it invalidates the
-// state when one of them can affect it, or cannot be judged, and recomputes
-// at its next Update; Refresh recomputes at once, at the last reported
-// position. This is the paper's lazy invalidation of the client state,
-// applied at re-pin time.
+// A query never changes the index it reads, and holds no pin on it.
+// NewPlaneQuery and NewNetworkQuery create one over an index, which it
+// reads until Advance hands it a later snapshot of an index.Store, through
+// which all data updates go (Store.Apply), with the store's log of the
+// mutations in between (Store.OpsSince). The query judges them against the
+// index it still reads: it invalidates its state when one of them can
+// affect it, or cannot be judged (a conservative op, or a window the log no
+// longer covers), and recomputes at its next Update; Refresh recomputes at
+// once, at the last reported position. This is the paper's lazy
+// invalidation of the client state. Which snapshot a query reads, and when
+// it moves, is the caller's: the serving engine's shard pins one snapshot,
+// reads each window of the log once and advances all its sessions over it;
+// a read-only caller never advances at all.
 //
 // # Slice ownership
 //
@@ -101,7 +105,7 @@
 // engine and HTTP layers inherit it rather than restating it.
 //
 //   - Update (both processors) returns a slice that aliases internal state
-//     and is rewritten by the query's next Update/Sync/Refresh. It is the
+//     and is rewritten by the query's next Update/Advance/Refresh. It is the
 //     hot-path result — one call per location update — so the processor
 //     does not copy it; a caller that retains it beyond the next call, or
 //     hands it to another goroutine, must copy it first. The serving engine copies

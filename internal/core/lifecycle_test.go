@@ -20,9 +20,7 @@ type lifecycleQuery interface {
 	INS() []int
 	Metrics() *metrics.Counters
 	Epoch() uint64
-	Sync()
 	Refresh() ([]int, bool, error)
-	Close()
 }
 
 // pinnedFixture is one metric's side of a lifecycle test: a store, a query
@@ -54,11 +52,10 @@ func planeFixture(t *testing.T, k, logDepth int) *pinnedFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	q, err := NewPlaneQueryPinned(st, k, 1.6)
+	q, err := newPlaneOnStore(st, k, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(q.Close)
 	home, far := geom.Pt(105, 105), 0.0
 	insert := func(p geom.Point) int {
 		id, err := st.Insert(p)
@@ -100,11 +97,10 @@ func networkFixture(t *testing.T, k, logDepth int) *pinnedFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	q, err := NewNetworkQueryPinned(st, k, 1.6)
+	q, err := newNetOnStore(st, k, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(q.Close)
 	home, far := roadnet.VertexPosition(1), g.NumVertices()-2
 	insert := func(v int) int {
 		if err := st.InsertSite(v); err != nil {
@@ -190,15 +186,6 @@ func TestPinnedLazyInvalidation(t *testing.T) {
 			if knn := refresh("after a second insert at home", 4); knn[0] != id {
 				t.Fatalf("refreshed kNN %v, want it led by %d", knn, id)
 			}
-
-			f.insertFar()
-			if n := f.st.LiveSnapshots(); n != 2 {
-				t.Fatalf("live snapshots with a lagging query = %d, want 2", n)
-			}
-			f.q.Close()
-			if n := f.st.LiveSnapshots(); n != 1 {
-				t.Fatalf("live snapshots after Close = %d, want 1 (the store's own pin)", n)
-			}
 		})
 	}
 }
@@ -257,7 +244,6 @@ func TestFailedRecomputeInvalidates(t *testing.T) {
 	}{{"plane", planeFailCase}, {"network", networkFailCase}} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.open(t)
-			defer c.q.Close()
 			c.remove()
 			for i := 0; i < 2; i++ {
 				if knn, err := c.update(); !c.failed(err) || len(knn) != 0 {
@@ -290,7 +276,7 @@ func planeFailCase(t *testing.T) failCase {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	q, err := NewPlaneQueryPinned(st, 3, 1.6)
+	q, err := newPlaneOnStore(st, 3, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +314,7 @@ func networkFailCase(t *testing.T) failCase {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	q, err := NewNetworkQueryPinned(st, 1, 1)
+	q, err := newNetOnStore(st, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,20 +35,20 @@ var ErrDisconnected = errors.New("core: query position cannot reach k objects")
 // An Update moves the guard objects it settles to the front of R in settle
 // order, so the kNN set R[:k] is in ascending network distance as of the
 // last Update and all of R as of the last recomputation or re-rank. Like
-// PlaneQuery, a network query reads one fixed diagram (NewNetworkQuery) or
-// pins the snapshots of an index.Store (NewNetworkQueryPinned).
+// PlaneQuery, it reads the diagram it was created over until Advance moves
+// it to a later snapshot's.
 type NetworkQuery struct {
 	session[roadnet.Position, netvor.SearchScratch]
 
-	d *netvor.Diagram // the pinned snapshot's diagram, or the fixed one
+	d *netvor.Diagram // the diagram the query reads
 
 	// anchor is the search-free state for the edge the session is on (see
 	// edgeAnchor); it outlives the guard set and falls to site churn only.
 	anchor edgeAnchor
 }
 
-// NewNetworkQuery creates an INS MkNN query over a network Voronoi diagram
-// that does not change while the query runs. Parameters mirror
+// NewNetworkQuery creates an INS MkNN query over a network Voronoi diagram,
+// which it reads until Advance moves it on. Parameters mirror
 // NewPlaneQuery.
 func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, error) {
 	s, err := newSession[roadnet.Position, netvor.SearchScratch](k, rho, true)
@@ -59,27 +59,6 @@ func NewNetworkQuery(d *netvor.Diagram, k int, rho float64) (*NetworkQuery, erro
 		return nil, fmt.Errorf("core: k = %d exceeds site count %d", k, d.Len())
 	}
 	return &NetworkQuery{session: s, d: d}, nil
-}
-
-// NewNetworkQueryPinned creates an INS MkNN query served from a shared
-// index store's network backend. The query pins the current snapshot and
-// re-pins lazily at each Update, replaying the store's mutation log over
-// its guard sets exactly like the plane side; call Close when the session
-// ends so old snapshots can be collected.
-func NewNetworkQueryPinned(st *index.Store, k int, rho float64) (*NetworkQuery, error) {
-	if !st.HasNetwork() {
-		return nil, errors.New("core: no road network configured")
-	}
-	q, err := NewNetworkQuery(st.Network(), k, rho)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := q.pin(st)
-	if err != nil {
-		return nil, err
-	}
-	q.d = snap.Network()
-	return q, nil
 }
 
 // Name identifies the processor in simulation reports.
@@ -95,30 +74,31 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
 	return q.d.Subnetwork(q.ids)
 }
 
-// Sync re-pins a store-pinned query to the newest snapshot, invalidating
-// the client state only when a skipped site mutation can disturb its guard
-// cells: the new site's cell touches a guard member's, the site lands
-// inside the Theorem-2 subnetwork, or a removed site is in (or neighbors)
-// the guard set. The edge anchor is judged by its own rule. On the way out
-// the scratch's table cache is brought to the query's epoch.
-func (q *NetworkQuery) Sync() { q.sync(q) }
+// Advance moves the query to snapshot next like PlaneQuery.Advance,
+// invalidating the client state only when a skipped site mutation can
+// disturb its guard cells: the new site's cell touches a guard member's, the
+// site lands inside the Theorem-2 subnetwork, or a removed site is in (or
+// neighbors) the guard set. The edge anchor is judged by its own rule, and
+// the scratch's table cache is brought along (FollowTables).
+func (q *NetworkQuery) Advance(next *index.Snapshot, ops []index.Op, covered bool) {
+	q.advance(q, next, ops, covered)
+}
 
-// Refresh re-pins like Sync and, when that invalidated the client state,
-// recomputes at the last reported position at once; recomputed reports
-// whether it did. The kNN slice aliases internal state under the same
-// contract as Update.
+// Refresh recomputes an invalidated query at its last reported position at
+// once; recomputed reports whether it did. The kNN slice aliases internal
+// state under the same contract as Update.
 func (q *NetworkQuery) Refresh() (knn []int, recomputed bool, err error) { return q.refresh(q) }
 
-// affects judges one site op against the pinned diagram, where every guard
-// site is live. The edge anchor is judged first, by its own rule and
-// whether or not a guard set is held (edgeAnchor.judge). An insert affects
-// the guard set when it carved territory adjacent to a guard cell — any
-// guard member in its neighbor list; capturing territory from a guard
-// member always creates that adjacency — or landed inside the Theorem-2
-// subnetwork, the region every candidate closer than the guard radius must
-// occupy. A removal affects it when the site is a guard member or its
-// territory is inherited by one, whose cell, and with it the subnetwork,
-// then grows. An unknown neighbor list affects it.
+// affects judges one site op against the diagram the query still reads,
+// where every guard site is live. The edge anchor is judged first, by its
+// own rule and whether or not a guard set is held (edgeAnchor.judge). An
+// insert affects the guard set when it carved territory adjacent to a guard
+// cell — any guard member in its neighbor list; capturing territory from a
+// guard member always creates that adjacency — or landed inside the
+// Theorem-2 subnetwork, the region every candidate closer than the guard
+// radius must occupy. A removal affects it when the site is a guard member
+// or its territory is inherited by one, whose cell, and with it the
+// subnetwork, then grows. An unknown neighbor list affects it.
 func (q *NetworkQuery) affects(op *index.Op) bool {
 	q.anchor.judge(op, q.prefetchCap())
 	switch {
@@ -141,38 +121,34 @@ func (q *NetworkQuery) intersectsGuard(sites []int) bool {
 	return false
 }
 
-func (q *NetworkQuery) pinned(snap *index.Snapshot) {
-	q.d = snap.Network()
-	q.followTables()
+func (q *NetworkQuery) read(next *index.Snapshot, ops []index.Op, covered bool) {
+	if q.sc != nil {
+		FollowTables(q.sc, q.d, next.Network(), ops, covered)
+	}
+	q.d = next.Network()
 }
 
-// followTables reports to the scratch's table cache the site mutations from
-// the epoch it has followed the store to up to the pinned one — once per epoch
-// and scratch, by the first session to get there. A window the log no longer
-// covers, like an op it could not resolve, drops every table.
-func (q *NetworkQuery) followTables() {
-	sc, to := q.scratch(), q.snap.Epoch()
-	if from, behind := sc.FollowTo(q.store, to); behind {
-		ops, ok := q.store.OpsSince(from, to)
-		if !ok {
-			sc.SiteChanged(0, true, nil)
-		}
-		for i := range ops {
-			if op := &ops[i]; op.Network {
-				sc.SiteChanged(op.ID, op.Insert || op.Conservative, op.Neighbors)
-			}
+// FollowTables moves the table cache of scratch sc from diagram from on to
+// to, a later version of its site set, and tells it of the site ops in
+// between; a window the store's log no longer covers, like an op it could
+// not resolve, drops every table. It does nothing unless the cache follows
+// from, so a scratch is fed each window once, by whoever advances it first
+// — the serving engine's shard, which keeps its scratch on the snapshot it
+// pins, or a query on a scratch of its own — and the queries sharing it
+// find it moved.
+func FollowTables(sc *netvor.SearchScratch, from, to *netvor.Diagram, ops []index.Op, covered bool) {
+	if from == to || !sc.Follow(from, to) {
+		return
+	}
+	if !covered {
+		sc.SiteChanged(0, true, nil)
+		return
+	}
+	for i := range ops {
+		if op := &ops[i]; op.Network {
+			sc.SiteChanged(op.ID, op.Insert || op.Conservative, op.Neighbors)
 		}
 	}
-}
-
-// siteSet names the site set the diagram is a version of, which the
-// scratch's table cache follows: a pinned query's store, or the fixed
-// diagram of a read-only one.
-func (q *NetworkQuery) siteSet() any {
-	if q.store != nil {
-		return q.store
-	}
-	return q.d
 }
 
 func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len()) }
@@ -181,7 +157,6 @@ func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len(
 // (shared slice; do not modify). A position that is not on the network is
 // rejected before anything is counted or changed.
 func (q *NetworkQuery) Update(pos roadnet.Position) ([]int, error) {
-	q.Sync()
 	if err := pos.Validate(q.d.Graph()); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidPosition, err)
 	}

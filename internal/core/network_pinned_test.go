@@ -27,14 +27,14 @@ func pinnedNetworkStore(t *testing.T) (*index.Store, *roadnet.Graph) {
 	return st, g
 }
 
-// TestNetworkQueryPinnedLifecycle: a pinned network query re-pins across
-// site mutations, recomputes when its guard cells are disturbed, offers no
-// way to mutate the index itself, and releases its pin on Close.
+// TestNetworkQueryPinnedLifecycle: a network query kept on a store moves
+// across site mutations, recomputes when its guard cells are disturbed, and
+// offers no way to mutate the index itself.
 func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 	st, g := pinnedNetworkStore(t)
 	defer st.Close()
 
-	q, err := NewNetworkQueryPinned(st, 3, 1.6)
+	q, err := newNetOnStore(st, 3, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,6 @@ func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 	if slices.Contains(knn, home) {
 		t.Fatalf("kNN %v still contains the removed site %d", knn, home)
 	}
-
-	q.Close()
-	if n := st.LiveSnapshots(); n != 1 {
-		t.Fatalf("live snapshots after Close = %d, want 1 (the store's own pin)", n)
-	}
 }
 
 // TestNetworkQueryRefreshEager: Refresh recomputes an invalidated session
@@ -98,11 +93,10 @@ func TestNetworkQueryRefreshEager(t *testing.T) {
 	st, _ := pinnedNetworkStore(t)
 	defer st.Close()
 
-	q, err := NewNetworkQueryPinned(st, 2, 1.6)
+	q, err := newNetOnStore(st, 2, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
 	home := 0
 	for st.Current().Network().IsSite(home) {
 		home++
@@ -153,11 +147,10 @@ func TestNetworkQueryLazySkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	q, err := NewNetworkQueryPinned(st, 2, 1.6)
+	q, err := newNetOnStore(st, 2, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
 
 	if _, err := q.Update(roadnet.VertexPosition(0)); err != nil { // corner vertex
 		t.Fatal(err)

@@ -189,11 +189,10 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		q, err := NewNetworkQueryPinned(store, tc.k, tc.rho)
+		q, err := newNetOnStore(store, tc.k, tc.rho)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer q.Close()
 		rng := rand.New(rand.NewSource(int64(tc.k) + 100))
 		route, err := roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 6000, int64(tc.k)+200)
 		if err != nil {
@@ -229,7 +228,7 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 			outcome := outcomeName(before, *q.Metrics())
 			outcomes[outcome]++
 			check(pos, knn)
-			if checkAnchorCounts(t, q, pos, before) {
+			if checkAnchorCounts(t, q.NetworkQuery, pos, before) {
 				anchored[outcome]++
 			}
 			if outcome == "recompute" {
@@ -361,13 +360,13 @@ func gridWalk(tb testing.TB, d *netvor.Diagram, stride float64) (q *NetworkQuery
 	}
 }
 
-// foreignScratch returns a scratch whose table cache follows some other site
-// set than any query's: it serves them nothing and keeps nothing of theirs, so
-// a session on it searches for every table, as all did before there was a
-// cache.
+// foreignScratch returns a scratch whose table cache follows another
+// diagram than any query's, a branch of d: it serves them nothing and keeps
+// nothing of theirs, so a session on it searches for every table, as all did
+// before there was a cache.
 func foreignScratch(d *netvor.Diagram) *netvor.SearchScratch {
 	sc := new(netvor.SearchScratch)
-	d.AppendVertexTable(0, 1, "some other site set", 0, nil, nil, sc)
+	d.Branch().AppendVertexTable(0, 1, nil, nil, sc)
 	return sc
 }
 

@@ -24,11 +24,10 @@ func TestPinnedLogOverflowConvergesPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	q, err := NewPlaneQueryPinned(st, 4, 1.6)
+	q, err := newPlaneOnStore(st, 4, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
 	pos := geom.Pt(500, 500)
 	if _, err := q.Update(pos); err != nil {
 		t.Fatal(err)
@@ -89,11 +88,10 @@ func TestPinnedLogOverflowConvergesNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	q, err := NewNetworkQueryPinned(st, 2, 1.6)
+	q, err := newNetOnStore(st, 2, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
 	pos := roadnet.VertexPosition(7)
 	if _, err := q.Update(pos); err != nil {
 		t.Fatal(err)

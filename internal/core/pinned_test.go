@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/roadnet"
 	"repro/internal/trajectory"
 	"repro/internal/vortree"
 	"repro/internal/workload"
@@ -33,16 +32,14 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := NewPlaneQueryPinned(st, 4, 1.6)
+	pinned, err := newPlaneOnStore(st, 4, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pinned.Close()
-	ref, err := NewPlaneQueryPinned(refSt, 4, 1.6)
+	ref, err := newPlaneOnStore(refSt, 4, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 
 	traj := trajectory.RandomWaypoint(pinnedBounds, 80, 10, 3)
 	var inserted []int
@@ -95,64 +92,22 @@ func TestPinnedMatchesRawUnderMutations(t *testing.T) {
 		}
 	}
 	if pinned.Epoch() != st.Epoch() {
-		t.Errorf("pinned epoch %d, store epoch %d", pinned.Epoch(), st.Epoch())
-	}
-	if st.LiveSnapshots() != 1 { // query re-pinned to the current snapshot
-		t.Errorf("live snapshots = %d, want 1", st.LiveSnapshots())
-	}
-	// One more mutation: the store publishes a new version while the
-	// dormant query still pins the old one...
-	if _, err := st.Insert(geom.Pt(777, 777)); err != nil {
-		t.Fatal(err)
-	}
-	if st.LiveSnapshots() != 2 {
-		t.Errorf("live snapshots with lagging query = %d, want 2", st.LiveSnapshots())
-	}
-	// ...until Close releases the pin and the old version is collectable.
-	pinned.Close()
-	if st.LiveSnapshots() != 1 {
-		t.Errorf("live snapshots after query close = %d, want 1", st.LiveSnapshots())
+		t.Errorf("query epoch %d, store epoch %d", pinned.Epoch(), st.Epoch())
 	}
 }
 
 // TestPinnedReadOnly: a query never changes the index it reads — neither
 // query type has a method that inserts or removes objects; data updates go
-// through an index.Store — and a pinned query needs its metric's side of
-// the store.
+// through an index.Store — nor pins it: neither has a method to let go of
+// a snapshot.
 func TestPinnedReadOnly(t *testing.T) {
 	for _, q := range []any{&PlaneQuery{}, &NetworkQuery{}} {
 		typ := reflect.TypeOf(q)
 		for i := 0; i < typ.NumMethod(); i++ {
-			if name := typ.Method(i).Name; strings.HasPrefix(name, "Insert") || strings.HasPrefix(name, "Remove") {
-				t.Errorf("%v has the mutation method %s", typ, name)
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Insert") || strings.HasPrefix(name, "Remove") || name == "Close" {
+				t.Errorf("%v has the method %s", typ, name)
 			}
 		}
-	}
-
-	st, err := index.NewStore(index.Config{Bounds: pinnedBounds, Objects: workload.Uniform(20, pinnedBounds, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := roadnet.GridNetwork(5, 5, pinnedBounds, 0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netSt, err := index.NewStore(index.Config{Network: g, NetworkSites: []int{0, 6, 12, 18, 24}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPlaneQueryPinned(netSt, 2, 1.6); err == nil {
-		t.Error("plane query on network-only store succeeded")
-	}
-	nq, err := NewNetworkQueryPinned(netSt, 2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nq.Update(roadnet.VertexPosition(7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNetworkQueryPinned(st, 2, 1.6); err == nil {
-		t.Error("network query on plane-only store succeeded")
 	}
 }
 
@@ -166,11 +121,10 @@ func TestSharedScratchDoesNotPinSupersededSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sc vortree.SearchScratch
-	q, err := NewPlaneQueryPinned(st, 4, 1.6)
+	q, err := newPlaneOnStore(st, 4, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
 	q.UseScratch(&sc)
 	if _, err := q.Update(geom.Pt(100, 100)); err != nil { // first placement: a cold start
 		t.Fatal(err)

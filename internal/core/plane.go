@@ -19,14 +19,13 @@ var ErrEmptyIndex = errors.New("core: no data objects")
 // created once per query and fed the query object's location at every
 // timestamp via Update. It is not safe for concurrent use.
 //
-// NewPlaneQuery reads one fixed VoR-tree; NewPlaneQueryPinned pins the
-// immutable snapshots of an index.Store shared with other sessions, and
-// every Update then re-pins lazily to the newest one (see the package
-// documentation's lifecycle).
+// A query reads the VoR-tree it was created over until Advance moves it to
+// a later snapshot of an index.Store (see the package documentation's
+// lifecycle).
 type PlaneQuery struct {
 	session[geom.Point, vortree.SearchScratch]
 
-	ix *vortree.Index // the pinned snapshot's plane index, or the fixed one
+	ix *vortree.Index // the index the query reads
 
 	// anchor parallels ids: the squared distances from the anchor point at,
 	// where the last update that measured every member stood (a
@@ -46,8 +45,8 @@ type PlaneQuery struct {
 	disableRerank bool
 }
 
-// NewPlaneQuery creates an INS MkNN query over a VoR-tree that does not
-// change while the query runs. k must be at least 1 and the prefetch ratio
+// NewPlaneQuery creates an INS MkNN query over a VoR-tree, which it reads
+// until Advance moves it on. k must be at least 1 and the prefetch ratio
 // rho at least 1 (rho == 1 disables prefetching; the paper's demo uses
 // rho = 1.6).
 func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
@@ -56,26 +55,6 @@ func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
 		return nil, err
 	}
 	return &PlaneQuery{session: s, ix: ix, hint: vortree.NoHint}, nil
-}
-
-// NewPlaneQueryPinned creates an INS MkNN query served from the immutable
-// snapshots of a shared index store. The query pins the current snapshot
-// and re-pins lazily at each Update; call Close when the session ends so
-// old snapshots can be collected.
-func NewPlaneQueryPinned(st *index.Store, k int, rho float64) (*PlaneQuery, error) {
-	q, err := NewPlaneQuery(nil, k, rho)
-	if err != nil {
-		return nil, err
-	}
-	if !st.HasPlane() {
-		return nil, fmt.Errorf("core: %w", index.ErrNoPlane)
-	}
-	snap, err := q.pin(st)
-	if err != nil {
-		return nil, err
-	}
-	q.ix = snap.Plane()
-	return q, nil
 }
 
 // Name identifies the processor in simulation reports.
@@ -87,25 +66,28 @@ func (q *PlaneQuery) Name() string { return "ins" }
 // that measures what the incremental update path is worth.
 func (q *PlaneQuery) SetDisableLocalRerank(v bool) { q.disableRerank = v }
 
-// Sync re-pins a store-pinned query to the newest snapshot, invalidating
-// the client state only when a skipped mutation can affect it: an inserted
-// object lands inside or adjacent to R, or a removed one is in R or I(R).
-// Update calls it first; the serving engine also calls it on epoch
-// notifications so dormant sessions release old snapshots promptly.
-func (q *PlaneQuery) Sync() { q.sync(q) }
+// Advance moves the query to snapshot next, given the store's ops between
+// the snapshot it reads and next and whether the log still covers that
+// window (Store.OpsSince). It invalidates the client state only when a
+// skipped mutation can affect it: an inserted object lands inside or
+// adjacent to R, or a removed one is in R or I(R); a window the log no
+// longer covers invalidates it. The serving engine's shard advances all its
+// sessions over one window whenever the store moves on.
+func (q *PlaneQuery) Advance(next *index.Snapshot, ops []index.Op, covered bool) {
+	q.advance(q, next, ops, covered)
+}
 
-// Refresh re-pins like Sync and, when that invalidated the client state,
-// recomputes at the last reported position at once; recomputed reports
-// whether it did. The kNN slice aliases internal state under the same
-// contract as Update. The serving engine calls it for sessions with push
-// subscribers.
+// Refresh recomputes an invalidated query at its last reported position at
+// once; recomputed reports whether it did. The kNN slice aliases internal
+// state under the same contract as Update. The serving engine calls it for
+// sessions with push subscribers after advancing them.
 func (q *PlaneQuery) Refresh() (knn []int, recomputed bool, err error) { return q.refresh(q) }
 
-// affects judges one plane op against the pinned index, where every member
-// of R and I(R) is live: an insert affects the state when it lands closer
-// to the last position than the farthest member of R or neighbors a member
-// of R (otherwise neither R nor I(R) changes), a removal when the object is
-// in R or I(R).
+// affects judges one plane op against the index the query still reads,
+// where every member of R and I(R) is live: an insert affects the state
+// when it lands closer to the last position than the farthest member of R
+// or neighbors a member of R (otherwise neither R nor I(R) changes), a
+// removal when the object is in R or I(R).
 func (q *PlaneQuery) affects(op *index.Op) bool {
 	if !op.Insert {
 		return slices.Contains(q.ids, op.ID)
@@ -129,7 +111,7 @@ func (q *PlaneQuery) affects(op *index.Op) bool {
 	return false
 }
 
-func (q *PlaneQuery) pinned(snap *index.Snapshot) { q.ix = snap.Plane() }
+func (q *PlaneQuery) read(next *index.Snapshot, _ []index.Op, _ bool) { q.ix = next.Plane() }
 
 // prefetchSize returns ⌊ρk⌋ clamped to [k, number of objects].
 func (q *PlaneQuery) prefetchSize() int { return min(q.prefetchCap(), q.ix.Len()) }
@@ -140,7 +122,6 @@ func (q *PlaneQuery) prefetchSize() int { return min(q.prefetchCap(), q.ix.Len()
 // with a NaN or infinite coordinate is rejected before anything is counted
 // or changed.
 func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
-	q.Sync()
 	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
 		return nil, fmt.Errorf("%w: (%g, %g)", ErrInvalidPosition, p.X, p.Y)
 	}

@@ -16,7 +16,7 @@ import (
 // every member of R ∪ I(R) evaluated, each verdict and the hint read off
 // the whole array. It drives a twin PlaneQuery through the same recompute
 // and re-rank code, so the two differ in measure alone.
-func fullPassUpdate(q *PlaneQuery, p geom.Point) ([]int, error) {
+func fullPassUpdate(q *planeOnStore, p geom.Point) ([]int, error) {
 	q.Sync()
 	q.m.Timestamps++
 	q.last, q.located = p, true
@@ -251,16 +251,14 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 			t.Fatal(err)
 		}
 	}
-	a, err := NewPlaneQueryPinned(stA, k, rho)
+	a, err := newPlaneOnStore(stA, k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPlaneQueryPinned(stB, k, rho)
+	b, err := newPlaneOnStore(stB, k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	defer b.Close()
 	// One scratch for both, as a shard's sessions share one.
 	sc := new(vortree.SearchScratch)
 	a.UseScratch(sc)

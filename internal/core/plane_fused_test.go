@@ -29,7 +29,7 @@ func TestFusedUpdateKeepsKNNPrefixOfR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := NewPlaneQueryPinned(st, tc.k, tc.rho)
+		q, err := newPlaneOnStore(st, tc.k, tc.rho)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestFusedUpdateKeepsKNNPrefixOfR(t *testing.T) {
 			}
 			pos = geom.Pt(math.Min(math.Max(pos.X, 0), 1000), math.Min(math.Max(pos.Y, 0), 1000))
 
-			outcome, knn := classifyUpdate(t, q, pos)
+			outcome, knn := classifyUpdate(t, q.PlaneQuery, pos)
 			outcomes[outcome]++
 			check(outcome, pos, knn)
 

@@ -261,19 +261,18 @@ func TestInfluenceSetDisjointFromKNN(t *testing.T) {
 	}
 }
 
-// pinnedIndex returns a store of n random objects and a query pinned to it.
-func pinnedIndex(t *testing.T, n int, seed int64, k int) (*index.Store, *PlaneQuery) {
+// pinnedIndex returns a store of n random objects and a query kept on it.
+func pinnedIndex(t *testing.T, n int, seed int64, k int) (*index.Store, *planeOnStore) {
 	t.Helper()
 	st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: randomPoints(n, seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	q, err := NewPlaneQueryPinned(st, k, 1.6)
+	q, err := newPlaneOnStore(st, k, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(q.Close)
 	return st, q
 }
 

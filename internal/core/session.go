@@ -17,25 +17,23 @@ var ErrInvalidPosition = errors.New("core: invalid position")
 
 // session is the INS lifecycle a query runs the same way on both metrics,
 // over positions of type P with search scratch S: its parameters and
-// counters, the snapshot pin, the client state and the last reported
-// position, and the one Sync and Refresh. PlaneQuery and NetworkQuery embed
-// it and supply what differs by metric (see metric).
+// counters, the epoch of the index it reads, the client state and the last
+// reported position, and the one Advance and Refresh. PlaneQuery and
+// NetworkQuery embed it and supply what differs by metric (see metric).
 type session[P, S any] struct {
 	k   int
 	rho float64
 	m   metrics.Counters
 
-	// store and snap are set on a store-pinned query only: snap is the pinned
-	// snapshot, released on Close or when re-pinning. A read-only query
-	// (store == nil) reads one fixed index for its lifetime.
-	store *index.Store
-	snap  *index.Snapshot
+	// epoch is the version of the index the query reads: the snapshot the
+	// last Advance moved it to, 0 before any.
+	epoch uint64
 
 	// The client state is one id list: ids = R followed by I(R), as one
 	// recomputation ships them, R being ids[:nR]. The kNN set is always
 	// R[:k]: a re-rank or a validation permutes R itself. The buffer survives
 	// Invalidate; slices returned by Update alias it and are rewritten by the
-	// next Update/Sync/Refresh, which is the package's slice-ownership
+	// next Update/Advance/Refresh, which is the package's slice-ownership
 	// contract.
 	ids []int
 	nR  int
@@ -54,13 +52,14 @@ type session[P, S any] struct {
 // lifecycle.
 type metric[P any] interface {
 	// affects judges one op of the metric's kind from the store's log,
-	// conservative ones included, against the state still pinned: whether it
-	// can change the client state. It is called for every op of a re-pin's
-	// window, held state or not, so it may judge what else the query keeps.
+	// conservative ones included, against the index the query still reads:
+	// whether it can change the client state. It is called for every op of
+	// an Advance's window, held state or not, so it may judge what else the
+	// query keeps.
 	affects(op *index.Op) bool
-	// pinned points the query at the pinned snapshot's index; every Sync of a
-	// store-pinned query ends with it.
-	pinned(snap *index.Snapshot)
+	// read points the query at next's index once the window's ops, passed
+	// on, have been judged against the old one.
+	read(next *index.Snapshot, ops []index.Op, covered bool)
 	// recompute fetches R and I(R) afresh at pos. It invalidates first, so a
 	// failure leaves no stale state behind.
 	recompute(pos P) error
@@ -104,54 +103,34 @@ func (s *session[P, S]) scratch() *S {
 	return s.sc
 }
 
-// pin makes the query store-pinned: it pins st's current snapshot.
-func (s *session[P, S]) pin(st *index.Store) (*index.Snapshot, error) {
-	snap := st.Acquire()
-	if snap == nil {
-		return nil, fmt.Errorf("core: %w", index.ErrClosed)
+// advance moves the query to snapshot next, ops being the store's log of the
+// window between the index it reads and next (Store.OpsSince) and covered
+// whether the log still reaches back that far. If any op of the query's
+// metric in the window can affect the client state, as m judges it, or
+// cannot be judged (a conservative op, or a window the log no longer
+// covers), the state is invalidated and the next Update recomputes;
+// otherwise it carries over unchanged, which is the paper's lazy
+// invalidation. The ops are judged against the old index, where every guard
+// object is still live, and only then does the query read next's.
+func (s *session[P, S]) advance(m metric[P], next *index.Snapshot, ops []index.Op, covered bool) {
+	judged := ops
+	if !covered {
+		judged = lagged[:]
 	}
-	s.store, s.snap = st, snap
-	return snap, nil
-}
-
-// sync re-pins a store-pinned query to the newest published snapshot (a
-// no-op for read-only queries and when already current). If any op of the
-// query's metric between the pinned and the newest epoch can affect the
-// client state, as m judges it, or cannot be judged (a conservative op, or
-// a window the log no longer covers), the state is invalidated and the next
-// Update recomputes; otherwise it carries over unchanged, which is the
-// paper's lazy invalidation applied at re-pin time. The snapshot is pinned
-// before the window is read, so no mutation can slip between the two, and
-// the ops are judged against the old snapshot, where every guard object is
-// still live.
-func (s *session[P, S]) sync(m metric[P]) {
-	if s.snap == nil {
-		return
-	}
-	if s.store.Current().Epoch() != s.snap.Epoch() {
-		if next := s.store.Acquire(); next != nil { // nil: the store closed; keep serving the pin
-			ops, ok := s.store.OpsSince(s.snap.Epoch(), next.Epoch())
-			if !ok {
-				ops = lagged[:]
-			}
-			for i := range ops {
-				if op := &ops[i]; op.Network == s.network && (m.affects(op) || op.Conservative) {
-					s.Invalidate()
-				}
-			}
-			s.snap.Release()
-			s.snap = next
+	for i := range judged {
+		if op := &judged[i]; op.Network == s.network && (m.affects(op) || op.Conservative) {
+			s.Invalidate()
 		}
 	}
-	m.pinned(s.snap)
+	m.read(next, ops, covered)
+	s.epoch = next.Epoch()
 }
 
-// refresh turns lazy invalidation into eager repair: it re-pins and, when
-// that invalidated the client state, recomputes at the last reported
-// position at once instead of at the next location update. A query that
-// never reported a position has nothing to recompute.
+// refresh turns lazy invalidation into eager repair: when the client state
+// is invalidated, it recomputes at the last reported position at once
+// instead of at the next location update. A query that never reported a
+// position has nothing to recompute.
 func (s *session[P, S]) refresh(m metric[P]) (knn []int, recomputed bool, err error) {
-	s.sync(m)
 	if s.init || !s.located {
 		return s.knn(), false, nil
 	}
@@ -170,22 +149,9 @@ func (s *session[P, S]) Invalidate() {
 	s.ids, s.nR = s.ids[:0], 0
 }
 
-// Epoch returns the pinned snapshot's epoch (0 for read-only queries).
-func (s *session[P, S]) Epoch() uint64 {
-	if s.snap == nil {
-		return 0
-	}
-	return s.snap.Epoch()
-}
-
-// Close releases the query's snapshot pin. It is idempotent and a no-op for
-// read-only queries; the query must not be used afterwards.
-func (s *session[P, S]) Close() {
-	if s.snap != nil {
-		s.snap.Release()
-		s.snap = nil
-	}
-}
+// Epoch returns the version of the index the query reads: the epoch of the
+// snapshot the last Advance moved it to, 0 before any.
+func (s *session[P, S]) Epoch() uint64 { return s.epoch }
 
 // prefetchCap is M = ⌊ρk⌋, at least k: the size of R while the index holds
 // that many objects. A ρk past the int range saturates rather than going

@@ -74,13 +74,12 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 			defer store.Close()
 			current := func() *netvor.Diagram { return store.Current().Network() }
 			sc := new(netvor.SearchScratch)
-			var qs []*NetworkQuery
+			var qs []*netOnStore
 			for _, k := range ks {
-				q, err := NewNetworkQueryPinned(store, k, 1.6)
+				q, err := newNetOnStore(store, k, 1.6)
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(q.Close)
 				q.UseScratch(sc)
 				qs = append(qs, q)
 			}
@@ -93,7 +92,7 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 			inserts, shortAt := 0, map[int]int{}
 			round, builtRound := 0, map[int]int{}
 			var hits, prefixHits, laterHits, shortHits, builds, staleReads, written int
-			pin := func(q *NetworkQuery, v int, mayHit bool) {
+			pin := func(q *netOnStore, v int, mayHit bool) {
 				t.Helper()
 				m, before := q.prefetchCap(), *q.Metrics()
 				q.pinEndpoint(&tab, v)

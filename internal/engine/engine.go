@@ -18,13 +18,15 @@
 // location-update request is fanned out to the owning shards and gathered.
 // A data update (object insert/delete) goes only to the Store, which
 // applies it copy-on-write, publishes the next snapshot, and notifies the
-// shards. Sessions re-pin lazily: at their next location update (or when
-// their shard drains an epoch notification) they compare their pinned
-// epoch against the newest, replay the store's mutation log over their INS
-// guard sets, and invalidate exactly when a skipped mutation could affect
-// them — the paper's lazy invalidation, now driven by snapshot epochs.
-// Old snapshots are garbage-collected as soon as the last lagging session
-// re-pins.
+// shards. Each shard pins one snapshot, which all its sessions read. When
+// the store has moved on — on an epoch notification, and before the shard
+// handles any message — the shard pins the newest snapshot, reads the
+// store's mutation log of the window once, and advances every session over
+// it: a session invalidates its INS guard sets exactly when a skipped
+// mutation could affect them — the paper's lazy invalidation, driven by
+// snapshot epochs. Then the shard releases its old pin, so the current
+// snapshot carries one pin per shard whatever the session count, and an
+// old one is garbage-collected once the last shard has moved past it.
 package engine
 
 import (
@@ -118,8 +120,8 @@ type Config struct {
 	// restores pure blocking backpressure.
 	ShedDepth int
 	// LogDepth bounds the store's mutation log (default
-	// index.DefaultLogDepth): how many data updates a dormant session may
-	// lag and still re-pin without a conservative recomputation.
+	// index.DefaultLogDepth): how many data updates a shard may fall behind
+	// and still advance its sessions without a conservative recomputation.
 	LogDepth int
 	// StreamQueueDepth bounds each push subscriber's pending-event queue
 	// (default stream.DefaultQueueDepth); see the stream package for the
@@ -191,9 +193,9 @@ type Stats struct {
 	// Epoch counts applied data updates (both sides share one epoch
 	// sequence).
 	Epoch uint64
-	// Snapshots is the number of index snapshots still pinned: 1 when
-	// every session has re-pinned to the current version, more while
-	// lagging sessions keep old versions alive.
+	// Snapshots is the number of index snapshots still pinned: 1 once
+	// every shard has moved to the current version, more while a shard
+	// still holds an older one.
 	Snapshots int
 	// EpochPublishUS is the mean wall time of publishing one data-update
 	// epoch (path-copy branch + mutations + publish), in microseconds;
@@ -346,6 +348,7 @@ func New(cfg Config) (*Engine, error) {
 			events:   e.events,
 			mailbox:  make(chan message, cfg.MailboxDepth),
 			notify:   st.Subscribe(),
+			snap:     st.Acquire(),
 			done:     make(chan struct{}),
 			sessions: make(map[SessionID]*session),
 			obs:      cfg.Obs,
@@ -574,7 +577,7 @@ func (e *Engine) State(sid SessionID) (SessionState, error) {
 	return r.state, r.err
 }
 
-// CloseSession removes a live session, releasing its snapshot pin.
+// CloseSession removes a live session.
 func (e *Engine) CloseSession(sid SessionID) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -698,7 +701,8 @@ func (e *Engine) runBatch(ctx context.Context, network bool, plan *batchPlan) ([
 // it sits on). The whole batch is validated up front, logged as one WAL
 // record and published as one copy-on-write snapshot under the next
 // epochs; it is applied or rejected whole. Sessions whose guard sets a
-// mutation can affect are invalidated when they re-pin. The returned ids
+// mutation can affect are invalidated when their shard moves to the new
+// snapshot. The returned ids
 // parallel muts: the assigned id for plane inserts, the echoed id/vertex
 // otherwise. ctx carries the trace ID for slow-op attribution in the
 // publish and WAL stages.
@@ -777,14 +781,13 @@ func (e *Engine) Stats() (Stats, error) {
 		sh.mailbox <- statsMsg{reply: reply}
 	}
 	st := Stats{
-		Shards:    len(e.shards),
-		Uptime:    time.Since(e.start),
-		Epoch:     e.store.Epoch(),
-		Snapshots: e.store.LiveSnapshots(),
-		Stream:    e.events.Stats(),
-		Shed:      e.shed.Load(),
-		Expired:   e.expired.Load(),
-		Degraded:  e.degraded(),
+		Shards:   len(e.shards),
+		Uptime:   time.Since(e.start),
+		Epoch:    e.store.Epoch(),
+		Stream:   e.events.Stats(),
+		Shed:     e.shed.Load(),
+		Expired:  e.expired.Load(),
+		Degraded: e.degraded(),
 	}
 	for _, sh := range e.shards {
 		st.Expired += sh.expired.Load()
@@ -812,6 +815,9 @@ func (e *Engine) Stats() (Stats, error) {
 		st.Counters.Add(s.counters)
 		hist.Merge(&s.hist)
 	}
+	// Read once every shard has answered, having moved to the newest
+	// snapshot first.
+	st.Snapshots = e.store.LiveSnapshots()
 	st.Latency = hist.Summary()
 	if secs := st.Uptime.Seconds(); secs > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / secs
@@ -820,7 +826,7 @@ func (e *Engine) Stats() (Stats, error) {
 }
 
 // Close shuts the engine down: it waits for in-flight requests, stops the
-// shard workers (releasing their sessions' snapshot pins), closes the
+// shard workers (each releasing its snapshot pin), closes the
 // store and then the stream broker (waking every subscriber with Done).
 // Close is idempotent; all other methods fail with ErrClosed afterwards.
 func (e *Engine) Close() error {

@@ -27,10 +27,9 @@ func testNetwork(t *testing.T, rows, cols, nSites int, seed int64) (*roadnet.Gra
 }
 
 // refNetQuery is a single-threaded reference session: a core.NetworkQuery
-// pinned to its own index store, mutated in lockstep with the engine's
-// store — the network mirror of refQuery. It re-pins at its next update,
-// where the store's log of site mutations judges its guard set and its edge
-// anchor.
+// over its own index store, mutated in lockstep with the engine's store —
+// the network mirror of refQuery. Each site mutation, as it is applied,
+// judges its guard set and its edge anchor (follow).
 type refNetQuery struct {
 	st *index.Store
 	q  *core.NetworkQuery
@@ -42,7 +41,7 @@ func newRefNetQuery(t *testing.T, g *roadnet.Graph, sites []int, k int, rho floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.NewNetworkQueryPinned(st, k, rho)
+	q, err := core.NewNetworkQuery(st.Current().Network(), k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +53,7 @@ func (r *refNetQuery) insert(t *testing.T, v int) {
 	if err := r.st.InsertSite(v); err != nil {
 		t.Fatal(err)
 	}
+	follow(r.st, r.q)
 }
 
 func (r *refNetQuery) remove(t *testing.T, v int) {
@@ -61,6 +61,7 @@ func (r *refNetQuery) remove(t *testing.T, v int) {
 	if err := r.st.RemoveSite(v); err != nil {
 		t.Fatal(err)
 	}
+	follow(r.st, r.q)
 }
 
 func sortedCopy(a []int) []int {
@@ -188,7 +189,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 		}
 	}
 
-	// After a full round of updates every session has re-pinned: exactly
+	// After a full round of updates every shard has moved on: exactly
 	// one snapshot version remains live, and the epoch counted every site
 	// mutation.
 	st, err := e.Stats()

@@ -20,16 +20,20 @@ import (
 // TestEngineObservability drives a small instrumented engine end to end
 // and checks that every in-process pipeline stage fired, the gauges
 // export, and a threshold-zero slow log captures batches with the
-// request's trace ID. Run with -race: scrapes race against workers by
-// design.
+// request's trace ID. The snapshot gauges count shards, not sessions: once
+// 256 sessions on 4 shards have updated and a mutation has been quiesced,
+// the current snapshot carries the store's pin and one per shard and is the
+// only one live; after Close none is. Run with -race: scrapes race against
+// workers by design.
 func TestEngineObservability(t *testing.T) {
+	const shards, nSessions = 4, 256
 	reg := obs.NewRegistry()
 	var logBuf bytes.Buffer
 	slow := obs.NewSlowLog(slog.New(slog.NewTextHandler(&logBuf, nil)),
 		obs.Thresholds{Batch: time.Nanosecond})
 	pipe := obs.NewPipeline(reg, slow)
 	e, err := New(Config{
-		Shards:  2,
+		Shards:  shards,
 		Bounds:  testBounds,
 		Objects: workload.Uniform(200, testBounds, 1),
 		Obs:     pipe,
@@ -39,16 +43,21 @@ func TestEngineObservability(t *testing.T) {
 	}
 	defer e.Close()
 
-	sid, err := e.CreateSession(5, 1.6)
-	if err != nil {
-		t.Fatal(err)
+	batch := make([]LocationUpdate, nSessions)
+	for i := range batch {
+		sid, err := e.CreateSession(5, 1.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = LocationUpdate{Session: sid, Pos: geom.Pt(10+float64(i), 10)}
 	}
+	sid := batch[0].Session
 	sub := e.Stream().Subscribe(8, uint64(sid))
 	defer sub.Close()
 
 	trace := obs.NewTraceID()
 	ctx := obs.WithTraceID(context.Background(), trace)
-	if _, err := e.UpdateBatchCtx(ctx, []LocationUpdate{{Session: sid, Pos: geom.Pt(10, 10)}}); err != nil {
+	if _, err := e.UpdateBatchCtx(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.ApplyMutations(ctx, []index.Mutation{{Insert: true, P: geom.Pt(11, 11)}}); err != nil {
@@ -60,6 +69,10 @@ func TestEngineObservability(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := e.UpdateBatchCtx(ctx, []LocationUpdate{{Session: sid, Pos: geom.Pt(12, 12)}}); err != nil {
+		t.Fatal(err)
+	}
+	// Quiesce: every shard moves to the newest snapshot before it answers.
+	if _, err := e.Stats(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,17 +92,25 @@ func TestEngineObservability(t *testing.T) {
 	out := expo.String()
 	for _, want := range []string{
 		`insq_shard_queue_depth{shard="0"}`,
-		`insq_shard_sessions{shard="1"}`,
-		"insq_sessions 1",
-		"insq_epoch 1",
-		"insq_snapshot_pins",
-		"insq_objects 201",
-		"insq_stream_subscribers 1",
-		"insq_updates_total 2",
+		`insq_shard_sessions{shard="3"}`,
+		fmt.Sprintf("insq_sessions %d\n", nSessions),
+		"insq_epoch 1\n",
+		fmt.Sprintf("insq_snapshot_pins %d\n", shards+1),
+		"insq_snapshots_live 1\n",
+		"insq_objects 201\n",
+		"insq_stream_subscribers 1\n",
+		fmt.Sprintf("insq_updates_total %d\n", nSessions+1),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.store.LiveSnapshots(); n != 0 {
+		t.Errorf("live snapshots after Close = %d, want 0", n)
 	}
 }
 

@@ -20,10 +20,11 @@ import (
 
 // shard is one serving partition: a worker goroutine that owns every
 // session pinned to it — and nothing else. The index lives in the shared
-// snapshot store; sessions read whichever snapshot they are pinned to
-// lock-free. All per-session INS state is touched by exactly one
-// goroutine; shards communicate with the engine only through the mailbox,
-// reply channels, and the store's epoch notifications.
+// snapshot store; the shard pins one snapshot, which all its sessions read
+// lock-free, and moves them all to the next one at once (sweep). All
+// per-session INS state is touched by exactly one goroutine; shards
+// communicate with the engine only through the mailbox, reply channels, and
+// the store's epoch notifications.
 type shard struct {
 	id      int
 	store   *index.Store
@@ -34,6 +35,7 @@ type shard struct {
 	obs     *obs.Pipeline // nil when observability is off
 
 	// Worker-owned state; never accessed outside the worker goroutine.
+	snap     *index.Snapshot // pinned: the snapshot every session here reads
 	sessions map[SessionID]*session
 	hist     metrics.Histogram
 
@@ -60,11 +62,12 @@ type shard struct {
 	// run serially on the worker goroutine, so sharing is race-free). What
 	// they keep is sized by the widest search they ran, plus netSc's ring of
 	// endpoint tables, which draws from the engine's table budget (its first
-	// entries in New); one per shard instead of one per session keeps memory
-	// flat as session counts grow. The rest grows on first use. A network
-	// session keeps nothing in netSc between two calls: the guard marks, the
-	// frontier and the tentative distances of its validation search are
-	// rebuilt inside each Update.
+	// entries in New) and follows the snapshot the shard pins (sweep); one
+	// per shard instead of one per session keeps memory flat as session
+	// counts grow. The rest grows on first use. A network session keeps
+	// nothing in netSc between two calls: the guard marks, the frontier and
+	// the tentative distances of its validation search are rebuilt inside
+	// each Update.
 	netSc   netvor.SearchScratch
 	planeSc vortree.SearchScratch
 }
@@ -76,10 +79,9 @@ type query interface {
 	AppendCurrent(dst []int) []int
 	Current() []int
 	Metrics() *metrics.Counters
-	Sync()
+	Advance(next *index.Snapshot, ops []index.Op, covered bool)
 	Refresh() (knn []int, recomputed bool, err error)
 	Epoch() uint64
-	Close()
 }
 
 // updater is a query that takes positions of type P.
@@ -180,10 +182,11 @@ func (batchMsg) isMessage()  {}
 func (stateMsg) isMessage()  {}
 func (statsMsg) isMessage()  {}
 
-// run is the worker loop; it exits when the mailbox is closed. Between
-// requests it drains epoch notifications and re-pins its sessions, so even
-// dormant sessions release superseded snapshots promptly (correctness does
-// not depend on it: every session also re-pins inside Update).
+// run is the worker loop; it exits when the mailbox is closed. Whenever the
+// store has moved on — on an epoch notification, and before any message is
+// handled — it first moves the shard's sessions to the newest snapshot
+// (sweep), so a request sees every mutation that returned before it was
+// sent, on every shard.
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
@@ -193,6 +196,7 @@ func (sh *shard) run() {
 				sh.shutdown()
 				return
 			}
+			sh.sweep()
 			sh.handle(msg)
 		case <-sh.notify:
 			sh.sweep()
@@ -211,9 +215,8 @@ func (sh *shard) handle(msg message) {
 			return
 		}
 		if sh.events.Watched(uint64(m.sid)) {
-			sh.publish(m.sid, s, stream.CauseClose, s.q.Current(), nil, sh.store.Epoch())
+			sh.publish(m.sid, s, stream.CauseClose, s.q.Current(), nil, sh.snap.Epoch())
 		}
-		s.q.Close()
 		delete(sh.sessions, m.sid)
 		sh.sessionsN.Store(int64(len(sh.sessions)))
 		m.reply <- nil
@@ -227,37 +230,49 @@ func (sh *shard) handle(msg message) {
 	}
 }
 
-// shutdown releases every session's snapshot pin on engine close.
+// shutdown drops the sessions and releases the shard's pin on engine close.
 func (sh *shard) shutdown() {
-	for _, s := range sh.sessions {
-		s.q.Close()
-	}
+	sh.snap.Release()
 	sh.sessions = nil
 	sh.sessionsN.Store(0)
 }
 
-// sweep re-pins every session — plane and network alike — to the newest
-// snapshot, applying the lazy-invalidation check inside the processor's
-// Sync. Unwatched affected sessions recompute at their next location
-// update (the paper's lazy path); sessions with push subscribers instead
-// recompute eagerly via Refresh, and the resulting delta — the data
-// update's effect on their kNN — is published immediately, which is what
-// turns the engine's invalidation machinery into user-visible push
-// notifications.
+// sweep moves the shard to the newest snapshot when the store has moved
+// on. It pins that snapshot and reads the store's log of the window once —
+// a window the log no longer covers is found here, once for all sessions —
+// brings the shared table cache along, advances every session over the
+// window, plane and network alike, and releases the old pin: the current
+// snapshot carries one pin per shard, whatever the session count. The
+// paper's lazy invalidation runs inside each session's Advance. Unwatched
+// affected sessions recompute at their next location update (the lazy
+// path); sessions with push subscribers instead recompute eagerly via
+// Refresh, and the resulting delta — the data update's effect on their kNN
+// — is published immediately, which is what turns the engine's
+// invalidation machinery into user-visible push notifications.
 func (sh *shard) sweep() {
+	if sh.store.Epoch() == sh.snap.Epoch() {
+		return
+	}
+	next := sh.store.Acquire()
+	if next == nil {
+		return // the store closed: keep serving the pinned snapshot
+	}
 	var start time.Time
 	if sh.obs.Enabled() {
 		start = time.Now()
 		defer func() { sh.obs.Observe(obs.StageSweep, time.Since(start)) }()
 	}
+	ops, covered := sh.store.OpsSince(sh.snap.Epoch(), next.Epoch())
+	core.FollowTables(&sh.netSc, sh.snap.Network(), next.Network(), ops, covered)
 	active := sh.events.Active()
 	for sid, s := range sh.sessions {
 		if !active || !sh.events.Watched(uint64(sid)) {
-			s.q.Sync()
+			s.q.Advance(next, ops, covered)
 			continue
 		}
 		prev := s.q.AppendCurrent(sh.prevBuf[:0])
 		sh.prevBuf = prev[:0]
+		s.q.Advance(next, ops, covered)
 		knn, recomputed, err := s.q.Refresh()
 		if err != nil {
 			// The result is gone (e.g. k now exceeds the object count) and
@@ -266,32 +281,35 @@ func (sh *shard) sweep() {
 			// kept the old members would otherwise hold a silently-wrong
 			// view, and the eventual recompute publishes its delta against
 			// the empty baseline — the chain stays exact.
-			sh.publish(sid, s, stream.CauseData, prev, nil, s.q.Epoch())
+			sh.publish(sid, s, stream.CauseData, prev, nil, next.Epoch())
 			continue
 		}
 		if recomputed {
-			sh.publish(sid, s, stream.CauseData, prev, knn, s.q.Epoch())
+			sh.publish(sid, s, stream.CauseData, prev, knn, next.Epoch())
 		}
 	}
+	sh.snap.Release()
+	sh.snap = next
 }
 
 func (sh *shard) create(m createMsg) error {
 	var q query
 	if m.network {
-		nq, err := core.NewNetworkQueryPinned(sh.store, m.k, m.rho)
+		nq, err := core.NewNetworkQuery(sh.snap.Network(), m.k, m.rho)
 		if err != nil {
 			return err
 		}
 		nq.UseScratch(&sh.netSc)
 		q = nq
 	} else {
-		pq, err := core.NewPlaneQueryPinned(sh.store, m.k, m.rho)
+		pq, err := core.NewPlaneQuery(sh.snap.Plane(), m.k, m.rho)
 		if err != nil {
 			return err
 		}
 		pq.UseScratch(&sh.planeSc)
 		q = pq
 	}
+	q.Advance(sh.snap, nil, true) // at the shard's epoch, with nothing to judge
 	sh.sessions[m.sid] = &session{q: q}
 	sh.sessionsN.Store(int64(len(sh.sessions)))
 	return nil

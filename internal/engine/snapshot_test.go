@@ -11,10 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// refQuery is a single-threaded reference session: a core.PlaneQuery pinned
-// to its own index store, mutated in lockstep with the engine's store. It
-// re-pins at its next update, invalidating when a mutation can affect the
-// guard sets and recomputing then.
+// refQuery is a single-threaded reference session: a core.PlaneQuery over
+// its own index store, mutated in lockstep with the engine's store and
+// advanced over each mutation as it is applied (follow). It invalidates
+// when a mutation can affect the guard sets and recomputes at its next
+// update.
 type refQuery struct {
 	st *index.Store
 	q  *core.PlaneQuery
@@ -26,7 +27,7 @@ func newRefQuery(t *testing.T, objects []geom.Point, k int, rho float64) *refQue
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.NewPlaneQueryPinned(st, k, rho)
+	q, err := core.NewPlaneQuery(st.Current().Plane(), k, rho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +43,7 @@ func (r *refQuery) insert(t *testing.T, p geom.Point, wantID int) {
 	if id != wantID {
 		t.Fatalf("reference id %d, engine id %d", id, wantID)
 	}
+	follow(r.st, r.q)
 }
 
 func (r *refQuery) remove(t *testing.T, id int) {
@@ -49,6 +51,18 @@ func (r *refQuery) remove(t *testing.T, id int) {
 	if err := r.st.Remove(id); err != nil {
 		t.Fatal(err)
 	}
+	follow(r.st, r.q)
+}
+
+// follow advances a reference query to its store's current snapshot over
+// the ops in between, as a shard advances its sessions.
+func follow(st *index.Store, q interface {
+	Epoch() uint64
+	Advance(next *index.Snapshot, ops []index.Op, covered bool)
+}) {
+	next := st.Current()
+	ops, covered := st.OpsSince(q.Epoch(), next.Epoch())
+	q.Advance(next, ops, covered)
 }
 
 // TestEngineEquivalenceUnderMutations is the snapshot-architecture
@@ -129,7 +143,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 		}
 	}
 
-	// After a full round of updates every session has re-pinned: exactly
+	// After a full round of updates every shard has moved on: exactly
 	// one snapshot version remains live.
 	st, err := e.Stats()
 	if err != nil {
@@ -146,9 +160,10 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 // TestEngineCrossShardCoherence pins identical sessions (same k, rho,
 // trajectory) to different shards and interleaves object churn with the
 // batched location updates: because every mutation happens-before the next
-// batch and all sessions re-pin to the same snapshot, answers must be
-// identical across shards at every step. Concurrent stats polling and a
-// second batch stream exercise the lock-free read path under -race.
+// batch and every shard moves to the newest snapshot before it runs one,
+// answers must be identical across shards at every step. Concurrent stats
+// polling and a second batch stream exercise the lock-free read path under
+// -race.
 func TestEngineCrossShardCoherence(t *testing.T) {
 	const (
 		shards = 8

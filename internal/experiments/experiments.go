@@ -287,8 +287,9 @@ func pickSites(nVerts, nSites int, seed int64) []int {
 }
 
 // E11 sweeps the data-update rate during a moving query. The objects live
-// in an index.Store, as a served dataset does, and the query repairs itself
-// eagerly after every insert or removal (Refresh).
+// in an index.Store, as a served dataset does, and after every insert or
+// removal the query is moved to the new snapshot and repairs itself at once
+// (Advance, Refresh).
 func E11(cfg Config) ([]Row, error) {
 	steps := cfg.steps(3000)
 	var rows []Row
@@ -297,7 +298,7 @@ func E11(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		q, err := core.NewPlaneQueryPinned(st, 8, 1.6)
+		q, err := core.NewPlaneQuery(st.Current().Plane(), 8, 1.6)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +311,6 @@ func E11(cfg Config) ([]Row, error) {
 			return int((state >> 33) % uint64(n))
 		}
 		rep, err := runPlaneWithUpdates(st, q, traj, updatesPer100, rnd)
-		q.Close()
 		st.Close()
 		if err != nil {
 			return nil, fmt.Errorf("E11 u=%d: %w", updatesPer100, err)
@@ -361,6 +361,9 @@ func runPlaneWithUpdates(st *index.Store, q *core.PlaneQuery, traj []geom.Point,
 			}
 			inserted = append(inserted[:i], inserted[i+1:]...)
 		}
+		next := st.Current()
+		ops, covered := st.OpsSince(q.Epoch(), next.Epoch())
+		q.Advance(next, ops, covered)
 		if _, _, err := q.Refresh(); err != nil {
 			return sim.Report{}, err
 		}

@@ -3,6 +3,9 @@ package index
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 )
 
@@ -85,4 +88,51 @@ func DecodeMutations(p []byte) ([]Mutation, []byte, error) {
 		muts[i] = m
 	}
 	return muts, p, nil
+}
+
+// The one frame both carry the encoding in, the log's records on disk and
+// the ingest protocol's batches and acks on the wire:
+//
+//	[payload len: uint32 LE][crc32c(payload): uint32 LE][payload]
+//
+// so a torn or corrupted frame is detected before any payload byte is
+// interpreted. What a torn frame means is the reader's: the wire fails the
+// stream, the log truncates its tail there.
+
+// FrameHeaderLen is the fixed frame header: payload length and CRC32C.
+const FrameHeaderLen = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendFrame appends payload, framed, to dst.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// ReadFrame reads one frame from r and returns its verified payload, which
+// the caller caps at limit bytes. It returns io.EOF only at a clean frame
+// boundary; a header or payload cut short, a length of 0 or past limit, and
+// a CRC mismatch are errors, which the caller reports in its own vocabulary.
+func ReadFrame(r io.Reader, limit int) ([]byte, error) {
+	var hdr [FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("torn header: %w", err)
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n == 0 || int64(n) > int64(limit) {
+		return nil, fmt.Errorf("payload length %d", n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("torn payload: %w", err)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errors.New("crc mismatch")
+	}
+	return payload, nil
 }

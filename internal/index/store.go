@@ -51,7 +51,7 @@ var (
 )
 
 // DefaultLogDepth is the default mutation-log capacity: how far back a
-// session may lag (in data updates) and still re-pin with exact
+// reader may lag (in data updates) and still move on with exact
 // affectedness checks instead of a conservative invalidation.
 const DefaultLogDepth = 4096
 
@@ -137,9 +137,10 @@ type Mutation struct {
 	Network bool
 }
 
-// Op is one applied mutation in the store's log, replayed by re-pinning
-// sessions to decide whether their guard sets survived the epoch range
-// they skipped. Plane sessions skip network ops and vice versa.
+// Op is one applied mutation in the store's log. Whoever moves queries to a
+// later snapshot hands them the ops in between (OpsSince), and each query
+// judges whether its guard sets survived them; plane queries skip network
+// ops and vice versa.
 type Op struct {
 	// Epoch is the op's position in the global mutation order; the first
 	// applied op has epoch 1.
@@ -186,9 +187,10 @@ type Store struct {
 	subs  []chan uint64
 }
 
-// Snapshot is one immutable published version of the indexes. Readers pin
-// it (Acquire on the store, Release when done or re-pinned) and may then
-// use the read surface from any goroutine without locking.
+// Snapshot is one immutable published version of the indexes. Its read
+// surface is safe from any goroutine without locking for as long as it is
+// referenced; a pin (Acquire on the store, Release when done) only counts a
+// reader, for LiveSnapshots and CurrentPins.
 type Snapshot struct {
 	store *Store
 	epoch uint64
@@ -263,9 +265,6 @@ func (st *Store) publish(s *Snapshot) {
 // HasPlane reports whether the store carries a plane index.
 func (st *Store) HasPlane() bool { return st.cur.Load().plane != nil }
 
-// HasNetwork reports whether the store carries a road-network side.
-func (st *Store) HasNetwork() bool { return st.cur.Load().net != nil }
-
 // Bounds returns the plane data space.
 func (st *Store) Bounds() geom.Rect { return st.bounds }
 
@@ -276,10 +275,10 @@ func (st *Store) Bounds() geom.Rect { return st.bounds }
 // rather than re-reading this accessor.
 func (st *Store) Network() *netvor.Diagram { return st.cur.Load().net }
 
-// Current returns the current snapshot without pinning it. The returned
-// snapshot is safe to read only while the caller also holds a pin that is
-// at least as old; use it for cheap epoch peeks (Epoch comparison) and
-// Acquire for actual reads.
+// Current returns the current snapshot without pinning it. A snapshot stays
+// readable for as long as it is referenced, pinned or not, so a caller that
+// needs no accounting — one query over a store, a peek at the epoch — reads
+// it directly.
 func (st *Store) Current() *Snapshot { return st.cur.Load() }
 
 // Epoch returns the number of applied data updates.
@@ -288,13 +287,15 @@ func (st *Store) Epoch() uint64 { return st.cur.Load().epoch }
 // LiveSnapshots returns the number of snapshots still pinned (including
 // the current one, which the store itself pins). It demonstrates the
 // garbage-collection contract: publishing does not leak old versions once
-// sessions re-pin.
+// their readers have moved on.
 func (st *Store) LiveSnapshots() int { return int(st.live.Load()) }
 
 // Acquire pins and returns the current snapshot, or nil after Close
 // (whose final snapshot may have drained its pins; retrying it forever
-// would livelock). Callers must Release the result (or hand it to a
-// session that will).
+// would livelock). The pin counts the caller as a reader of that version
+// until it calls Release: the serving engine's shards hold one each, on the
+// snapshot all their sessions read, so LiveSnapshots and CurrentPins show
+// whether any shard lags.
 func (st *Store) Acquire() *Snapshot {
 	for {
 		if st.closedFlg.Load() {
@@ -484,8 +485,9 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 	return ids, nil
 }
 
-// CurrentPins returns the current snapshot's pin count (including the
-// store's own pin) — the sessions-still-reading-this-epoch gauge.
+// CurrentPins returns the current snapshot's pin count, the store's own pin
+// included: in the serving engine, one more than the shards that have moved
+// to it.
 func (st *Store) CurrentPins() int {
 	return int(st.cur.Load().pins.Load())
 }
@@ -673,7 +675,7 @@ func (st *Store) notify(epoch uint64) {
 }
 
 // Close rejects further mutations and releases the store's pin on the
-// current snapshot, letting LiveSnapshots drain to zero once every session
+// current snapshot, letting LiveSnapshots drain to zero once every reader
 // releases its own pin. Reads through already-pinned snapshots remain
 // valid.
 func (st *Store) Close() {

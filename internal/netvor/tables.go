@@ -25,11 +25,11 @@ import (
 // of the request holds all its vertex reaches and falls to any insert. The
 // stamps are bounded by the ring: pruned when it wraps, and dropped with
 // every table when they come to outnumber its entries. The cache follows one
-// owner's site set, to one epoch, and serves callers at that epoch only.
-// DESIGN.md "Edge-anchored validation" has the argument and the budget.
+// diagram, which it is moved on from to each later version (Follow), and
+// serves callers searching that diagram only. DESIGN.md "Edge-anchored
+// validation" has the argument and the budget.
 type tableCache struct {
-	owner  any
-	epoch  uint64
+	owner  *Diagram
 	budget *TableBudget
 
 	site []int32
@@ -102,16 +102,17 @@ func (sc *SearchScratch) UseTableBudget(b *TableBudget) {
 	sc.tables.grow()
 }
 
-// FollowTo moves the table cache, when it is owner's and behind epoch to, on
-// to that epoch and returns the one it was at: the caller then reports every
-// site mutation in between (SiteChanged) before it searches again.
-func (sc *SearchScratch) FollowTo(owner any, to uint64) (from uint64, behind bool) {
+// Follow moves the table cache on from diagram from to to, a later version
+// of its site set, and reports whether it did, which it does only when the
+// cache follows from: the caller then reports every site mutation in between
+// (SiteChanged) before it searches again.
+func (sc *SearchScratch) Follow(from, to *Diagram) bool {
 	c := &sc.tables
-	if c.owner != owner || c.epoch >= to {
-		return 0, false
+	if from == nil || c.owner != from {
+		return false
 	}
-	from, c.epoch = c.epoch, to
-	return from, true
+	c.owner = to
+	return true
 }
 
 // SiteChanged tells the table cache of a site mutation at vertex v: a
@@ -190,20 +191,20 @@ func (c *tableCache) grow() bool {
 
 // AppendVertexTable appends the m nearest sites of vertex v and their network
 // distances onto site and dist — AppendKNN from the vertex, fewer than m when
-// v reaches fewer — out of the scratch's table cache when that follows
-// (owner, epoch), the site set d is a version of, and holds them; else by a
-// search, whose result the cache then keeps. relaxed is what the search cost,
-// reads what a lookup did: the invalidation stamps it looked at.
-func (d *Diagram) AppendVertexTable(v, m int, owner any, epoch uint64, site []int32, dist []float64, sc *SearchScratch) (_ []int32, _ []float64, relaxed, reads int, hit bool) {
+// v reaches fewer — out of the scratch's table cache when that follows d and
+// holds them; else by a search, whose result the cache then keeps. relaxed
+// is what the search cost, reads what a lookup did: the invalidation stamps
+// it looked at.
+func (d *Diagram) AppendVertexTable(v, m int, site []int32, dist []float64, sc *SearchScratch) (_ []int32, _ []float64, relaxed, reads int, hit bool) {
 	c := &sc.tables
 	if c.owner == nil {
 		if c.budget == nil {
 			c.budget = NewTableBudget(1, d)
 		}
-		c.owner, c.epoch = owner, epoch
+		c.owner = d
 		c.live, c.touched = map[int32]tableRef{}, map[int32]uint64{}
 	}
-	cached := c.owner == owner && c.epoch == epoch
+	cached := c.owner == d
 	if t, ok := c.live[int32(v)]; ok && cached && c.site[t.at] == int32(v) && c.dist[t.at] < 0 {
 		n, built := min(int(t.n), m), uint64(-c.dist[t.at])-1
 		from := c.site[t.at+1:][:n]

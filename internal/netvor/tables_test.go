@@ -70,7 +70,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 				u = rng.Intn(64) // a corner of the grid that is come back to
 			}
 			var hit bool
-			site, dist, _, _, hit = d.AppendVertexTable(u, m, d, 0, site[:0], dist[:0], &sc)
+			site, dist, _, _, hit = d.AppendVertexTable(u, m, site[:0], dist[:0], &sc)
 			if hit {
 				hits++
 			}
@@ -106,7 +106,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 	lookup := func(step int) {
 		t.Helper()
 		var hit bool
-		site, dist, _, _, hit = d.AppendVertexTable(0, m, d, 0, site[:0], dist[:0], &idle)
+		site, dist, _, _, hit = d.AppendVertexTable(0, m, site[:0], dist[:0], &idle)
 		checkTable(t, d, &oracle, step, hit, 0, m, site, dist)
 	}
 	lookup(0)
@@ -192,7 +192,7 @@ func TestTableBudgetSharedByScratches(t *testing.T) {
 			u = rng.Intn(200) // rows that are come back to
 		}
 		var hit bool
-		site, dist, _, _, hit = d.AppendVertexTable(u, m, d, 0, site[:0], dist[:0], sc)
+		site, dist, _, _, hit = d.AppendVertexTable(u, m, site[:0], dist[:0], sc)
 		if hit {
 			hits++
 			if idle {

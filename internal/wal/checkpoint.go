@@ -21,6 +21,8 @@ const (
 	ckptTmpName = "ckpt.tmp"
 )
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 func checkpointPath(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt", epoch))
 }

@@ -2,10 +2,8 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,19 +19,16 @@ import (
 )
 
 // On-disk layout. A segment file starts with an 8-byte magic, then a
-// sequence of frames: [len uint32 LE][crc32c uint32 LE][payload]. len is
-// the payload length; the CRC covers the payload only. A frame that ends
-// past the file, fails its CRC, or has an absurd length is the torn tail
-// of a crash — recovery truncates the segment there and discards every
-// later segment (records after a tear are unreachable: their epochs would
-// leave a gap).
+// sequence of frames, the ingest wire's (index.AppendFrame): [len uint32
+// LE][crc32c uint32 LE][payload]. len is the payload length; the CRC covers
+// the payload only. A frame that ends past the file, fails its CRC, or has
+// an absurd length is the torn tail of a crash — recovery truncates the
+// segment there and discards every later segment (records after a tear are
+// unreachable: their epochs would leave a gap).
 const (
 	segMagic        = "INSQWAL1"
-	frameHdrLen     = 8
 	maxFramePayload = 64 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by appends after Close (or after Close raced the
 // append's group-commit wait).
@@ -173,19 +168,13 @@ func (l *segLog) Append(firstEpoch uint64, payload []byte) error {
 	if err := fault.WALDiskFull.Fire(); err != nil {
 		return err
 	}
-	need := int64(frameHdrLen + len(payload))
+	need := int64(index.FrameHeaderLen + len(payload))
 	if l.size+need > l.segBytes && l.size > int64(len(segMagic)) {
 		if err := l.rotateLocked(firstEpoch); err != nil {
 			return l.failLocked(err)
 		}
 	}
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return l.failLocked(err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if _, err := l.w.Write(index.AppendFrame(l.w.AvailableBuffer(), payload)); err != nil {
 		return l.failLocked(err)
 	}
 	l.size += need
@@ -525,25 +514,14 @@ func replaySegment(path string, apply func(uint64, []index.Mutation) error, res 
 		}
 		return true, false, nil
 	}
-	var hdr [frameHdrLen]byte
 	for {
-		if _, rerr := io.ReadFull(br, hdr[:]); rerr != nil {
-			if rerr == io.EOF {
-				return true, true, nil // clean end of segment
-			}
-			return truncate() // torn header
+		// A frame may not claim more than the file still holds.
+		payload, rerr := index.ReadFrame(br, int(min(maxFramePayload, size-off-index.FrameHeaderLen)))
+		if rerr == io.EOF {
+			return true, true, nil // clean end of segment
 		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen == 0 || plen > maxFramePayload || off+frameHdrLen+plen > size {
-			return truncate()
-		}
-		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(br, payload); rerr != nil {
-			return truncate()
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return truncate()
+		if rerr != nil {
+			return truncate() // torn, oversized or corrupt: a crash's tail
 		}
 		first, muts, derr := decodeBatchRecord(payload)
 		if derr != nil {
@@ -552,7 +530,7 @@ func replaySegment(path string, apply func(uint64, []index.Mutation) error, res 
 		if aerr := apply(first, muts); aerr != nil {
 			return true, false, aerr
 		}
-		off += frameHdrLen + plen
+		off += int64(index.FrameHeaderLen + len(payload))
 	}
 }
 

@@ -423,7 +423,7 @@ func (m *Manager) AppendBatch(ctx context.Context, firstEpoch uint64, muts []ind
 	}
 	m.appendedBatches.Add(1)
 	m.appendedMuts.Add(uint64(len(muts)))
-	m.appendedBytes.Add(uint64(len(m.buf) + frameHdrLen))
+	m.appendedBytes.Add(uint64(len(m.buf) + index.FrameHeaderLen))
 	last := firstEpoch + uint64(len(muts)) - 1
 	m.lastEpoch.Store(last)
 	if last-m.ckptEpoch.Load() >= m.opts.CheckpointEvery {
