@@ -140,10 +140,10 @@ func (q *NetworkQuery) anchorAt(prev, pos roadnet.Position) {
 }
 
 // pinEndpoint fills one table of the anchor with the M nearest sites of the
-// endpoint on the full network: from the scratch's table cache, where
-// whichever session came through the vertex last left them, or by the search
-// the cache then remembers. A hit is charged the invalidation stamps it read,
-// one distance evaluation each.
+// endpoint on the full network: from the scratch's table store, where
+// whichever session came through the vertex last, on any scratch sharing it,
+// left them, or by the search the store then remembers. A hit is charged the
+// invalidation stamps it read, one distance evaluation each.
 func (q *NetworkQuery) pinEndpoint(tab *anchorTable, endpoint int) {
 	var relaxed, reads int
 	var hit bool

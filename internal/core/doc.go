@@ -82,7 +82,7 @@
 // reported position, the epoch of the index it reads, and one Advance,
 // Refresh, Invalidate and Epoch. A metric supplies only its judgement of one
 // index mutation (the network's also judges the edge anchor), what it reads
-// of a snapshot (the network's brings the search scratch's table cache
+// of a snapshot (the network's brings the search scratch's table store
 // along, FollowTables), its Update and its recomputation.
 //
 // A query never changes the index it reads, and holds no pin on it.

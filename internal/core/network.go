@@ -79,7 +79,7 @@ func (q *NetworkQuery) Subnetwork() *netvor.Subnetwork {
 // disturb its guard cells: the new site's cell touches a guard member's, the
 // site lands inside the Theorem-2 subnetwork, or a removed site is in (or
 // neighbors) the guard set. The edge anchor is judged by its own rule, and
-// the scratch's table cache is brought along (FollowTables).
+// the scratch's table store is brought along (FollowTables).
 func (q *NetworkQuery) Advance(next *index.Snapshot, ops []index.Op, covered bool) {
 	q.advance(q, next, ops, covered)
 }
@@ -128,27 +128,29 @@ func (q *NetworkQuery) read(next *index.Snapshot, ops []index.Op, covered bool) 
 	q.d = next.Network()
 }
 
-// FollowTables moves the table cache of scratch sc from diagram from on to
-// to, a later version of its site set, and tells it of the site ops in
-// between; a window the store's log no longer covers, like an op it could
-// not resolve, drops every table. It does nothing unless the cache follows
-// from, so a scratch is fed each window once, by whoever advances it first
-// — the serving engine's shard, which keeps its scratch on the snapshot it
-// pins, or a query on a scratch of its own — and the queries sharing it
-// find it moved.
+// FollowTables moves the table store of scratch sc from diagram from on to
+// to, a later version of its site set, and hands it the site ops in between,
+// which it stamps before any scratch sharing it can look up at to; a window
+// the store's log no longer covers, like an op it could not resolve, drops
+// every table. It does nothing unless the store follows from, so a store is
+// fed each window once, by whoever advances it first — a serving engine's
+// shard, which keeps its scratch on the snapshot it pins, or a query on a
+// scratch of its own — and the others find it moved.
 func FollowTables(sc *netvor.SearchScratch, from, to *netvor.Diagram, ops []index.Op, covered bool) {
-	if from == to || !sc.Follow(from, to) {
+	if from == to {
 		return
 	}
-	if !covered {
-		sc.SiteChanged(0, true, nil)
-		return
-	}
-	for i := range ops {
-		if op := &ops[i]; op.Network {
-			sc.SiteChanged(op.ID, op.Insert || op.Conservative, op.Neighbors)
+	sc.Follow(from, to, func(stamp func(int, bool, []int)) {
+		if !covered {
+			stamp(0, true, nil)
+			return
 		}
-	}
+		for i := range ops {
+			if op := &ops[i]; op.Network {
+				stamp(op.ID, op.Insert || op.Conservative, op.Neighbors)
+			}
+		}
+	})
 }
 
 func (q *NetworkQuery) prefetchSize() int { return min(q.prefetchCap(), q.d.Len()) }

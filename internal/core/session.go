@@ -84,10 +84,10 @@ func newSession[P, S any](k int, rho float64, network bool) (session[P, S], erro
 // shared scratch instead of allocating its own. The serving engine passes
 // one scratch per shard: a shard's sessions run serially on its worker
 // goroutine, so sharing is race-free, and what a scratch keeps between
-// searches (the plane's visited set, the network's hashed distances and its
-// ring of endpoint tables, which outlives every call) is paid for once per
-// shard rather than once per session. Nothing in it belongs to a session
-// between two calls.
+// searches (the plane's visited set, the network's hashed distances; the
+// endpoint-table store a network scratch points at outlives every call and
+// may be shared by every shard) is paid for once per shard rather than once
+// per session. Nothing in it belongs to a session between two calls.
 func (s *session[P, S]) UseScratch(sc *S) {
 	if sc != nil {
 		s.sc = sc

@@ -264,10 +264,9 @@ type Engine struct {
 	obs       *obs.Pipeline // nil when observability is off
 	shedDepth int           // admission-control watermark; 0 disables
 
-	// tables is the endpoint-table entries the shards' scratches draw their
-	// rings from: one ring's worth per shard in all, each shard's first 1,024
-	// taken in New and the rest where the load is.
-	tables *netvor.TableBudget
+	// tables is the endpoint-table store every shard's scratch shares: one
+	// ring of ⌊2V/3⌋ entries per shard in all.
+	tables *netvor.TableStore
 
 	// shed counts entries rejected by admission control; expired counts
 	// entries whose deadline passed while blocked at the mailbox door
@@ -339,7 +338,7 @@ func New(cfg Config) (*Engine, error) {
 		bounds:    st.Bounds(),
 		obs:       cfg.Obs,
 		shedDepth: cfg.ShedDepth,
-		tables:    netvor.NewTableBudget(cfg.Shards, st.Network()),
+		tables:    netvor.NewTableStore(cfg.Shards, st.Network()),
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
@@ -353,7 +352,7 @@ func New(cfg Config) (*Engine, error) {
 			sessions: make(map[SessionID]*session),
 			obs:      cfg.Obs,
 		}
-		e.shards[i].netSc.UseTableBudget(e.tables)
+		e.shards[i].netSc.ShareTables(e.tables)
 	}
 	e.registerMetrics(cfg.Obs.Registry())
 	e.plans.New = func() any {
@@ -431,11 +430,22 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 			return 0
 		})
 	reg.GaugeFunc("insq_table_ring_entries",
-		"Endpoint-table ring entries the shards have drawn from the engine's budget.",
-		func() float64 { return float64(e.tables.Drawn()) })
+		"Entries of the endpoint-table ring the shards share.",
+		func() float64 { return float64(e.tables.Stats().Entries) })
 	reg.GaugeFunc("insq_table_ring_entries_max",
-		"Endpoint-table ring entries the shards may draw in all (one ring of 2/3 entry per road vertex per shard).",
-		func() float64 { return float64(e.tables.Max()) })
+		"Entries the endpoint-table ring may grow to (2/3 of an entry per road vertex per shard).",
+		func() float64 { return float64(e.tables.Stats().Max) })
+	lookups := func(outcome string, n func(netvor.TableStats) uint64) {
+		reg.CounterFunc("insq_table_lookups_total",
+			"Endpoint-table lookups: served, held but stale or too short, or none held at the diagram searched.",
+			func() float64 { return float64(n(e.tables.Stats())) }, obs.Label{Name: "outcome", Value: outcome})
+	}
+	lookups("hit", func(st netvor.TableStats) uint64 { return st.Hits })
+	lookups("stale", func(st netvor.TableStats) uint64 { return st.Stale })
+	lookups("absent", func(st netvor.TableStats) uint64 { return st.Absent })
+	reg.CounterFunc("insq_table_ring_wraps_total",
+		"Times the endpoint-table ring was full and wrapped.",
+		func() float64 { return float64(e.tables.Stats().Wraps) })
 	reg.GaugeFunc("insq_stream_subscribers",
 		"Live push-stream subscribers.",
 		func() float64 { return float64(e.events.Stats().Subscribers) })

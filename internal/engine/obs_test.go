@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/netvor"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/workload"
@@ -114,11 +115,12 @@ func TestEngineObservability(t *testing.T) {
 	}
 }
 
-// TestEngineTableBudgetGauges: the endpoint-table budget's two gauges read
-// what the shards have drawn and what they may, at scrape time. New draws
-// each shard's first 1,024 entries; a k = 20 session walking a long route
-// builds more 21-entry tables than that holds, so its shard draws more.
-func TestEngineTableBudgetGauges(t *testing.T) {
+// TestEngineTableStoreGauges: the endpoint-table store's gauges and
+// counters read the one store at scrape time. A fresh engine's store is
+// empty, and may grow to a ring of ⌊2V/3⌋ entries per shard; a k = 20
+// session walking a long route then fills it with 33-entry tables until it
+// wraps, and the lookups by outcome are its shard's pinned endpoints.
+func TestEngineTableStoreGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	g, sites := testNetwork(t, 40, 40, 240, 3)
 	e, err := New(Config{Shards: 2, Network: g, NetworkSites: sites, Obs: obs.NewPipeline(reg, nil)})
@@ -126,7 +128,7 @@ func TestEngineTableBudgetGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	scrape := func(drawn int) string {
+	scrape := func(st netvor.TableStats) {
 		t.Helper()
 		var expo strings.Builder
 		if err := reg.WritePrometheus(&expo); err != nil {
@@ -134,16 +136,19 @@ func TestEngineTableBudgetGauges(t *testing.T) {
 		}
 		out := expo.String()
 		for _, want := range []string{
-			fmt.Sprintf("insq_table_ring_entries %d\n", drawn),
+			fmt.Sprintf("insq_table_ring_entries %d\n", st.Entries),
 			fmt.Sprintf("insq_table_ring_entries_max %d\n", 2*(g.NumVertices()*2/3)),
+			fmt.Sprintf("insq_table_lookups_total{outcome=\"hit\"} %d\n", st.Hits),
+			fmt.Sprintf("insq_table_lookups_total{outcome=\"stale\"} %d\n", st.Stale),
+			fmt.Sprintf("insq_table_lookups_total{outcome=\"absent\"} %d\n", st.Absent),
+			fmt.Sprintf("insq_table_ring_wraps_total %d\n", st.Wraps),
 		} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("the exposition lacks %q:\n%s", want, out)
 			}
 		}
-		return out
 	}
-	scrape(2 * 1024)
+	scrape(netvor.TableStats{})
 	sid, err := e.CreateNetworkSession(20, 1.6)
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +162,18 @@ func TestEngineTableBudgetGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if drawn := e.tables.Drawn(); drawn <= 2*1024 {
-		t.Fatalf("a k = 20 session walking %.0f units drew nothing past the first rings: %d entries", route.Length(), drawn)
+	stats, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	scrape(e.tables.Drawn())
+	st, cnt := e.tables.Stats(), stats.Counters
+	if st.Entries != st.Max || st.Wraps == 0 || st.Hits == 0 {
+		t.Fatalf("a k = 20 session walking %.0f units left a store of %d of %d entries, %d wraps, %d hits", route.Length(), st.Entries, st.Max, st.Wraps, st.Hits)
+	}
+	if st.Hits != uint64(cnt.AnchorTableHits) || st.Stale+st.Absent != uint64(cnt.AnchorBuilds) {
+		t.Fatalf("the store counted %d hits and %d misses, the session %d table hits and %d builds", st.Hits, st.Stale+st.Absent, cnt.AnchorTableHits, cnt.AnchorBuilds)
+	}
+	scrape(st)
 }
 
 // TestEngineObsDisabled pins the noop invariant: a nil pipeline engine

@@ -14,17 +14,20 @@ import (
 	"repro/internal/workload"
 )
 
-// scratchCases are the engines the shared-scratch tests run on: one shard,
-// whose sessions all share its scratch, over the default log with one
-// mutation a step; and three shards, whose sessions move through the same
-// windows, over a log of two ops, which a burst of three mutations applied
-// as one batch every fourth step overflows.
-var scratchCases = []struct {
+// scratchCase is an engine the shared-scratch tests run on.
+type scratchCase struct {
 	name     string
 	shards   int
 	logDepth int
 	burst    int // every burst-th step applies three mutations; 0: never
-}{{"one_shard", 1, 0, 0}, {"three_shards_overflowing_log", 3, 2, 4}}
+	routes   int // the network sessions walk this many routes; 0: one each
+}
+
+// scratchCases are one shard, whose sessions all share its scratch, over the
+// default log with one mutation a step; and three shards, whose sessions
+// move through the same windows, over a log of two ops, which a burst of
+// three mutations applied as one batch every fourth step overflows.
+var scratchCases = []scratchCase{{"one_shard", 1, 0, 0, 0}, {"three_shards_overflowing_log", 3, 2, 4, 0}}
 
 // mutationsAt is how many mutations step applies, in one batch.
 func mutationsAt(burst, step int) int {
@@ -194,10 +197,13 @@ func TestSharedScratchSessionsMatchBruteForce(t *testing.T) {
 // distance lists by a cold full-network search, and the set the session
 // reports as its state (R[:k]) must be the answer just returned, in the
 // same order, at the store's epoch. Recomputations that continue the failed
-// validation search through the shared scratch must be among them. Run
-// under -race.
+// validation search through the shared scratch must be among them. A third
+// engine has eight shards, whose sessions walk nine routes, eight sessions a
+// route on eight shards: a table one shard builds is served to the others
+// from the engine's one table store, and more tables are served than built.
+// Run under -race.
 func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
-	for _, tc := range scratchCases {
+	for _, tc := range append(slices.Clip(scratchCases), scratchCase{"eight_shards_shared_routes", 8, 0, 0, 9}) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, sites := testNetwork(t, 30, 30, 130, 41)
 			e, err := New(Config{Shards: tc.shards, LogDepth: tc.logDepth, Network: g, NetworkSites: sites})
@@ -223,7 +229,9 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 				if sids[i], err = e.CreateNetworkSession(k[i], rhos[i%len(rhos)]); err != nil {
 					t.Fatal(err)
 				}
-				if routes[i], err = roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 4000, int64(i)); err != nil {
+				if tc.routes > 0 && i >= tc.routes {
+					routes[i] = routes[i%tc.routes]
+				} else if routes[i], err = roadnet.RandomWalkRoute(g, rng.Intn(g.NumVertices()), 4000, int64(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,6 +321,9 @@ func TestNetSharedScratchSessionsMatchOracle(t *testing.T) {
 			if c := st.Counters; c.Validations+c.Recomputations-c.DijkstraRuns < nSessions {
 				t.Errorf("only %d recomputations continued their validation search: %+v", c.Validations+c.Recomputations-c.DijkstraRuns, c)
 			}
+			if c := st.Counters; tc.routes > 0 && c.AnchorTableHits <= c.AnchorBuilds {
+				t.Errorf("sessions on shared routes were served %d tables and built %d", c.AnchorTableHits, c.AnchorBuilds)
+			}
 		})
 	}
 }
@@ -339,15 +350,14 @@ func checkNetAnswer(t *testing.T, g *roadnet.Graph, oracle *netvor.Diagram, pos 
 	}
 }
 
-// TestTableBudgetSharedByShards: eight shards draw their endpoint-table rings
-// from the engine's one budget while their workers serve crawling, striding
-// and sprinting network sessions concurrently (run under -race). Every shard
-// holds a ring from New on — its first 1,024 entries, or the whole of its
-// share where that is less, as on the small grid, whose budget New spends —
-// and on the larger grid the busy shards draw the rest while they serve.
-// What they draw never exceeds the budget, and every answer is the kNN of a
-// diagram built over the sites.
-func TestTableBudgetSharedByShards(t *testing.T) {
+// TestTableStoreSharedByShards: eight shards share the engine's one
+// endpoint-table store while their workers serve crawling, striding and
+// sprinting network sessions concurrently (run under -race). The store may
+// hold a ring of ⌊2V/3⌋ entries per shard and never holds more; on the small
+// grid it fills that and wraps, and on the larger one it grows past one
+// shard's ring. Every lookup is a pinned endpoint, a hit one served from the
+// store, and every answer is the kNN of a diagram built over the sites.
+func TestTableStoreSharedByShards(t *testing.T) {
 	const shards, nSessions = 8, 64
 	for _, c := range []struct{ side, sites int }{{30, 130}, {60, 520}} {
 		g, sites := testNetwork(t, c.side, c.side, c.sites, 43)
@@ -355,10 +365,9 @@ func TestTableBudgetSharedByShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		share := g.NumVertices() * 2 / 3
-		budget, first := shards*share, shards*min(1024, share)
-		if e.tables.Max() != budget || e.tables.Drawn() != first {
-			t.Fatalf("%dx%d: a fresh engine's budget: %d of %d drawn, want a ring a shard, %d of %d", c.side, c.side, e.tables.Drawn(), e.tables.Max(), first, budget)
+		ring := g.NumVertices() * 2 / 3
+		if st := e.tables.Stats(); st.Max != shards*ring || st.Entries != 0 {
+			t.Fatalf("%dx%d: a fresh engine's store holds %d of %d entries, want 0 of %d", c.side, c.side, st.Entries, st.Max, shards*ring)
 		}
 		oracle, err := netvor.Build(g, sites)
 		if err != nil {
@@ -393,14 +402,21 @@ func TestTableBudgetSharedByShards(t *testing.T) {
 				}
 				checkNetAnswer(t, g, oracle, batch[i].Pos, ks[i%len(ks)], r.KNN)
 			}
-			if drawn := e.tables.Drawn(); drawn > budget {
-				t.Fatalf("%dx%d step %d: %d entries drawn from a budget of %d", c.side, c.side, step, drawn, budget)
+			if st := e.tables.Stats(); st.Entries > st.Max {
+				t.Fatalf("%dx%d step %d: the store holds %d entries, at most %d", c.side, c.side, step, st.Entries, st.Max)
 			}
 		}
-		drawn := e.tables.Drawn()
-		t.Logf("%dx%d: %d of %d entries drawn, %d of them by New", c.side, c.side, drawn, budget, first)
-		if first < budget && drawn == first {
-			t.Errorf("%dx%d: no ring grew past the entries New drew (%d of %d)", c.side, c.side, drawn, budget)
+		stats, err := e.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, cnt := e.tables.Stats(), stats.Counters
+		t.Logf("%dx%d: %d of %d entries, %d wraps; %d hits, %d stale, %d absent", c.side, c.side, st.Entries, st.Max, st.Wraps, st.Hits, st.Stale, st.Absent)
+		if st.Hits != uint64(cnt.AnchorTableHits) || st.Stale+st.Absent != uint64(cnt.AnchorBuilds) {
+			t.Errorf("%dx%d: the store counted %d hits and %d misses, the sessions %d table hits and %d builds", c.side, c.side, st.Hits, st.Stale+st.Absent, cnt.AnchorTableHits, cnt.AnchorBuilds)
+		}
+		if st.Entries <= ring || st.Entries == st.Max && st.Wraps == 0 {
+			t.Errorf("%dx%d: a store of %d entries (one shard's ring %d), %d wraps", c.side, c.side, st.Entries, ring, st.Wraps)
 		}
 		e.Close()
 	}

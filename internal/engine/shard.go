@@ -60,14 +60,13 @@ type shard struct {
 
 	// Shared search scratch handed to every session on this shard (sessions
 	// run serially on the worker goroutine, so sharing is race-free). What
-	// they keep is sized by the widest search they ran, plus netSc's ring of
-	// endpoint tables, which draws from the engine's table budget (its first
-	// entries in New) and follows the snapshot the shard pins (sweep); one
-	// per shard instead of one per session keeps memory flat as session
-	// counts grow. The rest grows on first use. A network session keeps
-	// nothing in netSc between two calls: the guard marks, the frontier and
-	// the tentative distances of its validation search are rebuilt inside
-	// each Update.
+	// they keep is sized by the widest search they ran; one per shard
+	// instead of one per session keeps memory flat as session counts grow.
+	// netSc also points at the engine's endpoint-table store, which every
+	// shard shares and the first to sweep past its snapshot moves on. A
+	// network session keeps nothing in netSc between two calls: the guard
+	// marks, the frontier and the tentative distances of its validation
+	// search are rebuilt inside each Update.
 	netSc   netvor.SearchScratch
 	planeSc vortree.SearchScratch
 }
@@ -240,7 +239,7 @@ func (sh *shard) shutdown() {
 // sweep moves the shard to the newest snapshot when the store has moved
 // on. It pins that snapshot and reads the store's log of the window once —
 // a window the log no longer covers is found here, once for all sessions —
-// brings the shared table cache along, advances every session over the
+// brings the shared table store along, advances every session over the
 // window, plane and network alike, and releases the old pin: the current
 // snapshot carries one pin per shard, whatever the session count. The
 // paper's lazy invalidation runs inside each session's Advance. Unwatched

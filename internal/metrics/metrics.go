@@ -27,8 +27,8 @@ type Counters struct {
 	// answer are not counted here; they begin no search either). An anchor
 	// takes two endpoint tables when a session arms on an edge, one when it
 	// carries a shared endpoint onto the next edge: AnchorBuilds counts the
-	// tables searched for, one search each, AnchorTableHits those the shard's
-	// per-vertex table cache served instead. Table entries read, and the
+	// tables searched for, one search each, AnchorTableHits those the
+	// per-vertex table store served instead. Table entries read, and the
 	// invalidation stamps a cache hit checks, count as DistanceCalcs.
 	AnchoredValidations int
 	AnchorBuilds        int

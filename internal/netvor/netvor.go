@@ -721,20 +721,20 @@ func (d *Diagram) OracleKNNWithDistances(pos roadnet.Position, k int) ([]int, []
 // mark set — roadnet.SearchScratch, sized by the widest search it has run),
 // the log of vertices a guard search settled past its ring (see
 // GuardSearch.Widen), a traversal stack, and the one thing that outlives a
-// call, the cache of per-vertex nearest-site tables (see tableCache), whose
-// ring draws its entries from a TableBudget: the engine's, shared by its
-// shards (UseTableBudget), or else a private one of one ring. The zero value
-// is ready to use; a scratch serves any number of sequential searches against
-// any diagram version but must not be shared across goroutines, and holds one
-// search at a time: beginning a search (or AppendINS, InSubnetwork,
-// SubnetworkInto) ends the previous one. The serving layer keeps one per
-// shard, which removes every per-update allocation from the network kNN path
-// — the road twin of vortree.SearchScratch.
+// call, the store of per-vertex nearest-site tables (see TableStore): the
+// engine's, shared by its shards (ShareTables), or else a private one of one
+// ring. The zero value is ready to use; a scratch serves any number of
+// sequential searches against any diagram version but must not be shared
+// across goroutines (the table store may be), and holds one search at a
+// time: beginning a search (or AppendINS, InSubnetwork, SubnetworkInto) ends
+// the previous one. The serving layer keeps one per shard, which removes
+// every per-update allocation from the network kNN path — the road twin of
+// vortree.SearchScratch.
 type SearchScratch struct {
 	road     roadnet.SearchScratch
 	resettle []int32
 	stack    []int32
-	tables   tableCache
+	tables   *TableStore
 }
 
 // AppendKNN is KNNWithDistancesCounted appending ids onto dst and distances

@@ -23,6 +23,12 @@ func checkTable(t *testing.T, d *Diagram, oracle *SearchScratch, step int, hit b
 	}
 }
 
+// siteChanged tells sc's table store of a mutation made to d in place: it
+// follows d on to d, stamping the one change.
+func siteChanged(sc *SearchScratch, d *Diagram, v int, insert bool, neighbors []int) {
+	sc.Follow(d, d, func(stamp func(int, bool, []int)) { stamp(v, insert, neighbors) })
+}
+
 // TestTableCacheBookkeepingStaysBounded drives 100,000 site mutations through
 // a cache whose ring holds about two hundred tables, with a few lookups
 // between them: the invalidation stamps never outnumber the sites touched
@@ -52,7 +58,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 				if err := d.Remove(v); err != nil {
 					t.Fatal(err)
 				}
-				sc.SiteChanged(v, false, nil)
+				siteChanged(&sc, d, v, false, nil)
 			}
 		} else {
 			if err := d.Insert(v); err != nil {
@@ -62,7 +68,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.SiteChanged(v, true, nb)
+			siteChanged(&sc, d, v, true, nb)
 		}
 		for n := 0; n < 4; n++ {
 			u := rng.Intn(g.NumVertices())
@@ -117,7 +123,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 			if err := d.Remove(v); err != nil {
 				t.Fatal(err)
 			}
-			idle.SiteChanged(v, false, nil)
+			siteChanged(&idle, d, v, false, nil)
 		} else {
 			v := rng.Intn(g.NumVertices())
 			for d.IsSite(v) {
@@ -130,7 +136,7 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idle.SiteChanged(v, true, nb)
+			siteChanged(&idle, d, v, true, nb)
 		}
 		maxStamps = max(maxStamps, len(idle.tables.touched))
 		if step%5000 == 0 {
@@ -143,15 +149,77 @@ func TestTableCacheBookkeepingStaysBounded(t *testing.T) {
 	}
 }
 
-// TestTableBudgetSharedByScratches: four scratches draw their rings from one
-// budget of four rings. Each takes its first 1,024 entries when it is given
-// the budget. The busy one then grows past one ring and on until the budget
-// is spent, after which it wraps at the size it has; the others need tables
-// only after that and still hold and serve them from the entries they took
-// first. The rings never hold more than the budget in all, and hold exactly
-// what was drawn from it; what every scratch serves stays AppendKNN from the
-// vertex, bit for bit.
-func TestTableBudgetSharedByScratches(t *testing.T) {
+// TestTableRingRebuildsInPlace: a scratch whose ring holds the tables of 200
+// vertices with room to spare looks them up in 50 rounds, while between
+// rounds sites are inserted beside them and sites their tables hold removed.
+// A stale table is rebuilt over its predecessor, so after the first round,
+// which writes them, the tail never moves and the ring never wraps, and
+// every table served or built stays AppendKNN from the vertex, bit for bit.
+func TestTableRingRebuildsInPlace(t *testing.T) {
+	g, err := roadnet.GridNetwork(50, 50, testBounds, 0.2, 0.3, 56)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(57))
+	d, err := Build(g, rng.Perm(g.NumVertices())[:300])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m, rounds = 4, 50
+	vs := rng.Perm(g.NumVertices())[:200]
+	var sc, oracle SearchScratch
+	var site []int32
+	var dist []float64
+	tail := 0
+	for round := 0; round < rounds; round++ {
+		for _, u := range vs {
+			var hit bool
+			site, dist, _, _, hit = d.AppendVertexTable(u, m, site[:0], dist[:0], &sc)
+			checkTable(t, d, &oracle, round, hit, u, m, site, dist)
+			if round > 0 && (sc.tables.tail != tail || sc.tables.Stats().Wraps != 0) {
+				t.Fatalf("round %d vertex %d: the tail moved %d → %d, the ring wrapped %d times", round, u, tail, sc.tables.tail, sc.tables.Stats().Wraps)
+			}
+		}
+		if round == 0 {
+			tail = sc.tables.tail
+			if st := sc.tables.Stats(); tail != len(vs)*(1+m) || st.Entries <= tail {
+				t.Fatalf("the first round wrote %d entries into a ring of %d, want %d and room to spare", tail, st.Entries, len(vs)*(1+m))
+			}
+		}
+		for n := 0; n < 3; n++ {
+			u := vs[rng.Intn(len(vs))]
+			adj := g.AdjacentVertices(u)
+			if v := adj[rng.Intn(len(adj))]; !d.IsSite(v) {
+				if err := d.Insert(v); err != nil {
+					t.Fatal(err)
+				}
+				nb, err := d.Neighbors(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				siteChanged(&sc, d, v, true, nb)
+			}
+			ids, _, _ := d.AppendKNN(roadnet.VertexPosition(vs[rng.Intn(len(vs))]), m, nil, nil, &oracle)
+			v := ids[rng.Intn(len(ids))]
+			if err := d.Remove(v); err != nil {
+				t.Fatal(err)
+			}
+			siteChanged(&sc, d, v, false, nil)
+		}
+	}
+	st := sc.tables.Stats()
+	t.Logf("%d rounds of %d lookups: %d hits, %d stale tables rebuilt in place, tail at %d of %d entries", rounds, len(vs), st.Hits, st.Stale, tail, st.Entries)
+	if st.Stale < rounds || st.Hits < uint64(rounds*len(vs)/2) || st.Absent != uint64(len(vs)) {
+		t.Fatalf("%d hits, %d stale, %d absent: the rebuilds were not exercised", st.Hits, st.Stale, st.Absent)
+	}
+}
+
+// TestTableStoreSharedByScratches: four scratches share one store of four
+// rings. A table one of them builds is served to the others; the ring grows
+// past one ring's entries to the store's most and no further, then wraps;
+// its lookups are what the scratches asked for, split by outcome; and what
+// every scratch serves stays AppendKNN from the vertex, bit for bit.
+func TestTableStoreSharedByScratches(t *testing.T) {
 	g, err := roadnet.GridNetwork(100, 100, testBounds, 0.2, 0.3, 54)
 	if err != nil {
 		t.Fatal(err)
@@ -161,74 +229,119 @@ func TestTableBudgetSharedByScratches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m, rings, late = 8, 4, 10000
+	const m, rings, steps = 8, 4, 20000
 	ring := g.NumVertices() * 2 / 3
-	budget := NewTableBudget(rings, d)
-	if budget.Max() != rings*ring || budget.Drawn() != 0 {
-		t.Fatalf("a fresh budget of %d rings of %d: max %d, drawn %d", rings, ring, budget.Max(), budget.Drawn())
+	st := NewTableStore(rings, d)
+	if s := st.Stats(); s.Max != rings*ring || s.Entries != 0 {
+		t.Fatalf("a fresh store of %d rings of %d: %d entries of %d", rings, ring, s.Entries, s.Max)
 	}
 	scs := make([]SearchScratch, rings)
 	for i := range scs {
-		scs[i].UseTableBudget(budget)
-		if len(scs[i].tables.site) != 1024 {
-			t.Fatalf("scratch %d took %d entries of its budget at first, want 1024", i, len(scs[i].tables.site))
-		}
+		scs[i].ShareTables(st)
 	}
 	var oracle SearchScratch
 	var site []int32
 	var dist []float64
-	hits, idleHits, checked, wraps := 0, 0, 0, 0
-	for step := 0; step < 2*late; step++ {
-		sc, size, tail := &scs[0], len(scs[0].tables.site), scs[0].tables.tail
-		if step == late && budget.Drawn() != budget.Max() {
-			t.Fatalf("step %d: the busy ring of %d entries left %d of %d undrawn", step, size, budget.Max()-budget.Drawn(), budget.Max())
-		}
-		idle := step >= late && step%100 == 0
-		if idle {
-			sc = &scs[1+step/100%(rings-1)]
-		}
+	builtBy := map[int]int{}
+	hits, crossHits, checked := 0, 0, 0
+	for step := 0; step < steps; step++ {
+		i := step % rings
 		u := rng.Intn(g.NumVertices())
-		if step%3 == 0 || idle {
+		if step%3 == 0 {
 			u = rng.Intn(200) // rows that are come back to
 		}
 		var hit bool
-		site, dist, _, _, hit = d.AppendVertexTable(u, m, site[:0], dist[:0], sc)
+		site, dist, _, _, hit = d.AppendVertexTable(u, m, site[:0], dist[:0], &scs[i])
 		if hit {
 			hits++
-			if idle {
-				idleHits++
+			if builtBy[u] != i {
+				crossHits++
 			}
-		}
-		if scs[0].tables.tail < tail {
-			wraps++
+		} else {
+			builtBy[u] = i
 		}
 		if hit || step%16 == 0 {
 			checkTable(t, d, &oracle, step, hit, u, m, site, dist)
 			checked++
 		}
-		total := 0
-		for i := range scs {
-			total += len(scs[i].tables.site)
-		}
-		if total > budget.Max() || total != budget.Drawn() {
-			t.Fatalf("step %d: the rings hold %d entries, %d drawn of %d", step, total, budget.Drawn(), budget.Max())
+		if s := st.Stats(); s.Entries > s.Max {
+			t.Fatalf("step %d: the ring holds %d entries, at most %d", step, s.Entries, s.Max)
 		}
 	}
-	sizes := make([]int, rings)
-	for i := range scs {
-		sizes[i] = len(scs[i].tables.site)
+	s := st.Stats()
+	t.Logf("a ring of %d entries (%d a ring), wrapped %d times; %d hits (%d of another scratch's table), %d tables checked", s.Entries, ring, s.Wraps, hits, crossHits, checked)
+	if s.Entries != s.Max || s.Wraps == 0 || crossHits < 1000 {
+		t.Fatalf("a ring of %d of %d entries, %d wraps, %d hits on another scratch's tables", s.Entries, s.Max, s.Wraps, crossHits)
 	}
-	t.Logf("rings of %v entries from a budget of %d (%d a ring), the busy one wrapped %d times; %d hits (%d on the late rings), %d tables checked", sizes, budget.Max(), ring, wraps, hits, idleHits, checked)
-	if sizes[0] <= ring || budget.Drawn() != budget.Max() || wraps == 0 || hits < 1000 {
-		t.Fatalf("busy ring of %d entries (one ring is %d), %d of %d drawn, %d wraps, %d hits", sizes[0], ring, budget.Drawn(), budget.Max(), wraps, hits)
+	if s.Hits != uint64(hits) || s.Hits+s.Stale+s.Absent != steps {
+		t.Fatalf("the store counted %d hits, %d stale and %d absent of %d lookups, %d served", s.Hits, s.Stale, s.Absent, steps, hits)
 	}
-	for i := 1; i < rings; i++ {
-		if sizes[i] != 1024 || len(scs[i].tables.live) == 0 {
-			t.Fatalf("late scratch %d holds a ring of %d entries naming %d tables, want its first 1024 in use", i, sizes[i], len(scs[i].tables.live))
+}
+
+// TestTableStoreMovedByOneScratch: scratch A moves the store it shares with
+// B from one diagram to the next through a window that inserts a site at a
+// vertex whose table both have been served, beside its first entry. B, which
+// moves nothing itself, then gets a fresh table for that vertex at the new
+// diagram, a search's, not the old one; at the old diagram it is served
+// nothing and leaves nothing; and A is then served B's fresh table.
+func TestTableStoreMovedByOneScratch(t *testing.T) {
+	g, err := roadnet.GridNetwork(30, 30, testBounds, 0.2, 0.3, 58)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	d1, err := Build(g, rng.Perm(g.NumVertices())[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 6
+	u := 0
+	for d1.IsSite(u) {
+		u++
+	}
+	var a, b, oracle SearchScratch
+	st := NewTableStore(2, d1)
+	a.ShareTables(st)
+	b.ShareTables(st)
+	step := 0
+	lookup := func(sc *SearchScratch, d *Diagram, wantHit bool) []int32 {
+		t.Helper()
+		step++
+		site, dist, _, _, hit := d.AppendVertexTable(u, m, nil, nil, sc)
+		if hit != wantHit {
+			t.Fatalf("lookup %d: hit %v, want %v", step, hit, wantHit)
 		}
+		checkTable(t, d, &oracle, step, hit, u, m, site, dist)
+		return site
 	}
-	if idleHits == 0 {
-		t.Fatalf("the late rings served no table of the %d they were asked for", late/100)
+	old := lookup(&a, d1, false)
+	lookup(&b, d1, true)
+
+	d2 := d1.Branch()
+	if err := d2.Insert(u); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := d2.Neighbors(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(nb, int(old[0])) {
+		t.Fatalf("the site inserted at %d has neighbors %v, not its table's first entry %d", u, nb, old[0])
+	}
+	window := func(stamp func(int, bool, []int)) { stamp(u, true, nb) }
+	if !a.Follow(d1, d2, window) {
+		t.Fatal("A did not move the store it follows")
+	}
+	if b.Follow(d1, d2, window) {
+		t.Fatal("B moved the store A had moved already")
+	}
+	if fresh := lookup(&b, d2, false); fresh[0] != int32(u) {
+		t.Fatalf("B's table at the new diagram begins %v, not with the site inserted at %d", fresh, u)
+	}
+	lookup(&b, d1, false)
+	lookup(&a, d2, true)
+	if s := st.Stats(); s.Hits != 2 || s.Stale != 1 || s.Absent != 2 {
+		t.Fatalf("the store counted %d hits, %d stale, %d absent; want 2, 1, 2", s.Hits, s.Stale, s.Absent)
 	}
 }
 
