@@ -236,7 +236,9 @@ type failCase struct {
 // until an insert makes the answer possible again, and the session answers
 // correctly without the removed object. On the network a query also wanders
 // in and out of the island, and a recomputation that kept a prefix fails
-// the same way (wanderIntoIsland).
+// the same way (wanderIntoIsland). On the plane, a validation's proof that
+// its hint is the nearest object does not outlive a search that fails
+// (planeProofDies).
 func TestFailedRecomputeInvalidates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -266,6 +268,58 @@ func TestFailedRecomputeInvalidates(t *testing.T) {
 			}
 			c.check(knn)
 		})
+	}
+	t.Run("plane proof", planeProofDies)
+}
+
+// planeProofDies: a recompute verdict proves its hint the nearest object,
+// and the search it feeds fails — Update's cannot, as it reads the index
+// the verdict was taken on, so the test asks the search of the index two
+// removals later. An insert nearer than the old hint, which stays live,
+// heals the index; the Refresh that follows must walk from the old hint
+// to the new nearest object, not start from the old hint on the strength
+// of a proof about an index gone by.
+func planeProofDies(t *testing.T) {
+	a, b, g := geom.Pt(100, 100), geom.Pt(300, 100), geom.Pt(100, 260)
+	st, err := index.NewStore(index.Config{Bounds: testBounds, Objects: []geom.Point{a, b, g}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	q, err := newPlaneOnStore(st, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if knn, err := q.Update(geom.Pt(150, 100)); err != nil || !slices.Equal(knn, []int{0, 1}) {
+		t.Fatalf("first update = %v, %v; want [0 1]", knn, err)
+	}
+	// Update's first steps at pos, where the guard g is nearer than b: a
+	// recompute verdict, with a, in R, proven the nearest object.
+	pos := geom.Pt(100, 150)
+	q.last = pos
+	if _, knnValid, rValid, nearest := q.measure(pos); knnValid || rValid || !nearest || q.hint != 0 {
+		t.Fatalf("verdicts at %v: kNN %v, R %v, nearest %v, hint %d; want a recompute from object 0, proven nearest", pos, knnValid, rValid, nearest, q.hint)
+	}
+	for _, id := range []int{1, 2} {
+		if err := st.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Sync()
+	if err := q.recomputeFrom(pos, true); err == nil || !strings.Contains(err.Error(), "exceeds object count") {
+		t.Fatalf("search with one object left for k = 2: %v, want the failure", err)
+	}
+	n, err := st.Insert(geom.Pt(100, 140))
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, recomputed, err := q.Refresh()
+	if err != nil || !recomputed {
+		t.Fatalf("Refresh after the insert = %v, %v, %v", knn, recomputed, err)
+	}
+	checkKNNAgainstBrute(t, st.Current().Plane(), pos, knn, 2)
+	if knn[0] != n {
+		t.Fatalf("kNN %v starts at the old hint 0, not at the nearest object %d", knn, n)
 	}
 }
 

@@ -136,7 +136,7 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	}
 
 	q.m.Validations++
-	dist, knnValid, rValid := q.measure(p)
+	dist, knnValid, rValid, nearest := q.measure(p)
 	if knnValid {
 		return q.knn(), nil
 	}
@@ -150,7 +150,7 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 		q.rerank(dist)
 		return q.knn(), nil
 	}
-	if err := q.recompute(p); err != nil {
+	if err := q.recomputeFrom(p, nearest); err != nil {
 		return nil, err
 	}
 	return q.knn(), nil
@@ -161,6 +161,13 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 // compares (a few units of 2⁻⁵³ each): a member the bound skips is farther
 // from the query than the radius in floating point, not only in the reals.
 const margin = 1 + 0x1p-30
+
+// reach is ((√r2 + δ)·margin)²: a member whose anchor distance exceeds it
+// is farther than √r2 from p.
+func reach(r2, delta float64) float64 {
+	b := (math.Sqrt(r2) + delta) * margin
+	return b * b
+}
 
 // measure takes the two verdicts of an Update at p. The kNN set is valid
 // (Section III-A) while its farthest member (r.delete) is no farther than
@@ -175,16 +182,19 @@ const margin = 1 + 0x1p-30
 // than a member at radius r. measure evaluates δ and the kNN members, then
 // the guard objects the bound does not rule out against the kNN radius;
 // only if the kNN set is stale, the rest of R (a re-rank orders it) and
-// the I(R) members the bound does not rule out against R's radius. The
-// verdicts are those of evaluating every member
+// the I(R) members the bound does not rule out against R's radius. Either
+// pass stops at the first I(R) member inside its radius, which makes both
+// verdicts false. The verdicts are those of evaluating every member
 // (TestBoundedValidationMatchesFullPass).
 //
 // The distances go to the scratch's buffer, marked -1 where not evaluated,
-// which measure returns for the re-rank. The nearest object evaluated —
-// the nearest of all, as every skipped one is farther than a kNN member —
-// becomes the hint of a recomputation that may follow, and an update that
-// happened to evaluate every member becomes the new anchor.
-func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid bool) {
+// which measure returns for the re-rank. The nearest member becomes the
+// hint of a recomputation that may follow: the nearest one evaluated, as
+// every skipped one is farther than a kNN member — after a stop, once the
+// members the bound cannot place beyond it are evaluated too. A hint in R
+// is the nearest object (nearest): its Delaunay ring lies in R ∪ I(R). An
+// update that happened to evaluate every member becomes the new anchor.
+func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, nearest bool) {
 	k, nR := q.k, q.nR
 	dist = q.sc.Dists(len(q.ids))
 	delta := math.Sqrt(p.Dist2(q.at))
@@ -197,10 +207,10 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid boo
 		dist[i] = -1
 	}
 	evals := 1 + k
-	minGuard, n := q.evaluateWithin(p, dist, k, maxKNN, delta)
+	minGuard, n, stale := q.evaluateWithin(p, dist, k, maxKNN, delta)
 	knnValid = maxKNN <= minGuard
 	evals += n
-	if !knnValid {
+	if !knnValid && !stale {
 		maxR := maxKNN
 		for i := k; i < nR; i++ {
 			if dist[i] < 0 {
@@ -209,34 +219,47 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid boo
 			}
 			maxR = max(maxR, dist[i])
 		}
-		minINS, n := q.evaluateWithin(p, dist, nR, maxR, delta)
+		minINS, n, _ := q.evaluateWithin(p, dist, nR, maxR, delta)
 		rValid = maxR <= minINS
 		evals += n
 	}
-	q.m.DistanceCalcs += evals
 
-	nearest := 0
+	h := 0
 	for i, d := range dist {
-		if d >= 0 && d < dist[nearest] {
-			nearest = i
+		if d >= 0 && d < dist[h] {
+			h = i
 		}
 	}
-	q.hint = q.ids[nearest]
+	if stale {
+		b := reach(dist[h], delta)
+		for i, d := range dist {
+			if d >= 0 || q.anchor[i] > b {
+				continue
+			}
+			dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+			evals++
+			if dist[i] < dist[h] {
+				h, b = i, reach(dist[i], delta)
+			}
+		}
+	}
+	q.m.DistanceCalcs += evals
+	q.hint = q.ids[h]
 	if evals == 1+len(dist) {
 		q.at = p
 		copy(q.anchor, dist)
 	}
-	return dist, knnValid, rValid
+	return dist, knnValid, rValid, h < nR
 }
 
 // evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
 // evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
 // radius √r2 of p, δ being p's distance from the anchor point. It returns
-// the least distance evaluated in dist[from:] (+Inf for none) and the
-// number of distances it evaluated.
-func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, evals int) {
-	bound := (math.Sqrt(r2) + delta) * margin
-	bound *= bound
+// the least distance evaluated in dist[from:] (+Inf for none), the number
+// of distances it evaluated and whether it stopped at an I(R) member
+// nearer than √r2, where it looks no further.
+func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, evals int, stale bool) {
+	bound := reach(r2, delta)
 	least = math.Inf(1)
 	for i := from; i < len(dist); i++ {
 		if dist[i] < 0 {
@@ -247,8 +270,11 @@ func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, 
 			evals++
 		}
 		least = min(least, dist[i])
+		if i >= q.nR && dist[i] < r2 {
+			return least, evals, true
+		}
 	}
-	return least, evals
+	return least, evals, false
 }
 
 // rerank sorts R by this update's distances, ties by id, carrying each
@@ -270,7 +296,11 @@ func (q *PlaneQuery) rerank(dist []float64) {
 // objects and their influential neighbor set, with their distances from p,
 // which become the anchor, and ship both to the client. It invalidates
 // first, so a failure leaves no stale guard set behind.
-func (q *PlaneQuery) recompute(p geom.Point) error {
+func (q *PlaneQuery) recompute(p geom.Point) error { return q.recomputeFrom(p, false) }
+
+// recomputeFrom is recompute from a hint that, if nearest, this update's
+// validation proved the nearest object to p: the search starts there.
+func (q *PlaneQuery) recomputeFrom(p geom.Point, nearest bool) error {
 	q.Invalidate()
 	if q.ix.Len() == 0 {
 		return ErrEmptyIndex
@@ -279,7 +309,7 @@ func (q *PlaneQuery) recompute(p geom.Point) error {
 		return fmt.Errorf("core: k = %d exceeds object count %d", q.k, q.ix.Len())
 	}
 	q.m.Recomputations++
-	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, q.ids[:0], q.anchor[:0], q.scratch())
+	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, nearest, q.ids[:0], q.anchor[:0], q.scratch())
 	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
 	q.hint = ids[0]
 	q.init = true

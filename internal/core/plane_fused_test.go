@@ -203,7 +203,7 @@ func TestVisitedSetGrowthThenUpdateAllocatesNothing(t *testing.T) {
 	q, pts := outcomeLoop(t, ix, "recompute", 5)
 	sc := new(vortree.SearchScratch)
 	q.UseScratch(sc)
-	if ids, _, _, _ := ix.AppendPrefetch(pts[0], 600, vortree.NoHint, nil, nil, sc); len(ids) < 600 {
+	if ids, _, _, _ := ix.AppendPrefetch(pts[0], 600, vortree.NoHint, false, nil, nil, sc); len(ids) < 600 {
 		t.Fatalf("wide search returned %d objects", len(ids))
 	}
 	before := q.Metrics().Recomputations

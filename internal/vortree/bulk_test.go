@@ -118,8 +118,8 @@ func compareIndexes(t *testing.T, bulk, ref *Index, bounds geom.Rect, unique boo
 		if !sameDistances(q, bulk, knnB, ref, knnR) {
 			t.Fatalf("kNN(%v, %d) = %v, insert-built answers %v", q, k, knnB, knnR)
 		}
-		pfB, dsB, nB, _ := bulk.AppendPrefetch(q, k, NoHint, nil, nil, &scB)
-		pfR, dsR, nR, _ := ref.AppendPrefetch(q, k, NoHint, nil, nil, &scR)
+		pfB, dsB, nB, _ := bulk.AppendPrefetch(q, k, NoHint, false, nil, nil, &scB)
+		pfR, dsR, nR, _ := ref.AppendPrefetch(q, k, NoHint, false, nil, nil, &scR)
 		checkPrefetch(t, bulk, q, k, pfB, dsB, nB)
 		checkPrefetch(t, ref, q, k, pfR, dsR, nR)
 		if !unique {
@@ -330,7 +330,7 @@ func TestBulkBranchIsolation(t *testing.T) {
 	var sc SearchScratch
 	for i := range queries {
 		queries[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		want[i], _, _, _ = parent.AppendPrefetch(queries[i], 8, NoHint, nil, nil, &sc)
+		want[i], _, _, _ = parent.AppendPrefetch(queries[i], 8, NoHint, false, nil, nil, &sc)
 	}
 	head := parent.Branch()
 	stop := make(chan struct{})
@@ -347,7 +347,7 @@ func TestBulkBranchIsolation(t *testing.T) {
 				default:
 				}
 				j := i % len(queries)
-				if got, _, _, _ := parent.AppendPrefetch(queries[j], 8, NoHint, nil, nil, &sc); !slices.Equal(got, want[j]) {
+				if got, _, _, _ := parent.AppendPrefetch(queries[j], 8, NoHint, false, nil, nil, &sc); !slices.Equal(got, want[j]) {
 					t.Errorf("frozen parent changed: prefetch(%v) = %v, was %v", queries[j], got, want[j])
 					return
 				}

@@ -136,7 +136,7 @@ func (sc *SearchScratch) visit(id int) bool {
 // distances the walk evaluated. dst may be nil.
 func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([]int, int) {
 	var cost SearchCost
-	dst, sc.dists, cost = ix.expand(q, k, NoHint, dst, sc.dists[:0], sc)
+	dst, sc.dists, cost = ix.expand(q, k, NoHint, false, dst, sc.dists[:0], sc)
 	return dst, cost.NodeVisits + cost.SeedDists
 }
 
@@ -160,10 +160,12 @@ func (ix *Index) AppendKNN(q geom.Point, k int, dst []int, sc *SearchScratch) ([
 // live in this index version starts the greedy walk over Voronoi neighbors
 // in place of the entry grid; a removed, never-assigned or far-away hint
 // falls back to the grid. Either way the walk ends at the exact nearest
-// object, and the result is the same.
-func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, dst []int, ds []float64, sc *SearchScratch) (ids []int, d2 []float64, nR int, cost SearchCost) {
+// object, and the result is the same. nearest says the caller proved hint
+// the nearest live object to q: a live hint then starts the expansion
+// itself, with no walk, where the walk would have stopped at once.
+func (ix *Index) AppendPrefetch(q geom.Point, m, hint int, nearest bool, dst []int, ds []float64, sc *SearchScratch) (ids []int, d2 []float64, nR int, cost SearchCost) {
 	base := len(dst)
-	dst, ds, cost = ix.expand(q, m, hint, dst, ds, sc)
+	dst, ds, cost = ix.expand(q, m, hint, nearest, dst, ds, sc)
 	nR = len(dst) - base
 	for _, e := range sc.pq {
 		dst = append(dst, e.id)
@@ -203,15 +205,17 @@ func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, erro
 
 // expand appends the k nearest objects to q onto dst, and their squared
 // distances onto ds, by best-first expansion over Voronoi neighbor lists
-// from the nearest object, and leaves in sc.pq the objects it reached but
-// did not take.
-func (ix *Index) expand(q geom.Point, k, hint int, dst []int, ds []float64, sc *SearchScratch) ([]int, []float64, SearchCost) {
+// from the nearest object — hint itself when nearest vouches for it and it
+// is live — and leaves in sc.pq the objects it reached but did not take.
+func (ix *Index) expand(q geom.Point, k, hint int, nearest bool, dst []int, ds []float64, sc *SearchScratch) ([]int, []float64, SearchCost) {
 	sc.pq = sc.pq[:0]
 	if k <= 0 || ix.Len() == 0 {
 		return dst, ds, SearchCost{}
 	}
-	start, cells, dists := ix.diag.NearestFrom(q, hint, maxSeedHops, &sc.ring)
-	cost := SearchCost{NodeVisits: cells, SeedDists: dists}
+	start, cost := hint, SearchCost{}
+	if !nearest || !ix.Contains(hint) {
+		start, cost.NodeVisits, cost.SeedDists = ix.diag.NearestFrom(q, hint, maxSeedHops, &sc.ring)
+	}
 	sc.beginVisit()
 	sc.visit(start)
 	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})

@@ -144,7 +144,7 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 				}
 				want := bruteKNN(ix, q, m)
 				for _, hint := range hints {
-					ids, ds, nR, cost := ix.AppendPrefetch(q, m, hint.id, buf[:0], dbuf[:0], &sc)
+					ids, ds, nR, cost := ix.AppendPrefetch(q, m, hint.id, false, buf[:0], dbuf[:0], &sc)
 					buf, dbuf = ids, ds
 					checkPrefetchAgainst(t, ix, q, m, ids, ds, nR, want)
 					if hint.dead && cost.NodeVisits != 1 {
@@ -175,7 +175,7 @@ func TestFusedPrefetchMatchesOracle(t *testing.T) {
 						}
 						removed = append(removed, prev)
 					}
-					ids, ds, nR, _ := next.AppendPrefetch(q, m, prev, buf[:0], dbuf[:0], &sc)
+					ids, ds, nR, _ := next.AppendPrefetch(q, m, prev, false, buf[:0], dbuf[:0], &sc)
 					buf, dbuf = ids, ds
 					checkPrefetch(t, next, q, m, ids, ds, nR)
 					ix, prev = next, buf[0]
@@ -196,23 +196,112 @@ func TestHintWalkCost(t *testing.T) {
 	}
 	var sc SearchScratch
 	q := geom.Pt(500, 500)
-	ids, _, _, cold := ix.AppendPrefetch(q, 12, NoHint, nil, nil, &sc)
+	ids, _, _, cold := ix.AppendPrefetch(q, 12, NoHint, false, nil, nil, &sc)
 	if cold.NodeVisits != 1 || cold.SeedDists == 0 || cold.SeedDists > 40 {
 		t.Fatalf("no hint: cost %+v, want one grid cell and a short walk", cold)
 	}
 	if _, visits := ix.AppendKNN(q, 12, ids[:0], &sc); visits != cold.NodeVisits+cold.SeedDists {
 		t.Fatalf("AppendKNN reports a cold start costing %d, AppendPrefetch %+v", visits, cold)
 	}
-	_, _, _, cost := ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], ids[:0], nil, &sc)
+	_, _, _, cost := ix.AppendPrefetch(geom.Pt(503, 498), 12, ids[0], false, ids[:0], nil, &sc)
 	if cost.NodeVisits != 0 || cost.SeedDists == 0 {
 		t.Fatalf("near hint: cost %+v, want a walk and no grid cell", cost)
 	}
-	_, _, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), ids[:0], nil, &sc)
+	_, _, _, cost = ix.AppendPrefetch(q, 12, farthestObject(ix, q), false, ids[:0], nil, &sc)
 	if cost.NodeVisits != 1 || cost.SeedDists <= cold.SeedDists {
 		t.Fatalf("far hint: cost %+v, want an abandoned walk then the cold start (%+v)", cost, cold)
 	}
 	if maxDists := (maxSeedHops+1)*20 + cold.SeedDists; cost.SeedDists > maxDists {
 		t.Fatalf("far hint: walks evaluated %d distances, budget allows about %d", cost.SeedDists, maxDists)
+	}
+}
+
+// TestPrefetchNearestHintMatchesWalk: a search told that its hint is the
+// nearest object starts the expansion there and returns what the walk from
+// that hint returns — the same R, I(R) in the same order, the same
+// distances — at no seed cost, on uniform, integer-lattice and cocircular
+// data and on a branch with inserts and removes. Told so of a removed hint,
+// it reads the entry grid as if it had no hint.
+func TestPrefetchNearestHintMatchesWalk(t *testing.T) {
+	var lattice []geom.Point
+	for x := 0; x < 40; x++ {
+		for y := 0; y < 40; y++ {
+			lattice = append(lattice, geom.Pt(float64(x)*25, float64(y)*25))
+		}
+	}
+	// 36 objects on a circle around an empty disc: at its centre all are
+	// equidistant.
+	c := geom.Pt(500, 500)
+	var ring []geom.Point
+	for _, p := range randomPoints(1500, 51) {
+		if p.Dist2(c) > 80*80 {
+			ring = append(ring, p)
+		}
+	}
+	for i := 0; i < 36; i++ {
+		a := 2 * math.Pi * float64(i) / 36
+		ring = append(ring, geom.Pt(c.X+50*math.Cos(a), c.Y+50*math.Sin(a)))
+	}
+	for _, tc := range []struct {
+		name string
+		pts  []geom.Point
+	}{{"uniform", randomPoints(5000, 50)}, {"integer lattice", lattice}, {"cocircular", ring}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, _, err := Build(testBounds, 16, tc.pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(52))
+			var sc SearchScratch
+			var removed []int
+			for i := 0; i < 200; i++ {
+				q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+				switch i % 4 {
+				case 1: // on a lattice point, or midway between two
+					q = geom.Pt(math.Round(q.X/25)*25, math.Round(q.Y/25)*25+12.5*float64(rng.Intn(2)))
+				case 2:
+					q = c
+				}
+				m := 1 + rng.Intn(20)
+				nearest := bruteKNN(ix, q, 1)[0]
+				walked, wd, wn, wcost := ix.AppendPrefetch(q, m, nearest, false, nil, nil, &sc)
+				ids, ds, nR, cost := ix.AppendPrefetch(q, m, nearest, true, nil, nil, &sc)
+				if !slices.Equal(ids, walked) || !slices.Equal(ds, wd) || nR != wn {
+					t.Fatalf("q=%v m=%d: from the proven nearest %d\n%v (nR %d)\nwalked\n%v (nR %d)", q, m, nearest, ids, nR, walked, wn)
+				}
+				checkPrefetch(t, ix, q, m, ids, ds, nR)
+				if cost != (SearchCost{}) || wcost.NodeVisits != 0 || wcost.SeedDists == 0 {
+					t.Fatalf("q=%v: proven start cost %+v, walk from it %+v; want none, and a walk with no grid cell", q, cost, wcost)
+				}
+				if len(removed) > 0 {
+					dead := removed[rng.Intn(len(removed))]
+					ids, ds, nR, cost := ix.AppendPrefetch(q, m, dead, true, nil, nil, &sc)
+					checkPrefetch(t, ix, q, m, ids, ds, nR)
+					if cost.NodeVisits != 1 {
+						t.Fatalf("q=%v: removed hint %d told nearest: cost %+v, want one grid cell", q, dead, cost)
+					}
+				}
+				// Every tenth query moves on to a branch that inserts beside
+				// q and removes its nearest object half of the time.
+				if i%10 == 9 {
+					next := ix.Branch()
+					for j := 0; j < 3; j++ {
+						if p := geom.Pt(q.X+rng.Float64()*10, q.Y+rng.Float64()*10); testBounds.Contains(p) {
+							if _, err := next.Insert(p); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if i%20 == 9 {
+						if err := next.Remove(nearest); err != nil {
+							t.Fatal(err)
+						}
+						removed = append(removed, nearest)
+					}
+					ix = next
+				}
+			}
+		})
 	}
 }
 
@@ -225,10 +314,10 @@ func TestFusedVisitedEpochWrap(t *testing.T) {
 	}
 	var sc SearchScratch
 	q := geom.Pt(400, 600)
-	ix.AppendPrefetch(q, 10, NoHint, nil, nil, &sc)
+	ix.AppendPrefetch(q, 10, NoHint, false, nil, nil, &sc)
 	sc.epoch = math.MaxUint32 - 2
 	for i := 0; i < 6; i++ {
-		ids, ds, nR, _ := ix.AppendPrefetch(q, 10, NoHint, nil, nil, &sc)
+		ids, ds, nR, _ := ix.AppendPrefetch(q, 10, NoHint, false, nil, nil, &sc)
 		checkPrefetch(t, ix, q, 10, ids, ds, nR)
 	}
 	if sc.epoch == 0 || sc.epoch > 6 {
@@ -238,8 +327,9 @@ func TestFusedVisitedEpochWrap(t *testing.T) {
 
 // BenchmarkRecompute is the vortree row of the per-layer ledger without the
 // harness: one R + I(R) recomputation for a query that moved about one
-// object spacing since its last result, started cold from the entry grid
-// and from the previous nearest object.
+// object spacing since its last result, started cold from the entry grid,
+// from the previous nearest object, and from the nearest object itself
+// with the caller's proof that it is (a plane validation's).
 func BenchmarkRecompute(b *testing.B) {
 	const n, m = 100000, 12 // ⌊1.6·8⌋
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
@@ -262,10 +352,14 @@ func BenchmarkRecompute(b *testing.B) {
 			qs = append(qs, p)
 		}
 	}
+	nearest := make([]int, len(qs))
+	for i, q := range qs {
+		nearest[i] = ix.KNN(q, 1)[0]
+	}
 	for _, bc := range []struct {
-		name   string
-		hinted bool
-	}{{"cold_seed", false}, {"hint_seed", true}} {
+		name           string
+		hinted, proven bool
+	}{{"cold_seed", false, false}, {"hint_seed", true, false}, {"nearest_seed", false, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var sc SearchScratch
 			var buf []int
@@ -275,7 +369,10 @@ func BenchmarkRecompute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ids, ds, _, cost := ix.AppendPrefetch(qs[i%len(qs)], m, hint, buf[:0], dbuf[:0], &sc)
+				if bc.proven {
+					hint = nearest[i%len(qs)]
+				}
+				ids, ds, _, cost := ix.AppendPrefetch(qs[i%len(qs)], m, hint, bc.proven, buf[:0], dbuf[:0], &sc)
 				buf, dbuf = ids, ds
 				if bc.hinted {
 					hint = ids[0]

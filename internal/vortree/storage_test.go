@@ -38,7 +38,7 @@ func TestPlaneHeapBudget(t *testing.T) {
 			hint := NoHint
 			for j := 0; j < 8; j++ { // a cold start first, then hint walks
 				q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-				ids, _, nR, _ := ix.AppendPrefetch(q, m, hint, buf[:0], nil, &scs[i])
+				ids, _, nR, _ := ix.AppendPrefetch(q, m, hint, false, buf[:0], nil, &scs[i])
 				if nR != m {
 					t.Fatalf("AppendPrefetch found %d objects", nR)
 				}
@@ -181,7 +181,7 @@ func TestVisitedSetWideSearches(t *testing.T) {
 		for _, ix := range ixs {
 			b := ix.Diagram().Bounds()
 			q := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
-			ids, ds, nR, _ := ix.AppendPrefetch(q, k, NoHint, buf[:0], nil, &sc)
+			ids, ds, nR, _ := ix.AppendPrefetch(q, k, NoHint, false, buf[:0], nil, &sc)
 			buf = ids
 			checkPrefetch(t, ix, q, k, ids, ds, nR)
 			checkKNNAndINS(t, ix, q, k, &sc)
@@ -217,7 +217,7 @@ func TestVisitedSetEpochWrapWideSearch(t *testing.T) {
 	sc.epoch = ^uint32(0) - 2
 	for i := 0; i < 6; i++ {
 		ix := ixs[i%3]
-		ids, ds, nR, _ := ix.AppendPrefetch(q, 600, NoHint, nil, nil, &sc)
+		ids, ds, nR, _ := ix.AppendPrefetch(q, 600, NoHint, false, nil, nil, &sc)
 		checkPrefetch(t, ix, q, 600, ids, ds, nR)
 	}
 	if sc.epoch == 0 || sc.epoch > 6 {
@@ -235,7 +235,7 @@ func TestVisitedSetSteadyStateAllocatesNothing(t *testing.T) {
 	dbuf := make([]float64, 0, 8192)
 	q := geom.Pt(14.5, 15.25)
 	search := func(ix *Index, m, hint int) func() {
-		return func() { buf, dbuf, _, _ = ix.AppendPrefetch(q, m, hint, buf[:0], dbuf[:0], &sc) }
+		return func() { buf, dbuf, _, _ = ix.AppendPrefetch(q, m, hint, false, buf[:0], dbuf[:0], &sc) }
 	}
 	for _, m := range []int{32, 2000} { // the second grows the table seven times
 		search(ixs[0], m, NoHint)()
