@@ -19,7 +19,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/rtree"
-	"repro/internal/voronoi"
 )
 
 var benchBounds = insq.NewRect(insq.Pt(0, 0), insq.Pt(10000, 10000))
@@ -54,18 +53,18 @@ func planeBench(b *testing.B, mk func(ix *insq.PlaneIndex) (insq.PlaneProcessor,
 // BenchmarkE1Fig1 regenerates the Figure 1 computation: 3NN, INS and MIS
 // of the fixed 12-object configuration.
 func BenchmarkE1Fig1(b *testing.B) {
-	d, _, err := voronoi.Build(experiments.Fig1Bounds, experiments.Fig1Points)
+	ix, _, err := insq.BuildPlaneIndex(experiments.Fig1Bounds, experiments.Fig1Points)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		knn := d.KNN(experiments.Fig1Q, 3)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(experiments.Fig1Q, 3)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.MIS(knn, ins); err != nil {
+		if _, err := ix.MIS(knn, ins); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(22))
-	live := st.Current().Plane().Diagram().IDs()
+	live := st.Current().Plane().IDs()
 	traj := insq.RandomWaypoint(bounds, 2000, 2, 23)
 
 	inserts, removes, verified := 0, 0, 0

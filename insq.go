@@ -13,7 +13,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/svg"
 	"repro/internal/trajectory"
-	"repro/internal/voronoi"
 	"repro/internal/vortree"
 	"repro/internal/workload"
 )
@@ -40,8 +39,6 @@ type (
 	// Voronoi diagram with its neighbor lists, kept in sync under updates,
 	// and an entry grid where searches without a hint start.
 	PlaneIndex = vortree.Index
-	// VoronoiDiagram is the dynamic order-1 Voronoi diagram.
-	VoronoiDiagram = voronoi.Diagram
 	// RoadNetwork is a planar undirected weighted graph with 2D embedding.
 	RoadNetwork = roadnet.Graph
 	// NetworkPosition is a location on a road network (edge + fraction).

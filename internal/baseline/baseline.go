@@ -140,16 +140,15 @@ func (q *OrderKCellPlane) Update(p geom.Point) ([]int, error) {
 	q.m.NodeVisits += visits
 	var cell geom.Polygon
 	var err error
-	d := q.ix.Diagram()
 	if q.useINSCandidates {
-		ins, ierr := d.INS(q.knn)
+		ins, ierr := q.ix.INS(q.knn)
 		if ierr != nil {
 			return nil, fmt.Errorf("baseline: order-k cell INS: %w", ierr)
 		}
-		cell, err = d.OrderKCell(q.knn, ins)
+		cell, err = q.ix.OrderKCell(q.knn, ins)
 		q.m.DistanceCalcs += q.k * len(ins)
 	} else {
-		cell, err = d.OrderKCellExact(q.knn)
+		cell, err = q.ix.OrderKCellExact(q.knn)
 		q.m.DistanceCalcs += q.k * (q.ix.Len() - q.k)
 	}
 	if err != nil {

@@ -55,7 +55,7 @@ func walkTrajectory(steps int, stepLen float64, seed int64) []geom.Point {
 // multiset (tie-tolerant).
 func checkAgainstBrute(t *testing.T, ix *vortree.Index, p geom.Point, got []int, k int) {
 	t.Helper()
-	ids := ix.Diagram().IDs()
+	ids := ix.IDs()
 	dists := make([]float64, 0, len(ids))
 	for _, id := range ids {
 		dists = append(dists, p.Dist2(ix.Point(id)))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
-	"repro/internal/voronoi"
 	"repro/internal/vortree"
 )
 
@@ -23,7 +22,7 @@ import (
 type PrecomputedOrderKPlane struct {
 	k       int
 	m       metrics.Counters
-	regions []voronoi.Region
+	regions []vortree.Region
 	cur     int // index of the current region, -1 if unknown
 
 	// grid buckets region indices by bounding-box overlap for point
@@ -49,11 +48,11 @@ func NewPrecomputedOrderKPlane(ix *vortree.Index, k int) (*PrecomputedOrderKPlan
 		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewObjects, ix.Len(), k)
 	}
 	start := time.Now()
-	regions, err := ix.Diagram().EnumerateOrderK(k)
+	regions, err := ix.EnumerateOrderK(k)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: enumerate order-%d: %w", k, err)
 	}
-	bounds := ix.Diagram().Bounds()
+	bounds := ix.Bounds()
 	// Grid resolution: aim for a few regions per bucket.
 	side := int(math.Sqrt(float64(len(regions)))) + 1
 	q := &PrecomputedOrderKPlane{

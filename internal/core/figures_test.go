@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netvor"
 	"repro/internal/roadnet"
-	"repro/internal/voronoi"
 	"repro/internal/vortree"
 )
 
@@ -44,23 +43,23 @@ var fig1Bounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 func paperID(id int) int { return id + 1 }
 
 func TestFig1MIS(t *testing.T) {
-	d, ids, err := voronoi.Build(fig1Bounds, fig1Points)
+	ix, ids, err := vortree.Build(fig1Bounds, 0, fig1Points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 12 {
 		t.Fatalf("fixture built %d sites, want 12", len(ids))
 	}
-	knn := d.KNN(fig1Q, 3)
+	knn := ix.KNN(fig1Q, 3)
 	gotKNN := toPaper(knn)
 	if !equalSorted(gotKNN, []int{4, 6, 7}) {
 		t.Fatalf("3NN = %v, want {p4, p6, p7}", gotKNN)
 	}
-	ins, err := d.INS(knn)
+	ins, err := ix.INS(knn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mis, err := d.MIS(knn, ins)
+	mis, err := ix.MIS(knn, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +84,16 @@ func TestFig1MIS(t *testing.T) {
 // and the resulting triples match the figure's labels (6,7,12), (3,6,7),
 // (3,4,7), (4,5,7), (4,7,10), (6,7,10).
 func TestFig1NeighboringCells(t *testing.T) {
-	d, _, err := voronoi.Build(fig1Bounds, fig1Points)
+	ix, _, err := vortree.Build(fig1Bounds, 0, fig1Points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	knn := d.KNN(fig1Q, 3)
-	ins, err := d.INS(knn)
+	knn := ix.KNN(fig1Q, 3)
+	ins, err := ix.INS(knn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := d.OrderKCell(knn, ins)
+	cell, err := ix.OrderKCell(knn, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestFig1NeighboringCells(t *testing.T) {
 		var swapO, swapX = -1, -1
 		for _, o := range knn {
 			for _, x := range ins {
-				po, px := d.Site(o), d.Site(x)
+				po, px := ix.Point(o), ix.Point(x)
 				if onBisector(a, po, px) && onBisector(b, po, px) && onBisector(mid, po, px) {
 					swapO, swapX = o, x
 				}
@@ -191,7 +190,6 @@ func TestFig4ValidationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.Diagram()
 	q, err := NewPlaneQuery(ix, 5, 1.6)
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +203,11 @@ func TestFig4ValidationEquivalence(t *testing.T) {
 		// Compute the strict safe region of the *current* kNN set before
 		// the update.
 		knn := append([]int(nil), q.Current()...)
-		ins, err := d.INS(knn)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, err := d.OrderKCell(knn, ins)
+		cell, err := ix.OrderKCell(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -307,7 +307,7 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 		if state := append(a.Prefetched(), a.INS()...); len(state) > 0 && rng.Intn(2) == 0 {
 			return state[rng.Intn(len(state))]
 		}
-		ids := stA.Current().Plane().Diagram().IDs()
+		ids := stA.Current().Plane().IDs()
 		return ids[rng.Intn(len(ids))]
 	}
 	// repair follows a mutation: on a store each, Refresh; on a shared store,

@@ -137,7 +137,7 @@ func outcomeLoop(tb testing.TB, ix *vortree.Index, outcome string, seed int64) (
 	const k, rho = 8, 1.6
 	rng := rand.New(rand.NewSource(seed))
 	// Object spacing of a uniform set: moves are tried in fractions of it.
-	b := ix.Diagram().Bounds()
+	b := ix.Bounds()
 	spacing := math.Sqrt(b.Width() * b.Height() / float64(ix.Len()))
 	for trial := 0; trial < 200; trial++ {
 		a := geom.Pt(b.Min.X+(0.2+0.6*rng.Float64())*b.Width(), b.Min.Y+(0.2+0.6*rng.Float64())*b.Height())

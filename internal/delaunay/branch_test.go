@@ -121,7 +121,7 @@ func TestBranchConcurrentReaders(t *testing.T) {
 					t.Errorf("frozen Neighbors(%d): %v", id, err)
 					return
 				}
-				frozen.Nearest(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
+				frozen.NearestFrom(geom.Pt(rng.Float64()*1000, rng.Float64()*1000), -1, 0, &sc)
 			}
 		}(int64(g))
 	}

@@ -2,14 +2,6 @@ package delaunay
 
 import "repro/internal/geom"
 
-// Nearest returns the id of the live vertex closest to p, or -1 when the
-// triangulation is empty: NearestFrom with no start of its own.
-func (t *Triangulation) Nearest(p geom.Point) int {
-	var sc RingScratch
-	id, _, _ := t.NearestFrom(p, -1, 0, &sc)
-	return id
-}
-
 // NearestFrom returns the id of the live vertex closest to p, or -1 when
 // the triangulation is empty, and what finding it cost: the grid cells it
 // read and the distances it evaluated. It is greedy descent on the Delaunay

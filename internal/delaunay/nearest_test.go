@@ -19,7 +19,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 300; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got := tr.Nearest(q)
+		got, _, _ := tr.NearestFrom(q, -1, 0, new(RingScratch))
 		best, bestD := -1, math.Inf(1)
 		for _, id := range ids {
 			if d := q.Dist2(tr.Point(id)); d < bestD {
@@ -48,7 +48,7 @@ func TestNearestAfterRemovals(t *testing.T) {
 		}
 		live = append(live[:i], live[i+1:]...)
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got := tr.Nearest(q)
+		got, _, _ := tr.NearestFrom(q, -1, 0, new(RingScratch))
 		bestD := math.Inf(1)
 		for _, id := range live {
 			if d := q.Dist2(tr.Point(id)); d < bestD {
@@ -63,7 +63,7 @@ func TestNearestAfterRemovals(t *testing.T) {
 
 func TestNearestEmpty(t *testing.T) {
 	tr := New(testBounds)
-	if got := tr.Nearest(geom.Pt(1, 1)); got != -1 {
+	if got, _, _ := tr.NearestFrom(geom.Pt(1, 1), -1, 0, new(RingScratch)); got != -1 {
 		t.Errorf("Nearest on empty = %d, want -1", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestNearestOutOfBoundsQuery(t *testing.T) {
 	// Queries outside the insertion bounds must still resolve (greedy
 	// descent works from any seed).
 	q := geom.Pt(-500, 2000)
-	got := tr.Nearest(q)
+	got, _, _ := tr.NearestFrom(q, -1, 0, new(RingScratch))
 	bestD := math.Inf(1)
 	best := -1
 	for _, id := range ids {
@@ -104,7 +104,7 @@ func TestNearestProperty(t *testing.T) {
 			return true
 		}
 		q := geom.Pt(x, y)
-		got := tr.Nearest(q)
+		got, _, _ := tr.NearestFrom(q, -1, 0, new(RingScratch))
 		gd := q.Dist2(tr.Point(got))
 		for _, id := range ids {
 			if q.Dist2(tr.Point(id)) < gd {

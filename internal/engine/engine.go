@@ -331,7 +331,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		store:     st,
 		wal:       cfg.WAL,
-		events:    stream.NewBrokerObs(cfg.StreamQueueDepth, cfg.Obs),
+		events:    stream.NewBroker(cfg.StreamQueueDepth, cfg.Obs),
 		shards:    make([]*shard, cfg.Shards),
 		start:     time.Now(),
 		hasPlane:  st.HasPlane(),

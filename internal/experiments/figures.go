@@ -12,7 +12,6 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/sim"
 	"repro/internal/trajectory"
-	"repro/internal/voronoi"
 	"repro/internal/vortree"
 	"repro/internal/workload"
 )
@@ -46,16 +45,16 @@ var Fig1Bounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 // E1 reproduces Figure 1: it computes the 3NN set, INS and MIS on the
 // fixture and reports them in the paper's 1-based labels.
 func E1() ([]Row, error) {
-	d, _, err := voronoi.Build(Fig1Bounds, Fig1Points)
+	ix, _, err := vortree.Build(Fig1Bounds, 0, Fig1Points)
 	if err != nil {
 		return nil, err
 	}
-	knn := d.KNN(Fig1Q, 3)
-	ins, err := d.INS(knn)
+	knn := ix.KNN(Fig1Q, 3)
+	ins, err := ix.INS(knn)
 	if err != nil {
 		return nil, err
 	}
-	mis, err := d.MIS(knn, ins)
+	mis, err := ix.MIS(knn, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +160,7 @@ func AblationVorTree(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	traj := trajectory.RandomWaypoint(Bounds, cfg.steps(2000), 50, cfg.seed(122))
-	ids := ix.Diagram().IDs()
+	ids := ix.IDs()
 	items := make([]rtree.Item, len(ids))
 	for i, id := range ids {
 		items[i] = rtree.Item{ID: id, P: ix.Point(id)}

@@ -130,12 +130,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return r.Contains(s.Min) && r.Contains(s.Max)
 }
 
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
 // Expand returns the minimal rectangle containing both r and s.
 func (r Rect) Expand(s Rect) Rect {
 	return Rect{
@@ -166,10 +160,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns half the perimeter of r (the usual R*-tree margin
-// metric; callers that need the full perimeter can double it).
-func (r Rect) Perimeter() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point { return Mid(r.Min, r.Max) }
 
@@ -180,9 +170,4 @@ func (r Rect) Dist2Point(p Point) float64 {
 	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	return dx*dx + dy*dy
-}
-
-// EnlargementArea returns how much r's area grows if expanded to cover s.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Expand(s).Area() - r.Area()
 }

@@ -205,13 +205,3 @@ func Circumcenter(a, b, c Point) (Point, bool) {
 	}
 	return Point{a.X + ux, a.Y + uy}, true
 }
-
-// Circumradius2 returns the squared circumradius of the triangle abc, or
-// +Inf when the points are collinear.
-func Circumradius2(a, b, c Point) float64 {
-	cc, ok := Circumcenter(a, b, c)
-	if !ok {
-		return math.Inf(1)
-	}
-	return cc.Dist2(a)
-}

@@ -150,7 +150,7 @@ func TestAbortedBatchIsDiscarded(t *testing.T) {
 	const k = 6
 	rng := rand.New(rand.NewSource(31))
 	model := make(map[int]geom.Point)
-	for _, id := range st.Current().Plane().Diagram().IDs() {
+	for _, id := range st.Current().Plane().IDs() {
 		model[id] = st.Current().Plane().Point(id)
 	}
 	queries := make([]geom.Point, 16)

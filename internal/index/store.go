@@ -712,7 +712,7 @@ func (s *Snapshot) PlaneObjects() ([]vortree.RestoreObject, int) {
 	if s.plane == nil {
 		return nil, 0
 	}
-	ids := s.plane.Diagram().IDs()
+	ids := s.plane.IDs()
 	objs := make([]vortree.RestoreObject, len(ids))
 	for i, id := range ids {
 		objs[i] = vortree.RestoreObject{ID: id, P: s.plane.Point(id)}

@@ -54,31 +54,6 @@ func (c *Counters) Add(other Counters) {
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
 
-// PerTimestamp returns r scaled to a per-timestamp average; zero timestamps
-// yields zeros.
-func (c Counters) PerTimestamp() PerStep {
-	if c.Timestamps == 0 {
-		return PerStep{}
-	}
-	n := float64(c.Timestamps)
-	return PerStep{
-		Recomputations: float64(c.Recomputations) / n,
-		ObjectsShipped: float64(c.ObjectsShipped) / n,
-		DistanceCalcs:  float64(c.DistanceCalcs) / n,
-		EdgeRelax:      float64(c.EdgeRelaxations) / n,
-		NodeVisits:     float64(c.NodeVisits) / n,
-	}
-}
-
-// PerStep is Counters averaged over timestamps.
-type PerStep struct {
-	Recomputations float64
-	ObjectsShipped float64
-	DistanceCalcs  float64
-	EdgeRelax      float64
-	NodeVisits     float64
-}
-
 // String implements fmt.Stringer with the fields the experiment tables use.
 func (c Counters) String() string {
 	return fmt.Sprintf(

@@ -21,17 +21,6 @@ func TestAddAndReset(t *testing.T) {
 	}
 }
 
-func TestPerTimestamp(t *testing.T) {
-	c := Counters{Timestamps: 4, Recomputations: 2, ObjectsShipped: 8, DistanceCalcs: 40}
-	per := c.PerTimestamp()
-	if per.Recomputations != 0.5 || per.ObjectsShipped != 2 || per.DistanceCalcs != 10 {
-		t.Errorf("PerTimestamp = %+v", per)
-	}
-	if (Counters{}).PerTimestamp() != (PerStep{}) {
-		t.Error("zero-timestamp PerTimestamp should be zero")
-	}
-}
-
 func TestString(t *testing.T) {
 	c := Counters{Timestamps: 3, Recomputations: 1, AnchoredValidations: 2, AnchorBuilds: 4, AnchorTableHits: 5}
 	s := c.String()

@@ -649,7 +649,7 @@ func (d *Diagram) Neighbors(s int) ([]int, error) {
 }
 
 // AppendNeighbors is Neighbors appending onto dst — the allocation-free
-// form mirroring voronoi.Diagram.AppendNeighbors.
+// form mirroring delaunay.Triangulation.AppendNeighbors.
 func (d *Diagram) AppendNeighbors(s int, dst []int) ([]int, error) {
 	if !d.IsSite(s) {
 		return dst, fmt.Errorf("netvor: %d is not a site", s)

@@ -6,7 +6,7 @@ import "testing"
 // coalesces are attributed to it alone, so benchmarks can separate a stall
 // probe from healthy-path delivery.
 func TestPerSubscriberCounters(t *testing.T) {
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	defer b.Close()
 	fast := b.Subscribe(0)
 	slow := b.Subscribe(2) // overflows after two distinct sessions

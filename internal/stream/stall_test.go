@@ -24,7 +24,7 @@ func TestStalledSubscriberIsolated(t *testing.T) {
 		sessions = 64 // > depth distinct sessions so drop-oldest (not coalesce) must fire
 		rounds   = 30
 	)
-	b := NewBroker(depth)
+	b := NewBroker(depth, nil)
 	defer b.Close()
 
 	// A watches sessions 1..64 on a tiny queue, and its Next stalls on

@@ -128,14 +128,9 @@ type Broker struct {
 }
 
 // NewBroker builds a broker whose subscribers default to the given queue
-// depth (DefaultQueueDepth when <= 0).
-func NewBroker(depth int) *Broker {
-	return NewBrokerObs(depth, nil)
-}
-
-// NewBrokerObs is NewBroker with an observability pipeline: fan-out
-// timing (the push stage) and overflow logging. p may be nil.
-func NewBrokerObs(depth int, p *obs.Pipeline) *Broker {
+// depth (DefaultQueueDepth when <= 0). p is the observability pipeline that
+// times fan-out (the push stage) and logs overflows; it may be nil.
+func NewBroker(depth int, p *obs.Pipeline) *Broker {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}

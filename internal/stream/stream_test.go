@@ -26,7 +26,7 @@ func sorted(ids []int) []int {
 }
 
 func TestFanOutAndFiltering(t *testing.T) {
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	all := b.Subscribe(0)        // wildcard
 	only2 := b.Subscribe(0, 2)   // session 2 only
 	both := b.Subscribe(0, 1, 2) // sessions 1 and 2
@@ -76,7 +76,7 @@ func TestFanOutAndFiltering(t *testing.T) {
 // against the pending event's baseline, so the consumer applies one exact
 // delta for the whole missed run.
 func TestCoalesceLatestWins(t *testing.T) {
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	sub := b.Subscribe(0, 7)
 	defer sub.Close()
 
@@ -109,7 +109,7 @@ func TestCoalesceLatestWins(t *testing.T) {
 // slow consumer's memory is bounded and the loss is observable.
 func TestOverflowDropsOldest(t *testing.T) {
 	const depth = 4
-	b := NewBroker(depth)
+	b := NewBroker(depth, nil)
 	sub := b.Subscribe(0) // wildcard, broker default depth
 	defer sub.Close()
 
@@ -138,7 +138,7 @@ func TestOverflowDropsOldest(t *testing.T) {
 // with every lost event accounted as coalesced or dropped.
 func TestSlowConsumerBoundedMemory(t *testing.T) {
 	const depth = 8
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	sub := b.Subscribe(depth)
 	defer sub.Close()
 
@@ -167,7 +167,7 @@ func TestSlowConsumerBoundedMemory(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	sub := b.Subscribe(0, 1)
 	b.Publish(Event{Session: 1, Seq: 1, KNN: []int{1}})
 	b.Close()
@@ -191,7 +191,7 @@ func TestCloseSemantics(t *testing.T) {
 // TestConcurrentPublish hammers one broker from many publishers while
 // consumers drain and subscribers churn; run with -race.
 func TestConcurrentPublish(t *testing.T) {
-	b := NewBroker(16)
+	b := NewBroker(16, nil)
 	var wg sync.WaitGroup
 
 	consume := func(sub *Subscriber) {
@@ -252,7 +252,7 @@ func TestConcurrentPublish(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	// Smoke-check the zero broker's stats are all zero (fresh counters).
-	b := NewBroker(0)
+	b := NewBroker(0, nil)
 	if st := b.Stats(); st != (Stats{}) {
 		t.Errorf("fresh broker stats = %+v", st)
 	}

@@ -26,12 +26,11 @@ func PlaneFrame(ix *vortree.Index, q *core.PlaneQuery, pos geom.Point, opts Plan
 	if opts.WidthPx == 0 {
 		opts.WidthPx = 800
 	}
-	d := ix.Diagram()
-	c := NewCanvas(d.Bounds(), opts.WidthPx)
+	c := NewCanvas(ix.Bounds(), opts.WidthPx)
 
 	if opts.ShowVoronoiCells {
-		for _, id := range d.IDs() {
-			cell, err := d.Cell(id)
+		for _, id := range ix.IDs() {
+			cell, err := ix.Cell(id)
 			if err != nil {
 				return "", fmt.Errorf("svg: cell of %d: %w", id, err)
 			}
@@ -51,11 +50,11 @@ func PlaneFrame(ix *vortree.Index, q *core.PlaneQuery, pos geom.Point, opts Plan
 	}
 
 	if opts.ShowOrderKCell && len(knn) > 0 {
-		ins, err := d.INS(knn)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			return "", fmt.Errorf("svg: INS: %w", err)
 		}
-		cell, err := d.OrderKCell(knn, ins)
+		cell, err := ix.OrderKCell(knn, ins)
 		if err != nil {
 			return "", fmt.Errorf("svg: order-k cell: %w", err)
 		}
@@ -87,7 +86,7 @@ func PlaneFrame(ix *vortree.Index, q *core.PlaneQuery, pos geom.Point, opts Plan
 		}
 	}
 
-	for _, id := range d.IDs() {
+	for _, id := range ix.IDs() {
 		color := ColorObject
 		switch {
 		case inKNN[id]:

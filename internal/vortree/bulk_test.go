@@ -24,7 +24,7 @@ func insertBuilt(t testing.TB, bounds geom.Rect, objs []RestoreObject, nextID in
 	ix := New(bounds)
 	pad := func(upTo int) {
 		for ix.NextID() < upTo {
-			if _, err := ix.diag.PadSite(); err != nil {
+			if _, err := ix.tri.PadVertex(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,8 +93,8 @@ func compareIndexes(t *testing.T, bulk, ref *Index, bounds geom.Rect, unique boo
 	if bulk.Len() != ref.Len() || bulk.NextID() != ref.NextID() {
 		t.Fatalf("Len %d, NextID %d; insert-built has %d, %d", bulk.Len(), bulk.NextID(), ref.Len(), ref.NextID())
 	}
-	ids := bulk.Diagram().IDs()
-	if !slices.Equal(ids, ref.Diagram().IDs()) {
+	ids := bulk.IDs()
+	if !slices.Equal(ids, ref.IDs()) {
 		t.Fatal("live id sets differ")
 	}
 	for _, id := range ids {

@@ -1,4 +1,4 @@
-package voronoi
+package vortree
 
 import (
 	"fmt"
@@ -21,8 +21,8 @@ type Swap struct {
 // Theorem 1 it always suffices). Each swap corresponds to one neighboring
 // order-k cell in the sense of Definition 2; the In objects over all swaps
 // are exactly the MIS.
-func (d *Diagram) CellSwaps(knn, candidates []int) ([]Swap, error) {
-	tp, err := d.taggedOrderKCell(knn, candidates)
+func (ix *Index) CellSwaps(knn, candidates []int) ([]Swap, error) {
+	tp, err := ix.taggedOrderKCell(knn, candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -65,16 +65,12 @@ type Region struct {
 //
 // It returns an error if k is out of range. Cells with empty clipped
 // polygons (entirely outside bounds) are not returned.
-func (d *Diagram) EnumerateOrderK(k int) ([]Region, error) {
-	n := d.Len()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("voronoi: enumerate order-%d of %d sites", k, n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("voronoi: empty diagram")
+func (ix *Index) EnumerateOrderK(k int) ([]Region, error) {
+	if n := ix.Len(); k < 1 || k > n {
+		return nil, fmt.Errorf("vortree: enumerate order-%d of %d objects", k, n)
 	}
 	// Seed: the kNN set at the bounds center (always a nonempty cell).
-	seed := d.KNN(d.bounds.Center(), k)
+	seed := ix.KNN(ix.Bounds().Center(), k)
 	sort.Ints(seed)
 
 	var regions []Region
@@ -83,11 +79,11 @@ func (d *Diagram) EnumerateOrderK(k int) ([]Region, error) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		ins, err := d.INS(cur)
+		ins, err := ix.INS(cur)
 		if err != nil {
 			return nil, err
 		}
-		cell, err := d.OrderKCell(cur, ins)
+		cell, err := ix.OrderKCell(cur, ins)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +91,7 @@ func (d *Diagram) EnumerateOrderK(k int) ([]Region, error) {
 			continue // clipped away: outside bounds
 		}
 		regions = append(regions, Region{Sites: append([]int(nil), cur...), Cell: cell})
-		swaps, err := d.CellSwaps(cur, ins)
+		swaps, err := ix.CellSwaps(cur, ins)
 		if err != nil {
 			return nil, err
 		}

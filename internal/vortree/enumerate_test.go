@@ -1,8 +1,9 @@
-package voronoi
+package vortree
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,29 +11,29 @@ import (
 )
 
 func TestCellSwapsMatchMIS(t *testing.T) {
-	d, _ := buildRandom(t, 80, 40)
+	ix, _ := buildRandom(t, 80, 40)
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 20; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		knn := d.KNN(q, 3)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(q, 3)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		swaps, err := d.CellSwaps(knn, ins)
+		swaps, err := ix.CellSwaps(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mis, err := d.MIS(knn, ins)
+		mis, err := ix.MIS(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ins2 := make(map[int]bool)
 		for _, s := range swaps {
-			if !contains(knn, s.Out) {
+			if !slices.Contains(knn, s.Out) {
 				t.Fatalf("swap out %d not a kNN member", s.Out)
 			}
-			if contains(knn, s.In) {
+			if slices.Contains(knn, s.In) {
 				t.Fatalf("swap in %d is a kNN member", s.In)
 			}
 			ins2[s.In] = true
@@ -51,8 +52,8 @@ func TestCellSwapsMatchMIS(t *testing.T) {
 
 func TestEnumerateOrderKPartitionsBounds(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
-		d, _ := buildRandom(t, 30, 50+int64(k))
-		regions, err := d.EnumerateOrderK(k)
+		ix, _ := buildRandom(t, 30, 50+int64(k))
+		regions, err := ix.EnumerateOrderK(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +78,8 @@ func TestEnumerateOrderKPartitionsBounds(t *testing.T) {
 }
 
 func TestEnumerateOrderKSetsAreCorrect(t *testing.T) {
-	d, _ := buildRandom(t, 40, 60)
-	regions, err := d.EnumerateOrderK(2)
+	ix, _ := buildRandom(t, 40, 60)
+	regions, err := ix.EnumerateOrderK(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +90,17 @@ func TestEnumerateOrderKSetsAreCorrect(t *testing.T) {
 		if !r.Cell.Contains(c) {
 			continue // degenerate sliver: skip the check
 		}
-		got := d.KNN(c, 2)
+		got := ix.KNN(c, 2)
 		sort.Ints(got)
-		if !equalInts(got, r.Sites) {
+		if !slices.Equal(got, r.Sites) {
 			t.Fatalf("region %v: centroid kNN is %v", r.Sites, got)
 		}
 	}
 }
 
 func TestEnumerateOrderKDistinctSets(t *testing.T) {
-	d, _ := buildRandom(t, 25, 70)
-	regions, err := d.EnumerateOrderK(3)
+	ix, _ := buildRandom(t, 25, 70)
+	regions, err := ix.EnumerateOrderK(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +115,10 @@ func TestEnumerateOrderKDistinctSets(t *testing.T) {
 }
 
 func TestEnumerateOrderKCountGrowsWithK(t *testing.T) {
-	d, _ := buildRandom(t, 50, 80)
+	ix, _ := buildRandom(t, 50, 80)
 	prev := 0
 	for _, k := range []int{1, 2, 4} {
-		regions, err := d.EnumerateOrderK(k)
+		regions, err := ix.EnumerateOrderK(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,23 +130,11 @@ func TestEnumerateOrderKCountGrowsWithK(t *testing.T) {
 }
 
 func TestEnumerateOrderKErrors(t *testing.T) {
-	d, _ := buildRandom(t, 5, 90)
-	if _, err := d.EnumerateOrderK(0); err == nil {
+	ix, _ := buildRandom(t, 5, 90)
+	if _, err := ix.EnumerateOrderK(0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := d.EnumerateOrderK(6); err == nil {
+	if _, err := ix.EnumerateOrderK(6); err == nil {
 		t.Error("k>n accepted")
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

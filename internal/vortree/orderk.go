@@ -1,4 +1,4 @@
-package voronoi
+package vortree
 
 import (
 	"fmt"
@@ -11,8 +11,8 @@ import (
 // of the order-1 Voronoi neighbor sets of the sites in knn, minus knn
 // itself. The result is sorted by id. It is the reference construction —
 // the serving path obtains I(R) as a by-product of computing R (see
-// vortree.Index.AppendPrefetch) — and the oracle its tests compare against.
-func (d *Diagram) INS(knn []int) ([]int, error) {
+// AppendPrefetch) — and the oracle its tests compare against.
+func (ix *Index) INS(knn []int) ([]int, error) {
 	inKNN := make(map[int]bool, len(knn))
 	for _, id := range knn {
 		inKNN[id] = true
@@ -20,9 +20,9 @@ func (d *Diagram) INS(knn []int) ([]int, error) {
 	seen := make(map[int]bool)
 	var out []int
 	for _, id := range knn {
-		nb, err := d.tri.Neighbors(id)
+		nb, err := ix.Neighbors(id)
 		if err != nil {
-			return nil, fmt.Errorf("voronoi: INS of %v: %w", knn, err)
+			return nil, fmt.Errorf("vortree: INS of %v: %w", knn, err)
 		}
 		for _, u := range nb {
 			if !inKNN[u] && !seen[u] {
@@ -125,8 +125,8 @@ func (tp taggedPolygon) dedup() taggedPolygon {
 //
 // The returned polygon is convex and counter-clockwise; it is empty only if
 // knn is not the kNN set of any in-bounds location.
-func (d *Diagram) OrderKCell(knn, candidates []int) (geom.Polygon, error) {
-	tp, err := d.taggedOrderKCell(knn, candidates)
+func (ix *Index) OrderKCell(knn, candidates []int) (geom.Polygon, error) {
+	tp, err := ix.taggedOrderKCell(knn, candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -136,32 +136,32 @@ func (d *Diagram) OrderKCell(knn, candidates []int) (geom.Polygon, error) {
 // OrderKCellExact computes V^k(O') against every live site outside knn.
 // It is O(k·n) and exists as ground truth for tests and for the
 // order-k-cell safe region baseline at small n.
-func (d *Diagram) OrderKCellExact(knn []int) (geom.Polygon, error) {
+func (ix *Index) OrderKCellExact(knn []int) (geom.Polygon, error) {
 	inKNN := make(map[int]bool, len(knn))
 	for _, id := range knn {
 		inKNN[id] = true
 	}
 	var cands []int
-	for _, id := range d.IDs() {
+	for _, id := range ix.IDs() {
 		if !inKNN[id] {
 			cands = append(cands, id)
 		}
 	}
-	return d.OrderKCell(knn, cands)
+	return ix.OrderKCell(knn, cands)
 }
 
-func (d *Diagram) taggedOrderKCell(knn, candidates []int) (taggedPolygon, error) {
-	tp := newTaggedRect(d.bounds)
+func (ix *Index) taggedOrderKCell(knn, candidates []int) (taggedPolygon, error) {
+	tp := newTaggedRect(ix.Bounds())
 	for _, o := range knn {
-		if !d.Contains(o) {
-			return taggedPolygon{}, fmt.Errorf("voronoi: order-k cell: site %d not live", o)
+		if !ix.Contains(o) {
+			return taggedPolygon{}, fmt.Errorf("vortree: order-k cell: site %d not live", o)
 		}
-		po := d.Site(o)
+		po := ix.Point(o)
 		for _, x := range candidates {
-			if !d.Contains(x) {
-				return taggedPolygon{}, fmt.Errorf("voronoi: order-k cell: candidate %d not live", x)
+			if !ix.Contains(x) {
+				return taggedPolygon{}, fmt.Errorf("vortree: order-k cell: candidate %d not live", x)
 			}
-			tp = tp.clip(geom.BisectorHalfPlane(po, d.Site(x)), taggedEdge{o, x})
+			tp = tp.clip(geom.BisectorHalfPlane(po, ix.Point(x)), taggedEdge{o, x})
 			if len(tp.v) == 0 {
 				return tp, nil
 			}
@@ -179,8 +179,8 @@ func (d *Diagram) taggedOrderKCell(knn, candidates []int) (taggedPolygon, error)
 // candidates must be a superset of the true MIS; passing the INS (Theorem 1)
 // is always sound. Edges lying on the diagram bounds are not Voronoi edges
 // and contribute nothing.
-func (d *Diagram) MIS(knn, candidates []int) ([]int, error) {
-	tp, err := d.taggedOrderKCell(knn, candidates)
+func (ix *Index) MIS(knn, candidates []int) ([]int, error) {
+	tp, err := ix.taggedOrderKCell(knn, candidates)
 	if err != nil {
 		return nil, err
 	}

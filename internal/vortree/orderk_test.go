@@ -1,126 +1,30 @@
-package voronoi
+package vortree
 
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-var testBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
-
-func randomPoints(n int, seed int64) []geom.Point {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-	}
-	return pts
-}
-
-func buildRandom(t testing.TB, n int, seed int64) (*Diagram, []int) {
+func buildRandom(t testing.TB, n int, seed int64) (*Index, []int) {
 	t.Helper()
-	d, ids, err := Build(testBounds, randomPoints(n, seed))
+	ix, ids, err := Build(testBounds, 16, randomPoints(n, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, ids
-}
-
-// bruteKNN is the ground-truth kNN by linear scan.
-func bruteKNN(d *Diagram, q geom.Point, k int) []int {
-	ids := d.IDs()
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := q.Dist2(d.Site(ids[i])), q.Dist2(d.Site(ids[j]))
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
-}
-
-func sameIDSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as, bs := append([]int(nil), a...), append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	d, _ := buildRandom(t, 300, 1)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got := d.Nearest(q)
-		want := bruteKNN(d, q, 1)[0]
-		if got != want {
-			gd, wd := q.Dist(d.Site(got)), q.Dist(d.Site(want))
-			if math.Abs(gd-wd) > 1e-9 {
-				t.Fatalf("Nearest(%v) = %d (d=%g), want %d (d=%g)", q, got, gd, want, wd)
-			}
-		}
-	}
-}
-
-func TestKNNMatchesBruteForce(t *testing.T) {
-	d, _ := buildRandom(t, 400, 3)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		for _, k := range []int{1, 3, 8, 17} {
-			got := d.KNN(q, k)
-			want := bruteKNN(d, q, k)
-			if !sameIDSet(got, want) {
-				t.Fatalf("KNN(%v, %d) = %v, want %v", q, k, got, want)
-			}
-			// KNN promises ascending distance order.
-			for j := 1; j < len(got); j++ {
-				if q.Dist2(d.Site(got[j])) < q.Dist2(d.Site(got[j-1])) {
-					t.Fatalf("KNN result not sorted by distance: %v", got)
-				}
-			}
-		}
-	}
-}
-
-func TestKNNEdgeCases(t *testing.T) {
-	d := NewDiagram(testBounds)
-	if got := d.KNN(geom.Pt(1, 1), 3); got != nil {
-		t.Errorf("KNN on empty diagram = %v, want nil", got)
-	}
-	if _, err := d.Insert(geom.Pt(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.KNN(geom.Pt(1, 1), 0); got != nil {
-		t.Errorf("KNN with k=0 = %v, want nil", got)
-	}
-	got := d.KNN(geom.Pt(1, 1), 10)
-	if len(got) != 1 {
-		t.Errorf("KNN with k > n returned %d ids, want 1", len(got))
-	}
+	return ix, ids
 }
 
 func TestCellContainsOwnRegion(t *testing.T) {
-	d, _ := buildRandom(t, 150, 5)
+	ix, _ := buildRandom(t, 150, 5)
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 200; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		nearest := d.Nearest(q)
-		cell, err := d.Cell(nearest)
+		nearest := ix.KNN(q, 1)[0]
+		cell, err := ix.Cell(nearest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,10 +35,10 @@ func TestCellContainsOwnRegion(t *testing.T) {
 }
 
 func TestCellsPartitionBounds(t *testing.T) {
-	d, ids := buildRandom(t, 120, 7)
+	ix, ids := buildRandom(t, 120, 7)
 	var total float64
 	for _, id := range ids {
-		cell, err := d.Cell(id)
+		cell, err := ix.Cell(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +54,12 @@ func TestCellsPartitionBounds(t *testing.T) {
 }
 
 func TestINSContainsAllKNNNeighbors(t *testing.T) {
-	d, _ := buildRandom(t, 200, 8)
+	ix, _ := buildRandom(t, 200, 8)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 50; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		knn := d.KNN(q, 5)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(q, 5)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +75,7 @@ func TestINSContainsAllKNNNeighbors(t *testing.T) {
 			insSet[id] = true
 		}
 		for _, id := range knn {
-			nb, err := d.Neighbors(id)
+			nb, err := ix.Neighbors(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,16 +89,16 @@ func TestINSContainsAllKNNNeighbors(t *testing.T) {
 }
 
 func TestOrderKCellContainsQuery(t *testing.T) {
-	d, _ := buildRandom(t, 250, 10)
+	ix, _ := buildRandom(t, 250, 10)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		knn := d.KNN(q, 4)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(q, 4)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, err := d.OrderKCell(knn, ins)
+		cell, err := ix.OrderKCell(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,16 +112,16 @@ func TestOrderKCellContainsQuery(t *testing.T) {
 // cell and checks the defining property: inside, the kNN set is unchanged;
 // crossing outside changes it.
 func TestOrderKCellSafeRegion(t *testing.T) {
-	d, _ := buildRandom(t, 250, 12)
+	ix, _ := buildRandom(t, 250, 12)
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		knn := d.KNN(q, 5)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(q, 5)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, err := d.OrderKCell(knn, ins)
+		cell, err := ix.OrderKCell(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +133,7 @@ func TestOrderKCellSafeRegion(t *testing.T) {
 		// vertices, pulled inward.
 		for _, v := range cell {
 			in := geom.Lerp(c, v, 0.9*rng.Float64())
-			if !sameIDSet(d.KNN(in, 5), knn) {
+			if !sameIDSet(ix.KNN(in, 5), knn) {
 				if cell.Contains(in) {
 					t.Fatalf("point %v inside cell has different kNN", in)
 				}
@@ -243,7 +147,7 @@ func TestOrderKCellSafeRegion(t *testing.T) {
 			if !testBounds.Contains(out) || cell.Contains(out) {
 				continue
 			}
-			if sameIDSet(bruteKNN(d, out, 5), knn) {
+			if sameIDSet(bruteKNN(ix, out, 5), knn) {
 				// Only a true violation if decisively outside (numerical
 				// slack at the edge is fine).
 				d2 := geom.Segment{A: v, B: w}.DistPoint(out)
@@ -259,21 +163,21 @@ func TestOrderKCellSafeRegion(t *testing.T) {
 // cell computed against the INS candidates equals the cell computed against
 // every outside site.
 func TestOrderKCellINSEqualsExact(t *testing.T) {
-	d, _ := buildRandom(t, 150, 14)
+	ix, _ := buildRandom(t, 150, 14)
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		for _, k := range []int{1, 3, 6} {
-			knn := d.KNN(q, k)
-			ins, err := d.INS(knn)
+			knn := ix.KNN(q, k)
+			ins, err := ix.INS(knn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaINS, err := d.OrderKCell(knn, ins)
+			viaINS, err := ix.OrderKCell(knn, ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := d.OrderKCellExact(knn)
+			exact, err := ix.OrderKCellExact(knn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,16 +194,16 @@ func TestOrderKCellINSEqualsExact(t *testing.T) {
 // (so every member is necessary), while dropping a non-member leaves it
 // unchanged (so nothing else is needed).
 func TestMISMinimality(t *testing.T) {
-	d, _ := buildRandom(t, 120, 16)
+	ix, _ := buildRandom(t, 120, 16)
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 25; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		knn := d.KNN(q, 3)
-		ins, err := d.INS(knn)
+		knn := ix.KNN(q, 3)
+		ins, err := ix.INS(knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mis, err := d.MIS(knn, ins)
+		mis, err := ix.MIS(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +219,7 @@ func TestMISMinimality(t *testing.T) {
 				t.Fatalf("MIS member %d not in INS %v (violates Theorem 1)", id, ins)
 			}
 		}
-		base, err := d.OrderKCell(knn, ins)
+		base, err := ix.OrderKCell(knn, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +234,7 @@ func TestMISMinimality(t *testing.T) {
 			return out
 		}
 		for _, m := range mis {
-			cell, err := d.OrderKCell(knn, without(ins, m))
+			cell, err := ix.OrderKCell(knn, without(ins, m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,10 +243,10 @@ func TestMISMinimality(t *testing.T) {
 			}
 		}
 		for _, x := range ins {
-			if contains(mis, x) {
+			if slices.Contains(mis, x) {
 				continue
 			}
-			cell, err := d.OrderKCell(knn, without(ins, x))
+			cell, err := ix.OrderKCell(knn, without(ins, x))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,87 +258,40 @@ func TestMISMinimality(t *testing.T) {
 	}
 }
 
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func TestDynamicInsertRemoveKeepsKNNCorrect(t *testing.T) {
-	d, ids := buildRandom(t, 200, 18)
-	rng := rand.New(rand.NewSource(19))
-	live := append([]int(nil), ids...)
-	for step := 0; step < 100; step++ {
-		if rng.Intn(2) == 0 && len(live) > 20 {
-			i := rng.Intn(len(live))
-			if err := d.Remove(live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-		} else {
-			id, err := d.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-		}
-		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		if got, want := d.KNN(q, 5), bruteKNN(d, q, 5); !sameIDSet(got, want) {
-			t.Fatalf("step %d: KNN = %v, want %v", step, got, want)
-		}
-	}
-}
-
 func TestOrderKCellErrors(t *testing.T) {
-	d, ids := buildRandom(t, 20, 20)
-	if err := d.Remove(ids[0]); err != nil {
+	ix, ids := buildRandom(t, 20, 20)
+	if err := ix.Remove(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.OrderKCell([]int{ids[0]}, []int{ids[1]}); err == nil {
+	if _, err := ix.OrderKCell([]int{ids[0]}, []int{ids[1]}); err == nil {
 		t.Error("expected error for dead kNN member")
 	}
-	if _, err := d.OrderKCell([]int{ids[1]}, []int{ids[0]}); err == nil {
+	if _, err := ix.OrderKCell([]int{ids[1]}, []int{ids[0]}); err == nil {
 		t.Error("expected error for dead candidate")
 	}
 }
 
-func BenchmarkKNN(b *testing.B) {
-	d, _ := buildRandom(b, 10000, 30)
-	rng := rand.New(rand.NewSource(31))
-	qs := make([]geom.Point, 256)
-	for i := range qs {
-		qs[i] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.KNN(qs[i%len(qs)], 8)
-	}
-}
-
 func BenchmarkINS(b *testing.B) {
-	d, _ := buildRandom(b, 10000, 32)
-	knn := d.KNN(geom.Pt(500, 500), 8)
+	ix, _ := buildRandom(b, 10000, 32)
+	knn := ix.KNN(geom.Pt(500, 500), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.INS(knn); err != nil {
+		if _, err := ix.INS(knn); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkOrderKCell(b *testing.B) {
-	d, _ := buildRandom(b, 10000, 33)
-	knn := d.KNN(geom.Pt(500, 500), 8)
-	ins, err := d.INS(knn)
+	ix, _ := buildRandom(b, 10000, 33)
+	knn := ix.KNN(geom.Pt(500, 500), 8)
+	ins, err := ix.INS(knn)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.OrderKCell(knn, ins); err != nil {
+		if _, err := ix.OrderKCell(knn, ins); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
-	"repro/internal/voronoi"
 )
 
 // KNN returns the k nearest objects to q in ascending distance order using
@@ -65,7 +65,7 @@ type SearchScratch struct {
 	nSeen int
 	epoch uint32
 	nb    []int
-	ring  voronoi.NeighborScratch
+	ring  delaunay.RingScratch
 	dists []float64
 }
 
@@ -188,7 +188,7 @@ func (ix *Index) AppendINS(knn []int, dst []int, sc *SearchScratch) ([]int, erro
 	}
 	start := len(dst)
 	for _, id := range knn {
-		nb, err := ix.diag.AppendNeighbors(id, sc.nb[:0], &sc.ring)
+		nb, err := ix.tri.AppendNeighbors(id, sc.nb[:0], &sc.ring)
 		sc.nb = nb[:0]
 		if err != nil {
 			return dst[:start], fmt.Errorf("vortree: INS of %v: %w", knn, err)
@@ -214,24 +214,24 @@ func (ix *Index) expand(q geom.Point, k, hint int, nearest bool, dst []int, ds [
 	}
 	start, cost := hint, SearchCost{}
 	if !nearest || !ix.Contains(hint) {
-		start, cost.NodeVisits, cost.SeedDists = ix.diag.NearestFrom(q, hint, maxSeedHops, &sc.ring)
+		start, cost.NodeVisits, cost.SeedDists = ix.tri.NearestFrom(q, hint, maxSeedHops, &sc.ring)
 	}
 	sc.beginVisit()
 	sc.visit(start)
-	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.diag.Site(start))})
+	sc.pq.push(nnEntry{id: start, d2: q.Dist2(ix.tri.Point(start))})
 	need := len(dst) + k
 	for len(sc.pq) > 0 && len(dst) < need {
 		e := sc.pq.pop()
 		dst = append(dst, e.id)
 		ds = append(ds, e.d2)
-		nb, err := ix.diag.AppendNeighbors(e.id, sc.nb[:0], &sc.ring)
+		nb, err := ix.tri.AppendNeighbors(e.id, sc.nb[:0], &sc.ring)
 		sc.nb = nb[:0]
 		if err != nil {
 			continue
 		}
 		for _, u := range nb {
 			if sc.visit(u) {
-				sc.pq.push(nnEntry{id: u, d2: q.Dist2(ix.diag.Site(u))})
+				sc.pq.push(nnEntry{id: u, d2: q.Dist2(ix.tri.Point(u))})
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func checkPrefetchAgainst(t *testing.T, ix *Index, q geom.Point, m int, ids []in
 // farthestObject returns the live object farthest from q.
 func farthestObject(ix *Index, q geom.Point) int {
 	far, best := -1, -1.0
-	for _, id := range ix.Diagram().IDs() {
+	for _, id := range ix.IDs() {
 		if d := q.Dist2(ix.Point(id)); d > best {
 			far, best = id, d
 		}

@@ -179,7 +179,7 @@ func TestVisitedSetWideSearches(t *testing.T) {
 	var buf []int
 	for round, k := range []int{1, 2000, 7, 300, 2000, 40, 1200, 3} {
 		for _, ix := range ixs {
-			b := ix.Diagram().Bounds()
+			b := ix.Bounds()
 			q := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
 			ids, ds, nR, _ := ix.AppendPrefetch(q, k, NoHint, false, buf[:0], nil, &sc)
 			buf = ids

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -21,7 +22,7 @@ func randomPoints(n int, seed int64) []geom.Point {
 }
 
 func bruteKNN(ix *Index, q geom.Point, k int) []int {
-	ids := ix.Diagram().IDs()
+	ids := ix.IDs()
 	sort.Slice(ids, func(i, j int) bool {
 		di, dj := q.Dist2(ix.Point(ids[i])), q.Dist2(ix.Point(ids[j]))
 		if di != dj {
@@ -61,11 +62,16 @@ func TestBuildAndKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		for _, k := range []int{1, 4, 12} {
+		for _, k := range []int{1, 4, 12, 17} {
 			got := ix.KNN(q, k)
 			want := bruteKNN(ix, q, k)
 			if !sameIDSet(got, want) {
 				t.Fatalf("KNN(%v,%d) = %v, want %v", q, k, got, want)
+			}
+			for j := 1; j < len(got); j++ {
+				if q.Dist2(ix.Point(got[j])) < q.Dist2(ix.Point(got[j-1])) {
+					t.Fatalf("KNN(%v,%d) = %v, not in ascending distance order", q, k, got)
+				}
 			}
 		}
 	}
@@ -73,8 +79,8 @@ func TestBuildAndKNN(t *testing.T) {
 
 // TestNNAgreesWithRtreeAndDiagram: the index's cold nearest object (a walk
 // from the entry grid) agrees with best-first search of a packed R-tree
-// over the same objects and with the diagram's own nearest site, inside
-// the bounds and past them.
+// over the same objects and with the triangulation's own nearest vertex,
+// inside the bounds and past them.
 func TestNNAgreesWithRtreeAndDiagram(t *testing.T) {
 	ix, ids, err := Build(testBounds, 8, randomPoints(300, 3))
 	if err != nil {
@@ -86,6 +92,7 @@ func TestNNAgreesWithRtreeAndDiagram(t *testing.T) {
 	}
 	tree := rtree.BulkLoad(8, items)
 	rng := rand.New(rand.NewSource(4))
+	var ring delaunay.RingScratch
 	for i := 0; i < 200; i++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		if i%4 == 0 {
@@ -96,9 +103,10 @@ func TestNNAgreesWithRtreeAndDiagram(t *testing.T) {
 		if len(knn) != 1 || len(nn) != 1 {
 			t.Fatalf("nearest of %v: index %v, rtree %v", q, knn, nn)
 		}
-		a, b, c := knn[0], nn[0].ID, ix.Diagram().Nearest(q)
+		c, _, _ := ix.tri.NearestFrom(q, NoHint, 0, &ring)
+		a, b := knn[0], nn[0].ID
 		if d := q.Dist2(ix.Point(a)); d != q.Dist2(ix.Point(b)) || d != q.Dist2(ix.Point(c)) {
-			t.Fatalf("nearest of %v: index %d, rtree %d, voronoi %d", q, a, b, c)
+			t.Fatalf("nearest of %v: index %d, rtree %d, triangulation %d", q, a, b, c)
 		}
 	}
 }
@@ -165,6 +173,9 @@ func TestKNNEmptyAndSmall(t *testing.T) {
 		t.Errorf("KNN on empty index = %v", got)
 	}
 	id, _ := ix.Insert(geom.Pt(7, 7))
+	if got := ix.KNN(geom.Pt(5, 5), 0); got != nil {
+		t.Errorf("KNN with k=0 = %v, want nil", got)
+	}
 	if got := ix.KNN(geom.Pt(5, 5), 3); len(got) != 1 || got[0] != id {
 		t.Errorf("KNN with 1 object = %v", got)
 	}
