@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/delaunay"
 	"repro/internal/geom"
 )
 
@@ -16,6 +17,88 @@ func buildRandom(t testing.TB, n int, seed int64) (*Index, []int) {
 		t.Fatal(err)
 	}
 	return ix, ids
+}
+
+// TestNearestMatchesBruteForce: the triangulation's cold nearest vertex,
+// the walk the order-1 cell of a query starts from, is the nearest object.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	ix, _ := buildRandom(t, 300, 1)
+	rng := rand.New(rand.NewSource(2))
+	var ring delaunay.RingScratch
+	for i := 0; i < 200; i++ {
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		got, _, _ := ix.tri.NearestFrom(q, NoHint, 0, &ring)
+		want := bruteKNN(ix, q, 1)[0]
+		if got != want {
+			gd, wd := q.Dist(ix.Point(got)), q.Dist(ix.Point(want))
+			if math.Abs(gd-wd) > 1e-9 {
+				t.Fatalf("nearest of %v = %d (d=%g), want %d (d=%g)", q, got, gd, want, wd)
+			}
+		}
+	}
+}
+
+func TestKNNMatchesBruteForce(t *testing.T) {
+	ix, _ := buildRandom(t, 400, 3)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 100; i++ {
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		for _, k := range []int{1, 3, 8, 17} {
+			got := ix.KNN(q, k)
+			want := bruteKNN(ix, q, k)
+			if !sameIDSet(got, want) {
+				t.Fatalf("KNN(%v, %d) = %v, want %v", q, k, got, want)
+			}
+			// KNN promises ascending distance order.
+			for j := 1; j < len(got); j++ {
+				if q.Dist2(ix.Point(got[j])) < q.Dist2(ix.Point(got[j-1])) {
+					t.Fatalf("KNN result not sorted by distance: %v", got)
+				}
+			}
+		}
+	}
+}
+
+func TestKNNEdgeCases(t *testing.T) {
+	ix := New(testBounds)
+	if got := ix.KNN(geom.Pt(1, 1), 3); got != nil {
+		t.Errorf("KNN on empty index = %v, want nil", got)
+	}
+	if _, err := ix.Insert(geom.Pt(5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.KNN(geom.Pt(1, 1), 0); got != nil {
+		t.Errorf("KNN with k=0 = %v, want nil", got)
+	}
+	got := ix.KNN(geom.Pt(1, 1), 10)
+	if len(got) != 1 {
+		t.Errorf("KNN with k > n returned %d ids, want 1", len(got))
+	}
+}
+
+func TestDynamicInsertRemoveKeepsKNNCorrect(t *testing.T) {
+	ix, ids := buildRandom(t, 200, 18)
+	rng := rand.New(rand.NewSource(19))
+	live := append([]int(nil), ids...)
+	for step := 0; step < 100; step++ {
+		if rng.Intn(2) == 0 && len(live) > 20 {
+			i := rng.Intn(len(live))
+			if err := ix.Remove(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		} else {
+			id, err := ix.Insert(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		}
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if got, want := ix.KNN(q, 5), bruteKNN(ix, q, 5); !sameIDSet(got, want) {
+			t.Fatalf("step %d: KNN = %v, want %v", step, got, want)
+		}
+	}
 }
 
 func TestCellContainsOwnRegion(t *testing.T) {
