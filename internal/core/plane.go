@@ -30,17 +30,23 @@ type PlaneQuery struct {
 	// anchor parallels ids: the squared distances from the anchor point at,
 	// where the last update that measured every member stood (a
 	// recomputation measures them all), from which measure bounds what it
-	// need not evaluate. A re-rank permutes it along with R.
+	// need not evaluate. A re-rank permutes it along with R. floor is the
+	// least anchor distance of a guard object, a member of ids[k:] (+Inf
+	// for none), kept with the anchor and the kNN/guard partition.
 	anchor []float64
 	at     geom.Point
+	floor  float64
 
 	// hint is an object near the query — the nearest object the last
 	// validation evaluated, else the last result's nearest object — from
 	// which the next recomputation walks to the new nearest object instead
 	// of starting cold from the index's entry grid. It survives Invalidate:
 	// the guard sets may be stale after a data update, the neighbourhood is
-	// not.
-	hint int
+	// not. deferred marks a hint the last validation left unresolved, having
+	// found the kNN set valid without evaluating every member; Invalidate
+	// resolves it.
+	hint     int
+	deferred bool
 
 	disableRerank bool
 }
@@ -169,6 +175,20 @@ func reach(r2, delta float64) float64 {
 	return b * b
 }
 
+// shrink is 1/margin², rounded: the rounding is far below the margin.
+const shrink = 1 / (margin * margin)
+
+// below is ((√floor − δ)/margin² − δ)², or -1 when that root is not
+// positive: a kNN member whose anchor distance is at most it is no farther
+// from p than any guard object, whose anchor distance is at least floor.
+func below(floor, delta float64) float64 {
+	f := (math.Sqrt(floor)-delta)*shrink - delta
+	if f <= 0 {
+		return -1
+	}
+	return f * f
+}
+
 // measure takes the two verdicts of an Update at p. The kNN set is valid
 // (Section III-A) while its farthest member (r.delete) is no farther than
 // the nearest member of its influential set (R \ kNN) ∪ I(R)
@@ -177,42 +197,59 @@ func reach(r2, delta float64) float64 {
 //
 // It evaluates only the distances a verdict can turn on. Every member o
 // carries its anchor distance d(at, o), and with δ = d(p, at) the triangle
-// inequality gives d(p, o) ≥ d(at, o) − δ, so a guard object whose anchor
-// distance exceeds r + δ is farther from p than r and cannot be closer
-// than a member at radius r. measure evaluates δ and the kNN members, then
-// the guard objects the bound does not rule out against the kNN radius;
-// only if the kNN set is stale, the rest of R (a re-rank orders it) and
-// the I(R) members the bound does not rule out against R's radius. Either
-// pass stops at the first I(R) member inside its radius, which makes both
-// verdicts false. The verdicts are those of evaluating every member
+// inequality gives d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A kNN member
+// whose anchor distance is at most every guard object's less 2δ is thus
+// no farther from p than any of them and cannot break the verdict; a guard
+// object whose anchor distance exceeds r + δ is farther from p than r and
+// cannot be closer than a member at radius r. measure evaluates δ and the
+// kNN members the first bound does not rule out, at radius r, then the
+// guard objects the second does not rule out against r; only if the kNN
+// set is stale, the rest of R (a re-rank orders it) and the I(R) members
+// the bound does not rule out against R's radius. Either pass stops at the
+// first I(R) member inside its radius, which makes both verdicts false.
+// The verdicts are those of evaluating every member
 // (TestBoundedValidationMatchesFullPass).
 //
 // The distances go to the scratch's buffer, marked -1 where not evaluated,
 // which measure returns for the re-rank. The nearest member becomes the
 // hint of a recomputation that may follow: the nearest one evaluated, as
-// every skipped one is farther than a kNN member — after a stop, once the
-// members the bound cannot place beyond it are evaluated too. A hint in R
-// is the nearest object (nearest): its Delaunay ring lies in R ∪ I(R). An
-// update that happened to evaluate every member becomes the new anchor.
+// every skipped guard is farther than a kNN member — after a stop, once the
+// members the bound cannot place beyond it are evaluated too, ties to the
+// lowest index. A valid verdict that skipped a kNN member defers the hint
+// to Invalidate, the only way to a recomputation that runs no validation
+// first. A hint in R is the nearest object (nearest): its Delaunay ring
+// lies in R ∪ I(R). An update that happened to evaluate every member
+// becomes the new anchor.
 func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, nearest bool) {
 	k, nR := q.k, q.nR
 	dist = q.sc.Dists(len(q.ids))
 	delta := math.Sqrt(p.Dist2(q.at))
+	safe := below(q.floor, delta)
 	maxKNN := 0.0
+	evals := 1
 	for i, id := range q.ids[:k] {
+		if q.anchor[i] <= safe {
+			dist[i] = -1
+			continue
+		}
 		dist[i] = p.Dist2(q.ix.Point(id))
 		maxKNN = max(maxKNN, dist[i])
+		evals++
 	}
 	for i := k; i < len(dist); i++ {
 		dist[i] = -1
 	}
-	evals := 1 + k
+	skipped := evals < 1+k
 	minGuard, n, stale := q.evaluateWithin(p, dist, k, maxKNN, delta)
 	knnValid = maxKNN <= minGuard
 	evals += n
+	if q.deferred = knnValid && skipped; q.deferred {
+		q.m.DistanceCalcs += evals
+		return dist, true, false, false
+	}
 	if !knnValid && !stale {
 		maxR := maxKNN
-		for i := k; i < nR; i++ {
+		for i := 0; i < nR; i++ {
 			if dist[i] < 0 {
 				dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
 				evals++
@@ -224,22 +261,23 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 		evals += n
 	}
 
-	h := 0
+	h, best := 0, math.Inf(1)
 	for i, d := range dist {
-		if d >= 0 && d < dist[h] {
-			h = i
+		if d >= 0 && d < best {
+			h, best = i, d
 		}
 	}
 	if stale {
-		b := reach(dist[h], delta)
+		b := reach(best, delta)
 		for i, d := range dist {
 			if d >= 0 || q.anchor[i] > b {
 				continue
 			}
-			dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+			d = p.Dist2(q.ix.Point(q.ids[i]))
+			dist[i] = d
 			evals++
-			if dist[i] < dist[h] {
-				h, b = i, reach(dist[i], delta)
+			if d < best || d == best && i < h {
+				h, best, b = i, d, reach(d, delta)
 			}
 		}
 	}
@@ -248,6 +286,7 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 	if evals == 1+len(dist) {
 		q.at = p
 		copy(q.anchor, dist)
+		q.setFloor()
 	}
 	return dist, knnValid, rValid, h < nR
 }
@@ -290,6 +329,47 @@ func (q *PlaneQuery) rerank(dist []float64) {
 			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
 		}
 	}
+	q.setFloor()
+}
+
+// setFloor takes floor afresh, after the anchor or the kNN/guard partition
+// changed.
+func (q *PlaneQuery) setFloor() {
+	least := math.Inf(1)
+	for _, a := range q.anchor[q.k:] {
+		if a < least {
+			least = a
+		}
+	}
+	q.floor = least
+}
+
+// Invalidate discards the client state (R, I(R) and the kNN set) so that
+// the next Update recomputes; the hint stays. A hint the last validation
+// deferred is resolved first, as the nearest kNN member at the last
+// position, ties to the lowest index — the one evaluating every member
+// would have taken, as the verdict placed every guard object at least as
+// far and after them. The index the query reads still holds every member:
+// Advance invalidates before it moves on.
+func (q *PlaneQuery) Invalidate() {
+	if q.deferred {
+		q.hint = q.ids[q.nearestKNN()]
+		q.m.DistanceCalcs += q.k
+		q.deferred = false
+	}
+	q.session.Invalidate()
+}
+
+// nearestKNN returns the index in ids of the kNN member nearest to the last
+// position, ties to the lowest index.
+func (q *PlaneQuery) nearestKNN() int {
+	h, best := 0, math.Inf(1)
+	for i, id := range q.ids[:q.k] {
+		if d := q.last.Dist2(q.ix.Point(id)); d < best {
+			h, best = i, d
+		}
+	}
+	return h
 }
 
 // recompute performs the server-side computation: fetch the ⌊ρk⌋ nearest
@@ -311,6 +391,13 @@ func (q *PlaneQuery) recomputeFrom(p geom.Point, nearest bool) error {
 	q.m.Recomputations++
 	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, nearest, q.ids[:0], q.anchor[:0], q.scratch())
 	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
+	if nR > q.k {
+		// R arrives in ascending distance from p and I(R) no nearer than
+		// R's farthest member: the nearest guard object is R[k].
+		q.floor = d2[q.k]
+	} else {
+		q.setFloor()
+	}
 	q.hint = ids[0]
 	q.init = true
 	q.m.NodeVisits += cost.NodeVisits

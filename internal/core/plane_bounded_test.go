@@ -59,6 +59,29 @@ func fullPassUpdate(q *planeOnStore, p geom.Point) ([]int, error) {
 	return q.knn(), nil
 }
 
+// settledHint is the hint a recomputation of q would walk from: the one
+// its last validation left, or the one Invalidate would settle a deferred
+// hint to, taken without touching the counters.
+func settledHint(q *PlaneQuery) int {
+	if q.deferred {
+		return q.ids[q.nearestKNN()]
+	}
+	return q.hint
+}
+
+// guardFloor is the least anchor distance of q's guard objects, as its
+// floor field must hold it: a floor left over from an earlier kNN/guard
+// partition is still a sound bound — every kNN member that was a guard
+// object then is never skipped and is at least as far as every member the
+// stale floor skips — so no verdict shows it, only the skips it costs.
+func guardFloor(q *PlaneQuery) float64 {
+	least := math.Inf(1)
+	for _, id := range q.ids[q.k:] {
+		least = min(least, q.at.Dist2(q.ix.Point(id)))
+	}
+	return least
+}
+
 // boundedCase is one input geometry of the differential test. On a lattice
 // (h > 0) the query walks the half-lattice, so it stands on objects, on
 // midpoints between them and in line with rows of them; elsewhere it walks
@@ -94,6 +117,29 @@ func ulpTie() boundedCase {
 		bounds: geom.NewRect(geom.Pt(-4, -4), geom.Pt(4, 4)),
 		pts:    pts,
 		path:   []geom.Point{at(0, 0), at(4, 0)},
+	}
+}
+
+// ulpTieKNN is where the kNN side's bound is tight and only its margin
+// covers the rounding. The anchor at (-0.25, 0) has its kNN member f at
+// (-1.7, 0) and the nearest guard g at (1.9, 0); the query steps δ = 0.35
+// along the x axis, straight away from f and towards g, to (0.1, 0). In
+// the reals f and g are then both 1.8 away and d(at, f) = d(at, g) − 2δ,
+// so the bound without the margin rules f out; in floating point g is one
+// ulp nearer — the kNN set is stale. Coordinates are computed at run time
+// as in ulpTie, and the path goes back and forth, so each step recomputes.
+func ulpTieKNN() boundedCase {
+	h := 0.1
+	at := func(i int) geom.Point { return geom.Pt(float64(i)*h/2, 0) }
+	pts := []geom.Point{at(-34), at(38)}
+	for _, c := range [][2]float64{{-4, -4}, {4, -4}, {4, 4}, {-4, 4}} {
+		pts = append(pts, geom.Pt(c[0], c[1]))
+	}
+	return boundedCase{
+		name:   "ulp tie, kNN side",
+		bounds: geom.NewRect(geom.Pt(-5, -5), geom.Pt(5, 5)),
+		pts:    pts,
+		path:   []geom.Point{at(-5), at(2)},
 	}
 }
 
@@ -211,8 +257,11 @@ func (w *boundedWalk) next() geom.Point {
 // Refresh and re-pins that invalidate nothing mixed in, on a store each,
 // repaired by Refresh after every mutation, and on one shared store, re-pinned
 // lazily. After every call the two agree on the kNN set in
-// order, R in order, I(R) as a set, the hint and every counter but
-// DistanceCalcs, which the bounded session must spend less of.
+// order, R in order, I(R) as a set, the hint a recomputation would walk
+// from (settledHint) and every counter but DistanceCalcs, which the
+// bounded session must spend less of. On uniform data with k ≥ 5 some
+// validation must have found the kNN set valid without evaluating every
+// kNN member.
 func TestBoundedValidationMatchesFullPass(t *testing.T) {
 	params := []struct {
 		k   int
@@ -231,6 +280,7 @@ func TestBoundedValidationMatchesFullPass(t *testing.T) {
 	}
 	for _, shared := range []bool{false, true} {
 		runBoundedTwin(t, ulpTie(), 1, 1.6, shared, 1)
+		runBoundedTwin(t, ulpTieKNN(), 1, 1.6, shared, 1)
 	}
 }
 
@@ -285,8 +335,10 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 			t.Fatalf("%s k=%d rho=%g step %d %s: R %v | full pass %v", name, k, rho, step, what, a.Prefetched(), b.Prefetched())
 		case !slices.Equal(slices.Sorted(slices.Values(a.INS())), slices.Sorted(slices.Values(b.INS()))):
 			t.Fatalf("%s k=%d rho=%g step %d %s: I(R) %v | full pass %v", name, k, rho, step, what, a.INS(), b.INS())
-		case a.hint != b.hint:
-			t.Fatalf("%s k=%d rho=%g step %d %s: hint %d | full pass %d", name, k, rho, step, what, a.hint, b.hint)
+		case settledHint(a.PlaneQuery) != b.hint:
+			t.Fatalf("%s k=%d rho=%g step %d %s: hint %d | full pass %d", name, k, rho, step, what, settledHint(a.PlaneQuery), b.hint)
+		case a.init && a.floor != guardFloor(a.PlaneQuery):
+			t.Fatalf("%s k=%d rho=%g step %d %s: floor %g, guards' anchor distances from %g", name, k, rho, step, what, a.floor, guardFloor(a.PlaneQuery))
 		case ma.Timestamps != mb.Timestamps || ma.Validations != mb.Validations || ma.Invalidations != mb.Invalidations ||
 			ma.Recomputations != mb.Recomputations || ma.ObjectsShipped != mb.ObjectsShipped || ma.NodeVisits != mb.NodeVisits:
 			t.Fatalf("%s k=%d rho=%g step %d %s: counters %+v | full pass %+v", name, k, rho, step, what, *ma, *mb)
@@ -330,11 +382,15 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 	}
 
 	const steps = 400
+	deferred := 0
 	for step = 0; step < steps; step++ {
 		p := w.next()
 		knnA, errA := a.Update(p)
 		knnB, errB := fullPassUpdate(b, p)
 		same("update", knnA, knnB, errA, errB)
+		if a.deferred {
+			deferred++
+		}
 		if tc.path != nil || rng.Intn(6) != 0 {
 			continue
 		}
@@ -385,8 +441,129 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 	if ma.DistanceCalcs >= mb.DistanceCalcs {
 		t.Errorf("%s k=%d rho=%g: the bound evaluated %d distances, the full pass %d", name, k, rho, ma.DistanceCalcs, mb.DistanceCalcs)
 	}
+	if tc.name == "uniform" && k >= 5 && deferred == 0 {
+		t.Errorf("%s k=%d rho=%g: no validation skipped a kNN member", name, k, rho)
+	}
 	if strings.Contains(tc.name, "uniform") && !shared && k == 5 && rho == 1.6 {
 		t.Logf("%s k=%d: %d distances against the full pass's %d over %d updates (%d recomputations)",
 			name, k, ma.DistanceCalcs, mb.DistanceCalcs, ma.Timestamps, ma.Recomputations)
+	}
+}
+
+// TestDeferredHintSettlesAsFullPass: a validation that finds the kNN set
+// valid without evaluating every kNN member leaves the hint unresolved, and
+// whatever discards the state next settles it to the hint a full pass takes.
+// A bounded session and a full-pass twin, on a store each, walk together;
+// after every update that deferred the hint, one event ends the state: an
+// insert beside the query that Advance judges as invalidating, the public
+// Invalidate followed by Refresh, or the removal of the would-be hint
+// itself; on an integer lattice, where kNN members tie, Invalidate and
+// Refresh. The event must charge the k settling evaluations to
+// DistanceCalcs, and the recomputation that follows must walk from the
+// twin's hint: the same kNN set, R in order, I(R) and NodeVisits.
+func TestDeferredHintSettlesAsFullPass(t *testing.T) {
+	uniform := boundedCase{name: "uniform", bounds: testBounds, pts: randomPoints(2000, 81)}
+	lattice := boundedCases()[1]
+	type twin struct {
+		a, b     *planeOnStore
+		stA, stB *index.Store
+	}
+	mutate := func(tw twin, f func(st *index.Store) error) {
+		for _, st := range []*index.Store{tw.stA, tw.stB} {
+			if err := f(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tw.a.Sync()
+		tw.b.Sync()
+	}
+	invalidate := func(tw twin) {
+		tw.a.Invalidate()
+		tw.b.Invalidate()
+		if _, _, err := tw.a.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tw.b.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		tc    boundedCase
+		event func(tw twin)
+	}{
+		{"advance", uniform, func(tw twin) {
+			p := geom.Pt(tw.a.last.X+0.5, tw.a.last.Y-0.25)
+			mutate(tw, func(st *index.Store) error { _, err := st.Insert(p); return err })
+		}},
+		{"invalidate and refresh", uniform, invalidate},
+		{"remove the hint", uniform, func(tw twin) {
+			h := settledHint(tw.a.PlaneQuery)
+			mutate(tw, func(st *index.Store) error { return st.Remove(h) })
+		}},
+		{"integer lattice", lattice, invalidate},
+	} {
+		const k = 5
+		var tw twin
+		var err error
+		for _, st := range []**index.Store{&tw.stA, &tw.stB} {
+			if *st, err = index.NewStore(index.Config{Bounds: c.tc.bounds, Objects: c.tc.pts}); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup((*st).Close)
+		}
+		if tw.a, err = newPlaneOnStore(tw.stA, k, 1.6); err != nil {
+			t.Fatal(err)
+		}
+		if tw.b, err = newPlaneOnStore(tw.stB, k, 1.6); err != nil {
+			t.Fatal(err)
+		}
+		same := func(step int, what string) {
+			t.Helper()
+			a, b := tw.a, tw.b
+			ma, mb := a.Metrics(), b.Metrics()
+			switch {
+			case !slices.Equal(a.Current(), b.Current()) || !slices.Equal(a.Prefetched(), b.Prefetched()):
+				t.Fatalf("%s step %d %s: R %v | full pass %v", c.name, step, what, a.Prefetched(), b.Prefetched())
+			case !slices.Equal(slices.Sorted(slices.Values(a.INS())), slices.Sorted(slices.Values(b.INS()))):
+				t.Fatalf("%s step %d %s: I(R) %v | full pass %v", c.name, step, what, a.INS(), b.INS())
+			case settledHint(a.PlaneQuery) != b.hint:
+				t.Fatalf("%s step %d %s: hint %d | full pass %d", c.name, step, what, settledHint(a.PlaneQuery), b.hint)
+			case ma.Recomputations != mb.Recomputations || ma.NodeVisits != mb.NodeVisits || ma.Invalidations != mb.Invalidations:
+				t.Fatalf("%s step %d %s: counters %+v | full pass %+v", c.name, step, what, *ma, *mb)
+			}
+		}
+		spacing := math.Sqrt(c.tc.bounds.Width() * c.tc.bounds.Height() / float64(len(c.tc.pts)))
+		w := &boundedWalk{tc: c.tc, rng: rand.New(rand.NewSource(82)), spacing: spacing, p: c.tc.bounds.Center()}
+		if c.tc.h > 0 {
+			n := int(math.Round(c.tc.bounds.Width()/c.tc.h)) * 2
+			w.i, w.j = n/2, n/2
+		}
+		events := 0
+		for step := 0; step < 300; step++ {
+			p := w.next()
+			if _, err := tw.a.Update(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fullPassUpdate(tw.b, p); err != nil {
+				t.Fatal(err)
+			}
+			same(step, "update")
+			if !tw.a.deferred {
+				continue
+			}
+			events++
+			// Past the k settling evaluations, a Refresh's hint walk costs both the same.
+			before := tw.a.Metrics().DistanceCalcs - tw.b.Metrics().DistanceCalcs
+			c.event(tw)
+			settled := tw.a.Metrics().DistanceCalcs - tw.b.Metrics().DistanceCalcs - before
+			if tw.a.deferred || settled != k {
+				t.Fatalf("%s step %d: the event left the hint deferred %v after %d settling evaluations, want %d", c.name, step, tw.a.deferred, settled, k)
+			}
+			same(step, c.name)
+		}
+		if events < 10 {
+			t.Fatalf("%s: %d validations deferred the hint, want at least 10", c.name, events)
+		}
 	}
 }

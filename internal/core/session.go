@@ -63,6 +63,9 @@ type metric[P any] interface {
 	// recompute fetches R and I(R) afresh at pos. It invalidates first, so a
 	// failure leaves no stale state behind.
 	recompute(pos P) error
+	// Invalidate discards the client state, settling first what the metric
+	// keeps beside it that still needs the index the query reads.
+	Invalidate()
 }
 
 // lagged stands for a window the store's log no longer covers: one
@@ -119,7 +122,7 @@ func (s *session[P, S]) advance(m metric[P], next *index.Snapshot, ops []index.O
 	}
 	for i := range judged {
 		if op := &judged[i]; op.Network == s.network && (m.affects(op) || op.Conservative) {
-			s.Invalidate()
+			m.Invalidate()
 		}
 	}
 	m.read(next, ops, covered)

@@ -16,7 +16,7 @@ type Counters struct {
 	Invalidations   int // validations that found the kNN set stale
 	Recomputations  int // full server-side recomputations (communication events)
 	ObjectsShipped  int // data objects sent client-ward by recomputations
-	DistanceCalcs   int // point-to-point distance evaluations; in the plane, a validation's (the step from the anchor point, the kNN members, the guard objects the anchor bound cannot rule out up to the first I(R) member inside the kNN radius, and after such a stop the members that may still be nearer than the hint) and a hint walk's — none when the validation proved its hint the nearest object — not a recomputation's Voronoi expansion
+	DistanceCalcs   int // point-to-point distance evaluations; in the plane, a validation's (the step from the anchor point, the kNN members the anchor bound cannot place within every guard object, the guard objects it cannot rule out up to the first I(R) member inside the kNN radius, and after such a stop the members that may still be nearer than the hint — or, on a stale verdict, the rest of R), the k of an invalidation that settles a hint a valid verdict deferred, and a hint walk's — none when the validation proved its hint the nearest object — not a recomputation's Voronoi expansion
 	DijkstraRuns    int // shortest-path searches begun (road network mode): per update the AnchorBuilds, plus one unless the edge anchor's tables answer it (a recomputation continues its validation search)
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
 	NodeVisits      int // index nodes or grid cells touched (stand-in for page I/O)
