@@ -31,8 +31,12 @@ type PlaneQuery struct {
 	// where the last update that measured every member stood (a
 	// recomputation measures them all), from which measure bounds what it
 	// need not evaluate. A re-rank permutes it along with R. floor is the
-	// least anchor distance of a guard object, a member of ids[k:] (+Inf
-	// for none), kept with the anchor and the kNN/guard partition.
+	// distance (not squared) from at of the nearest guard object, a member
+	// of ids[k:] (+Inf for none), taken with the anchor. A re-rank leaves
+	// it: until one moves a guard object into the kNN set the guards are the
+	// same, and after, that member lies at least floor from at, so measure
+	// evaluates it, and it is at least as far from p as any member floor
+	// lets measure skip — r.delete is what a fresh floor would give.
 	anchor []float64
 	at     geom.Point
 	floor  float64
@@ -178,11 +182,11 @@ func reach(r2, delta float64) float64 {
 // shrink is 1/margin², rounded: the rounding is far below the margin.
 const shrink = 1 / (margin * margin)
 
-// below is ((√floor − δ)/margin² − δ)², or -1 when that root is not
+// below is ((floor − δ)/margin² − δ)², or -1 when that base is not
 // positive: a kNN member whose anchor distance is at most it is no farther
-// from p than any guard object, whose anchor distance is at least floor.
+// from p than any object at least floor from the anchor point.
 func below(floor, delta float64) float64 {
-	f := (math.Sqrt(floor)-delta)*shrink - delta
+	f := (floor-delta)*shrink - delta
 	if f <= 0 {
 		return -1
 	}
@@ -198,8 +202,8 @@ func below(floor, delta float64) float64 {
 // It evaluates only the distances a verdict can turn on. Every member o
 // carries its anchor distance d(at, o), and with δ = d(p, at) the triangle
 // inequality gives d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A kNN member
-// whose anchor distance is at most every guard object's less 2δ is thus
-// no farther from p than any of them and cannot break the verdict; a guard
+// whose anchor distance is at most floor − 2δ is thus no farther from p
+// than any guard object and cannot break the verdict; a guard
 // object whose anchor distance exceeds r + δ is farther from p than r and
 // cannot be closer than a member at radius r. measure evaluates δ and the
 // kNN members the first bound does not rule out, at radius r, then the
@@ -212,10 +216,10 @@ func below(floor, delta float64) float64 {
 //
 // The distances go to the scratch's buffer, marked -1 where not evaluated,
 // which measure returns for the re-rank. The nearest member becomes the
-// hint of a recomputation that may follow: the nearest one evaluated, as
-// every skipped guard is farther than a kNN member — after a stop, once the
-// members the bound cannot place beyond it are evaluated too, ties to the
-// lowest index. A valid verdict that skipped a kNN member defers the hint
+// hint of a recomputation that may follow: the nearest one evaluated, kept
+// as the passes go, ties to the lowest index, as every skipped guard is
+// farther than a kNN member — after a stop, once the members the bound
+// cannot place beyond it are evaluated too. A valid verdict that skipped a kNN member defers the hint
 // to Invalidate, the only way to a recomputation that runs no validation
 // first. A hint in R is the nearest object (nearest): its Delaunay ring
 // lies in R ∪ I(R). An update that happened to evaluate every member
@@ -225,6 +229,9 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 	dist = q.sc.Dists(len(q.ids))
 	delta := math.Sqrt(p.Dist2(q.at))
 	safe := below(q.floor, delta)
+	// h is the nearest member evaluated, best its distance, ties to the
+	// lowest index.
+	h, best := 0, math.Inf(1)
 	maxKNN := 0.0
 	evals := 1
 	for i, id := range q.ids[:k] {
@@ -232,39 +239,49 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 			dist[i] = -1
 			continue
 		}
-		dist[i] = p.Dist2(q.ix.Point(id))
-		maxKNN = max(maxKNN, dist[i])
+		d := p.Dist2(q.ix.Point(id))
+		dist[i] = d
+		maxKNN = max(maxKNN, d)
+		if d < best {
+			h, best = i, d
+		}
 		evals++
 	}
 	for i := k; i < len(dist); i++ {
 		dist[i] = -1
 	}
 	skipped := evals < 1+k
-	minGuard, n, stale := q.evaluateWithin(p, dist, k, maxKNN, delta)
+	minGuard, g, n, stale := q.evaluateWithin(p, dist, k, maxKNN, delta)
 	knnValid = maxKNN <= minGuard
 	evals += n
 	if q.deferred = knnValid && skipped; q.deferred {
 		q.m.DistanceCalcs += evals
 		return dist, true, false, false
 	}
+	if minGuard < best {
+		h, best = g, minGuard
+	}
 	if !knnValid && !stale {
 		maxR := maxKNN
 		for i := 0; i < nR; i++ {
-			if dist[i] < 0 {
-				dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+			d := dist[i]
+			if d < 0 {
+				d = p.Dist2(q.ix.Point(q.ids[i]))
+				dist[i] = d
 				evals++
+				if d < best || d == best && i < h {
+					h, best = i, d
+				}
+			} else if i < k {
+				continue // in maxKNN already
 			}
-			maxR = max(maxR, dist[i])
+			maxR = max(maxR, d)
 		}
-		minINS, n, _ := q.evaluateWithin(p, dist, nR, maxR, delta)
+		minINS, g, n, _ := q.evaluateWithin(p, dist, nR, maxR, delta)
 		rValid = maxR <= minINS
 		evals += n
-	}
-
-	h, best := 0, math.Inf(1)
-	for i, d := range dist {
-		if d >= 0 && d < best {
-			h, best = i, d
+		if minINS < best { // R, all evaluated, comes first: a tie keeps h
+			h, best = g, minINS
 		}
 	}
 	if stale {
@@ -294,26 +311,31 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 // evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
 // evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
 // radius √r2 of p, δ being p's distance from the anchor point. It returns
-// the least distance evaluated in dist[from:] (+Inf for none), the number
-// of distances it evaluated and whether it stopped at an I(R) member
-// nearer than √r2, where it looks no further.
-func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, evals int, stale bool) {
+// the least distance evaluated in dist[from:] (+Inf for none) and its
+// index (the lowest of a tie), the number of distances it evaluated and
+// whether it stopped at an I(R) member nearer than √r2, where it looks no
+// further.
+func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, idx, evals int, stale bool) {
 	bound := reach(r2, delta)
 	least = math.Inf(1)
 	for i := from; i < len(dist); i++ {
-		if dist[i] < 0 {
+		d := dist[i]
+		if d < 0 {
 			if q.anchor[i] > bound {
 				continue
 			}
-			dist[i] = p.Dist2(q.ix.Point(q.ids[i]))
+			d = p.Dist2(q.ix.Point(q.ids[i]))
+			dist[i] = d
 			evals++
 		}
-		least = min(least, dist[i])
-		if i >= q.nR && dist[i] < r2 {
-			return least, evals, true
+		if d < least {
+			least, idx = d, i
+		}
+		if i >= q.nR && d < r2 {
+			return least, idx, evals, true
 		}
 	}
-	return least, evals, false
+	return least, idx, evals, false
 }
 
 // rerank sorts R by this update's distances, ties by id, carrying each
@@ -329,11 +351,10 @@ func (q *PlaneQuery) rerank(dist []float64) {
 			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
 		}
 	}
-	q.setFloor()
 }
 
-// setFloor takes floor afresh, after the anchor or the kNN/guard partition
-// changed.
+// setFloor takes floor afresh with a new anchor: the one root it costs is
+// not taken per update.
 func (q *PlaneQuery) setFloor() {
 	least := math.Inf(1)
 	for _, a := range q.anchor[q.k:] {
@@ -341,7 +362,7 @@ func (q *PlaneQuery) setFloor() {
 			least = a
 		}
 	}
-	q.floor = least
+	q.floor = math.Sqrt(least)
 }
 
 // Invalidate discards the client state (R, I(R) and the kNN set) so that
@@ -391,13 +412,7 @@ func (q *PlaneQuery) recomputeFrom(p geom.Point, nearest bool) error {
 	q.m.Recomputations++
 	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, nearest, q.ids[:0], q.anchor[:0], q.scratch())
 	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
-	if nR > q.k {
-		// R arrives in ascending distance from p and I(R) no nearer than
-		// R's farthest member: the nearest guard object is R[k].
-		q.floor = d2[q.k]
-	} else {
-		q.setFloor()
-	}
+	q.setFloor()
 	q.hint = ids[0]
 	q.init = true
 	q.m.NodeVisits += cost.NodeVisits

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -69,17 +68,21 @@ func settledHint(q *PlaneQuery) int {
 	return q.hint
 }
 
-// guardFloor is the least anchor distance of q's guard objects, as its
-// floor field must hold it: a floor left over from an earlier kNN/guard
-// partition is still a sound bound — every kNN member that was a guard
-// object then is never skipped and is at least as far as every member the
-// stale floor skips — so no verdict shows it, only the skips it costs.
-func guardFloor(q *PlaneQuery) float64 {
-	least := math.Inf(1)
-	for _, id := range q.ids[q.k:] {
-		least = min(least, q.at.Dist2(q.ix.Point(id)))
+// floorHolds reports whether q's floor is the bound measure may skip kNN
+// members by: the distance from the anchor point of q's nearest guard
+// object, or, left from before a re-rank, at most that of some kNN member,
+// which measure then evaluates and which is at least as far as every
+// member it skips. Distances are measured afresh, not read from q.anchor.
+func floorHolds(q *PlaneQuery) bool {
+	least, most := math.Inf(1), 0.0
+	for i, id := range q.ids {
+		if d := q.at.Dist2(q.ix.Point(id)); i < q.k {
+			most = max(most, d)
+		} else {
+			least = min(least, d)
+		}
 	}
-	return least
+	return q.floor == math.Sqrt(least) || q.floor <= math.Sqrt(most)
 }
 
 // boundedCase is one input geometry of the differential test. On a lattice
@@ -274,17 +277,28 @@ func TestBoundedValidationMatchesFullPass(t *testing.T) {
 				if shared {
 					seed++
 				}
-				runBoundedTwin(t, tc, par.k, par.rho, shared, seed)
+				runBoundedTwin(t, tc, par.k, par.rho, shared, seed, nil)
 			}
 		}
 	}
 	for _, shared := range []bool{false, true} {
-		runBoundedTwin(t, ulpTie(), 1, 1.6, shared, 1)
-		runBoundedTwin(t, ulpTieKNN(), 1, 1.6, shared, 1)
+		runBoundedTwin(t, ulpTie(), 1, 1.6, shared, 1, nil)
+		runBoundedTwin(t, ulpTieKNN(), 1, 1.6, shared, 1, nil)
 	}
 }
 
-func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared bool, seed int64) {
+// twin is a bounded session a and its full-pass twin b, on stores stA and
+// stB (one store when shared).
+type twin struct {
+	a, b     *planeOnStore
+	stA, stB *index.Store
+}
+
+// runBoundedTwin walks a bounded session and its full-pass twin together
+// and compares them after every call. A non-nil event runs after every
+// update that deferred the hint; it must settle the hint with exactly k
+// evaluations, and must have run at least 10 times.
+func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared bool, seed int64, event func(tw twin)) {
 	mode := "own stores"
 	if shared {
 		mode = "shared store"
@@ -337,8 +351,8 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 			t.Fatalf("%s k=%d rho=%g step %d %s: I(R) %v | full pass %v", name, k, rho, step, what, a.INS(), b.INS())
 		case settledHint(a.PlaneQuery) != b.hint:
 			t.Fatalf("%s k=%d rho=%g step %d %s: hint %d | full pass %d", name, k, rho, step, what, settledHint(a.PlaneQuery), b.hint)
-		case a.init && a.floor != guardFloor(a.PlaneQuery):
-			t.Fatalf("%s k=%d rho=%g step %d %s: floor %g, guards' anchor distances from %g", name, k, rho, step, what, a.floor, guardFloor(a.PlaneQuery))
+		case a.init && !floorHolds(a.PlaneQuery):
+			t.Fatalf("%s k=%d rho=%g step %d %s: floor %g bounds neither the guards nor a kNN member", name, k, rho, step, what, a.floor)
 		case ma.Timestamps != mb.Timestamps || ma.Validations != mb.Validations || ma.Invalidations != mb.Invalidations ||
 			ma.Recomputations != mb.Recomputations || ma.ObjectsShipped != mb.ObjectsShipped || ma.NodeVisits != mb.NodeVisits:
 			t.Fatalf("%s k=%d rho=%g step %d %s: counters %+v | full pass %+v", name, k, rho, step, what, *ma, *mb)
@@ -390,6 +404,16 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 		same("update", knnA, knnB, errA, errB)
 		if a.deferred {
 			deferred++
+		}
+		if a.deferred && event != nil {
+			// Past the k settling evaluations, what follows costs both the same.
+			before := a.Metrics().DistanceCalcs - b.Metrics().DistanceCalcs
+			event(twin{a, b, stA, stB})
+			settled := a.Metrics().DistanceCalcs - b.Metrics().DistanceCalcs - before
+			if a.deferred || settled != k {
+				t.Fatalf("%s step %d: the event left the hint deferred %v after %d settling evaluations, want %d", name, step, a.deferred, settled, k)
+			}
+			same("event", a.knn(), b.knn(), nil, nil)
 		}
 		if tc.path != nil || rng.Intn(6) != 0 {
 			continue
@@ -444,7 +468,10 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 	if tc.name == "uniform" && k >= 5 && deferred == 0 {
 		t.Errorf("%s k=%d rho=%g: no validation skipped a kNN member", name, k, rho)
 	}
-	if strings.Contains(tc.name, "uniform") && !shared && k == 5 && rho == 1.6 {
+	if event != nil && deferred < 10 {
+		t.Errorf("%s: %d validations deferred the hint, want at least 10", name, deferred)
+	}
+	if tc.name == "uniform" && !shared && k == 5 && rho == 1.6 {
 		t.Logf("%s k=%d: %d distances against the full pass's %d over %d updates (%d recomputations)",
 			name, k, ma.DistanceCalcs, mb.DistanceCalcs, ma.Timestamps, ma.Recomputations)
 	}
@@ -453,21 +480,17 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 // TestDeferredHintSettlesAsFullPass: a validation that finds the kNN set
 // valid without evaluating every kNN member leaves the hint unresolved, and
 // whatever discards the state next settles it to the hint a full pass takes.
-// A bounded session and a full-pass twin, on a store each, walk together;
-// after every update that deferred the hint, one event ends the state: an
-// insert beside the query that Advance judges as invalidating, the public
-// Invalidate followed by Refresh, or the removal of the would-be hint
-// itself; on an integer lattice, where kNN members tie, Invalidate and
-// Refresh. The event must charge the k settling evaluations to
-// DistanceCalcs, and the recomputation that follows must walk from the
-// twin's hint: the same kNN set, R in order, I(R) and NodeVisits.
+// The differential walk of runBoundedTwin, on a store each, runs one event
+// after every update that deferred the hint: an insert beside the query
+// that Advance judges as invalidating, the public Invalidate followed by
+// Refresh, or the removal of the would-be hint itself; on an integer
+// lattice, where kNN members tie, Invalidate and Refresh. The event must
+// charge the k settling evaluations to DistanceCalcs, and the
+// recomputation that follows must walk from the twin's hint: the same kNN
+// set, R in order, I(R) and NodeVisits.
 func TestDeferredHintSettlesAsFullPass(t *testing.T) {
 	uniform := boundedCase{name: "uniform", bounds: testBounds, pts: randomPoints(2000, 81)}
 	lattice := boundedCases()[1]
-	type twin struct {
-		a, b     *planeOnStore
-		stA, stB *index.Store
-	}
 	mutate := func(tw twin, f func(st *index.Store) error) {
 		for _, st := range []*index.Store{tw.stA, tw.stB} {
 			if err := f(st); err != nil {
@@ -477,14 +500,13 @@ func TestDeferredHintSettlesAsFullPass(t *testing.T) {
 		tw.a.Sync()
 		tw.b.Sync()
 	}
-	invalidate := func(tw twin) {
+	refresh := func(tw twin) {
 		tw.a.Invalidate()
 		tw.b.Invalidate()
-		if _, _, err := tw.a.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := tw.b.Refresh(); err != nil {
-			t.Fatal(err)
+		for _, q := range []*planeOnStore{tw.a, tw.b} {
+			if _, _, err := q.Refresh(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for _, c := range []struct {
@@ -493,77 +515,20 @@ func TestDeferredHintSettlesAsFullPass(t *testing.T) {
 		event func(tw twin)
 	}{
 		{"advance", uniform, func(tw twin) {
-			p := geom.Pt(tw.a.last.X+0.5, tw.a.last.Y-0.25)
-			mutate(tw, func(st *index.Store) error { _, err := st.Insert(p); return err })
+			// Halfway to the nearest object: nearer than every kNN member.
+			h, p := tw.a.ix.Point(settledHint(tw.a.PlaneQuery)), tw.a.last
+			mid := geom.Pt((h.X+p.X)/2, (h.Y+p.Y)/2)
+			mutate(tw, func(st *index.Store) error { _, err := st.Insert(mid); return err })
 		}},
-		{"invalidate and refresh", uniform, invalidate},
+		{"invalidate and refresh", uniform, refresh},
 		{"remove the hint", uniform, func(tw twin) {
 			h := settledHint(tw.a.PlaneQuery)
 			mutate(tw, func(st *index.Store) error { return st.Remove(h) })
 		}},
-		{"integer lattice", lattice, invalidate},
+		{"integer lattice", lattice, refresh},
 	} {
-		const k = 5
-		var tw twin
-		var err error
-		for _, st := range []**index.Store{&tw.stA, &tw.stB} {
-			if *st, err = index.NewStore(index.Config{Bounds: c.tc.bounds, Objects: c.tc.pts}); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup((*st).Close)
-		}
-		if tw.a, err = newPlaneOnStore(tw.stA, k, 1.6); err != nil {
-			t.Fatal(err)
-		}
-		if tw.b, err = newPlaneOnStore(tw.stB, k, 1.6); err != nil {
-			t.Fatal(err)
-		}
-		same := func(step int, what string) {
-			t.Helper()
-			a, b := tw.a, tw.b
-			ma, mb := a.Metrics(), b.Metrics()
-			switch {
-			case !slices.Equal(a.Current(), b.Current()) || !slices.Equal(a.Prefetched(), b.Prefetched()):
-				t.Fatalf("%s step %d %s: R %v | full pass %v", c.name, step, what, a.Prefetched(), b.Prefetched())
-			case !slices.Equal(slices.Sorted(slices.Values(a.INS())), slices.Sorted(slices.Values(b.INS()))):
-				t.Fatalf("%s step %d %s: I(R) %v | full pass %v", c.name, step, what, a.INS(), b.INS())
-			case settledHint(a.PlaneQuery) != b.hint:
-				t.Fatalf("%s step %d %s: hint %d | full pass %d", c.name, step, what, settledHint(a.PlaneQuery), b.hint)
-			case ma.Recomputations != mb.Recomputations || ma.NodeVisits != mb.NodeVisits || ma.Invalidations != mb.Invalidations:
-				t.Fatalf("%s step %d %s: counters %+v | full pass %+v", c.name, step, what, *ma, *mb)
-			}
-		}
-		spacing := math.Sqrt(c.tc.bounds.Width() * c.tc.bounds.Height() / float64(len(c.tc.pts)))
-		w := &boundedWalk{tc: c.tc, rng: rand.New(rand.NewSource(82)), spacing: spacing, p: c.tc.bounds.Center()}
-		if c.tc.h > 0 {
-			n := int(math.Round(c.tc.bounds.Width()/c.tc.h)) * 2
-			w.i, w.j = n/2, n/2
-		}
-		events := 0
-		for step := 0; step < 300; step++ {
-			p := w.next()
-			if _, err := tw.a.Update(p); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fullPassUpdate(tw.b, p); err != nil {
-				t.Fatal(err)
-			}
-			same(step, "update")
-			if !tw.a.deferred {
-				continue
-			}
-			events++
-			// Past the k settling evaluations, a Refresh's hint walk costs both the same.
-			before := tw.a.Metrics().DistanceCalcs - tw.b.Metrics().DistanceCalcs
-			c.event(tw)
-			settled := tw.a.Metrics().DistanceCalcs - tw.b.Metrics().DistanceCalcs - before
-			if tw.a.deferred || settled != k {
-				t.Fatalf("%s step %d: the event left the hint deferred %v after %d settling evaluations, want %d", c.name, step, tw.a.deferred, settled, k)
-			}
-			same(step, c.name)
-		}
-		if events < 10 {
-			t.Fatalf("%s: %d validations deferred the hint, want at least 10", c.name, events)
-		}
+		tc := c.tc
+		tc.name += ", " + c.name
+		runBoundedTwin(t, tc, 5, 1.6, false, 82, c.event)
 	}
 }
