@@ -38,9 +38,9 @@
 // A query never changes the index it reads: NewPlaneQuery and
 // NewNetworkQuery serve one fixed index or diagram. Data updates (objects
 // inserted or removed while queries move) go through the serving engine
-// below, whose sessions run the same queries pinned to an index store's
-// snapshots and re-pin after every update, recomputing only when it can
-// affect them.
+// below, whose sessions run the same queries over an index store's
+// snapshots and move to the newest after every update, recomputing only
+// when it can affect them.
 //
 // # Serving
 //

@@ -320,8 +320,9 @@ func NewWALStats(s wal.Stats) WALStats {
 }
 
 // StatsResponse is the engine snapshot served by GET /v1/stats. Snapshots
-// is the number of live index versions: 1 when every shard has moved to the
-// current one, more while a lagging shard keeps an old version pinned.
+// is the number of distinct index versions the store and the shards hold:
+// 1 when every shard has moved to the current one, more while a lagging
+// shard still holds an old version.
 type StatsResponse struct {
 	Shards         int    `json:"shards"`
 	Sessions       int    `json:"sessions"`

@@ -62,9 +62,7 @@ func TestPinnedLogOverflowConvergesPlane(t *testing.T) {
 		if q.Epoch() != st.Epoch() {
 			t.Fatalf("round %d: re-pinned at epoch %d, store at %d", round, q.Epoch(), st.Epoch())
 		}
-		s := st.Acquire()
-		want := s.Plane().KNN(pos, 4)
-		s.Release()
+		want := st.Current().Plane().KNN(pos, 4)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: overflowed session answered %v, fresh snapshot says %v", round, got, want)
 		}
@@ -121,9 +119,7 @@ func TestPinnedLogOverflowConvergesNetwork(t *testing.T) {
 	if q.Epoch() != st.Epoch() {
 		t.Fatalf("re-pinned at epoch %d, store at %d", q.Epoch(), st.Epoch())
 	}
-	s := st.Acquire()
-	want, _ := s.Network().KNNWithDistances(pos, 2)
-	s.Release()
+	want, _ := st.Current().Network().KNNWithDistances(pos, 2)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("overflowed session answered %v, fresh snapshot says %v", got, want)
 	}

@@ -18,15 +18,15 @@
 // location-update request is fanned out to the owning shards and gathered.
 // A data update (object insert/delete) goes only to the Store, which
 // applies it copy-on-write, publishes the next snapshot, and notifies the
-// shards. Each shard pins one snapshot, which all its sessions read. When
+// shards. Each shard holds one snapshot, which all its sessions read. When
 // the store has moved on — on an epoch notification, and before the shard
-// handles any message — the shard pins the newest snapshot, reads the
+// handles any message — the shard takes the newest snapshot, reads the
 // store's mutation log of the window once, and advances every session over
 // it: a session invalidates its INS guard sets exactly when a skipped
 // mutation could affect them — the paper's lazy invalidation, driven by
-// snapshot epochs. Then the shard releases its old pin, so the current
-// snapshot carries one pin per shard whatever the session count, and an
-// old one is garbage-collected once the last shard has moved past it.
+// snapshot epochs. An old snapshot is garbage-collected once the last
+// shard has moved past it; insq_shard_epoch_lag names a shard that has
+// not.
 package engine
 
 import (
@@ -142,8 +142,8 @@ type Config struct {
 	// serves from its recovered store instead of building one (and
 	// Objects/NetworkSites/Bounds above are ignored — the manager's store
 	// already carries the recovered state). Lifecycle: close the manager
-	// BEFORE Engine.Close, so its final checkpoint can still pin a
-	// snapshot; the engine closes the store either way.
+	// BEFORE Engine.Close, so its final checkpoint still runs (a closed
+	// store checkpoints nothing); the engine closes the store either way.
 	WAL *wal.Manager
 
 	// Obs, when non-nil, enables pipeline observability: per-stage timing
@@ -193,9 +193,9 @@ type Stats struct {
 	// Epoch counts applied data updates (both sides share one epoch
 	// sequence).
 	Epoch uint64
-	// Snapshots is the number of index snapshots still pinned: 1 once
-	// every shard has moved to the current version, more while a shard
-	// still holds an older one.
+	// Snapshots is the number of distinct index snapshots held by the
+	// store (its current one) and the shards: 1 once every shard has moved
+	// to the current version, more while a shard still holds an older one.
 	Snapshots int
 	// EpochPublishUS is the mean wall time of publishing one data-update
 	// epoch (path-copy branch + mutations + publish), in microseconds;
@@ -340,6 +340,7 @@ func New(cfg Config) (*Engine, error) {
 		shedDepth: cfg.ShedDepth,
 		tables:    netvor.NewTableStore(cfg.Shards, st.Network()),
 	}
+	snap := st.Current()
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			id:       i,
@@ -347,11 +348,12 @@ func New(cfg Config) (*Engine, error) {
 			events:   e.events,
 			mailbox:  make(chan message, cfg.MailboxDepth),
 			notify:   st.Subscribe(),
-			snap:     st.Acquire(),
+			snap:     snap,
 			done:     make(chan struct{}),
 			sessions: make(map[SessionID]*session),
 			obs:      cfg.Obs,
 		}
+		e.shards[i].epoch.Store(snap.Epoch())
 		e.shards[i].netSc.ShareTables(e.tables)
 	}
 	e.registerMetrics(cfg.Obs.Registry())
@@ -385,6 +387,12 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		reg.GaugeFunc("insq_shard_sessions",
 			"Live sessions owned by the shard.",
 			func() float64 { return float64(sh.sessionsN.Load()) }, shardLabel)
+		reg.GaugeFunc("insq_shard_epoch_lag",
+			"Data updates the shard's snapshot is behind the store's current one.",
+			func() float64 {
+				held := sh.epoch.Load() // first: the store's epoch only grows
+				return float64(e.store.Epoch() - held)
+			}, shardLabel)
 	}
 	reg.GaugeFunc("insq_sessions",
 		"Live sessions across all shards.",
@@ -407,12 +415,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("insq_epoch",
 		"Applied data updates (the current snapshot's version).",
 		func() float64 { return float64(e.store.Epoch()) })
-	reg.GaugeFunc("insq_snapshots_live",
-		"Snapshots still pinned, including the current one.",
-		func() float64 { return float64(e.store.LiveSnapshots()) })
-	reg.GaugeFunc("insq_snapshot_pins",
-		"Pins on the current snapshot (the store's own pin included).",
-		func() float64 { return float64(e.store.CurrentPins()) })
 	reg.GaugeFunc("insq_objects",
 		"Live plane data objects (0 without a plane index).",
 		func() float64 {
@@ -565,7 +567,7 @@ type SessionState struct {
 	// Seq is the session's last published stream sequence number; events
 	// with Seq <= this are older than the snapshot.
 	Seq uint64
-	// Epoch is the index snapshot epoch the session is pinned to.
+	// Epoch is the epoch of the index snapshot the session reads.
 	Epoch uint64
 }
 
@@ -827,7 +829,11 @@ func (e *Engine) Stats() (Stats, error) {
 	}
 	// Read once every shard has answered, having moved to the newest
 	// snapshot first.
-	st.Snapshots = e.store.LiveSnapshots()
+	held := map[uint64]bool{e.store.Epoch(): true}
+	for _, sh := range e.shards {
+		held[sh.epoch.Load()] = true
+	}
+	st.Snapshots = len(held)
 	st.Latency = hist.Summary()
 	if secs := st.Uptime.Seconds(); secs > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / secs
@@ -836,8 +842,8 @@ func (e *Engine) Stats() (Stats, error) {
 }
 
 // Close shuts the engine down: it waits for in-flight requests, stops the
-// shard workers (each releasing its snapshot pin), closes the
-// store and then the stream broker (waking every subscriber with Done).
+// shard workers, closes the store and then the stream broker (waking every
+// subscriber with Done).
 // Close is idempotent; all other methods fail with ErrClosed afterwards.
 func (e *Engine) Close() error {
 	e.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/netvor"
@@ -21,11 +22,9 @@ import (
 // TestEngineObservability drives a small instrumented engine end to end
 // and checks that every in-process pipeline stage fired, the gauges
 // export, and a threshold-zero slow log captures batches with the
-// request's trace ID. The snapshot gauges count shards, not sessions: once
-// 256 sessions on 4 shards have updated and a mutation has been quiesced,
-// the current snapshot carries the store's pin and one per shard and is the
-// only one live; after Close none is. Run with -race: scrapes race against
-// workers by design.
+// request's trace ID. Once 256 sessions on 4 shards have updated and a
+// mutation has been quiesced, every shard reads an epoch lag of 0. Run with
+// -race: scrapes race against workers by design.
 func TestEngineObservability(t *testing.T) {
 	const shards, nSessions = 4, 256
 	reg := obs.NewRegistry()
@@ -86,33 +85,131 @@ func TestEngineObservability(t *testing.T) {
 		t.Errorf("slow-batch log missing trace %s:\n%s", trace, logBuf.String())
 	}
 
-	var expo strings.Builder
-	if err := reg.WritePrometheus(&expo); err != nil {
-		t.Fatal(err)
-	}
-	out := expo.String()
-	for _, want := range []string{
+	out := exposition(t, reg)
+	wants := []string{
 		`insq_shard_queue_depth{shard="0"}`,
 		`insq_shard_sessions{shard="3"}`,
 		fmt.Sprintf("insq_sessions %d\n", nSessions),
 		"insq_epoch 1\n",
-		fmt.Sprintf("insq_snapshot_pins %d\n", shards+1),
-		"insq_snapshots_live 1\n",
 		"insq_objects 201\n",
 		"insq_stream_subscribers 1\n",
 		fmt.Sprintf("insq_updates_total %d\n", nSessions+1),
-	} {
+	}
+	for i := 0; i < shards; i++ {
+		wants = append(wants, fmt.Sprintf("insq_shard_epoch_lag{shard=\"%d\"} 0\n", i))
+	}
+	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Both snapshot pin gauges, the pin count and the live count, are gone.
+	if strings.Contains(out, "insq_snapshot") {
+		t.Errorf("exposition still carries a snapshot pin gauge:\n%s", out)
 	}
 
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.store.LiveSnapshots(); n != 0 {
-		t.Errorf("live snapshots after Close = %d, want 0", n)
+}
+
+// TestEngineShardEpochLag: a shard stalled in a batch while a mutation
+// publishes is the one whose insq_shard_epoch_lag reads ≥ 1; the others
+// sweep to the new snapshot and read 0, and once the stalled shard is
+// released every lag reads 0 again.
+func TestEngineShardEpochLag(t *testing.T) {
+	const shards = 3
+	reg := obs.NewRegistry()
+	e, err := New(Config{
+		Shards:  shards,
+		Bounds:  testBounds,
+		Objects: workload.Uniform(200, testBounds, 1),
+		Obs:     obs.NewPipeline(reg, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer e.Close()
+	// Session ids route by id mod Shards; find one on shard 1.
+	var stalled SessionID
+	for {
+		sid, err := e.CreateSession(5, 1.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sid%shards == 1 {
+			stalled = sid
+			break
+		}
+	}
+	lag := func(out string, shard int) string {
+		prefix := fmt.Sprintf("insq_shard_epoch_lag{shard=\"%d\"} ", shard)
+		for _, line := range strings.Split(out, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return v
+			}
+		}
+		t.Fatalf("exposition has no %s line", prefix)
+		return ""
+	}
+
+	before := fault.ShardApplyDelay.Fires()
+	fault.ShardApplyDelay.Arm(fault.Spec{Delay: 500 * time.Millisecond, Count: 1})
+	defer fault.ShardApplyDelay.Disarm()
+	done := make(chan error, 1)
+	go func() {
+		_, err := updateBatch(e, []LocationUpdate{{Session: stalled, Pos: geom.Pt(100, 100)}})
+		done <- err
+	}()
+	for fault.ShardApplyDelay.Fires() == before {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := e.ApplyMutations(context.Background(), []index.Mutation{{Insert: true, P: geom.Pt(11, 11)}}); err != nil {
+		t.Fatal(err)
+	}
+	// The free shards sweep on the epoch notification; wait until they have.
+	deadline := time.Now().Add(400 * time.Millisecond)
+	out := exposition(t, reg)
+	for (lag(out, 0) != "0" || lag(out, 2) != "0") && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		out = exposition(t, reg)
+	}
+	for _, sh := range []int{0, 2} {
+		if v := lag(out, sh); v != "0" {
+			t.Errorf("free shard %d lag = %s, want 0", sh, v)
+		}
+	}
+	if v := lag(out, 1); v == "0" {
+		t.Errorf("stalled shard 1 lag = %s, want >= 1", v)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Quiesce: every shard moves to the newest snapshot before it answers.
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshots != 1 {
+		t.Errorf("snapshots held after the stall = %d, want 1", st.Snapshots)
+	}
+	out = exposition(t, reg)
+	for sh := 0; sh < shards; sh++ {
+		if v := lag(out, sh); v != "0" {
+			t.Errorf("shard %d lag after release = %s, want 0", sh, v)
+		}
+	}
+}
+
+// exposition renders reg in the Prometheus text format.
+func exposition(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	return expo.String()
 }
 
 // TestEngineTableStoreGauges: the endpoint-table store's gauges and

@@ -20,7 +20,7 @@ import (
 
 // shard is one serving partition: a worker goroutine that owns every
 // session pinned to it — and nothing else. The index lives in the shared
-// snapshot store; the shard pins one snapshot, which all its sessions read
+// snapshot store; the shard holds one snapshot, which all its sessions read
 // lock-free, and moves them all to the next one at once (sweep). All
 // per-session INS state is touched by exactly one goroutine; shards
 // communicate with the engine only through the mailbox, reply channels, and
@@ -35,15 +35,16 @@ type shard struct {
 	obs     *obs.Pipeline // nil when observability is off
 
 	// Worker-owned state; never accessed outside the worker goroutine.
-	snap     *index.Snapshot // pinned: the snapshot every session here reads
+	snap     *index.Snapshot // the snapshot every session here reads
 	sessions map[SessionID]*session
 	hist     metrics.Histogram
 
-	// updates and sessionsN mirror worker-owned state as atomics so the
-	// metrics registry can read them at scrape time without a mailbox
-	// round-trip (only the worker writes them).
+	// updates, sessionsN and epoch mirror worker-owned state as atomics so
+	// the metrics registry can read them at scrape time without a mailbox
+	// round-trip (only the worker writes them). epoch is snap's.
 	updates   atomic.Uint64
 	sessionsN atomic.Int64
+	epoch     atomic.Uint64
 
 	// expired counts batch entries dropped because their request deadline
 	// passed while the batch sat in the mailbox. Written by the worker,
@@ -229,32 +230,26 @@ func (sh *shard) handle(msg message) {
 	}
 }
 
-// shutdown drops the sessions and releases the shard's pin on engine close.
+// shutdown drops the sessions on engine close.
 func (sh *shard) shutdown() {
-	sh.snap.Release()
 	sh.sessions = nil
 	sh.sessionsN.Store(0)
 }
 
 // sweep moves the shard to the newest snapshot when the store has moved
-// on. It pins that snapshot and reads the store's log of the window once —
-// a window the log no longer covers is found here, once for all sessions —
-// brings the shared table store along, advances every session over the
-// window, plane and network alike, and releases the old pin: the current
-// snapshot carries one pin per shard, whatever the session count. The
-// paper's lazy invalidation runs inside each session's Advance. Unwatched
-// affected sessions recompute at their next location update (the lazy
-// path); sessions with push subscribers instead recompute eagerly via
-// Refresh, and the resulting delta — the data update's effect on their kNN
-// — is published immediately, which is what turns the engine's
-// invalidation machinery into user-visible push notifications.
+// on. It reads the store's log of the window once — a window the log no
+// longer covers is found here, once for all sessions — brings the shared
+// table store along, and advances every session over the window, plane and
+// network alike. The paper's lazy invalidation runs inside each session's
+// Advance. Unwatched affected sessions recompute at their next location
+// update (the lazy path); sessions with push subscribers instead recompute
+// eagerly via Refresh, and the resulting delta — the data update's effect
+// on their kNN — is published immediately, which is what turns the
+// engine's invalidation machinery into user-visible push notifications.
 func (sh *shard) sweep() {
-	if sh.store.Epoch() == sh.snap.Epoch() {
+	next := sh.store.Current()
+	if next == sh.snap {
 		return
-	}
-	next := sh.store.Acquire()
-	if next == nil {
-		return // the store closed: keep serving the pinned snapshot
 	}
 	var start time.Time
 	if sh.obs.Enabled() {
@@ -287,8 +282,8 @@ func (sh *shard) sweep() {
 			sh.publish(sid, s, stream.CauseData, prev, knn, next.Epoch())
 		}
 	}
-	sh.snap.Release()
 	sh.snap = next
+	sh.epoch.Store(next.Epoch())
 }
 
 func (sh *shard) create(m createMsg) error {

@@ -9,13 +9,12 @@
 // ONE of the network Voronoi diagram and applies each mutation batch
 // copy-on-write: branch the mutated side(s) of the current snapshot, apply
 // the batch, publish the result as a new Snapshot behind an atomic pointer.
-// Readers pin a snapshot and serve from it lock-free; publishing is O(1)
+// Readers hold a snapshot and serve from it lock-free; publishing is O(1)
 // for them. Old snapshots are garbage-collected by the Go runtime as soon
-// as no session pins them (the Store tracks pin counts so the lifecycle is
-// observable).
+// as no reader references them.
 //
 // A bounded mutation log (per-epoch ops with the inserted object's Voronoi
-// neighbors captured at apply time) lets a session that re-pins from epoch
+// neighbors captured at apply time) lets a session that moves from epoch
 // E to epoch E' decide whether any of the intervening mutations can affect
 // its guard sets — the same lazy-invalidation rule the paper uses for data
 // updates — without touching the new index. When the log has been trimmed

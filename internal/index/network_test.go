@@ -38,14 +38,13 @@ func freeVertex(st *Store, g *roadnet.Graph, rng *rand.Rand) int {
 }
 
 // TestStoreNetworkApply: site mutations publish epochs, log network ops
-// with captured neighbor lists, and leave pinned snapshots untouched.
+// with captured neighbor lists, and leave older snapshots untouched.
 func TestStoreNetworkApply(t *testing.T) {
 	st, g, sites := networkStore(t, 12, 20)
 	defer st.Close()
 	rng := rand.New(rand.NewSource(9))
 
-	old := st.Acquire()
-	defer old.Release()
+	old := st.Current()
 	probe := roadnet.VertexPosition(freeVertex(st, g, rng))
 	oldKNN, _ := old.Network().KNNWithDistances(probe, 3)
 
@@ -60,16 +59,16 @@ func TestStoreNetworkApply(t *testing.T) {
 		t.Fatalf("current snapshot misses inserted site %d", v)
 	}
 	if old.Network().IsSite(v) {
-		t.Fatalf("pinned snapshot gained site %d", v)
+		t.Fatalf("old snapshot gained site %d", v)
 	}
 	if err := st.RemoveSite(sites[0]); err != nil {
 		t.Fatal(err)
 	}
 	if old.Network().Len() != len(sites) {
-		t.Fatalf("pinned snapshot site count changed to %d", old.Network().Len())
+		t.Fatalf("old snapshot site count changed to %d", old.Network().Len())
 	}
 	if gotKNN, _ := old.Network().KNNWithDistances(probe, 3); !equalIntsIdx(gotKNN, oldKNN) {
-		t.Fatalf("pinned snapshot answers changed: %v, was %v", gotKNN, oldKNN)
+		t.Fatalf("old snapshot answers changed: %v, was %v", gotKNN, oldKNN)
 	}
 
 	ops, ok := st.OpsSince(0, 2)
@@ -189,8 +188,7 @@ func TestStoreMixedBatch(t *testing.T) {
 	if st.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2 (one per mutation)", st.Epoch())
 	}
-	snap := st.Acquire()
-	defer snap.Release()
+	snap := st.Current()
 	if !snap.Plane().Contains(ids[0]) {
 		t.Fatalf("snapshot misses plane object %d", ids[0])
 	}

@@ -44,7 +44,7 @@ func BenchmarkStoreApplyPublish(b *testing.B) {
 }
 
 // TestPublishSharesStructure asserts that an epoch publication copies a
-// small fraction of the index and that snapshots pinned before the epoch
+// small fraction of the index and that snapshots taken before the epoch
 // keep answering from the old version.
 func TestPublishSharesStructure(t *testing.T) {
 	st, err := NewStore(Config{Bounds: benchBounds, Objects: workload.Uniform(5000, benchBounds, 7)})
@@ -53,8 +53,7 @@ func TestPublishSharesStructure(t *testing.T) {
 	}
 	defer st.Close()
 
-	old := st.Acquire()
-	defer old.Release()
+	old := st.Current()
 	q := geom.Pt(5000, 5000)
 	before := old.Plane().KNN(q, 8)
 
@@ -73,19 +72,17 @@ func TestPublishSharesStructure(t *testing.T) {
 		t.Fatalf("publish stats: publishes=%d total=%v", pubs, tot)
 	}
 
-	// The pinned snapshot must be untouched by the publication.
+	// The old snapshot must be untouched by the publication.
 	after := old.Plane().KNN(q, 8)
 	if len(before) != len(after) {
-		t.Fatalf("pinned snapshot changed: %v -> %v", before, after)
+		t.Fatalf("old snapshot changed: %v -> %v", before, after)
 	}
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("pinned snapshot changed: %v -> %v", before, after)
+			t.Fatalf("old snapshot changed: %v -> %v", before, after)
 		}
 	}
-	cur := st.Acquire()
-	defer cur.Release()
-	if got := cur.Plane().KNN(q, 1); len(got) == 0 || got[0] == before[0] {
+	if got := st.Current().Plane().KNN(q, 1); len(got) == 0 || got[0] == before[0] {
 		t.Fatalf("new snapshot does not see the inserted object: %v", got)
 	}
 }
@@ -124,7 +121,7 @@ func bruteKNN(model map[int]geom.Point, q geom.Point, k int) []int {
 
 // TestAbortedBatchIsDiscarded: a mixed batch of plane removes, plane
 // inserts and a network insert whose durability append fails leaves
-// nothing behind. The epoch, the next plane id and a pinned snapshot's
+// nothing behind. The epoch, the next plane id and a held snapshot's
 // answers are unchanged; the retried batch is a path copy of the published
 // version, not a rebuild; and 200 churn batches later, with more aborts
 // among them, every answer is still the brute-force kNN of a model the test
@@ -213,8 +210,7 @@ func TestAbortedBatchIsDiscarded(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		s := st.Acquire()
-		defer s.Release()
+		s := st.Current()
 		if s.Plane().Len() != len(model) {
 			t.Fatalf("%s: %d live objects, model has %d", when, s.Plane().Len(), len(model))
 		}
@@ -227,20 +223,19 @@ func TestAbortedBatchIsDiscarded(t *testing.T) {
 
 	// Removals leave recycled face slots in the published free list.
 	apply(churn(24, 0))
-	pinned := st.Acquire()
-	defer pinned.Release()
-	before, epoch, next := answers(pinned), st.Epoch(), pinned.Plane().NextID()
+	held := st.Current()
+	before, epoch, next := answers(held), st.Epoch(), held.Plane().NextID()
 
 	muts := append(churn(8, 8), Mutation{Network: true, Insert: true, ID: firstFree(st, g)})
 	abort(muts)
-	if st.Epoch() != epoch || st.Current() != pinned {
+	if st.Epoch() != epoch || st.Current() != held {
 		t.Fatalf("aborted batch published: epoch %d, want %d", st.Epoch(), epoch)
 	}
 	if got := st.Current().Plane().NextID(); got != next {
 		t.Fatalf("aborted batch moved the next id to %d, want %d", got, next)
 	}
-	if answers(pinned) != before {
-		t.Fatal("aborted batch changed the pinned snapshot's answers")
+	if answers(held) != before {
+		t.Fatal("aborted batch changed the held snapshot's answers")
 	}
 
 	ids := apply(muts)
@@ -256,8 +251,8 @@ func TestAbortedBatchIsDiscarded(t *testing.T) {
 	if copied, total := st.PlaneShareStats(); float64(copied) > 0.25*float64(total) {
 		t.Fatalf("batch after the abort copied %d of %d pages; want a path copy", copied, total)
 	}
-	if answers(pinned) != before {
-		t.Fatal("the retried batch changed the pinned snapshot's answers")
+	if answers(held) != before {
+		t.Fatal("the retried batch changed the held snapshot's answers")
 	}
 	check("after the retried batch")
 

@@ -171,12 +171,9 @@ type Store struct {
 	closedFlg atomic.Bool
 
 	mu       sync.Mutex // serializes mutation, publish, and notification order
-	closed   bool
 	logDepth int
 	log      []Op       // contiguous ops, oldest first
 	dur      Durability // optional write-ahead hook; see SetDurability
-
-	live atomic.Int64 // snapshots whose pin count is > 0
 
 	obs *obs.Pipeline // nil when observability is off
 
@@ -189,14 +186,12 @@ type Store struct {
 
 // Snapshot is one immutable published version of the indexes. Its read
 // surface is safe from any goroutine without locking for as long as it is
-// referenced; a pin (Acquire on the store, Release when done) only counts a
-// reader, for LiveSnapshots and CurrentPins.
+// referenced; the Go runtime reclaims a superseded snapshot once nothing
+// references it.
 type Snapshot struct {
-	store *Store
 	epoch uint64
 	plane *vortree.Index  // frozen after publish; nil without plane data
 	net   *netvor.Diagram // frozen after publish; nil without a road network
-	pins  atomic.Int64
 }
 
 // NewStore builds the canonical indexes and publishes the initial snapshot
@@ -239,7 +234,7 @@ func NewStore(cfg Config) (*Store, error) {
 		}
 		net = nv
 	}
-	st.publish(&Snapshot{store: st, epoch: epoch, plane: plane, net: net})
+	st.cur.Store(&Snapshot{epoch: epoch, plane: plane, net: net})
 	return st, nil
 }
 
@@ -252,16 +247,6 @@ func (st *Store) SetDurability(d Durability) {
 	st.dur = d
 }
 
-// publish installs s as the current snapshot, transferring the store's own
-// pin from the previous one. Callers must hold st.mu (or be NewStore).
-func (st *Store) publish(s *Snapshot) {
-	s.pins.Store(1) // the store's "current" reference
-	st.live.Add(1)
-	if old := st.cur.Swap(s); old != nil {
-		old.Release()
-	}
-}
-
 // HasPlane reports whether the store carries a plane index.
 func (st *Store) HasPlane() bool { return st.cur.Load().plane != nil }
 
@@ -271,65 +256,20 @@ func (st *Store) Bounds() geom.Rect { return st.bounds }
 // Network returns the CURRENT snapshot's network Voronoi diagram, or nil
 // when the store has no road network. Like the plane side, the diagram is
 // epoch-versioned: site mutations publish a new frozen diagram, so
-// sessions that need a stable view across updates must pin a snapshot
+// sessions that need a stable view across updates must hold a snapshot
 // rather than re-reading this accessor.
 func (st *Store) Network() *netvor.Diagram { return st.cur.Load().net }
 
-// Current returns the current snapshot without pinning it. A snapshot stays
-// readable for as long as it is referenced, pinned or not, so a caller that
-// needs no accounting — one query over a store, a peek at the epoch — reads
-// it directly.
+// Current returns the current snapshot. It stays readable, and unchanged,
+// for as long as the caller references it, whatever the store publishes
+// meanwhile; after Close it is the final snapshot.
 func (st *Store) Current() *Snapshot { return st.cur.Load() }
 
 // Epoch returns the number of applied data updates.
 func (st *Store) Epoch() uint64 { return st.cur.Load().epoch }
 
-// LiveSnapshots returns the number of snapshots still pinned (including
-// the current one, which the store itself pins). It demonstrates the
-// garbage-collection contract: publishing does not leak old versions once
-// their readers have moved on.
-func (st *Store) LiveSnapshots() int { return int(st.live.Load()) }
-
-// Acquire pins and returns the current snapshot, or nil after Close
-// (whose final snapshot may have drained its pins; retrying it forever
-// would livelock). The pin counts the caller as a reader of that version
-// until it calls Release: the serving engine's shards hold one each, on the
-// snapshot all their sessions read, so LiveSnapshots and CurrentPins show
-// whether any shard lags.
-func (st *Store) Acquire() *Snapshot {
-	for {
-		if st.closedFlg.Load() {
-			return nil
-		}
-		s := st.cur.Load()
-		if !s.tryPin() {
-			// The snapshot drained to zero pins after being superseded;
-			// cur already points somewhere newer.
-			continue
-		}
-		if st.cur.Load() == s {
-			return s
-		}
-		// Lost a race with publish; the pin briefly kept a superseded
-		// snapshot alive. Drop it and retry on the new one.
-		s.Release()
-	}
-}
-
-// tryPin increments the pin count unless it already drained to zero — a
-// drained snapshot is dead and must not be resurrected, or the liveness
-// accounting would double-count its release.
-func (s *Snapshot) tryPin() bool {
-	for {
-		n := s.pins.Load()
-		if n <= 0 {
-			return false
-		}
-		if s.pins.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
+// Closed reports whether Close has run.
+func (st *Store) Closed() bool { return st.closedFlg.Load() }
 
 // Insert adds one plane data object copy-on-write and publishes the next
 // snapshot. It returns the assigned object id (inserting a duplicate point
@@ -387,7 +327,7 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
+	if st.closedFlg.Load() {
 		return nil, ErrClosed
 	}
 	start := time.Now()
@@ -471,7 +411,7 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 	if over := len(st.log) - st.logDepth; over > 0 {
 		st.log = append([]Op(nil), st.log[over:]...)
 	}
-	st.publish(&Snapshot{store: st, epoch: epoch, plane: nextPlane, net: nextNet})
+	st.cur.Store(&Snapshot{epoch: epoch, plane: nextPlane, net: nextNet})
 	st.publishes.Add(1)
 	total := time.Since(start)
 	st.publishNS.Add(total.Nanoseconds())
@@ -483,13 +423,6 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 	}
 	st.notify(epoch)
 	return ids, nil
-}
-
-// CurrentPins returns the current snapshot's pin count, the store's own pin
-// included: in the serving engine, one more than the shards that have moved
-// to it.
-func (st *Store) CurrentPins() int {
-	return int(st.cur.Load().pins.Load())
 }
 
 // applySite applies one network-site mutation to the branched diagram and
@@ -644,7 +577,7 @@ func (st *Store) OpsSince(from, to uint64) ([]Op, bool) {
 
 // Subscribe returns a channel that receives the epoch of every publish.
 // Notifications are coalesced: a slow subscriber sees only the newest
-// epoch, which is all a re-pinning reader needs.
+// epoch, which is all a reader moving to the newest snapshot needs.
 func (st *Store) Subscribe() <-chan uint64 {
 	ch := make(chan uint64, 1)
 	st.subMu.Lock()
@@ -674,19 +607,12 @@ func (st *Store) notify(epoch uint64) {
 	}
 }
 
-// Close rejects further mutations and releases the store's pin on the
-// current snapshot, letting LiveSnapshots drain to zero once every reader
-// releases its own pin. Reads through already-pinned snapshots remain
-// valid.
+// Close rejects further mutations. Reads through any snapshot, the final
+// current one included, remain valid.
 func (st *Store) Close() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return
-	}
-	st.closed = true
 	st.closedFlg.Store(true)
-	st.cur.Load().Release()
 }
 
 // Epoch returns the snapshot's version: the number of data updates applied
@@ -695,19 +621,18 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Plane returns the snapshot's plane index, or nil when the store has
 // none. The index is frozen at publish: reads are race-free across
-// sessions for as long as the snapshot is pinned, mutations are rejected.
+// sessions, mutations are rejected.
 func (s *Snapshot) Plane() *vortree.Index { return s.plane }
 
 // Network returns the snapshot's network Voronoi diagram, or nil without a
 // road network. The diagram is frozen at publish; reads are race-free
-// across sessions for as long as the snapshot is pinned, mutations are
-// rejected.
+// across sessions, mutations are rejected.
 func (s *Snapshot) Network() *netvor.Diagram { return s.net }
 
 // PlaneObjects serializes the snapshot's plane side for checkpointing: the
 // live objects ascending by id, and the id the next insert will assign
 // (removed ids stay burned). Both are nil/0 without a plane index. The
-// checkpoint writer calls it on a pinned frozen snapshot off the hot path.
+// checkpoint writer calls it on a frozen snapshot off the hot path.
 func (s *Snapshot) PlaneObjects() ([]vortree.RestoreObject, int) {
 	if s.plane == nil {
 		return nil, 0
@@ -730,15 +655,4 @@ func (s *Snapshot) NetworkSites() []int {
 	out := make([]int, len(sites))
 	copy(out, sites)
 	return out
-}
-
-// Release drops one pin. When the last pin of a superseded snapshot goes,
-// the snapshot becomes unreachable and the Go runtime reclaims its index
-// memory.
-func (s *Snapshot) Release() {
-	if n := s.pins.Add(-1); n == 0 {
-		s.store.live.Add(-1)
-	} else if n < 0 {
-		panic("index: snapshot over-released")
-	}
 }

@@ -75,8 +75,7 @@ func TestStoreIDsMatchSingleThreadedBuild(t *testing.T) {
 
 func TestStoreSnapshotImmutability(t *testing.T) {
 	st := newPlaneStore(t, 100, 0)
-	old := st.Acquire()
-	defer old.Release()
+	old := st.Current()
 	oldLen := old.Plane().Len()
 	q := geom.Pt(500, 500)
 	before := old.Plane().KNN(q, 5)
@@ -87,49 +86,20 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 		}
 	}
 	if got := old.Plane().Len(); got != oldLen {
-		t.Fatalf("pinned snapshot Len changed: %d -> %d", oldLen, got)
+		t.Fatalf("old snapshot Len changed: %d -> %d", oldLen, got)
 	}
 	after := old.Plane().KNN(q, 5)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("pinned snapshot kNN changed: %v -> %v", before, after)
+			t.Fatalf("old snapshot kNN changed: %v -> %v", before, after)
 		}
 	}
-	cur := st.Acquire()
-	defer cur.Release()
+	cur := st.Current()
 	if got := cur.Plane().Len(); got != oldLen+50 {
 		t.Fatalf("current snapshot Len = %d, want %d", got, oldLen+50)
 	}
 	if cur.Epoch() != old.Epoch()+50 {
 		t.Fatalf("epochs: old %d, cur %d", old.Epoch(), cur.Epoch())
-	}
-}
-
-func TestStorePinAccounting(t *testing.T) {
-	st := newPlaneStore(t, 20, 0)
-	if got := st.LiveSnapshots(); got != 1 {
-		t.Fatalf("initial live snapshots = %d, want 1", got)
-	}
-	s0 := st.Acquire()
-	if _, err := st.Insert(geom.Pt(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// s0 is superseded but pinned; the store pins the current one.
-	if got := st.LiveSnapshots(); got != 2 {
-		t.Fatalf("live snapshots with one lagging pin = %d, want 2", got)
-	}
-	s0.Release()
-	if got := st.LiveSnapshots(); got != 1 {
-		t.Fatalf("live snapshots after release = %d, want 1", got)
-	}
-	// Mutations with no lagging readers do not accumulate versions.
-	for i := 0; i < 10; i++ {
-		if _, err := st.Insert(geom.Pt(float64(i)+2, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := st.LiveSnapshots(); got != 1 {
-		t.Fatalf("live snapshots after 10 unpinned publishes = %d, want 1", got)
 	}
 }
 
@@ -244,11 +214,11 @@ func TestStoreRemoveErrors(t *testing.T) {
 	if _, err := st.Insert(geom.Pt(2, 2)); !errors.Is(err, ErrClosed) {
 		t.Errorf("insert after close: %v", err)
 	}
-	if got := st.LiveSnapshots(); got != 0 {
-		t.Errorf("live snapshots after close with no readers = %d, want 0", got)
+	if !st.Closed() {
+		t.Error("Closed() = false after Close")
 	}
-	if s := st.Acquire(); s != nil {
-		t.Error("Acquire after Close returned a snapshot, want nil")
+	if got := st.Current().Plane().Len(); got != 5 {
+		t.Errorf("final snapshot after close holds %d objects, want 5", got)
 	}
 }
 
@@ -274,8 +244,8 @@ func TestRemoveOutOfRangeID(t *testing.T) {
 }
 
 // TestStoreConcurrentReadersWriters exercises the copy-on-write contract
-// under -race: readers run kNN/INS on pinned snapshots while a writer
-// churns objects.
+// under -race: readers run kNN/INS on the snapshots they hold while a
+// writer churns objects.
 func TestStoreConcurrentReadersWriters(t *testing.T) {
 	st := newPlaneStore(t, 500, 0)
 	const readers = 8
@@ -292,8 +262,7 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 					return
 				default:
 				}
-				s := st.Acquire()
-				plane := s.Plane()
+				plane := st.Current().Plane()
 				knn := plane.KNN(q, 8)
 				if len(knn) != 8 {
 					t.Errorf("reader %d: got %d neighbors", r, len(knn))
@@ -301,7 +270,6 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 				if _, err := plane.INS(knn); err != nil {
 					t.Errorf("reader %d: INS: %v", r, err)
 				}
-				s.Release()
 			}
 		}(r)
 	}
@@ -323,8 +291,8 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := st.LiveSnapshots(); got != 1 {
-		t.Errorf("live snapshots after readers drained = %d, want 1", got)
+	if got := st.Epoch(); got != 60 {
+		t.Errorf("epoch after 60 mutations = %d", got)
 	}
 }
 
@@ -346,9 +314,7 @@ func TestStoreRestoreGapsMatchesLiveStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := live.Acquire()
-	objs, nextID := snap.PlaneObjects()
-	snap.Release()
+	objs, nextID := live.Current().PlaneObjects()
 	if nextID == len(objs) {
 		t.Fatal("churn burned no ids: nothing to restore around")
 	}

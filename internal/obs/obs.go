@@ -35,7 +35,7 @@ const (
 	// StageQueue is a batch's wait in the shard mailbox, from engine
 	// fan-out to worker dequeue.
 	StageQueue
-	// StageApply is one session's kNN update against its pinned snapshot.
+	// StageApply is one session's kNN update against its shard's snapshot.
 	StageApply
 	// StageWALAppend is the whole durability append of one batch: encode,
 	// buffer, and — under the always policy — the group-commit fsync wait.
@@ -46,8 +46,8 @@ const (
 	// (copy-on-write branch + mutations + snapshot swap), net of the
 	// durability append measured separately as StageWALAppend.
 	StagePublish
-	// StageSweep is one shard sweep: re-pinning every session after an
-	// epoch notification, including eager recomputes of watched sessions.
+	// StageSweep is one shard sweep: moving every session to the newest
+	// snapshot after an epoch notification, including eager recomputes of watched sessions.
 	StageSweep
 	// StagePush is one stream broker fan-out of a published event.
 	StagePush

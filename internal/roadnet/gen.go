@@ -12,8 +12,8 @@ import (
 // classic synthetic stand-in for a Manhattan-style street map. Vertex
 // positions are jittered by jitter (a fraction of the cell size, in
 // [0, 0.4]) and edge weights are the Euclidean length inflated by a random
-// detour factor in [1, 1+detour], keeping the Euclidean lower bound valid
-// for A*. The generator is deterministic in seed.
+// detour factor in [1, 1+detour], so the Euclidean distance stays a lower
+// bound of the network distance. The generator is deterministic in seed.
 func GridNetwork(rows, cols int, bounds geom.Rect, jitter, detour float64, seed int64) (*Graph, error) {
 	if rows < 2 || cols < 2 {
 		return nil, fmt.Errorf("roadnet: grid needs at least 2x2, got %dx%d", rows, cols)
@@ -177,14 +177,4 @@ func RandomWalkRoute(g *Graph, start int, length float64, seed int64) (*Route, e
 		prev, cur = cur, next
 	}
 	return NewRoute(g, verts)
-}
-
-// ShortestPathRoute builds a route along the shortest path between two
-// vertices.
-func ShortestPathRoute(g *Graph, s, t int) (*Route, error) {
-	path, _, ok := g.ShortestPath(s, t)
-	if !ok {
-		return nil, fmt.Errorf("roadnet: no path from %d to %d", s, t)
-	}
-	return NewRoute(g, path)
 }

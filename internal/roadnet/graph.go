@@ -1,6 +1,6 @@
 // Package roadnet provides the road-network substrate of Section IV of the
 // paper: a planar undirected weighted graph with a geometric embedding,
-// shortest-path machinery (Dijkstra, bidirectional Dijkstra, A*,
+// shortest-path machinery (Dijkstra, bidirectional Dijkstra,
 // Floyd–Warshall for testing), positions on edges for moving query objects,
 // and network generators (grid and random planar via Delaunay).
 package roadnet
@@ -265,7 +265,7 @@ func (g *Graph) ShortestDistances(sources []Source, stopAt float64) []float64 {
 		}
 		if s.D < dist[s.V] {
 			dist[s.V] = s.D
-			h.push(heapItem{key: s.D, d: s.D, v: int32(s.V)})
+			h.push(heapItem{d: s.D, v: int32(s.V)})
 		}
 	}
 	c := g.CSR()
@@ -281,7 +281,7 @@ func (g *Graph) ShortestDistances(sources []Source, stopAt float64) []float64 {
 			u := c.To[i]
 			if nd := it.d + c.W[i]; nd < dist[u] {
 				dist[u] = nd
-				h.push(heapItem{key: nd, d: nd, v: u})
+				h.push(heapItem{d: nd, v: u})
 			}
 		}
 	}
@@ -305,8 +305,8 @@ func (g *Graph) ShortestPath(s, t int) (path []int, d float64, ok bool) {
 	doneF := map[int32]bool{}
 	doneB := map[int32]bool{}
 	var hf, hb heap4
-	hf.push(heapItem{key: 0, d: 0, v: int32(s)})
-	hb.push(heapItem{key: 0, d: 0, v: int32(t)})
+	hf.push(heapItem{d: 0, v: int32(s)})
+	hb.push(heapItem{d: 0, v: int32(t)})
 	best := math.Inf(1)
 	meet := int32(-1)
 
@@ -328,7 +328,7 @@ func (g *Graph) ShortestPath(s, t int) (path []int, d float64, ok bool) {
 			if cur, ok := dist[u]; !ok || nd < cur {
 				dist[u] = nd
 				prev[u] = it.v
-				h.push(heapItem{key: nd, d: nd, v: u})
+				h.push(heapItem{d: nd, v: u})
 			}
 		}
 	}
@@ -378,54 +378,6 @@ func (g *Graph) Distance(s, t int) float64 {
 		return math.Inf(1)
 	}
 	return d
-}
-
-// AStar returns the shortest path using A* with the Euclidean embedding as
-// an admissible heuristic (edge weights must be >= Euclidean length for
-// admissibility, which holds for all generators in this package).
-func (g *Graph) AStar(s, t int) (path []int, d float64, ok bool) {
-	if s < 0 || t < 0 || s >= len(g.pts) || t >= len(g.pts) {
-		return nil, 0, false
-	}
-	c := g.CSR()
-	target := g.pts[t]
-	dist := map[int32]float64{int32(s): 0}
-	prev := map[int32]int32{}
-	done := map[int32]bool{}
-	var h heap4
-	h.push(heapItem{key: g.pts[s].Dist(target), d: 0, v: int32(s)})
-	for len(h) > 0 {
-		it := h.pop()
-		if done[it.v] {
-			continue
-		}
-		done[it.v] = true
-		if int(it.v) == t {
-			var out []int
-			for v := int32(t); ; {
-				out = append(out, int(v))
-				p, ok := prev[v]
-				if !ok {
-					break
-				}
-				v = p
-			}
-			for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-				out[i], out[j] = out[j], out[i]
-			}
-			return out, dist[int32(t)], true
-		}
-		for i := c.Off[it.v]; i < c.Off[it.v+1]; i++ {
-			u := c.To[i]
-			nd := dist[it.v] + c.W[i]
-			if cur, ok := dist[u]; !ok || nd < cur {
-				dist[u] = nd
-				prev[u] = it.v
-				h.push(heapItem{key: nd + g.pts[u].Dist(target), d: nd, v: u})
-			}
-		}
-	}
-	return nil, 0, false
 }
 
 // FloydWarshall returns the full all-pairs distance matrix. It is O(V^3)

@@ -110,28 +110,6 @@ func TestShortestPathMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g, err := GridNetwork(10, 10, testBounds, 0.2, 0.4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		s, u := rng.Intn(100), rng.Intn(100)
-		_, want, ok := g.ShortestPath(s, u)
-		if !ok {
-			t.Fatalf("grid should be connected")
-		}
-		_, got, ok := g.AStar(s, u)
-		if !ok {
-			t.Fatalf("A* found no path %d->%d", s, u)
-		}
-		if math.Abs(got-want) > 1e-9*(want+1) {
-			t.Fatalf("A*(%d,%d) = %g, want %g", s, u, got, want)
-		}
-	}
-}
-
 func TestDisconnectedPath(t *testing.T) {
 	g := NewGraph()
 	g.AddVertex(geom.Pt(0, 0))
@@ -141,9 +119,6 @@ func TestDisconnectedPath(t *testing.T) {
 	}
 	if d := g.Distance(0, 1); !math.IsInf(d, 1) {
 		t.Errorf("Distance = %g, want +Inf", d)
-	}
-	if _, _, ok := g.AStar(0, 1); ok {
-		t.Error("A* found path in disconnected graph")
 	}
 }
 
@@ -269,17 +244,6 @@ func TestRandomWalkRoute(t *testing.T) {
 	r2, _ := RandomWalkRoute(g, 0, 2000, 10)
 	if r.Length() != r2.Length() {
 		t.Error("walk not deterministic")
-	}
-}
-
-func TestShortestPathRoute(t *testing.T) {
-	g := lineGraph(6)
-	r, err := ShortestPathRoute(g, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Length() != 5 {
-		t.Errorf("Length = %g, want 5", r.Length())
 	}
 }
 

@@ -2,16 +2,14 @@ package roadnet
 
 import "math"
 
-// heapItem is one frontier entry of a best-first search: key is the pop
-// priority (the tentative distance for Dijkstra, distance plus heuristic
-// for A*), d the tentative distance at push time, and v the vertex. Keys
-// tie-break on the vertex id so every search in the package settles
-// equal-priority vertices in the same deterministic order, which lets
-// differential tests compare result lists verbatim.
+// heapItem is one frontier entry of a Dijkstra search: d is the tentative
+// distance at push time, which is the pop priority, and v the vertex.
+// Distances tie-break on the vertex id so every search in the package
+// settles equal-distance vertices in the same deterministic order, which
+// lets differential tests compare result lists verbatim.
 type heapItem struct {
-	key float64
-	d   float64
-	v   int32
+	d float64
+	v int32
 }
 
 // heap4 is a hand-rolled 4-ary min-heap over search frontier entries.
@@ -22,8 +20,8 @@ type heapItem struct {
 type heap4 []heapItem
 
 func (h heap4) less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	if h[i].d != h[j].d {
+		return h[i].d < h[j].d
 	}
 	return h[i].v < h[j].v
 }
@@ -203,7 +201,7 @@ func (sc *SearchScratch) Reached(v int32) bool {
 
 // Push adds a frontier entry for vertex v at tentative distance d.
 func (sc *SearchScratch) Push(d float64, v int32) {
-	sc.hp.push(heapItem{key: d, d: d, v: v})
+	sc.hp.push(heapItem{d: d, v: v})
 }
 
 // Pop removes the nearest frontier entry; ok is false when the frontier is

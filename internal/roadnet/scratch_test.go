@@ -15,21 +15,21 @@ func TestHeap4Ordering(t *testing.T) {
 	var h heap4
 	var want []heapItem
 	for i := 0; i < 500; i++ {
-		// Few distinct keys, so the (key, v) tie-break is exercised hard.
-		it := heapItem{key: float64(rng.Intn(8)), d: rng.Float64(), v: int32(rng.Intn(64))}
+		// Few distinct distances, so the (d, v) tie-break is exercised hard.
+		it := heapItem{d: float64(rng.Intn(8)), v: int32(rng.Intn(64))}
 		h.push(it)
 		want = append(want, it)
 	}
 	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].key != want[j].key {
-			return want[i].key < want[j].key
+		if want[i].d != want[j].d {
+			return want[i].d < want[j].d
 		}
 		return want[i].v < want[j].v
 	})
 	for i, w := range want {
 		got := h.pop()
-		if got.key != w.key || got.v != w.v {
-			t.Fatalf("pop %d = (%g, %d), want (%g, %d)", i, got.key, got.v, w.key, w.v)
+		if got.d != w.d || got.v != w.v {
+			t.Fatalf("pop %d = (%g, %d), want (%g, %d)", i, got.d, got.v, w.d, w.v)
 		}
 	}
 	if len(h) != 0 {

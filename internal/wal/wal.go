@@ -11,7 +11,7 @@
 // logged; session location updates are soft state and cost nothing here.
 //
 // Checkpoints exploit the epoch-versioned snapshot store: a checkpoint
-// pins the current immutable snapshot, serializes its logical state
+// takes the current immutable snapshot, serializes its logical state
 // (live objects ascending by id, the next id to assign, the network site
 // set) off the hot path, publishes it atomically (tmp + rename + dir
 // fsync), and prunes WAL segments every retained checkpoint covers.
@@ -192,7 +192,7 @@ type Stats struct {
 // Durability hook on the write path, the background checkpointer, and the
 // recovery bootstrapper. Open builds the store; the caller serves from
 // Store() and must Close the manager BEFORE closing the store/engine, so
-// the final checkpoint can still pin a snapshot.
+// the final checkpoint still runs (a closed store checkpoints nothing).
 type Manager struct {
 	opts  Options
 	store *index.Store
@@ -482,12 +482,10 @@ func (m *Manager) probeLoop() {
 // mutations before Apply), so no append touches the log during the
 // rebuild and the published epoch cannot move under the checkpoint.
 func (m *Manager) tryHeal() {
-	s := m.store.Acquire()
-	if s == nil {
-		return // store closed; shutdown is racing us
+	if m.store.Closed() {
+		return // shutdown is racing us
 	}
-	epoch := s.Epoch()
-	s.Release()
+	epoch := m.store.Epoch()
 	if err := m.checkpointNow(); err != nil {
 		m.ckptFails.Add(1)
 		m.opts.Logger.Warn("wal: heal probe: checkpoint failed", "err", err)
@@ -525,19 +523,17 @@ func (m *Manager) checkpointLoop() {
 // the CheckpointEvery cadence.
 func (m *Manager) Checkpoint() error { return m.checkpointNow() }
 
-// checkpointNow pins the current snapshot, serializes it, publishes the
-// checkpoint atomically and prunes WAL segments and old checkpoints. It
-// is a no-op when no epoch was applied since the newest checkpoint, and
-// when the store is already closed (nothing can be pinned; the WAL alone
-// still recovers the tail).
+// checkpointNow serializes the current snapshot, publishes the checkpoint
+// atomically and prunes WAL segments and old checkpoints. It is a no-op
+// when no epoch was applied since the newest checkpoint, and when the
+// store is already closed (the WAL alone still recovers the tail).
 func (m *Manager) checkpointNow() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
-	s := m.store.Acquire()
-	if s == nil {
+	if m.store.Closed() {
 		return nil
 	}
-	defer s.Release()
+	s := m.store.Current()
 	epoch := s.Epoch()
 	if m.haveCkpt.Load() && epoch <= m.ckptEpoch.Load() {
 		return nil

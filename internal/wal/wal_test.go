@@ -127,9 +127,7 @@ func assertStoresEqual(t *testing.T, tag string, got, want *index.Store) {
 	if g, w := got.Epoch(), want.Epoch(); g != w {
 		t.Fatalf("%s: epoch %d, want %d", tag, g, w)
 	}
-	gs, ws := got.Acquire(), want.Acquire()
-	defer gs.Release()
-	defer ws.Release()
+	gs, ws := got.Current(), want.Current()
 	gobjs, gnext := gs.PlaneObjects()
 	wobjs, wnext := ws.PlaneObjects()
 	if gnext != wnext {
@@ -202,9 +200,7 @@ func reference(t *testing.T, cfg index.Config) (*index.Store, []int) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ref.Close)
-	s := ref.Acquire()
-	objs, _ := s.PlaneObjects()
-	s.Release()
+	objs, _ := ref.Current().PlaneObjects()
 	ids := make([]int, len(objs))
 	for i, o := range objs {
 		ids[i] = o.ID
