@@ -66,7 +66,7 @@ func newIngestServer(t *testing.T, window time.Duration) (*httptest.Server, net.
 // per-entry error codes — then checks the ingest counters in /v1/stats.
 func TestIngestStreamHTTP(t *testing.T) {
 	ts, _, _ := newIngestServer(t, 0)
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	sid, err := c.CreateSession(3, 1.6, false)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestIngestStreamHTTP(t *testing.T) {
 // TestIngestStreamTCP covers the raw listener: same protocol, no HTTP.
 func TestIngestStreamTCP(t *testing.T) {
 	ts, ln, _ := newIngestServer(t, 0)
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	sid, err := c.CreateSession(2, 1.6, false)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestIngestStreamTCP(t *testing.T) {
 // serving both afterwards.
 func TestRemoveOutOfRangeID(t *testing.T) {
 	ts, ln, _ := newIngestServer(t, 0)
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	sid, err := c.CreateSession(2, 1.6, false)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestRemoveOutOfRangeID(t *testing.T) {
 // frame still answers.
 func TestIngestRejectsInvalidPositions(t *testing.T) {
 	ts, ln, _ := newIngestServer(t, 0)
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	sid, err := c.CreateSession(3, 1.6, false)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestIngestRejectsInvalidPositions(t *testing.T) {
 // observable).
 func TestIngestPipelinedCoalesce(t *testing.T) {
 	ts, ln, _ := newIngestServer(t, 50*time.Millisecond)
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	sid, err := c.CreateSession(3, 1.6, false)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestIngestNotReady(t *testing.T) {
 	defer ln.Close()
 	go hs.ServeIngest(ln)
 
-	c := insqclient.New(ts.URL, insqclient.Options{Retries: -1})
+	c := insqclient.New(ts.URL, insqclient.Options{})
 	if _, err := c.DialIngest(context.Background(), 1); err == nil {
 		t.Fatal("HTTP dial succeeded against a recovering server")
 	} else {
@@ -411,8 +411,8 @@ func TestIngestNotReady(t *testing.T) {
 func TestIngestDifferential(t *testing.T) {
 	jsonTS, _, _ := newIngestServer(t, time.Millisecond)
 	binTS, _, _ := newIngestServer(t, time.Millisecond)
-	jc := insqclient.New(jsonTS.URL, insqclient.Options{Retries: -1})
-	bc := insqclient.New(binTS.URL, insqclient.Options{Retries: -1})
+	jc := insqclient.New(jsonTS.URL, insqclient.Options{})
+	bc := insqclient.New(binTS.URL, insqclient.Options{})
 
 	// Identical session sets: three plane, one network, on each server.
 	var jsids, bsids []uint64

@@ -37,12 +37,11 @@
 // -coalesce-window merge into single engine batches. internal/client
 // provides the Go client for both paths.
 //
-// See internal/api for the wire types and cmd/loadgen for a closed-loop
-// driver (-subscribe measures insert-to-push latency, -ingest drives the
-// binary path). SIGINT/SIGTERM shut the server down gracefully: the
-// stream broker closes first so every SSE subscriber receives a final
-// "bye" event, in-flight requests drain, then the engine stops and
-// prints its final stats.
+// See internal/api for the wire types; benchmark/ drives the TCP ingest
+// path and the SSE push under load. SIGINT/SIGTERM shut the server down
+// gracefully: the stream broker closes first so every SSE subscriber
+// receives a final "bye" event, in-flight requests drain, then the engine
+// stops and prints its final stats.
 package main
 
 import (
@@ -76,7 +75,7 @@ func main() {
 		space       = flag.Float64("space", 10000, "side length of the square data space")
 		shards      = flag.Int("shards", 8, "engine shards (parallel session workers)")
 		seed        = flag.Int64("seed", 42, "dataset seed")
-		netGrid     = flag.Int("network-grid", 0, "serve a road-network side too: a GxG street grid (0 = plane only; loadgen -network must use the same value)")
+		netGrid     = flag.Int("network-grid", 0, "serve a road-network side too: a GxG street grid (0 = plane only; a client addressing vertices must build the same grid)")
 		netSites    = flag.Int("network-sites", 1000, "initial network data objects (with -network-grid)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (see EXPERIMENTS.md for the profiling recipe)")
 		dataDir     = flag.String("data-dir", "", "durability directory: write-ahead log + checkpoints; on boot the newest checkpoint is loaded and the WAL tail replayed (empty = no durability, state dies with the process)")

@@ -54,8 +54,9 @@
 //	results, err := e.UpdateBatchCtx(ctx, []insq.LocationUpdate{{Session: sid, Pos: pos}})
 //	ids, err := e.ApplyMutations(ctx, []insq.Mutation{{Insert: true, P: insq.Pt(10, 20)}})
 //
-// cmd/insqd fronts the engine with an HTTP/JSON API and cmd/loadgen drives
-// it with thousands of synthetic moving clients.
+// cmd/insqd fronts the engine with an HTTP/JSON API and a binary streaming
+// ingest path; the repository benchmark (benchmark/) drives it with
+// synthetic moving clients.
 //
 // See the examples directory for complete programs, DESIGN.md for the
 // system inventory, and EXPERIMENTS.md for the reproduction results.

@@ -5,8 +5,9 @@
 // the object set churns underneath, and prints the aggregated serving
 // stats: INS cost counters, per-update latency quantiles, and throughput.
 //
-// For the networked version of this flow, run `insqd` and point
-// `loadgen -addr http://localhost:8080` at it.
+// For the networked version of this flow, run `insqd` and drive it over
+// HTTP (see cmd/insqd), or run `bash benchmark/run.sh --workload
+// serve_pipeline`.
 package main
 
 import (

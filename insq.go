@@ -8,6 +8,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/netvor"
+	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -245,7 +246,7 @@ type (
 	// SessionState is a point-in-time kNN snapshot of one live session.
 	SessionState = engine.SessionState
 	// LatencySummary condenses a latency histogram to reporting quantiles.
-	LatencySummary = metrics.LatencySummary
+	LatencySummary = obs.LatencySummary
 )
 
 // Continuous-query push streaming (Engine.Stream): incremental kNN result

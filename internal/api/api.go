@@ -1,7 +1,7 @@
 // Package api defines the wire surface of the insqd server — the JSON
 // types of the HTTP interface, the binary ingest frame codec, and the
 // shared error table both speak — used by the server (internal/server,
-// cmd/insqd) and its clients (internal/client, cmd/loadgen).
+// cmd/insqd) and its client (internal/client).
 //
 // Endpoints:
 //
@@ -60,6 +60,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
 	"repro/internal/wal"
@@ -228,7 +229,7 @@ type LatencyStats struct {
 }
 
 // NewLatencyStats converts an engine latency summary to wire form.
-func NewLatencyStats(s metrics.LatencySummary) LatencyStats {
+func NewLatencyStats(s obs.LatencySummary) LatencyStats {
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return LatencyStats{
 		Count:  s.Count,

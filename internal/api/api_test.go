@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -129,7 +130,7 @@ func TestNewUpdateResponseErrorShape(t *testing.T) {
 }
 
 func TestNewLatencyStatsUnits(t *testing.T) {
-	s := metrics.LatencySummary{
+	s := obs.LatencySummary{
 		Count: 4,
 		Mean:  1500 * time.Nanosecond,
 		P50:   time.Microsecond,
@@ -183,7 +184,7 @@ func TestNewStatsResponse(t *testing.T) {
 		Uptime:        2 * time.Second,
 		UpdatesPerSec: 250000,
 		Counters:      metrics.Counters{Timestamps: 500000, Recomputations: 100},
-		Latency:       metrics.LatencySummary{Count: 500000, Mean: time.Microsecond},
+		Latency:       obs.LatencySummary{Count: 500000, Mean: time.Microsecond},
 		Stream:        stream.Stats{Subscribers: 2, WatchedSessions: 5, Published: 10, Delivered: 8, Coalesced: 1, Dropped: 1},
 	}
 	got := NewStatsResponse(st)

@@ -1,9 +1,9 @@
 // Package insqclient is the Go client for insqd. It wraps the JSON API
-// (internal/api) in typed calls with transient-aware retry — 503
-// (recovery/degraded) and 429 (admission-control shed) back off under
-// full jitter with the server's Retry-After as a floor — plus SSE result
-// subscription and the binary streaming ingest path (DialIngest /
-// DialIngestTCP; see ingest.go).
+// (internal/api) in typed calls, plus SSE result subscription and the
+// binary streaming ingest path (DialIngest / DialIngestTCP; see
+// ingest.go). It does not retry: a transient server condition — 503
+// (recovery/degraded) or 429 (admission-control shed), each with a
+// Retry-After hint — comes back to the caller as an *APIError.
 //
 // Server-side errors surface as *APIError carrying the HTTP status and
 // the machine-readable code from the shared error table, so callers
@@ -14,8 +14,9 @@
 //	var ae *insqclient.APIError
 //	if errors.As(err, &ae) && ae.Code == api.CodeUnavailable { ... }
 //
-// cmd/loadgen and the insqd end-to-end tests are both built on this
-// package; it is the reference consumer of the wire protocol.
+// The repository benchmark (benchmark/) and the insqd end-to-end tests
+// are both built on this package; it is the reference consumer of the
+// wire protocol.
 package insqclient
 
 import (
@@ -25,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -41,30 +41,15 @@ type Options struct {
 	// its Transport but never its Timeout — a deadline would sever the
 	// long-lived stream.
 	HTTPClient *http.Client
-	// Retries caps transient (503/429) retries per request: 0 means the
-	// default (6), negative disables retrying — tests asserting raw
-	// statuses want the first answer, not the eventual one.
+	// Retries is ignored. It capped the retries of a policy the client no
+	// longer has, and stays so that existing callers compile.
 	Retries int
-	// OnStatus, OnRetry and OnNetErr observe every non-2xx response,
-	// every retry taken and every transport failure per endpoint —
-	// loadgen's error table hangs off these.
-	OnStatus func(endpoint string, status int)
-	OnRetry  func(endpoint string)
-	OnNetErr func(endpoint string)
 }
-
-// retryBase and retryCap bound the exponential backoff between retries.
-const (
-	retryBase      = 100 * time.Millisecond
-	retryCap       = 5 * time.Second
-	defaultRetries = 6
-)
 
 // Client talks to one insqd base URL. Safe for concurrent use.
 type Client struct {
 	base string
 	c    *http.Client
-	opts Options
 }
 
 // New returns a client for the given base URL (e.g. "http://host:8080",
@@ -76,7 +61,7 @@ func New(base string, opts Options) *Client {
 		tr.MaxIdleConnsPerHost = 64
 		c = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	}
-	return &Client{base: strings.TrimSuffix(base, "/"), c: c, opts: opts}
+	return &Client{base: strings.TrimSuffix(base, "/"), c: c}
 }
 
 // APIError is a non-2xx server response: the HTTP status plus the
@@ -100,72 +85,6 @@ func (e *APIError) Error() string {
 // (shed, degraded, recovering) that a retry may outwait.
 func (e *APIError) Transient() bool { return api.Transient(e.Code) }
 
-func (o Options) maxRetries() int {
-	switch {
-	case o.Retries < 0:
-		return 0
-	case o.Retries == 0:
-		return defaultRetries
-	default:
-		return o.Retries
-	}
-}
-
-// backoffWait computes the sleep before retry attempt (0-based): full
-// jitter over the top half of an exponentially growing window — random
-// in [b/2, b] for b = base<<attempt capped at retryCap — so a fleet of
-// workers bounced by the same degraded window doesn't retry in lockstep
-// and re-stampede the server. A Retry-After hint acts as a floor: the
-// server knows when it expects to recover, and retrying sooner is
-// wasted.
-func backoffWait(attempt int, retryAfter string) time.Duration {
-	b := retryCap
-	if shift := uint(attempt); shift < 12 && retryBase<<shift < retryCap {
-		b = retryBase << shift
-	}
-	wait := b/2 + time.Duration(rand.Int63n(int64(b/2)+1))
-	if ra, err := strconv.Atoi(retryAfter); err == nil && ra >= 0 {
-		if floor := time.Duration(ra) * time.Second; wait < floor {
-			wait = min(floor, retryCap)
-		}
-	}
-	return wait
-}
-
-// retryable reports whether a status is worth retrying: 503 (recovery
-// window or degraded durability) and 429 (admission-control shed) are
-// both transient by design — the server attaches Retry-After to each.
-func retryable(status int) bool {
-	return status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests
-}
-
-// do issues fn under the retry policy, recording every non-2xx
-// response, retry and transport failure through the Options hooks.
-func (c *Client) do(endpoint string, fn func() (*http.Response, error)) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
-		r, err := fn()
-		if err != nil {
-			if c.opts.OnNetErr != nil {
-				c.opts.OnNetErr(endpoint)
-			}
-			return nil, err
-		}
-		if r.StatusCode >= 300 && c.opts.OnStatus != nil {
-			c.opts.OnStatus(endpoint, r.StatusCode)
-		}
-		if !retryable(r.StatusCode) || attempt >= c.opts.maxRetries() {
-			return r, nil
-		}
-		wait := backoffWait(attempt, r.Header.Get("Retry-After"))
-		io.Copy(io.Discard, r.Body)
-		r.Body.Close()
-		if c.opts.OnRetry != nil {
-			c.opts.OnRetry(endpoint)
-		}
-		time.Sleep(wait)
-	}
-}
-
 // apiError drains a non-2xx body into an *APIError.
 func apiError(endpoint string, r *http.Response) error {
 	var e api.ErrorResponse
@@ -184,9 +103,7 @@ func (c *Client) PostJSON(path string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	r, err := c.do("POST "+path, func() (*http.Response, error) {
-		return c.c.Post(c.base+path, "application/json", bytes.NewReader(body))
-	})
+	r, err := c.c.Post(c.base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -200,15 +117,13 @@ func (c *Client) PostJSON(path string, req, resp any) error {
 	return nil
 }
 
-// delete issues DELETE path under the retry policy.
-func (c *Client) delete(endpoint, path string) error {
-	r, err := c.do(endpoint, func() (*http.Response, error) {
-		req, err := http.NewRequest(http.MethodDelete, c.base+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		return c.c.Do(req)
-	})
+// delete issues DELETE path.
+func (c *Client) delete(path string) error {
+	req, err := http.NewRequest(http.MethodDelete, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	r, err := c.c.Do(req)
 	if err != nil {
 		return err
 	}
@@ -229,7 +144,7 @@ func (c *Client) CreateSession(k int, rho float64, network bool) (uint64, error)
 
 // CloseSession ends a session.
 func (c *Client) CloseSession(sid uint64) error {
-	return c.delete("DELETE /v1/sessions", fmt.Sprintf("/v1/sessions/%d", sid))
+	return c.delete(fmt.Sprintf("/v1/sessions/%d", sid))
 }
 
 // Update posts one batch of plane location updates.
@@ -259,7 +174,7 @@ func (c *Client) AddObject(x, y float64) (int, error) {
 
 // RemoveObject deletes a plane data object by id.
 func (c *Client) RemoveObject(id int) error {
-	return c.delete("DELETE /v1/objects", fmt.Sprintf("/v1/objects/%d", id))
+	return c.delete(fmt.Sprintf("/v1/objects/%d", id))
 }
 
 // AddNetworkObject inserts a network data object at a vertex.
@@ -271,24 +186,17 @@ func (c *Client) AddNetworkObject(vertex int) (int, error) {
 
 // RemoveNetworkObject deletes the network data object at a vertex.
 func (c *Client) RemoveNetworkObject(vertex int) error {
-	return c.delete("DELETE /v1/network/objects", fmt.Sprintf("/v1/network/objects/%d", vertex))
+	return c.delete(fmt.Sprintf("/v1/network/objects/%d", vertex))
 }
 
-// Stats fetches the merged serving snapshot. No retry: scrapers want
-// the current answer or the current failure.
+// Stats fetches the merged serving snapshot.
 func (c *Client) Stats() (*api.StatsResponse, error) {
 	r, err := c.c.Get(c.base + "/v1/stats")
 	if err != nil {
-		if c.opts.OnNetErr != nil {
-			c.opts.OnNetErr("GET /v1/stats")
-		}
 		return nil, err
 	}
 	defer r.Body.Close()
 	if r.StatusCode >= 300 {
-		if c.opts.OnStatus != nil {
-			c.opts.OnStatus("GET /v1/stats", r.StatusCode)
-		}
 		return nil, apiError("/v1/stats", r)
 	}
 	var resp api.StatsResponse

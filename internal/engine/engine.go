@@ -233,7 +233,7 @@ type Stats struct {
 	// Counters aggregates the INS cost counters over all live sessions.
 	Counters metrics.Counters
 	// Latency summarizes per-location-update serving latency.
-	Latency metrics.LatencySummary
+	Latency obs.LatencySummary
 	// Stream is the push broker's fan-out state: subscribers, published/
 	// delivered events, and the coalesce/drop counters that make the
 	// overflow policy observable.
@@ -408,7 +408,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 {
 			var n uint64
 			for _, sh := range e.shards {
-				n += sh.updates.Load()
+				n += sh.hist.Count()
 			}
 			return float64(n)
 		})
@@ -819,22 +819,23 @@ func (e *Engine) Stats() (Stats, error) {
 	}
 	st.IndexNodesCopied, st.IndexNodes = e.store.PlaneShareStats()
 	st.NetPagesCopied, st.NetPages = e.store.NetworkShareStats()
-	var hist metrics.Histogram
 	for range e.shards {
 		s := <-reply
 		st.Sessions += s.sessions
-		st.Updates += s.updates
 		st.Counters.Add(s.counters)
-		hist.Merge(&s.hist)
 	}
 	// Read once every shard has answered, having moved to the newest
-	// snapshot first.
+	// snapshot first. The latency histograms merge by atomic loads, and
+	// Updates is the merged count, so the two always agree.
+	var hist obs.Histogram
 	held := map[uint64]bool{e.store.Epoch(): true}
 	for _, sh := range e.shards {
+		hist.Merge(&sh.hist)
 		held[sh.epoch.Load()] = true
 	}
 	st.Snapshots = len(held)
 	st.Latency = hist.Summary()
+	st.Updates = st.Latency.Count
 	if secs := st.Uptime.Seconds(); secs > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / secs
 	}

@@ -37,12 +37,16 @@ type shard struct {
 	// Worker-owned state; never accessed outside the worker goroutine.
 	snap     *index.Snapshot // the snapshot every session here reads
 	sessions map[SessionID]*session
-	hist     metrics.Histogram
 
-	// updates, sessionsN and epoch mirror worker-owned state as atomics so
-	// the metrics registry can read them at scrape time without a mailbox
-	// round-trip (only the worker writes them). epoch is snap's.
-	updates   atomic.Uint64
+	// hist times every processed location update; its count is the
+	// shard's update count. Only the worker writes it, and Stats and the
+	// metrics registry read it by atomic loads without a mailbox
+	// round-trip.
+	hist obs.Histogram
+
+	// sessionsN and epoch mirror worker-owned state as atomics so the
+	// metrics registry can read them at scrape time (only the worker
+	// writes them). epoch is snap's.
 	sessionsN atomic.Int64
 	epoch     atomic.Uint64
 
@@ -171,9 +175,7 @@ type statsMsg struct {
 
 type shardStats struct {
 	sessions int
-	updates  uint64
 	counters metrics.Counters
-	hist     metrics.Histogram
 }
 
 func (createMsg) isMessage() {}
@@ -449,8 +451,7 @@ func (sh *shard) diffIDs(old, new []int) (added, removed []int) {
 
 // observe accounts one processed location update.
 func (sh *shard) observe(d time.Duration) {
-	sh.hist.Record(d)
-	sh.updates.Add(1)
+	sh.hist.Observe(d)
 	sh.obs.Observe(obs.StageApply, d)
 }
 
@@ -462,11 +463,7 @@ func batchKind(network bool) string {
 }
 
 func (sh *shard) stats() shardStats {
-	st := shardStats{
-		sessions: len(sh.sessions),
-		updates:  sh.updates.Load(),
-		hist:     sh.hist,
-	}
+	st := shardStats{sessions: len(sh.sessions)}
 	for _, s := range sh.sessions {
 		st.counters.Add(*s.q.Metrics())
 	}

@@ -1,7 +1,10 @@
-package metrics
+package obs
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,7 +36,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// 1..1000 microseconds uniformly: p50 ~ 500us, p99 ~ 990us.
 	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
+		h.Observe(time.Duration(i) * time.Microsecond)
 	}
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
@@ -65,11 +68,11 @@ func TestHistogramMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		d := time.Duration(rng.Intn(1e6))
-		whole.Record(d)
+		whole.Observe(d)
 		if i%2 == 0 {
-			a.Record(d)
+			a.Observe(d)
 		} else {
-			b.Record(d)
+			b.Observe(d)
 		}
 	}
 	a.Merge(&b)
@@ -85,7 +88,7 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestHistogramRecordNegative(t *testing.T) {
 	var h Histogram
-	h.Record(-time.Second)
+	h.Observe(-time.Second)
 	if h.Count() != 1 || h.Max() != 0 {
 		t.Errorf("negative record: count=%d max=%v", h.Count(), h.Max())
 	}
@@ -97,7 +100,7 @@ func TestHistogramZeroValueQuantiles(t *testing.T) {
 	// octave's midpoint.
 	var h Histogram
 	for i := 0; i < 100; i++ {
-		h.Record(0)
+		h.Observe(0)
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		if got := h.Quantile(q); got != 0 {
@@ -113,7 +116,7 @@ func TestHistogramSingleSampleMax(t *testing.T) {
 	// With one sample every quantile is that sample, clamped to the true
 	// max — the bucket midpoint must never overshoot it.
 	var h Histogram
-	h.Record(123456 * time.Nanosecond)
+	h.Observe(123456 * time.Nanosecond)
 	for _, q := range []float64{0, 0.5, 0.95, 1} {
 		got := h.Quantile(q)
 		if got > h.Max() {
@@ -131,10 +134,10 @@ func TestHistogramTopOctaveValues(t *testing.T) {
 	var h Histogram
 	huge := []uint64{1 << 62, 1<<63 - 1, 1 << 63, ^uint64(0) >> 1}
 	for _, ns := range huge {
-		if idx := BucketIndex(ns); idx < 0 || idx >= HistogramBuckets {
-			t.Fatalf("BucketIndex(%d) = %d out of [0, %d)", ns, idx, HistogramBuckets)
+		if idx := bucketIndex(ns); idx < 0 || idx >= histBuckets {
+			t.Fatalf("bucketIndex(%d) = %d out of [0, %d)", ns, idx, histBuckets)
 		}
-		h.Record(time.Duration(ns))
+		h.Observe(time.Duration(ns))
 	}
 	if h.Count() != uint64(len(huge)) {
 		t.Fatalf("count = %d", h.Count())
@@ -146,12 +149,12 @@ func TestHistogramTopOctaveValues(t *testing.T) {
 
 func TestBucketUpperNS(t *testing.T) {
 	// Upper bounds must be strictly increasing over every reachable bucket
-	// (the last reachable index is BucketIndex of the largest value; the
+	// (the last reachable index is bucketIndex of the largest value; the
 	// table's tail past it is padding) and every value must fall into a
 	// bucket whose upper bound is >= the value (le semantics).
-	top := BucketIndex(^uint64(0))
-	if top >= HistogramBuckets {
-		t.Fatalf("top bucket %d outside the table (%d)", top, HistogramBuckets)
+	top := bucketIndex(^uint64(0))
+	if top >= histBuckets {
+		t.Fatalf("top bucket %d outside the table (%d)", top, histBuckets)
 	}
 	var prev uint64
 	for idx := 1; idx <= top; idx++ {
@@ -165,7 +168,7 @@ func TestBucketUpperNS(t *testing.T) {
 		t.Errorf("top bucket upper bound = %d, want the full range", got)
 	}
 	for _, ns := range []uint64{0, 1, 7, 8, 9, 100, 12345, 1e6, 1e9, 1 << 40} {
-		idx := BucketIndex(ns)
+		idx := bucketIndex(ns)
 		if up := BucketUpperNS(idx); up < ns {
 			t.Errorf("value %d maps to bucket %d with upper bound %d < value", ns, idx, up)
 		}
@@ -179,8 +182,66 @@ func TestBucketUpperNS(t *testing.T) {
 
 func TestLatencySummaryString(t *testing.T) {
 	var h Histogram
-	h.Record(time.Millisecond)
+	h.Observe(time.Millisecond)
 	if s := h.Summary().String(); s == "" {
 		t.Error("empty summary string")
+	}
+}
+
+func TestHistogramMergeWhileObserving(t *testing.T) {
+	// Under -race in CI: a Merge taken while writers run counts the sum of
+	// its buckets, and one taken at quiesce equals the source.
+	var h Histogram
+	const writers, each = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(time.Duration(w*each + i))
+			}
+		}(w)
+	}
+	sum := func(m *Histogram) (n uint64) {
+		for i := range m.counts {
+			n += m.counts[i].Load()
+		}
+		return n
+	}
+	for i := 0; i < 20; i++ {
+		var m Histogram
+		if m.Merge(&h); m.Count() != sum(&m) {
+			t.Fatalf("merge under writers: count %d, buckets sum to %d", m.Count(), sum(&m))
+		}
+	}
+	wg.Wait()
+	var m Histogram
+	if m.Merge(&h); sum(&h) != writers*each || m.Summary() != h.Summary() || m.Max() != writers*each-1 {
+		t.Errorf("at quiesce: source buckets sum to %d, merged %v, source %v", sum(&h), m.Summary(), h.Summary())
+	}
+}
+
+func TestWriteInfNotBelowBuckets(t *testing.T) {
+	// A scrape between Observe's bucket add and its count add sees a bucket
+	// ahead of the count; +Inf and _count must not fall below any bucket.
+	var h Histogram
+	h.Observe(time.Microsecond)
+	h.counts[bucketIndex(uint64(time.Millisecond))].Add(1)
+	var b strings.Builder
+	h.write(&b, "x", "")
+	var inf, finite uint64
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		v, _ := strconv.ParseUint(val, 10, 64)
+		switch {
+		case name == `x_bucket{le="+Inf"}`:
+			inf = v
+		case strings.HasPrefix(name, "x_bucket"):
+			finite = max(finite, v)
+		}
+	}
+	if inf < finite || !strings.HasSuffix(b.String(), "x_count "+strconv.FormatUint(inf, 10)+"\n") {
+		t.Errorf("+Inf %d below the largest finite bucket %d, or _count differs:\n%s", inf, finite, b.String())
 	}
 }

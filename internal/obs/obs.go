@@ -1,8 +1,9 @@
 // Package obs is the serving stack's observability layer: a dependency-
 // free, allocation-free metrics registry (atomic counters, gauges and
-// lock-free log-scale histograms sharing internal/metrics' bucketing)
-// with a Prometheus text-format exporter, per-stage pipeline timing, and
-// a structured slow-op log over log/slog with per-request trace IDs.
+// lock-free log-scale histograms, the one latency histogram type, which
+// the engine also keeps per shard) with a Prometheus text-format
+// exporter, per-stage pipeline timing, and a structured slow-op log over
+// log/slog with per-request trace IDs.
 //
 // Everything is built around one invariant: observability off must cost
 // nothing. All instrumentation handles are nil-safe — a nil *Pipeline,

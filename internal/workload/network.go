@@ -10,10 +10,9 @@ import (
 
 // Network generates the canonical synthetic road network the serving
 // stack uses: a grid×grid jittered street grid inside bounds with random
-// detour factors, deterministic in seed. insqd and loadgen both build it
-// from the same (grid, bounds, seed) knobs, so a loadgen run can address
-// the exact vertices a remote insqd serves — the network counterpart of
-// the shared Uniform object set.
+// detour factors, deterministic in seed. A client that builds it from the
+// same (grid, bounds, seed) knobs as insqd addresses the exact vertices
+// insqd serves — the network counterpart of the shared Uniform object set.
 func Network(grid int, bounds geom.Rect, seed int64) (*roadnet.Graph, error) {
 	if grid < 2 {
 		return nil, fmt.Errorf("workload: network grid %d, must be >= 2", grid)
