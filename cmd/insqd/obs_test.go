@@ -193,8 +193,8 @@ func TestStatsTTLCache(t *testing.T) {
 		return string(b)
 	}
 	first := get()
-	if !strings.Contains(first, `"uptime_seconds"`) {
-		t.Errorf("stats missing uptime_seconds: %s", first)
+	if !strings.Contains(first, `"uptime_ns"`) {
+		t.Errorf("stats missing uptime_ns: %s", first)
 	}
 	if !strings.Contains(first, `"go_version"`) {
 		t.Errorf("stats missing build info: %s", first)
@@ -275,7 +275,10 @@ func TestSlowOpTraces(t *testing.T) {
 			t.Errorf("slow-op log missing %q:\n%s", want, out)
 		}
 	}
-	if pipe.StageCount(obs.StageFsync) == 0 || pipe.StageCount(obs.StageWALAppend) == 0 {
+	stage := func(st obs.Stage) uint64 {
+		return reg.Histogram("insq_stage_duration_seconds", "", obs.Label{Name: "stage", Value: st.String()}).Count()
+	}
+	if stage(obs.StageFsync) == 0 || stage(obs.StageWALAppend) == 0 {
 		t.Error("WAL stages not observed")
 	}
 }

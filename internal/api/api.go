@@ -41,6 +41,12 @@
 // server enables -ingest-addr. See ingest.go for the frame layout and
 // codec.
 //
+// /v1/stats has no wire types of its own: StatsResponse embeds
+// engine.Stats, so each stats number is declared once, by the struct that
+// owns it (engine.Stats, wal.Stats, stream.Stats, obs.LatencySummary), and
+// their JSON tags are the wire keys. Durations serialise as integer
+// nanoseconds (the *_ns keys).
+//
 // Errors are ErrorResponse bodies with the matching HTTP status and a
 // machine-readable code from the shared error table (errors.go); ingest
 // acks carry the same codes as status bytes. The codes:
@@ -55,15 +61,10 @@
 package api
 
 import (
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/stream"
-	"repro/internal/wal"
 )
 
 // CreateSessionRequest registers one moving kNN query session.
@@ -218,140 +219,10 @@ type ObjectResponse struct {
 	ID int `json:"id"`
 }
 
-// LatencyStats is a latency summary in microseconds.
-type LatencyStats struct {
-	Count  uint64  `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P95US  float64 `json:"p95_us"`
-	P99US  float64 `json:"p99_us"`
-	MaxUS  float64 `json:"max_us"`
-}
-
-// NewLatencyStats converts an engine latency summary to wire form.
-func NewLatencyStats(s obs.LatencySummary) LatencyStats {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return LatencyStats{
-		Count:  s.Count,
-		MeanUS: us(s.Mean),
-		P50US:  us(s.P50),
-		P95US:  us(s.P95),
-		P99US:  us(s.P99),
-		MaxUS:  us(s.Max),
-	}
-}
-
-// StreamStats is the push broker's fan-out state: live subscribers and
-// the counters that make the backpressure policy observable (coalesced =
-// newer events merged into a pending one, dropped = pending events
-// evicted by a full queue).
-type StreamStats struct {
-	Subscribers     int    `json:"subscribers"`
-	WatchedSessions int    `json:"watched_sessions"`
-	Published       uint64 `json:"published"`
-	Delivered       uint64 `json:"delivered"`
-	Coalesced       uint64 `json:"coalesced"`
-	Dropped         uint64 `json:"dropped"`
-}
-
-// NewStreamStats converts broker stats to wire form.
-func NewStreamStats(s stream.Stats) StreamStats {
-	return StreamStats{
-		Subscribers:     s.Subscribers,
-		WatchedSessions: s.WatchedSessions,
-		Published:       s.Published,
-		Delivered:       s.Delivered,
-		Coalesced:       s.Coalesced,
-		Dropped:         s.Dropped,
-	}
-}
-
-// WALStats is the durability pipeline's counter snapshot: the write-ahead
-// log's append/fsync side, the checkpoint lifecycle, and what the last
-// recovery replayed. Present in StatsResponse only when the server runs
-// with -data-dir.
-type WALStats struct {
-	Policy            string  `json:"policy"`
-	AppendedBatches   uint64  `json:"appended_batches"`
-	AppendedMutations uint64  `json:"appended_mutations"`
-	AppendedBytes     uint64  `json:"appended_bytes"`
-	Fsyncs            uint64  `json:"fsyncs"`
-	FsyncTotalMS      float64 `json:"fsync_total_ms"`
-	Segments          int     `json:"segments"`
-	PrunedSegments    uint64  `json:"pruned_segments"`
-	Checkpoints       uint64  `json:"checkpoints"`
-	CheckpointEpoch   uint64  `json:"checkpoint_epoch"`
-	CheckpointBytes   uint64  `json:"checkpoint_bytes"`
-	ReplayedBatches   uint64  `json:"replayed_batches"`
-	ReplayedMutations uint64  `json:"replayed_mutations"`
-	TruncatedBytes    int64   `json:"truncated_bytes"`
-	RecoveredEpoch    uint64  `json:"recovered_epoch"`
-	RecoveryMS        float64 `json:"recovery_ms"`
-	// Degraded is true while the WAL is in read-only degraded mode (appends
-	// rejected, probe goroutine trying to heal); DegradeEvents/HealEvents
-	// count the round trips.
-	Degraded      bool   `json:"degraded"`
-	DegradeEvents uint64 `json:"degrade_events"`
-	HealEvents    uint64 `json:"heal_events"`
-}
-
-// NewWALStats converts a durability snapshot to wire form.
-func NewWALStats(s wal.Stats) WALStats {
-	return WALStats{
-		Policy:            string(s.Policy),
-		AppendedBatches:   s.AppendedBatches,
-		AppendedMutations: s.AppendedMutations,
-		AppendedBytes:     s.AppendedBytes,
-		Fsyncs:            s.Fsyncs,
-		FsyncTotalMS:      float64(s.FsyncTotal.Nanoseconds()) / 1e6,
-		Segments:          s.Segments,
-		PrunedSegments:    s.PrunedSegments,
-		Checkpoints:       s.Checkpoints,
-		CheckpointEpoch:   s.CheckpointEpoch,
-		CheckpointBytes:   s.CheckpointBytes,
-		ReplayedBatches:   s.ReplayedBatches,
-		ReplayedMutations: s.ReplayedMutations,
-		TruncatedBytes:    s.TruncatedBytes,
-		RecoveredEpoch:    s.RecoveredEpoch,
-		RecoveryMS:        float64(s.Recovery.Nanoseconds()) / 1e6,
-		Degraded:          s.Degraded,
-		DegradeEvents:     s.DegradeEvents,
-		HealEvents:        s.HealEvents,
-	}
-}
-
-// StatsResponse is the engine snapshot served by GET /v1/stats. Snapshots
-// is the number of distinct index versions the store and the shards hold:
-// 1 when every shard has moved to the current one, more while a lagging
-// shard still holds an old version.
+// StatsResponse is the body of GET /v1/stats: the engine's own snapshot
+// plus what only the server knows.
 type StatsResponse struct {
-	Shards         int    `json:"shards"`
-	Sessions       int    `json:"sessions"`
-	Objects        int    `json:"objects"`
-	NetworkObjects int    `json:"network_objects"`
-	Epoch          uint64 `json:"epoch"`
-	Snapshots      int    `json:"snapshots"`
-	Updates        uint64 `json:"updates"`
-	// EpochPublishUS is the mean wall time of publishing one data-update
-	// epoch; IndexNodes/IndexNodesCopied expose how much of the index the
-	// latest epoch shared with its predecessor (path-copying publication).
-	EpochPublishUS   float64 `json:"epoch_publish_us"`
-	IndexNodes       int     `json:"index_nodes"`
-	IndexNodesCopied int     `json:"index_nodes_copied"`
-	UptimeSec        float64 `json:"uptime_seconds"`
-	UpdatesPerSec    float64 `json:"updates_per_sec"`
-	// Degraded mirrors the durability layer's read-only mode (writes get
-	// 503 while it is set); Shed counts update entries rejected by
-	// admission control (429); Expired counts entries dropped because
-	// their request deadline passed before apply.
-	Degraded bool             `json:"degraded"`
-	Shed     uint64           `json:"shed"`
-	Expired  uint64           `json:"expired"`
-	Latency  LatencyStats     `json:"latency"`
-	Counters metrics.Counters `json:"counters"`
-	Stream   StreamStats      `json:"stream"`
-	// WAL is present only when the server runs with durability enabled.
-	WAL *WALStats `json:"wal,omitempty"`
+	engine.Stats
 	// Ingest is present only when the server has handled binary ingest
 	// streams; filled by the server (like Version), not the engine.
 	Ingest *IngestStats `json:"ingest,omitempty"`
@@ -361,35 +232,6 @@ type StatsResponse struct {
 	Version   string `json:"version,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
-}
-
-// NewStatsResponse converts an engine snapshot to wire form.
-func NewStatsResponse(st engine.Stats) StatsResponse {
-	resp := StatsResponse{
-		Shards:           st.Shards,
-		Sessions:         st.Sessions,
-		Objects:          st.Objects,
-		NetworkObjects:   st.NetworkObjects,
-		Epoch:            st.Epoch,
-		Snapshots:        st.Snapshots,
-		Updates:          st.Updates,
-		EpochPublishUS:   st.EpochPublishUS,
-		IndexNodes:       st.IndexNodes,
-		IndexNodesCopied: st.IndexNodesCopied,
-		UptimeSec:        st.Uptime.Seconds(),
-		UpdatesPerSec:    st.UpdatesPerSec,
-		Degraded:         st.Degraded,
-		Shed:             st.Shed,
-		Expired:          st.Expired,
-		Latency:          NewLatencyStats(st.Latency),
-		Counters:         st.Counters,
-		Stream:           NewStreamStats(st.Stream),
-	}
-	if st.WAL != nil {
-		ws := NewWALStats(*st.WAL)
-		resp.WAL = &ws
-	}
-	return resp
 }
 
 // IngestStats is the binary ingest path's counter snapshot: frames and

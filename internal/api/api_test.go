@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // roundTrip encodes v, decodes it into a fresh value of the same type, and
@@ -34,6 +36,9 @@ func roundTrip(t *testing.T, v any) any {
 	return got
 }
 
+// TestRoundTripAllWireTypes: every wire type survives the JSON boundary.
+// The stats fixture sets every field non-zero (a new stats field must be
+// added to it), so the round trip proves each one reaches /v1/stats.
 func TestRoundTripAllWireTypes(t *testing.T) {
 	roundTrip(t, CreateSessionRequest{K: 5, Rho: 1.6})
 	roundTrip(t, CreateSessionResponse{Session: 42})
@@ -48,26 +53,95 @@ func TestRoundTripAllWireTypes(t *testing.T) {
 	roundTrip(t, ObjectRequest{X: 1.5, Y: 2.5})
 	roundTrip(t, ObjectResponse{ID: 7})
 	roundTrip(t, ErrorResponse{Error: "bad request"})
-	roundTrip(t, LatencyStats{Count: 10, MeanUS: 1.5, P50US: 1, P95US: 4, P99US: 9, MaxUS: 20})
 	roundTrip(t, SessionEvent{
 		Session: 9, Seq: 3, Epoch: 17, Cause: "data",
 		KNN: []int{4, 8, 2}, Added: []int{2}, Removed: []int{6},
 	})
-	roundTrip(t, StreamStats{
-		Subscribers: 3, WatchedSessions: 2,
-		Published: 100, Delivered: 90, Coalesced: 7, Dropped: 3,
-	})
-	roundTrip(t, StatsResponse{
-		Shards: 4, Sessions: 100, Objects: 5000, Epoch: 12, Snapshots: 2,
-		Updates: 100000, UptimeSec: 12.5, UpdatesPerSec: 8000,
-		Latency: LatencyStats{Count: 100000, MeanUS: 2, P50US: 1, P95US: 5, P99US: 9, MaxUS: 100},
-		Counters: metrics.Counters{
-			Timestamps: 100000, Validations: 99000, Invalidations: 5000,
-			Recomputations: 1000, ObjectsShipped: 9000, DistanceCalcs: 123456,
-			DijkstraRuns: 0, EdgeRelaxations: 0, NodeVisits: 777,
+
+	stats := StatsResponse{
+		Stats: engine.Stats{
+			Shards: 4, Sessions: 100, Objects: 5000, NetworkObjects: 600,
+			Epoch: 12, Snapshots: 2, EpochPublishUS: 31.5,
+			IndexNodes: 900, IndexNodesCopied: 17, NetPages: 64, NetPagesCopied: 3,
+			Updates: 100000, Shed: 5, Expired: 6, Degraded: true,
+			Uptime: 12500 * time.Millisecond, UpdatesPerSec: 8000,
+			Counters: metrics.Counters{
+				Timestamps: 100000, Validations: 99000, Invalidations: 5000,
+				Recomputations: 1000, ObjectsShipped: 9000, DistanceCalcs: 123456,
+				DijkstraRuns: 40, EdgeRelaxations: 5000, NodeVisits: 777,
+				AnchoredValidations: 30, AnchorBuilds: 8, AnchorTableHits: 2,
+			},
+			Latency: obs.LatencySummary{
+				Count: 100000, Mean: 2 * time.Microsecond, P50: time.Microsecond,
+				P95: 5 * time.Microsecond, P99: 9 * time.Microsecond, Max: 100 * time.Microsecond,
+			},
+			Stream: stream.Stats{
+				Subscribers: 3, WatchedSessions: 2,
+				Published: 100, Delivered: 90, Coalesced: 7, Dropped: 3,
+			},
+			WAL: &wal.Stats{
+				Policy: wal.SyncAlways, AppendedBatches: 10, AppendedMutations: 80, AppendedBytes: 4096,
+				Fsyncs: 10, FsyncTotal: 3 * time.Millisecond, Segments: 2, PrunedSegments: 1,
+				Checkpoints: 3, CheckpointEpoch: 9, CheckpointBytes: 65536, CheckpointFailures: 1,
+				ReplayedBatches: 4, ReplayedMutations: 32, TruncatedBytes: 17, RecoveredEpoch: 8,
+				Recovery: 250 * time.Millisecond, Degraded: true, DegradeEvents: 2, HealEvents: 1,
+			},
 		},
-		Stream: StreamStats{Subscribers: 1, Published: 42, Delivered: 40, Coalesced: 2},
-	})
+		Ingest: &IngestStats{
+			Connections: 1, FramesTotal: 50, Batches: 20, CoalescedBatches: 10, CoalesceFactor: 2.5,
+			BytesIn: 9000, BytesOut: 800, Updates: 200, Mutations: 4,
+		},
+		Version: "v1", GoVersion: "go1.24", Revision: "abc123",
+	}
+	if zero := zeroFields(reflect.ValueOf(stats), ""); len(zero) > 0 {
+		t.Errorf("the stats fixture leaves fields zero: %v", zero)
+	}
+	roundTrip(t, stats)
+
+	// The durations go out as nanoseconds, and NetProjRebuilds not at all.
+	stats.NetProjRebuilds = 7
+	data, err := json.Marshal(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		UptimeNS int64 `json:"uptime_ns"`
+		Latency  struct {
+			P50NS int64 `json:"p50_ns"`
+		} `json:"latency"`
+		WAL struct {
+			RecoveryNS int64 `json:"recovery_ns"`
+		} `json:"wal"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.UptimeNS != 12.5e9 || wire.Latency.P50NS != 1e3 || wire.WAL.RecoveryNS != 250e6 {
+		t.Errorf("uptime_ns, latency.p50_ns, wal.recovery_ns = %+v; want 12.5e9, 1e3, 250e6", wire)
+	}
+	if strings.Contains(strings.ToLower(string(data)), "proj") {
+		t.Errorf("NetProjRebuilds is on the wire: %s", data)
+	}
+}
+
+// zeroFields lists the zero exported fields of a struct, recursing into
+// nested structs and pointers; NetProjRebuilds, off the wire, is skipped.
+func zeroFields(v reflect.Value, path string) []string {
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	var zero []string
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		switch {
+		case f.Name == "NetProjRebuilds":
+		case fv.IsZero():
+			zero = append(zero, path+f.Name)
+		case fv.Kind() == reflect.Struct, fv.Kind() == reflect.Pointer:
+			zero = append(zero, zeroFields(fv, path+f.Name+".")...)
+		}
+	}
+	return zero
 }
 
 // TestUpdateEntryOmissions pins the wire shape: empty kNN sets and error
@@ -129,22 +203,6 @@ func TestNewUpdateResponseErrorShape(t *testing.T) {
 	}
 }
 
-func TestNewLatencyStatsUnits(t *testing.T) {
-	s := obs.LatencySummary{
-		Count: 4,
-		Mean:  1500 * time.Nanosecond,
-		P50:   time.Microsecond,
-		P95:   2 * time.Microsecond,
-		P99:   3 * time.Microsecond,
-		Max:   time.Millisecond,
-	}
-	got := NewLatencyStats(s)
-	want := LatencyStats{Count: 4, MeanUS: 1.5, P50US: 1, P95US: 2, P99US: 3, MaxUS: 1000}
-	if got != want {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-}
-
 // TestSessionEventShapes pins the push wire shape: a no-result event is
 // just session/seq/epoch/cause (empty sets omitted, so their presence is
 // meaningful), and NewSessionEvent maps every broker field.
@@ -168,33 +226,5 @@ func TestSessionEventShapes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NewSessionEvent = %+v, want %+v", got, want)
-	}
-}
-
-// TestNewStatsResponse maps every engine stats field, including the
-// snapshot-store fields of the shared-index architecture.
-func TestNewStatsResponse(t *testing.T) {
-	st := engine.Stats{
-		Shards:        8,
-		Sessions:      1000,
-		Objects:       20000,
-		Epoch:         17,
-		Snapshots:     3,
-		Updates:       500000,
-		Uptime:        2 * time.Second,
-		UpdatesPerSec: 250000,
-		Counters:      metrics.Counters{Timestamps: 500000, Recomputations: 100},
-		Latency:       obs.LatencySummary{Count: 500000, Mean: time.Microsecond},
-		Stream:        stream.Stats{Subscribers: 2, WatchedSessions: 5, Published: 10, Delivered: 8, Coalesced: 1, Dropped: 1},
-	}
-	got := NewStatsResponse(st)
-	if got.Shards != 8 || got.Sessions != 1000 || got.Objects != 20000 ||
-		got.Epoch != 17 || got.Snapshots != 3 || got.Updates != 500000 ||
-		got.UptimeSec != 2 || got.UpdatesPerSec != 250000 ||
-		got.Counters.Recomputations != 100 || got.Latency.Count != 500000 {
-		t.Errorf("got %+v", got)
-	}
-	if got.Stream != (StreamStats{Subscribers: 2, WatchedSessions: 5, Published: 10, Delivered: 8, Coalesced: 1, Dropped: 1}) {
-		t.Errorf("stream stats = %+v", got.Stream)
 	}
 }

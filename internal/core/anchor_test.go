@@ -323,15 +323,15 @@ func TestNetworkAnchorWalksMatchOracle(t *testing.T) {
 					var err error
 					switch i / 5 % 4 {
 					case 0:
-						err = store.InsertSite(farVertex(pos, false))
+						_, err = store.Apply([]index.Mutation{{Network: true, Insert: true, ID: farVertex(pos, false)}})
 					case 1:
-						err = store.RemoveSite(farVertex(pos, true))
+						_, err = store.Apply([]index.Mutation{{Network: true, ID: farVertex(pos, true)}})
 					case 2:
 						if v := pos.V; !d.IsSite(v) {
-							err = store.InsertSite(v)
+							_, err = store.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}})
 						}
 					case 3:
-						err = store.RemoveSite(q.Current()[0])
+						_, err = store.Apply([]index.Mutation{{Network: true, ID: q.Current()[0]}})
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -572,9 +572,9 @@ func TestNetworkAnchorInvalidationMatchesFreshTables(t *testing.T) {
 		// happened to the anchor.
 		mutateAndRepin := func(what string, insert bool, s int) (kept, changed bool) {
 			if insert {
-				err = store.InsertSite(s)
+				_, err = store.Apply([]index.Mutation{{Network: true, Insert: true, ID: s}})
 			} else {
-				err = store.RemoveSite(s)
+				_, err = store.Apply([]index.Mutation{{Network: true, ID: s}})
 			}
 			if err != nil {
 				t.Fatalf("%s of %d: %v", what, s, err)
@@ -766,9 +766,9 @@ func TestNetworkAnchorInvalidationUnderRandomChurn(t *testing.T) {
 					d := store.Current().Network()
 					switch v := rng.Intn(n); {
 					case !d.IsSite(v):
-						err = store.InsertSite(v)
+						_, err = store.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}})
 					case d.Len() > 2*k+2:
-						err = store.RemoveSite(v)
+						_, err = store.Apply([]index.Mutation{{Network: true, ID: v}})
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -844,7 +844,7 @@ func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 		}
 		park()
 		q.Invalidate()
-		if err := store.InsertSite(u); err != nil {
+		if _, err := store.Apply([]index.Mutation{{Network: true, Insert: true, ID: u}}); err != nil {
 			t.Fatal(err)
 		}
 		repin()
@@ -855,7 +855,7 @@ func TestNetworkAnchorSeesMutationsWhileInvalidated(t *testing.T) {
 			t.Errorf("eager %v: kNN %v after a site appeared on endpoint %d", eager, knn, u)
 		}
 		q.Invalidate()
-		if err := store.RemoveSite(u); err != nil {
+		if _, err := store.Apply([]index.Mutation{{Network: true, ID: u}}); err != nil {
 			t.Fatal(err)
 		}
 		repin()

@@ -103,7 +103,7 @@ func networkFixture(t *testing.T, k, logDepth int) *pinnedFixture {
 	}
 	home, far := roadnet.VertexPosition(1), g.NumVertices()-2
 	insert := func(v int) int {
-		if err := st.InsertSite(v); err != nil {
+		if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 			t.Fatal(err)
 		}
 		return v
@@ -119,7 +119,7 @@ func networkFixture(t *testing.T, k, logDepth int) *pinnedFixture {
 			return insert(far)
 		},
 		remove: func(v int) {
-			if err := st.RemoveSite(v); err != nil {
+			if _, err := st.Apply([]index.Mutation{{Network: true, ID: v}}); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -380,12 +380,12 @@ func networkFailCase(t *testing.T) failCase {
 		q: q, doomed: island[1],
 		update: func() ([]int, error) { return q.Update(pos) },
 		remove: func() {
-			if err := st.RemoveSite(island[1]); err != nil {
+			if _, err := st.Apply([]index.Mutation{{Network: true, ID: island[1]}}); err != nil {
 				t.Fatal(err)
 			}
 		},
 		heal: func() {
-			if err := st.InsertSite(island[2]); err != nil {
+			if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: island[2]}}); err != nil {
 				t.Fatal(err)
 			}
 		},

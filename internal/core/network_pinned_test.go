@@ -59,7 +59,7 @@ func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 
 	// Inserting a site at the session's own vertex must reach its kNN at
 	// the next update (dist 0 beats everything).
-	if err := st.InsertSite(home); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: home}}); err != nil {
 		t.Fatal(err)
 	}
 	knn, err := q.Update(roadnet.VertexPosition(home))
@@ -74,7 +74,7 @@ func TestNetworkQueryPinnedLifecycle(t *testing.T) {
 	}
 
 	// Removing the session's nearest site must evict it.
-	if err := st.RemoveSite(home); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, ID: home}}); err != nil {
 		t.Fatal(err)
 	}
 	knn, err = q.Update(roadnet.VertexPosition(home))
@@ -106,7 +106,7 @@ func TestNetworkQueryRefreshEager(t *testing.T) {
 	}
 	recomputes := q.Metrics().Recomputations
 
-	if err := st.InsertSite(home); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: home}}); err != nil {
 		t.Fatal(err)
 	}
 	knn, recomputed, err := q.Refresh()
@@ -162,10 +162,10 @@ func TestNetworkQueryLazySkip(t *testing.T) {
 	for st.Current().Network().IsSite(far) {
 		far--
 	}
-	if err := st.InsertSite(far); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: far}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.RemoveSite(far); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, ID: far}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.Update(roadnet.VertexPosition(0)); err != nil {

@@ -242,7 +242,7 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 				for d.IsSite(v) {
 					v = rng.Intn(g.NumVertices())
 				}
-				if err := store.InsertSite(v); err != nil {
+				if _, err := store.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 					t.Fatal(err)
 				}
 				knn, recomputed, err := q.Refresh()
@@ -259,7 +259,7 @@ func TestNetworkResumeWalkWithSiteChurnMatchesOracle(t *testing.T) {
 				if step%22 == 0 {
 					victim = q.Current()[0] // evict the nearest neighbor itself
 				}
-				if err := store.RemoveSite(victim); err != nil {
+				if _, err := store.Apply([]index.Mutation{{Network: true, ID: victim}}); err != nil {
 					t.Fatal(err)
 				}
 				knn, _, err := q.Refresh()

@@ -98,14 +98,14 @@ func TestPinnedLogOverflowConvergesNetwork(t *testing.T) {
 	// Site churn that changes the answer around vertex 7 (inserts at its
 	// neighborhood, removal of a seed site), five ops against a 2-deep log.
 	for _, v := range []int{2, 8, 11} {
-		if err := st.InsertSite(v); err != nil {
+		if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.RemoveSite(6); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, ID: 6}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InsertSite(13); err != nil {
+	if _, err := st.Apply([]index.Mutation{{Network: true, Insert: true, ID: 13}}); err != nil {
 		t.Fatal(err)
 	}
 	recomps := q.Metrics().Recomputations

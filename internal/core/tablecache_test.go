@@ -157,9 +157,9 @@ func TestTableCacheMatchesFreshSearch(t *testing.T) {
 					inserts++
 				}
 				if insert {
-					err = store.InsertSite(v)
+					_, err = store.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}})
 				} else {
-					err = store.RemoveSite(v)
+					_, err = store.Apply([]index.Mutation{{Network: true, ID: v}})
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -180,67 +180,70 @@ type UpdateResult struct {
 	Err     error
 }
 
-// Stats is an aggregated snapshot of the engine's serving state.
+// Stats is an aggregated snapshot of the engine's serving state. It is
+// also the body of GET /v1/stats (api.StatsResponse embeds it), so its
+// JSON keys are the wire contract; durations serialise as integer
+// nanoseconds.
 type Stats struct {
-	Shards   int
-	Sessions int
+	Shards   int `json:"shards"`
+	Sessions int `json:"sessions"`
 	// Objects is the number of live plane data objects (0 without a plane
 	// index).
-	Objects int
+	Objects int `json:"objects"`
 	// NetworkObjects is the number of live network data objects (sites; 0
 	// without a road network).
-	NetworkObjects int
+	NetworkObjects int `json:"network_objects"`
 	// Epoch counts applied data updates (both sides share one epoch
 	// sequence).
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Snapshots is the number of distinct index snapshots held by the
 	// store (its current one) and the shards: 1 once every shard has moved
 	// to the current version, more while a shard still holds an older one.
-	Snapshots int
+	Snapshots int `json:"snapshots"`
 	// EpochPublishUS is the mean wall time of publishing one data-update
 	// epoch (path-copy branch + mutations + publish), in microseconds;
 	// 0 before the first data update.
-	EpochPublishUS float64
+	EpochPublishUS float64 `json:"epoch_publish_us"`
 	// IndexNodes is the plane index's page count (triangulation faces,
 	// vertex-face hints and entry grid); IndexNodesCopied is how many of
 	// them the latest epoch copied (the rest are shared with the previous
 	// snapshot — the copy-on-write publication at work).
-	IndexNodes       int
-	IndexNodesCopied int
+	IndexNodes       int `json:"index_nodes"`
+	IndexNodesCopied int `json:"index_nodes_copied"`
 	// NetPages is the network label-page count; NetPagesCopied is how many
 	// of them the latest epoch copied — the network side's share
 	// instrumentation, mirroring IndexNodes/IndexNodesCopied.
-	NetPages       int
-	NetPagesCopied int
+	NetPages       int `json:"net_pages"`
+	NetPagesCopied int `json:"net_pages_copied"`
 	// NetProjRebuilds counted the ALT layer's site-projection rebuilds and
-	// reads 0 now that the layer is gone; the field stays until a
-	// benchmark-defining PR drops netvor.proj_rebuilds, which reads it.
-	NetProjRebuilds uint64
+	// reads 0 now that the layer is gone; the field stays, off the wire,
+	// until the benchmark drops netvor.proj_rebuilds, which reads it.
+	NetProjRebuilds uint64 `json:"-"`
 	// Updates counts processed location updates.
-	Updates uint64
+	Updates uint64 `json:"updates"`
 	// Shed counts update entries rejected by admission control
 	// (ErrOverloaded); Expired counts entries dropped because their
 	// request deadline passed before apply (ErrExpired).
-	Shed    uint64
-	Expired uint64
+	Shed    uint64 `json:"shed"`
+	Expired uint64 `json:"expired"`
 	// Degraded reports the durability layer's read-only mode: writes are
 	// being rejected until the heal probe restores the WAL.
-	Degraded bool
+	Degraded bool `json:"degraded"`
 	// Uptime is the time since New.
-	Uptime time.Duration
+	Uptime time.Duration `json:"uptime_ns"`
 	// UpdatesPerSec is Updates averaged over Uptime.
-	UpdatesPerSec float64
+	UpdatesPerSec float64 `json:"updates_per_sec"`
 	// Counters aggregates the INS cost counters over all live sessions.
-	Counters metrics.Counters
+	Counters metrics.Counters `json:"counters"`
 	// Latency summarizes per-location-update serving latency.
-	Latency obs.LatencySummary
+	Latency obs.LatencySummary `json:"latency"`
 	// Stream is the push broker's fan-out state: subscribers, published/
 	// delivered events, and the coalesce/drop counters that make the
 	// overflow policy observable.
-	Stream stream.Stats
+	Stream stream.Stats `json:"stream"`
 	// WAL is the durability pipeline's counter snapshot, nil when the
 	// engine runs without a write-ahead log.
-	WAL *wal.Stats
+	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
 // String renders the snapshot as a short report.
@@ -396,40 +399,24 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	}
 	reg.GaugeFunc("insq_sessions",
 		"Live sessions across all shards.",
-		func() float64 {
-			var n int64
-			for _, sh := range e.shards {
-				n += sh.sessionsN.Load()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(e.sessionCount()) })
 	reg.CounterFunc("insq_updates_total",
 		"Processed location updates across all shards.",
-		func() float64 {
-			var n uint64
-			for _, sh := range e.shards {
-				n += sh.hist.Count()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(e.updateCount()) })
 	reg.GaugeFunc("insq_epoch",
 		"Applied data updates (the current snapshot's version).",
 		func() float64 { return float64(e.store.Epoch()) })
 	reg.GaugeFunc("insq_objects",
 		"Live plane data objects (0 without a plane index).",
 		func() float64 {
-			if plane := e.store.Current().Plane(); plane != nil {
-				return float64(plane.Len())
-			}
-			return 0
+			plane, _ := e.objectCounts()
+			return float64(plane)
 		})
 	reg.GaugeFunc("insq_network_objects",
 		"Live network data objects (0 without a road network).",
 		func() float64 {
-			if net := e.store.Current().Network(); net != nil {
-				return float64(net.Len())
-			}
-			return 0
+			_, network := e.objectCounts()
+			return float64(network)
 		})
 	reg.GaugeFunc("insq_table_ring_entries",
 		"Entries of the endpoint-table ring the shards share.",
@@ -479,13 +466,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(e.shed.Load()) })
 	reg.CounterFunc("insq_expired_total",
 		"Update entries dropped because their request deadline passed before apply.",
-		func() float64 {
-			n := e.expired.Load()
-			for _, sh := range e.shards {
-				n += sh.expired.Load()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(e.expiredCount()) })
 	for _, fp := range fault.Points() {
 		fp := fp
 		reg.CounterFunc("insq_fault_fires_total",
@@ -780,39 +761,30 @@ func (e *Engine) mapStoreErr(err error) error {
 	return err
 }
 
-// Stats gathers an aggregated snapshot from all shards plus the index
-// store's version state.
+// Stats gathers an aggregated snapshot: the INS cost counters come from
+// each shard worker through its mailbox, the one value only the worker can
+// read; every other number is read through the same atomics the /metrics
+// gauges read, once every shard has answered.
 func (e *Engine) Stats() (Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return Stats{}, ErrClosed
 	}
-	reply := make(chan shardStats, len(e.shards))
+	reply := make(chan metrics.Counters, len(e.shards))
 	for _, sh := range e.shards {
 		sh.mailbox <- statsMsg{reply: reply}
 	}
 	st := Stats{
 		Shards:   len(e.shards),
 		Uptime:   time.Since(e.start),
-		Epoch:    e.store.Epoch(),
 		Stream:   e.events.Stats(),
 		Shed:     e.shed.Load(),
-		Expired:  e.expired.Load(),
 		Degraded: e.degraded(),
-	}
-	for _, sh := range e.shards {
-		st.Expired += sh.expired.Load()
 	}
 	if e.wal != nil {
 		ws := e.wal.Stats()
 		st.WAL = &ws
-	}
-	if plane := e.store.Current().Plane(); plane != nil {
-		st.Objects = plane.Len()
-	}
-	if net := e.store.Current().Network(); net != nil {
-		st.NetworkObjects = net.Len()
 	}
 	if pubs, total := e.store.PublishStats(); pubs > 0 {
 		st.EpochPublishUS = float64(total.Nanoseconds()) / 1e3 / float64(pubs)
@@ -820,26 +792,67 @@ func (e *Engine) Stats() (Stats, error) {
 	st.IndexNodesCopied, st.IndexNodes = e.store.PlaneShareStats()
 	st.NetPagesCopied, st.NetPages = e.store.NetworkShareStats()
 	for range e.shards {
-		s := <-reply
-		st.Sessions += s.sessions
-		st.Counters.Add(s.counters)
+		st.Counters.Add(<-reply)
 	}
-	// Read once every shard has answered, having moved to the newest
-	// snapshot first. The latency histograms merge by atomic loads, and
-	// Updates is the merged count, so the two always agree.
+	// Every shard has answered, having moved to the newest snapshot first,
+	// so the reads below see each batch that returned before Stats began.
+	st.Sessions = e.sessionCount()
+	st.Updates = e.updateCount()
+	st.Expired = e.expiredCount()
+	st.Epoch = e.store.Epoch()
+	st.Objects, st.NetworkObjects = e.objectCounts()
 	var hist obs.Histogram
-	held := map[uint64]bool{e.store.Epoch(): true}
+	held := map[uint64]bool{st.Epoch: true}
 	for _, sh := range e.shards {
 		hist.Merge(&sh.hist)
 		held[sh.epoch.Load()] = true
 	}
 	st.Snapshots = len(held)
 	st.Latency = hist.Summary()
-	st.Updates = st.Latency.Count
 	if secs := st.Uptime.Seconds(); secs > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / secs
 	}
 	return st, nil
+}
+
+// sessionCount, updateCount, expiredCount and objectCounts read the
+// serving totals from atomics the workers and the store keep; Stats and
+// the /metrics gauges both read them here. None blocks a shard.
+func (e *Engine) sessionCount() int {
+	var n int64
+	for _, sh := range e.shards {
+		n += sh.sessionsN.Load()
+	}
+	return int(n)
+}
+
+func (e *Engine) updateCount() uint64 {
+	var n uint64
+	for _, sh := range e.shards {
+		n += sh.hist.Count()
+	}
+	return n
+}
+
+func (e *Engine) expiredCount() uint64 {
+	n := e.expired.Load()
+	for _, sh := range e.shards {
+		n += sh.expired.Load()
+	}
+	return n
+}
+
+// objectCounts returns the live plane and network object counts of the
+// current snapshot (0 for a side the engine does not index).
+func (e *Engine) objectCounts() (plane, network int) {
+	snap := e.store.Current()
+	if p := snap.Plane(); p != nil {
+		plane = p.Len()
+	}
+	if n := snap.Network(); n != nil {
+		network = n.Len()
+	}
+	return plane, network
 }
 
 // Close shuts the engine down: it waits for in-flight requests, stops the

@@ -50,7 +50,7 @@ func newRefNetQuery(t *testing.T, g *roadnet.Graph, sites []int, k int, rho floa
 
 func (r *refNetQuery) insert(t *testing.T, v int) {
 	t.Helper()
-	if err := r.st.InsertSite(v); err != nil {
+	if _, err := r.st.Apply([]index.Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 		t.Fatal(err)
 	}
 	follow(r.st, r.q)
@@ -58,7 +58,7 @@ func (r *refNetQuery) insert(t *testing.T, v int) {
 
 func (r *refNetQuery) remove(t *testing.T, v int) {
 	t.Helper()
-	if err := r.st.RemoveSite(v); err != nil {
+	if _, err := r.st.Apply([]index.Mutation{{Network: true, ID: v}}); err != nil {
 		t.Fatal(err)
 	}
 	follow(r.st, r.q)

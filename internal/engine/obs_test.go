@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -65,7 +68,7 @@ func TestEngineObservability(t *testing.T) {
 	}
 	// Give the shards a moment to drain the epoch notification (sweep).
 	deadline := time.Now().Add(2 * time.Second)
-	for pipe.StageCount(obs.StageSweep) == 0 && time.Now().Before(deadline) {
+	for stageCount(reg, obs.StageSweep) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := e.UpdateBatchCtx(ctx, []LocationUpdate{{Session: sid, Pos: geom.Pt(12, 12)}}); err != nil {
@@ -77,7 +80,7 @@ func TestEngineObservability(t *testing.T) {
 	}
 
 	for _, st := range []obs.Stage{obs.StageQueue, obs.StageApply, obs.StagePublish, obs.StageSweep, obs.StagePush} {
-		if pipe.StageCount(st) == 0 {
+		if stageCount(reg, st) == 0 {
 			t.Errorf("stage %v never observed", st)
 		}
 	}
@@ -111,6 +114,104 @@ func TestEngineObservability(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEngineStatsMatchesRegistry: Engine.Stats and the /metrics gauges read
+// each serving total through the same helper, so after a batch, a
+// mutation, a batch whose deadline has passed and a batch shed at a
+// stalled shard, every total reads the same in both, and none is zero.
+func TestEngineStatsMatchesRegistry(t *testing.T) {
+	defer fault.DisarmAll()
+	const shards, nSessions = 2, 6
+	reg := obs.NewRegistry()
+	e, err := New(Config{
+		Shards:    shards,
+		Bounds:    testBounds,
+		Objects:   workload.Uniform(200, testBounds, 1),
+		Obs:       obs.NewPipeline(reg, nil),
+		ShedDepth: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	batch := make([]LocationUpdate, nSessions)
+	for i := range batch {
+		sid, err := e.CreateSession(5, 1.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = LocationUpdate{Session: sid, Pos: geom.Pt(10+float64(i), 10)}
+	}
+	if _, err := updateBatch(e, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ApplyMutations(context.Background(), []index.Mutation{{Insert: true, P: geom.Pt(11, 11)}}); err != nil {
+		t.Fatal(err)
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.UpdateBatchCtx(gone, batch[:1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stall the worker in one batch and park a message in its mailbox:
+	// the next batch meets a mailbox at the watermark and is shed.
+	one := batch[:1]
+	sh := e.shardOf(one[0].Session)
+	before := fault.ShardApplyDelay.Fires()
+	fault.ShardApplyDelay.Arm(fault.Spec{Delay: 200 * time.Millisecond, Count: 1})
+	done := make(chan error, 1)
+	go func() { _, err := updateBatch(e, one); done <- err }()
+	for fault.ShardApplyDelay.Fires() == before {
+		time.Sleep(time.Millisecond)
+	}
+	sh.mailbox <- statsMsg{reply: make(chan metrics.Counters, 1)}
+	if _, err := updateBatch(e, one); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("batch at a full mailbox: err = %v, want ErrOverloaded", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := exposition(t, reg)
+	for _, c := range []struct {
+		name  string
+		stats float64
+	}{
+		{"insq_sessions", float64(st.Sessions)},
+		{"insq_updates_total", float64(st.Updates)},
+		{"insq_epoch", float64(st.Epoch)},
+		{"insq_objects", float64(st.Objects)},
+		{"insq_expired_total", float64(st.Expired)},
+		{"insq_shed_total", float64(st.Shed)},
+	} {
+		got := sampleValue(t, out, c.name)
+		if got != c.stats || got == 0 {
+			t.Errorf("%s = %v, Stats reads %v; want equal and non-zero", c.name, got, c.stats)
+		}
+	}
+}
+
+// sampleValue returns the value of the unlabelled sample name in an
+// exposition.
+func sampleValue(t *testing.T, out, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s sample", name)
+	return 0
 }
 
 // TestEngineShardEpochLag: a shard stalled in a batch while a mutation
@@ -202,6 +303,12 @@ func TestEngineShardEpochLag(t *testing.T) {
 	}
 }
 
+// stageCount reads one stage's observation count from the registry's
+// insq_stage_duration_seconds family (0 on a nil registry).
+func stageCount(reg *obs.Registry, st obs.Stage) uint64 {
+	return reg.Histogram("insq_stage_duration_seconds", "", obs.Label{Name: "stage", Value: st.String()}).Count()
+}
+
 // exposition renders reg in the Prometheus text format.
 func exposition(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
@@ -285,7 +392,7 @@ func TestEngineObsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p *obs.Pipeline
-	if p.StageCount(obs.StageApply) != 0 || p.Enabled() {
+	if stageCount(p.Registry(), obs.StageApply) != 0 || p.Enabled() {
 		t.Error("nil pipeline not inert")
 	}
 	if err := p.Registry().WritePrometheus(io.Discard); err != nil {

@@ -44,9 +44,9 @@ type shard struct {
 	// round-trip.
 	hist obs.Histogram
 
-	// sessionsN and epoch mirror worker-owned state as atomics so the
-	// metrics registry can read them at scrape time (only the worker
-	// writes them). epoch is snap's.
+	// sessionsN and epoch mirror worker-owned state as atomics so Stats
+	// and the metrics registry can read them without a mailbox round-trip
+	// (only the worker writes them). epoch is snap's.
 	sessionsN atomic.Int64
 	epoch     atomic.Uint64
 
@@ -168,14 +168,10 @@ type stateReply struct {
 	err   error
 }
 
-// statsMsg snapshots the shard's serving state.
+// statsMsg asks for the INS cost counters of the shard's sessions, the
+// one stats value only the worker can read.
 type statsMsg struct {
-	reply chan shardStats
-}
-
-type shardStats struct {
-	sessions int
-	counters metrics.Counters
+	reply chan metrics.Counters
 }
 
 func (createMsg) isMessage() {}
@@ -228,7 +224,7 @@ func (sh *shard) handle(msg message) {
 	case stateMsg:
 		m.reply <- sh.state(m.sid)
 	case statsMsg:
-		m.reply <- sh.stats()
+		m.reply <- sh.counters()
 	}
 }
 
@@ -462,10 +458,10 @@ func batchKind(network bool) string {
 	return "plane"
 }
 
-func (sh *shard) stats() shardStats {
-	st := shardStats{sessions: len(sh.sessions)}
+func (sh *shard) counters() metrics.Counters {
+	var c metrics.Counters
 	for _, s := range sh.sessions {
-		st.counters.Add(*s.q.Metrics())
+		c.Add(*s.q.Metrics())
 	}
-	return st
+	return c
 }

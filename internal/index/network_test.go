@@ -49,7 +49,7 @@ func TestStoreNetworkApply(t *testing.T) {
 	oldKNN, _ := old.Network().KNNWithDistances(probe, 3)
 
 	v := freeVertex(st, g, rng)
-	if err := st.InsertSite(v); err != nil {
+	if _, err := st.Apply([]Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Epoch(); got != 1 {
@@ -61,7 +61,7 @@ func TestStoreNetworkApply(t *testing.T) {
 	if old.Network().IsSite(v) {
 		t.Fatalf("old snapshot gained site %d", v)
 	}
-	if err := st.RemoveSite(sites[0]); err != nil {
+	if _, err := st.Apply([]Mutation{{Network: true, ID: sites[0]}}); err != nil {
 		t.Fatal(err)
 	}
 	if old.Network().Len() != len(sites) {

@@ -38,10 +38,10 @@ func benchSiteEpoch(b *testing.B, grid, nSites int) {
 		for taken[v] {
 			v = rng.Intn(g.NumVertices())
 		}
-		if err := st.InsertSite(v); err != nil {
+		if _, err := st.Apply([]Mutation{{Network: true, Insert: true, ID: v}}); err != nil {
 			b.Fatal(err)
 		}
-		if err := st.RemoveSite(v); err != nil {
+		if _, err := st.Apply([]Mutation{{Network: true, ID: v}}); err != nil {
 			b.Fatal(err)
 		}
 	}

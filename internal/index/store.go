@@ -289,20 +289,6 @@ func (st *Store) Remove(id int) error {
 	return err
 }
 
-// InsertSite adds one network data object at vertex v copy-on-write and
-// publishes the next snapshot.
-func (st *Store) InsertSite(v int) error {
-	_, err := st.Apply([]Mutation{{Network: true, Insert: true, ID: v}})
-	return err
-}
-
-// RemoveSite deletes the network data object at vertex v copy-on-write
-// and publishes the next snapshot.
-func (st *Store) RemoveSite(v int) error {
-	_, err := st.Apply([]Mutation{{Network: true, ID: v}})
-	return err
-}
-
 // Apply applies a batch of mutations under at most ONE path-copied branch
 // per index side and ONE publish, and returns the object id of each
 // mutation in order. Publication is sublinear in the object count on both

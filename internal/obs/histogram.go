@@ -162,10 +162,15 @@ func (h *Histogram) Summary() LatencySummary {
 }
 
 // LatencySummary is a Histogram condensed to the usual reporting quantiles.
+// Its JSON form is the latency object of /v1/stats, durations in
+// nanoseconds.
 type LatencySummary struct {
-	Count               uint64
-	Mean, P50, P95, P99 time.Duration
-	Max                 time.Duration
+	Count uint64        `json:"count"`
+	Mean  time.Duration `json:"mean_ns"`
+	P50   time.Duration `json:"p50_ns"`
+	P95   time.Duration `json:"p95_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Max   time.Duration `json:"max_ns"`
 }
 
 // String implements fmt.Stringer as one report row.

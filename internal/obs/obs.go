@@ -124,15 +124,6 @@ func (p *Pipeline) Observe(st Stage, d time.Duration) {
 	p.stages[st].Observe(d)
 }
 
-// StageCount returns the number of observations of one stage — the OBS
-// benchmark's sanity probe that instrumentation actually fired.
-func (p *Pipeline) StageCount(st Stage) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.stages[st].Count()
-}
-
 // SlowBatch logs a shard batch that exceeded the batch threshold.
 func (p *Pipeline) SlowBatch(trace string, shard, entries int, d time.Duration) {
 	if p == nil {

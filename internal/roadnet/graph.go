@@ -160,17 +160,6 @@ func (g *Graph) AdjacentVertices(v int) []int {
 	return out
 }
 
-// VisitEdgesFrom calls fn for every edge incident to v with the far
-// endpoint and the edge weight. It is the allocation-free form of
-// AdjacentVertices+EdgeWeight; search hot paths iterate the CSR view
-// directly instead.
-func (g *Graph) VisitEdgesFrom(v int, fn func(to int, w float64)) {
-	c := g.CSR()
-	for e := c.Off[v]; e < c.Off[v+1]; e++ {
-		fn(int(c.To[e]), c.W[e])
-	}
-}
-
 // EdgeWeight returns the weight of edge (u,v) and whether it exists.
 func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	if u < 0 || u >= len(g.pts) {

@@ -32,6 +32,16 @@ func pointsOf(g *Graph) (out []geom.Point) {
 	return out
 }
 
+// csrEdges lists the edges incident to v in g's CSR view.
+func csrEdges(g *Graph, v int) []edgeRec {
+	c := g.CSR()
+	var out []edgeRec
+	for e := c.Off[v]; e < c.Off[v+1]; e++ {
+		out = append(out, edgeRec{v, int(c.To[e]), c.W[e]})
+	}
+	return out
+}
+
 // sameGraph fails unless every read of g agrees with the same read of want.
 func sameGraph(t *testing.T, g, want *Graph) {
 	t.Helper()
@@ -50,11 +60,9 @@ func sameGraph(t *testing.T, g, want *Graph) {
 		if g.Degree(v) != len(nbs) || want.Degree(v) != len(nbs) {
 			t.Fatalf("Degree(%d) = %d and %d for %d neighbors", v, g.Degree(v), want.Degree(v), len(nbs))
 		}
-		var visited, wantVisited []edgeRec
-		g.VisitEdgesFrom(v, func(to int, w float64) { visited = append(visited, edgeRec{v, to, w}) })
-		want.VisitEdgesFrom(v, func(to int, w float64) { wantVisited = append(wantVisited, edgeRec{v, to, w}) })
+		visited, wantVisited := csrEdges(g, v), csrEdges(want, v)
 		if !slices.Equal(visited, wantVisited) {
-			t.Fatalf("VisitEdgesFrom(%d) = %v, want %v", v, visited, wantVisited)
+			t.Fatalf("CSR edges of %d = %v, want %v", v, visited, wantVisited)
 		}
 		for _, e := range visited {
 			if w, ok := g.EdgeWeight(v, e.v); !ok || w != e.w {

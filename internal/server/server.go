@@ -44,9 +44,10 @@ type Options struct {
 	// batches abandoned by their client are dropped at the shard instead
 	// of executed into the void. 0 disables.
 	RequestTimeout time.Duration
-	// StatsTTL caches the merged /v1/stats snapshot: Engine.Stats fans a
-	// message to every shard worker, so a scraper polling at 1s must not
-	// perturb them per request. 0 disables caching.
+	// StatsTTL caches the merged /v1/stats snapshot. Everything in it but
+	// the INS cost counters is read from atomics; the counters take one
+	// mailbox message per shard worker, so a scraper polling at 1s must
+	// not perturb them per request. 0 disables caching.
 	StatsTTL time.Duration
 	// CoalesceWindow is how long the ingest pump waits for further frames
 	// after one arrives before applying the merged engine batch; 0 merges
@@ -424,7 +425,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // statsResponse builds the wire stats, stamping the serving build and
 // the ingest path's counters.
 func (s *Server) statsResponse(st insq.EngineStats) api.StatsResponse {
-	resp := api.NewStatsResponse(st)
+	resp := api.StatsResponse{Stats: st}
 	resp.Version, resp.GoVersion, resp.Revision = obs.Build()
 	if is := s.ingest.snapshot(); is.FramesTotal > 0 || is.Connections > 0 {
 		resp.Ingest = &is
@@ -443,9 +444,9 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// TTL cache with single flight: Engine.Stats fans a mailbox message to
-	// every shard worker, so concurrent scrapers share one refresh and a
-	// 1s poller costs the shards one stats message per TTL, not per
-	// request.
+	// every shard worker for the counters, so concurrent scrapers share one
+	// refresh and a 1s poller costs the shards one counters message per
+	// TTL, not per request.
 	s.statsMu.Lock()
 	if time.Since(s.statsAt) <= s.opts.StatsTTL {
 		resp := s.statsCache

@@ -92,20 +92,20 @@ const DefaultQueueDepth = 256
 // Stats is an aggregated snapshot of the broker's fan-out state.
 type Stats struct {
 	// Subscribers is the number of live subscribers.
-	Subscribers int
+	Subscribers int `json:"subscribers"`
 	// WatchedSessions is the number of distinct explicitly-watched
 	// sessions (wildcard subscribers watch everything and are not counted
 	// here).
-	WatchedSessions int
+	WatchedSessions int `json:"watched_sessions"`
 	// Published counts events handed to Publish.
-	Published uint64
+	Published uint64 `json:"published"`
 	// Delivered counts events consumers actually popped.
-	Delivered uint64
+	Delivered uint64 `json:"delivered"`
 	// Coalesced counts newer events merged into a pending one
 	// (latest-result-wins).
-	Coalesced uint64
+	Coalesced uint64 `json:"coalesced"`
 	// Dropped counts pending events evicted by queue overflow.
-	Dropped uint64
+	Dropped uint64 `json:"dropped"`
 }
 
 // Broker fans session result events out to subscribers. All methods are

@@ -149,43 +149,43 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time snapshot of the durability counters.
 type Stats struct {
 	// Policy is the active fsync policy.
-	Policy SyncPolicy
+	Policy SyncPolicy `json:"policy"`
 	// AppendedBatches / AppendedMutations / AppendedBytes count the WAL
 	// appends since Open (bytes include frame headers).
-	AppendedBatches   uint64
-	AppendedMutations uint64
-	AppendedBytes     uint64
+	AppendedBatches   uint64 `json:"appended_batches"`
+	AppendedMutations uint64 `json:"appended_mutations"`
+	AppendedBytes     uint64 `json:"appended_bytes"`
 	// Fsyncs counts fsyncs of segment files; FsyncTotal is the wall time
 	// inside them (flush + fsync).
-	Fsyncs     uint64
-	FsyncTotal time.Duration
+	Fsyncs     uint64        `json:"fsyncs"`
+	FsyncTotal time.Duration `json:"fsync_total_ns"`
 	// Segments is the live segment-file count; PrunedSegments counts
 	// segments deleted by checkpointing.
-	Segments       int
-	PrunedSegments uint64
+	Segments       int    `json:"segments"`
+	PrunedSegments uint64 `json:"pruned_segments"`
 	// Checkpoints counts checkpoints written since Open; CheckpointEpoch
 	// and CheckpointBytes describe the newest one (the epoch also counts
 	// checkpoints inherited from a previous run). CheckpointFailures
 	// counts background checkpoint attempts that errored.
-	Checkpoints        uint64
-	CheckpointEpoch    uint64
-	CheckpointBytes    uint64
-	CheckpointFailures uint64
+	Checkpoints        uint64 `json:"checkpoints"`
+	CheckpointEpoch    uint64 `json:"checkpoint_epoch"`
+	CheckpointBytes    uint64 `json:"checkpoint_bytes"`
+	CheckpointFailures uint64 `json:"checkpoint_failures"`
 	// ReplayedBatches / ReplayedMutations count the WAL records recovery
 	// re-applied on top of the checkpoint; TruncatedBytes is what the torn
 	// tail (and everything after it) cost; RecoveredEpoch is the epoch the
 	// store resumed at; Recovery is the wall time of the whole boot path
 	// (checkpoint load + rebuild + replay).
-	ReplayedBatches   uint64
-	ReplayedMutations uint64
-	TruncatedBytes    int64
-	RecoveredEpoch    uint64
-	Recovery          time.Duration
+	ReplayedBatches   uint64        `json:"replayed_batches"`
+	ReplayedMutations uint64        `json:"replayed_mutations"`
+	TruncatedBytes    int64         `json:"truncated_bytes"`
+	RecoveredEpoch    uint64        `json:"recovered_epoch"`
+	Recovery          time.Duration `json:"recovery_ns"`
 	// Degraded reports whether the manager is currently in degraded
 	// read-only mode; DegradeEvents / HealEvents count the round trips.
-	Degraded      bool
-	DegradeEvents uint64
-	HealEvents    uint64
+	Degraded      bool   `json:"degraded"`
+	DegradeEvents uint64 `json:"degrade_events"`
+	HealEvents    uint64 `json:"heal_events"`
 }
 
 // Manager owns the durability pipeline of one store: it is the store's
