@@ -49,10 +49,23 @@ type PlaneQuery struct {
 	// not. deferred marks a hint the last validation left unresolved, having
 	// found the kNN set valid without evaluating every member; Invalidate
 	// resolves it.
-	hint     int
+	hint     int32 // an object id: ids are delaunay vertex slots, int32
 	deferred bool
 
+	// probe is set while the state is a recomputation's, cleared by a valid
+	// or re-rank verdict: R is then in anchor order, as AppendPrefetch
+	// returned it, and measure first looks for a pair of members that proves
+	// the state stale (witness).
+	probe   bool
+	decided proof // what decided the last validation
+
 	disableRerank bool
+
+	// radius is d²(last, o) of R's farthest member o, which affects holds
+	// every insert of an Advance window against; -1 until it is taken. With
+	// hint an int32 beside the flags, it keeps the struct within its
+	// 256-byte allocation class.
+	radius float64
 }
 
 // NewPlaneQuery creates an INS MkNN query over a VoR-tree, which it reads
@@ -64,7 +77,7 @@ func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlaneQuery{session: s, ix: ix, hint: vortree.NoHint}, nil
+	return &PlaneQuery{session: s, ix: ix, hint: vortree.NoHint, radius: -1}, nil
 }
 
 // Name identifies the processor in simulation reports.
@@ -97,20 +110,23 @@ func (q *PlaneQuery) Refresh() (knn []int, recomputed bool, err error) { return 
 // where every member of R and I(R) is live: an insert affects the state
 // when it lands closer to the last position than the farthest member of R
 // or neighbors a member of R (otherwise neither R nor I(R) changes), a
-// removal when the object is in R or I(R).
+// removal when the object is in R or I(R). R's radius is taken at the
+// first insert and kept until the state or the position changes.
 func (q *PlaneQuery) affects(op *index.Op) bool {
 	if !op.Insert {
 		return slices.Contains(q.ids, op.ID)
 	}
 	r := q.ids[:q.nR]
-	var maxR float64
-	for _, id := range r {
-		if id == op.ID {
-			return true
-		}
-		maxR = max(maxR, q.last.Dist2(q.ix.Point(id)))
+	if slices.Contains(r, op.ID) {
+		return true
 	}
-	if q.last.Dist2(op.P) < maxR {
+	if q.radius < 0 {
+		q.radius = 0
+		for _, id := range r {
+			q.radius = max(q.radius, q.last.Dist2(q.ix.Point(id)))
+		}
+	}
+	if q.last.Dist2(op.P) < q.radius {
 		return true
 	}
 	for _, u := range op.Neighbors {
@@ -136,8 +152,7 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 		return nil, fmt.Errorf("%w: (%g, %g)", ErrInvalidPosition, p.X, p.Y)
 	}
 	q.m.Timestamps++
-	q.last = p
-	q.located = true
+	q.locate(p)
 	if !q.init {
 		if err := q.recompute(p); err != nil {
 			return nil, err
@@ -148,6 +163,7 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	q.m.Validations++
 	dist, knnValid, rValid, nearest := q.measure(p)
 	if knnValid {
+		q.probe = false
 		return q.knn(), nil
 	}
 	q.m.Invalidations++
@@ -164,6 +180,12 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 		return nil, err
 	}
 	return q.knn(), nil
+}
+
+// locate records p as the last position reported, which R's radius about
+// it follows.
+func (q *PlaneQuery) locate(p geom.Point) {
+	q.last, q.located, q.radius = p, true, -1
 }
 
 // margin widens measure's triangle-inequality bound by a relative 2⁻³⁰,
@@ -201,141 +223,306 @@ func below(floor, delta float64) float64 {
 //
 // It evaluates only the distances a verdict can turn on. Every member o
 // carries its anchor distance d(at, o), and with δ = d(p, at) the triangle
-// inequality gives d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A kNN member
+// inequality gives d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A member of R
 // whose anchor distance is at most floor − 2δ is thus no farther from p
-// than any guard object and cannot break the verdict; a guard
-// object whose anchor distance exceeds r + δ is farther from p than r and
-// cannot be closer than a member at radius r. measure evaluates δ and the
-// kNN members the first bound does not rule out, at radius r, then the
-// guard objects the second does not rule out against r; only if the kNN
-// set is stale, the rest of R (a re-rank orders it) and the I(R) members
-// the bound does not rule out against R's radius. Either pass stops at the
-// first I(R) member inside its radius, which makes both verdicts false.
-// The verdicts are those of evaluating every member
+// than any object at least floor from the anchor point — every I(R)
+// member, and every guard object the floor was taken over — and cannot
+// break a verdict; a guard object whose anchor distance exceeds r + δ is
+// farther from p than r and cannot be closer than a member at radius r.
+// measure evaluates δ and the kNN members the first bound does not rule
+// out, at radius r, then the guard objects the second does not rule out
+// against r; only if the kNN set is stale, the rest of R the first bound
+// does not rule out and the I(R) members the second does not rule out
+// against R's radius; only if R is valid, the rest of R, which the re-rank
+// orders. Either pass stops at the first I(R) member inside its radius,
+// which makes both verdicts false.
+//
+// A stale state needs one pair to prove it, a witness: a guard object
+// nearer than a kNN member. While the state is a recomputation's (probe),
+// measure looks for an I(R) member nearer than a kNN member first, which
+// makes both verdicts false, then for an R \ kNN member nearer than a kNN
+// member. Once the kNN set is stale, found either way, it looks for an I(R)
+// member nearer than a member of R before it evaluates the rest of R. A
+// search that finds none leaves the verdict to the passes above, which
+// reuse its distances. The verdicts are those of evaluating every member
 // (TestBoundedValidationMatchesFullPass).
 //
 // The distances go to the scratch's buffer, marked -1 where not evaluated,
-// which measure returns for the re-rank. The nearest member becomes the
-// hint of a recomputation that may follow: the nearest one evaluated, kept
-// as the passes go, ties to the lowest index, as every skipped guard is
-// farther than a kNN member — after a stop, once the members the bound
-// cannot place beyond it are evaluated too. A valid verdict that skipped a kNN member defers the hint
-// to Invalidate, the only way to a recomputation that runs no validation
-// first. A hint in R is the nearest object (nearest): its Delaunay ring
-// lies in R ∪ I(R). An update that happened to evaluate every member
-// becomes the new anchor.
+// which measure returns for the re-rank. The nearest member evaluated,
+// ties to the lowest index, becomes the hint of a recomputation, once
+// settle has completed it. A valid verdict that skipped a kNN member
+// defers the hint to Invalidate, the only way to a recomputation that runs
+// no validation first. A hint in R is the nearest object (nearest): its
+// Delaunay ring lies in R ∪ I(R). An update that happened to evaluate
+// every member becomes the new anchor.
 func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, nearest bool) {
-	k, nR := q.k, q.nR
-	dist = q.sc.Dists(len(q.ids))
-	delta := math.Sqrt(p.Dist2(q.at))
-	safe := below(q.floor, delta)
-	// h is the nearest member evaluated, best its distance, ties to the
-	// lowest index.
-	h, best := 0, math.Inf(1)
-	maxKNN := 0.0
-	evals := 1
-	for i, id := range q.ids[:k] {
-		if q.anchor[i] <= safe {
-			dist[i] = -1
-			continue
-		}
-		d := p.Dist2(q.ix.Point(id))
-		dist[i] = d
-		maxKNN = max(maxKNN, d)
-		if d < best {
-			h, best = i, d
-		}
-		evals++
-	}
-	for i := k; i < len(dist); i++ {
+	k, nR, n := q.k, q.nR, len(q.ids)
+	dist = q.sc.Dists(n)
+	for i := range dist {
 		dist[i] = -1
 	}
-	skipped := evals < 1+k
-	minGuard, g, n, stale := q.evaluateWithin(p, dist, k, maxKNN, delta)
-	knnValid = maxKNN <= minGuard
-	evals += n
-	if q.deferred = knnValid && skipped; q.deferred {
-		q.m.DistanceCalcs += evals
-		return dist, true, false, false
-	}
-	if minGuard < best {
-		h, best = g, minGuard
-	}
-	if !knnValid && !stale {
-		maxR := maxKNN
-		for i := 0; i < nR; i++ {
-			d := dist[i]
-			if d < 0 {
-				d = p.Dist2(q.ix.Point(q.ids[i]))
-				dist[i] = d
-				evals++
-				if d < best || d == best && i < h {
-					h, best = i, d
-				}
-			} else if i < k {
-				continue // in maxKNN already
-			}
-			maxR = max(maxR, d)
+	delta := math.Sqrt(p.Dist2(q.at))
+	safe := below(q.floor, delta)
+	v := validation{q: q, p: p, dist: dist, delta: delta, safe: safe, best: math.Inf(1), evals: 1}
+	q.deferred = false
+	by := byPasses
+	if q.probe {
+		// The kNN members from the farthest anchor distance down.
+		kw := far{next: k - 1, max: -1, sorted: true}
+		if v.witness(&kw, nR, n) {
+			return v.settle(false, false, byBothStale)
 		}
-		minINS, g, n, _ := q.evaluateWithin(p, dist, nR, maxR, delta)
-		rValid = maxR <= minINS
-		evals += n
-		if minINS < best { // R, all evaluated, comes first: a tie keeps h
-			h, best = g, minINS
+		if v.witness(&kw, k, nR) {
+			by = byKNNStale
 		}
 	}
-	if stale {
-		b := reach(best, delta)
-		for i, d := range dist {
-			if d >= 0 || q.anchor[i] > b {
+	if by == byPasses {
+		maxKNN, skipped := 0.0, false
+		for i, a := range q.anchor[:k] {
+			if a <= safe {
+				skipped = true
 				continue
 			}
-			d = p.Dist2(q.ix.Point(q.ids[i]))
-			dist[i] = d
-			evals++
-			if d < best || d == best && i < h {
-				h, best, b = i, d, reach(d, delta)
+			d := dist[i]
+			if d < 0 {
+				d = v.eval(i)
 			}
+			maxKNN = max(maxKNN, d)
+		}
+		minGuard, stop := v.within(k, maxKNN)
+		if maxKNN <= minGuard {
+			if skipped {
+				q.deferred, q.decided = true, byPasses
+				q.m.DistanceCalcs += v.evals
+				return dist, true, false, false
+			}
+			return v.settle(true, false, byPasses)
+		}
+		if stop {
+			return v.settle(false, false, byPasses)
 		}
 	}
-	q.m.DistanceCalcs += evals
-	q.hint = q.ids[h]
-	if evals == 1+len(dist) {
-		q.at = p
-		copy(q.anchor, dist)
-		q.setFloor()
+	// The kNN set is stale. R is valid unless an I(R) member is nearer than
+	// one of R's, walked from its end down. A member of R the floor rules
+	// out is no farther than any I(R) member; only a re-rank evaluates it.
+	rw := far{next: nR - 1, max: -1, sorted: q.probe}
+	if v.witness(&rw, nR, n) {
+		return v.settle(false, false, byRInvalid)
 	}
-	return dist, knnValid, rValid, h < nR
+	maxR := max(rw.max, 0)
+	for i := rw.next; i >= 0; i-- { // the members the walk did not reach
+		d := dist[i]
+		if d < 0 {
+			if q.anchor[i] <= safe {
+				continue
+			}
+			d = v.eval(i)
+		}
+		maxR = max(maxR, d)
+	}
+	if minINS, _ := v.within(nR, maxR); maxR > minINS {
+		return v.settle(false, false, by)
+	}
+	for i := range nR {
+		if dist[i] < 0 {
+			v.eval(i)
+		}
+	}
+	return v.settle(false, true, by)
 }
 
-// evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
-// evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
-// radius √r2 of p, δ being p's distance from the anchor point. It returns
-// the least distance evaluated in dist[from:] (+Inf for none) and its
-// index (the lowest of a tie), the number of distances it evaluated and
-// whether it stopped at an I(R) member nearer than √r2, where it looks no
-// further.
-func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64) (least float64, idx, evals int, stale bool) {
-	bound := reach(r2, delta)
+// proof is what decided a validation: one of the three witnesses, or the
+// passes that evaluate what no bound rules out.
+type proof uint8
+
+const (
+	byPasses    proof = iota
+	byBothStale       // an I(R) member nearer than a kNN member
+	byKNNStale        // an R \ kNN member nearer than a kNN member
+	byRInvalid        // an I(R) member nearer than a member of R
+)
+
+// validation is the working state of one measure: δ, the anchor distance
+// at most which a member of R is no farther than any I(R) member (safe),
+// the distances evaluated, the nearest member evaluated (h, at best, ties
+// to the lowest index) and the evaluations spent, δ's included.
+type validation struct {
+	q           *PlaneQuery
+	p           geom.Point
+	dist        []float64
+	delta, safe float64
+	h           int
+	best        float64
+	evals       int
+}
+
+// eval evaluates d²(p, ids[i]) into dist[i].
+func (v *validation) eval(i int) float64 {
+	d := v.p.Dist2(v.q.ix.Point(v.q.ids[i]))
+	v.dist[i] = d
+	v.evals++
+	if d < v.best || d == v.best && i < v.h {
+		v.h, v.best = i, d
+	}
+	return d
+}
+
+// within evaluates, for each member i ≥ from not yet evaluated, d²(p,
+// ids[i]) — unless its anchor distance places it beyond radius √r2 of p.
+// It returns the least distance in dist[from:] (+Inf for none) and whether
+// it stopped at an I(R) member nearer than √r2, where it looks no further.
+func (v *validation) within(from int, r2 float64) (least float64, stop bool) {
+	dist, anchor, nR := v.dist, v.q.anchor, v.q.nR
+	bound := reach(r2, v.delta)
 	least = math.Inf(1)
 	for i := from; i < len(dist); i++ {
 		d := dist[i]
 		if d < 0 {
-			if q.anchor[i] > bound {
+			if anchor[i] > bound {
 				continue
 			}
-			d = p.Dist2(q.ix.Point(q.ids[i]))
-			dist[i] = d
-			evals++
+			d = v.eval(i)
 		}
-		if d < least {
-			least, idx = d, i
-		}
-		if i >= q.nR && d < r2 {
-			return least, idx, evals, true
+		least = min(least, d)
+		if i >= nR && d < r2 {
+			return least, true
 		}
 	}
-	return least, idx, evals, false
+	return least, false
+}
+
+// far is the side of a witness search whose members a witness must be
+// nearer than: members next, next−1, … 0 of ids not yet walked, and the
+// farthest one walked (max, -1 for none). sorted says the members not yet
+// walked have anchor distances at most anchor[next], as R has while probe
+// is set.
+type far struct {
+	next   int
+	max    float64
+	sorted bool
+}
+
+// witness looks for a member of ids[lo:hi] nearer to p than a member of f.
+// It walks f from its end down, past the members the floor rules out
+// (sorted, it stops at the first), and after each member evaluates the
+// members of ids[lo:hi] in index order whose anchor distance does not
+// place them beyond the farthest member walked; one that only a member not
+// yet walked could be farther than waits, one that none could is passed
+// over. It reports whether it found a witness; if not, nothing follows
+// from it but the distances it evaluated, and f may stop short. Roots are
+// taken only as the farthest member walked changes and when a member of
+// ids[lo:hi] waits or all of them are taken.
+func (v *validation) witness(f *far, lo, hi int) bool {
+	anchor, dist := v.q.anchor, v.dist
+	least := math.Inf(1) // the nearest member of ids[lo:hi] evaluated
+	// r is the distance of the farthest member walked; a member of
+	// ids[lo:hi] whose anchor distance is at least known is no nearer.
+	r := math.Sqrt(max(f.max, 0))
+	known := beyond(r, v.delta)
+	j := lo
+	for f.next >= 0 {
+		i := f.next
+		f.next--
+		d := dist[i]
+		if d < 0 {
+			if anchor[i] <= v.safe {
+				if f.sorted {
+					f.next = -1 // so is every member below
+				}
+				continue
+			}
+			d = v.eval(i)
+		}
+		if d > f.max {
+			if f.max = d; least < d {
+				return true
+			}
+			r = math.Sqrt(d)
+			known = beyond(r, v.delta)
+		} else if !f.sorted {
+			continue // a waiting member waits on: only max moves it
+		}
+		all := -1.0 // at least all: no nearer than any member of f
+		for ; j < hi; j++ {
+			d := dist[j]
+			if d < 0 {
+				if a := anchor[j]; a >= known {
+					if all < 0 {
+						all = beyond(v.bound(f, r), v.delta)
+					}
+					if a >= all {
+						continue
+					}
+					break
+				}
+				d = v.eval(j)
+			}
+			if least = min(least, d); least < f.max {
+				return true
+			}
+		}
+		if j == hi {
+			if u := v.bound(f, r); u*u <= least {
+				break
+			}
+		}
+	}
+	return false
+}
+
+// bound returns a distance from p no member of f is farther than: r, that
+// of the farthest walked, and of the members not yet walked, sorted, the
+// anchor bound of the next.
+func (v *validation) bound(f *far, r float64) float64 {
+	switch {
+	case f.next < 0:
+		return r
+	case f.sorted:
+		return max(r, (math.Sqrt(v.q.anchor[f.next])+v.delta)*margin)
+	}
+	return math.Inf(1)
+}
+
+// beyond is (r·margin + δ)²: a member whose anchor distance is at least it
+// is farther than r from p.
+func beyond(r, delta float64) float64 {
+	b := r*margin + delta
+	return b * b
+}
+
+// settle ends a validation with its verdicts and what decided them. When
+// both are false a recomputation follows, and the hint is completed first:
+// each member not yet evaluated whose anchor distance is at most
+// ((√best + δ)·margin)² is evaluated, shrinking best as it goes. (A valid R
+// needs none: R is evaluated, and I(R) up to the bound about R's radius.)
+func (v *validation) settle(knnValid, rValid bool, by proof) ([]float64, bool, bool, bool) {
+	q := v.q
+	q.decided = by
+	if !knnValid && !rValid {
+		b := reach(v.best, v.delta)
+		for i := 0; i < len(v.dist); i++ {
+			if v.dist[i] >= 0 {
+				continue
+			}
+			if q.anchor[i] > b {
+				if q.probe && i < q.nR {
+					i = q.nR - 1 // and so is the rest of R, in anchor order
+				}
+				continue
+			}
+			if v.eval(i) == v.best {
+				b = reach(v.best, v.delta)
+			}
+		}
+	}
+	q.m.DistanceCalcs += v.evals
+	q.hint = int32(q.ids[v.h])
+	if v.evals == 1+len(v.dist) {
+		q.at = v.p
+		copy(q.anchor, v.dist)
+		q.setFloor()
+	}
+	return v.dist, knnValid, rValid, v.h < q.nR
 }
 
 // rerank sorts R by this update's distances, ties by id, carrying each
@@ -351,6 +538,7 @@ func (q *PlaneQuery) rerank(dist []float64) {
 			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
 		}
 	}
+	q.probe, q.radius = false, -1
 }
 
 // setFloor takes floor afresh with a new anchor: the one root it costs is
@@ -374,10 +562,11 @@ func (q *PlaneQuery) setFloor() {
 // Advance invalidates before it moves on.
 func (q *PlaneQuery) Invalidate() {
 	if q.deferred {
-		q.hint = q.ids[q.nearestKNN()]
+		q.hint = int32(q.ids[q.nearestKNN()])
 		q.m.DistanceCalcs += q.k
 		q.deferred = false
 	}
+	q.radius = -1
 	q.session.Invalidate()
 }
 
@@ -410,10 +599,11 @@ func (q *PlaneQuery) recomputeFrom(p geom.Point, nearest bool) error {
 		return fmt.Errorf("core: k = %d exceeds object count %d", q.k, q.ix.Len())
 	}
 	q.m.Recomputations++
-	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), q.hint, nearest, q.ids[:0], q.anchor[:0], q.scratch())
+	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), int(q.hint), nearest, q.ids[:0], q.anchor[:0], q.scratch())
 	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
 	q.setFloor()
-	q.hint = ids[0]
+	q.probe, q.radius = true, -1
+	q.hint = int32(ids[0])
 	q.init = true
 	q.m.NodeVisits += cost.NodeVisits
 	q.m.DistanceCalcs += cost.SeedDists

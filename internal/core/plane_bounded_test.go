@@ -18,7 +18,7 @@ import (
 func fullPassUpdate(q *planeOnStore, p geom.Point) ([]int, error) {
 	q.Sync()
 	q.m.Timestamps++
-	q.last, q.located = p, true
+	q.locate(p)
 	if !q.init {
 		if err := q.recompute(p); err != nil {
 			return nil, err
@@ -35,7 +35,7 @@ func fullPassUpdate(q *planeOnStore, p geom.Point) ([]int, error) {
 		}
 	}
 	q.m.DistanceCalcs += len(dist)
-	q.hint = q.ids[nearest]
+	q.hint = int32(q.ids[nearest])
 	k, nR := q.k, q.nR
 	minRest, minINS := math.Inf(1), math.Inf(1)
 	if nR > k {
@@ -65,7 +65,7 @@ func settledHint(q *PlaneQuery) int {
 	if q.deferred {
 		return q.ids[q.nearestKNN()]
 	}
-	return q.hint
+	return int(q.hint)
 }
 
 // floorHolds reports whether q's floor is the bound measure may skip kNN
@@ -264,7 +264,8 @@ func (w *boundedWalk) next() geom.Point {
 // from (settledHint) and every counter but DistanceCalcs, which the
 // bounded session must spend less of. On uniform data with k ≥ 5 some
 // validation must have found the kNN set valid without evaluating every
-// kNN member.
+// kNN member, and at ρ > 1 each way a validation can be decided — by each
+// of the three witnesses and by the passes — must have decided some update.
 func TestBoundedValidationMatchesFullPass(t *testing.T) {
 	params := []struct {
 		k   int
@@ -349,7 +350,7 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 			t.Fatalf("%s k=%d rho=%g step %d %s: R %v | full pass %v", name, k, rho, step, what, a.Prefetched(), b.Prefetched())
 		case !slices.Equal(slices.Sorted(slices.Values(a.INS())), slices.Sorted(slices.Values(b.INS()))):
 			t.Fatalf("%s k=%d rho=%g step %d %s: I(R) %v | full pass %v", name, k, rho, step, what, a.INS(), b.INS())
-		case settledHint(a.PlaneQuery) != b.hint:
+		case settledHint(a.PlaneQuery) != int(b.hint):
 			t.Fatalf("%s k=%d rho=%g step %d %s: hint %d | full pass %d", name, k, rho, step, what, settledHint(a.PlaneQuery), b.hint)
 		case a.init && !floorHolds(a.PlaneQuery):
 			t.Fatalf("%s k=%d rho=%g step %d %s: floor %g bounds neither the guards nor a kNN member", name, k, rho, step, what, a.floor)
@@ -397,11 +398,16 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 
 	const steps = 400
 	deferred := 0
+	var decided [byRInvalid + 1]int // validations by what decided them
 	for step = 0; step < steps; step++ {
 		p := w.next()
+		validations := a.Metrics().Validations
 		knnA, errA := a.Update(p)
 		knnB, errB := fullPassUpdate(b, p)
 		same("update", knnA, knnB, errA, errB)
+		if a.Metrics().Validations > validations {
+			decided[a.decided]++
+		}
 		if a.deferred {
 			deferred++
 		}
@@ -468,12 +474,18 @@ func runBoundedTwin(t *testing.T, tc boundedCase, k int, rho float64, shared boo
 	if tc.name == "uniform" && k >= 5 && deferred == 0 {
 		t.Errorf("%s k=%d rho=%g: no validation skipped a kNN member", name, k, rho)
 	}
+	// At ρ = 1, R is the kNN set: a stale kNN set is stale R, found by the
+	// both-stale witness or the passes.
+	if tc.name == "uniform" && k >= 5 && rho > 1 && slices.Contains(decided[:], 0) {
+		t.Errorf("%s k=%d rho=%g: validations decided by the passes, a both-stale, a kNN-stale and an R-invalid witness: %v; want each at least once",
+			name, k, rho, decided)
+	}
 	if event != nil && deferred < 10 {
 		t.Errorf("%s: %d validations deferred the hint, want at least 10", name, deferred)
 	}
 	if tc.name == "uniform" && !shared && k == 5 && rho == 1.6 {
-		t.Logf("%s k=%d: %d distances against the full pass's %d over %d updates (%d recomputations)",
-			name, k, ma.DistanceCalcs, mb.DistanceCalcs, ma.Timestamps, ma.Recomputations)
+		t.Logf("%s k=%d: %d distances against the full pass's %d over %d updates (%d recomputations); decided by passes, both-stale, kNN-stale, R-invalid: %v",
+			name, k, ma.DistanceCalcs, mb.DistanceCalcs, ma.Timestamps, ma.Recomputations, decided)
 	}
 }
 

@@ -235,10 +235,9 @@ func outcomeCount(before, after metrics.Counters, outcome string) int {
 	return after.Timestamps - before.Timestamps - invalid
 }
 
-// BenchmarkPlaneUpdate is the core row of the per-layer ledger without the
-// harness: one Update at 100k objects, k = 8, ρ = 1.6, by outcome, and the
-// benchmark harness's mix of them (mix).
-func BenchmarkPlaneUpdate(b *testing.B) {
+// planeBenchIndex is BenchmarkPlaneUpdate's index: 100k uniform objects.
+func planeBenchIndex(tb testing.TB) *vortree.Index {
+	tb.Helper()
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
 	rng := rand.New(rand.NewSource(3))
 	pts := make([]geom.Point, 100000)
@@ -247,8 +246,96 @@ func BenchmarkPlaneUpdate(b *testing.B) {
 	}
 	ix, _, err := vortree.Build(bounds, 16, pts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return ix
+}
+
+// planeMix is the benchmark harness's plane sessions over ix: k = 1, 5,
+// 10, 20 in turn, half of them stepping 2 and half 16 per update, each
+// replaying 256 positions ping-pong, all through one scratch as on one
+// shard. newPlaneMix places them, and before holds their counters then.
+type planeMix struct {
+	qs     []*PlaneQuery
+	trajs  [][]geom.Point
+	before metrics.Counters
+}
+
+func newPlaneMix(tb testing.TB, ix *vortree.Index) *planeMix {
+	tb.Helper()
+	const sessions, trajLen = 64, 256
+	sc := new(vortree.SearchScratch)
+	m := &planeMix{qs: make([]*PlaneQuery, sessions), trajs: make([][]geom.Point, sessions)}
+	for i := range m.qs {
+		step := 2.0
+		if (i/4)%2 == 1 {
+			step = 16
+		}
+		m.trajs[i] = trajectory.RandomWaypoint(ix.Bounds(), trajLen, step, int64(i))
+		q, err := NewPlaneQuery(ix, []int{1, 5, 10, 20}[i%4], 1.6)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		q.UseScratch(sc)
+		if _, err := q.Update(m.trajs[i][0]); err != nil {
+			tb.Fatal(err)
+		}
+		m.before.Add(*q.Metrics())
+		m.qs[i] = q
+	}
+	return m
+}
+
+// update runs the mix's n-th update (from 0): sessions in turn.
+func (m *planeMix) update(tb testing.TB, n int) {
+	i, trajLen := n%len(m.qs), len(m.trajs[0])
+	j := (n/len(m.qs) + 1) % (2*trajLen - 2) // ping-pong over 0..trajLen-1
+	if j >= trajLen {
+		j = 2*trajLen - 2 - j
+	}
+	if _, err := m.qs[i].Update(m.trajs[i][j]); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// since returns the search steps (distances evaluated plus index nodes
+// read) per update and the share of updates that recomputed, in percent,
+// since the sessions were placed.
+func (m *planeMix) since() (steps, recomputePct float64) {
+	var after metrics.Counters
+	for _, q := range m.qs {
+		after.Add(*q.Metrics())
+	}
+	updates := float64(after.Timestamps - m.before.Timestamps)
+	steps = float64(after.DistanceCalcs-m.before.DistanceCalcs+after.NodeVisits-m.before.NodeVisits) / updates
+	return steps, 100 * float64(after.Recomputations-m.before.Recomputations) / updates
+}
+
+// TestPlaneMixSearchSteps gates the search steps of BenchmarkPlaneUpdate/mix
+// on a fixed run of it, 100 updates of each session. Its recomputations
+// are the full pass's, 3145 of the 6400 updates, so the validation alone
+// moves the steps (14.37 per update before the witness search).
+func TestPlaneMixSearchSteps(t *testing.T) {
+	const updates, recomputes = 64 * 100, 3145
+	m := newPlaneMix(t, planeBenchIndex(t))
+	for n := range updates {
+		m.update(t, n)
+	}
+	steps, pct := m.since()
+	if want := 100 * float64(recomputes) / updates; pct != want {
+		t.Errorf("%.4f%% of %d updates recomputed, want %.4f%%", pct, updates, want)
+	}
+	if steps > 11 {
+		t.Errorf("%.3f search steps per update, want at most 11", steps)
+	}
+	t.Logf("%.3f search steps per update, %.2f%% recomputed", steps, pct)
+}
+
+// BenchmarkPlaneUpdate is the core row of the per-layer ledger without the
+// harness: one Update at 100k objects, k = 8, ρ = 1.6, by outcome, and the
+// benchmark harness's mix of them (mix).
+func BenchmarkPlaneUpdate(b *testing.B) {
+	ix := planeBenchIndex(b)
 	for _, outcome := range []string{"validate", "rerank", "recompute"} {
 		q, pos := outcomeLoop(b, ix, outcome, 9)
 		step := 0 // runs on across the b.N ramp: the query is at pos[step&1]
@@ -270,52 +357,17 @@ func BenchmarkPlaneUpdate(b *testing.B) {
 			}
 		})
 	}
-	// The harness's plane sessions: k = 1, 5, 10, 20 in turn, half of them
-	// stepping 2 and half 16 per update, each replaying 256 positions
-	// ping-pong, all through one scratch as on one shard. Their first
-	// placements happen before the clock starts.
+	// Their first placements happen before the clock starts.
 	b.Run("mix", func(b *testing.B) {
-		const sessions, trajLen = 64, 256
-		sc := new(vortree.SearchScratch)
-		qs := make([]*PlaneQuery, sessions)
-		trajs := make([][]geom.Point, sessions)
-		var before metrics.Counters
-		for i := range qs {
-			step := 2.0
-			if (i/4)%2 == 1 {
-				step = 16
-			}
-			trajs[i] = trajectory.RandomWaypoint(bounds, trajLen, step, int64(i))
-			q, err := NewPlaneQuery(ix, []int{1, 5, 10, 20}[i%4], 1.6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q.UseScratch(sc)
-			if _, err := q.Update(trajs[i][0]); err != nil {
-				b.Fatal(err)
-			}
-			before.Add(*q.Metrics())
-			qs[i] = q
-		}
+		m := newPlaneMix(b, ix)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			i := n % sessions
-			j := (n/sessions + 1) % (2*trajLen - 2) // ping-pong over 0..trajLen-1
-			if j >= trajLen {
-				j = 2*trajLen - 2 - j
-			}
-			if _, err := qs[i].Update(trajs[i][j]); err != nil {
-				b.Fatal(err)
-			}
+			m.update(b, n)
 		}
 		b.StopTimer()
-		var after metrics.Counters
-		for _, q := range qs {
-			after.Add(*q.Metrics())
-		}
-		updates := float64(after.Timestamps - before.Timestamps)
-		b.ReportMetric(float64(after.DistanceCalcs-before.DistanceCalcs+after.NodeVisits-before.NodeVisits)/updates, "searchsteps/op")
-		b.ReportMetric(100*float64(after.Recomputations-before.Recomputations)/updates, "recompute%")
+		steps, recompute := m.since()
+		b.ReportMetric(steps, "searchsteps/op")
+		b.ReportMetric(recompute, "recompute%")
 	})
 }

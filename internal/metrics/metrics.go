@@ -11,12 +11,22 @@ import "fmt"
 // Counters accumulates query-processing costs. The zero value is ready to
 // use.
 type Counters struct {
-	Timestamps      int // location updates processed
-	Validations     int // per-timestamp validity checks performed
-	Invalidations   int // validations that found the kNN set stale
-	Recomputations  int // full server-side recomputations (communication events)
-	ObjectsShipped  int // data objects sent client-ward by recomputations
-	DistanceCalcs   int // point-to-point distance evaluations; in the plane, a validation's (the step from the anchor point, the kNN members the anchor bound cannot place within every guard object, the guard objects it cannot rule out up to the first I(R) member inside the kNN radius, and after such a stop the members that may still be nearer than the hint — or, on a stale verdict, the rest of R), the k of an invalidation that settles a hint a valid verdict deferred, and a hint walk's — none when the validation proved its hint the nearest object — not a recomputation's Voronoi expansion
+	Timestamps     int // location updates processed
+	Validations    int // per-timestamp validity checks performed
+	Invalidations  int // validations that found the kNN set stale
+	Recomputations int // full server-side recomputations (communication events)
+	ObjectsShipped int // data objects sent client-ward by recomputations
+	// DistanceCalcs counts point-to-point distance evaluations. In the
+	// plane, a validation's: the step from the anchor point, then each
+	// member of R ∪ I(R) it evaluates, once — those a search for a stale-state
+	// witness evaluates first after a recomputation, those the anchor bounds
+	// cannot rule out where no witness decides, before a re-rank the rest of
+	// R, and before a recomputation the members that may still be nearer than
+	// the hint. Beside it, the k of an invalidation that settles a hint a
+	// valid verdict deferred, and a hint walk's — none when the validation
+	// proved its hint the nearest object — but not a recomputation's Voronoi
+	// expansion.
+	DistanceCalcs   int
 	DijkstraRuns    int // shortest-path searches begun (road network mode): per update the AnchorBuilds, plus one unless the edge anchor's tables answer it (a recomputation continues its validation search)
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
 	NodeVisits      int // index nodes or grid cells touched (stand-in for page I/O)
