@@ -56,15 +56,15 @@ type PlaneQuery struct {
 	// or re-rank verdict: R is then in anchor order, as AppendPrefetch
 	// returned it, and measure first looks for a pair of members that proves
 	// the state stale (witness).
-	probe   bool
-	decided proof // what decided the last validation
+	probe bool
 
 	disableRerank bool
 
 	// radius is d²(last, o) of R's farthest member o, which affects holds
-	// every insert of an Advance window against; -1 until it is taken. With
-	// hint an int32 beside the flags, it keeps the struct within its
-	// 256-byte allocation class.
+	// every insert of an Advance window against; -1 until it is taken. Only
+	// a new position (locate) and a new R (recomputeFrom) change it: a
+	// re-rank only reorders R, and an invalidated state is judged no more
+	// until a recomputation. Zero, as created, is right for the empty R.
 	radius float64
 }
 
@@ -77,7 +77,7 @@ func NewPlaneQuery(ix *vortree.Index, k int, rho float64) (*PlaneQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlaneQuery{session: s, ix: ix, hint: vortree.NoHint, radius: -1}, nil
+	return &PlaneQuery{session: s, ix: ix, hint: vortree.NoHint}, nil
 }
 
 // Name identifies the processor in simulation reports.
@@ -235,104 +235,129 @@ func below(floor, delta float64) float64 {
 // does not rule out and the I(R) members the second does not rule out
 // against R's radius; only if R is valid, the rest of R, which the re-rank
 // orders. Either pass stops at the first I(R) member inside its radius,
-// which makes both verdicts false.
+// which makes both verdicts false. A kNN set the first bound rules out
+// whole needs no guard pass.
 //
 // A stale state needs one pair to prove it, a witness: a guard object
-// nearer than a kNN member. While the state is a recomputation's (probe),
-// measure looks for an I(R) member nearer than a kNN member first, which
-// makes both verdicts false, then for an R \ kNN member nearer than a kNN
-// member. Once the kNN set is stale, found either way, it looks for an I(R)
-// member nearer than a member of R before it evaluates the rest of R. A
-// search that finds none leaves the verdict to the passes above, which
+// nearer than a member. While the state is a recomputation's (probe), R is
+// in anchor order, and its last two kNN members, the farthest from the
+// anchor point, are held against the guards first (witness): an I(R)
+// member nearer than one makes both verdicts false, an R \ kNN member the
+// kNN set stale. Once the kNN set is stale, R's last two members are held
+// against I(R) the same way before the rest of R is evaluated (judgeR).
+// A search that finds no witness leaves the verdict to the passes, which
 // reuse its distances. The verdicts are those of evaluating every member
 // (TestBoundedValidationMatchesFullPass).
 //
 // The distances go to the scratch's buffer, marked -1 where not evaluated,
 // which measure returns for the re-rank. The nearest member evaluated,
-// ties to the lowest index, becomes the hint of a recomputation, once
-// settle has completed it. A valid verdict that skipped a kNN member
-// defers the hint to Invalidate, the only way to a recomputation that runs
-// no validation first. A hint in R is the nearest object (nearest): its
-// Delaunay ring lies in R ∪ I(R). An update that happened to evaluate
-// every member becomes the new anchor.
+// ties to the lowest index, becomes the hint of a recomputation — after a
+// stop, once the members the bound cannot place beyond it are evaluated
+// too. A valid verdict that skipped a kNN member defers the hint to
+// Invalidate, the only way to a recomputation that runs no validation
+// first. A hint in R is the nearest object (nearest): its Delaunay ring
+// lies in R ∪ I(R). An update that happened to evaluate every member
+// becomes the new anchor.
 func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, nearest bool) {
-	k, nR, n := q.k, q.nR, len(q.ids)
-	dist = q.sc.Dists(n)
+	k := q.k
+	dist = q.sc.Dists(len(q.ids))
 	for i := range dist {
 		dist[i] = -1
 	}
 	delta := math.Sqrt(p.Dist2(q.at))
 	safe := below(q.floor, delta)
-	v := validation{q: q, p: p, dist: dist, delta: delta, safe: safe, best: math.Inf(1), evals: 1}
+	t := tally{best: math.Inf(1), evals: 1}
 	q.deferred = false
-	by := byPasses
+	// The witness search evaluates the kNN members ids[lo:k], r the
+	// farthest of them.
+	lo, r, by := k, 0.0, byPasses
 	if q.probe {
-		// The kNN members from the farthest anchor distance down.
-		kw := far{next: k - 1, max: -1, sorted: true}
-		if v.witness(&kw, nR, n) {
-			return v.settle(false, false, byBothStale)
-		}
-		if v.witness(&kw, k, nR) {
-			by = byKNNStale
-		}
+		lo, r, by, t = q.witness(p, dist, delta, safe, t)
 	}
+	// stop marks an I(R) member nearer than a member of R: both verdicts
+	// are false, and the members past it were held against no bound.
+	stop := by == byBothStale
 	if by == byPasses {
-		maxKNN, skipped := 0.0, false
-		for i, a := range q.anchor[:k] {
-			if a <= safe {
+		skipped := false
+		for i, id := range q.ids[:lo] {
+			if q.anchor[i] <= safe {
 				skipped = true
 				continue
 			}
-			d := dist[i]
-			if d < 0 {
-				d = v.eval(i)
-			}
-			maxKNN = max(maxKNN, d)
+			d := p.Dist2(q.ix.Point(id))
+			dist[i] = d
+			r = max(r, d)
+			t = t.add(i, d)
 		}
-		minGuard, stop := v.within(k, maxKNN)
-		if maxKNN <= minGuard {
-			if skipped {
-				q.deferred, q.decided = true, byPasses
-				q.m.DistanceCalcs += v.evals
-				return dist, true, false, false
-			}
-			return v.settle(true, false, byPasses)
+		// A kNN set the floor rules out whole (only δ evaluated) is valid
+		// with no guard pass: a member that came from the guards since the
+		// floor was taken is never ruled out, so the guards are the ones it
+		// was taken over.
+		if t.evals == 1 {
+			return q.deferHint(dist, t)
 		}
-		if stop {
-			return v.settle(false, false, byPasses)
+		var minGuard float64
+		var g int
+		minGuard, g, t.evals, stop = q.evaluateWithin(p, dist, k, r, delta, t.evals)
+		if knnValid = r <= minGuard; knnValid && skipped {
+			return q.deferHint(dist, t)
 		}
+		t = t.near(g, minGuard)
 	}
-	// The kNN set is stale. R is valid unless an I(R) member is nearer than
-	// one of R's, walked from its end down. A member of R the floor rules
-	// out is no farther than any I(R) member; only a re-rank evaluates it.
-	rw := far{next: nR - 1, max: -1, sorted: q.probe}
-	if v.witness(&rw, nR, n) {
-		return v.settle(false, false, byRInvalid)
+	if !knnValid && !stop {
+		rValid, stop, by, t = q.judgeR(p, dist, delta, safe, r, by, t)
 	}
-	maxR := max(rw.max, 0)
-	for i := rw.next; i >= 0; i-- { // the members the walk did not reach
-		d := dist[i]
-		if d < 0 {
-			if q.anchor[i] <= safe {
-				continue
-			}
-			d = v.eval(i)
-		}
-		maxR = max(maxR, d)
+	if stop {
+		t = q.complete(p, dist, delta, t)
 	}
-	if minINS, _ := v.within(nR, maxR); maxR > minINS {
-		return v.settle(false, false, by)
+	q.m.DistanceCalcs += t.evals
+	q.hint = int32(q.ids[t.h])
+	if t.evals == 1+len(dist) {
+		q.at = p
+		copy(q.anchor, dist)
+		q.setFloor()
 	}
-	for i := range nR {
-		if dist[i] < 0 {
-			v.eval(i)
-		}
+	if decided != nil {
+		decided(q, by)
 	}
-	return v.settle(false, true, by)
+	return dist, knnValid, rValid, t.h < q.nR
 }
 
-// proof is what decided a validation: one of the three witnesses, or the
-// passes that evaluate what no bound rules out.
+// tally is what a validation has evaluated so far: the nearest member, at
+// index h and squared distance best, ties to the lowest index, and the
+// distances spent.
+type tally struct {
+	h     int
+	best  float64
+	evals int
+}
+
+// add counts member i, evaluated at squared distance d.
+func (t tally) add(i int, d float64) tally {
+	t.evals++
+	return t.near(i, d)
+}
+
+// near takes member i, at squared distance d, if it is the nearest.
+func (t tally) near(i int, d float64) tally {
+	if d < t.best || d == t.best && i < t.h {
+		t.h, t.best = i, d
+	}
+	return t
+}
+
+// deferHint ends a validation that found the kNN set valid without
+// evaluating every kNN member: the hint waits for Invalidate.
+func (q *PlaneQuery) deferHint(dist []float64, t tally) ([]float64, bool, bool, bool) {
+	q.deferred = true
+	q.m.DistanceCalcs += t.evals
+	if decided != nil {
+		decided(q, byPasses)
+	}
+	return dist, true, false, false
+}
+
+// proof is what decided a validation: a witness, or the passes.
 type proof uint8
 
 const (
@@ -342,187 +367,186 @@ const (
 	byRInvalid        // an I(R) member nearer than a member of R
 )
 
-// validation is the working state of one measure: δ, the anchor distance
-// at most which a member of R is no farther than any I(R) member (safe),
-// the distances evaluated, the nearest member evaluated (h, at best, ties
-// to the lowest index) and the evaluations spent, δ's included.
-type validation struct {
-	q           *PlaneQuery
-	p           geom.Point
-	dist        []float64
-	delta, safe float64
-	h           int
-	best        float64
-	evals       int
-}
+// decided, when set, is told what decided each validation. Only tests set
+// it, and only while no other query runs.
+var decided func(*PlaneQuery, proof)
 
-// eval evaluates d²(p, ids[i]) into dist[i].
-func (v *validation) eval(i int) float64 {
-	d := v.p.Dist2(v.q.ix.Point(v.q.ids[i]))
-	v.dist[i] = d
-	v.evals++
-	if d < v.best || d == v.best && i < v.h {
-		v.h, v.best = i, d
+// witness looks, while R is in anchor order, for a guard object nearer
+// than one of the last two kNN members, the farthest from the anchor
+// point: an I(R) member (byBothStale), else an R \ kNN member
+// (byKNNStale). It evaluates the two, unless the floor rules them out,
+// then the guards whose anchor distance does not place them beyond the
+// farther, I(R) in index order and R \ kNN in anchor order, and stops at
+// the first nearer. It returns the lowest index of the kNN members it
+// evaluated (k for none), the farthest of them and what it found
+// (byPasses for nothing).
+func (q *PlaneQuery) witness(p geom.Point, dist []float64, delta, safe float64, t tally) (lo int, r float64, by proof, _ tally) {
+	k, nR, ids, anchor := q.k, q.nR, q.ids, q.anchor
+	for lo = k; lo > max(0, k-2) && anchor[lo-1] > safe; {
+		lo--
+		d := p.Dist2(q.ix.Point(ids[lo]))
+		dist[lo] = d
+		r = max(r, d)
+		t = t.add(lo, d)
 	}
-	return d
-}
-
-// within evaluates, for each member i ≥ from not yet evaluated, d²(p,
-// ids[i]) — unless its anchor distance places it beyond radius √r2 of p.
-// It returns the least distance in dist[from:] (+Inf for none) and whether
-// it stopped at an I(R) member nearer than √r2, where it looks no further.
-func (v *validation) within(from int, r2 float64) (least float64, stop bool) {
-	dist, anchor, nR := v.dist, v.q.anchor, v.q.nR
-	bound := reach(r2, v.delta)
-	least = math.Inf(1)
-	for i := from; i < len(dist); i++ {
-		d := dist[i]
-		if d < 0 {
-			if anchor[i] > bound {
-				continue
+	if lo == k {
+		return lo, r, byPasses, t
+	}
+	// I(R) lies beyond R from the anchor point: no I(R) member is nearer
+	// than r unless R's last member is inside the bound.
+	b := beyond(r, delta)
+	for j := nR; j < len(ids) && anchor[nR-1] < b; j++ {
+		if anchor[j] < b {
+			d := p.Dist2(q.ix.Point(ids[j]))
+			dist[j] = d
+			if t = t.add(j, d); d < r {
+				return lo, r, byBothStale, t
 			}
-			d = v.eval(i)
-		}
-		least = min(least, d)
-		if i >= nR && d < r2 {
-			return least, true
 		}
 	}
-	return least, false
+	for j := k; j < nR && anchor[j] < b; j++ {
+		d := p.Dist2(q.ix.Point(ids[j]))
+		dist[j] = d
+		if t = t.add(j, d); d < r {
+			return lo, r, byKNNStale, t
+		}
+	}
+	return lo, r, byPasses, t
 }
 
-// far is the side of a witness search whose members a witness must be
-// nearer than: members next, next−1, … 0 of ids not yet walked, and the
-// farthest one walked (max, -1 for none). sorted says the members not yet
-// walked have anchor distances at most anchor[next], as R has while probe
-// is set.
-type far struct {
-	next   int
-	max    float64
-	sorted bool
-}
-
-// witness looks for a member of ids[lo:hi] nearer to p than a member of f.
-// It walks f from its end down, past the members the floor rules out
-// (sorted, it stops at the first), and after each member evaluates the
-// members of ids[lo:hi] in index order whose anchor distance does not
-// place them beyond the farthest member walked; one that only a member not
-// yet walked could be farther than waits, one that none could is passed
-// over. It reports whether it found a witness; if not, nothing follows
-// from it but the distances it evaluated, and f may stop short. Roots are
-// taken only as the farthest member walked changes and when a member of
-// ids[lo:hi] waits or all of them are taken.
-func (v *validation) witness(f *far, lo, hi int) bool {
-	anchor, dist := v.q.anchor, v.dist
-	least := math.Inf(1) // the nearest member of ids[lo:hi] evaluated
-	// r is the distance of the farthest member walked; a member of
-	// ids[lo:hi] whose anchor distance is at least known is no nearer.
-	r := math.Sqrt(max(f.max, 0))
-	known := beyond(r, v.delta)
-	j := lo
-	for f.next >= 0 {
-		i := f.next
-		f.next--
-		d := dist[i]
-		if d < 0 {
-			if anchor[i] <= v.safe {
-				if f.sorted {
-					f.next = -1 // so is every member below
-				}
-				continue
+// judgeR takes R's verdict once the kNN set is stale, r being the
+// farthest member of R evaluated. While R is in anchor order it first
+// looks for an I(R) member nearer than one of R's last two members, the
+// farthest from the anchor point, or than r: it evaluates the two, unless
+// the floor rules them out, and the I(R) members whose anchor distance
+// does not place them beyond the farthest. Finding none, it evaluates the
+// rest of R the floor does not rule out — such a member is no farther
+// than any I(R) member, so R's verdict does not turn on it — and the I(R)
+// members the bound about R's radius does not rule out, up to the first
+// inside it. Only a valid R, which the re-rank orders, evaluates the rest
+// of R. It reports whether R is valid, whether it stopped at an I(R)
+// member inside R's radius, and what decided it.
+func (q *PlaneQuery) judgeR(p geom.Point, dist []float64, delta, safe, r float64, by proof, t tally) (rValid, stop bool, _ proof, _ tally) {
+	nR, ids, anchor := q.nR, q.ids, q.anchor
+	if q.probe {
+		for i := nR - 1; i >= max(0, nR-2); i-- {
+			if dist[i] < 0 && anchor[i] > safe {
+				d := p.Dist2(q.ix.Point(ids[i]))
+				dist[i] = d
+				r = max(r, d)
+				t = t.add(i, d)
 			}
-			d = v.eval(i)
 		}
-		if d > f.max {
-			if f.max = d; least < d {
-				return true
-			}
-			r = math.Sqrt(d)
-			known = beyond(r, v.delta)
-		} else if !f.sorted {
-			continue // a waiting member waits on: only max moves it
-		}
-		all := -1.0 // at least all: no nearer than any member of f
-		for ; j < hi; j++ {
+		b := beyond(r, delta)
+		for j := nR; j < len(ids); j++ {
 			d := dist[j]
 			if d < 0 {
-				if a := anchor[j]; a >= known {
-					if all < 0 {
-						all = beyond(v.bound(f, r), v.delta)
-					}
-					if a >= all {
-						continue
-					}
-					break
+				if anchor[j] >= b {
+					continue
 				}
-				d = v.eval(j)
+				d = p.Dist2(q.ix.Point(ids[j]))
+				dist[j] = d
+				t = t.add(j, d)
 			}
-			if least = min(least, d); least < f.max {
-				return true
+			if d < r {
+				return false, true, byRInvalid, t
 			}
 		}
-		if j == hi {
-			if u := v.bound(f, r); u*u <= least {
+	}
+	skipped := false
+	for i := range nR {
+		d := dist[i]
+		if d < 0 {
+			if anchor[i] <= safe {
+				skipped = true
+				continue
+			}
+			d = p.Dist2(q.ix.Point(ids[i]))
+			dist[i] = d
+			t = t.add(i, d)
+		}
+		r = max(r, d)
+	}
+	minINS, g, evals, stop := q.evaluateWithin(p, dist, nR, r, delta, t.evals)
+	t.evals = evals
+	if t = t.near(g, minINS); stop {
+		return false, true, by, t
+	}
+	for i := 0; skipped && i < nR; i++ {
+		if dist[i] < 0 {
+			d := p.Dist2(q.ix.Point(ids[i]))
+			dist[i] = d
+			t = t.add(i, d)
+		}
+	}
+	return true, false, by, t
+}
+
+// complete completes the hint after a stop: it evaluates each member not
+// yet evaluated whose anchor distance the bound cannot place beyond best,
+// shrinking best as it goes. While probe is set R is in anchor order and
+// I(R) lies beyond it, so a member of R beyond the bound, or R's last
+// member, puts every member after it beyond too.
+func (q *PlaneQuery) complete(p geom.Point, dist []float64, delta float64, t tally) tally {
+	nR := q.nR
+	b := reach(t.best, delta)
+	for i := 0; i < len(dist); i++ {
+		if dist[i] >= 0 {
+			continue
+		}
+		if q.anchor[i] > b {
+			if q.probe && (i < nR || q.anchor[nR-1] > b) {
 				break
 			}
+			continue
+		}
+		d := p.Dist2(q.ix.Point(q.ids[i]))
+		dist[i] = d
+		if t = t.add(i, d); t.best == d {
+			b = reach(d, delta)
 		}
 	}
-	return false
+	return t
 }
 
-// bound returns a distance from p no member of f is farther than: r, that
-// of the farthest walked, and of the members not yet walked, sorted, the
-// anchor bound of the next.
-func (v *validation) bound(f *far, r float64) float64 {
-	switch {
-	case f.next < 0:
-		return r
-	case f.sorted:
-		return max(r, (math.Sqrt(v.q.anchor[f.next])+v.delta)*margin)
-	}
-	return math.Inf(1)
-}
-
-// beyond is (r·margin + δ)²: a member whose anchor distance is at least it
-// is farther than r from p.
-func beyond(r, delta float64) float64 {
-	b := r*margin + delta
+// beyond is (√r2·margin + δ)²: a member whose anchor distance is at least
+// it is no nearer than √r2 to p.
+func beyond(r2, delta float64) float64 {
+	b := math.Sqrt(r2)*margin + delta
 	return b * b
 }
 
-// settle ends a validation with its verdicts and what decided them. When
-// both are false a recomputation follows, and the hint is completed first:
-// each member not yet evaluated whose anchor distance is at most
-// ((√best + δ)·margin)² is evaluated, shrinking best as it goes. (A valid R
-// needs none: R is evaluated, and I(R) up to the bound about R's radius.)
-func (v *validation) settle(knnValid, rValid bool, by proof) ([]float64, bool, bool, bool) {
-	q := v.q
-	q.decided = by
-	if !knnValid && !rValid {
-		b := reach(v.best, v.delta)
-		for i := 0; i < len(v.dist); i++ {
-			if v.dist[i] >= 0 {
+// evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
+// evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
+// radius √r2 of p, δ being p's distance from the anchor point. It returns
+// the least distance in dist[from:] (+Inf for none) and its index (the
+// lowest of a tie), evals plus the distances it evaluated and whether it
+// stopped at an I(R) member nearer than √r2, where it looks no further.
+func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64, evals int) (least float64, idx, _ int, stop bool) {
+	bound := reach(r2, delta)
+	least = math.Inf(1)
+	end := len(dist)
+	if q.probe && q.anchor[q.nR-1] > bound {
+		end = q.nR // I(R) lies beyond R: none of it evaluated, none inside
+	}
+	for i := from; i < end; i++ {
+		d := dist[i]
+		if d < 0 {
+			if q.anchor[i] > bound {
 				continue
 			}
-			if q.anchor[i] > b {
-				if q.probe && i < q.nR {
-					i = q.nR - 1 // and so is the rest of R, in anchor order
-				}
-				continue
-			}
-			if v.eval(i) == v.best {
-				b = reach(v.best, v.delta)
-			}
+			d = p.Dist2(q.ix.Point(q.ids[i]))
+			dist[i] = d
+			evals++
+		}
+		if d < least {
+			least, idx = d, i
+		}
+		if i >= q.nR && d < r2 {
+			return least, idx, evals, true
 		}
 	}
-	q.m.DistanceCalcs += v.evals
-	q.hint = int32(q.ids[v.h])
-	if v.evals == 1+len(v.dist) {
-		q.at = v.p
-		copy(q.anchor, v.dist)
-		q.setFloor()
-	}
-	return v.dist, knnValid, rValid, v.h < q.nR
+	return least, idx, evals, false
 }
 
 // rerank sorts R by this update's distances, ties by id, carrying each
@@ -538,7 +562,7 @@ func (q *PlaneQuery) rerank(dist []float64) {
 			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
 		}
 	}
-	q.probe, q.radius = false, -1
+	q.probe = false
 }
 
 // setFloor takes floor afresh with a new anchor: the one root it costs is
@@ -566,7 +590,6 @@ func (q *PlaneQuery) Invalidate() {
 		q.m.DistanceCalcs += q.k
 		q.deferred = false
 	}
-	q.radius = -1
 	q.session.Invalidate()
 }
 

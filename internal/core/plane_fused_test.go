@@ -236,13 +236,18 @@ func outcomeCount(before, after metrics.Counters, outcome string) int {
 }
 
 // planeBenchIndex is BenchmarkPlaneUpdate's index: 100k uniform objects.
-func planeBenchIndex(tb testing.TB) *vortree.Index {
+func planeBenchIndex(tb testing.TB) *vortree.Index { return planeIndex(tb, 100000) }
+
+// planeIndex builds n uniform objects at the density of planeBenchIndex:
+// 100k on a 10,000-unit square.
+func planeIndex(tb testing.TB, n int) *vortree.Index {
 	tb.Helper()
-	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000))
+	side := 10000 * math.Sqrt(float64(n)/100000)
+	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(side, side))
 	rng := rand.New(rand.NewSource(3))
-	pts := make([]geom.Point, 100000)
+	pts := make([]geom.Point, n)
 	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+		pts[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 	}
 	ix, _, err := vortree.Build(bounds, 16, pts)
 	if err != nil {
@@ -312,12 +317,14 @@ func (m *planeMix) since() (steps, recomputePct float64) {
 }
 
 // TestPlaneMixSearchSteps gates the search steps of BenchmarkPlaneUpdate/mix
-// on a fixed run of it, 100 updates of each session. Its recomputations
-// are the full pass's, 3145 of the 6400 updates, so the validation alone
-// moves the steps (14.37 per update before the witness search).
+// on a fixed run of it, 100 updates of each session, over 20k objects at
+// the benchmark's density (the 100k index takes most of two seconds to
+// build under the race detector). Its recomputations are the full pass's,
+// 3170 of the 6400 updates, so the validation alone moves the steps:
+// 14.32 per update before the witness search.
 func TestPlaneMixSearchSteps(t *testing.T) {
-	const updates, recomputes = 64 * 100, 3145
-	m := newPlaneMix(t, planeBenchIndex(t))
+	const updates, recomputes = 64 * 100, 3170
+	m := newPlaneMix(t, planeIndex(t, 20000))
 	for n := range updates {
 		m.update(t, n)
 	}
