@@ -28,35 +28,25 @@ type PlaneQuery struct {
 	ix *vortree.Index // the index the query reads
 
 	// anchor parallels ids: the squared distances from the anchor point at,
-	// where the last update that measured every member stood (a
-	// recomputation measures them all), from which measure bounds what it
-	// need not evaluate. A re-rank permutes it along with R. floor is the
-	// distance (not squared) from at of the nearest guard object, a member
-	// of ids[k:] (+Inf for none), taken with the anchor. A re-rank leaves
-	// it: until one moves a guard object into the kNN set the guards are the
-	// same, and after, that member lies at least floor from at, so measure
-	// evaluates it, and it is at least as far from p as any member floor
-	// lets measure skip — r.delete is what a fresh floor would give.
+	// where the last update that evaluated every member stood (as a
+	// recomputation does), by which measure bounds what it need not
+	// evaluate. floor is the distance (not squared) from at of the nearest
+	// guard object, a member of ids[k:] (+Inf for none), taken with the
+	// anchor. A re-rank permutes anchor with R and leaves floor: a guard it
+	// moves into the kNN set lies at least floor from at, so measure
+	// evaluates it, and no member floor lets measure skip is farther.
 	anchor []float64
 	at     geom.Point
 	floor  float64
 
 	// hint is an object near the query — the nearest object the last
-	// validation evaluated, else the last result's nearest object — from
-	// which the next recomputation walks to the new nearest object instead
-	// of starting cold from the index's entry grid. It survives Invalidate:
-	// the guard sets may be stale after a data update, the neighbourhood is
-	// not. deferred marks a hint the last validation left unresolved, having
-	// found the kNN set valid without evaluating every member; Invalidate
-	// resolves it.
+	// validation evaluated, else the last result's nearest — from which the
+	// next recomputation walks to the new nearest instead of starting cold
+	// from the index's entry grid. It survives Invalidate: the guard sets may
+	// be stale after a data update, the neighbourhood is not. deferred marks
+	// a hint a valid verdict left for Invalidate to resolve.
 	hint     int32 // an object id: ids are delaunay vertex slots, int32
 	deferred bool
-
-	// probe is set while the state is a recomputation's, cleared by a valid
-	// or re-rank verdict: R is then in anchor order, as AppendPrefetch
-	// returned it, and measure first looks for a pair of members that proves
-	// the state stale (witness).
-	probe bool
 
 	disableRerank bool
 
@@ -163,7 +153,6 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	q.m.Validations++
 	dist, knnValid, rValid, nearest := q.measure(p)
 	if knnValid {
-		q.probe = false
 		return q.knn(), nil
 	}
 	q.m.Invalidations++
@@ -182,8 +171,7 @@ func (q *PlaneQuery) Update(p geom.Point) ([]int, error) {
 	return q.knn(), nil
 }
 
-// locate records p as the last position reported, which R's radius about
-// it follows.
+// locate records p as the last position, which R's radius follows.
 func (q *PlaneQuery) locate(p geom.Point) {
 	q.last, q.located, q.radius = p, true, -1
 }
@@ -217,102 +205,71 @@ func below(floor, delta float64) float64 {
 
 // measure takes the two verdicts of an Update at p. The kNN set is valid
 // (Section III-A) while its farthest member (r.delete) is no farther than
-// the nearest member of its influential set (R \ kNN) ∪ I(R)
-// (r.candidate); R is valid as the ⌊ρk⌋-NN set while its farthest member
-// is no farther than the nearest member of I(R).
+// the nearest member of (R \ kNN) ∪ I(R) (r.candidate), R while its
+// farthest member is no farther than the nearest of I(R). Both are one
+// rule, walk: the members ids[:hi] hold while no guard object in ids[hi:]
+// is nearer than one. It is applied to the kNN set (hi = k) and, only if an
+// R \ kNN member proves that stale, to R (hi = nR).
 //
-// It evaluates only the distances a verdict can turn on. Every member o
-// carries its anchor distance d(at, o), and with δ = d(p, at) the triangle
-// inequality gives d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A member of R
-// whose anchor distance is at most floor − 2δ is thus no farther from p
-// than any object at least floor from the anchor point — every I(R)
-// member, and every guard object the floor was taken over — and cannot
-// break a verdict; a guard object whose anchor distance exceeds r + δ is
-// farther from p than r and cannot be closer than a member at radius r.
-// measure evaluates δ and the kNN members the first bound does not rule
-// out, at radius r, then the guard objects the second does not rule out
-// against r; only if the kNN set is stale, the rest of R the first bound
-// does not rule out and the I(R) members the second does not rule out
-// against R's radius; only if R is valid, the rest of R, which the re-rank
-// orders. Either pass stops at the first I(R) member inside its radius,
-// which makes both verdicts false. A kNN set the first bound rules out
-// whole needs no guard pass.
+// With δ = d(p, at), d(at, o) − δ ≤ d(p, o) ≤ d(at, o) + δ. A member of R
+// at most floor − 2δ from the anchor point is thus no farther from p than
+// any object at least floor from it — every I(R) member, every guard the
+// floor was taken over — and is skipped; a guard more than r + δ from it
+// is farther than r. The walk takes the members from the far end and, each
+// time the farthest distance r it evaluated grows, holds against r every
+// guard the bound admits, I(R) first, up to the first nearer than r: a
+// witness. A walk that finds none has evaluated every member the floor
+// does not rule out and every guard the bound about its final r admits, so
+// its verdict is the full pass's (TestBoundedValidationMatchesFullPass).
 //
-// A stale state needs one pair to prove it, a witness: a guard object
-// nearer than a member. While the state is a recomputation's (probe), R is
-// in anchor order, and its last two kNN members, the farthest from the
-// anchor point, are held against the guards first (witness): an I(R)
-// member nearer than one makes both verdicts false, an R \ kNN member the
-// kNN set stale. Once the kNN set is stale, R's last two members are held
-// against I(R) the same way before the rest of R is evaluated (judgeR).
-// A search that finds no witness leaves the verdict to the passes, which
-// reuse its distances. The verdicts are those of evaluating every member
-// (TestBoundedValidationMatchesFullPass).
-//
-// The distances go to the scratch's buffer, marked -1 where not evaluated,
-// which measure returns for the re-rank. The nearest member evaluated,
-// ties to the lowest index, becomes the hint of a recomputation — after a
-// stop, once the members the bound cannot place beyond it are evaluated
-// too. A valid verdict that skipped a kNN member defers the hint to
-// Invalidate, the only way to a recomputation that runs no validation
-// first. A hint in R is the nearest object (nearest): its Delaunay ring
-// lies in R ∪ I(R). An update that happened to evaluate every member
-// becomes the new anchor.
+// The distances go to the scratch's buffer, -1 where not evaluated, which
+// measure returns for the re-rank; a valid R evaluates the members the
+// floor skipped too. The nearest member evaluated, ties to the lowest
+// index, is the hint of a recomputation, completed after a witness in I(R);
+// a valid verdict that skipped a kNN member defers it to Invalidate. A hint
+// in R is the nearest object. An update that evaluated every member becomes
+// the new anchor.
 func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, nearest bool) {
-	k := q.k
-	dist = q.sc.Dists(len(q.ids))
-	for i := range dist {
-		dist[i] = -1
-	}
+	k, nR := q.k, q.nR
 	delta := math.Sqrt(p.Dist2(q.at))
-	safe := below(q.floor, delta)
-	t := tally{best: math.Inf(1), evals: 1}
-	q.deferred = false
-	// The witness search evaluates the kNN members ids[lo:k], r the
-	// farthest of them.
-	lo, r, by := k, 0.0, byPasses
-	if q.probe {
-		lo, r, by, t = q.witness(p, dist, delta, safe, t)
+	var v validation // set field by field: a literal is built and copied
+	v.safe = below(q.floor, delta)
+	by := byPasses
+	// A kNN set the floor rules out whole is valid with no member to walk.
+	top := k - 1
+	for top >= 0 && q.anchor[top] <= v.safe {
+		top--
 	}
-	// stop marks an I(R) member nearer than a member of R: both verdicts
-	// are false, and the members past it were held against no bound.
-	stop := by == byBothStale
-	if by == byPasses {
-		skipped := false
-		for i, id := range q.ids[:lo] {
-			if q.anchor[i] <= safe {
-				skipped = true
-				continue
+	if top >= 0 {
+		dist = q.sc.Dists(len(q.ids))
+		for i := range dist {
+			dist[i] = -1
+		}
+		v.q, v.p, v.dist, v.delta, v.best = q, p, dist, delta, math.Inf(1)
+		// Every I(R) member was among the guards floor was taken over.
+		v.ins = guards{math.Inf(1), math.Float64bits(q.floor * q.floor * shrink)}
+		v.rest = guards{math.Inf(1), 0}
+		if by = v.walk(k, byBothStale); by == byKNNStale && v.walk(nR, byRInvalid) == byRInvalid {
+			by = byRInvalid
+		}
+	}
+	knnValid, rValid = by == byPasses, by == byKNNStale
+	q.deferred = knnValid && (dist == nil || slices.Contains(dist[:k], -1))
+	switch {
+	case rValid:
+		for i, d := range dist[:nR] {
+			if d < 0 {
+				v.take(i, v.eval(i))
 			}
-			d := p.Dist2(q.ix.Point(id))
-			dist[i] = d
-			r = max(r, d)
-			t = t.add(i, d)
 		}
-		// A kNN set the floor rules out whole (only δ evaluated) is valid
-		// with no guard pass: a member that came from the guards since the
-		// floor was taken is never ruled out, so the guards are the ones it
-		// was taken over.
-		if t.evals == 1 {
-			return q.deferHint(dist, t)
-		}
-		var minGuard float64
-		var g int
-		minGuard, g, t.evals, stop = q.evaluateWithin(p, dist, k, r, delta, t.evals)
-		if knnValid = r <= minGuard; knnValid && skipped {
-			return q.deferHint(dist, t)
-		}
-		t = t.near(g, minGuard)
+	case !knnValid:
+		v.complete()
 	}
-	if !knnValid && !stop {
-		rValid, stop, by, t = q.judgeR(p, dist, delta, safe, r, by, t)
+	q.m.DistanceCalcs += 1 + v.evals
+	if !q.deferred {
+		q.hint = int32(q.ids[v.h])
 	}
-	if stop {
-		t = q.complete(p, dist, delta, t)
-	}
-	q.m.DistanceCalcs += t.evals
-	q.hint = int32(q.ids[t.h])
-	if t.evals == 1+len(dist) {
+	if v.evals == len(q.ids) {
 		q.at = p
 		copy(q.anchor, dist)
 		q.setFloor()
@@ -320,44 +277,10 @@ func (q *PlaneQuery) measure(p geom.Point) (dist []float64, knnValid, rValid, ne
 	if decided != nil {
 		decided(q, by)
 	}
-	return dist, knnValid, rValid, t.h < q.nR
+	return dist, knnValid, rValid, v.h < nR
 }
 
-// tally is what a validation has evaluated so far: the nearest member, at
-// index h and squared distance best, ties to the lowest index, and the
-// distances spent.
-type tally struct {
-	h     int
-	best  float64
-	evals int
-}
-
-// add counts member i, evaluated at squared distance d.
-func (t tally) add(i int, d float64) tally {
-	t.evals++
-	return t.near(i, d)
-}
-
-// near takes member i, at squared distance d, if it is the nearest.
-func (t tally) near(i int, d float64) tally {
-	if d < t.best || d == t.best && i < t.h {
-		t.h, t.best = i, d
-	}
-	return t
-}
-
-// deferHint ends a validation that found the kNN set valid without
-// evaluating every kNN member: the hint waits for Invalidate.
-func (q *PlaneQuery) deferHint(dist []float64, t tally) ([]float64, bool, bool, bool) {
-	q.deferred = true
-	q.m.DistanceCalcs += t.evals
-	if decided != nil {
-		decided(q, byPasses)
-	}
-	return dist, true, false, false
-}
-
-// proof is what decided a validation: a witness, or the passes.
+// proof is what decided a validation: a witness, or a walk that found none.
 type proof uint8
 
 const (
@@ -367,186 +290,125 @@ const (
 	byRInvalid        // an I(R) member nearer than a member of R
 )
 
-// decided, when set, is told what decided each validation. Only tests set
-// it, and only while no other query runs.
+// decided, set only by tests while no other query runs, hears every proof.
 var decided func(*PlaneQuery, proof)
 
-// witness looks, while R is in anchor order, for a guard object nearer
-// than one of the last two kNN members, the farthest from the anchor
-// point: an I(R) member (byBothStale), else an R \ kNN member
-// (byKNNStale). It evaluates the two, unless the floor rules them out,
-// then the guards whose anchor distance does not place them beyond the
-// farther, I(R) in index order and R \ kNN in anchor order, and stops at
-// the first nearer. It returns the lowest index of the kNN members it
-// evaluated (k for none), the farthest of them and what it found
-// (byPasses for nothing).
-func (q *PlaneQuery) witness(p geom.Point, dist []float64, delta, safe float64, t tally) (lo int, r float64, by proof, _ tally) {
-	k, nR, ids, anchor := q.k, q.nR, q.ids, q.anchor
-	for lo = k; lo > max(0, k-2) && anchor[lo-1] > safe; {
-		lo--
-		d := p.Dist2(q.ix.Point(ids[lo]))
-		dist[lo] = d
-		r = max(r, d)
-		t = t.add(lo, d)
-	}
-	if lo == k {
-		return lo, r, byPasses, t
-	}
-	// I(R) lies beyond R from the anchor point: no I(R) member is nearer
-	// than r unless R's last member is inside the bound.
-	b := beyond(r, delta)
-	for j := nR; j < len(ids) && anchor[nR-1] < b; j++ {
-		if anchor[j] < b {
-			d := p.Dist2(q.ix.Point(ids[j]))
-			dist[j] = d
-			if t = t.add(j, d); d < r {
-				return lo, r, byBothStale, t
-			}
-		}
-	}
-	for j := k; j < nR && anchor[j] < b; j++ {
-		d := p.Dist2(q.ix.Point(ids[j]))
-		dist[j] = d
-		if t = t.add(j, d); d < r {
-			return lo, r, byKNNStale, t
-		}
-	}
-	return lo, r, byPasses, t
+// validation is measure's state: the walk's r, the nearest member evaluated
+// (h, at best), the evaluations, and what the walks know of I(R) and R \ kNN.
+type validation struct {
+	q              *PlaneQuery
+	p              geom.Point
+	dist           []float64
+	delta, safe, r float64
+	h, evals       int
+	best           float64
+	ins, rest      guards
 }
 
-// judgeR takes R's verdict once the kNN set is stale, r being the
-// farthest member of R evaluated. While R is in anchor order it first
-// looks for an I(R) member nearer than one of R's last two members, the
-// farthest from the anchor point, or than r: it evaluates the two, unless
-// the floor rules them out, and the I(R) members whose anchor distance
-// does not place them beyond the farthest. Finding none, it evaluates the
-// rest of R the floor does not rule out — such a member is no farther
-// than any I(R) member, so R's verdict does not turn on it — and the I(R)
-// members the bound about R's radius does not rule out, up to the first
-// inside it. Only a valid R, which the re-rank orders, evaluates the rest
-// of R. It reports whether R is valid, whether it stopped at an I(R)
-// member inside R's radius, and what decided it.
-func (q *PlaneQuery) judgeR(p geom.Point, dist []float64, delta, safe, r float64, by proof, t tally) (rValid, stop bool, _ proof, _ tally) {
-	nR, ids, anchor := q.nR, q.ids, q.anchor
-	if q.probe {
-		for i := nR - 1; i >= max(0, nR-2); i-- {
-			if dist[i] < 0 && anchor[i] > safe {
-				d := p.Dist2(q.ix.Point(ids[i]))
-				dist[i] = d
-				r = max(r, d)
-				t = t.add(i, d)
-			}
-		}
-		b := beyond(r, delta)
-		for j := nR; j < len(ids); j++ {
-			d := dist[j]
-			if d < 0 {
-				if anchor[j] >= b {
-					continue
-				}
-				d = p.Dist2(q.ix.Point(ids[j]))
-				dist[j] = d
-				t = t.add(j, d)
-			}
-			if d < r {
-				return false, true, byRInvalid, t
-			}
-		}
-	}
-	skipped := false
-	for i := range nR {
+// guards is what a walk knows of a range of guard objects: the least
+// distance evaluated and next, the float64 bits (ordered as the distances)
+// below every anchor distance not evaluated, which a scan makes their least.
+type guards struct {
+	least float64
+	next  uint64
+}
+
+// walk holds the members ids[:hi] against the guards ids[hi:] and reports
+// the witness it stops at: ins for I(R), byKNNStale for R \ kNN, byPasses for
+// none. The R walk starts at the kNN walk's r, against which that held I(R).
+func (v *validation) walk(hi int, ins proof) proof {
+	q, dist, anchor, safe := v.q, v.dist, v.q.anchor, v.safe
+	for i := hi - 1; i >= 0; i-- {
 		d := dist[i]
 		if d < 0 {
 			if anchor[i] <= safe {
-				skipped = true
 				continue
 			}
-			d = p.Dist2(q.ix.Point(ids[i]))
-			dist[i] = d
-			t = t.add(i, d)
+			d = v.eval(i)
+			v.take(i, d)
 		}
-		r = max(r, d)
-	}
-	minINS, g, evals, stop := q.evaluateWithin(p, dist, nR, r, delta, t.evals)
-	t.evals = evals
-	if t = t.near(g, minINS); stop {
-		return false, true, by, t
-	}
-	for i := 0; skipped && i < nR; i++ {
-		if dist[i] < 0 {
-			d := p.Dist2(q.ix.Point(ids[i]))
-			dist[i] = d
-			t = t.add(i, d)
-		}
-	}
-	return true, false, by, t
-}
-
-// complete completes the hint after a stop: it evaluates each member not
-// yet evaluated whose anchor distance the bound cannot place beyond best,
-// shrinking best as it goes. While probe is set R is in anchor order and
-// I(R) lies beyond it, so a member of R beyond the bound, or R's last
-// member, puts every member after it beyond too.
-func (q *PlaneQuery) complete(p geom.Point, dist []float64, delta float64, t tally) tally {
-	nR := q.nR
-	b := reach(t.best, delta)
-	for i := 0; i < len(dist); i++ {
-		if dist[i] >= 0 {
+		if d <= v.r {
 			continue
 		}
-		if q.anchor[i] > b {
-			if q.probe && (i < nR || q.anchor[nR-1] > b) {
-				break
-			}
+		v.r = d
+		b := math.Float64bits(reach(d, v.delta))
+		if v.hold(q.nR, len(dist), &v.ins, b) {
+			return ins
+		}
+		if hi < q.nR && v.hold(hi, q.nR, &v.rest, b) {
+			return byKNNStale
+		}
+	}
+	return byPasses
+}
+
+// hold holds the guards ids[from:to], of which the walk knows g, against
+// r: it evaluates those whose anchor distance's bits are at most b, those
+// of reach(r, δ), and reports whether one is nearer than r, where it stops.
+func (v *validation) hold(from, to int, g *guards, b uint64) bool {
+	r := v.r
+	if g.least < r {
+		return true
+	}
+	if b < g.next {
+		return false
+	}
+	dist, anchor := v.dist, v.q.anchor
+	least, next := g.least, uint64(math.MaxUint64)
+	for j := from; j < to; j++ {
+		// A guard evaluated was admitted by a bound no wider than b.
+		if a := math.Float64bits(anchor[j]); a > b {
+			next = min(next, a) // an integer minimum, without float NaN fix-ups
 			continue
 		}
-		d := p.Dist2(q.ix.Point(q.ids[i]))
-		dist[i] = d
-		if t = t.add(i, d); t.best == d {
-			b = reach(d, delta)
+		if dist[j] >= 0 {
+			continue
 		}
+		// Only a witness can be nearer than the members evaluated.
+		d := v.eval(j)
+		if d < r {
+			v.take(j, d)
+			return true
+		}
+		least = min(least, d)
 	}
-	return t
+	g.least, g.next = least, next
+	return false
 }
 
-// beyond is (√r2·margin + δ)²: a member whose anchor distance is at least
-// it is no nearer than √r2 to p.
-func beyond(r2, delta float64) float64 {
-	b := math.Sqrt(r2)*margin + delta
-	return b * b
+// eval evaluates member i's distance from p.
+func (v *validation) eval(i int) float64 {
+	d := v.p.Dist2(v.q.ix.Point(v.q.ids[i]))
+	v.dist[i] = d
+	v.evals++
+	return d
 }
 
-// evaluateWithin evaluates into dist[i], for each member i ≥ from not yet
-// evaluated, d²(p, ids[i]) — unless its anchor distance places it beyond
-// radius √r2 of p, δ being p's distance from the anchor point. It returns
-// the least distance in dist[from:] (+Inf for none) and its index (the
-// lowest of a tie), evals plus the distances it evaluated and whether it
-// stopped at an I(R) member nearer than √r2, where it looks no further.
-func (q *PlaneQuery) evaluateWithin(p geom.Point, dist []float64, from int, r2, delta float64, evals int) (least float64, idx, _ int, stop bool) {
-	bound := reach(r2, delta)
-	least = math.Inf(1)
-	end := len(dist)
-	if q.probe && q.anchor[q.nR-1] > bound {
-		end = q.nR // I(R) lies beyond R: none of it evaluated, none inside
+// take makes member i, at squared distance d, the nearest evaluated if it
+// is nearer, or as near at a lower index.
+func (v *validation) take(i int, d float64) {
+	if d < v.best || d == v.best && i < v.h {
+		v.h, v.best = i, d
 	}
-	for i := from; i < end; i++ {
-		d := dist[i]
-		if d < 0 {
-			if q.anchor[i] > bound {
-				continue
+}
+
+// complete completes the hint after a witness in I(R): it evaluates each
+// member the walk left whose anchor distance the bound cannot place beyond
+// best, shrinking best as it goes.
+func (v *validation) complete() {
+	b, anchor := reach(v.best, v.delta), v.q.anchor
+	n := len(v.dist)
+	if math.Float64bits(b) < v.ins.next {
+		n = v.q.nR // no member of I(R) within the bound
+	}
+	for i, d := range v.dist[:n] {
+		if anchor[i] <= b && d < 0 {
+			if d = v.eval(i); d < v.best {
+				b = reach(d, v.delta)
 			}
-			d = p.Dist2(q.ix.Point(q.ids[i]))
-			dist[i] = d
-			evals++
-		}
-		if d < least {
-			least, idx = d, i
-		}
-		if i >= q.nR && d < r2 {
-			return least, idx, evals, true
+			v.take(i, d)
 		}
 	}
-	return least, idx, evals, false
 }
 
 // rerank sorts R by this update's distances, ties by id, carrying each
@@ -562,28 +424,23 @@ func (q *PlaneQuery) rerank(dist []float64) {
 			q.anchor[j], q.anchor[j-1] = q.anchor[j-1], q.anchor[j]
 		}
 	}
-	q.probe = false
 }
 
 // setFloor takes floor afresh with a new anchor: the one root it costs is
 // not taken per update.
 func (q *PlaneQuery) setFloor() {
-	least := math.Inf(1)
-	for _, a := range q.anchor[q.k:] {
-		if a < least {
-			least = a
-		}
+	q.floor = math.Inf(1)
+	if guards := q.anchor[q.k:]; len(guards) > 0 {
+		q.floor = math.Sqrt(slices.Min(guards))
 	}
-	q.floor = math.Sqrt(least)
 }
 
 // Invalidate discards the client state (R, I(R) and the kNN set) so that
-// the next Update recomputes; the hint stays. A hint the last validation
-// deferred is resolved first, as the nearest kNN member at the last
-// position, ties to the lowest index — the one evaluating every member
-// would have taken, as the verdict placed every guard object at least as
-// far and after them. The index the query reads still holds every member:
-// Advance invalidates before it moves on.
+// the next Update recomputes; the hint stays. A deferred hint is resolved
+// first, as the nearest kNN member at the last position, ties to the lowest
+// index — the full pass's, as the verdict placed every guard object at
+// least as far and after them. The index the query reads still holds every
+// member: Advance invalidates before it moves on.
 func (q *PlaneQuery) Invalidate() {
 	if q.deferred {
 		q.hint = int32(q.ids[q.nearestKNN()])
@@ -625,7 +482,7 @@ func (q *PlaneQuery) recomputeFrom(p geom.Point, nearest bool) error {
 	ids, d2, nR, cost := q.ix.AppendPrefetch(p, q.prefetchSize(), int(q.hint), nearest, q.ids[:0], q.anchor[:0], q.scratch())
 	q.ids, q.anchor, q.nR, q.at = ids, d2, nR, p
 	q.setFloor()
-	q.probe, q.radius = true, -1
+	q.radius = -1
 	q.hint = int32(ids[0])
 	q.init = true
 	q.m.NodeVisits += cost.NodeVisits

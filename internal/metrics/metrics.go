@@ -18,14 +18,14 @@ type Counters struct {
 	ObjectsShipped int // data objects sent client-ward by recomputations
 	// DistanceCalcs counts point-to-point distance evaluations. In the
 	// plane, a validation's: the step from the anchor point, then each
-	// member of R ∪ I(R) it evaluates, once — those a search for a stale-state
-	// witness evaluates first after a recomputation, those the anchor bounds
-	// cannot rule out where no witness decides, before a re-rank the rest of
-	// R, and before a recomputation the members that may still be nearer than
-	// the hint. Beside it, the k of an invalidation that settles a hint a
-	// valid verdict deferred, and a hint walk's — none when the validation
-	// proved its hint the nearest object — but not a recomputation's Voronoi
-	// expansion.
+	// member of R ∪ I(R) it evaluates, once — the members its walk from the
+	// far end takes that the floor does not rule out and the guards the
+	// anchor bound admits as the walk's radius grows, up to a witness,
+	// before a re-rank the rest of R, and before a recomputation the members
+	// that may still be nearer than the hint. Beside it, the k of an
+	// invalidation that settles a hint a valid verdict deferred, and a hint
+	// walk's — none when the validation proved its hint the nearest object —
+	// but not a recomputation's Voronoi expansion.
 	DistanceCalcs   int
 	DijkstraRuns    int // shortest-path searches begun (road network mode): per update the AnchorBuilds, plus one unless the edge anchor's tables answer it (a recomputation continues its validation search)
 	EdgeRelaxations int // Dijkstra edge relaxations (road network mode)
