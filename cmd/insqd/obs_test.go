@@ -168,48 +168,6 @@ func TestAccessLogTraces(t *testing.T) {
 	}
 }
 
-// TestStatsTTLCache checks the /v1/stats TTL cache: within the TTL the
-// second scrape is served verbatim from the cache (byte-identical JSON,
-// including uptime), so pollers don't fan messages to the shard workers.
-func TestStatsTTLCache(t *testing.T) {
-	ts := newObsServer(t, obs.Thresholds{}, io.Discard, func(o *server.Options) {
-		o.StatsTTL = time.Hour
-	})
-
-	get := func() string {
-		t.Helper()
-		r, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("stats: status %d", r.StatusCode)
-		}
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	first := get()
-	if !strings.Contains(first, `"uptime_ns"`) {
-		t.Errorf("stats missing uptime_ns: %s", first)
-	}
-	if !strings.Contains(first, `"go_version"`) {
-		t.Errorf("stats missing build info: %s", first)
-	}
-	// Mutate state, then re-scrape inside the TTL: the cached snapshot
-	// (identical bytes, stale object count and uptime) must come back.
-	var obj api.ObjectResponse
-	if code := postJSON(t, ts.URL+"/v1/objects", api.ObjectRequest{X: 1, Y: 1}, &obj); code != http.StatusOK {
-		t.Fatalf("insert: status %d", code)
-	}
-	if second := get(); second != first {
-		t.Errorf("stats not served from cache inside TTL:\nfirst:  %s\nsecond: %s", first, second)
-	}
-}
-
 // TestSlowOpTraces is the end-to-end slow-op acceptance check: a durable
 // engine (fsync=always) with nanosecond thresholds must log structured
 // slow-fsync and slow-publish entries carrying the request's trace ID —

@@ -119,6 +119,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.Latency.Count != st.Updates {
 		t.Fatalf("latency count %d != updates %d", st.Latency.Count, st.Updates)
 	}
+	if st.Uptime <= 0 || st.GoVersion == "" {
+		t.Fatalf("stats lack uptime or build info: uptime %v, go version %q", st.Uptime, st.GoVersion)
+	}
 
 	if code := doDelete(t, fmt.Sprintf("%s/v1/sessions/%d", ts.URL, created.Session)); code != http.StatusNoContent {
 		t.Fatalf("close session: status %d", code)

@@ -340,6 +340,7 @@ func BenchmarkEngineNetworkTraffic(b *testing.B) {
 			for op := 0; op < routeLen*nSessions/batchLen; op++ {
 				serve(op)
 			}
+			quiesce(b, e)
 			before, err := e.Stats()
 			if err != nil {
 				b.Fatal(err)

@@ -198,7 +198,9 @@ type Stats struct {
 	Epoch uint64 `json:"epoch"`
 	// Snapshots is the number of distinct index snapshots held by the
 	// store (its current one) and the shards: 1 once every shard has moved
-	// to the current version, more while a shard still holds an older one.
+	// to the current version, more while a shard still holds an older one
+	// (Stats does not wait for the shards, so it may read 2 just after a
+	// data update while a shard is still sweeping).
 	Snapshots int `json:"snapshots"`
 	// EpochPublishUS is the mean wall time of publishing one data-update
 	// epoch (path-copy branch + mutations + publish), in microseconds;
@@ -233,7 +235,11 @@ type Stats struct {
 	Uptime time.Duration `json:"uptime_ns"`
 	// UpdatesPerSec is Updates averaged over Uptime.
 	UpdatesPerSec float64 `json:"updates_per_sec"`
-	// Counters aggregates the INS cost counters over all live sessions.
+	// Counters sums the INS cost counters of every session the engine has
+	// served: it only grows, as a closed session's counts stay in it. Each
+	// shard posts its total at the end of every batch and sweep, so a data
+	// update's charges (invalidations, watched sessions' eager
+	// recomputations) show once every shard has swept past it.
 	Counters metrics.Counters `json:"counters"`
 	// Latency summarizes per-location-update serving latency.
 	Latency obs.LatencySummary `json:"latency"`
@@ -761,19 +767,15 @@ func (e *Engine) mapStoreErr(err error) error {
 	return err
 }
 
-// Stats gathers an aggregated snapshot: the INS cost counters come from
-// each shard worker through its mailbox, the one value only the worker can
-// read; every other number is read through the same atomics the /metrics
-// gauges read, once every shard has answered.
+// Stats gathers an aggregated snapshot without enqueuing anything, so it
+// answers even while a shard is stalled in a batch: it reads what the
+// shards (atomics and posted counters), the store, the broker and the WAL
+// keep, as the /metrics gauges do.
 func (e *Engine) Stats() (Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return Stats{}, ErrClosed
-	}
-	reply := make(chan metrics.Counters, len(e.shards))
-	for _, sh := range e.shards {
-		sh.mailbox <- statsMsg{reply: reply}
 	}
 	st := Stats{
 		Shards:   len(e.shards),
@@ -781,6 +783,9 @@ func (e *Engine) Stats() (Stats, error) {
 		Stream:   e.events.Stats(),
 		Shed:     e.shed.Load(),
 		Degraded: e.degraded(),
+		Sessions: e.sessionCount(),
+		Updates:  e.updateCount(),
+		Expired:  e.expiredCount(),
 	}
 	if e.wal != nil {
 		ws := e.wal.Stats()
@@ -791,22 +796,18 @@ func (e *Engine) Stats() (Stats, error) {
 	}
 	st.IndexNodesCopied, st.IndexNodes = e.store.PlaneShareStats()
 	st.NetPagesCopied, st.NetPages = e.store.NetworkShareStats()
-	for range e.shards {
-		st.Counters.Add(<-reply)
-	}
-	// Every shard has answered, having moved to the newest snapshot first,
-	// so the reads below see each batch that returned before Stats began.
-	st.Sessions = e.sessionCount()
-	st.Updates = e.updateCount()
-	st.Expired = e.expiredCount()
-	st.Epoch = e.store.Epoch()
 	st.Objects, st.NetworkObjects = e.objectCounts()
 	var hist obs.Histogram
-	held := map[uint64]bool{st.Epoch: true}
+	held := map[uint64]bool{}
 	for _, sh := range e.shards {
+		sh.postedMu.Lock()
+		st.Counters.Add(sh.posted)
+		sh.postedMu.Unlock()
 		hist.Merge(&sh.hist)
 		held[sh.epoch.Load()] = true
 	}
+	st.Epoch = e.store.Epoch() // after the shards': the store's epoch only grows
+	held[st.Epoch] = true
 	st.Snapshots = len(held)
 	st.Latency = hist.Summary()
 	if secs := st.Uptime.Seconds(); secs > 0 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -67,6 +68,22 @@ func insertNetworkObject(e *Engine, v int) (int, error) {
 func removeNetworkObject(e *Engine, v int) error {
 	_, err := mutate(e, index.Mutation{Network: true, ID: v})
 	return err
+}
+
+// quiesce waits until every shard has swept to the store's current
+// snapshot, which also posts the counters its sweep charged; Stats itself
+// waits for no shard.
+func quiesce(t testing.TB, e *Engine) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, sh := range e.shards {
+		for sh.epoch.Load() != e.store.Epoch() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d still at epoch %d, the store at %d", sh.id, sh.epoch.Load(), e.store.Epoch())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // TestEngineManyConcurrentSessions is the serving acceptance test: 1000

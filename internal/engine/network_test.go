@@ -192,6 +192,7 @@ func TestEngineNetworkEquivalenceUnderMutations(t *testing.T) {
 	// After a full round of updates every shard has moved on: exactly
 	// one snapshot version remains live, and the epoch counted every site
 	// mutation.
+	quiesce(t, e)
 	st, err := e.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/metrics"
 	"repro/internal/netvor"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -74,10 +73,7 @@ func TestEngineObservability(t *testing.T) {
 	if _, err := e.UpdateBatchCtx(ctx, []LocationUpdate{{Session: sid, Pos: geom.Pt(12, 12)}}); err != nil {
 		t.Fatal(err)
 	}
-	// Quiesce: every shard moves to the newest snapshot before it answers.
-	if _, err := e.Stats(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, e)
 
 	for _, st := range []obs.Stage{obs.StageQueue, obs.StageApply, obs.StagePublish, obs.StageSweep, obs.StagePush} {
 		if stageCount(reg, st) == 0 {
@@ -166,7 +162,7 @@ func TestEngineStatsMatchesRegistry(t *testing.T) {
 	for fault.ShardApplyDelay.Fires() == before {
 		time.Sleep(time.Millisecond)
 	}
-	sh.mailbox <- statsMsg{reply: make(chan metrics.Counters, 1)}
+	sh.mailbox <- stateMsg{sid: one[0].Session, reply: make(chan stateReply, 1)}
 	if _, err := updateBatch(e, one); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch at a full mailbox: err = %v, want ErrOverloaded", err)
 	}
@@ -194,6 +190,49 @@ func TestEngineStatsMatchesRegistry(t *testing.T) {
 		if got != c.stats || got == 0 {
 			t.Errorf("%s = %v, Stats reads %v; want equal and non-zero", c.name, got, c.stats)
 		}
+	}
+}
+
+// TestStatsAnswersDuringShardStall: Stats enqueues nothing on the shards,
+// so it answers while a shard is stalled in a batch, with the counters the
+// shard posted at the end of its previous batch.
+func TestStatsAnswersDuringShardStall(t *testing.T) {
+	e := newTestEngine(t, 200, 2)
+	sid, err := e.CreateSession(5, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := []LocationUpdate{{Session: sid, Pos: geom.Pt(500, 500)}}
+	if _, err := updateBatch(e, move); err != nil {
+		t.Fatal(err)
+	}
+	before := fault.ShardApplyDelay.Fires()
+	fault.ShardApplyDelay.Arm(fault.Spec{Delay: 2 * time.Second, Count: 1})
+	defer fault.ShardApplyDelay.Disarm()
+	done := make(chan error, 1)
+	go func() { _, err := updateBatch(e, move); done <- err }()
+	for fault.ShardApplyDelay.Fires() == before {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	select {
+	case err := <-done:
+		t.Fatalf("Stats returned only after the stalled batch (batch err %v, Stats took %v)", err, took)
+	default:
+	}
+	if took > time.Second {
+		t.Errorf("Stats took %v behind a stalled shard", took)
+	}
+	if st.Sessions != 1 || st.Updates != 1 || st.Counters.Timestamps != 1 {
+		t.Errorf("stats during the stall: sessions %d, updates %d, counters %v; want 1, 1, one timestamp", st.Sessions, st.Updates, st.Counters)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -287,7 +326,7 @@ func TestEngineShardEpochLag(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// Quiesce: every shard moves to the newest snapshot before it answers.
+	quiesce(t, e)
 	st, err := e.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -406,6 +406,7 @@ func TestTableStoreSharedByShards(t *testing.T) {
 				t.Fatalf("%dx%d step %d: the store holds %d entries, at most %d", c.side, c.side, step, st.Entries, st.Max)
 			}
 		}
+		quiesce(t, e)
 		stats, err := e.Stats()
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +23,10 @@ import (
 // session pinned to it — and nothing else. The index lives in the shared
 // snapshot store; the shard holds one snapshot, which all its sessions read
 // lock-free, and moves them all to the next one at once (sweep). All
-// per-session INS state is touched by exactly one goroutine; shards
-// communicate with the engine only through the mailbox, reply channels, and
-// the store's epoch notifications.
+// per-session INS state is touched by exactly one goroutine; shards take
+// requests only through the mailbox and the store's epoch notifications.
+// What Stats and the metrics registry read, the worker mirrors in atomics
+// and in the INS cost counters it posts at each batch and sweep end.
 type shard struct {
 	id      int
 	store   *index.Store
@@ -54,6 +56,16 @@ type shard struct {
 	// passed while the batch sat in the mailbox. Written by the worker,
 	// read at scrape time.
 	expired atomic.Uint64
+
+	// charged is the running total of the INS cost counters of every
+	// session the shard has served, closed ones included; only the worker
+	// touches it. Around each call that can charge a session it takes the
+	// session's counters out and adds them back after, keeping what the
+	// call charged. posted is its copy as of the end of the latest batch or
+	// sweep (post), which Stats reads under postedMu.
+	charged  metrics.Counters
+	postedMu sync.Mutex
+	posted   metrics.Counters
 
 	// Reusable delta scratch: the pre-change baseline buffer and the
 	// membership maps diffIDs needs. Publishing an event still allocates
@@ -168,17 +180,10 @@ type stateReply struct {
 	err   error
 }
 
-// statsMsg asks for the INS cost counters of the shard's sessions, the
-// one stats value only the worker can read.
-type statsMsg struct {
-	reply chan metrics.Counters
-}
-
 func (createMsg) isMessage() {}
 func (closeMsg) isMessage()  {}
 func (batchMsg) isMessage()  {}
 func (stateMsg) isMessage()  {}
-func (statsMsg) isMessage()  {}
 
 // run is the worker loop; it exits when the mailbox is closed. Whenever the
 // store has moved on — on an epoch notification, and before any message is
@@ -220,11 +225,10 @@ func (sh *shard) handle(msg message) {
 		m.reply <- nil
 	case batchMsg:
 		sh.runBatch(m)
+		sh.post()
 		m.reply <- struct{}{}
 	case stateMsg:
 		m.reply <- sh.state(m.sid)
-	case statsMsg:
-		m.reply <- sh.counters()
 	}
 }
 
@@ -258,14 +262,17 @@ func (sh *shard) sweep() {
 	core.FollowTables(&sh.netSc, sh.snap.Network(), next.Network(), ops, covered)
 	active := sh.events.Active()
 	for sid, s := range sh.sessions {
+		sh.charged.Sub(*s.q.Metrics())
 		if !active || !sh.events.Watched(uint64(sid)) {
 			s.q.Advance(next, ops, covered)
+			sh.charged.Add(*s.q.Metrics())
 			continue
 		}
 		prev := s.q.AppendCurrent(sh.prevBuf[:0])
 		sh.prevBuf = prev[:0]
 		s.q.Advance(next, ops, covered)
 		knn, recomputed, err := s.q.Refresh()
+		sh.charged.Add(*s.q.Metrics())
 		if err != nil {
 			// The result is gone (e.g. k now exceeds the object count) and
 			// the error will surface at the session's next Update. Still
@@ -281,6 +288,7 @@ func (sh *shard) sweep() {
 		}
 	}
 	sh.snap = next
+	sh.post()
 	sh.epoch.Store(next.Epoch())
 }
 
@@ -349,12 +357,14 @@ func (sh *shard) runBatch(m batchMsg) {
 		var knn []int
 		var ran bool
 		var err error
+		sh.charged.Sub(*s.q.Metrics())
 		start := time.Now()
 		if m.network {
 			knn, ran, err = update(s.q, e.net)
 		} else {
 			knn, ran, err = update(s.q, e.pos)
 		}
+		sh.charged.Add(*s.q.Metrics())
 		if ran {
 			sh.observe(time.Since(start))
 		} else {
@@ -458,10 +468,10 @@ func batchKind(network bool) string {
 	return "plane"
 }
 
-func (sh *shard) counters() metrics.Counters {
-	var c metrics.Counters
-	for _, s := range sh.sessions {
-		c.Add(*s.q.Metrics())
-	}
-	return c
+// post publishes the running total for Stats; the worker calls it at the
+// end of every batch and sweep, the only work that charges a session.
+func (sh *shard) post() {
+	sh.postedMu.Lock()
+	sh.posted = sh.charged
+	sh.postedMu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/metrics"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -63,6 +64,118 @@ func follow(st *index.Store, q interface {
 	next := st.Current()
 	ops, covered := st.OpsSince(q.Epoch(), next.Epoch())
 	q.Advance(next, ops, covered)
+}
+
+// TestStatsCountersMatchReferences: Stats.Counters is the field-by-field
+// sum of what single-threaded references on the same trajectories charge,
+// after location updates, after data updates a watched session refreshes
+// over (the charges of the shard's sweep), and after a session closes,
+// whose counts stay.
+func TestStatsCountersMatchReferences(t *testing.T) {
+	const (
+		nSessions = 3
+		steps     = 20
+		k         = 4
+	)
+	objects := workload.Uniform(300, testBounds, 7)
+	e, err := New(Config{Shards: 1, Bounds: testBounds, Objects: objects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sids := make([]SessionID, nSessions)
+	refs := make([]*refQuery, nSessions)
+	trajs := make([][]geom.Point, nSessions)
+	for i := range sids {
+		if sids[i], err = e.CreateSession(k, 1.6); err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = newRefQuery(t, objects, k, 1.6)
+		trajs[i] = trajectory.RandomWaypoint(testBounds, 2*steps, 12, int64(i))
+	}
+	sub := e.Stream().Subscribe(4*steps, uint64(sids[0]))
+	defer sub.Close()
+
+	move := func(s int) {
+		t.Helper()
+		batch := make([]LocationUpdate, nSessions)
+		for i := range sids {
+			batch[i] = LocationUpdate{Session: sids[i], Pos: trajs[i][s]}
+		}
+		if _, err := updateBatch(e, batch); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range refs {
+			if _, err := r.q.Update(trajs[i][s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string) metrics.Counters {
+		t.Helper()
+		quiesce(t, e)
+		st, err := e.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want metrics.Counters
+		for _, r := range refs {
+			want.Add(*r.q.Metrics())
+		}
+		if st.Counters != want {
+			t.Fatalf("%s: Stats counters %v, references %v", stage, st.Counters, want)
+		}
+		return st.Counters
+	}
+
+	for s := 0; s < steps; s++ {
+		move(s)
+	}
+	check("after location updates")
+
+	// Each insert lands beside the watched session, whose sweep refreshes
+	// it at once: the recomputations are charged by the sweep alone.
+	var inserted []int
+	for s := steps; s < 2*steps; s++ {
+		before := check("before a data update")
+		p := trajs[0][s-1].Add(geom.Pt(0.5, 0.5))
+		id, err := insertObject(e, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, id)
+		for _, r := range refs {
+			r.insert(t, p, id)
+		}
+		if _, _, err := refs[0].q.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if after := check("after a data update"); after.Recomputations == before.Recomputations {
+			t.Fatalf("step %d: the insert beside the watched session charged no recomputation", s)
+		}
+		if s%2 == 1 {
+			id := inserted[0]
+			inserted = inserted[1:]
+			if err := removeObject(e, id); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range refs {
+				r.remove(t, id)
+			}
+			if _, _, err := refs[0].q.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		move(s)
+	}
+	check("after data updates")
+
+	if err := e.CloseSession(sids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := check("after a close"); got.Timestamps != nSessions*2*steps {
+		t.Errorf("after a close: %d timestamps, want %d", got.Timestamps, nSessions*2*steps)
+	}
 }
 
 // TestEngineEquivalenceUnderMutations is the snapshot-architecture
@@ -145,6 +258,7 @@ func TestEngineEquivalenceUnderMutations(t *testing.T) {
 
 	// After a full round of updates every shard has moved on: exactly
 	// one snapshot version remains live.
+	quiesce(t, e)
 	st, err := e.Stats()
 	if err != nil {
 		t.Fatal(err)

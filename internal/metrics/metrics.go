@@ -61,6 +61,22 @@ func (c *Counters) Add(other Counters) {
 	c.AnchorTableHits += other.AnchorTableHits
 }
 
+// Sub takes other out of c, undoing an Add.
+func (c *Counters) Sub(other Counters) {
+	c.Timestamps -= other.Timestamps
+	c.Validations -= other.Validations
+	c.Invalidations -= other.Invalidations
+	c.Recomputations -= other.Recomputations
+	c.ObjectsShipped -= other.ObjectsShipped
+	c.DistanceCalcs -= other.DistanceCalcs
+	c.DijkstraRuns -= other.DijkstraRuns
+	c.EdgeRelaxations -= other.EdgeRelaxations
+	c.NodeVisits -= other.NodeVisits
+	c.AnchoredValidations -= other.AnchoredValidations
+	c.AnchorBuilds -= other.AnchorBuilds
+	c.AnchorTableHits -= other.AnchorTableHits
+}
+
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
 

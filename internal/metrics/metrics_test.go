@@ -30,3 +30,20 @@ func TestString(t *testing.T) {
 		}
 	}
 }
+
+func TestSubUndoesAdd(t *testing.T) {
+	a := Counters{Timestamps: 4, Validations: 3, Invalidations: 1, Recomputations: 2, ObjectsShipped: 9, DistanceCalcs: 8,
+		DijkstraRuns: 5, EdgeRelaxations: 7, NodeVisits: 6, AnchoredValidations: 2, AnchorBuilds: 1, AnchorTableHits: 3}
+	b := Counters{Timestamps: 1, Validations: 2, Invalidations: 3, Recomputations: 4, ObjectsShipped: 5, DistanceCalcs: 6,
+		DijkstraRuns: 7, EdgeRelaxations: 8, NodeVisits: 9, AnchoredValidations: 10, AnchorBuilds: 11, AnchorTableHits: 12}
+	c := a
+	c.Add(b)
+	c.Sub(b)
+	if c != a {
+		t.Errorf("Add then Sub gave %+v, want %+v", c, a)
+	}
+	c.Sub(a)
+	if c != (Counters{}) {
+		t.Errorf("Sub of itself left %+v", c)
+	}
+}

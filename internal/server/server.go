@@ -15,7 +15,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,7 +26,7 @@ import (
 )
 
 // Options configures a Server; the zero value is a plain JSON server
-// with no observability, caching or timeouts.
+// with no observability or timeouts.
 type Options struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ (CPU, heap, mutex,
 	// block profiles of the live serving process). Off by default —
@@ -44,10 +43,9 @@ type Options struct {
 	// batches abandoned by their client are dropped at the shard instead
 	// of executed into the void. 0 disables.
 	RequestTimeout time.Duration
-	// StatsTTL caches the merged /v1/stats snapshot. Everything in it but
-	// the INS cost counters is read from atomics; the counters take one
-	// mailbox message per shard worker, so a scraper polling at 1s must
-	// not perturb them per request. 0 disables caching.
+	// StatsTTL is ignored: /v1/stats reads the engine directly, since
+	// Engine.Stats enqueues nothing on the shards and so needs no cache.
+	// The field stays until the benchmark harness, which sets it, drops it.
 	StatsTTL time.Duration
 	// CoalesceWindow is how long the ingest pump waits for further frames
 	// after one arrives before applying the merged engine batch; 0 merges
@@ -63,10 +61,6 @@ type Server struct {
 	e     *insq.Engine
 	ready atomic.Bool
 	opts  Options
-
-	statsMu    sync.Mutex
-	statsAt    time.Time
-	statsCache api.StatsResponse
 
 	// ingest is the binary ingest path's counter set, shared by every
 	// stream (HTTP and raw TCP) and surfaced in /v1/stats and /metrics.
@@ -422,48 +416,19 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	s.opts.Obs.Registry().WritePrometheus(w)
 }
 
-// statsResponse builds the wire stats, stamping the serving build and
-// the ingest path's counters.
-func (s *Server) statsResponse(st insq.EngineStats) api.StatsResponse {
+// stats serves the engine's stats, stamped with the serving build and the
+// ingest path's counters.
+func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
+	st, err := s.e.Stats()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	resp := api.StatsResponse{Stats: st}
 	resp.Version, resp.GoVersion, resp.Revision = obs.Build()
 	if is := s.ingest.snapshot(); is.FramesTotal > 0 || is.Connections > 0 {
 		resp.Ingest = &is
 	}
-	return resp
-}
-
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	if s.opts.StatsTTL <= 0 {
-		st, err := s.e.Stats()
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.statsResponse(st))
-		return
-	}
-	// TTL cache with single flight: Engine.Stats fans a mailbox message to
-	// every shard worker for the counters, so concurrent scrapers share one
-	// refresh and a 1s poller costs the shards one counters message per
-	// TTL, not per request.
-	s.statsMu.Lock()
-	if time.Since(s.statsAt) <= s.opts.StatsTTL {
-		resp := s.statsCache
-		s.statsMu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	st, err := s.e.Stats()
-	if err != nil {
-		s.statsMu.Unlock()
-		writeError(w, err)
-		return
-	}
-	s.statsCache = s.statsResponse(st)
-	s.statsAt = time.Now()
-	resp := s.statsCache
-	s.statsMu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
