@@ -172,7 +172,7 @@ type Store struct {
 
 	mu       sync.Mutex // serializes mutation, publish, and notification order
 	logDepth int
-	log      []Op       // contiguous ops, oldest first
+	log      []Op       // contiguous ops, oldest first; see appendLog
 	dur      Durability // optional write-ahead hook; see SetDurability
 
 	obs *obs.Pipeline // nil when observability is off
@@ -393,10 +393,7 @@ func (st *Store) ApplyCtx(ctx context.Context, muts []Mutation) ([]int, error) {
 		nextNet = cur.net
 	}
 
-	st.log = append(st.log, ops...)
-	if over := len(st.log) - st.logDepth; over > 0 {
-		st.log = append([]Op(nil), st.log[over:]...)
-	}
+	st.appendLog(ops)
 	st.cur.Store(&Snapshot{epoch: epoch, plane: nextPlane, net: nextNet})
 	st.publishes.Add(1)
 	total := time.Since(start)
@@ -538,27 +535,48 @@ func (st *Store) NetworkShareStats() (copied, total int) {
 	return 0, 0
 }
 
+// appendLog appends an epoch's ops to the log. The log holds up to
+// logDepth + logDepth/4 ops; the append that would pass that copies the last
+// logDepth ops into a fresh array of that capacity, so a trim costs O(1) per
+// op amortised and, from the first trim on, no append grows the array. The
+// old array is never written again, and appends write only past the end of
+// every view OpsSince has returned: see there.
+func (st *Store) appendLog(ops []Op) {
+	limit := st.logDepth + st.logDepth/4
+	if len(st.log)+len(ops) > limit {
+		ops = ops[max(0, len(ops)-st.logDepth):]
+		kept := st.log[max(0, len(st.log)-(st.logDepth-len(ops))):]
+		st.log = append(make([]Op, 0, limit), kept...)
+	}
+	st.log = append(st.log, ops...)
+}
+
 // OpsSince returns the ops with epochs in (from, to] and reports whether
-// the log still covers that range; ok=false means the caller lagged past
-// the log capacity and must invalidate conservatively. The returned slice
-// aliases the log; callers must not modify it.
+// the log still covers that range: it does when the range lies within the
+// last LogDepth ops. ok=false means the caller lagged past the log capacity
+// and must invalidate conservatively. The returned slice is a view of the
+// log capped at its end, and no write ever reaches it: the log's appends
+// land past the end of every view handed out, and a trim moves the log to a
+// fresh array. A caller may therefore hold it while later epochs apply, but
+// must not modify it.
 func (st *Store) OpsSince(from, to uint64) ([]Op, bool) {
 	if to <= from {
 		return nil, true
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.log) == 0 || st.log[0].Epoch > from+1 {
+	covered := st.log[max(0, len(st.log)-st.logDepth):]
+	if len(covered) == 0 || covered[0].Epoch > from+1 {
 		return nil, false
 	}
-	lo := int(from - st.log[0].Epoch + 1) // index of epoch from+1
-	hi := int(to - st.log[0].Epoch + 1)   // one past epoch to
-	if hi > len(st.log) {
+	lo := int(from - covered[0].Epoch + 1) // index of epoch from+1
+	hi := int(to - covered[0].Epoch + 1)   // one past epoch to
+	if hi > len(covered) {
 		// to is ahead of the applied log — cannot happen for epochs read
 		// from published snapshots, but never over-promise.
 		return nil, false
 	}
-	return st.log[lo:hi], true
+	return covered[lo:hi:hi], true
 }
 
 // Subscribe returns a channel that receives the epoch of every publish.

@@ -346,3 +346,81 @@ func TestStoreRestoreGapsMatchesLiveStore(t *testing.T) {
 		}
 	}
 }
+
+// TestOpsSinceViewsOutliveTrims: with an 8-deep log (which trims every two
+// or three ops), a reader keeps every OpsSince view it takes until the
+// writer has applied 12 more epochs — four trims at least — and checks at
+// every turn that each held view still reads the epochs it was returned for.
+// -race proves that neither appends nor trims write a view's memory. A batch
+// longer than the log leaves exactly its last eight ops covered.
+func TestOpsSinceViewsOutliveTrims(t *testing.T) {
+	const depth, epochs = 8, 600
+	st := newPlaneStore(t, 50, depth)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < epochs/2; i++ {
+			id, err := st.Insert(geom.Pt(float64(i%97)*9+3, float64(i%89)*11+5))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := st.Remove(id); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	type view struct {
+		from uint64
+		ops  []Op
+	}
+	var held []view
+	oldest := uint64(math.MaxUint64) // the earliest epoch a view has outlived
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		to := st.Epoch()
+		if to >= 3 {
+			if ops, ok := st.OpsSince(to-3, to); ok {
+				held = append(held, view{to - 3, ops})
+			}
+		}
+		kept := held[:0]
+		for _, v := range held {
+			for i, op := range v.ops {
+				if op.Epoch != v.from+1+uint64(i) {
+					t.Fatalf("view of (%d, %d] reads epoch %d at %d", v.from, v.from+3, op.Epoch, i)
+				}
+			}
+			if to-v.from < 15 {
+				kept = append(kept, v)
+			} else {
+				oldest = min(oldest, v.from)
+			}
+		}
+		held = kept
+	}
+	if oldest == math.MaxUint64 {
+		t.Fatal("no view outlived 12 epochs")
+	}
+
+	muts := make([]Mutation, 20)
+	for i := range muts {
+		muts[i] = Mutation{Insert: true, P: geom.Pt(float64(i)*13+7, 500)}
+	}
+	if _, err := st.Apply(muts); err != nil {
+		t.Fatal(err)
+	}
+	end := st.Epoch()
+	if _, ok := st.OpsSince(end-depth-1, end); ok {
+		t.Errorf("OpsSince covers %d ops after a 20-op batch, depth %d", depth+1, depth)
+	}
+	ops, ok := st.OpsSince(end-depth, end)
+	if !ok || len(ops) != depth || ops[0].Epoch != end-depth+1 || cap(ops) != depth {
+		t.Fatalf("OpsSince(%d, %d) = %d ops (cap %d), ok=%v", end-depth, end, len(ops), cap(ops), ok)
+	}
+}

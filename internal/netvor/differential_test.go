@@ -81,6 +81,34 @@ func sameIntSlice(a, b []int) bool {
 	return true
 }
 
+// coincidentGrid builds a side x side grid with weights 1-3, a third of them
+// zero instead, drawn from rng.
+func coincidentGrid(t *testing.T, rng *rand.Rand, side int) *roadnet.Graph {
+	t.Helper()
+	g := roadnet.NewGraph()
+	for i := 0; i < side*side; i++ {
+		g.AddVertex(geom.Pt(float64(i%side)*10, float64(i/side)*10))
+	}
+	join := func(u, v int) {
+		w := float64(1 + rng.Intn(3))
+		if rng.Intn(3) == 0 {
+			w = 0
+		}
+		if err := g.AddEdgeWeight(u, v, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < side*side; i++ {
+		if i%side < side-1 {
+			join(i, i+1)
+		}
+		if i/side < side-1 {
+			join(i, i+side)
+		}
+	}
+	return g
+}
+
 // TestDifferentialCoincidentSites is TestDifferentialSiteMutations on a grid
 // a third of whose edges have weight zero, so that sites keep landing at
 // distance zero from one another — joining a lower id, a higher id, a chain
@@ -92,27 +120,7 @@ func TestDifferentialCoincidentSites(t *testing.T) {
 	const side = 9
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := roadnet.NewGraph()
-		for i := 0; i < side*side; i++ {
-			g.AddVertex(geom.Pt(float64(i%side)*10, float64(i/side)*10))
-		}
-		join := func(u, v int) {
-			w := float64(1 + rng.Intn(3))
-			if rng.Intn(3) == 0 {
-				w = 0
-			}
-			if err := g.AddEdgeWeight(u, v, w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < side*side; i++ {
-			if i%side < side-1 {
-				join(i, i+1)
-			}
-			if i/side < side-1 {
-				join(i, i+side)
-			}
-		}
+		g := coincidentGrid(t, rng, side)
 		d, err := Build(g, rng.Perm(side * side)[:6])
 		if err != nil {
 			t.Fatal(err)

@@ -21,6 +21,13 @@
 // mutation's cost is proportional to the territory it moves, not to the
 // network size.
 //
+// Build, Insert and Remove share one multi-source Dijkstra (Erwig, "The
+// graph Voronoi diagram with applications", Networks 2000) over a bucket
+// frontier after Dial: distances fall into buckets as wide as the least edge
+// weight, so buckets drain in order with no heap and no sort, and Build
+// derives the cell adjacency from the settled labels in one pass over the
+// edges.
+//
 // Searches run over the graph's packed CSR with scratch sized by what they
 // touch (hashed distances and mark set) and are plain Dijkstra:
 // sites cover the map, so no goal-directed bound has anything to prune
@@ -62,11 +69,12 @@ var (
 // they rewrite.
 const pageSize = 256
 
-// labelPage holds the owner/dist labels of one run of pageSize vertices.
-// Pages are immutable once shared between versions; writers copy first.
+// labelPage holds the owner/dist labels of one run of pageSize vertices, 12
+// bytes a vertex in place. Pages are immutable once shared between versions;
+// writers copy first.
 type labelPage struct {
-	owner []int
-	dist  []float64
+	owner [pageSize]int32
+	dist  [pageSize]float64
 }
 
 // adjPageSize is the adjacency-page granularity: small enough that a
@@ -106,14 +114,17 @@ type relabel struct {
 }
 
 // mutScratch is reusable working memory for diagram mutations: the owner
-// frontier heap, the log of relabelled vertices and the cell-walk stack. One
+// frontier, the log of relabelled vertices, and the cell walk's stack and
+// seeds. One
 // scratch is shared down a Branch lineage (only the unfrozen head mutates,
 // and the store serializes mutations), so steady-state site churn allocates
-// nothing here.
+// nothing here. Build uses a frontier of its own, so what this one retains is
+// sized by a mutation's territory, never by the network.
 type mutScratch struct {
-	oh        ownerHeap4
+	f         frontier
 	relabeled []relabel
 	stack     []int32
+	seeds     []ownerItem
 }
 
 // Diagram is the network Voronoi diagram of a set of sites (vertex ids
@@ -164,20 +175,89 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 	}
 
 	// Multi-source Dijkstra carrying the owning site with each label.
-	var h ownerHeap4
+	c := g.CSR()
+	var f frontier
+	f.reset(c)
 	for _, s := range d.sites {
-		d.source(&h, s)
+		d.source(&f, s)
 	}
-	d.settle(g.CSR(), &h, nil)
-
-	// Voronoi adjacency: two cells touch when some edge has endpoints with
-	// different owners (the boundary point lies on that edge).
-	g.Edges(func(u, v int, w float64) {
-		a, _ := d.label(u)
-		b, _ := d.label(v)
-		d.incPair(a, b)
-	})
+	d.settle(c, &f, nil)
+	d.buildAdjacency(c)
 	return d, nil
+}
+
+// buildAdjacency installs the Voronoi adjacency of freshly settled labels:
+// two cells touch when some edge has endpoints with different owners (the
+// boundary point lies on that edge), and each such edge supports the pair
+// once. One pass over the half-edges keys every boundary edge by its (lower,
+// higher) owner pair; sorted, each run of equal keys is one adjacency and its
+// length the support. Filling both sites' lists in key order leaves each list
+// sorted. The lists are capped sub-slices of one array sized by the distinct
+// pairs, and each adjacency page's entries one of another: support rewrites
+// lists and a page copies before it grows, so no later version writes through
+// them.
+func (d *Diagram) buildAdjacency(c *roadnet.CSR) {
+	n := len(c.Off) - 1
+	pairs := make([]uint64, 0, len(c.To)/2)
+	for u := range n {
+		a, _ := d.label(u)
+		if a < 0 {
+			continue
+		}
+		for _, x := range c.To[c.Off[u]:c.Off[u+1]] {
+			if b, _ := d.label(int(x)); b > a {
+				pairs = append(pairs, uint64(a)<<32|uint64(b))
+			}
+		}
+	}
+	slices.Sort(pairs)
+	// Compact the runs, their lengths in support, and count each site's
+	// neighbors in at (then turned into its list's end offset).
+	support := make([]int, 0, len(pairs))
+	at := make([]int32, n)
+	for i, p := range pairs {
+		if i > 0 && p == pairs[i-1] {
+			support[len(support)-1]++
+			continue
+		}
+		pairs[len(support)] = p
+		support = append(support, 1)
+		at[p>>32]++
+		at[uint32(p)]++
+	}
+	pairs = pairs[:len(support)]
+	owners, total := 0, int32(0)
+	for v, k := range at {
+		if k > 0 {
+			owners++
+		}
+		total += k
+		at[v] = total - k // start of v's list
+	}
+	sites := make([]int, total)
+	counts := make([]int, total)
+	for i, p := range pairs {
+		a, b := int(p>>32), int(uint32(p))
+		sites[at[a]], counts[at[a]] = b, support[i]
+		at[a]++
+		sites[at[b]], counts[at[b]] = a, support[i]
+		at[b]++
+	}
+	entries := make([]adjEntry, 0, owners)
+	first, lo := 0, int32(0) // the current page's first entry; v's list start
+	for v, hi := range at {
+		if hi == lo {
+			continue
+		}
+		pg := d.adj[v/adjPageSize]
+		if pg.has == 0 {
+			first = len(entries)
+		}
+		entries = append(entries, adjEntry{sites[lo:hi:hi], counts[lo:hi:hi]})
+		pg.entries = entries[first:len(entries):len(entries)]
+		pg.has |= 1 << (v % adjPageSize)
+		lo = hi
+	}
 }
 
 // captures reports whether the label it would take its vertex from the
@@ -188,52 +268,72 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 // its vertex: a wave passes only through vertices it owns. That keeps every
 // cell connected (a vertex's owner is the owner of one of its shortest-path
 // predecessors) and makes the labelling a local fixpoint, the two facts the
-// incremental Insert and Remove repair from.
+// incremental Insert and Remove repair from. Because a label is taken only by
+// a better one, a frontier may deliver entries in any order and settle still
+// ends at that fixpoint: the order decides how much work is done, not the
+// labels.
 func captures(it ownerItem, o int, dd float64) bool {
 	return it.d < dd || (it.d == dd && int(it.site) < o && o != int(it.v))
 }
 
 // source labels site s's own vertex and queues it for settle.
-func (d *Diagram) source(h *ownerHeap4, s int) {
+func (d *Diagram) source(f *frontier, s int) {
 	d.setLabel(s, s, 0)
-	h.push(ownerItem{v: int32(s), d: 0, site: int32(s)})
+	f.push(ownerItem{v: int32(s), d: 0, site: int32(s)})
 }
 
-// settle runs the frontier h to exhaustion: the label-correcting
-// multi-source Dijkstra behind Build, Insert and Remove. A source expands
-// from the label it was given; any other entry first has to capture its
-// vertex, and log, when set, records the owner it took it from. Entries pop
-// in (distance, site id) order, so a vertex is captured twice only when a
-// zero-weight edge delivers an equal-distance lower id late.
-func (d *Diagram) settle(c *roadnet.CSR, h *ownerHeap4, log *[]relabel) {
-	for len(*h) > 0 {
-		it := h.pop()
-		if it.v != it.site {
-			o, dd := d.label(int(it.v))
-			if !captures(it, o, dd) {
+// offer queues it on f when it captures its vertex, and labels the vertex
+// at once: the frontier holds the tentative labels, as in Dijkstra's
+// algorithm with lazy deletion. log, when set, records the owner it took the
+// vertex from.
+func (d *Diagram) offer(f *frontier, it ownerItem, log *[]relabel) {
+	o, dd := d.label(int(it.v))
+	if !captures(it, o, dd) {
+		return
+	}
+	if log != nil {
+		*log = append(*log, relabel{v: it.v, old: int32(o)})
+	}
+	d.setLabel(int(it.v), int(it.site), it.d)
+	f.push(it)
+}
+
+// settle runs the frontier f to exhaustion: the label-correcting
+// multi-source Dijkstra behind Build, Insert and Remove. An entry whose
+// vertex still holds its label expands it, offering the label across every
+// edge; an entry a better label overtook is skipped. An edge at least as
+// heavy as the bucket width relaxes into a later bucket, so a bucket is
+// complete before it drains, its vertices hold their final labels and each
+// expands once, as under a (distance, site)-ordered heap. Zero-weight and
+// lighter-than-width relaxations land in the bucket being drained and may
+// take a vertex that already expanded, which then expands again.
+func (d *Diagram) settle(c *roadnet.CSR, f *frontier, log *[]relabel) {
+	for f.advance() {
+		slot := &f.ring[f.cur%ringSize]
+		for i := 0; i < len(*slot); i++ {
+			it := (*slot)[i]
+			if o, dd := d.label(int(it.v)); o != int(it.site) || dd != it.d {
 				continue
 			}
-			if log != nil {
-				*log = append(*log, relabel{v: it.v, old: int32(o)})
-			}
-			d.setLabel(int(it.v), int(it.site), it.d)
-		}
-		for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
-			next := ownerItem{v: c.To[e], d: it.d + c.W[e], site: it.site}
-			if uo, ud := d.label(int(next.v)); captures(next, uo, ud) {
-				h.push(next)
+			for e := c.Off[it.v]; e < c.Off[it.v+1]; e++ {
+				d.offer(f, ownerItem{v: c.To[e], d: it.d + c.W[e], site: it.site}, log)
 			}
 		}
+		*slot = (*slot)[:0]
+		f.cur++
 	}
 }
 
-// dig resets the labels of site s's cell to (unreachable, +Inf) and queues,
+// dig resets the labels of site s's cell to (unreachable, +Inf) and offers,
 // for every edge leaving it, the outside endpoint's label carried across —
 // the seeds from which settle redistributes the territory. The cell is
 // walked from s over s-owned vertices (it is connected, see captures); the
-// reset doubles as the visited mark, so no membership set is needed.
+// reset doubles as the visited mark, so no membership set is needed. The
+// seeds are offered once the walk is over, so that no label they write is
+// taken for an outside one.
 func (d *Diagram) dig(c *roadnet.CSR, mut *mutScratch, s int) {
 	mut.stack = append(mut.stack[:0], int32(s))
+	mut.seeds = mut.seeds[:0]
 	d.setLabel(s, -1, math.Inf(1))
 	for len(mut.stack) > 0 {
 		u := mut.stack[len(mut.stack)-1]
@@ -246,9 +346,12 @@ func (d *Diagram) dig(c *roadnet.CSR, mut *mutScratch, s int) {
 				mut.stack = append(mut.stack, x)
 			case -1: // dug already (or unreachable from any site)
 			default:
-				mut.oh.push(ownerItem{v: u, d: xd + c.W[e], site: int32(xo)})
+				mut.seeds = append(mut.seeds, ownerItem{v: u, d: xd + c.W[e], site: int32(xo)})
 			}
 		}
+	}
+	for _, it := range mut.seeds {
+		d.offer(&mut.f, it, &mut.relabeled)
 	}
 }
 
@@ -303,9 +406,7 @@ func (d *Diagram) initPages(n int) {
 	d.pages = make([]*labelPage, np)
 	d.shared = make([]bool, np)
 	for i := range d.pages {
-		lo := i * pageSize
-		hi := min(lo+pageSize, n)
-		pg := &labelPage{owner: make([]int, hi-lo), dist: make([]float64, hi-lo)}
+		pg := new(labelPage)
 		for j := range pg.owner {
 			pg.owner[j] = -1
 			pg.dist[j] = math.Inf(1)
@@ -356,8 +457,8 @@ func (d *Diagram) setAdj(v int, e adjEntry) {
 
 // label returns vertex v's (owner, dist).
 func (d *Diagram) label(v int) (int, float64) {
-	pg := d.pages[v/pageSize]
-	return pg.owner[v%pageSize], pg.dist[v%pageSize]
+	pg, i := d.pages[v/pageSize], uint(v)%pageSize
+	return int(pg.owner[i]), pg.dist[i]
 }
 
 // setLabel writes vertex v's (owner, dist), copying the page first when it
@@ -365,18 +466,14 @@ func (d *Diagram) label(v int) (int, float64) {
 func (d *Diagram) setLabel(v int, owner int, dist float64) {
 	pi := v / pageSize
 	if d.shared[pi] {
-		old := d.pages[pi]
-		pg := &labelPage{
-			owner: append([]int(nil), old.owner...),
-			dist:  append([]float64(nil), old.dist...),
-		}
-		d.pages[pi] = pg
+		pg := *d.pages[pi]
+		d.pages[pi] = &pg
 		d.shared[pi] = false
 		d.copied++
 	}
-	pg := d.pages[pi]
-	pg.owner[v%pageSize] = owner
-	pg.dist[v%pageSize] = dist
+	pg, i := d.pages[pi], uint(v)%pageSize
+	pg.owner[i] = int32(owner)
+	pg.dist[i] = dist
 }
 
 // Branch returns a new mutable version of the diagram by copy-on-write:
@@ -488,7 +585,7 @@ func (d *Diagram) Insert(v int) error {
 	}
 	c := d.g.CSR()
 	mut := d.mutSc()
-	mut.oh = mut.oh[:0]
+	mut.f.reset(c)
 	mut.relabeled = mut.relabeled[:0]
 	o, dd := d.label(v)
 	dug := -1
@@ -499,11 +596,11 @@ func (d *Diagram) Insert(v int) error {
 		// somewhere in o's cell: dig it out and share it between the two.
 		dug = o
 		d.dig(c, mut, o)
-		d.source(&mut.oh, o)
+		d.source(&mut.f, o)
 	}
 	mut.relabeled = append(mut.relabeled, relabel{v: int32(v), old: int32(o)})
-	d.source(&mut.oh, v)
-	d.settle(c, &mut.oh, &mut.relabeled)
+	d.source(&mut.f, v)
+	d.settle(c, &mut.f, &mut.relabeled)
 	d.rebind(c, mut, dug)
 	d.sites = insertAt(d.sites, sort.SearchInts(d.sites, v), v)
 	return nil
@@ -528,10 +625,10 @@ func (d *Diagram) Remove(s int) error {
 	}
 	c := d.g.CSR()
 	mut := d.mutSc()
-	mut.oh = mut.oh[:0]
+	mut.f.reset(c)
 	mut.relabeled = mut.relabeled[:0]
 	d.dig(c, mut, s)
-	d.settle(c, &mut.oh, &mut.relabeled)
+	d.settle(c, &mut.f, &mut.relabeled)
 	d.rebind(c, mut, s)
 	if e := d.adjAt(s); len(e.sites) != 0 {
 		return fmt.Errorf("netvor: remove %d left dangling adjacency %v", s, e.sites)
@@ -548,63 +645,81 @@ type ownerItem struct {
 	site int32
 }
 
-// ownerHeap4 is a hand-rolled 4-ary min-heap over owner labels, ordered by
-// (distance, then site id) — the tie order that makes lower site ids win
-// contested territory deterministically. Like roadnet's heap4 it avoids
-// container/heap's per-push boxing allocation.
-type ownerHeap4 []ownerItem
+// ringSize is the number of buckets in a frontier's ring.
+const ringSize = 64
 
-func (h ownerHeap4) less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].site < h[j].site
+// frontier is settle's queue, a bucket queue after Dial ("Algorithm 360:
+// shortest-path forest with topological ordering", CACM 1969): an entry at
+// distance d waits in bucket ⌊d/w⌋, buckets drain in index order and each in
+// push order, with no sort. The width w is the CSR's least positive weight,
+// raised to MaxW/(ringSize-1) when that is larger, so a relaxation from the
+// bucket being drained lands at most ringSize-1 buckets on and the buckets
+// live in a ring of ringSize slices. An entry pushed past the ring (a seed
+// dig carries across from far away) waits in one overflow list that is
+// re-based onto the ring when the ring drains, so the frontier's memory is
+// the entries it holds, never the distance they span.
+type frontier struct {
+	w    float64
+	cur  int // index of the bucket being drained; no ring entry is below it
+	ring [ringSize][]ownerItem
+	over []ownerItem // entries at bucket cur+ringSize or beyond
 }
 
-func (h *ownerHeap4) push(it ownerItem) {
-	s := append(*h, it)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+// reset empties f for a settle over c, keeping its capacity.
+func (f *frontier) reset(c *roadnet.CSR) {
+	f.w = max(c.MinW, c.MaxW/(ringSize-1))
+	if f.w == 0 {
+		f.w = 1 // every weight is zero: one bucket holds every entry
 	}
-	*h = s
+	f.cur = 0
+	for i := range f.ring {
+		f.ring[i] = f.ring[i][:0]
+	}
+	f.over = f.over[:0]
 }
 
-func (h *ownerHeap4) pop() ownerItem {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
+// bucket returns the index of the bucket an entry at distance d waits in.
+func (f *frontier) bucket(d float64) int { return int(d / f.w) }
+
+// push queues it. An entry below the bucket being drained joins that bucket.
+func (f *frontier) push(it ownerItem) {
+	b := max(f.bucket(it.d), f.cur)
+	if b >= f.cur+ringSize {
+		f.over = append(f.over, it)
+		return
+	}
+	f.ring[b%ringSize] = append(f.ring[b%ringSize], it)
+}
+
+// advance moves cur to the next bucket that holds entries, re-basing the
+// overflow onto the ring when the ring has drained: cur moves to the least
+// overflow bucket and every entry within ringSize of it joins the ring. It
+// reports false when the frontier is empty.
+func (f *frontier) advance() bool {
 	for {
-		first := 4*i + 1
-		if first >= len(s) {
-			break
-		}
-		m := first
-		end := first + 4
-		if end > len(s) {
-			end = len(s)
-		}
-		for c := first + 1; c < end; c++ {
-			if s.less(c, m) {
-				m = c
+		for i := range ringSize {
+			if len(f.ring[(f.cur+i)%ringSize]) > 0 {
+				f.cur += i
+				return true
 			}
 		}
-		if !s.less(m, i) {
-			break
+		if len(f.over) == 0 {
+			return false
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		f.cur = math.MaxInt
+		for _, it := range f.over {
+			f.cur = min(f.cur, f.bucket(it.d))
+		}
+		rest := f.over[:0]
+		for _, it := range f.over {
+			if f.bucket(it.d) < f.cur+ringSize {
+				f.push(it)
+			} else {
+				rest = append(rest, it)
+			}
+		}
+		f.over = rest
 	}
-	return top
 }
 
 // Graph returns the underlying road network.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/roadnet"
+	"repro/internal/workload"
 )
 
 var testBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(1000, 1000))
@@ -333,13 +334,33 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
+// BenchmarkBuild times Build on a small random planar network and on the
+// repository benchmark's network_engine shape: a 448x448 street grid over a
+// 10000-wide square (200,704 vertices) with 30,000 sites.
 func BenchmarkBuild(b *testing.B) {
-	g, err := roadnet.RandomPlanarNetwork(2000, testBounds, 0.5, 0.3, 13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	sites := rng.Perm(2000)[:200]
+	b.Run("planar=2000", func(b *testing.B) {
+		g, err := roadnet.RandomPlanarNetwork(2000, testBounds, 0.5, 0.3, 13)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuild(b, g, rand.New(rand.NewSource(14)).Perm(2000)[:200])
+	})
+	b.Run("grid=448", func(b *testing.B) {
+		g, err := workload.Network(448, geom.NewRect(geom.Pt(0, 0), geom.Pt(10000, 10000)), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sites, err := workload.NetworkSites(g, 30000, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuild(b, g, sites)
+	})
+}
+
+func benchBuild(b *testing.B, g *roadnet.Graph, sites []int) {
+	g.CSR()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(g, sites); err != nil {

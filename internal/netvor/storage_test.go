@@ -135,8 +135,8 @@ func TestAdjacencyChurnLeavesNoEntryBehind(t *testing.T) {
 
 // TestNetworkHeapBudget holds the road side to its storage budget on a
 // 128x128 grid with 15 % of the vertices sites, the benchmark's shape: the
-// graph and its diagram retain at most 130 bytes per vertex (coordinates 16,
-// CSR ~52, labels 16, neighbor lists of the sites ~25), and a search scratch
+// graph and its diagram retain at most 121 bytes per vertex (coordinates 16,
+// CSR ~52, labels 12, neighbor lists of the sites ~25), and a search scratch
 // that has served a kNN search at most 0.5: it holds nothing sized by the
 // graph, only by the search. The scratch figure is the mean of eight, one per
 // shard of the benchmark's engine, which also averages out the collector's
@@ -154,8 +154,8 @@ func TestNetworkHeapBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	index := heapLive()
-	if perVertex := float64(index-before) / float64(n); perVertex > 130 {
-		t.Errorf("graph + diagram retain %.1f B per vertex, budget 130", perVertex)
+	if perVertex := float64(index-before) / float64(n); perVertex > 121 {
+		t.Errorf("graph + diagram retain %.1f B per vertex, budget 121", perVertex)
 	} else {
 		t.Logf("graph + diagram: %.1f B per vertex", perVertex)
 	}

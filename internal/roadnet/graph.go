@@ -191,12 +191,15 @@ func (g *Graph) Edges(fn func(u, v int, w float64)) {
 // were added, with parallel weights in W (Off has length V+1). Search hot
 // paths iterate it with three flat array reads per edge instead of chasing
 // per-vertex slice headers; weights stay float64 so distances are
-// bit-identical to the adjacency-list searches. A CSR is immutable once
-// published.
+// bit-identical to the adjacency-list searches. MinW and MaxW are the least
+// positive and the largest weight (0 when there is none), read by searches
+// that bucket distances. A CSR is immutable once published.
 type CSR struct {
 	Off []int32
 	To  []int32
 	W   []float64
+
+	MinW, MaxW float64
 }
 
 // CSR returns the packed adjacency, packing the build buffer, publishing the
@@ -223,6 +226,10 @@ func (g *Graph) CSR() *CSR {
 			c.To[pos] = int32(he.to)
 			c.W[pos] = he.w
 			pos++
+			if he.w > 0 && (c.MinW == 0 || he.w < c.MinW) {
+				c.MinW = he.w
+			}
+			c.MaxW = max(c.MaxW, he.w)
 		}
 	}
 	c.Off[n] = pos
