@@ -46,6 +46,7 @@ func (t *Triangulation) InsertAll(pts []geom.Point) ([]int, error) {
 		ids[i] = fresh
 		links = append(links, k)
 	}
+	t.pts = slices.Grow(t.pts, len(links)) // one growth, not one per doubling
 	for i, id := range ids {
 		if id == fresh {
 			ids[i] = int(t.reserve(pts[i])) - 3
@@ -101,6 +102,7 @@ func Restore(bounds geom.Rect, vs []Vertex, nextID int) (*Triangulation, error) 
 			return nil, fmt.Errorf("restore assigned id %d, want %d (objs not ascending?)", a.ID, b.ID)
 		}
 	}
+	t.pts = slices.Grow(t.pts, nextID) // every slot up to nextID, padded or live
 	for _, v := range vs {
 		for t.IDUpperBound() < v.ID {
 			t.pad()

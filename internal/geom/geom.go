@@ -4,9 +4,10 @@
 // polygon clipping.
 //
 // All coordinates are float64. The predicates use a floating-point filter
-// with a certified error bound and fall back to exact big.Rat arithmetic
-// only when the filter cannot decide, so they are both fast on
-// general-position inputs and correct on (near-)degenerate ones.
+// with a certified error bound and fall back to exact integer arithmetic
+// (big.Int, every coordinate scaled by one power of two) only when the
+// filter cannot decide, so they are both fast on general-position inputs
+// and correct on (near-)degenerate ones.
 package geom
 
 import (

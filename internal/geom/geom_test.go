@@ -2,7 +2,9 @@ package geom
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -230,7 +232,7 @@ func TestInCircleMatchesDistanceToCircumcenter(t *testing.T) {
 }
 
 // TestInCircleRoundFreeAgreesWithExact: whenever the round-free stage
-// certifies a sign it is the big-arithmetic sign — on small integers (where
+// certifies a sign it is the exact stage's sign — on small integers (where
 // it must certify, cocircular quadruples included), on full-mantissa
 // floats, and at magnitudes where products overflow or underflow.
 func TestInCircleRoundFreeAgreesWithExact(t *testing.T) {
@@ -275,6 +277,173 @@ func TestInCircleRoundFreeAgreesWithExact(t *testing.T) {
 	// The lattice case end to end: four corners of a unit square.
 	if got := InCircle(Pt(3, 3), Pt(4, 3), Pt(4, 4), Pt(3, 4)); got != 0 {
 		t.Errorf("unit square: InCircle = %d, want 0", got)
+	}
+}
+
+// ratOrient and ratInCircle are the reference the exact stage is checked
+// against: the same determinants in big.Rat, every coordinate as the
+// fraction it is.
+func ratOrient(a, b, c Point) Orientation {
+	ax, ay := new(big.Rat).SetFloat64(a.X), new(big.Rat).SetFloat64(a.Y)
+	bx, by := new(big.Rat).SetFloat64(b.X), new(big.Rat).SetFloat64(b.Y)
+	cx, cy := new(big.Rat).SetFloat64(c.X), new(big.Rat).SetFloat64(c.Y)
+	// (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
+	l := new(big.Rat).Mul(new(big.Rat).Sub(bx, ax), new(big.Rat).Sub(cy, ay))
+	r := new(big.Rat).Mul(new(big.Rat).Sub(by, ay), new(big.Rat).Sub(cx, ax))
+	return Orientation(l.Cmp(r))
+}
+
+func ratInCircle(a, b, c, d Point) int {
+	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+	adx := new(big.Rat).Sub(rat(a.X), rat(d.X))
+	ady := new(big.Rat).Sub(rat(a.Y), rat(d.Y))
+	bdx := new(big.Rat).Sub(rat(b.X), rat(d.X))
+	bdy := new(big.Rat).Sub(rat(b.Y), rat(d.Y))
+	cdx := new(big.Rat).Sub(rat(c.X), rat(d.X))
+	cdy := new(big.Rat).Sub(rat(c.Y), rat(d.Y))
+
+	lift := func(x, y *big.Rat) *big.Rat {
+		return new(big.Rat).Add(new(big.Rat).Mul(x, x), new(big.Rat).Mul(y, y))
+	}
+	det2 := func(p, q, r, s *big.Rat) *big.Rat { // p*s - q*r
+		return new(big.Rat).Sub(new(big.Rat).Mul(p, s), new(big.Rat).Mul(q, r))
+	}
+
+	det := new(big.Rat)
+	det.Add(det, new(big.Rat).Mul(lift(adx, ady), det2(bdx, cdx, bdy, cdy)))
+	det.Sub(det, new(big.Rat).Mul(lift(bdx, bdy), det2(adx, cdx, ady, cdy)))
+	det.Add(det, new(big.Rat).Mul(lift(cdx, cdy), det2(adx, bdx, ady, bdy)))
+	return det.Sign()
+}
+
+// TestExactPredicatesMatchRational: the exact stages of Orient and
+// InCircle, called directly so that every draw reaches them, give the
+// rational sign on the round-free test's classes and on the inputs that
+// stress a common integer scale: super-triangle corners (±6·10⁹ plus a
+// full-mantissa fraction) among small coordinates, coordinates 600 binary
+// orders of magnitude apart, subnormals and signed zeros, and lattice
+// points nudged one ulp off their circle. The rational reference is slow
+// on the wide classes, which -short samples more thinly.
+func TestExactPredicatesMatchRational(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pick := func(fs ...float64) float64 { return fs[rng.Intn(len(fs))] }
+	signed := func(f float64) float64 { return pick(1, -1) * f }
+	draw := map[string]func() float64{
+		"integers":  func() float64 { return float64(rng.Intn(40)) },
+		"quarters":  func() float64 { return float64(rng.Intn(4000)) / 4 },
+		"floats":    func() float64 { return rng.Float64() * 1000 },
+		"mixed":     func() float64 { return float64(rng.Intn(10)) + float64(rng.Intn(2))*rng.Float64()*1e-9 },
+		"huge":      func() float64 { return float64(rng.Intn(40)) * 1e150 },
+		"tiny":      func() float64 { return float64(rng.Intn(40)) * 1e-160 },
+		"subnormal": func() float64 { return float64(rng.Intn(40)) * 5e-324 },
+		"zeros": func() float64 {
+			return pick(0, math.Copysign(0, -1), 5e-324, -5e-324, 1, math.SmallestNonzeroFloat64*(1<<52))
+		},
+		"extremes": func() float64 { return signed(rng.Float64() * pick(1e-300, 1, 1e300)) },
+	}
+	wide := map[string]bool{"huge": true, "tiny": true, "subnormal": true, "zeros": true, "extremes": true}
+	for name, f := range draw {
+		n := 3000
+		if wide[name] && (testing.Short() || raceEnabled) {
+			n = 300
+		}
+		for i := 0; i < n; i++ {
+			a, b, c, d := Pt(f(), f()), Pt(f(), f()), Pt(f(), f()), Pt(f(), f())
+			checkExact(t, name, a, b, c, d)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		// One super corner among three points of the bounds, in any slot,
+		// as on the faces a build hands to the exact stage; now and then
+		// two.
+		var q [4]Point
+		for j := range q {
+			q[j] = Pt(rng.Float64()*10000, rng.Float64()*10000)
+		}
+		for j := 0; j < 1+rng.Intn(2); j++ {
+			q[rng.Intn(4)] = Pt(signed(6e9)+rng.Float64(), signed(2e9)+rng.Float64())
+		}
+		checkExact(t, "super", q[0], q[1], q[2], q[3])
+	}
+	for i := 0; i < 3000; i++ {
+		// Four lattice points, the last pushed one ulp along either axis:
+		// on the circle, or as near it as a float gets.
+		l := func() float64 { return float64(rng.Intn(40)) }
+		a, b, c, d := Pt(l(), l()), Pt(l(), l()), Pt(l(), l()), Pt(l(), l())
+		d.X = math.Nextafter(d.X, pick(math.Inf(1), math.Inf(-1), d.X))
+		d.Y = math.Nextafter(d.Y, pick(math.Inf(1), math.Inf(-1), d.Y))
+		checkExact(t, "nudged", a, b, c, d)
+	}
+}
+
+// TestExactPredicatesConcurrent: readers call the predicates at once, and
+// the exact stage's pooled scratch keeps their evaluations apart.
+func TestExactPredicatesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	type quad struct {
+		q    [4]Point
+		want int
+	}
+	quads := make([]quad, 200)
+	for i := range quads {
+		q := &quads[i].q
+		for j := range q {
+			q[j] = Pt(rng.Float64()*10000, rng.Float64()*10000)
+		}
+		q[rng.Intn(4)] = Pt(-6e9+rng.Float64(), -2e9+rng.Float64()*math.Pow(2, float64(rng.Intn(60))))
+		quads[i].want = ratInCircle(q[0], q[1], q[2], q[3])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for _, x := range quads {
+					if got := inCircleExact(x.q[0], x.q[1], x.q[2], x.q[3]); got != x.want {
+						t.Errorf("exact InCircle(%v) = %d, rational %d", x.q, got, x.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func checkExact(t *testing.T, class string, a, b, c, d Point) {
+	t.Helper()
+	if got, want := inCircleExact(a, b, c, d), ratInCircle(a, b, c, d); got != want {
+		t.Fatalf("%s: exact InCircle(%v,%v,%v,%v) = %d, rational %d", class, a, b, c, d, got, want)
+	}
+	if got, want := orientExact(a, b, d), ratOrient(a, b, d); got != want {
+		t.Fatalf("%s: exact Orient(%v,%v,%v) = %v, rational %v", class, a, b, d, got, want)
+	}
+}
+
+// TestExactInCircleAllocs: a warmed-up exact stage reuses its pooled
+// integers, so an in-circle test on a face with a super-triangle corner —
+// the quadruple is one a 100k-point build hands to the exact stage —
+// allocates nothing. The count is not taken under the race detector.
+func TestExactInCircleAllocs(t *testing.T) {
+	a, b, c := Pt(0.8930048089409783, 1.952291892950984), Pt(2.8587202818748603, 0.13832481362499474), Pt(7.725494971708584, 0.33149027291007466)
+	d := Pt(-6.299995e+08, -2.099995e+08)
+	if _, ok := inCircleRoundFree(a, b, c, d); ok {
+		t.Fatal("the round-free stage certifies the quadruple; it would not reach the exact stage")
+	}
+	want := ratInCircle(a, b, c, d)
+	if got := InCircle(a, b, c, d); got != want {
+		t.Fatalf("InCircle = %d, rational %d", got, want)
+	}
+	if raceEnabled {
+		return
+	}
+	const budget = 0 // pooled scratch: the pool hands the same integers back
+	if n := testing.AllocsPerRun(200, func() { InCircle(a, b, c, d) }); n > budget {
+		t.Errorf("exact InCircle allocates %.1f times a call, budget %d", n, budget)
+	}
+	if n := testing.AllocsPerRun(200, func() { orientExact(a, b, d) }); n > budget {
+		t.Errorf("exact Orient allocates %.1f times a call, budget %d", n, budget)
 	}
 }
 

@@ -3,6 +3,8 @@ package geom
 import (
 	"math"
 	"math/big"
+	"math/bits"
+	"sync"
 )
 
 // Orientation classifies the turn direction of an ordered point triple.
@@ -28,7 +30,7 @@ const ulpHalf = 1.1102230246251565e-16 // 2^-53, half a unit in the last place
 // when c lies to the left of the directed line a->b, Clockwise when it lies
 // to the right, and Collinear when the three points are exactly collinear.
 // The result is exact: a floating-point filter decides the common case and
-// big.Rat arithmetic resolves near-degenerate inputs.
+// integer arithmetic resolves near-degenerate inputs.
 func Orient(a, b, c Point) Orientation {
 	detLeft := (b.X - a.X) * (c.Y - a.Y)
 	detRight := (b.Y - a.Y) * (c.X - a.X)
@@ -67,12 +69,18 @@ func sign(v float64) Orientation {
 }
 
 func orientExact(a, b, c Point) Orientation {
-	ax, ay := new(big.Rat).SetFloat64(a.X), new(big.Rat).SetFloat64(a.Y)
-	bx, by := new(big.Rat).SetFloat64(b.X), new(big.Rat).SetFloat64(b.Y)
-	cx, cy := new(big.Rat).SetFloat64(c.X), new(big.Rat).SetFloat64(c.Y)
+	s := exactPool.Get().(*exactScratch)
+	defer exactPool.Put(s)
+	s.load(a, b, c)
+	ax, ay, bx, by, cx, cy := &s.v[0], &s.v[1], &s.v[2], &s.v[3], &s.v[4], &s.v[5]
 	// (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
-	l := new(big.Rat).Mul(new(big.Rat).Sub(bx, ax), new(big.Rat).Sub(cy, ay))
-	r := new(big.Rat).Mul(new(big.Rat).Sub(by, ay), new(big.Rat).Sub(cx, ax))
+	bx.Sub(bx, ax)
+	by.Sub(by, ay)
+	cx.Sub(cx, ax)
+	cy.Sub(cy, ay)
+	l, r := &s.t[0], &s.t[1]
+	l.Mul(bx, cy)
+	r.Mul(by, cx)
 	return Orientation(l.Cmp(r))
 }
 
@@ -164,26 +172,90 @@ func inCircleRoundFree(a, b, c, d Point) (int, bool) {
 }
 
 func inCircleExact(a, b, c, d Point) int {
-	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
-	adx := new(big.Rat).Sub(rat(a.X), rat(d.X))
-	ady := new(big.Rat).Sub(rat(a.Y), rat(d.Y))
-	bdx := new(big.Rat).Sub(rat(b.X), rat(d.X))
-	bdy := new(big.Rat).Sub(rat(b.Y), rat(d.Y))
-	cdx := new(big.Rat).Sub(rat(c.X), rat(d.X))
-	cdy := new(big.Rat).Sub(rat(c.Y), rat(d.Y))
-
-	lift := func(x, y *big.Rat) *big.Rat {
-		return new(big.Rat).Add(new(big.Rat).Mul(x, x), new(big.Rat).Mul(y, y))
-	}
-	det2 := func(p, q, r, s *big.Rat) *big.Rat { // p*s - q*r
-		return new(big.Rat).Sub(new(big.Rat).Mul(p, s), new(big.Rat).Mul(q, r))
-	}
-
-	det := new(big.Rat)
-	det.Add(det, new(big.Rat).Mul(lift(adx, ady), det2(bdx, cdx, bdy, cdy)))
-	det.Sub(det, new(big.Rat).Mul(lift(bdx, bdy), det2(adx, cdx, ady, cdy)))
-	det.Add(det, new(big.Rat).Mul(lift(cdx, cdy), det2(adx, bdx, ady, bdy)))
+	s := exactPool.Get().(*exactScratch)
+	defer exactPool.Put(s)
+	s.load(a, b, c, d)
+	ax, ay, bx, by, cx, cy, dx, dy := &s.v[0], &s.v[1], &s.v[2], &s.v[3], &s.v[4], &s.v[5], &s.v[6], &s.v[7]
+	ax.Sub(ax, dx)
+	ay.Sub(ay, dy)
+	bx.Sub(bx, dx)
+	by.Sub(by, dy)
+	cx.Sub(cx, dx)
+	cy.Sub(cy, dy)
+	det := dx.SetInt64(0) // d's coordinates are spent
+	s.addTerm(det, ax, ay, bx, by, cx, cy)
+	s.addTerm(det, bx, by, cx, cy, ax, ay)
+	s.addTerm(det, cx, cy, ax, ay, bx, by)
 	return det.Sign()
+}
+
+// exactScratch holds the integers of one exact evaluation. The fallbacks
+// take it from exactPool and put it back, so its backing arrays are reused
+// from call to call and a warmed-up evaluation of coordinates of one
+// magnitude allocates nothing; a pool rather than one global because the
+// predicates are called from concurrent readers.
+type exactScratch struct {
+	v [8]big.Int // the coordinates, at the call's common scale
+	t [3]big.Int // products and their sums
+}
+
+var exactPool = sync.Pool{New: func() any { return new(exactScratch) }}
+
+// load sets the first 2·len(ps) integers of s.v to the coordinates of ps,
+// x then y, each multiplied by the same power of two: 2^-e, where 2^e is
+// the least place value of any set bit among them. Every coordinate
+// becomes an integer that way — a float64 is an integer mantissa times a
+// power of two — and the predicates' determinants are homogeneous
+// polynomials in the coordinates, so scaling all of them by a positive
+// power of two keeps the sign. Nothing is divided and no fraction is
+// normalised. A non-finite coordinate has no such integer; it panics.
+func (s *exactScratch) load(ps ...Point) {
+	var mant [8]int64
+	var exp [8]int
+	least := math.MaxInt
+	for i, p := range ps {
+		for j, f := range [2]float64{p.X, p.Y} {
+			k := 2*i + j
+			mant[k], exp[k] = split(f)
+			if mant[k] != 0 {
+				least = min(least, exp[k])
+			}
+		}
+	}
+	for k := range 2 * len(ps) {
+		z := s.v[k].SetInt64(mant[k])
+		if mant[k] != 0 {
+			z.Lsh(z, uint(exp[k]-least))
+		}
+	}
+}
+
+// split returns f as m·2^e with m odd, or m = 0 when f is 0.
+func split(f float64) (m int64, e int) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		panic("geom: exact predicate on a non-finite coordinate")
+	}
+	if f == 0 {
+		return 0, 0
+	}
+	frac, exp := math.Frexp(f)  // f = frac·2^exp, 1/2 <= |frac| < 1
+	m = int64(frac * (1 << 53)) // exact: frac has at most 53 bits
+	tz := bits.TrailingZeros64(uint64(m))
+	return m >> tz, exp - 53 + tz
+}
+
+// addTerm adds lift(p)·cross(q, r) to det: (px²+py²)·(qx·ry − rx·qy), one
+// of the three cofactor terms of the in-circle determinant.
+func (s *exactScratch) addTerm(det, px, py, qx, qy, rx, ry *big.Int) {
+	cross, lift, tmp := &s.t[0], &s.t[1], &s.t[2]
+	cross.Mul(qx, ry)
+	tmp.Mul(rx, qy)
+	cross.Sub(cross, tmp)
+	lift.Mul(px, px)
+	tmp.Mul(py, py)
+	lift.Add(lift, tmp)
+	tmp.Mul(lift, cross)
+	det.Add(det, tmp)
 }
 
 // Circumcenter returns the center of the circle through a, b and c. The

@@ -348,34 +348,85 @@ func TestStoreRestoreGapsMatchesLiveStore(t *testing.T) {
 }
 
 // TestOpsSinceViewsOutliveTrims: with an 8-deep log (which trims every two
-// or three ops), a reader keeps every OpsSince view it takes until the
-// writer has applied 12 more epochs — four trims at least — and checks at
-// every turn that each held view still reads the epochs it was returned for.
-// -race proves that neither appends nor trims write a view's memory. A batch
-// longer than the log leaves exactly its last eight ops covered.
+// or three ops), an OpsSince view reads the epochs it was returned for after
+// the writer has applied 12 more epochs — four trims at least. The first leg
+// is deterministic: it takes a view, applies 16 epochs itself and checks the
+// view, op for op. The second runs the writer beside a reader that keeps
+// every view it takes until 12 epochs have passed it, the first taken before
+// the writer starts, and checks each held view at every turn; -race proves
+// that neither appends nor trims write a view's memory. A batch longer than
+// the log leaves exactly its last eight ops covered.
 func TestOpsSinceViewsOutliveTrims(t *testing.T) {
 	const depth, epochs = 8, 600
 	st := newPlaneStore(t, 50, depth)
+	churn := func(i int) error { // two epochs
+		id, err := st.Insert(geom.Pt(float64(i%97)*9+3, float64(i%89)*11+5))
+		if err != nil {
+			return err
+		}
+		return st.Remove(id)
+	}
+
+	type view struct {
+		from uint64
+		ops  []Op
+	}
+	take := func(to uint64) (view, bool) {
+		ops, ok := st.OpsSince(to-3, to)
+		return view{to - 3, ops}, ok
+	}
+	check := func(v view) {
+		t.Helper()
+		for i, op := range v.ops {
+			if op.Epoch != v.from+1+uint64(i) {
+				t.Fatalf("view of (%d, %d] reads epoch %d at %d", v.from, v.from+3, op.Epoch, i)
+			}
+		}
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := churn(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, ok := take(st.Epoch())
+	if !ok || len(first.ops) != 3 {
+		t.Fatalf("OpsSince(%d, %d) = %d ops, ok=%v", first.from, first.from+3, len(first.ops), ok)
+	}
+	want := slices.Clone(first.ops)
+	for i := 0; i < 8; i++ {
+		if err := churn(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if passed := st.Epoch() - (first.from + 3); passed < 15 {
+		t.Fatalf("the view outlived %d epochs, want 15", passed)
+	}
+	check(first)
+	for i, op := range first.ops {
+		if op.Epoch != want[i].Epoch || op.Insert != want[i].Insert || op.ID != want[i].ID || op.P != want[i].P {
+			t.Fatalf("op %d of the view reads %+v after 16 epochs, %+v when taken", i, op, want[i])
+		}
+	}
+
+	// The reader holds a view from before the writer's first epoch, so at
+	// least one view is read across all of them however the two goroutines
+	// are scheduled.
+	v, ok := take(st.Epoch())
+	if !ok {
+		t.Fatalf("OpsSince(%d, %d) not covered", v.from, v.from+3)
+	}
+	held := []view{v}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < epochs/2; i++ {
-			id, err := st.Insert(geom.Pt(float64(i%97)*9+3, float64(i%89)*11+5))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := st.Remove(id); err != nil {
+			if err := churn(i); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	type view struct {
-		from uint64
-		ops  []Op
-	}
-	var held []view
 	oldest := uint64(math.MaxUint64) // the earliest epoch a view has outlived
 	for running := true; running; {
 		select {
@@ -384,18 +435,12 @@ func TestOpsSinceViewsOutliveTrims(t *testing.T) {
 		default:
 		}
 		to := st.Epoch()
-		if to >= 3 {
-			if ops, ok := st.OpsSince(to-3, to); ok {
-				held = append(held, view{to - 3, ops})
-			}
+		if v, ok := take(to); ok {
+			held = append(held, v)
 		}
 		kept := held[:0]
 		for _, v := range held {
-			for i, op := range v.ops {
-				if op.Epoch != v.from+1+uint64(i) {
-					t.Fatalf("view of (%d, %d] reads epoch %d at %d", v.from, v.from+3, op.Epoch, i)
-				}
-			}
+			check(v)
 			if to-v.from < 15 {
 				kept = append(kept, v)
 			} else {

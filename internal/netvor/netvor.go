@@ -131,7 +131,7 @@ type mutScratch struct {
 // carrying data objects) over a road network.
 type Diagram struct {
 	g     *roadnet.Graph
-	sites []int // sorted site vertex ids; owned by this version
+	sites []int // sorted site vertex ids; this version's own copy, edited in place
 
 	// Copy-on-write label tables: owner (nearest site of each vertex, -1
 	// if unreachable) and dist (distance from each vertex to its owner).
@@ -602,7 +602,7 @@ func (d *Diagram) Insert(v int) error {
 	d.source(&mut.f, v)
 	d.settle(c, &mut.f, &mut.relabeled)
 	d.rebind(c, mut, dug)
-	d.sites = insertAt(d.sites, sort.SearchInts(d.sites, v), v)
+	d.sites = slices.Insert(d.sites, sort.SearchInts(d.sites, v), v)
 	return nil
 }
 
@@ -633,7 +633,8 @@ func (d *Diagram) Remove(s int) error {
 	if e := d.adjAt(s); len(e.sites) != 0 {
 		return fmt.Errorf("netvor: remove %d left dangling adjacency %v", s, e.sites)
 	}
-	d.sites = removeAt(d.sites, sort.SearchInts(d.sites, s))
+	i := sort.SearchInts(d.sites, s)
+	d.sites = slices.Delete(d.sites, i, i+1)
 	return nil
 }
 
@@ -725,8 +726,10 @@ func (f *frontier) advance() bool {
 // Graph returns the underlying road network.
 func (d *Diagram) Graph() *roadnet.Graph { return d.g }
 
-// Sites returns the sorted site vertex ids. The slice is shared; callers
-// must not modify it.
+// Sites returns the sorted site vertex ids. The slice is the version's
+// own: callers must not modify it, and on a mutable version the next
+// Insert or Remove edits it in place, so they must not keep it across one
+// either (a frozen version's never changes).
 func (d *Diagram) Sites() []int { return d.sites }
 
 // Len returns the number of data objects (sites); it makes the diagram an
