@@ -178,6 +178,7 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 	c := g.CSR()
 	var f frontier
 	f.reset(c)
+	f.ring[0] = make([]ownerItem, 0, len(d.sites)) // every source waits in bucket 0
 	for _, s := range d.sites {
 		d.source(&f, s)
 	}
@@ -190,12 +191,12 @@ func Build(g *roadnet.Graph, sites []int) (*Diagram, error) {
 // two cells touch when some edge has endpoints with different owners (the
 // boundary point lies on that edge), and each such edge supports the pair
 // once. One pass over the half-edges keys every boundary edge by its (lower,
-// higher) owner pair; sorted, each run of equal keys is one adjacency and its
-// length the support. Filling both sites' lists in key order leaves each list
-// sorted. The lists are capped sub-slices of one array sized by the distinct
-// pairs, and each adjacency page's entries one of another: support rewrites
-// lists and a page copies before it grows, so no later version writes through
-// them.
+// higher) owner pair; sorted by counting (sortPairs), each run of equal keys
+// is one adjacency and its length the support. Filling both sites' lists in
+// key order leaves each list sorted. The lists are capped sub-slices of one
+// array sized by the distinct pairs, and each adjacency page's entries one of
+// another: support rewrites lists and a page copies before it grows, so no
+// later version writes through them.
 func (d *Diagram) buildAdjacency(c *roadnet.CSR) {
 	n := len(c.Off) - 1
 	pairs := make([]uint64, 0, len(c.To)/2)
@@ -210,7 +211,7 @@ func (d *Diagram) buildAdjacency(c *roadnet.CSR) {
 			}
 		}
 	}
-	slices.Sort(pairs)
+	sortPairs(pairs, n)
 	// Compact the runs, their lengths in support, and count each site's
 	// neighbors in at (then turned into its list's end offset).
 	support := make([]int, 0, len(pairs))
@@ -257,6 +258,31 @@ func (d *Diagram) buildAdjacency(c *roadnet.CSR) {
 		pg.entries = entries[first:len(entries):len(entries)]
 		pg.has |= 1 << (v % adjPageSize)
 		lo = hi
+	}
+}
+
+// sortPairs sorts owner-pair keys a<<32 | b, both halves below n, in two
+// stable counting passes over the halves — by b, then by a — which is
+// O(len(pairs) + n) where a comparison sort is O(len(pairs) log len(pairs)).
+// The second pass writes back into pairs, so it sorts in place by way of one
+// scratch array.
+func sortPairs(pairs []uint64, n int) {
+	out := make([]uint64, len(pairs))
+	count := make([]int32, n+1)
+	for _, shift := range []int{0, 32} {
+		clear(count)
+		for _, p := range pairs {
+			count[uint32(p>>shift)+1]++
+		}
+		for i := range n {
+			count[i+1] += count[i]
+		}
+		for _, p := range pairs {
+			k := uint32(p >> shift)
+			out[count[k]] = p
+			count[k]++
+		}
+		pairs, out = out, pairs
 	}
 }
 
@@ -683,13 +709,20 @@ func (f *frontier) reset(c *roadnet.CSR) {
 func (f *frontier) bucket(d float64) int { return int(d / f.w) }
 
 // push queues it. An entry below the bucket being drained joins that bucket.
+// A full bucket doubles: append grows a long slice by about a quarter, which
+// would copy each entry of a Build's buckets (tens of thousands each, grown
+// from empty) some four times over.
 func (f *frontier) push(it ownerItem) {
 	b := max(f.bucket(it.d), f.cur)
 	if b >= f.cur+ringSize {
 		f.over = append(f.over, it)
 		return
 	}
-	f.ring[b%ringSize] = append(f.ring[b%ringSize], it)
+	slot := &f.ring[b%ringSize]
+	if len(*slot) == cap(*slot) {
+		*slot = slices.Grow(*slot, max(len(*slot), 16))
+	}
+	*slot = append(*slot, it)
 }
 
 // advance moves cur to the next bucket that holds entries, re-basing the

@@ -25,7 +25,7 @@ func GridNetwork(rows, cols int, bounds geom.Rect, jitter, detour float64, seed 
 		return nil, fmt.Errorf("roadnet: negative detour %g", detour)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := NewGraph()
+	pts := make([]geom.Point, 0, rows*cols)
 	dx := bounds.Width() / float64(cols-1)
 	dy := bounds.Height() / float64(rows-1)
 	id := func(r, c int) int { return r*cols + c }
@@ -37,26 +37,37 @@ func GridNetwork(rows, cols int, bounds geom.Rect, jitter, detour float64, seed 
 			// Clamp into bounds so positions remain in the data space.
 			p.X = min(max(p.X, bounds.Min.X), bounds.Max.X)
 			p.Y = min(max(p.Y, bounds.Min.Y), bounds.Max.Y)
-			g.AddVertex(p)
+			pts = append(pts, p)
 		}
 	}
+	edges := make([]Edge, 0, rows*(cols-1)+(rows-1)*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				w := g.Point(id(r, c)).Dist(g.Point(id(r, c+1))) * (1 + rng.Float64()*detour)
-				if err := g.AddEdge(id(r, c), id(r, c+1), w); err != nil {
+				e, err := street(pts, id(r, c), id(r, c+1), rng, detour)
+				if err != nil {
 					return nil, err
 				}
+				edges = append(edges, e)
 			}
 			if r+1 < rows {
-				w := g.Point(id(r, c)).Dist(g.Point(id(r+1, c))) * (1 + rng.Float64()*detour)
-				if err := g.AddEdge(id(r, c), id(r+1, c), w); err != nil {
+				e, err := street(pts, id(r, c), id(r+1, c), rng, detour)
+				if err != nil {
 					return nil, err
 				}
+				edges = append(edges, e)
 			}
 		}
 	}
-	return g, nil
+	return FromEdges(pts, edges)
+}
+
+// street is the edge (u,v) a generator lays: its Euclidean length inflated
+// by a detour factor in [1, 1+detour] drawn from rng, weighed as AddEdge
+// weighs it.
+func street(pts []geom.Point, u, v int, rng *rand.Rand, detour float64) (Edge, error) {
+	w, err := euclidWeight(pts, u, v, pts[u].Dist(pts[v])*(1+rng.Float64()*detour))
+	return Edge{u, v, w}, err
 }
 
 // RandomPlanarNetwork generates a connected planar road network by
@@ -74,9 +85,10 @@ func RandomPlanarNetwork(n int, bounds geom.Rect, keep, detour float64, seed int
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tri := delaunay.New(bounds)
-	g := NewGraph()
-	vid := make(map[int]int) // triangulation id -> graph vertex id
-	for len(vid) < n {
+	// A fresh triangulation numbers its vertices densely in insertion order,
+	// so a triangulation id is the graph vertex id.
+	pts := make([]geom.Point, 0, n)
+	for len(pts) < n {
 		p := geom.Pt(
 			bounds.Min.X+rng.Float64()*bounds.Width(),
 			bounds.Min.Y+rng.Float64()*bounds.Height(),
@@ -85,12 +97,15 @@ func RandomPlanarNetwork(n int, bounds geom.Rect, keep, detour float64, seed int
 		if err != nil {
 			continue // duplicate draw: retry
 		}
-		vid[id] = g.AddVertex(p)
+		if id != len(pts) {
+			return nil, fmt.Errorf("roadnet: triangulation numbered vertex %d as %d", len(pts), id)
+		}
+		pts = append(pts, p)
 	}
 	// Collect Delaunay edges.
 	type edge struct{ a, b int }
 	seen := make(map[edge]bool)
-	var edges []edge
+	var tris []edge
 	for _, f := range tri.Triangles() {
 		for i := 0; i < 3; i++ {
 			a, b := f[i], f[(i+1)%3]
@@ -99,13 +114,13 @@ func RandomPlanarNetwork(n int, bounds geom.Rect, keep, detour float64, seed int
 			}
 			if !seen[edge{a, b}] {
 				seen[edge{a, b}] = true
-				edges = append(edges, edge{a, b})
+				tris = append(tris, edge{a, b})
 			}
 		}
 	}
 	// Kruskal-style spanning tree over a random order, then keep the rest
 	// with probability keep.
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	rng.Shuffle(len(tris), func(i, j int) { tris[i], tris[j] = tris[j], tris[i] })
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -118,14 +133,17 @@ func RandomPlanarNetwork(n int, bounds geom.Rect, keep, detour float64, seed int
 		}
 		return x
 	}
+	edges := make([]Edge, 0, len(tris))
 	addEdge := func(e edge) error {
-		u, v := vid[e.a], vid[e.b]
-		w := g.Point(u).Dist(g.Point(v)) * (1 + rng.Float64()*detour)
-		return g.AddEdge(u, v, w)
+		s, err := street(pts, e.a, e.b, rng, detour)
+		if err == nil {
+			edges = append(edges, s)
+		}
+		return err
 	}
 	var extras []edge
-	for _, e := range edges {
-		ra, rb := find(vid[e.a]), find(vid[e.b])
+	for _, e := range tris {
+		ra, rb := find(e.a), find(e.b)
 		if ra != rb {
 			parent[ra] = rb
 			if err := addEdge(e); err != nil {
@@ -142,7 +160,7 @@ func RandomPlanarNetwork(n int, bounds geom.Rect, keep, detour float64, seed int
 			}
 		}
 	}
-	return g, nil
+	return FromEdges(pts, edges)
 }
 
 // RandomWalkRoute generates a route of approximately the given network

@@ -32,12 +32,15 @@ type halfEdge struct {
 // data objects are all at the vertices").
 //
 // The packed CSR (see CSR) is the graph: every read of the adjacency, the
-// searches' and the accessors' alike, goes through it. Mutations collect in
-// adj, a per-vertex build buffer that exists only between a mutation and the
-// next read: the first CSR call packs it, publishes the view and releases it,
-// and a mutation of a published graph unpacks the view into a fresh buffer
-// first (thaw). A graph that stops mutating — the serving lifecycle — so
-// holds its edges once, in three flat arrays.
+// searches' and the accessors' alike, goes through it. There are two ways in.
+// FromEdges builds a whole graph at once, packing its edge list straight into
+// the published view in flat passes — the generators' path. AddVertex and
+// AddEdge mutate: they collect in adj, a per-vertex build buffer that exists
+// only between a mutation and the next read: the first CSR call packs it,
+// publishes the view and releases it, and a mutation of a published graph
+// (built either way) unpacks the view into a fresh buffer first (thaw). A
+// graph that stops mutating — the serving lifecycle — so holds its edges
+// once, in three flat arrays.
 type Graph struct {
 	pts   []geom.Point
 	edges int
@@ -87,19 +90,27 @@ func (g *Graph) AddVertex(p geom.Point) int {
 // distance between the embeddings". Parallel edges and self-loops are
 // rejected.
 func (g *Graph) AddEdge(u, v int, w float64) error {
-	if u < 0 || v < 0 || u >= len(g.pts) || v >= len(g.pts) {
-		return fmt.Errorf("%w: (%d,%d)", ErrVertex, u, v)
+	if err := checkEnds(len(g.pts), u, v); err != nil {
+		return err
 	}
-	if u == v {
-		return fmt.Errorf("%w: self-loop at %d", ErrEdge, u)
-	}
-	if w <= 0 {
-		w = g.pts[u].Dist(g.pts[v])
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("%w: weight %g on (%d,%d)", ErrEdge, w, u, v)
+	w, err := euclidWeight(g.pts, u, v, w)
+	if err != nil {
+		return err
 	}
 	return g.addEdgeChecked(u, v, w)
+}
+
+// euclidWeight applies AddEdge's weight convention to edge (u,v) of a graph
+// with vertices at pts: w <= 0 stands for the Euclidean length, and what
+// results must be positive and finite.
+func euclidWeight(pts []geom.Point, u, v int, w float64) (float64, error) {
+	if w <= 0 {
+		w = pts[u].Dist(pts[v])
+	}
+	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return 0, weightError(u, v, w)
+	}
+	return w, nil
 }
 
 // AddEdgeWeight connects u and v with the exact weight w (w >= 0, finite;
@@ -108,16 +119,41 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 // subnetwork extraction, which must transplant weights verbatim, and tests
 // exercising zero-weight edges use this form.
 func (g *Graph) AddEdgeWeight(u, v int, w float64) error {
-	if u < 0 || v < 0 || u >= len(g.pts) || v >= len(g.pts) {
+	if err := checkEdge(len(g.pts), Edge{u, v, w}); err != nil {
+		return err
+	}
+	return g.addEdgeChecked(u, v, w)
+}
+
+// checkEnds validates the endpoints of an edge of a graph of n vertices.
+func checkEnds(n, u, v int) error {
+	if u < 0 || v < 0 || u >= n || v >= n {
 		return fmt.Errorf("%w: (%d,%d)", ErrVertex, u, v)
 	}
 	if u == v {
 		return fmt.Errorf("%w: self-loop at %d", ErrEdge, u)
 	}
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("%w: weight %g on (%d,%d)", ErrEdge, w, u, v)
+	return nil
+}
+
+// checkEdge validates an edge as AddEdgeWeight takes it: endpoints, and a
+// finite weight that is not negative.
+func checkEdge(n int, e Edge) error {
+	if err := checkEnds(n, e.U, e.V); err != nil {
+		return err
 	}
-	return g.addEdgeChecked(u, v, w)
+	if e.W < 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+		return weightError(e.U, e.V, e.W)
+	}
+	return nil
+}
+
+func weightError(u, v int, w float64) error {
+	return fmt.Errorf("%w: weight %g on (%d,%d)", ErrEdge, w, u, v)
+}
+
+func parallelError(u, v int) error {
+	return fmt.Errorf("%w: parallel edge (%d,%d)", ErrEdge, u, v)
 }
 
 // addEdgeChecked inserts an edge whose endpoints and weight have been
@@ -126,12 +162,95 @@ func (g *Graph) addEdgeChecked(u, v int, w float64) error {
 	g.thaw()
 	for _, he := range g.adj[u] {
 		if he.to == v {
-			return fmt.Errorf("%w: parallel edge (%d,%d)", ErrEdge, u, v)
+			return parallelError(u, v)
 		}
 	}
 	g.adj[u] = append(g.adj[u], halfEdge{v, w})
 	g.adj[v] = append(g.adj[v], halfEdge{u, w})
 	g.edges++
+	return nil
+}
+
+// Edge is an undirected edge of FromEdges' list: endpoints and exact weight.
+type Edge struct {
+	U, V int
+	W    float64
+}
+
+// FromEdges builds the graph with vertices at pts (ids in order) and the
+// given edges, and publishes its CSR. It takes edges as a loop of
+// AddEdgeWeight calls would, with the same result: each vertex's half-edges
+// in list order, and for a bad list the error that loop stops at (range,
+// self-loop, weight or parallel edge) and no graph. It costs flat passes
+// over the list instead of a per-vertex build buffer: degrees are counted,
+// prefix-summed into Off, and the half-edges dropped into their rows in list
+// order, which is a stable counting sort by endpoint. The graph keeps pts.
+func FromEdges(pts []geom.Point, edges []Edge) (*Graph, error) {
+	n := len(pts)
+	// The loop would add every edge before the first invalid one, so only
+	// those can be parallels.
+	valid := len(edges)
+	var bad error
+	for i, e := range edges {
+		if bad = checkEdge(n, e); bad != nil {
+			valid = i
+			break
+		}
+	}
+	edges = edges[:valid]
+	c := &CSR{Off: make([]int32, n+1), To: make([]int32, 2*len(edges)), W: make([]float64, 2*len(edges))}
+	for _, e := range edges {
+		c.Off[e.U+1]++
+		c.Off[e.V+1]++
+	}
+	for v := range n {
+		c.Off[v+1] += c.Off[v]
+	}
+	// next[v] is where v's next half-edge goes; it ends at v's row end.
+	next := make([]int32, n)
+	copy(next, c.Off[:n])
+	for _, e := range edges {
+		c.To[next[e.U]], c.W[next[e.U]] = int32(e.V), e.W
+		next[e.U]++
+		c.To[next[e.V]], c.W[next[e.V]] = int32(e.U), e.W
+		next[e.V]++
+		if e.W > 0 && (c.MinW == 0 || e.W < c.MinW) {
+			c.MinW = e.W
+		}
+		c.MaxW = max(c.MaxW, e.W)
+	}
+	// A parallel edge repeats a neighbor in a row. Stamping each row's
+	// neighbors with the row finds one; the list, walked in order, then
+	// names the first, as the loop would have.
+	stamp := next
+	clear(stamp)
+	for u := range n {
+		for _, v := range c.To[c.Off[u]:c.Off[u+1]] {
+			if stamp[v] == int32(u)+1 {
+				return nil, firstParallel(edges)
+			}
+			stamp[v] = int32(u) + 1
+		}
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	g := &Graph{pts: pts, edges: len(edges)}
+	g.view.Store(c)
+	return g, nil
+}
+
+// firstParallel returns the error of the first edge of edges that repeats an
+// earlier one, in either direction.
+func firstParallel(edges []Edge) error {
+	seen := make(map[[2]int]bool, len(edges))
+	for _, e := range edges {
+		k := [2]int{min(e.U, e.V), max(e.U, e.V)}
+		if seen[k] {
+			return parallelError(e.U, e.V)
+		}
+		seen[k] = true
+	}
 	return nil
 }
 
@@ -193,7 +312,9 @@ func (g *Graph) Edges(fn func(u, v int, w float64)) {
 // per-vertex slice headers; weights stay float64 so distances are
 // bit-identical to the adjacency-list searches. MinW and MaxW are the least
 // positive and the largest weight (0 when there is none), read by searches
-// that bucket distances. A CSR is immutable once published.
+// that bucket distances. A CSR is immutable once published: FromEdges
+// publishes one straight from its edge list, and the CSR method packs one
+// from the mutation buffer.
 type CSR struct {
 	Off []int32
 	To  []int32
@@ -202,11 +323,11 @@ type CSR struct {
 	MinW, MaxW float64
 }
 
-// CSR returns the packed adjacency, packing the build buffer, publishing the
-// result and releasing the buffer on first use after a mutation. Concurrent
-// first readers build once: the slow path holds the mutex, the fast path is
-// one atomic load. Mutating the graph while other goroutines read it is not
-// supported.
+// CSR returns the packed adjacency. A bulk-built graph has it from the start;
+// after a mutation, the first call packs the build buffer, publishes the
+// result and releases the buffer. Concurrent first readers build once: the
+// slow path holds the mutex, the fast path is one atomic load. Mutating the
+// graph while other goroutines read it is not supported.
 func (g *Graph) CSR() *CSR {
 	if c := g.view.Load(); c != nil {
 		return c
